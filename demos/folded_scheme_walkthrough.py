@@ -4,8 +4,9 @@ Prefix downloads from a folded Reed-Solomon code
 
 Columns hold l consecutive evaluations of one low-degree polynomial at
 powers of a primitive element. Asking each column for just its first
-alpha*l entries leaves a punctured code that is still MDS, so trial
-decoding recovers the message while reading nothing outside the prefixes:
+alpha*l entries leaves a punctured code that is still MDS; flattened, it
+is a Reed-Solomon code, so one Euclid decode of the prefixes recovers the
+message while reading nothing outside them:
 downloaded symbols equal accessed symbols, there is no access overhead.
 """
 
@@ -34,7 +35,7 @@ print(f"downloaded = accessed = {bundle.downloaded} symbols")
 
 decoded, corrected = frs_decode_trial(cfg, bundle.per_column)
 print("decoded message:", decoded)
-print("columns the decoder discarded:", sorted(corrected))
+print("columns the decoder corrected:", sorted(corrected))
 assert decoded == message
 
 # corruption that never enters a served prefix is invisible by design
@@ -44,4 +45,4 @@ decoded, corrected = frs_decode_trial(
     cfg, frs_download_all(cfg, received).per_column)
 assert decoded == message and not corrected
 print("\ntail-only corruption in 3 columns: decode unaffected, "
-      "nothing discarded")
+      "nothing corrected")

@@ -29,7 +29,7 @@ from .frs_scheme import (FrsConfig, bundle_columns, flatten_columns,
                          frs_download_prefix, frs_encode, frs_full_pipeline,
                          frs_list_decode_bruteforce, frs_make_config,
                          is_primitive_root, smallest_prime_above,
-                         smallest_primitive_root, trial_decode_columns)
+                         smallest_primitive_root)
 from .harness import (ExperimentReport, ExperimentSpec, NaiveComparison,
                       SplitMix64, WeightStats, compare_naive, random_message,
                       report_to_dict, report_to_json, run_trial, simulate,

@@ -5,7 +5,8 @@ Columns are l consecutive evaluations of one polynomial h of degree
 (h(gamma^(i*l)), ..., h(gamma^(i*l + l - 1))). The decoder asks each column
 for only its first alpha*l entries. The punctured word it sees is itself a
 folded code with n columns of height alpha*l built from a degree < kl
-polynomial, i.e. an (n, k/alpha) MDS array code, so trial decoding corrects
+polynomial, i.e. an (n, k/alpha) MDS array code. Flattened, it is an RS
+code of length n*alpha*l and dimension kl, so one Euclid decode corrects
 floor((n - k/alpha) / 2) column errors while downloading exactly an alpha
 fraction. Nothing outside the prefix is ever read, so downloaded symbols
 equal accessed symbols: the access overhead of combining full columns is
@@ -20,8 +21,9 @@ from .arraycode import DownloadBundle, apply_error_pattern
 from .budget import check_budget
 from .errors import DecodeFailure
 from .fields import PrimeField, is_prime, prime_factors
-from .polyring import interpolate, normalize, poly_eval
+from .polyring import normalize, poly_eval
 from .rationals import as_fraction
+from .rs import RsCode, rs_decode_unique
 
 
 def smallest_prime_above(bound):
@@ -60,6 +62,8 @@ class FrsConfig:
     gamma: a primitive element of the field.
     n, k, l: column count, message size in columns, column height.
     alpha: download fraction; alpha*l and k/alpha must be integers.
+    prefix_code: derived; the RS code the flattened prefixes form, with the
+        prefix points of column 0, then of column 1, and so on.
     """
 
     field: PrimeField
@@ -69,6 +73,7 @@ class FrsConfig:
     l: int
     alpha: Fraction
     points: tuple = dc_field(init=False, repr=False, compare=False)
+    prefix_code: RsCode = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
@@ -99,6 +104,9 @@ class FrsConfig:
             points.append(x)
             x = field.mul(x, self.gamma)
         object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "prefix_code", RsCode(
+            field, k * l, flatten_columns(self.column_points(i, self.alpha_l)
+                                          for i in range(n))))
 
     @property
     def alpha_l(self):
@@ -116,7 +124,8 @@ class FrsConfig:
 
     @property
     def radius(self):
-        """floor((n - k/alpha) / 2), met with equality by frs_decode_trial."""
+        """floor((n - k/alpha) / 2): the column errors one Euclid decode of
+        the flattened prefixes always corrects."""
         return (self.n - self.punctured_dim) // 2
 
     @property
@@ -183,63 +192,42 @@ def frs_download_all(cfg, columns):
     )
 
 
-def trial_decode_columns(field, columns, column_points, degree_bound, t_star):
-    """Interpolate-and-verify decoding for evaluation array codes.
+def decode_columns(code, columns, radius):
+    """Decode columns of uniform height as one word of the RS code `code`.
 
-    Tries discarding every subset of up to t_star columns, smallest subsets
-    first and each size in ascending index order. For each trial it
-    interpolates a candidate from the first degree_bound surviving
-    evaluations and accepts iff the candidate reproduces every surviving
-    evaluation. Returns (coefficients, discarded_columns) for the first
-    accepted trial; raises DecodeFailure when none is.
+    The columns are flattened in order, so `code.omega` must list each
+    column's evaluation points in turn. Returns (message, corrected_columns)
+    with the message padded to length code.k. Raises DecodeFailure unless
+    some codeword differs from the columns on at most `radius` of them.
 
-    When the columns carry distinct evaluation points of one polynomial of
-    degree < degree_bound and at most t_star columns are corrupted, the
-    clean-column agreement count exceeds what two distinct candidates can
-    share, so the accepted candidate is unique and correct.
+    Exact whenever height * radius <= code.radius: a codeword within
+    `radius` columns is then within the symbol radius, so the Euclid
+    decoder finds it, and the column count rejects anything farther.
     """
-    n = len(columns)
-    if len(column_points) != n:
-        raise ValueError("need one point tuple per column")
-    for pts, col in zip(column_points, columns):
-        if len(pts) != len(col):
-            raise ValueError("column/point length mismatch")
-    pairs_per_column = [tuple(zip(pts, col))
-                        for pts, col in zip(column_points, columns)]
-    for size in range(min(t_star, n) + 1):
-        for discard in itertools.combinations(range(n), size):
-            discarded = set(discard)
-            pairs = [pair for i in range(n) if i not in discarded
-                     for pair in pairs_per_column[i]]
-            if len(pairs) < degree_bound:
-                continue
-            candidate = interpolate(field, pairs[:degree_bound])
-            if all(poly_eval(field, candidate, x) == y
-                   for x, y in pairs[degree_bound:]):
-                return candidate, frozenset(discard)
-    raise DecodeFailure(
-        f"no consistent candidate after discarding up to {t_star} columns")
+    height = len(columns[0])
+    h, positions = rs_decode_unique(code, flatten_columns(columns))
+    corrected = frozenset(pos // height for pos in positions)
+    if len(corrected) > radius:
+        raise DecodeFailure(
+            f"nearest codeword differs on {len(corrected)} columns, more "
+            f"than the radius {radius}")
+    return _pad(h, code.k), corrected
 
 
 def frs_decode_trial(cfg, per_column):
     """Decode prefix downloads, fixing up to `radius` bad columns.
 
     Returns (message, corrected_columns) with the message padded back to
-    length kl. A wrong accept would need two degree < kl polynomials sharing
-    alpha*l * (n - 2*radius) > kl - 1 evaluation points, which cannot happen,
-    so within the radius the result is always the stored message.
+    length kl. The prefixes form an RS word of length n*alpha*l and
+    dimension kl whose symbol radius floor(alpha*l*(n - k/alpha)/2) covers
+    alpha*l * radius, so one Euclid decode of the flattened prefixes finds
+    the stored message whenever at most `radius` columns are bad.
     """
     per_column = tuple(tuple(c) for c in per_column)
     if len(per_column) != cfg.n or any(len(c) != cfg.alpha_l for c in per_column):
         raise ValueError(
             f"expected {cfg.n} columns of {cfg.alpha_l} downloaded symbols")
-    for col in per_column:
-        for v in col:
-            cfg.field.check(v)
-    column_points = [cfg.column_points(i, cfg.alpha_l) for i in range(cfg.n)]
-    h, discarded = trial_decode_columns(cfg.field, per_column, column_points,
-                                        cfg.message_length, cfg.radius)
-    return _pad(h, cfg.message_length), discarded
+    return decode_columns(cfg.prefix_code, per_column, cfg.radius)
 
 
 def _pad(coeffs, length):

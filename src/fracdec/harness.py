@@ -2,9 +2,8 @@
 
 Randomness policy: every trial derives its own 64-bit stream from
 (seed, weight, trialIndex) through the splitmix64 finalizer, so reports are
-byte-identical across runs and schedules — exhaustive and sampled modes,
-serial or parallel, always see the same messages and error values for a
-given trial index.
+byte-identical across runs: exhaustive and sampled modes always see the
+same messages and error values for a given trial index.
 """
 
 import itertools
@@ -14,10 +13,12 @@ from fractions import Fraction
 from math import comb
 
 from .budget import check_budget
-from .arraycode import ErrorPattern
+from .arraycode import ErrorPattern, apply_error_pattern
 from .errors import DecodeFailure
-from .frs_scheme import FrsConfig, frs_full_pipeline
-from .trace_scheme import TsConfig, ts_full_pipeline
+from .frs_scheme import (FrsConfig, decode_columns, flatten_columns,
+                         frs_encode, frs_full_pipeline)
+from .rs import RsCode
+from .trace_scheme import TsConfig, ts_encode, ts_full_pipeline
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -371,36 +372,22 @@ def compare_naive(cfg, t, seed=0):
 def _decode_naive(cfg, kind, message, pattern, read_columns, naive_radius):
     """Decode from whole columns only, the way an alpha*n-column reader
     would, and classify the outcome against the true message."""
-    from .arraycode import apply_error_pattern
-    from .frs_scheme import frs_encode, trial_decode_columns, _pad
-    from .rs import RsCode, rs_decode_unique
-    from .trace_scheme import ts_encode
-
+    encode = ts_encode if kind == "ts" else frs_encode
+    corrupted = apply_error_pattern(_symbol_field(cfg), encode(cfg, message),
+                                    pattern)
     if kind == "ts":
-        stored = ts_encode(cfg, message)
-        corrupted = apply_error_pattern(cfg.base, stored, pattern)
-        symbols = tuple(cfg.basis.reconstruct(corrupted[i])
+        code = RsCode(cfg.ext, cfg.k, tuple(cfg.omega[i] for i in read_columns))
+        columns = tuple((cfg.basis.reconstruct(corrupted[i]),)
                         for i in read_columns)
-        punctured = RsCode(cfg.ext, cfg.k, tuple(cfg.omega[i]
-                                                 for i in read_columns))
-        try:
-            decoded, _ = rs_decode_unique(punctured, symbols)
-        except DecodeFailure:
-            return "failed"
-        return ("recovered" if _pad(decoded, cfg.k) == tuple(message)
-                else "miscorrected")
-
-    stored = frs_encode(cfg, message)
-    corrupted = apply_error_pattern(cfg.field, stored, pattern)
-    columns = tuple(corrupted[i] for i in read_columns)
-    points = tuple(cfg.column_points(i) for i in read_columns)
+    else:
+        code = RsCode(cfg.field, cfg.message_length, flatten_columns(
+            cfg.column_points(i) for i in read_columns))
+        columns = tuple(corrupted[i] for i in read_columns)
     try:
-        decoded, _ = trial_decode_columns(cfg.field, columns, points,
-                                          cfg.message_length, naive_radius)
+        decoded, _ = decode_columns(code, columns, naive_radius)
     except DecodeFailure:
         return "failed"
-    return ("recovered" if _pad(decoded, cfg.message_length) == tuple(message)
-            else "miscorrected")
+    return "recovered" if decoded == tuple(message) else "miscorrected"
 
 
 def comparison_to_dict(result):

@@ -288,8 +288,12 @@ def ts_decode_message(cfg, bundle):
 
 def ts_decode(cfg, bundle):
     """Recover the stored array from downloads, fixing up to `radius` bad
-    columns. Raises DecodeFailure (from the per-stream decoders) beyond
-    the radius; never returns a wrong word silently within it."""
+    columns; within the radius the result is always the stored word.
+
+    Beyond the radius it either raises DecodeFailure (from a per-stream
+    decoder) or returns a wrong word with no error: the streams decode on
+    their own and may correct different columns, and nothing checks the
+    result against the downloads. ROADMAP.md open item 2 plans that check."""
     return ts_encode(cfg, ts_decode_message(cfg, bundle))
 
 

@@ -1,0 +1,44 @@
+"""Brute-force reference decoders the tests compare the library against."""
+
+import itertools
+
+from fracdec.errors import DecodeFailure
+from fracdec.polyring import interpolate, poly_eval
+
+
+def trial_decode_columns(field, columns, column_points, degree_bound, t_star):
+    """Interpolate-and-verify decoding for evaluation array codes.
+
+    Tries discarding every subset of up to t_star columns, smallest subsets
+    first and each size in ascending index order. For each trial it
+    interpolates a candidate from the first degree_bound surviving
+    evaluations and accepts iff the candidate reproduces every surviving
+    evaluation. Returns (coefficients, discarded_columns) for the first
+    accepted trial; raises DecodeFailure when none is.
+
+    When the columns carry distinct evaluation points of one polynomial of
+    degree < degree_bound and at most t_star columns are corrupted, the
+    clean-column agreement count exceeds what two distinct candidates can
+    share, so the accepted candidate is unique and correct.
+    """
+    n = len(columns)
+    if len(column_points) != n:
+        raise ValueError("need one point tuple per column")
+    for pts, col in zip(column_points, columns):
+        if len(pts) != len(col):
+            raise ValueError("column/point length mismatch")
+    pairs_per_column = [tuple(zip(pts, col))
+                        for pts, col in zip(column_points, columns)]
+    for size in range(min(t_star, n) + 1):
+        for discard in itertools.combinations(range(n), size):
+            discarded = set(discard)
+            pairs = [pair for i in range(n) if i not in discarded
+                     for pair in pairs_per_column[i]]
+            if len(pairs) < degree_bound:
+                continue
+            candidate = interpolate(field, pairs[:degree_bound])
+            if all(poly_eval(field, candidate, x) == y
+                   for x, y in pairs[degree_bound:]):
+                return candidate, frozenset(discard)
+    raise DecodeFailure(
+        f"no consistent candidate after discarding up to {t_star} columns")

@@ -211,7 +211,7 @@ def test_criterion_6_oracle_equivalence(criterion):
     criterion(6, disagreements == 0 and frs_disagreements == 0,
               f"unique decoder matched the brute-force nearest-codeword "
               f"oracle on {cases - disagreements}/{cases} sampled RS cases "
-              f"(GF(13), n<=6, k<=2); trial decoder matched the exhaustive "
+              f"(GF(13), n<=6, k<=2); folded decoder matched the exhaustive "
               f"list oracle on {frs_checked}/{frs_checked} tiny folded cases")
 
 

@@ -96,17 +96,24 @@ def test_corrupt_argument_exclusivity(tmp_path):
     assert main(base + ["--positions", "1,x"]) == 2
 
 
-def test_decode_failure_exits_one(tmp_path, capsys):
-    msg = write_message(tmp_path, "ts", (5, 0, 11, 2))
-    word, bad, down = (str(tmp_path / n) for n in
-                       ("w.json", "c.json", "d.json"))
-    main(["ts", "encode", "--config", TS_REF, "--message", msg, "--out", word])
-    main(["ts", "corrupt", "--config", TS_REF, "--in", word,
-          "--weight", "4", "--seed", "0", "--out", bad])
-    main(["ts", "download", "--config", TS_REF, "--in", bad, "--out", down])
-    assert main(["ts", "decode", "--config", TS_REF, "--in", down,
-                 "--out", str(tmp_path / "m.json")]) == 1
+@pytest.mark.parametrize("scheme, config, message", [
+    ("ts", TS_REF, (5, 0, 11, 2)),
+    ("frs", FRS_REF, tuple(range(12))),
+], ids=["ts", "frs"])
+def test_decode_failure_exits_one(tmp_path, capsys, scheme, config, message):
+    msg = write_message(tmp_path, scheme, message)
+    word, bad, down, out = (tmp_path / n for n in
+                            ("w.json", "c.json", "d.json", "m.json"))
+    main([scheme, "encode", "--config", config, "--message", msg,
+          "--out", str(word)])
+    main([scheme, "corrupt", "--config", config, "--in", str(word),
+          "--weight", "4", "--seed", "0", "--out", str(bad)])
+    main([scheme, "download", "--config", config, "--in", str(bad),
+          "--out", str(down)])
+    assert main([scheme, "decode", "--config", config, "--in", str(down),
+                 "--out", str(out)]) == 1
     assert "decode failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bounds_command(tmp_path):

@@ -1,23 +1,35 @@
-"""Folded-scheme tests: prefix downloads, trial decoding, the punctured
-distance property, and the list oracle."""
+"""Folded-scheme tests: prefix downloads, decoding and its differential
+check against the trial-discarding oracle, the punctured distance property,
+and the list oracle."""
 
 import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fracdec.arraycode import ErrorPattern, apply_error_pattern
+from fracdec import polyring
+from fracdec.arraycode import (ErrorPattern, apply_error_pattern,
+                               difference_pattern)
+from fracdec.bounds import radius_naive
 from fracdec.errors import BudgetExceeded, DecodeFailure
-from fracdec.frs_scheme import (bundle_columns, flatten_columns,
-                                frs_all_codewords, frs_decode_trial,
-                                frs_download_all, frs_download_fns,
-                                frs_download_prefix, frs_encode,
-                                frs_full_pipeline, frs_list_decode_bruteforce,
-                                frs_make_config, is_primitive_root,
-                                smallest_prime_above, smallest_primitive_root,
-                                trial_decode_columns)
-from fracdec.harness import random_column_offset, random_message, trial_stream
+from fracdec.frs_scheme import (bundle_columns, decode_columns,
+                                flatten_columns, frs_all_codewords,
+                                frs_decode_trial, frs_download_all,
+                                frs_download_fns, frs_download_prefix,
+                                frs_encode, frs_full_pipeline,
+                                frs_list_decode_bruteforce, frs_make_config,
+                                is_primitive_root, smallest_prime_above,
+                                smallest_primitive_root)
+from fracdec.harness import (_decode_naive, random_column_offset,
+                             random_message, trial_stream)
 from fracdec.rs import RsCode, rs_decode_unique
+from fracdec.serialization import config_from_dict, load_json
+from oracles import trial_decode_columns
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_FOLDED = ("frs-p19-n6-k1", "frs-p37-n8-k3")
 
 
 def reference_config():
@@ -237,7 +249,8 @@ def test_same_encoder_serves_multiple_fractions():
 
 
 def test_trial_decoder_doubles_as_scalar_rs_decoder():
-    """Height-one columns make trial_decode_columns a plain RS decoder; it
+    """Height-one columns make the trial_decode_columns oracle a plain RS
+    decoder; it
     must agree with the Euclid-based unique decoder on recovery and on the
     reported positions."""
     import random
@@ -261,6 +274,135 @@ def test_trial_decoder_doubles_as_scalar_rs_decoder():
             degree_bound=2, t_star=code.radius)
         assert got_h == expect_h == h
         assert got_pos == expect_pos == frozenset(support)
+
+
+def shipped_config(name):
+    return config_from_dict(load_json(CONFIG_DIR / f"{name}.json"))
+
+
+def received_words(cfg, width, seed, trials_per_weight=9):
+    """(message, stored, received) triples with corruption confined to the
+    first `width` columns, at every weight 0..width, in three kinds of
+    trial. The first adds random offsets. The second copies each bad column
+    from one other codeword where it differs, so past the radius some words
+    land near that codeword and decode to the wrong message. The third
+    changes only the first symbol of each bad column, so a word with more
+    bad columns than the radius can still lie within the symbol radius."""
+    for weight in range(width + 1):
+        for index in range(trials_per_weight):
+            stream = trial_stream(seed, weight, index)
+            message = random_message(cfg, stream)
+            stored = frs_encode(cfg, message)
+            other = frs_encode(cfg, random_message(cfg, stream))
+            received = list(stored)
+            for i in stream.sample(width, weight):
+                if index % 3 == 1 and other[i] != stored[i]:
+                    received[i] = other[i]
+                    continue
+                if index % 3 == 2:
+                    offset = (1 + stream.below(cfg.field.order - 1),) + (
+                        0,) * (cfg.l - 1)
+                else:
+                    offset = random_column_offset(cfg, stream)
+                received[i] = tuple(cfg.field.add(a, e)
+                                    for a, e in zip(stored[i], offset))
+            yield message, stored, tuple(received)
+
+
+def decoded_or_failure(length, decode, *args):
+    """(message padded to `length`, columns) from a decoder, or "failed"."""
+    try:
+        h, columns = decode(*args)
+    except DecodeFailure:
+        return "failed"
+    return tuple(h) + (0,) * (length - len(h)), columns
+
+
+def classify(result, message):
+    if result == "failed":
+        return "failed"
+    return "recovered" if result[0] == message else "miscorrected"
+
+
+@pytest.mark.parametrize("name", SHIPPED_FOLDED)
+def test_decoder_matches_trial_oracle_at_every_weight(name):
+    cfg = shipped_config(name)
+    kl = cfg.message_length
+    points = [cfg.column_points(i, cfg.alpha_l) for i in range(cfg.n)]
+    seen = {"recovered": 0, "miscorrected": 0, "failed": 0}
+    for message, _, received in received_words(cfg, cfg.n, seed=41):
+        grid = frs_download_all(cfg, received).per_column
+        got = decoded_or_failure(kl, frs_decode_trial, cfg, grid)
+        want = decoded_or_failure(kl, trial_decode_columns, cfg.field, grid,
+                                  points, kl, cfg.radius)
+        assert got == want
+        seen[classify(got, message)] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("name", SHIPPED_FOLDED)
+def test_naive_reader_matches_trial_oracle_at_every_weight(name):
+    """The whole-column reader: full columns of the first alpha*n columns,
+    decoded at the naive radius."""
+    cfg = shipped_config(name)
+    kl = cfg.message_length
+    width = int(cfg.alpha * cfg.n)
+    naive_r = radius_naive(cfg.n, cfg.k, cfg.alpha)
+    read = tuple(range(width))
+    points = [cfg.column_points(i) for i in read]
+    code = RsCode(cfg.field, kl, flatten_columns(points))
+    seen = {"recovered": 0, "miscorrected": 0, "failed": 0}
+    for message, stored, received in received_words(cfg, width, seed=43):
+        columns = received[:width]
+        got = decoded_or_failure(kl, decode_columns, code, columns, naive_r)
+        want = decoded_or_failure(kl, trial_decode_columns, cfg.field,
+                                  columns, points, kl, naive_r)
+        assert got == want
+        pattern = difference_pattern(cfg.field, stored, received)
+        outcome = classify(want, message)
+        assert _decode_naive(cfg, "frs", message, pattern, read,
+                             naive_r) == outcome
+        seen[outcome] += 1
+    assert all(seen.values()), seen
+
+
+def test_folded_decode_interpolates_once(monkeypatch):
+    """An at-radius decode is one Euclid decode: trying discard sets would
+    interpolate up to 1 + 8 + 28 times here."""
+    original = polyring.interpolate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "fracdec" or name.startswith("fracdec.")) and getattr(
+                module, "interpolate", None) is original:
+            monkeypatch.setattr(module, "interpolate", counting)
+    cfg = shipped_config("frs-p37-n8-k3")
+    message = random_message(cfg, trial_stream(45, 2, 0))
+    pattern = ErrorPattern(support=(0, 5), values=((1, 2, 3, 4),) * 2)
+    word = apply_error_pattern(cfg.field, frs_encode(cfg, message), pattern)
+    calls.clear()
+    decoded, corrected = frs_decode_trial(
+        cfg, frs_download_all(cfg, word).per_column)
+    assert decoded == message and corrected == frozenset({0, 5})
+    assert len(calls) <= 1
+
+
+def test_wide_folded_decode_at_radius():
+    """n = 20, t = 6: trial discarding would try 60460 discard sets."""
+    cfg = frs_make_config(20, 4, 4, Fraction(1, 2))
+    assert cfg.radius == 6
+    stream = trial_stream(46, 6, 0)
+    message = random_message(cfg, stream)
+    support = stream.sample(cfg.n, 6)
+    pattern = ErrorPattern(support=support, values=((1, 2, 3, 4),) * 6)
+    word = apply_error_pattern(cfg.field, frs_encode(cfg, message), pattern)
+    decoded, corrected = frs_decode_trial(
+        cfg, frs_download_all(cfg, word).per_column)
+    assert decoded == message and corrected == frozenset(support)
 
 
 def test_bundle_flatten_roundtrip():
