@@ -41,15 +41,21 @@ class ErrorPattern:
 
 
 def apply_error_pattern(field, columns, pattern):
-    """Add the pattern's offsets onto a word, columnwise over the field."""
-    columns = list(tuple(col) for col in columns)
+    """Add the pattern's offsets onto a word, columnwise over the field.
+
+    Every symbol of the word and of the offsets is checked against the
+    field, so a word that leaves here is canonical whether or not its
+    columns were hit.
+    """
+    columns = [tuple(field.check(a) for a in col) for col in columns]
     for idx, vec in zip(pattern.support, pattern.values):
         if idx >= len(columns):
             raise ValueError(f"error column {idx} outside word of length {len(columns)}")
         col = columns[idx]
         if len(vec) != len(col):
             raise ValueError(f"offset length {len(vec)} != column length {len(col)}")
-        columns[idx] = tuple(field.add(a, e) for a, e in zip(col, vec))
+        columns[idx] = tuple(field.add(a, field.check(e))
+                             for a, e in zip(col, vec))
     return tuple(columns)
 
 
@@ -64,13 +70,15 @@ def difference_pattern(field, base_word, other_word, columns=None):
     """ErrorPattern e with base_word + e == other_word on the given columns.
 
     columns defaults to all of them; columns where the words agree are
-    skipped, so the pattern weight can be below len(columns).
+    skipped, so the pattern weight can be below len(columns). Both words'
+    symbols on those columns are checked against the field.
     """
     if columns is None:
         columns = range(len(base_word))
     support, values = [], []
     for i in sorted(columns):
-        offsets = tuple(field.sub(b, a) for a, b in zip(base_word[i], other_word[i]))
+        offsets = tuple(field.sub(field.check(b), field.check(a))
+                        for a, b in zip(base_word[i], other_word[i]))
         if any(offsets):
             support.append(i)
             values.append(offsets)

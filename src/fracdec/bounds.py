@@ -157,8 +157,10 @@ def find_download_collision(field, codewords, download_fns, t):
     there, then splits the other 2t columns into halves and crosses each
     word halfway to the other. Returns the first witness in canonical
     subset/codeword order, or None when radius t is achievable on this set.
+    Every codeword symbol is checked against `field`.
     """
-    codewords = [tuple(tuple(col) for col in word) for word in codewords]
+    codewords = [tuple(tuple(field.check(a) for a in col) for col in word)
+                 for word in codewords]
     if not codewords:
         return None
     n = len(download_fns)

@@ -16,16 +16,17 @@ from . import serialization as ser
 from .arraycode import ErrorPattern, apply_error_pattern
 from .errors import BudgetExceeded, DecodeFailure
 from .fields import PrimeField
-from .frs_scheme import (FrsConfig, frs_all_codewords, frs_decode_trial,
+from .frs_scheme import (frs_all_codewords, frs_decode_trial,
                          frs_download_all, frs_download_fns, frs_encode,
                          frs_list_decode_bruteforce)
-from .harness import (ExperimentSpec, compare_naive, comparison_to_dict,
+from .harness import (ExperimentSpec, _message_space, _scheme_kind,
+                      _symbol_field, compare_naive, comparison_to_dict,
                       random_column_offset, report_to_json, simulate,
                       trial_stream)
 from .rationals import as_fraction
 from .rs import RsCode, nearest_codeword_bruteforce
 from .budget import check_budget
-from .trace_scheme import (TsConfig, ts_all_codewords, ts_decode_message,
+from .trace_scheme import (ts_all_codewords, ts_decode_message,
                            ts_download_all, ts_download_fns, ts_encode)
 
 
@@ -42,15 +43,11 @@ def _ints_arg(text, what):
 def _load_config(path, expected_scheme=None):
     cfg = ser.config_from_dict(ser.load_json(path))
     if expected_scheme is not None:
-        actual = "ts" if isinstance(cfg, TsConfig) else "frs"
+        actual = _scheme_kind(cfg)
         if actual != expected_scheme:
             raise ValueError(f"config {path} is for scheme {actual!r}, "
                              f"expected {expected_scheme!r}")
     return cfg
-
-
-def _fraction_str(value):
-    return str(value)
 
 
 def cmd_bounds(args):
@@ -59,13 +56,13 @@ def cmd_bounds(args):
         "format": 1,
         "n": report.n,
         "k": report.k,
-        "alpha": _fraction_str(report.alpha),
-        "rate": _fraction_str(report.rate),
+        "alpha": str(report.alpha),
+        "rate": str(report.rate),
         "naive": report.naive,
         "optimal": report.optimal,
-        "naiveNormalized": _fraction_str(report.naive_normalized),
-        "optimalNormalized": _fraction_str(report.optimal_normalized),
-        "listCapacity": _fraction_str(report.list_capacity),
+        "naiveNormalized": str(report.naive_normalized),
+        "optimalNormalized": str(report.optimal_normalized),
+        "listCapacity": str(report.list_capacity),
     })
     return 0
 
@@ -109,8 +106,7 @@ def cmd_corrupt(args):
         support = stream.sample(cfg.n, weight)
     values = tuple(random_column_offset(cfg, stream) for _ in support)
     pattern = ErrorPattern(support=support, values=values)
-    field = cfg.base if args.scheme == "ts" else cfg.field
-    corrupted = apply_error_pattern(field, columns, pattern)
+    corrupted = apply_error_pattern(_symbol_field(cfg), columns, pattern)
     ser.dump_json(args.out, ser.codeword_to_dict(args.scheme, corrupted))
     return 0
 
@@ -178,19 +174,17 @@ def cmd_oracle_nearest(args):
 
 def cmd_oracle_collision(args):
     cfg = _load_config(args.config)
-    if isinstance(cfg, TsConfig):
-        order, length = cfg.ext.order, cfg.k
+    if _scheme_kind(cfg) == "ts":
         fns = ts_download_fns(cfg, count=args.download_count)
-        field = cfg.base
         enumerate_words = ts_all_codewords
     else:
-        order, length = cfg.field.order, cfg.message_length
         fns = frs_download_fns(cfg, height=args.download_count)
-        field = cfg.field
         enumerate_words = frs_all_codewords
+    order, length = _message_space(cfg)
     check_budget(order ** length, "codeword enumeration for collision search")
     codewords = [word for _, word in enumerate_words(cfg)]
-    witness = bounds_mod.find_download_collision(field, codewords, fns, args.t)
+    witness = bounds_mod.find_download_collision(_symbol_field(cfg), codewords,
+                                                 fns, args.t)
     if witness is None:
         ser.dump_json(args.out, {"format": 1, "t": args.t, "witness": None})
         return 0

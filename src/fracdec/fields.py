@@ -4,9 +4,14 @@ Elements are canonical integers. In GF(q) an element is its residue in
 [0, q). In GF(q^l), built as GF(q)[x]/(modulus), the element with
 coordinate vector (c_0, ..., c_{l-1}) is encoded as sum(c_i * q**i), so
 base-field elements keep their integer value when read in the extension.
+
+Arithmetic assumes canonical operands and does not validate them: `check`
+is the one validator, and the public entry points that take symbols from
+a caller or a file run it once per incoming symbol.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from . import polyring
@@ -68,23 +73,18 @@ class PrimeField:
         return range(self.q)
 
     def add(self, a, b):
-        self.check(a), self.check(b)
         return (a + b) % self.q
 
     def sub(self, a, b):
-        self.check(a), self.check(b)
         return (a - b) % self.q
 
     def neg(self, a):
-        self.check(a)
         return (-a) % self.q
 
     def mul(self, a, b):
-        self.check(a), self.check(b)
         return (a * b) % self.q
 
     def inv(self, a):
-        self.check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
         return pow(a, self.q - 2, self.q)
@@ -93,7 +93,6 @@ class PrimeField:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e):
-        self.check(a)
         if e < 0:
             raise ValueError("exponent must be nonnegative; invert first")
         return pow(a, e, self.q)
@@ -105,7 +104,7 @@ def poly_is_irreducible(base, coeffs):
     Trial division by every monic polynomial of degree up to deg/2, which is
     exhaustive at the small sizes used here.
     """
-    coeffs = polyring.normalize(coeffs)
+    coeffs = polyring.normalize(base.check(c) for c in coeffs)
     deg = polyring.degree(coeffs)
     if deg < 1:
         return False
@@ -186,7 +185,6 @@ class ExtField:
 
     def to_vec(self, a):
         """Coordinates (c_0, ..., c_{l-1}) in the polynomial basis."""
-        self.check(a)
         out = []
         for _ in range(self.degree):
             a, c = divmod(a, self.q)
@@ -194,33 +192,29 @@ class ExtField:
         return tuple(out)
 
     def from_vec(self, vec):
-        vec = tuple(vec)
+        """The element with the given coordinates, each checked against
+        the base field."""
+        vec = [self.base.check(c) for c in vec]
         if len(vec) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(vec)}")
-        acc = 0
-        for c in reversed(vec):
-            acc = acc * self.q + self.base.check(c)
-        return acc
+        return _pack(vec, self.q)
 
     def add(self, a, b):
-        va, vb = self.to_vec(a), self.to_vec(b)
-        return self.from_vec((x + y) % self.q for x, y in zip(va, vb))
+        return _pack(map(operator.add, self.to_vec(a), self.to_vec(b)), self.q)
 
     def sub(self, a, b):
-        va, vb = self.to_vec(a), self.to_vec(b)
-        return self.from_vec((x - y) % self.q for x, y in zip(va, vb))
+        return _pack(map(operator.sub, self.to_vec(a), self.to_vec(b)), self.q)
 
     def neg(self, a):
-        return self.from_vec((-c) % self.q for c in self.to_vec(a))
+        return _pack([-c for c in self.to_vec(a)], self.q)
 
     def mul(self, a, b):
-        self.check(a), self.check(b)
         q, l = self.q, self.degree
         if a < q or b < q:
             # one operand lies in the base field: scale coordinatewise
             if b < q:
                 a, b = b, a
-            return self.from_vec((a * c) % q for c in self.to_vec(b))
+            return _pack([a * c for c in self.to_vec(b)], q)
         va, vb = self.to_vec(a), self.to_vec(b)
         conv = [0] * (2 * l - 1)
         for i, ca in enumerate(va):
@@ -236,10 +230,9 @@ class ExtField:
             row = self._reduction[i]
             for v in range(l):
                 out[v] = (out[v] + spill * row[v]) % q
-        return self.from_vec(out)
+        return _pack(out, q)
 
     def pow(self, a, e):
-        self.check(a)
         if e < 0:
             raise ValueError("exponent must be nonnegative; invert first")
         result = 1
@@ -253,7 +246,6 @@ class ExtField:
         return result
 
     def inv(self, a):
-        self.check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
         return self.pow(a, self.order - 2)
@@ -274,6 +266,11 @@ class ExtField:
             conj = self.frobenius(conj)
             acc = self.add(acc, conj)
         return self.to_vec(acc)[0]
+
+
+def _pack(coords, q):
+    """Integer encoding of coordinates, each one taken mod q."""
+    return sum(c % q * q ** i for i, c in enumerate(coords))
 
 
 def polynomial_basis(ext):
@@ -354,6 +351,8 @@ class TraceDualBasis:
         l = ext.degree
         if len(self.zeta) != l or len(self.nu) != l:
             raise ValueError(f"basis pair must have {l} elements per side")
+        for a in (*self.zeta, *self.nu):
+            ext.check(a)
         for i, ni in enumerate(self.nu):
             for j, zj in enumerate(self.zeta):
                 want = 1 if i == j else 0
@@ -382,12 +381,8 @@ class TraceDualBasis:
 
     def reconstruct(self, coords):
         """Inverse of project: the unique beta with the given trace coordinates."""
-        coords = tuple(coords)
+        coords = tuple(self.ext.base.check(c) for c in coords)
         if len(coords) != self.l:
             raise ValueError(f"expected {self.l} coordinates, got {len(coords)}")
-        for c in coords:
-            self.ext.base.check(c)
-        q = self.ext.q
-        vec = tuple(sum(row[i] * coords[i] for i in range(self.l)) % q
-                    for row in self._recon)
-        return self.ext.from_vec(vec)
+        return _pack([sum(row[i] * coords[i] for i in range(self.l))
+                      for row in self._recon], self.ext.q)

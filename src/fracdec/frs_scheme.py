@@ -173,8 +173,9 @@ def frs_encode(cfg, message):
 
 
 def frs_download_prefix(cfg, column):
-    """The alpha*l symbols a column serves: its prefix, read verbatim."""
-    column = tuple(column)
+    """The alpha*l symbols a column serves: its prefix, read verbatim.
+    Every symbol of the column is checked, served or not."""
+    column = tuple(cfg.field.check(c) for c in column)
     if len(column) != cfg.l:
         raise ValueError(f"column must have l = {cfg.l} symbols")
     return column[:cfg.alpha_l]
@@ -257,7 +258,8 @@ def frs_list_decode_bruteforce(cfg, per_column, radius):
     Full q^(kl) enumeration, gated by the budget; the reference answer for
     list-decoding questions about the punctured code.
     """
-    per_column = tuple(tuple(c) for c in per_column)
+    per_column = tuple(tuple(cfg.field.check(c) for c in col)
+                       for col in per_column)
     if len(per_column) != cfg.n or any(len(c) != cfg.alpha_l for c in per_column):
         raise ValueError(
             f"expected {cfg.n} columns of {cfg.alpha_l} downloaded symbols")

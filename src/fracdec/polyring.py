@@ -1,11 +1,12 @@
 """Univariate polynomial arithmetic over a finite field.
 
-A polynomial is a tuple of field elements (canonical integers), constant
-coefficient first, with no trailing zeros. The zero polynomial is the empty
-tuple and has degree -1. Every function takes the field as its first
-argument; any object with add/sub/mul/div/neg methods over canonical
-integers works, so the same routines serve both the base field and the
-extension field.
+A polynomial is a tuple of field elements, constant coefficient first,
+with no trailing zeros; the zero polynomial is the empty tuple, of degree
+-1. Every function takes the field as its first argument; any object with
+add/sub/mul/div/neg methods works, so the same routines serve both the base
+field and the extension field. Coefficients and points must be canonical
+integers of that field. Nothing here validates them: callers check symbols
+where they enter, with the field's `check`.
 """
 
 

@@ -9,7 +9,7 @@ below (n + k) / 2, and read the message off the exact quotient.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .budget import check_budget
 from .errors import DecodeFailure, InconsistentErasures
@@ -19,11 +19,16 @@ from .polyring import (degree, interpolate, normalize, poly_divmod,
 
 @dataclass(frozen=True)
 class RsCode:
-    """An (n, k) Reed-Solomon code over `field` with evaluation points `omega`."""
+    """An (n, k) Reed-Solomon code over `field` with evaluation points `omega`.
+
+    master: derived; the monic polynomial whose roots are the points, which
+        unique decoding starts its Euclid run from.
+    """
 
     field: object
     k: int
     omega: tuple
+    master: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         omega = tuple(self.omega)
@@ -34,6 +39,7 @@ class RsCode:
             raise ValueError("evaluation points must be distinct")
         if not 1 <= self.k <= len(omega):
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={len(omega)}")
+        object.__setattr__(self, "master", poly_from_roots(self.field, omega))
 
     @property
     def n(self):
@@ -69,10 +75,9 @@ def rs_decode_unique(code, received):
     for c in received:
         field.check(c)
 
-    g0 = poly_from_roots(field, code.omega)
-    g1 = interpolate(field, zip(code.omega, received))
-    # partial extended Euclid: track only the coefficient of g1
-    r0, r1 = g0, g1
+    # partial extended Euclid from the master polynomial and the
+    # interpolant: track only the coefficient of the interpolant
+    r0, r1 = code.master, interpolate(field, zip(code.omega, received))
     v0, v1 = (), (1,)
     while 2 * degree(r1) >= n + k:
         quot, rem = poly_divmod(field, r0, r1)

@@ -185,7 +185,7 @@ def ts_project_polys(cfg, message):
     message = tuple(message)
     if len(message) != cfg.k:
         raise ValueError(f"message must have exactly k = {cfg.k} symbols")
-    coords = [cfg.basis.project(a) for a in message]
+    coords = [cfg.basis.project(cfg.ext.check(a)) for a in message]
     return tuple(normalize(tuple(c[u] for c in coords)) for u in range(cfg.l))
 
 

@@ -116,6 +116,38 @@ def test_decode_failure_exits_one(tmp_path, capsys, scheme, config, message):
     assert not out.exists()
 
 
+def write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(dict(data, format=1)))
+    return str(path)
+
+
+# One symbol equal to the field size, planted where no arithmetic touches it:
+# in a column the corruption misses, or in a download the oracle only
+# compares. Column 3 of ts-q5-n4-k2 holds a 5 over GF(5); frs-p19-n6-k1
+# holds a 19 over GF(19).
+@pytest.mark.parametrize("argv, infile", [
+    (["ts", "corrupt", "--config", TS_TINY, "--positions", "0", "--in"],
+     ("codeword", {"scheme": "ts",
+                   "columns": [[0, 0], [0, 0], [0, 0], [5, 0]]})),
+    (["frs", "corrupt", "--config", FRS_TINY, "--positions", "0", "--in"],
+     ("codeword", {"scheme": "frs",
+                   "columns": [[0, 0, 0]] * 5 + [[19, 0, 0]]})),
+    (["frs", "download", "--config", FRS_TINY, "--in"],
+     ("codeword", {"scheme": "frs",
+                   "columns": [[0, 0, 0]] * 5 + [[19, 0, 0]]})),
+    (["oracle", "list", "--config", FRS_TINY, "--radius", "1", "--word"],
+     ("download", {"perColumn": [[0]] * 5 + [[19]]})),
+], ids=["ts-corrupt", "frs-corrupt", "frs-download", "oracle-list"])
+def test_out_of_field_symbol_exits_two(tmp_path, capsys, argv, infile):
+    name, data = infile
+    out = tmp_path / "out.json"
+    assert main(argv + [write_json(tmp_path, name + ".json", data),
+                        "--out", str(out)]) == 2
+    assert "not a canonical element" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_command(tmp_path):
     out = str(tmp_path / "b.json")
     assert main(["bounds", "--n", "12", "--k", "4", "--alpha", "1/2",

@@ -1,17 +1,34 @@
-"""Field arithmetic, trace, and dual-basis tests.
+"""Field arithmetic, trace, and dual-basis tests, plus where symbols are
+validated.
 
 Small fields are checked exhaustively (GF(q) for q <= 13, GF(4), GF(8),
 GF(9)); larger ones by seeded sampling.
 """
 
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fracdec.arraycode import (ErrorPattern, apply_error_pattern,
+                               difference_pattern)
+from fracdec.bounds import find_download_collision
 from fracdec.fields import (ExtField, PrimeField, TraceDualBasis,
                             default_modulus, dual_basis, is_prime,
                             poly_is_irreducible, polynomial_basis,
                             prime_factors)
+from fracdec.frs_scheme import (frs_download_prefix, frs_encode,
+                                frs_full_pipeline, frs_list_decode_bruteforce,
+                                frs_make_config)
+from fracdec.harness import random_error_pattern, random_message, trial_stream
+from fracdec.rs import RsCode, rs_decode_unique, rs_encode, rs_erasure_decode
+from fracdec.serialization import config_from_dict, load_json
+from fracdec.trace_scheme import (TsConfig, ts_download, ts_encode,
+                                  ts_full_pipeline, ts_make_config,
+                                  ts_project_polys)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def gf4():
@@ -93,14 +110,107 @@ def test_division_by_zero():
         gf4().inv(0)
 
 
-def test_mixed_field_operands_rejected():
-    f = PrimeField(7)
-    with pytest.raises(ValueError):
-        f.add(3, 7)
-    with pytest.raises(ValueError):
-        f.mul(-1, 2)
-    with pytest.raises(ValueError):
-        gf4().add(1, 4)
+# Symbols that are not canonical elements of the field they are offered to.
+BAD_SYMBOLS = {"GF(7)": (7, -1, True), "GF(4)": (4,)}
+
+
+def entry_points(label):
+    """The public entry points that take symbols of one field, each as a
+    function that plants one given symbol among valid ones."""
+    field = PrimeField(7) if label == "GF(7)" else gf4()
+    code = RsCode(field, 1, (0, 1, 2))
+    hit_first = ErrorPattern(support=(0,), values=((1,),))
+    points = {
+        "check": lambda bad: field.check(bad),
+        "RsCode": lambda bad: RsCode(field, 1, (0, 1, bad)),
+        "rs_encode": lambda bad: rs_encode(code, (bad,)),
+        "rs_decode_unique": lambda bad: rs_decode_unique(code, (0, 0, bad)),
+        "rs_erasure_decode":
+            lambda bad: rs_erasure_decode(code, [(0, 0), (1, bad)]),
+        "apply_error_pattern-word":
+            lambda bad: apply_error_pattern(field, ((0,), (bad,)), hit_first),
+        "apply_error_pattern-offset": lambda bad: apply_error_pattern(
+            field, ((0,), (0,)), ErrorPattern(support=(1,), values=((bad,),))),
+        "difference_pattern-base": lambda bad: difference_pattern(
+            field, ((0,), (bad,)), ((0,), (1,))),
+        "difference_pattern-other": lambda bad: difference_pattern(
+            field, ((0,), (1,)), ((0,), (bad,))),
+        "find_download_collision": lambda bad: find_download_collision(
+            field, [((0,), (0,)), ((0,), (bad,))], (tuple, tuple), 0),
+    }
+    if label == "GF(7)":
+        ts = ts_make_config(7, 4, 2, 2, 2)
+        frs = frs_make_config(2, 1, 2, Fraction(1, 2), p=7)
+        points.update({
+            "poly_is_irreducible":
+                lambda bad: poly_is_irreducible(field, (bad, 0, 1)),
+            "ts_make_config-omega":
+                lambda bad: ts_make_config(7, 4, 2, 2, 2, omega=(0, 1, 2, bad)),
+            "ts_make_config-A":
+                lambda bad: ts_make_config(7, 4, 2, 2, 2, subsets=((0,), (bad,))),
+            "ts_make_config-modulus":
+                lambda bad: ts_make_config(7, 4, 2, 2, 2, modulus=(bad, 0, 1)),
+            "ts_download": lambda bad: ts_download(ts, (0, bad), 0),
+            "frs_make_config-gamma": lambda bad: frs_make_config(
+                2, 1, 2, Fraction(1, 2), p=7, gamma=bad),
+            "frs_encode": lambda bad: frs_encode(frs, (0, bad)),
+            "frs_download_prefix":
+                lambda bad: frs_download_prefix(frs, (0, bad)),
+            "frs_list_decode_bruteforce": lambda bad:
+                frs_list_decode_bruteforce(frs, ((0,), (bad,)), 0),
+        })
+    else:
+        ts = ts_make_config(2, 2, 1, 2, 1)
+        points.update({
+            "ts_make_config-zeta":
+                lambda bad: ts_make_config(2, 2, 1, 2, 1, zeta=(1, bad)),
+            "dual_basis": lambda bad: dual_basis(field, zeta=(1, bad)),
+            "TraceDualBasis":
+                lambda bad: TraceDualBasis(ext=field, zeta=(1, 2), nu=(3, bad)),
+            "ts_encode": lambda bad: ts_encode(ts, (bad,)),
+            "ts_project_polys": lambda bad: ts_project_polys(ts, (bad,)),
+        })
+    return points
+
+
+ENTRY_POINTS = [(label, name) for label in BAD_SYMBOLS
+                for name in entry_points(label)]
+
+
+@pytest.mark.parametrize("label, name", ENTRY_POINTS,
+                         ids=[f"{label}-{name}" for label, name in ENTRY_POINTS])
+def test_entry_points_reject_out_of_field_symbols(label, name):
+    """Arithmetic trusts its operands, so every entry point must refuse a
+    non-canonical symbol itself, through the field's check."""
+    call = entry_points(label)[name]
+    for bad in BAD_SYMBOLS[label]:
+        with pytest.raises(ValueError, match="not a canonical element"):
+            call(bad)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_pipeline_checks_each_symbol_a_bounded_number_of_times(path,
+                                                              monkeypatch):
+    """Validation runs where symbols enter, not on every field operation:
+    one pipeline at the radius makes at most 4*n*l checks, a few per
+    stored symbol, where per-operation checks made thousands."""
+    calls = []
+    for cls in (PrimeField, ExtField):
+        def counted(self, a, _check=cls.check):
+            calls.append(a)
+            return _check(self, a)
+        monkeypatch.setattr(cls, "check", counted)
+    cfg = config_from_dict(load_json(str(path)))
+    stream = trial_stream(0, cfg.radius, 0)
+    message = random_message(cfg, stream)
+    pattern = random_error_pattern(cfg, stream, cfg.radius)
+    pipeline = (ts_full_pipeline if isinstance(cfg, TsConfig)
+                else frs_full_pipeline)
+    calls.clear()
+    decoded, _ = pipeline(cfg, message, pattern)
+    assert decoded == message
+    assert 0 < len(calls) <= 4 * cfg.n * cfg.l
 
 
 def test_negative_exponent_rejected():
