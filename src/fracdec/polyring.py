@@ -109,6 +109,30 @@ def poly_from_roots(field, roots):
     return out
 
 
+def poly_powmod(field, a, exponent, modulus):
+    """a^exponent mod modulus by square-and-multiply, reducing every product."""
+    if exponent < 0:
+        raise ValueError("polynomial exponent must be nonnegative")
+    result = poly_divmod(field, (1,), modulus)[1]
+    square = poly_divmod(field, a, modulus)[1]
+    while exponent:
+        if exponent & 1:
+            result = poly_divmod(field, poly_mul(field, result, square),
+                                 modulus)[1]
+        exponent >>= 1
+        if exponent:
+            square = poly_divmod(field, poly_mul(field, square, square),
+                                 modulus)[1]
+    return result
+
+
+def poly_gcd(field, a, b):
+    """Monic greatest common divisor by Euclid's algorithm; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, poly_divmod(field, a, b)[1]
+    return poly_scale(field, a, field.div(1, a[-1])) if a else ()
+
+
 def interpolate(field, points):
     """Unique polynomial of degree < len(points) through the given points.
 
@@ -119,7 +143,12 @@ def interpolate(field, points):
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must have distinct x coordinates")
-    master = poly_from_roots(field, xs)
+    return _interpolate(field, points, poly_from_roots(field, xs))
+
+
+def _interpolate(field, points, master):
+    """interpolate, given the list of points and the monic polynomial whose
+    roots are their x coordinates, for callers that already hold it."""
     acc = ()
     for x, y in points:
         if y == 0:

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .budget import check_budget
 from .errors import DecodeFailure, InconsistentErasures
-from .polyring import (degree, interpolate, normalize, poly_divmod,
-                       poly_eval, poly_from_roots, poly_mul, poly_sub)
+from .polyring import (_interpolate, degree, interpolate, normalize,
+                       poly_divmod, poly_eval, poly_from_roots, poly_mul,
+                       poly_sub)
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,7 @@ class RsCode:
     """An (n, k) Reed-Solomon code over `field` with evaluation points `omega`.
 
     master: derived; the monic polynomial whose roots are the points, which
-        unique decoding starts its Euclid run from.
+        unique decoding interpolates through and starts its Euclid run from.
     """
 
     field: object
@@ -77,7 +78,8 @@ def rs_decode_unique(code, received):
 
     # partial extended Euclid from the master polynomial and the
     # interpolant: track only the coefficient of the interpolant
-    r0, r1 = code.master, interpolate(field, zip(code.omega, received))
+    r0 = code.master
+    r1 = _interpolate(field, list(zip(code.omega, received)), r0)
     v0, v1 = (), (1,)
     while 2 * degree(r1) >= n + k:
         quot, rem = poly_divmod(field, r0, r1)

@@ -3,7 +3,8 @@
 import itertools
 
 from fracdec.errors import DecodeFailure
-from fracdec.polyring import interpolate, poly_eval
+from fracdec.polyring import (degree, interpolate, normalize, poly_divmod,
+                              poly_eval)
 
 
 def trial_decode_columns(field, columns, column_points, degree_bound, t_star):
@@ -42,3 +43,17 @@ def trial_decode_columns(field, columns, column_points, degree_bound, t_star):
                 return candidate, frozenset(discard)
     raise DecodeFailure(
         f"no consistent candidate after discarding up to {t_star} columns")
+
+
+def irreducible_by_trial_division(base, coeffs):
+    """Whether a monic polynomial over the prime field `base` is irreducible,
+    by dividing it by every monic polynomial of degree 1 to deg/2."""
+    coeffs = normalize(coeffs)
+    deg = degree(coeffs)
+    if deg < 1:
+        return False
+    for d in range(1, deg // 2 + 1):
+        for lower in itertools.product(base.elements(), repeat=d):
+            if poly_divmod(base, coeffs, (*lower, 1))[1] == ():
+                return False
+    return True

@@ -5,12 +5,14 @@ Small fields are checked exhaustively (GF(q) for q <= 13, GF(4), GF(8),
 GF(9)); larger ones by seeded sampling.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from fracdec import fields
 from fracdec.arraycode import (ErrorPattern, apply_error_pattern,
                                difference_pattern)
 from fracdec.bounds import find_download_collision
@@ -27,6 +29,7 @@ from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import (TsConfig, ts_download, ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
+from oracles import irreducible_by_trial_division
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -220,14 +223,100 @@ def test_negative_exponent_rejected():
         gf4().pow(2, -1)
 
 
+# The first monic irreducible of each degree under lexicographic order on
+# (c_0, ..., c_{l-1}), as the exhaustive trial-division search found them.
+# Configs that omit their modulus depend on every entry.
+DEFAULT_MODULI = {
+    (2, 1): (0, 1), (2, 2): (1, 1, 1), (2, 3): (1, 0, 1, 1),
+    (2, 4): (1, 0, 0, 1, 1), (2, 5): (1, 0, 0, 1, 0, 1),
+    (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (3, 1): (0, 1), (3, 2): (1, 0, 1), (3, 3): (1, 0, 2, 1),
+    (3, 4): (1, 0, 1, 1, 1), (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (5, 1): (0, 1), (5, 2): (1, 1, 1), (5, 3): (1, 0, 1, 1),
+    (5, 4): (1, 0, 1, 1, 1), (5, 5): (1, 0, 0, 0, 4, 1),
+    (5, 6): (1, 0, 0, 0, 1, 1, 1),
+    (7, 1): (0, 1), (7, 2): (1, 0, 1), (7, 3): (1, 0, 1, 1),
+    (7, 4): (1, 0, 0, 1, 1),
+    (11, 1): (0, 1), (11, 2): (1, 0, 1), (11, 3): (1, 0, 4, 1),
+    (11, 4): (1, 0, 0, 4, 1),
+    (13, 1): (0, 1), (13, 2): (1, 3, 1), (13, 3): (1, 0, 4, 1),
+    (13, 4): (1, 0, 0, 1, 1),
+    (17, 1): (0, 1), (17, 2): (1, 1, 1), (17, 3): (1, 0, 3, 1),
+    (17, 4): (1, 0, 0, 3, 1),
+    (19, 1): (0, 1), (19, 2): (1, 0, 1), (19, 3): (1, 0, 1, 1),
+    (19, 4): (1, 0, 0, 6, 1),
+    (23, 1): (0, 1), (23, 2): (1, 0, 1), (23, 3): (1, 0, 3, 1),
+    (23, 4): (1, 0, 0, 4, 1),
+    (29, 1): (0, 1), (29, 2): (1, 1, 1), (29, 3): (1, 0, 2, 1),
+    (29, 4): (1, 0, 0, 3, 1),
+    (31, 1): (0, 1), (31, 2): (1, 0, 1), (31, 3): (1, 0, 3, 1),
+    (31, 4): (1, 0, 0, 1, 1),
+}
+
+
 def test_default_moduli():
-    b2, b3 = PrimeField(2), PrimeField(3)
-    assert default_modulus(b2, 2) == (1, 1, 1)        # y^2 + y + 1
-    assert default_modulus(b2, 3) == (1, 0, 1, 1)     # y^3 + y^2 + 1
-    assert default_modulus(b3, 2) == (1, 0, 1)        # y^2 + 1
-    for q, l in ((2, 2), (2, 3), (3, 2), (13, 4)):
+    assert {(q, l) for q, l in DEFAULT_MODULI if l <= 4} == {
+        (q, l) for q in range(32) if is_prime(q) for l in range(1, 5)}
+    for (q, l), modulus in DEFAULT_MODULI.items():
+        assert default_modulus(PrimeField(q), l) == modulus, (q, l)
+
+
+def test_irreducibility_matches_trial_division():
+    """Rabin's test against trial division: every monic polynomial of small
+    degree over small fields, a seeded sample of quartics over GF(11) and
+    GF(13), and every pinned default modulus. Degrees 5 and 6 are where
+    the final x^(q^l) = x step matters: below 5, the gcd steps alone rule
+    out every factor."""
+    cases = [(q, (*lower, 1))
+             for q, top in ((2, 6), (3, 5), (5, 4), (7, 4), (11, 3), (13, 3))
+             for l in range(top + 1)
+             for lower in itertools.product(range(q), repeat=l)]
+    rng = random.Random(11)
+    cases += [(q, (*(rng.randrange(q) for _ in range(4)), 1))
+              for q in (11, 13) for _ in range(1000)]
+    cases += [(q, modulus) for (q, _), modulus in DEFAULT_MODULI.items()]
+    irreducible = 0
+    for q, coeffs in cases:
         base = PrimeField(q)
-        assert poly_is_irreducible(base, default_modulus(base, l))
+        want = irreducible_by_trial_division(base, coeffs)
+        assert poly_is_irreducible(base, coeffs) == want, (q, coeffs)
+        irreducible += want
+    assert 0 < irreducible < len(cases)
+    with pytest.raises(ValueError, match="monic"):
+        poly_is_irreducible(PrimeField(5), (1, 0, 2))
+
+
+@pytest.fixture
+def tested(monkeypatch):
+    """The polynomials poly_is_irreducible is called on, in order."""
+    calls = []
+
+    def counted(base, coeffs, _test=fields.poly_is_irreducible):
+        calls.append(coeffs)
+        return _test(base, coeffs)
+
+    monkeypatch.setattr(fields, "poly_is_irreducible", counted)
+    return calls
+
+
+def test_default_modulus_tests_few_candidates(tested):
+    """The search skips candidates with c_0 = 0, which exhaustive trial
+    division tested by the thousand: 29,793 of them at (31, 4)."""
+    for q, l in ((31, 4), (13, 4), (17, 4), (5, 4)):
+        tested.clear()
+        assert default_modulus(PrimeField(q), l) == DEFAULT_MODULI[q, l]
+        assert len(tested) <= 10, (q, l, len(tested))
+
+
+def test_default_modulus_is_tested_once(tested):
+    """ExtField tests its default modulus only inside the search, and a
+    modulus from the caller once."""
+    ExtField(PrimeField(13), 4)
+    assert tested.count(DEFAULT_MODULI[13, 4]) == 1
+    tested.clear()
+    ExtField(PrimeField(13), 4, modulus=DEFAULT_MODULI[13, 4])
+    assert tested == [DEFAULT_MODULI[13, 4]]
 
 
 def test_reducible_modulus_rejected():

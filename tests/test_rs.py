@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,9 @@ from fracdec.errors import DecodeFailure, InconsistentErasures
 from fracdec.fields import ExtField, PrimeField
 from fracdec.rs import (RsCode, nearest_codeword_bruteforce, rs_decode_unique,
                         rs_encode, rs_erasure_decode)
+from fracdec.serialization import config_from_dict, load_json
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 F13 = PrimeField(13)
 F5 = PrimeField(5)
@@ -31,6 +36,12 @@ def test_poly_ring_ops():
     assert P.poly_mul(F13, a, ()) == ()
     assert P.poly_pow(F13, (0, 1), 3) == (0, 0, 0, 1)
     assert P.poly_pow(F13, (2, 1), 0) == (1,)
+    assert P.poly_powmod(F13, (0, 1), 13, (1, 0, 1)) == (0, 1)  # x^2 = -1
+    assert P.poly_powmod(F13, (5, 1), 0, (1, 0, 1)) == (1,)
+    # gcd(2(x-1)(x-2), (x-1)(x-3)) = x - 1, made monic
+    assert P.poly_gcd(F13, (4, 7, 2), (3, 9, 1)) == (12, 1)
+    assert P.poly_gcd(F13, (3, 9, 1), ()) == (3, 9, 1)
+    assert P.poly_gcd(F13, (), ()) == ()
 
 
 def test_poly_divmod_examples():
@@ -199,6 +210,31 @@ def test_rs_decode_degenerate_zero_radius():
     msg = (1, 4, 2)
     h, errs = rs_decode_unique(code, rs_encode(code, msg))
     assert h == msg and errs == frozenset()
+
+
+def test_rs_decode_reuses_the_master_polynomial(monkeypatch):
+    """RsCode builds its master polynomial once; a decode must not rebuild
+    it through interpolate."""
+    cfg = config_from_dict(load_json(str(CONFIG_DIR / "frs-p37-n8-k3.json")))
+    code = cfg.prefix_code
+    calls = []
+    original = P.poly_from_roots
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "fracdec" or name.startswith("fracdec.")) and getattr(
+                module, "poly_from_roots", None) is original:
+            monkeypatch.setattr(module, "poly_from_roots", counting)
+    msg = tuple(range(1, code.k + 1))
+    received = list(rs_encode(code, msg))
+    for i in range(code.radius):
+        received[2 * i] = (received[2 * i] + 1) % cfg.field.q
+    h, errs = rs_decode_unique(code, received)
+    assert h == msg and len(errs) == code.radius
+    assert calls == []
 
 
 def test_rs_erasure_decode():
