@@ -13,14 +13,13 @@ harness with a CLI.
 __version__ = "0.1.0"
 
 from .arraycode import (DownloadBundle, ErrorPattern, apply_error_pattern,
-                        column_distance, difference_pattern)
+                        difference_pattern)
 from .bounds import (CollisionWitness, FigureRow, MinInfoResult, RadiusReport,
                      emit_figure, figure_csv, find_download_collision,
                      list_capacity, min_info_check, radius_naive,
                      radius_optimal, radius_report)
 from .budget import DEFAULT_BUDGET, check_budget, enumeration_budget
-from .errors import (BudgetExceeded, DecodeFailure, InconsistentErasures,
-                     InternalInconsistency)
+from .errors import BudgetExceeded, DecodeFailure, InconsistentErasures
 from .fields import (ExtField, PrimeField, TraceDualBasis, default_modulus,
                      dual_basis, is_prime, poly_is_irreducible,
                      polynomial_basis, prime_factors)

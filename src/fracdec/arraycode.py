@@ -59,13 +59,6 @@ def apply_error_pattern(field, columns, pattern):
     return tuple(columns)
 
 
-def column_distance(a, b):
-    """Number of columns where two array words differ."""
-    if len(a) != len(b):
-        raise ValueError("words must have the same number of columns")
-    return sum(1 for x, y in zip(a, b) if tuple(x) != tuple(y))
-
-
 def difference_pattern(field, base_word, other_word, columns=None):
     """ErrorPattern e with base_word + e == other_word on the given columns.
 

@@ -9,13 +9,5 @@ class InconsistentErasures(DecodeFailure):
     """Erasure-decoding verification found points off the interpolated polynomial."""
 
 
-class InternalInconsistency(DecodeFailure):
-    """An exact-division or degree check failed mid-decode.
-
-    This signals that an inner decoding stage silently miscorrected (possible
-    only beyond the decoding radius); it is surfaced instead of ignored.
-    """
-
-
 class BudgetExceeded(RuntimeError):
     """A brute-force enumeration would exceed the configured budget."""

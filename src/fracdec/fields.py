@@ -18,14 +18,7 @@ from . import polyring
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n):
@@ -364,19 +357,20 @@ class TraceDualBasis:
             raise ValueError(f"basis pair must have {l} elements per side")
         for a in (*self.zeta, *self.nu):
             ext.check(a)
-        for i, ni in enumerate(self.nu):
-            for j, zj in enumerate(self.zeta):
-                want = 1 if i == j else 0
-                if ext.trace(ext.mul(ni, zj)) != want:
-                    raise ValueError(
-                        f"trace(nu_{i} * zeta_{j}) != {want}: "
-                        "the two families are not trace-dual")
         # projection matrix: row u maps coordinates of beta to trace(zeta_u beta)
         unit_traces = [[ext.trace(ext.mul(z, ext.q ** v)) for v in range(l)]
                        for z in self.zeta]
+        object.__setattr__(self, "_proj", tuple(tuple(r) for r in unit_traces))
+        # duality: project(nu_i) = (trace(zeta_j nu_i))_j is the i-th unit vector
+        for i, ni in enumerate(self.nu):
+            for j, got in enumerate(self.project(ni)):
+                want = 1 if i == j else 0
+                if got != want:
+                    raise ValueError(
+                        f"trace(nu_{i} * zeta_{j}) != {want}: "
+                        "the two families are not trace-dual")
         recon_cols = [ext.to_vec(n) for n in self.nu]
         recon_rows = [tuple(recon_cols[i][v] for i in range(l)) for v in range(l)]
-        object.__setattr__(self, "_proj", tuple(tuple(r) for r in unit_traces))
         object.__setattr__(self, "_recon", tuple(recon_rows))
 
     @property

@@ -35,14 +35,8 @@ def smallest_prime_above(bound):
 
 
 def smallest_primitive_root(p):
-    """Smallest primitive element of GF(p), checked via the factorization
-    of p - 1."""
-    field = PrimeField(p)
-    factors = prime_factors(p - 1) if p > 2 else []
-    for g in range(1, p):
-        if all(field.pow(g, (p - 1) // f) != 1 for f in factors):
-            return g
-    raise RuntimeError(f"no primitive root modulo {p}")  # unreachable for prime p
+    """Smallest primitive element of GF(p)."""
+    return next(g for g in PrimeField(p).elements() if is_primitive_root(p, g))
 
 
 def is_primitive_root(p, g):

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .arraycode import DownloadBundle, apply_error_pattern
-from .errors import InternalInconsistency
 from .fields import ExtField, PrimeField, dual_basis
-from .polyring import (degree, interpolate, normalize, poly_divmod,
-                       poly_eval, poly_from_roots, poly_sub)
+from .polyring import (interpolate, normalize, poly_divmod, poly_eval,
+                       poly_from_roots, poly_sub)
 from .rs import RsCode, rs_decode_unique
 
 
@@ -163,15 +162,13 @@ def ts_encode(cfg, message):
     """Encode k field symbols into an l x n array of base-field symbols.
 
     Column i holds the trace coordinates of the RS codeword symbol
-    h(omega_i), lowest basis index first.
+    h(omega_i), lowest basis index first. The trace is GF(q)-linear and
+    omega_i lies in GF(q), so that column is (h_0(omega_i), ...,
+    h_{l-1}(omega_i)) for the coordinate polynomials of ts_project_polys,
+    and the encoder runs over the base field only.
     """
-    message = tuple(message)
-    if len(message) != cfg.k:
-        raise ValueError(f"message must have exactly k = {cfg.k} symbols")
-    for a in message:
-        cfg.ext.check(a)
-    h = normalize(message)
-    return tuple(cfg.basis.project(poly_eval(cfg.ext, h, w))
+    hs = ts_project_polys(cfg, message)
+    return tuple(tuple(poly_eval(cfg.base, h, w) for h in hs)
                  for w in cfg.omega)
 
 
@@ -249,33 +246,22 @@ def ts_decode_message(cfg, bundle):
 
     # stage 2: peel the shared low layers h_0, ..., h_{l-m-1}. Every p_j
     # vanishes on A_j, so on the union of the subsets the current bottom
-    # layer of each g_j is exposed; those k points pin down one h_u.
+    # layer of each g_j is exposed; those k points pin down one h_u of
+    # degree < k. h_u agrees with g_j on A_j, whose points are distinct
+    # roots of p_j, so p_j divides g_j - h_u exactly, whatever the stream
+    # decoder returned, and the quotient is the next layer, k/m degrees
+    # lower. No check can fail here: only the stream decodes can.
     anchor_points = [(w, j) for j in range(m) for w in cfg.subsets[j]]
     coord_polys = []
     for _ in range(l - m):
-        points = [(w, poly_eval(base, streams[j], w)) for w, j in anchor_points]
-        h_u = interpolate(base, points)
-        if degree(h_u) >= k:
-            raise InternalInconsistency(
-                "peeled layer has degree >= k: some download stream was "
-                "corrupted past the radius and miscorrected")
+        h_u = interpolate(base, [(w, poly_eval(base, streams[j], w))
+                                 for w, j in anchor_points])
         coord_polys.append(h_u)
-        for j in range(m):
-            quot, rem = poly_divmod(base,
-                                    poly_sub(base, streams[j], h_u),
-                                    cfg.annihilators[j])
-            if rem != ():
-                raise InternalInconsistency(
-                    "peeling left a remainder: some download stream was "
-                    "corrupted past the radius and miscorrected")
-            streams[j] = quot
+        streams = [poly_divmod(base, poly_sub(base, g, h_u), p_j)[0]
+                   for g, p_j in zip(streams, cfg.annihilators)]
 
-    # stage 3: what is left of stream j is the top layer h_{l-m+j}
-    for g in streams:
-        if degree(g) >= k:
-            raise InternalInconsistency(
-                "top layer has degree >= k: some download stream was "
-                "corrupted past the radius and miscorrected")
+    # stage 3: stream j started below degree lk/m and lost k/m degrees per
+    # peel, so what is left is the top layer h_{l-m+j}, of degree < k
     coord_polys.extend(streams)
 
     def coeff(poly, i):

@@ -55,8 +55,10 @@ def test_prime_validation():
 
 
 def test_prime_helpers():
-    assert [p for p in range(50) if is_prime(p)] == \
+    assert [p for p in range(-3, 50) if is_prime(p)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    assert [n for n in range(950, 1020) if is_prime(n)] == \
+        [953, 967, 971, 977, 983, 991, 997, 1009, 1013, 1019]
     assert prime_factors(36) == [2, 3]
     assert prime_factors(37) == [37]
     assert prime_factors(1) == []
@@ -427,8 +429,15 @@ def test_dual_basis_delta_exhaustive_small_fields():
 
 def test_mismatched_dual_pair_rejected():
     f = gf4()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not trace-dual"):
         TraceDualBasis(ext=f, zeta=(1, 2), nu=(1, 2))
+    for f in (gf8(), gf9()):
+        db = dual_basis(f)
+        swapped = (db.nu[1], db.nu[0], *db.nu[2:])
+        with pytest.raises(ValueError, match=r"trace\(nu_0 \* zeta_0\) != 1"):
+            TraceDualBasis(ext=f, zeta=db.zeta, nu=swapped)
+        with pytest.raises(ValueError, match="not trace-dual"):
+            TraceDualBasis(ext=f, zeta=db.zeta, nu=(*db.nu[:-1], 0))
 
 
 def test_project_reconstruct_inverse():

@@ -49,6 +49,29 @@ def test_prime_and_primitive_helpers():
     assert is_primitive_root(37, 2)
     assert not is_primitive_root(37, 6)    # 6^12 = 1 mod 37
     assert not is_primitive_root(5, 0)
+    # pinned: the smallest primitive root of each p
+    assert {p: smallest_primitive_root(p)
+            for p in (3, 5, 7, 17, 23, 41, 53, 71, 97, 191, 409, 1009)} == {
+        3: 2, 5: 2, 7: 3, 17: 3, 23: 5, 41: 6, 53: 2, 71: 7, 97: 5,
+        191: 19, 409: 21, 1009: 11}
+    for bad in (0, 1, 4, 9):
+        with pytest.raises(ValueError):
+            smallest_primitive_root(bad)
+
+
+@pytest.mark.parametrize("args, shipped, p, gamma", [
+    ((6, 1, 3, Fraction(1, 3)), "frs-p19-n6-k1", 19, 2),
+    ((8, 3, 4, Fraction(3, 4)), "frs-p37-n8-k3", 37, 2),
+    ((12, 3, 4, Fraction(1, 2)), None, 53, 2),
+])
+def test_default_field_and_gamma_pinned(args, shipped, p, gamma):
+    """frs_make_config's default p and gamma, and the shipped configs that
+    spell them out, stay what they were."""
+    cfg = frs_make_config(*args)
+    assert (cfg.field.q, cfg.gamma) == (p, gamma)
+    if shipped is not None:
+        loaded = config_from_dict(load_json(str(CONFIG_DIR / f"{shipped}.json")))
+        assert loaded == cfg
 
 
 def test_make_config_reference_values():

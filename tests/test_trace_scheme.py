@@ -3,19 +3,31 @@ peeling identities, radius sweeps, and accounting."""
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fracdec import polyring as P
 from fracdec.arraycode import DownloadBundle, ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure
-from fracdec.harness import random_column_offset, random_message, trial_stream
-from fracdec.rs import RsCode, rs_erasure_decode
+from fracdec.fields import ExtField
+from fracdec.harness import (random_column_offset, random_error_pattern,
+                             random_message, trial_stream)
+from fracdec.rs import RsCode, rs_decode_unique, rs_encode, rs_erasure_decode
+from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import (ts_all_codewords, ts_decode,
                                   ts_decode_message, ts_download,
                                   ts_download_all, ts_download_fns, ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_TRACE = ("ts-q13-n12-k4", "ts-q17-n10-k4", "ts-q5-n4-k2")
+
+
+def shipped_config(name):
+    return config_from_dict(load_json(str(CONFIG_DIR / f"{name}.json")))
 
 
 def reference_config():
@@ -64,18 +76,24 @@ def test_make_config_rejections():
 
 
 def test_encode_shape_and_membership():
-    """Columns reconstruct to symbols of a degree < k polynomial: any k
-    columns interpolate to a polynomial matching all n."""
-    cfg = reference_config()
-    stream = trial_stream(11, 0, 0)
-    for _ in range(5):
-        msg = random_message(cfg, stream)
-        word = ts_encode(cfg, msg)
-        assert len(word) == cfg.n and all(len(c) == cfg.l for c in word)
-        symbols = [cfg.basis.reconstruct(col) for col in word]
-        pairs = [(cfg.omega[i], symbols[i]) for i in range(cfg.n)]
-        h = rs_erasure_decode(RsCode(cfg.ext, cfg.k, cfg.omega), pairs)
-        assert h == P.normalize(msg)
+    """The GF(q^l) reference for the base-field encoder: column i is the
+    projection of h(omega_i), evaluated over the extension field, and the
+    columns reconstruct to a codeword of the (n, k) RS code over GF(q^l)
+    whose message is the one encoded."""
+    for name in SHIPPED_TRACE:
+        cfg = shipped_config(name)
+        stream = trial_stream(11, 0, 0)
+        for _ in range(5):
+            msg = random_message(cfg, stream)
+            word = ts_encode(cfg, msg)
+            assert len(word) == cfg.n and all(len(c) == cfg.l for c in word)
+            h = P.normalize(msg)
+            assert word == tuple(cfg.basis.project(P.poly_eval(cfg.ext, h, w))
+                                 for w in cfg.omega)
+            symbols = [cfg.basis.reconstruct(col) for col in word]
+            pairs = [(cfg.omega[i], symbols[i]) for i in range(cfg.n)]
+            assert rs_erasure_decode(RsCode(cfg.ext, cfg.k, cfg.omega),
+                                     pairs) == h
 
 
 def test_encode_zero_and_constant():
@@ -95,8 +113,9 @@ def test_encode_validation():
 
 
 def test_project_polys_reassemble():
-    """Reassembling coefficientwise with nu recovers the message, and each
-    stack of column coordinates evaluates h_u."""
+    """Reassembling coefficientwise with nu recovers the message, and at a
+    base-field point w the stack (h_0(w), ..., h_{l-1}(w)) is the trace
+    projection of h(w), evaluated over GF(q^l)."""
     cfg = reference_config()
     stream = trial_stream(12, 0, 0)
     for _ in range(5):
@@ -107,10 +126,10 @@ def test_project_polys_reassemble():
             coords = tuple(hs[u][i] if i < len(hs[u]) else 0
                            for u in range(cfg.l))
             assert cfg.basis.reconstruct(coords) == coeff
-        word = ts_encode(cfg, msg)
-        for i, w in enumerate(cfg.omega):
-            for u in range(cfg.l):
-                assert P.poly_eval(cfg.base, hs[u], w) == word[i][u]
+        h = P.normalize(msg)
+        for w in cfg.omega:
+            assert tuple(P.poly_eval(cfg.base, h_u, w) for h_u in hs) == \
+                cfg.basis.project(P.poly_eval(cfg.ext, h, w))
 
 
 def build_stream_poly(cfg, msg, j):
@@ -236,6 +255,75 @@ def test_beyond_radius_never_silently_wrong_within_radius_claim():
         except DecodeFailure:
             outcomes.add("fail")
     assert "fail" in outcomes or "wrong" in outcomes
+
+
+# (q, n, k, l, m): the shipped shapes (the q = 5 one has l = m), m = 1 with
+# three peels, l = 3 with m = 1 and m = 2, and k = m = 2 below l = 4
+PEEL_CONFIGS = ((13, 12, 4, 4, 2), (17, 10, 4, 4, 2), (5, 4, 2, 2, 2),
+                (13, 12, 2, 4, 1), (11, 10, 2, 3, 1), (7, 6, 2, 3, 2),
+                (11, 10, 2, 4, 2))
+
+
+@pytest.mark.parametrize("params", PEEL_CONFIGS,
+                         ids=lambda p: "q{}-n{}-k{}-l{}-m{}".format(*p))
+def test_peel_is_exact_beyond_the_radius(params):
+    """Past the radius a stream decoder may return a wrong g_j, but the peel
+    inverts whatever it returns: a decode either fails in a stream decode
+    or returns a message whose clean download streams are rs_encode(g_j).
+    Inputs are random downloads and words corrupted in radius+1..n
+    columns."""
+    cfg = ts_make_config(*params)
+    returned = 0
+    for trial in range(200):
+        stream = trial_stream(31, cfg.radius, trial)
+        if trial % 3 == 0:
+            bundle = DownloadBundle(
+                per_column=tuple(tuple(stream.below(cfg.base.q)
+                                       for _ in range(cfg.m))
+                                 for _ in range(cfg.n)),
+                downloaded=cfg.downloaded_per_word,
+                accessed=cfg.accessed_per_word)
+        else:
+            weight = cfg.radius + 1 + trial % (cfg.n - cfg.radius)
+            msg = random_message(cfg, stream)
+            pattern = random_error_pattern(cfg, stream, weight)
+            bundle = ts_download_all(cfg, apply_error_pattern(
+                cfg.base, ts_encode(cfg, msg), pattern))
+        try:
+            streams = [rs_decode_unique(cfg.inner_code,
+                                        tuple(c[j] for c in bundle.per_column))[0]
+                       for j in range(cfg.m)]
+        except DecodeFailure:
+            with pytest.raises(DecodeFailure):
+                ts_decode_message(cfg, bundle)
+            continue
+        decoded = ts_decode_message(cfg, bundle)
+        clean = ts_download_all(cfg, ts_encode(cfg, decoded)).per_column
+        for j, g_j in enumerate(streams):
+            assert tuple(c[j] for c in clean) == rs_encode(cfg.inner_code, g_j)
+        returned += 1
+    assert returned > 0
+
+
+@pytest.mark.parametrize("name", SHIPPED_TRACE)
+def test_pipeline_runs_no_extension_field_arithmetic(name, monkeypatch):
+    """The pipeline works on GF(q) coordinate polynomials: encoding,
+    downloads, stream decodes and the peel call no GF(q^l) arithmetic."""
+    cfg = shipped_config(name)
+    stream = trial_stream(0, cfg.radius, 0)
+    message = random_message(cfg, stream)
+    pattern = random_error_pattern(cfg, stream, cfg.radius)
+    calls = []
+    for method in ("add", "sub", "neg", "mul", "inv", "div", "pow",
+                   "frobenius", "trace"):
+        def counted(self, *args, _method=method,
+                    _original=getattr(ExtField, method)):
+            calls.append(_method)
+            return _original(self, *args)
+        monkeypatch.setattr(ExtField, method, counted)
+    decoded, _ = ts_full_pipeline(cfg, message, pattern)
+    assert decoded == message
+    assert calls == []
 
 
 def test_malformed_bundle_rejected():
