@@ -35,7 +35,8 @@ bundle = ts_download_all(cfg, tuple(received))
 print(f"\ndownloaded {bundle.downloaded} symbols "
       f"({cfg.m} per column), accessed {bundle.accessed}")
 
-decoded = ts_decode_message(cfg, bundle)
+decoded, corrected = ts_decode_message(cfg, bundle)
 print("decoded message:", decoded)
-assert decoded == message
+print("corrected columns:", tuple(sorted(corrected)))
+assert decoded == message and corrected == {3, 9}
 print("matches the original despite columns 3 and 9 being corrupted")

@@ -36,6 +36,6 @@ from .harness import (ExperimentReport, ExperimentSpec, NaiveComparison,
 from .rationals import as_fraction
 from .rs import (RsCode, nearest_codeword_bruteforce, rs_decode_unique,
                  rs_encode, rs_erasure_decode)
-from .trace_scheme import (TsConfig, ts_decode, ts_decode_message,
-                           ts_download, ts_download_all, ts_encode,
-                           ts_full_pipeline, ts_make_config, ts_project_polys)
+from .trace_scheme import (TsConfig, ts_decode_message, ts_download,
+                           ts_download_all, ts_encode, ts_full_pipeline,
+                           ts_make_config, ts_project_polys)

@@ -123,14 +123,10 @@ def cmd_download(args):
 def cmd_decode(args):
     cfg = _load_config(args.config, args.scheme)
     bundle = ser.bundle_from_dict(ser.load_json(args.infile))
-    if args.scheme == "ts":
-        message = ts_decode_message(cfg, bundle)
-        extra = {}
-    else:
-        message, corrected = frs_decode_trial(cfg, bundle.per_column)
-        extra = {"correctedColumns": sorted(corrected)}
+    message, corrected = (ts_decode_message(cfg, bundle) if args.scheme == "ts"
+                          else frs_decode_trial(cfg, bundle.per_column))
     out = ser.message_to_dict(args.scheme, message)
-    out.update(extra)
+    out["correctedColumns"] = sorted(corrected)
     ser.dump_json(args.out, out)
     return 0
 

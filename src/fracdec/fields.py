@@ -310,9 +310,9 @@ def dual_basis(ext, zeta=None):
     """Trace-dual basis pair for the extension over its base field.
 
     Given a basis zeta (default: the polynomial basis), returns a
-    TraceDualBasis whose nu satisfies trace(nu_i * zeta_j) = delta_ij.
-    nu is obtained by inverting the Gram matrix G_ij = trace(zeta_i zeta_j);
-    a singular Gram matrix means zeta is not a basis.
+    TraceDualBasis whose nu satisfies trace(nu_i * zeta_j) = delta_ij: the
+    projection matrix P maps vec(nu_i) to the i-th unit vector, so nu_i is
+    column i of P's inverse. A singular P means zeta is not a basis.
     """
     if zeta is None:
         zeta = polynomial_basis(ext)
@@ -320,18 +320,20 @@ def dual_basis(ext, zeta=None):
     l = ext.degree
     if len(zeta) != l:
         raise ValueError(f"basis must have {l} elements, got {len(zeta)}")
-    gram = [[ext.trace(ext.mul(zi, zj)) for zj in zeta] for zi in zeta]
-    ginv = _invert_matrix(ext.base, gram)
-    if ginv is None:
+    pinv = _invert_matrix(ext.base, _projection_matrix(ext, zeta))
+    if pinv is None:
         raise ValueError("given elements are linearly dependent over the base "
-                         "field (singular trace Gram matrix)")
-    nu = []
-    for i in range(l):
-        acc = 0
-        for j in range(l):
-            acc = ext.add(acc, ext.mul(ginv[i][j], zeta[j]))
-        nu.append(acc)
-    return TraceDualBasis(ext=ext, zeta=zeta, nu=tuple(nu))
+                         "field (singular trace projection matrix)")
+    nu = tuple(_pack([row[i] for row in pinv], ext.q) for i in range(l))
+    return TraceDualBasis(ext=ext, zeta=zeta, nu=nu)
+
+
+def _projection_matrix(ext, zeta):
+    """Rows (trace(zeta_u * x^v))_v: row u maps the coordinates of beta to
+    trace(zeta_u * beta)."""
+    return tuple(tuple(ext.trace(ext.mul(z, ext.q ** v))
+                       for v in range(ext.degree))
+                 for z in zeta)
 
 
 @dataclass(frozen=True)
@@ -357,10 +359,7 @@ class TraceDualBasis:
             raise ValueError(f"basis pair must have {l} elements per side")
         for a in (*self.zeta, *self.nu):
             ext.check(a)
-        # projection matrix: row u maps coordinates of beta to trace(zeta_u beta)
-        unit_traces = [[ext.trace(ext.mul(z, ext.q ** v)) for v in range(l)]
-                       for z in self.zeta]
-        object.__setattr__(self, "_proj", tuple(tuple(r) for r in unit_traces))
+        object.__setattr__(self, "_proj", _projection_matrix(ext, self.zeta))
         # duality: project(nu_i) = (trace(zeta_j nu_i))_j is the i-th unit vector
         for i, ni in enumerate(self.nu):
             for j, got in enumerate(self.project(ni)):

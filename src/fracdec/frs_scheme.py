@@ -19,11 +19,10 @@ from fractions import Fraction
 
 from .arraycode import DownloadBundle, apply_error_pattern
 from .budget import check_budget
-from .errors import DecodeFailure
 from .fields import PrimeField, is_prime, prime_factors
 from .polyring import normalize, poly_eval
 from .rationals import as_fraction
-from .rs import RsCode, rs_decode_unique
+from .rs import RsCode, decode_columns
 
 
 def smallest_prime_above(bound):
@@ -187,28 +186,6 @@ def frs_download_all(cfg, columns):
     )
 
 
-def decode_columns(code, columns, radius):
-    """Decode columns of uniform height as one word of the RS code `code`.
-
-    The columns are flattened in order, so `code.omega` must list each
-    column's evaluation points in turn. Returns (message, corrected_columns)
-    with the message padded to length code.k. Raises DecodeFailure unless
-    some codeword differs from the columns on at most `radius` of them.
-
-    Exact whenever height * radius <= code.radius: a codeword within
-    `radius` columns is then within the symbol radius, so the Euclid
-    decoder finds it, and the column count rejects anything farther.
-    """
-    height = len(columns[0])
-    h, positions = rs_decode_unique(code, flatten_columns(columns))
-    corrected = frozenset(pos // height for pos in positions)
-    if len(corrected) > radius:
-        raise DecodeFailure(
-            f"nearest codeword differs on {len(corrected)} columns, more "
-            f"than the radius {radius}")
-    return _pad(h, code.k), corrected
-
-
 def frs_decode_trial(cfg, per_column):
     """Decode prefix downloads, fixing up to `radius` bad columns.
 
@@ -222,11 +199,8 @@ def frs_decode_trial(cfg, per_column):
     if len(per_column) != cfg.n or any(len(c) != cfg.alpha_l for c in per_column):
         raise ValueError(
             f"expected {cfg.n} columns of {cfg.alpha_l} downloaded symbols")
-    return decode_columns(cfg.prefix_code, per_column, cfg.radius)
-
-
-def _pad(coeffs, length):
-    return tuple(coeffs) + (0,) * (length - len(coeffs))
+    (h,), corrected = decode_columns(cfg.prefix_code, per_column, cfg.radius)
+    return h + (0,) * (cfg.message_length - len(h)), corrected
 
 
 def bundle_columns(word, height):

@@ -15,10 +15,12 @@ from math import comb
 from .budget import check_budget
 from .arraycode import ErrorPattern, apply_error_pattern
 from .errors import DecodeFailure
-from .frs_scheme import (FrsConfig, decode_columns, flatten_columns,
-                         frs_encode, frs_full_pipeline)
-from .rs import RsCode
-from .trace_scheme import TsConfig, ts_encode, ts_full_pipeline
+from .frs_scheme import (FrsConfig, flatten_columns, frs_encode,
+                         frs_full_pipeline)
+from .polyring import normalize
+from .rs import RsCode, decode_columns
+from .trace_scheme import (TsConfig, ts_encode, ts_full_pipeline,
+                           ts_project_polys)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -376,18 +378,19 @@ def _decode_naive(cfg, kind, message, pattern, read_columns, naive_radius):
     corrupted = apply_error_pattern(_symbol_field(cfg), encode(cfg, message),
                                     pattern)
     if kind == "ts":
-        code = RsCode(cfg.ext, cfg.k, tuple(cfg.omega[i] for i in read_columns))
-        columns = tuple((cfg.basis.reconstruct(corrupted[i]),)
-                        for i in read_columns)
+        # the l stored rows are words of one RS code over GF(q)
+        code = RsCode(cfg.base, cfg.k, tuple(cfg.omega[i] for i in read_columns))
+        want = ts_project_polys(cfg, message)
     else:
         code = RsCode(cfg.field, cfg.message_length, flatten_columns(
             cfg.column_points(i) for i in read_columns))
-        columns = tuple(corrupted[i] for i in read_columns)
+        want = (normalize(message),)
     try:
-        decoded, _ = decode_columns(code, columns, naive_radius)
+        decoded, _ = decode_columns(code, [corrupted[i] for i in read_columns],
+                                    naive_radius)
     except DecodeFailure:
         return "failed"
-    return "recovered" if decoded == tuple(message) else "miscorrected"
+    return "recovered" if decoded == want else "miscorrected"
 
 
 def comparison_to_dict(result):

@@ -3,10 +3,11 @@
 A polynomial is a tuple of field elements, constant coefficient first,
 with no trailing zeros; the zero polynomial is the empty tuple, of degree
 -1. Every function takes the field as its first argument; any object with
-add/sub/mul/div/neg methods works, so the same routines serve both the base
-field and the extension field. Coefficients and points must be canonical
-integers of that field. Nothing here validates them: callers check symbols
-where they enter, with the field's `check`.
+add/sub/mul/div/neg methods works. The library calls them over prime fields
+only; the tests also run them over `ExtField` as a GF(q^l) reference.
+Coefficients and points must be canonical integers of that field. Nothing
+here validates them: callers check symbols where they enter, with the
+field's `check`.
 """
 
 

@@ -97,16 +97,48 @@ def rs_decode_unique(code, received):
     return h, positions
 
 
+def decode_columns(code, columns, radius):
+    """Decode words of `code` whose errors share columns.
+
+    Column i carries g = code.n // len(columns) consecutive symbols of each
+    word: word j is columns[i][j*g:(j+1)*g] read across i, in the order of
+    `code.omega`. Returns (messages, corrected_columns): one message
+    polynomial per word and the union of the columns the decodes corrected.
+    Raises DecodeFailure when a word decode fails or the union has more
+    than `radius` columns. Exact whenever g * radius <= code.radius.
+    """
+    columns = tuple(tuple(c) for c in columns)
+    g, height = code.n // len(columns), len(columns[0])
+    if (g * len(columns) != code.n or height % g
+            or any(len(c) != height for c in columns)):
+        raise ValueError(f"{len(columns)} columns cannot carry words of "
+                         f"length {code.n} in uniform slices")
+    messages, corrected = [], set()
+    for start in range(0, height, g):
+        word = tuple(v for col in columns for v in col[start:start + g])
+        h, positions = rs_decode_unique(code, word)
+        messages.append(h)
+        corrected.update(pos // g for pos in positions)
+    if len(corrected) > radius:
+        raise DecodeFailure(
+            f"nearest codeword differs on {len(corrected)} columns, more "
+            f"than the radius {radius}")
+    return tuple(messages), frozenset(corrected)
+
+
 def rs_erasure_decode(code, known):
     """Recover the message from >= k error-free (position, value) pairs.
 
     Interpolates through the first k pairs and checks the rest; any
     disagreement raises InconsistentErasures since the inputs were claimed
-    to be clean.
+    to be clean. Positions must be plain ints.
     """
     field = code.field
-    known = [(int(pos), val) for pos, val in known]
+    known = list(known)
     positions = [pos for pos, _ in known]
+    for pos in positions:
+        if not isinstance(pos, int) or isinstance(pos, bool):
+            raise ValueError(f"position {pos!r} is not an int")
     if len(set(positions)) != len(positions):
         raise ValueError("duplicate positions in erasure input")
     for pos, val in known:

@@ -12,10 +12,14 @@ w is the evaluation at w of
 
 a polynomial of degree < lk/m, where h_u collects the u-th trace coordinate
 of each message coefficient. Each of the m download streams is therefore a
-codeword of an (n, lk/m) RS code over B and can be error-decoded on its
-own; the h_u are then peeled off one degree layer at a time, using that p_j
-vanishes on A_j, so interpolating g_j on the union of the A_j sees only the
-current bottom layer.
+codeword of an (n, lk/m) RS code over B, with errors in shared columns;
+the streams are decoded and the h_u are then peeled off one degree layer
+at a time, using that p_j vanishes on A_j, so interpolating g_j on the
+union of the A_j sees only the current bottom layer.
+
+The decoder returns a message exactly when some message's downloads lie
+within floor((n - k/alpha) / 2) columns of the received ones, with the
+columns where they differ; otherwise it raises DecodeFailure.
 
 Every column is read in full (l symbols accessed) but transmits only m, so
 the download fraction is alpha = m/l while the corrected error count is
@@ -30,7 +34,7 @@ from .arraycode import DownloadBundle, apply_error_pattern
 from .fields import ExtField, PrimeField, dual_basis
 from .polyring import (interpolate, normalize, poly_divmod, poly_eval,
                        poly_from_roots, poly_sub)
-from .rs import RsCode, rs_decode_unique
+from .rs import RsCode, decode_columns
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ class TsConfig:
 
     @property
     def radius(self):
-        """floor((n - k/alpha) / 2), met with equality by ts_decode."""
+        """floor((n - k/alpha) / 2), met with equality by ts_decode_message."""
         return (self.n - self.l * self.k // self.m) // 2
 
     @property
@@ -231,18 +235,21 @@ def ts_download_all(cfg, columns):
 
 
 def ts_decode_message(cfg, bundle):
-    """Decode the m download streams and peel out the message."""
+    """Decode the m download streams and peel out the message.
+
+    Returns (message, corrected_columns) exactly when some message's
+    downloads lie within `radius` columns of the received ones; the peel is
+    exact, so corrected_columns is where that message's downloads differ.
+    Raises DecodeFailure otherwise.
+    """
     base, l, m, k = cfg.base, cfg.l, cfg.m, cfg.k
     per_column = tuple(tuple(c) for c in bundle.per_column)
     if len(per_column) != cfg.n or any(len(c) != m for c in per_column):
         raise ValueError(f"download bundle must be {cfg.n} columns of {m} symbols")
 
-    # stage 1: each stream j is an (n, lk/m) RS codeword plus column errors
-    streams = []
-    for j in range(m):
-        word = tuple(col[j] for col in per_column)
-        g_j, _ = rs_decode_unique(cfg.inner_code, word)
-        streams.append(g_j)
+    # stage 1: the streams are words of one (n, lk/m) RS code whose errors
+    # share columns; more than `radius` corrected columns in all is a failure
+    streams, corrected = decode_columns(cfg.inner_code, per_column, cfg.radius)
 
     # stage 2: peel the shared low layers h_0, ..., h_{l-m-1}. Every p_j
     # vanishes on A_j, so on the union of the subsets the current bottom
@@ -250,7 +257,7 @@ def ts_decode_message(cfg, bundle):
     # degree < k. h_u agrees with g_j on A_j, whose points are distinct
     # roots of p_j, so p_j divides g_j - h_u exactly, whatever the stream
     # decoder returned, and the quotient is the next layer, k/m degrees
-    # lower. No check can fail here: only the stream decodes can.
+    # lower. No check can fail here: only stage 1 can.
     anchor_points = [(w, j) for j in range(m) for w in cfg.subsets[j]]
     coord_polys = []
     for _ in range(l - m):
@@ -262,25 +269,8 @@ def ts_decode_message(cfg, bundle):
 
     # stage 3: stream j started below degree lk/m and lost k/m degrees per
     # peel, so what is left is the top layer h_{l-m+j}, of degree < k
-    coord_polys.extend(streams)
-
-    def coeff(poly, i):
-        return poly[i] if i < len(poly) else 0
-
-    return tuple(cfg.basis.reconstruct(tuple(coeff(coord_polys[u], i)
-                                             for u in range(l)))
-                 for i in range(k))
-
-
-def ts_decode(cfg, bundle):
-    """Recover the stored array from downloads, fixing up to `radius` bad
-    columns; within the radius the result is always the stored word.
-
-    Beyond the radius it either raises DecodeFailure (from a per-stream
-    decoder) or returns a wrong word with no error: the streams decode on
-    their own and may correct different columns, and nothing checks the
-    result against the downloads. ROADMAP.md open item 2 plans that check."""
-    return ts_encode(cfg, ts_decode_message(cfg, bundle))
+    coord_polys = [h + (0,) * (k - len(h)) for h in (*coord_polys, *streams)]
+    return tuple(map(cfg.basis.reconstruct, zip(*coord_polys))), corrected
 
 
 def ts_full_pipeline(cfg, message, pattern):
@@ -291,7 +281,8 @@ def ts_full_pipeline(cfg, message, pattern):
     stored = ts_encode(cfg, message)
     corrupted = apply_error_pattern(cfg.base, stored, pattern)
     bundle = ts_download_all(cfg, corrupted)
-    return ts_decode_message(cfg, bundle), bundle
+    decoded, _ = ts_decode_message(cfg, bundle)
+    return decoded, bundle
 
 
 def ts_all_codewords(cfg):

@@ -1,10 +1,13 @@
 """Brute-force reference decoders the tests compare the library against."""
 
+import functools
 import itertools
 
+from fracdec.budget import check_budget
 from fracdec.errors import DecodeFailure
 from fracdec.polyring import (degree, interpolate, normalize, poly_divmod,
                               poly_eval)
+from fracdec.trace_scheme import ts_all_codewords, ts_download_all
 
 
 def trial_decode_columns(field, columns, column_points, degree_bound, t_star):
@@ -57,3 +60,27 @@ def irreducible_by_trial_division(base, coeffs):
             if poly_divmod(base, coeffs, (*lower, 1))[1] == ():
                 return False
     return True
+
+
+@functools.lru_cache(maxsize=4)
+def _ts_download_table(cfg):
+    """(message, downloads) for every message of a trace config."""
+    check_budget(cfg.ext.order ** cfg.k,
+                 f"download table over {cfg.ext!r}^{cfg.k}")
+    return tuple((message, ts_download_all(cfg, word).per_column)
+                 for message, word in ts_all_codewords(cfg))
+
+
+def ts_decode_bruteforce(cfg, per_column, radius):
+    """The message whose downloads differ from `per_column` in at most
+    `radius` columns, or None when there is none.
+
+    Enumerates every message, gated by the budget. Raises ValueError when
+    two messages qualify: the radius is then too large to name one.
+    """
+    per_column = tuple(tuple(c) for c in per_column)
+    hits = [message for message, downloads in _ts_download_table(cfg)
+            if sum(a != b for a, b in zip(downloads, per_column)) <= radius]
+    if len(hits) > 1:
+        raise ValueError(f"{len(hits)} messages lie within {radius} columns")
+    return hits[0] if hits else None

@@ -46,6 +46,7 @@ def test_ts_pipeline_round_trip(tmp_path):
     assert main(["ts", "decode", "--config", TS_REF, "--in", down,
                  "--out", out]) == 0
     assert load_json(out)["message"] == [5, 0, 11, 2]
+    assert load_json(out)["correctedColumns"] == [2, 7]
 
 
 def test_frs_pipeline_round_trip(tmp_path):

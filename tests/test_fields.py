@@ -427,6 +427,27 @@ def test_dual_basis_delta_exhaustive_small_fields():
                 assert f.trace(f.mul(db.nu[i], db.zeta[j])) == want
 
 
+def test_dual_basis_delta_on_random_bases():
+    """Random bases have non-symmetric projection matrices, so nu must be
+    read off the columns of the inverse, not its rows."""
+    rng = random.Random(3)
+    for f in (gf8(), gf9(), ExtField(PrimeField(13), 4)):
+        independent = 0
+        for _ in range(20):
+            zeta = tuple(rng.randrange(f.order) for _ in range(f.degree))
+            try:
+                db = dual_basis(f, zeta)
+            except ValueError as exc:
+                assert "linearly dependent" in str(exc)
+                continue
+            independent += 1
+            for i in range(f.degree):
+                for j in range(f.degree):
+                    want = 1 if i == j else 0
+                    assert f.trace(f.mul(db.nu[i], zeta[j])) == want
+        assert independent >= 5
+
+
 def test_mismatched_dual_pair_rejected():
     f = gf4()
     with pytest.raises(ValueError, match="not trace-dual"):

@@ -14,22 +14,24 @@ from fracdec.arraycode import (ErrorPattern, apply_error_pattern,
                                difference_pattern)
 from fracdec.bounds import radius_naive
 from fracdec.errors import BudgetExceeded, DecodeFailure
-from fracdec.frs_scheme import (bundle_columns, decode_columns,
-                                flatten_columns, frs_all_codewords,
-                                frs_decode_trial, frs_download_all,
-                                frs_download_fns, frs_download_prefix,
-                                frs_encode, frs_full_pipeline,
-                                frs_list_decode_bruteforce, frs_make_config,
-                                is_primitive_root, smallest_prime_above,
-                                smallest_primitive_root)
-from fracdec.harness import (_decode_naive, random_column_offset,
-                             random_message, trial_stream)
-from fracdec.rs import RsCode, rs_decode_unique
+from fracdec.frs_scheme import (FrsConfig, bundle_columns, flatten_columns,
+                                frs_all_codewords, frs_decode_trial,
+                                frs_download_all, frs_download_fns,
+                                frs_download_prefix, frs_encode,
+                                frs_full_pipeline, frs_list_decode_bruteforce,
+                                frs_make_config, is_primitive_root,
+                                smallest_prime_above, smallest_primitive_root)
+from fracdec.harness import (_decode_naive, _symbol_field,
+                             random_column_offset, random_message,
+                             trial_stream)
+from fracdec.rs import RsCode, decode_columns, rs_decode_unique
 from fracdec.serialization import config_from_dict, load_json
+from fracdec.trace_scheme import ts_encode
 from oracles import trial_decode_columns
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED_FOLDED = ("frs-p19-n6-k1", "frs-p37-n8-k3")
+SHIPPED_TRACE = ("ts-q13-n12-k4", "ts-q17-n10-k4", "ts-q5-n4-k2")
 
 
 def reference_config():
@@ -310,24 +312,27 @@ def received_words(cfg, width, seed, trials_per_weight=9):
     from one other codeword where it differs, so past the radius some words
     land near that codeword and decode to the wrong message. The third
     changes only the first symbol of each bad column, so a word with more
-    bad columns than the radius can still lie within the symbol radius."""
+    bad columns than the radius can still lie within the symbol radius.
+    Works for both schemes."""
+    encode = frs_encode if isinstance(cfg, FrsConfig) else ts_encode
+    field = _symbol_field(cfg)
     for weight in range(width + 1):
         for index in range(trials_per_weight):
             stream = trial_stream(seed, weight, index)
             message = random_message(cfg, stream)
-            stored = frs_encode(cfg, message)
-            other = frs_encode(cfg, random_message(cfg, stream))
+            stored = encode(cfg, message)
+            other = encode(cfg, random_message(cfg, stream))
             received = list(stored)
             for i in stream.sample(width, weight):
                 if index % 3 == 1 and other[i] != stored[i]:
                     received[i] = other[i]
                     continue
                 if index % 3 == 2:
-                    offset = (1 + stream.below(cfg.field.order - 1),) + (
+                    offset = (1 + stream.below(field.order - 1),) + (
                         0,) * (cfg.l - 1)
                 else:
                     offset = random_column_offset(cfg, stream)
-                received[i] = tuple(cfg.field.add(a, e)
+                received[i] = tuple(field.add(a, e)
                                     for a, e in zip(stored[i], offset))
             yield message, stored, tuple(received)
 
@@ -363,27 +368,41 @@ def test_decoder_matches_trial_oracle_at_every_weight(name):
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("name", SHIPPED_FOLDED)
+def decode_one_word(code, columns, radius):
+    (h,), corrected = decode_columns(code, columns, radius)
+    return h, corrected
+
+
+@pytest.mark.parametrize("name", SHIPPED_FOLDED + SHIPPED_TRACE)
 def test_naive_reader_matches_trial_oracle_at_every_weight(name):
     """The whole-column reader: full columns of the first alpha*n columns,
-    decoded at the naive radius."""
+    decoded at the naive radius. The reference reads a trace column as the
+    GF(q^l) symbol it stores and decodes one RS code over GF(q^l)."""
     cfg = shipped_config(name)
-    kl = cfg.message_length
+    kind = "frs" if isinstance(cfg, FrsConfig) else "ts"
     width = int(cfg.alpha * cfg.n)
     naive_r = radius_naive(cfg.n, cfg.k, cfg.alpha)
     read = tuple(range(width))
-    points = [cfg.column_points(i) for i in read]
-    code = RsCode(cfg.field, kl, flatten_columns(points))
+    if kind == "frs":
+        field, length = cfg.field, cfg.message_length
+        points = [cfg.column_points(i) for i in read]
+    else:
+        field, length = cfg.ext, cfg.k
+        points = [(cfg.omega[i],) for i in read]
+    code = RsCode(field, length, flatten_columns(points))
     seen = {"recovered": 0, "miscorrected": 0, "failed": 0}
     for message, stored, received in received_words(cfg, width, seed=43):
         columns = received[:width]
-        got = decoded_or_failure(kl, decode_columns, code, columns, naive_r)
-        want = decoded_or_failure(kl, trial_decode_columns, cfg.field,
-                                  columns, points, kl, naive_r)
+        if kind == "ts":
+            columns = tuple((cfg.basis.reconstruct(c),) for c in columns)
+        got = decoded_or_failure(length, decode_one_word, code, columns,
+                                 naive_r)
+        want = decoded_or_failure(length, trial_decode_columns, field,
+                                  columns, points, length, naive_r)
         assert got == want
-        pattern = difference_pattern(cfg.field, stored, received)
+        pattern = difference_pattern(_symbol_field(cfg), stored, received)
         outcome = classify(want, message)
-        assert _decode_naive(cfg, "frs", message, pattern, read,
+        assert _decode_naive(cfg, kind, message, pattern, read,
                              naive_r) == outcome
         seen[outcome] += 1
     assert all(seen.values()), seen

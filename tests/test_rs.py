@@ -256,6 +256,14 @@ def test_rs_erasure_decode():
         rs_erasure_decode(code, [(5, word[5]), (0, word[0])])
     with pytest.raises(ValueError):
         rs_erasure_decode(code, [(5, word[5]), (5, word[5]), (3, word[3])])
+    # positions are plain ints: nothing is truncated or parsed
+    for bad in (0.9, 1.9, 5.0, "1", True, None):
+        with pytest.raises(ValueError):
+            rs_erasure_decode(code, [(bad, word[1]), (0, word[0]),
+                                     (3, word[3])])
+    with pytest.raises(ValueError):
+        rs_erasure_decode(RsCode(F13, 2, tuple(range(8))),
+                          [(0.9, word[0]), ("1", word[1])])
 
 
 def test_rs_erasure_all_k_subsets():

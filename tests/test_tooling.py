@@ -36,3 +36,37 @@ def test_unused_import_check_flags_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def stranded_privates(sources):
+    """Module-level `_private` functions, as "module._name", that no module
+    of `sources` (name -> source) reads, sorted."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined.extend((module, node.name) for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name.startswith("_")
+                       and not node.name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in read)
+
+
+def test_stranded_private_check_flags_unread_functions():
+    sources = {"a": "def _used():\n    pass\ndef _dead():\n    pass\n"
+                    "def __dunder__():\n    pass\n"
+                    "class C:\n    def _method(self):\n        pass\n",
+               "b": "from .a import _used\nx = _used()\n"
+                    "def _helper():\n    pass\nmodule.a._helper\n"}
+    assert stranded_privates(sources) == ["a._dead"]
+
+
+def test_no_stranded_private_functions():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    assert stranded_privates(sources) == []

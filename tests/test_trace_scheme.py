@@ -11,15 +11,17 @@ from fracdec import polyring as P
 from fracdec.arraycode import DownloadBundle, ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure
 from fracdec.fields import ExtField
-from fracdec.harness import (random_column_offset, random_error_pattern,
-                             random_message, trial_stream)
+from fracdec.harness import (compare_naive, random_column_offset,
+                             random_error_pattern, random_message,
+                             trial_stream)
 from fracdec.rs import RsCode, rs_decode_unique, rs_encode, rs_erasure_decode
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import (ts_all_codewords, ts_decode,
-                                  ts_decode_message, ts_download,
-                                  ts_download_all, ts_download_fns, ts_encode,
+from fracdec.trace_scheme import (ts_all_codewords, ts_decode_message,
+                                  ts_download, ts_download_all,
+                                  ts_download_fns, ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
+from oracles import ts_decode_bruteforce
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -41,6 +43,13 @@ def tiny_config():
 def pattern_from_stream(cfg, stream, support):
     values = tuple(random_column_offset(cfg, stream) for _ in support)
     return ErrorPattern(support=tuple(support), values=values)
+
+
+def differing_columns(cfg, message, per_column):
+    """Columns where the message's downloads differ from `per_column`."""
+    clean = ts_download_all(cfg, ts_encode(cfg, message)).per_column
+    return frozenset(i for i in range(cfg.n)
+                     if clean[i] != tuple(per_column[i]))
 
 
 def test_make_config_reference_values():
@@ -235,26 +244,35 @@ def test_decode_returns_stored_array():
     stored = ts_encode(cfg, msg)
     pattern = pattern_from_stream(cfg, stream, (4, 9))
     corrupted = apply_error_pattern(cfg.base, stored, pattern)
-    assert ts_decode(cfg, ts_download_all(cfg, corrupted)) == stored
+    decoded, corrected = ts_decode_message(cfg,
+                                           ts_download_all(cfg, corrupted))
+    assert ts_encode(cfg, decoded) == stored
+    assert corrected == {4, 9}
 
 
-def test_beyond_radius_never_silently_wrong_within_radius_claim():
-    """Weight radius+1 patterns either fail, miscorrect detectably (the
-    result differs from the message), or decode correctly by luck; at least
-    one non-success must show up across the sample."""
+def test_beyond_radius_returns_stay_within_the_radius():
+    """At weight radius+1 a decode may raise or return, and may return a
+    wrong message; but whatever it returns has downloads within `radius`
+    columns of the received ones, differing exactly on the corrected
+    columns."""
     cfg = reference_config()
     stream = trial_stream(19, 3, 0)
-    outcomes = set()
-    for trial in range(40):
+    outcomes = {"ok": 0, "wrong": 0, "fail": 0}
+    for trial in range(100):
         msg = random_message(cfg, stream)
         support = stream.sample(cfg.n, 3)
         pattern = pattern_from_stream(cfg, stream, support)
+        bundle = ts_download_all(cfg, apply_error_pattern(
+            cfg.base, ts_encode(cfg, msg), pattern))
         try:
-            decoded, _ = ts_full_pipeline(cfg, msg, pattern)
-            outcomes.add("ok" if decoded == msg else "wrong")
+            decoded, corrected = ts_decode_message(cfg, bundle)
         except DecodeFailure:
-            outcomes.add("fail")
-    assert "fail" in outcomes or "wrong" in outcomes
+            outcomes["fail"] += 1
+            continue
+        assert len(corrected) <= cfg.radius
+        assert differing_columns(cfg, decoded, bundle.per_column) == corrected
+        outcomes["ok" if decoded == msg else "wrong"] += 1
+    assert outcomes["fail"] > 0 and outcomes["ok"] > 0, outcomes
 
 
 # (q, n, k, l, m): the shipped shapes (the q = 5 one has l = m), m = 1 with
@@ -267,13 +285,16 @@ PEEL_CONFIGS = ((13, 12, 4, 4, 2), (17, 10, 4, 4, 2), (5, 4, 2, 2, 2),
 @pytest.mark.parametrize("params", PEEL_CONFIGS,
                          ids=lambda p: "q{}-n{}-k{}-l{}-m{}".format(*p))
 def test_peel_is_exact_beyond_the_radius(params):
-    """Past the radius a stream decoder may return a wrong g_j, but the peel
-    inverts whatever it returns: a decode either fails in a stream decode
-    or returns a message whose clean download streams are rs_encode(g_j).
-    Inputs are random downloads and words corrupted in radius+1..n
-    columns."""
+    """Past the radius the stream decodes may correct different columns.
+    A decode raises exactly when a stream decode fails or the union of
+    their corrected columns exceeds the radius. Otherwise the peel inverts
+    whatever they returned: the message's clean download streams are
+    rs_encode(g_j), and the corrected columns are the union, which is where
+    those downloads differ from the received ones. Inputs are random
+    downloads and words corrupted in radius+1..n columns, a third of them
+    by copying the columns of another codeword."""
     cfg = ts_make_config(*params)
-    returned = 0
+    counts = {"stream": 0, "union": 0, "returned": 0}
     for trial in range(200):
         stream = trial_stream(31, cfg.radius, trial)
         if trial % 3 == 0:
@@ -286,29 +307,89 @@ def test_peel_is_exact_beyond_the_radius(params):
         else:
             weight = cfg.radius + 1 + trial % (cfg.n - cfg.radius)
             msg = random_message(cfg, stream)
-            pattern = random_error_pattern(cfg, stream, weight)
-            bundle = ts_download_all(cfg, apply_error_pattern(
-                cfg.base, ts_encode(cfg, msg), pattern))
+            stored = ts_encode(cfg, msg)
+            if trial % 3 == 1:
+                received = apply_error_pattern(
+                    cfg.base, stored, random_error_pattern(cfg, stream, weight))
+            else:
+                other = ts_encode(cfg, random_message(cfg, stream))
+                bad = stream.sample(cfg.n, weight)
+                received = tuple(other[i] if i in bad else stored[i]
+                                 for i in range(cfg.n))
+            bundle = ts_download_all(cfg, received)
         try:
-            streams = [rs_decode_unique(cfg.inner_code,
-                                        tuple(c[j] for c in bundle.per_column))[0]
-                       for j in range(cfg.m)]
+            decoded_streams = [rs_decode_unique(
+                cfg.inner_code, tuple(c[j] for c in bundle.per_column))
+                for j in range(cfg.m)]
         except DecodeFailure:
+            counts["stream"] += 1
             with pytest.raises(DecodeFailure):
                 ts_decode_message(cfg, bundle)
             continue
-        decoded = ts_decode_message(cfg, bundle)
+        union = frozenset().union(*(pos for _, pos in decoded_streams))
+        if len(union) > cfg.radius:
+            counts["union"] += 1
+            with pytest.raises(DecodeFailure):
+                ts_decode_message(cfg, bundle)
+            continue
+        decoded, corrected = ts_decode_message(cfg, bundle)
         clean = ts_download_all(cfg, ts_encode(cfg, decoded)).per_column
-        for j, g_j in enumerate(streams):
+        for j, (g_j, _) in enumerate(decoded_streams):
             assert tuple(c[j] for c in clean) == rs_encode(cfg.inner_code, g_j)
-        returned += 1
-    assert returned > 0
+        assert corrected == union == differing_columns(
+            cfg, decoded, bundle.per_column)
+        counts["returned"] += 1
+    assert counts["returned"] > 0 and counts["stream"] > 0, counts
+    # one stream corrects at most `radius` columns by itself
+    assert (counts["union"] > 0) == (cfg.m > 1), counts
+
+
+CONTRACT_CONFIGS = {"ts-q5-n4-k2": lambda: shipped_config("ts-q5-n4-k2"),
+                    "q7-n6-k2-l2-m1": lambda: ts_make_config(7, 6, 2, 2, 1)}
+
+
+@pytest.mark.parametrize("name", CONTRACT_CONFIGS)
+def test_decode_contract_matches_bruteforce_oracle(name):
+    """The decoder returns (msg, cols) exactly when some message's
+    downloads lie within `radius` columns of the received ones; msg is
+    that message and cols the columns where they differ. Otherwise it
+    raises DecodeFailure. Inputs are codeword downloads with 0..n columns
+    replaced by random symbols or by another codeword's downloads, and
+    fully random downloads."""
+    cfg = CONTRACT_CONFIGS[name]()
+    seen = {"returned": 0, "failed": 0}
+    for trial in range(300):
+        stream = trial_stream(53, cfg.n, trial)
+        clean = ts_download_all(
+            cfg, ts_encode(cfg, random_message(cfg, stream))).per_column
+        other = ts_download_all(
+            cfg, ts_encode(cfg, random_message(cfg, stream))).per_column
+        bad = stream.sample(cfg.n, trial % (cfg.n + 1))
+        per_column = tuple(
+            (other[i] if trial % 2 else
+             tuple(stream.below(cfg.base.q) for _ in range(cfg.m)))
+            if i in bad else clean[i] for i in range(cfg.n))
+        bundle = DownloadBundle(per_column=per_column,
+                                downloaded=cfg.downloaded_per_word,
+                                accessed=cfg.accessed_per_word)
+        want = ts_decode_bruteforce(cfg, per_column, cfg.radius)
+        if want is None:
+            with pytest.raises(DecodeFailure):
+                ts_decode_message(cfg, bundle)
+            seen["failed"] += 1
+            continue
+        decoded, corrected = ts_decode_message(cfg, bundle)
+        assert decoded == want
+        assert corrected == differing_columns(cfg, want, per_column)
+        seen["returned"] += 1
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("name", SHIPPED_TRACE)
 def test_pipeline_runs_no_extension_field_arithmetic(name, monkeypatch):
     """The pipeline works on GF(q) coordinate polynomials: encoding,
-    downloads, stream decodes and the peel call no GF(q^l) arithmetic."""
+    downloads, stream decodes and the peel call no GF(q^l) arithmetic, and
+    neither does compare_naive."""
     cfg = shipped_config(name)
     stream = trial_stream(0, cfg.radius, 0)
     message = random_message(cfg, stream)
@@ -323,6 +404,9 @@ def test_pipeline_runs_no_extension_field_arithmetic(name, monkeypatch):
         monkeypatch.setattr(ExtField, method, counted)
     decoded, _ = ts_full_pipeline(cfg, message, pattern)
     assert decoded == message
+    assert calls == []
+    # the whole-column reader decodes the stored rows over GF(q) too
+    assert compare_naive(cfg, cfg.radius).fractional_outcome == "recovered"
     assert calls == []
 
 
