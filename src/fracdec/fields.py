@@ -5,6 +5,8 @@ Elements are canonical integers. In GF(q) an element is its residue in
 coordinate vector (c_0, ..., c_{l-1}) is encoded as sum(c_i * q**i), so
 base-field elements keep their integer value when read in the extension.
 
+Extension arithmetic is `polyring` over the base field, reduced modulo
+`modulus`; the library uses it only to build a trace-dual basis pair.
 Arithmetic assumes canonical operands and does not validate them: `check`
 is the one validator, and the public entry points that take symbols from
 a caller or a file run it once per incoming symbol.
@@ -42,6 +44,8 @@ class PrimeField:
     """GF(q) for prime q, with arithmetic on canonical integers."""
 
     def __init__(self, q):
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise ValueError(f"field size {q!r} is not an integer")
         if not is_prime(q):
             raise ValueError(f"field size {q} is not prime")
         self.q = q
@@ -156,16 +160,6 @@ class ExtField:
         self.modulus = modulus
         self.order = base.q ** l
         self.char = base.q
-        # rows[i] = vector of x^(l+i) reduced mod modulus, for products
-        neg_low = [base.neg(c) for c in modulus[:l]]
-        rows = [neg_low]
-        for _ in range(l - 2):
-            prev = rows[-1]
-            shifted = [0] + prev[:-1]
-            top = prev[-1]
-            rows.append([base.add(shifted[v], base.mul(top, neg_low[v]))
-                         for v in range(l)])
-        self._reduction = tuple(tuple(r) for r in rows)
 
     def __eq__(self, other):
         return (isinstance(other, ExtField)
@@ -213,41 +207,15 @@ class ExtField:
         return _pack([-c for c in self.to_vec(a)], self.q)
 
     def mul(self, a, b):
-        q, l = self.q, self.degree
-        if a < q or b < q:
-            # one operand lies in the base field: scale coordinatewise
-            if b < q:
-                a, b = b, a
-            return _pack([a * c for c in self.to_vec(b)], q)
-        va, vb = self.to_vec(a), self.to_vec(b)
-        conv = [0] * (2 * l - 1)
-        for i, ca in enumerate(va):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(vb):
-                conv[i + j] = (conv[i + j] + ca * cb) % q
-        out = conv[:l]
-        for i in range(l - 1):
-            spill = conv[l + i]
-            if spill == 0:
-                continue
-            row = self._reduction[i]
-            for v in range(l):
-                out[v] = (out[v] + spill * row[v]) % q
-        return _pack(out, q)
+        product = polyring.poly_mul(self.base, self.to_vec(a), self.to_vec(b))
+        return _pack(polyring.poly_divmod(self.base, product, self.modulus)[1],
+                     self.q)
 
     def pow(self, a, e):
         if e < 0:
             raise ValueError("exponent must be nonnegative; invert first")
-        result = 1
-        square = a
-        while e:
-            if e & 1:
-                result = self.mul(result, square)
-            e >>= 1
-            if e:
-                square = self.mul(square, square)
-        return result
+        return _pack(polyring.poly_powmod(self.base, self.to_vec(a), e,
+                                          self.modulus), self.q)
 
     def inv(self, a):
         if a == 0:
@@ -307,33 +275,11 @@ def _invert_matrix(base, rows):
 
 
 def dual_basis(ext, zeta=None):
-    """Trace-dual basis pair for the extension over its base field.
-
-    Given a basis zeta (default: the polynomial basis), returns a
-    TraceDualBasis whose nu satisfies trace(nu_i * zeta_j) = delta_ij: the
-    projection matrix P maps vec(nu_i) to the i-th unit vector, so nu_i is
-    column i of P's inverse. A singular P means zeta is not a basis.
-    """
+    """Trace-dual basis pair for the extension over its base field, from a
+    basis zeta (default: the polynomial basis)."""
     if zeta is None:
         zeta = polynomial_basis(ext)
-    zeta = tuple(ext.check(z) for z in zeta)
-    l = ext.degree
-    if len(zeta) != l:
-        raise ValueError(f"basis must have {l} elements, got {len(zeta)}")
-    pinv = _invert_matrix(ext.base, _projection_matrix(ext, zeta))
-    if pinv is None:
-        raise ValueError("given elements are linearly dependent over the base "
-                         "field (singular trace projection matrix)")
-    nu = tuple(_pack([row[i] for row in pinv], ext.q) for i in range(l))
-    return TraceDualBasis(ext=ext, zeta=zeta, nu=nu)
-
-
-def _projection_matrix(ext, zeta):
-    """Rows (trace(zeta_u * x^v))_v: row u maps the coordinates of beta to
-    trace(zeta_u * beta)."""
-    return tuple(tuple(ext.trace(ext.mul(z, ext.q ** v))
-                       for v in range(ext.degree))
-                 for z in zeta)
+    return TraceDualBasis(ext=ext, zeta=zeta)
 
 
 @dataclass(frozen=True)
@@ -343,34 +289,39 @@ class TraceDualBasis:
     project(beta) yields the base-field coordinates (trace(zeta_j * beta))_j,
     and reconstruct recovers beta = sum_j coords_j * nu_j, so the pair gives
     a lossless split of every extension element into l base-field symbols.
-    Both directions are precomputed as l x l matrices over the base field.
+
+    Both directions are l x l matrices over the base field, built once from
+    zeta. The projection matrix P[u][v] = trace(zeta_u * x^v) maps the
+    coordinates of beta to its trace coordinates. The dual element nu_i
+    satisfies trace(zeta_j * nu_i) = delta_ij, so P maps vec(nu_i) to the
+    i-th unit vector: nu is derived as the columns of P's inverse, and a
+    singular P means zeta is not a basis.
     """
 
     ext: ExtField
     zeta: tuple
-    nu: tuple
+    nu: tuple = dc_field(init=False)
     _proj: tuple = dc_field(init=False, repr=False, compare=False)
     _recon: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ext = self.ext
-        l = ext.degree
-        if len(self.zeta) != l or len(self.nu) != l:
-            raise ValueError(f"basis pair must have {l} elements per side")
-        for a in (*self.zeta, *self.nu):
-            ext.check(a)
-        object.__setattr__(self, "_proj", _projection_matrix(ext, self.zeta))
-        # duality: project(nu_i) = (trace(zeta_j nu_i))_j is the i-th unit vector
-        for i, ni in enumerate(self.nu):
-            for j, got in enumerate(self.project(ni)):
-                want = 1 if i == j else 0
-                if got != want:
-                    raise ValueError(
-                        f"trace(nu_{i} * zeta_{j}) != {want}: "
-                        "the two families are not trace-dual")
-        recon_cols = [ext.to_vec(n) for n in self.nu]
-        recon_rows = [tuple(recon_cols[i][v] for i in range(l)) for v in range(l)]
-        object.__setattr__(self, "_recon", tuple(recon_rows))
+        zeta = tuple(ext.check(z) for z in self.zeta)
+        if len(zeta) != ext.degree:
+            raise ValueError(
+                f"basis must have {ext.degree} elements, got {len(zeta)}")
+        proj = tuple(tuple(ext.trace(ext.mul(z, x_v))
+                           for x_v in polynomial_basis(ext))
+                     for z in zeta)
+        recon = _invert_matrix(ext.base, proj)
+        if recon is None:
+            raise ValueError("given elements are linearly dependent over the "
+                             "base field (singular trace projection matrix)")
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "nu",
+                           tuple(_pack(col, ext.q) for col in zip(*recon)))
+        object.__setattr__(self, "_proj", proj)
+        object.__setattr__(self, "_recon", recon)
 
     @property
     def l(self):

@@ -33,9 +33,12 @@ def _check_format(data, what):
              f"{what} has format {version!r}, this build reads format {FORMAT}")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(value, what):
-    _require(isinstance(value, list) and
-             all(isinstance(v, int) and not isinstance(v, bool) for v in value),
+    _require(isinstance(value, list) and all(_is_int(v) for v in value),
              f"{what} must be a list of integers")
     return [int(v) for v in value]
 
@@ -76,7 +79,7 @@ def config_from_dict(data):
              f"config scheme must be 'ts' or 'frs', got {scheme!r}")
     if scheme == "ts":
         for key in ("q", "n", "k", "l", "m"):
-            _require(isinstance(data.get(key), int),
+            _require(_is_int(data.get(key)),
                      f"ts config needs integer field {key!r}")
         omega = data.get("omega")
         subsets = data.get("A")
@@ -91,8 +94,11 @@ def config_from_dict(data):
             zeta=None if zeta is None else _int_list(zeta, "zeta"),
         )
     for key in ("n", "k", "l"):
-        _require(isinstance(data.get(key), int),
+        _require(_is_int(data.get(key)),
                  f"frs config needs integer field {key!r}")
+    for key in ("p", "gamma"):
+        _require(data.get(key) is None or _is_int(data[key]),
+                 f"frs config field {key!r} must be an integer")
     _require("alpha" in data, "frs config needs field 'alpha'")
     try:
         alpha = as_fraction(data["alpha"])

@@ -84,3 +84,60 @@ def ts_decode_bruteforce(cfg, per_column, radius):
     if len(hits) > 1:
         raise ValueError(f"{len(hits)} messages lie within {radius} columns")
     return hits[0] if hits else None
+
+
+class ExtFieldReference:
+    """GF(q^l) arithmetic without `polyring`: a schoolbook convolution of
+    coordinate vectors, folded back below degree l with a table of the
+    reduced powers x^(l+i) mod modulus. The independent reference
+    `ExtField` arithmetic is tested against."""
+
+    def __init__(self, ext):
+        q, l = ext.q, ext.degree
+        self.q, self.l = q, l
+        neg_low = [-c % q for c in ext.modulus[:l]]
+        # rows[i] = coordinates of x^(l+i) reduced mod modulus
+        rows = [neg_low]
+        for _ in range(l - 2):
+            prev = rows[-1]
+            shifted = [0] + prev[:-1]
+            rows.append([(shifted[v] + prev[-1] * neg_low[v]) % q
+                         for v in range(l)])
+        self.reduction = rows
+
+    def to_vec(self, a):
+        return [a // self.q ** i % self.q for i in range(self.l)]
+
+    def pack(self, coords):
+        return sum(c % self.q * self.q ** i for i, c in enumerate(coords))
+
+    def add(self, a, b):
+        return self.pack(x + y for x, y in zip(self.to_vec(a), self.to_vec(b)))
+
+    def mul(self, a, b):
+        q, l = self.q, self.l
+        conv = [0] * (2 * l - 1)
+        for i, ca in enumerate(self.to_vec(a)):
+            for j, cb in enumerate(self.to_vec(b)):
+                conv[i + j] = (conv[i + j] + ca * cb) % q
+        out = conv[:l]
+        for i in range(l - 1):
+            for v in range(l):
+                out[v] = (out[v] + conv[l + i] * self.reduction[i][v]) % q
+        return self.pack(out)
+
+    def pow(self, a, e):
+        result = 1
+        for bit in bin(e)[2:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+    def trace(self, a):
+        """Sum of the l conjugates a^(q^i), as an extension element."""
+        acc, conj = 0, a
+        for _ in range(self.l):
+            acc = self.add(acc, conj)
+            conj = self.pow(conj, self.q)
+        return acc

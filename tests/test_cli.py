@@ -291,6 +291,18 @@ def test_usage_and_format_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_float_field_size_exits_two(tmp_path, capsys):
+    config = write_json(tmp_path, "frs.json", dict(
+        load_json(FRS_REF), p=37.0))
+    msg = write_message(tmp_path, "frs", tuple(range(12)))
+    out = tmp_path / "w.json"
+    assert main(["frs", "encode", "--config", config, "--message", msg,
+                 "--out", str(out)]) == 2
+    assert ("frs config field 'p' must be an integer"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_budget_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FRACDEC_BUDGET", "2")
     assert main(["oracle", "nearest", "--q", "5", "--k", "2",

@@ -29,7 +29,7 @@ from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import (TsConfig, ts_download, ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
-from oracles import irreducible_by_trial_division
+from oracles import ExtFieldReference, irreducible_by_trial_division
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -51,6 +51,9 @@ def test_prime_validation():
     PrimeField(13)
     for bad in (0, 1, 4, 9, 12, 100):
         with pytest.raises(ValueError):
+            PrimeField(bad)
+    for bad in (37.0, 2.0, True, "13"):
+        with pytest.raises(ValueError, match="not an integer"):
             PrimeField(bad)
 
 
@@ -171,7 +174,7 @@ def entry_points(label):
                 lambda bad: ts_make_config(2, 2, 1, 2, 1, zeta=(1, bad)),
             "dual_basis": lambda bad: dual_basis(field, zeta=(1, bad)),
             "TraceDualBasis":
-                lambda bad: TraceDualBasis(ext=field, zeta=(1, 2), nu=(3, bad)),
+                lambda bad: TraceDualBasis(ext=field, zeta=(1, bad)),
             "ts_encode": lambda bad: ts_encode(ts, (bad,)),
             "ts_project_polys": lambda bad: ts_project_polys(ts, (bad,)),
         })
@@ -395,6 +398,41 @@ def test_trace_sampled_large_field():
         assert f.trace(f.mul(c, a)) == (c * f.trace(a)) % 13
 
 
+def check_unary_against_reference(f, ref, a):
+    for e in (0, 1, 2, f.q, f.order - 2):
+        assert f.pow(a, e) == ref.pow(a, e)
+    if a:
+        assert ref.mul(a, f.inv(a)) == 1
+    assert f.frobenius(a) == ref.pow(a, f.q)
+    assert f.trace(a) == ref.trace(a)
+
+
+@pytest.mark.parametrize("q, l", [(2, 3), (3, 2), (2, 4), (3, 3), (5, 2)],
+                         ids=lambda v: str(v))
+def test_ext_arithmetic_matches_reference_exhaustive(q, l):
+    f = ExtField(PrimeField(q), l)
+    ref = ExtFieldReference(f)
+    for a in f.elements():
+        check_unary_against_reference(f, ref, a)
+        for b in f.elements():
+            assert f.mul(a, b) == ref.mul(a, b)
+
+
+@pytest.mark.parametrize("q", (13, 17, 31))
+def test_ext_arithmetic_matches_reference_sampled(q):
+    """Products on 2,000 seeded pairs of GF(q^4); the slower unary
+    operations on the first 200 of them."""
+    f = ExtField(PrimeField(q), 4)
+    ref = ExtFieldReference(f)
+    rng = random.Random(q)
+    pairs = [(rng.randrange(f.order), rng.randrange(f.order))
+             for _ in range(2000)]
+    for a, b in pairs:
+        assert f.mul(a, b) == ref.mul(a, b)
+    for a, _ in pairs[:200]:
+        check_unary_against_reference(f, ref, a)
+
+
 def test_dual_basis_gf4_example():
     f = gf4()
     db = dual_basis(f, zeta=(1, 2))      # (1, y)
@@ -448,17 +486,47 @@ def test_dual_basis_delta_on_random_bases():
         assert independent >= 5
 
 
-def test_mismatched_dual_pair_rejected():
-    f = gf4()
-    with pytest.raises(ValueError, match="not trace-dual"):
-        TraceDualBasis(ext=f, zeta=(1, 2), nu=(1, 2))
+def test_trace_dual_basis_rejects_dependent_zeta():
+    """nu is derived from zeta, so the one way to get a bad pair is a zeta
+    that is not a basis."""
+    with pytest.raises(ValueError, match="linearly dependent"):
+        TraceDualBasis(ext=gf4(), zeta=(1, 1))
     for f in (gf8(), gf9()):
-        db = dual_basis(f)
-        swapped = (db.nu[1], db.nu[0], *db.nu[2:])
-        with pytest.raises(ValueError, match=r"trace\(nu_0 \* zeta_0\) != 1"):
-            TraceDualBasis(ext=f, zeta=db.zeta, nu=swapped)
-        with pytest.raises(ValueError, match="not trace-dual"):
-            TraceDualBasis(ext=f, zeta=db.zeta, nu=(*db.nu[:-1], 0))
+        zeta = polynomial_basis(f)
+        assert TraceDualBasis(ext=f, zeta=zeta) == dual_basis(f)
+        with pytest.raises(TypeError):
+            TraceDualBasis(ext=f, zeta=zeta, nu=dual_basis(f).nu)
+        for dependent in (0, zeta[0]):
+            with pytest.raises(ValueError, match="linearly dependent"):
+                TraceDualBasis(ext=f, zeta=(*zeta[:-1], dependent))
+
+
+def test_dual_basis_computes_each_trace_once(monkeypatch):
+    """The projection matrix trace(zeta_u * x^v) is built once: l^2 traces."""
+    calls = []
+
+    def counted(self, a, _trace=ExtField.trace):
+        calls.append(a)
+        return _trace(self, a)
+
+    monkeypatch.setattr(ExtField, "trace", counted)
+    for f in (gf8(), gf9(), ExtField(PrimeField(13), 4)):
+        calls.clear()
+        dual_basis(f)
+        assert len(calls) == f.degree ** 2
+
+
+# nu of the default basis for the three shipped trace fields and GF(31^4),
+# pinned so that no change to the extension arithmetic or to the dual-basis
+# derivation can move it.
+@pytest.mark.parametrize("q, l, nu", [
+    (13, 4, (25209, 25768, 25811, 12998)),
+    (17, 4, (75963, 52442, 15511, 20704)),
+    (5, 2, (17, 8)),
+    (31, 4, (277979, 870984, 705601, 916741)),
+], ids=lambda v: str(v) if isinstance(v, int) else "nu")
+def test_dual_basis_nu_pinned(q, l, nu):
+    assert dual_basis(ExtField(PrimeField(q), l)).nu == nu
 
 
 def test_project_reconstruct_inverse():

@@ -64,6 +64,26 @@ def test_config_structural_rejection():
                           "alpha": 0.75})
 
 
+TS_MINIMAL = {"scheme": "ts", "q": 13, "n": 12, "k": 4, "l": 4, "m": 2}
+FRS_FULL = {"scheme": "frs", "p": 37, "gamma": 2, "n": 8, "k": 3, "l": 4,
+            "alpha": "3/4"}
+
+
+@pytest.mark.parametrize("base, key, value", [
+    *((TS_MINIMAL, key, value) for key in ("q", "n", "k", "l", "m")
+      for value in (True, 4.0)),
+    *((FRS_FULL, key, value) for key in ("p", "gamma", "n", "k", "l")
+      for value in (True, 2.0)),
+    (FRS_FULL, "p", 37.0),
+    (TS_MINIMAL, "q", 13.0),
+])
+def test_config_rejects_non_integer_scalars(base, key, value):
+    """Floats and bools stop at the boundary with the field named, not deep
+    inside the math (p = 37.0 used to fail in pow(), k = true read as 1)."""
+    with pytest.raises(FormatError, match=repr(key)):
+        config_from_dict(dict(base, **{key: value}))
+
+
 def test_codeword_round_trip_and_scheme_check():
     cfg = ts_make_config(5, 4, 2, 2, 2)
     word = ts_encode(cfg, (3, 1))

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fracdec"
+from fracdec import fields
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fracdec"
 # __init__.py imports only to re-export, so every name there is "unused"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -70,3 +73,25 @@ def test_no_stranded_private_functions():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in SRC.glob("*.py")}
     assert stranded_privates(sources) == []
+
+
+def traced_field_methods(source):
+    """The FIELD_METHODS table of the benchmark tracer, read from its source
+    without importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "FIELD_METHODS"
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no FIELD_METHODS assignment")
+
+
+def test_traced_field_methods_are_defined():
+    """bench/tracer.py wraps these methods through each class's own
+    __dict__, so deleting or inheriting one breaks `bench/run.py --trace 1`."""
+    methods = traced_field_methods(
+        (ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    assert methods
+    for cls_name, names in methods.items():
+        own = vars(getattr(fields, cls_name))
+        assert [name for name in names if name not in own] == []
