@@ -41,21 +41,29 @@ class ErrorPattern:
 
 
 def apply_error_pattern(field, columns, pattern):
-    """Add the pattern's offsets onto a word, columnwise over the field.
+    """Add the pattern's offsets onto a word, columnwise over the prime
+    field `field`.
 
     Every symbol of the word and of the offsets is checked against the
-    field, so a word that leaves here is canonical whether or not its
-    columns were hit.
+    field first, so a word that leaves here is canonical whether or not its
+    columns were hit. The sums are integers reduced mod q, so a field that
+    is not prime raises TypeError.
     """
     columns = [tuple(field.check(a) for a in col) for col in columns]
+    offsets = []
     for idx, vec in zip(pattern.support, pattern.values):
         if idx >= len(columns):
             raise ValueError(f"error column {idx} outside word of length {len(columns)}")
-        col = columns[idx]
-        if len(vec) != len(col):
-            raise ValueError(f"offset length {len(vec)} != column length {len(col)}")
-        columns[idx] = tuple(field.add(a, field.check(e))
-                             for a, e in zip(col, vec))
+        if len(vec) != len(columns[idx]):
+            raise ValueError(f"offset length {len(vec)} != column length "
+                             f"{len(columns[idx])}")
+        offsets.append((idx, tuple(field.check(e) for e in vec)))
+    if field.order != field.char:
+        raise TypeError(f"error patterns apply over prime fields only, "
+                        f"not {field!r}")
+    for idx, vec in offsets:
+        columns[idx] = tuple((a + e) % field.q
+                             for a, e in zip(columns[idx], vec))
     return tuple(columns)
 
 

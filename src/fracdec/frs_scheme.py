@@ -55,6 +55,9 @@ class FrsConfig:
     gamma: a primitive element of the field.
     n, k, l: column count, message size in columns, column height.
     alpha: download fraction; alpha*l and k/alpha must be integers.
+    alpha_l: derived; the prefix height alpha*l each column serves.
+    punctured_dim: derived; the column dimension k/alpha of the punctured
+        code.
     prefix_code: derived; the RS code the flattened prefixes form, with the
         prefix points of column 0, then of column 1, and so on.
     """
@@ -65,6 +68,8 @@ class FrsConfig:
     k: int
     l: int
     alpha: Fraction
+    alpha_l: int = dc_field(init=False, repr=False, compare=False)
+    punctured_dim: int = dc_field(init=False, repr=False, compare=False)
     points: tuple = dc_field(init=False, repr=False, compare=False)
     prefix_code: RsCode = dc_field(init=False, repr=False, compare=False)
 
@@ -97,19 +102,11 @@ class FrsConfig:
             points.append(x)
             x = field.mul(x, self.gamma)
         object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "alpha_l", int(alpha * l))
+        object.__setattr__(self, "punctured_dim", int(k / alpha))
         object.__setattr__(self, "prefix_code", RsCode(
             field, k * l, flatten_columns(self.column_points(i, self.alpha_l)
                                           for i in range(n))))
-
-    @property
-    def alpha_l(self):
-        """Prefix height: how many symbols each column serves."""
-        return int(self.alpha * self.l)
-
-    @property
-    def punctured_dim(self):
-        """Column dimension k/alpha of the punctured code."""
-        return int(self.k / self.alpha)
 
     @property
     def message_length(self):
@@ -224,8 +221,11 @@ def frs_list_decode_bruteforce(cfg, per_column, radius):
     changes of the given ones, in canonical message order.
 
     Full q^(kl) enumeration, gated by the budget; the reference answer for
-    list-decoding questions about the punctured code.
+    list-decoding questions about the punctured code. The radius must be a
+    nonnegative int.
     """
+    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
+        raise ValueError(f"radius must be a nonnegative int, got {radius!r}")
     per_column = tuple(tuple(cfg.field.check(c) for c in col)
                        for col in per_column)
     if len(per_column) != cfg.n or any(len(c) != cfg.alpha_l for c in per_column):

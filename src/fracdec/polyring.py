@@ -1,14 +1,23 @@
-"""Univariate polynomial arithmetic over a finite field.
+"""Univariate polynomial arithmetic over a prime field GF(q).
 
 A polynomial is a tuple of field elements, constant coefficient first,
 with no trailing zeros; the zero polynomial is the empty tuple, of degree
--1. Every function takes the field as its first argument; any object with
-add/sub/mul/div/neg methods works. The library calls them over prime fields
-only; the tests also run them over `ExtField` as a GF(q^l) reference.
+-1. Every function takes the field as its first argument, reads its q once
+and runs plain integer loops reduced mod q, with no per-coefficient field
+method call. A field that is not prime (such as an `ExtField`, whose q is
+its characteristic) raises TypeError rather than return values reduced
+mod the wrong number.
 Coefficients and points must be canonical integers of that field. Nothing
 here validates them: callers check symbols where they enter, with the
 field's `check`.
 """
+
+
+def _prime(field):
+    """The q of a prime field; TypeError for any other field."""
+    if field.order != field.char:
+        raise TypeError(f"polyring works over prime fields only, not {field!r}")
+    return field.q
 
 
 def normalize(coeffs):
@@ -25,16 +34,18 @@ def degree(a):
 
 
 def poly_add(field, a, b):
+    q = _prime(field)
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = field.add(out[i], c)
+        out[i] = (out[i] + c) % q
     return normalize(out)
 
 
 def poly_neg(field, a):
-    return tuple(field.neg(c) for c in a)
+    q = _prime(field)
+    return tuple(-c % q for c in a)
 
 
 def poly_sub(field, a, b):
@@ -42,23 +53,23 @@ def poly_sub(field, a, b):
 
 
 def poly_scale(field, a, c):
+    q = _prime(field)
     if c == 0:
         return ()
-    return tuple(field.mul(coef, c) for coef in a)
+    return tuple(coef * c % q for coef in a)
 
 
 def poly_mul(field, a, b):
+    """Schoolbook product: accumulate each coefficient, then reduce it once."""
+    q = _prime(field)
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb == 0:
-                continue
-            out[i + j] = field.add(out[i + j], field.mul(ca, cb))
-    return normalize(out)
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return normalize([c % q for c in out])
 
 
 def poly_pow(field, a, exponent):
@@ -77,36 +88,39 @@ def poly_pow(field, a, exponent):
 
 def poly_divmod(field, a, b):
     """Long division: return (quotient, remainder) with deg r < deg b."""
+    q = _prime(field)
     if not b:
         raise ZeroDivisionError("polynomial division by the zero polynomial")
     if len(a) < len(b):
         return (), a
     rem = list(a)
     quot = [0] * (len(a) - len(b) + 1)
-    inv_lead = field.div(1, b[-1])
+    inv_lead = pow(b[-1], q - 2, q)
     for shift in range(len(a) - len(b), -1, -1):
-        factor = field.mul(rem[shift + len(b) - 1], inv_lead)
+        factor = rem[shift + len(b) - 1] * inv_lead % q
         if factor == 0:
             continue
         quot[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] = field.sub(rem[shift + i], field.mul(factor, c))
+        for i, c in enumerate(b, shift):
+            rem[i] = (rem[i] - factor * c) % q
     return normalize(quot), normalize(rem)
 
 
 def poly_eval(field, a, x):
     """Evaluate by Horner's rule."""
+    q = _prime(field)
     acc = 0
     for c in reversed(a):
-        acc = field.add(field.mul(acc, x), c)
+        acc = (acc * x + c) % q
     return acc
 
 
 def poly_from_roots(field, roots):
     """Monic polynomial whose roots are exactly the given elements."""
+    q = _prime(field)
     out = (1,)
     for r in roots:
-        out = poly_mul(field, out, (field.neg(r), 1))
+        out = poly_mul(field, out, (-r % q, 1))
     return out
 
 
@@ -129,38 +143,42 @@ def poly_powmod(field, a, exponent, modulus):
 
 def poly_gcd(field, a, b):
     """Monic greatest common divisor by Euclid's algorithm; gcd(0, 0) = 0."""
+    q = _prime(field)
     while b:
         a, b = b, poly_divmod(field, a, b)[1]
-    return poly_scale(field, a, field.div(1, a[-1])) if a else ()
+    return poly_scale(field, a, pow(a[-1], q - 2, q)) if a else ()
+
+
+def lagrange_basis(field, xs):
+    """The polynomials L_i of degree < len(xs) with L_i(xs[j]) = [i == j].
+
+    L_i is (M / (x - xs[i])) / M'(xs[i]) for the monic M whose roots are
+    the xs, so the whole basis costs O(len^2) after building M.
+    """
+    q = _prime(field)
+    xs = list(xs)
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation points must have distinct x coordinates")
+    master = poly_from_roots(field, xs)
+    out = []
+    for x in xs:
+        basis = poly_divmod(field, master, (-x % q, 1))[0]
+        out.append(poly_scale(field, basis,
+                              pow(poly_eval(field, basis, x), q - 2, q)))
+    return out
 
 
 def interpolate(field, points):
     """Unique polynomial of degree < len(points) through the given points.
 
-    points is a sequence of (x, y) pairs with distinct x. Runs in O(len^2)
-    by dividing the master root polynomial by each (x - x_i).
+    points is a sequence of (x, y) pairs with distinct x; the result is
+    sum_i y_i * L_i over the Lagrange basis of the x coordinates.
     """
+    q = _prime(field)
     points = list(points)
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must have distinct x coordinates")
-    return _interpolate(field, points, poly_from_roots(field, xs))
-
-
-def _interpolate(field, points, master):
-    """interpolate, given the list of points and the monic polynomial whose
-    roots are their x coordinates, for callers that already hold it."""
-    acc = ()
-    for x, y in points:
-        if y == 0:
-            continue
-        # synthetic division of the monic master polynomial by (t - x)
-        basis = [0] * (len(points))
-        carry = master[-1]
-        for j in range(len(points) - 1, -1, -1):
-            basis[j] = carry
-            carry = field.add(master[j], field.mul(carry, x))
-        denom = poly_eval(field, basis, x)
-        scale = field.div(y, denom)
-        acc = poly_add(field, acc, poly_scale(field, basis, scale))
-    return acc
+    acc = [0] * len(points)
+    for (_, y), basis in zip(points, lagrange_basis(field,
+                                                    (x for x, _ in points))):
+        for j, c in enumerate(basis):
+            acc[j] += y * c
+    return normalize([c % q for c in acc])

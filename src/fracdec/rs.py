@@ -1,46 +1,72 @@
 """Reed-Solomon codes: evaluation encoding, unique decoding, erasure
 decoding, and a brute-force nearest-codeword search used as an oracle.
 
-A message is the coefficient tuple of a polynomial of degree < k; the
-codeword is its evaluations at n distinct points. Unique decoding follows
-the extended-Euclid method: interpolate the received word, run the partial
-GCD against the master root polynomial until the remainder degree drops
-below (n + k) / 2, and read the message off the exact quotient.
+A message is the coefficient tuple of a polynomial of degree < k over a
+prime field GF(q); the codeword is its evaluations at n distinct points.
+Unique decoding follows the extended-Euclid method: interpolate the
+received word, run the partial GCD against the master root polynomial
+until the remainder degree drops below (n + k) / 2, and read the message
+off the exact quotient.
+
+Both linear maps a code applies on every call, interpolation through its
+points and evaluation at them, depend on the code alone: `RsCode` builds
+them once as integer matrices (O(n^2) memory), and encoding and decoding
+are dot products reduced mod q.
 """
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 
 from .budget import check_budget
 from .errors import DecodeFailure, InconsistentErasures
-from .polyring import (_interpolate, degree, interpolate, normalize,
-                       poly_divmod, poly_eval, poly_from_roots, poly_mul,
-                       poly_sub)
+from .fields import PrimeField
+from .polyring import (degree, interpolate, lagrange_basis, normalize,
+                       poly_divmod, poly_from_roots, poly_mul, poly_sub)
 
 
 @dataclass(frozen=True)
 class RsCode:
-    """An (n, k) Reed-Solomon code over `field` with evaluation points `omega`.
+    """An (n, k) Reed-Solomon code over the prime field `field` with
+    evaluation points `omega`.
 
-    master: derived; the monic polynomial whose roots are the points, which
-        unique decoding interpolates through and starts its Euclid run from.
+    The derived fields are built once, here, and take O(n^2) memory:
+    master: the monic polynomial whose roots are the points, which unique
+        decoding starts its Euclid run from.
+    lagrange: n rows of n integers; row j holds each point's weight in
+        coefficient j of the interpolant, so column i is the Lagrange basis
+        polynomial (master / (x - omega_i)) / master'(omega_i).
+    powers: row i is (omega_i^0, ..., omega_i^(k-1)), the evaluation map.
     """
 
-    field: object
+    field: PrimeField
     k: int
     omega: tuple
     master: tuple = dc_field(init=False, repr=False, compare=False)
+    lagrange: tuple = dc_field(init=False, repr=False, compare=False)
+    powers: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        field, k = self.field, self.k
         omega = tuple(self.omega)
         object.__setattr__(self, "omega", omega)
         for w in omega:
-            self.field.check(w)
+            field.check(w)
+        if not isinstance(field, PrimeField):
+            raise ValueError(f"Reed-Solomon codes here run over a prime field, "
+                             f"not {field!r}")
         if len(set(omega)) != len(omega):
             raise ValueError("evaluation points must be distinct")
-        if not 1 <= self.k <= len(omega):
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={len(omega)}")
-        object.__setattr__(self, "master", poly_from_roots(self.field, omega))
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"k must be an int, got {k!r}")
+        if not 1 <= k <= len(omega):
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={len(omega)}")
+        q = field.q
+        object.__setattr__(self, "master", poly_from_roots(field, omega))
+        object.__setattr__(self, "lagrange",
+                           tuple(zip(*lagrange_basis(field, omega))))
+        object.__setattr__(self, "powers", tuple(
+            tuple(pow(w, j, q) for j in range(k)) for w in omega))
 
     @property
     def n(self):
@@ -59,7 +85,8 @@ def rs_encode(code, message):
         raise ValueError(f"message degree {degree(h)} >= k = {code.k}")
     for c in h:
         code.field.check(c)
-    return tuple(poly_eval(code.field, h, w) for w in code.omega)
+    q = code.field.q
+    return tuple(sum(map(mul, h, row)) % q for row in code.powers)
 
 
 def rs_decode_unique(code, received):
@@ -69,7 +96,7 @@ def rs_decode_unique(code, received):
     Raises DecodeFailure when no codeword lies within the radius; by the
     final re-encode check the result is never silently wrong.
     """
-    field, n, k = code.field, code.n, code.k
+    field, n, k, q = code.field, code.n, code.k, code.field.q
     received = tuple(received)
     if len(received) != n:
         raise ValueError(f"received word has {len(received)} symbols, expected {n}")
@@ -79,7 +106,7 @@ def rs_decode_unique(code, received):
     # partial extended Euclid from the master polynomial and the
     # interpolant: track only the coefficient of the interpolant
     r0 = code.master
-    r1 = _interpolate(field, list(zip(code.omega, received)), r0)
+    r1 = normalize([sum(map(mul, received, row)) % q for row in code.lagrange])
     v0, v1 = (), (1,)
     while 2 * degree(r1) >= n + k:
         quot, rem = poly_divmod(field, r0, r1)
@@ -89,7 +116,7 @@ def rs_decode_unique(code, received):
     if rem != () or degree(h) >= k:
         raise DecodeFailure(
             f"no codeword within {code.radius} errors of the received word")
-    codeword = tuple(poly_eval(field, h, w) for w in code.omega)
+    codeword = tuple(sum(map(mul, h, row)) % q for row in code.powers)
     positions = frozenset(i for i in range(n) if codeword[i] != received[i])
     if len(positions) > code.radius:
         raise DecodeFailure(
@@ -150,7 +177,7 @@ def rs_erasure_decode(code, known):
     head, tail = known[:code.k], known[code.k:]
     h = interpolate(field, [(code.omega[pos], val) for pos, val in head])
     for pos, val in tail:
-        if poly_eval(field, h, code.omega[pos]) != val:
+        if sum(map(mul, h, code.powers[pos])) % field.q != val:
             raise InconsistentErasures(
                 f"symbol at position {pos} is off the interpolated polynomial")
     return h
@@ -161,9 +188,12 @@ def nearest_codeword_bruteforce(code, received, radius):
 
     The list is sorted by distance, ties broken by canonical message order
     (lexicographic on the padded coefficient tuple). Enumerates all q^k
-    messages, so it is gated by the enumeration budget.
+    messages, so it is gated by the enumeration budget. The radius must be
+    a nonnegative int.
     """
     field, n, k = code.field, code.n, code.k
+    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
+        raise ValueError(f"radius must be a nonnegative int, got {radius!r}")
     received = tuple(received)
     if len(received) != n:
         raise ValueError(f"received word has {len(received)} symbols, expected {n}")

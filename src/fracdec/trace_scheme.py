@@ -29,6 +29,7 @@ floor((n - lk/m) / 2) = floor((n - k/alpha) / 2).
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import mul
 
 from .arraycode import DownloadBundle, apply_error_pattern
 from .fields import ExtField, PrimeField, dual_basis
@@ -47,6 +48,11 @@ class TsConfig:
     subsets: the m pairwise disjoint annihilator subsets A_j, each of size
         k/m, drawn from the base field (they need not be evaluation points).
     basis: trace-dual basis pair used to split symbols into coordinates.
+
+    Derived, once per config: annihilators p_j; inner_code, the (n, lk/m)
+    RS code over the base field the download streams belong to; and
+    download_weights[i][j] = (p_j(w_i)^0, ..., p_j(w_i)^(l-m)), the
+    weights column i combines its symbols with to serve symbol j.
     """
 
     ext: ExtField
@@ -56,6 +62,7 @@ class TsConfig:
     basis: object
     annihilators: tuple = dc_field(init=False, repr=False, compare=False)
     inner_code: RsCode = dc_field(init=False, repr=False, compare=False)
+    download_weights: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ext, base = self.ext, self.ext.base
@@ -98,6 +105,10 @@ class TsConfig:
         annihilators = tuple(poly_from_roots(base, s) for s in subsets)
         object.__setattr__(self, "annihilators", annihilators)
         object.__setattr__(self, "inner_code", RsCode(base, l * k // m, omega))
+        object.__setattr__(self, "download_weights", tuple(
+            tuple(tuple(pow(poly_eval(base, p_j, w), u, base.q)
+                        for u in range(l - m + 1)) for p_j in annihilators)
+            for w in omega))
 
     @property
     def base(self):
@@ -172,8 +183,10 @@ def ts_encode(cfg, message):
     and the encoder runs over the base field only.
     """
     hs = ts_project_polys(cfg, message)
-    return tuple(tuple(poly_eval(cfg.base, h, w) for h in hs)
-                 for w in cfg.omega)
+    q = cfg.base.q
+    # each h_u has degree < k <= lk/m, so map stops at its last coefficient
+    return tuple(tuple(sum(map(mul, h, row)) % q for h in hs)
+                 for row in cfg.inner_code.powers)
 
 
 def ts_project_polys(cfg, message):
@@ -194,10 +207,11 @@ def ts_download(cfg, column, index):
     """The m base-field symbols column `index` serves to the decoder.
 
     Symbol j equals coordinate (l-m+j) scaled by p_j(w)^(l-m) plus the
-    first l-m coordinates scaled by ascending powers of p_j(w); on a clean
-    column this is exactly g_j(omega_index).
+    first l-m coordinates scaled by ascending powers of p_j(w): one dot
+    product with cfg.download_weights[index][j]. On a clean column this is
+    exactly g_j(omega_index).
     """
-    base, l, m = cfg.base, cfg.l, cfg.m
+    base, l, split = cfg.base, cfg.l, cfg.l - cfg.m
     column = tuple(column)
     if len(column) != l:
         raise ValueError(f"column must have l = {l} symbols, got {len(column)}")
@@ -205,15 +219,9 @@ def ts_download(cfg, column, index):
         base.check(c)
     if not 0 <= index < cfg.n:
         raise ValueError(f"column index {index} out of range")
-    out = []
-    for j in range(m):
-        weight = poly_eval(base, cfg.annihilators[j], cfg.omega[index])
-        acc, power = 0, 1
-        for u in range(l - m):
-            acc = base.add(acc, base.mul(column[u], power))
-            power = base.mul(power, weight)
-        out.append(base.add(acc, base.mul(column[l - m + j], power)))
-    return tuple(out)
+    low = column[:split]
+    return tuple(sum(map(mul, (*low, column[split + j]), weights)) % base.q
+                 for j, weights in enumerate(cfg.download_weights[index]))
 
 
 def ts_download_all(cfg, columns):

@@ -5,9 +5,67 @@ import itertools
 
 from fracdec.budget import check_budget
 from fracdec.errors import DecodeFailure
-from fracdec.polyring import (degree, interpolate, normalize, poly_divmod,
-                              poly_eval)
+from fracdec.polyring import degree, normalize
 from fracdec.trace_scheme import ts_all_codewords, ts_download_all
+
+
+# Polynomial arithmetic through the field's own add/sub/mul/neg/div, so it
+# runs over any field, GF(q^l) included: the generic reference the integer
+# `fracdec.polyring` is compared against, and the arithmetic of the
+# oracles below. Polynomials are normalized tuples, constant term first.
+
+def poly_mul(field, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(ca, cb))
+    return normalize(out)
+
+
+def poly_divmod(field, a, b):
+    """Long division: (quotient, remainder) with deg r < deg b."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by the zero polynomial")
+    if len(a) < len(b):
+        return (), a
+    rem = list(a)
+    quot = [0] * (len(a) - len(b) + 1)
+    inv_lead = field.div(1, b[-1])
+    for shift in range(len(a) - len(b), -1, -1):
+        factor = field.mul(rem[shift + len(b) - 1], inv_lead)
+        quot[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] = field.sub(rem[shift + i], field.mul(factor, c))
+    return normalize(quot), normalize(rem)
+
+
+def poly_eval(field, a, x):
+    """Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
+def interpolate(field, points):
+    """Lagrange's formula, building each basis polynomial from its roots."""
+    points = list(points)
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation points must have distinct x coordinates")
+    acc = [0] * len(points)
+    for x_i, y_i in points:
+        basis, denom = (1,), 1
+        for x_j in xs:
+            if x_j != x_i:
+                basis = poly_mul(field, basis, (field.neg(x_j), 1))
+                denom = field.mul(denom, field.sub(x_i, x_j))
+        scale = field.div(y_i, denom)
+        for d, c in enumerate(basis):
+            acc[d] = field.add(acc[d], field.mul(scale, c))
+    return normalize(acc)
 
 
 def trial_decode_columns(field, columns, column_points, degree_bound, t_star):

@@ -242,6 +242,24 @@ def test_oracle_nearest(tmp_path):
     assert load_json(out)["matches"] == []
 
 
+def test_oracle_negative_radius_exits_two(tmp_path, capsys):
+    msg = write_message(tmp_path, "frs", (3, 14, 9))
+    word, down = str(tmp_path / "w.json"), str(tmp_path / "d.json")
+    assert main(["frs", "encode", "--config", FRS_TINY, "--message", msg,
+                 "--out", word]) == 0
+    assert main(["frs", "download", "--config", FRS_TINY, "--in", word,
+                 "--out", down]) == 0
+    out = tmp_path / "o.json"
+    assert main(["oracle", "nearest", "--q", "13", "--k", "2",
+                 "--received", "1,2,3", "--radius", "-1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["oracle", "list", "--config", FRS_TINY, "--word", down,
+                 "--radius", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("radius must be") == 2
+
+
 def test_oracle_collision(tmp_path):
     out = str(tmp_path / "w.json")
     assert main(["oracle", "collision", "--config", TS_TINY, "--t", "1",

@@ -126,15 +126,10 @@ def entry_points(label):
     """The public entry points that take symbols of one field, each as a
     function that plants one given symbol among valid ones."""
     field = PrimeField(7) if label == "GF(7)" else gf4()
-    code = RsCode(field, 1, (0, 1, 2))
     hit_first = ErrorPattern(support=(0,), values=((1,),))
     points = {
         "check": lambda bad: field.check(bad),
         "RsCode": lambda bad: RsCode(field, 1, (0, 1, bad)),
-        "rs_encode": lambda bad: rs_encode(code, (bad,)),
-        "rs_decode_unique": lambda bad: rs_decode_unique(code, (0, 0, bad)),
-        "rs_erasure_decode":
-            lambda bad: rs_erasure_decode(code, [(0, 0), (1, bad)]),
         "apply_error_pattern-word":
             lambda bad: apply_error_pattern(field, ((0,), (bad,)), hit_first),
         "apply_error_pattern-offset": lambda bad: apply_error_pattern(
@@ -147,9 +142,16 @@ def entry_points(label):
             field, [((0,), (0,)), ((0,), (bad,))], (tuple, tuple), 0),
     }
     if label == "GF(7)":
+        # Reed-Solomon codes run over prime fields only
+        code = RsCode(field, 1, (0, 1, 2))
         ts = ts_make_config(7, 4, 2, 2, 2)
         frs = frs_make_config(2, 1, 2, Fraction(1, 2), p=7)
         points.update({
+            "rs_encode": lambda bad: rs_encode(code, (bad,)),
+            "rs_decode_unique":
+                lambda bad: rs_decode_unique(code, (0, 0, bad)),
+            "rs_erasure_decode":
+                lambda bad: rs_erasure_decode(code, [(0, 0), (1, bad)]),
             "poly_is_irreducible":
                 lambda bad: poly_is_irreducible(field, (bad, 0, 1)),
             "ts_make_config-omega":

@@ -21,12 +21,13 @@ from fracdec.frs_scheme import (FrsConfig, bundle_columns, flatten_columns,
                                 frs_full_pipeline, frs_list_decode_bruteforce,
                                 frs_make_config, is_primitive_root,
                                 smallest_prime_above, smallest_primitive_root)
+from fracdec.fields import PrimeField
 from fracdec.harness import (_decode_naive, _symbol_field,
-                             random_column_offset, random_message,
-                             trial_stream)
+                             random_column_offset, random_error_pattern,
+                             random_message, trial_stream)
 from fracdec.rs import RsCode, decode_columns, rs_decode_unique
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import ts_encode
+from fracdec.trace_scheme import ts_encode, ts_full_pipeline
 from oracles import trial_decode_columns
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -253,6 +254,9 @@ def test_list_bruteforce_budget(monkeypatch):
     grid = ((0,),) * cfg.n
     with pytest.raises(BudgetExceeded):
         frs_list_decode_bruteforce(cfg, grid, 1)
+    for radius in (-1, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="radius must be"):
+            frs_list_decode_bruteforce(cfg, grid, radius)
 
 
 def test_same_encoder_serves_multiple_fractions():
@@ -386,26 +390,48 @@ def test_naive_reader_matches_trial_oracle_at_every_weight(name):
     if kind == "frs":
         field, length = cfg.field, cfg.message_length
         points = [cfg.column_points(i) for i in read]
+        code = RsCode(field, length, flatten_columns(points))
     else:
         field, length = cfg.ext, cfg.k
         points = [(cfg.omega[i],) for i in read]
-    code = RsCode(field, length, flatten_columns(points))
     seen = {"recovered": 0, "miscorrected": 0, "failed": 0}
     for message, stored, received in received_words(cfg, width, seed=43):
         columns = received[:width]
         if kind == "ts":
             columns = tuple((cfg.basis.reconstruct(c),) for c in columns)
-        got = decoded_or_failure(length, decode_one_word, code, columns,
-                                 naive_r)
         want = decoded_or_failure(length, trial_decode_columns, field,
                                   columns, points, length, naive_r)
-        assert got == want
+        if kind == "frs":
+            assert decoded_or_failure(length, decode_one_word, code, columns,
+                                      naive_r) == want
         pattern = difference_pattern(_symbol_field(cfg), stored, received)
         outcome = classify(want, message)
         assert _decode_naive(cfg, kind, message, pattern, read,
                              naive_r) == outcome
         seen[outcome] += 1
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("name", SHIPPED_FOLDED + SHIPPED_TRACE)
+def test_pipeline_makes_no_prime_field_method_call(name, monkeypatch):
+    """Encoding, corruption, downloads and decoding at the radius run as
+    integer loops and dot products mod q, not through GF(q)'s methods."""
+    cfg = shipped_config(name)
+    stream = trial_stream(0, cfg.radius, 0)
+    message = random_message(cfg, stream)
+    pattern = random_error_pattern(cfg, stream, cfg.radius)
+    calls = []
+    for method in ("add", "sub", "neg", "mul", "div"):
+        def counted(self, *args, _method=method,
+                    _original=getattr(PrimeField, method)):
+            calls.append(_method)
+            return _original(self, *args)
+        monkeypatch.setattr(PrimeField, method, counted)
+    pipeline = (frs_full_pipeline if isinstance(cfg, FrsConfig)
+                else ts_full_pipeline)
+    decoded, _ = pipeline(cfg, message, pattern)
+    assert decoded == message and pattern.weight == cfg.radius
+    assert calls == []
 
 
 def test_folded_decode_interpolates_once(monkeypatch):

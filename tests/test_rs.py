@@ -3,9 +3,12 @@
 import itertools
 import random
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
+
+import oracles
 
 from fracdec import polyring as P
 from fracdec.errors import DecodeFailure, InconsistentErasures
@@ -98,12 +101,71 @@ def test_interpolate_roundtrip():
 def test_interpolate_over_extension_field():
     f = ExtField(PrimeField(3), 2)
     coeffs = (5, 7)
-    points = [(x, P.poly_eval(f, coeffs, x)) for x in (0, 1, 2)]
-    assert P.interpolate(f, points[:2]) == coeffs
+    points = [(x, oracles.poly_eval(f, coeffs, x)) for x in (0, 1, 2)]
+    with pytest.raises(TypeError):
+        P.interpolate(f, points[:2])
+
+
+def test_kernel_refuses_extension_fields():
+    """Reducing mod q is wrong in GF(q^l): the integer kernel raises
+    instead of returning values reduced mod the wrong number."""
+    f = ExtField(PrimeField(3), 2)
+    a, b = (5, 7), (1, 1)
+    for call in (lambda: P.poly_add(f, a, b), lambda: P.poly_sub(f, a, b),
+                 lambda: P.poly_neg(f, a), lambda: P.poly_scale(f, a, 2),
+                 lambda: P.poly_mul(f, a, b), lambda: P.poly_pow(f, a, 2),
+                 lambda: P.poly_divmod(f, a, b), lambda: P.poly_eval(f, a, 3),
+                 lambda: P.poly_from_roots(f, (1, 3)),
+                 lambda: P.poly_powmod(f, a, 3, b), lambda: P.poly_gcd(f, a, b),
+                 lambda: P.lagrange_basis(f, (0, 1))):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(ValueError, match="prime field"):
+        RsCode(f, 1, (0, 1, 2))
+
+
+def random_poly(rng, q, max_len):
+    return P.normalize(rng.randrange(q) for _ in range(rng.randrange(max_len + 1)))
+
+
+@pytest.mark.parametrize("q", (2, 13, 31, 53))
+def test_integer_kernel_matches_field_method_reference(q):
+    field = PrimeField(q)
+    rng = random.Random(q)
+    for _ in range(150):
+        a, b = random_poly(rng, q, 9), random_poly(rng, q, 6)
+        x = rng.randrange(q)
+        assert P.poly_mul(field, a, b) == oracles.poly_mul(field, a, b)
+        assert P.poly_eval(field, a, x) == oracles.poly_eval(field, a, x)
+        if b:
+            assert P.poly_divmod(field, a, b) == oracles.poly_divmod(field, a, b)
+        xs = rng.sample(range(q), rng.randrange(1, min(q, 9) + 1))
+        points = [(x, rng.randrange(q)) for x in xs]
+        assert P.interpolate(field, points) == oracles.interpolate(field, points)
+
+
+@pytest.mark.parametrize("q, n, k", ((2, 2, 1), (13, 8, 3), (31, 30, 8),
+                                     (53, 24, 12)))
+def test_code_tables_match_reference(q, n, k):
+    """lagrange applied to a word is its interpolant, and powers applied to
+    a message is its evaluation at every point."""
+    field = PrimeField(q)
+    rng = random.Random(n)
+    code = RsCode(field, k, rng.sample(range(q), n))
+    for _ in range(20):
+        word = [rng.randrange(q) for _ in range(n)]
+        got = P.normalize(sum(map(mul, word, row)) % q for row in code.lagrange)
+        assert got == oracles.interpolate(field, zip(code.omega, word))
+        msg = random_poly(rng, q, k)
+        assert [sum(map(mul, msg, row)) % q for row in code.powers] == [
+            oracles.poly_eval(field, msg, w) for w in code.omega]
 
 
 def test_rs_code_validation():
     RsCode(F13, 2, (0, 1, 2))
+    for k in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match="k must be an int"):
+            RsCode(F13, k, (0, 1, 2))
     with pytest.raises(ValueError):
         RsCode(F13, 2, (0, 1, 1))      # repeated point
     with pytest.raises(ValueError):
@@ -213,21 +275,24 @@ def test_rs_decode_degenerate_zero_radius():
 
 
 def test_rs_decode_reuses_the_master_polynomial(monkeypatch):
-    """RsCode builds its master polynomial once; a decode must not rebuild
-    it through interpolate."""
+    """RsCode builds its master polynomial and its interpolation and
+    evaluation tables once; a decode must not rebuild any of them, divide
+    out a Lagrange basis polynomial or evaluate a polynomial."""
     cfg = config_from_dict(load_json(str(CONFIG_DIR / "frs-p37-n8-k3.json")))
     code = cfg.prefix_code
     calls = []
-    original = P.poly_from_roots
+    for fn in ("poly_from_roots", "lagrange_basis", "interpolate",
+               "poly_eval"):
+        original = getattr(P, fn)
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
+        def counting(*args, _fn=fn, _original=original):
+            calls.append(_fn)
+            return _original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if (name == "fracdec" or name.startswith("fracdec.")) and getattr(
-                module, "poly_from_roots", None) is original:
-            monkeypatch.setattr(module, "poly_from_roots", counting)
+        for name, module in list(sys.modules.items()):
+            if (name == "fracdec" or name.startswith("fracdec.")) and getattr(
+                    module, fn, None) is original:
+                monkeypatch.setattr(module, fn, counting)
     msg = tuple(range(1, code.k + 1))
     received = list(rs_encode(code, msg))
     for i in range(code.radius):
@@ -282,6 +347,9 @@ def test_bruteforce_radius_edges():
     assert nearest_codeword_bruteforce(code, word, 0) == [((3,), 0)]
     everything = nearest_codeword_bruteforce(code, word, 4)
     assert len(everything) == 5
+    for radius in (-1, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="radius must be"):
+            nearest_codeword_bruteforce(code, word, radius)
 
 
 def test_bruteforce_budget(monkeypatch):

@@ -14,13 +14,15 @@ from fracdec.fields import ExtField
 from fracdec.harness import (compare_naive, random_column_offset,
                              random_error_pattern, random_message,
                              trial_stream)
-from fracdec.rs import RsCode, rs_decode_unique, rs_encode, rs_erasure_decode
+from fracdec.rs import rs_decode_unique, rs_encode
 from fracdec.serialization import config_from_dict, load_json
+from fracdec import trace_scheme as ts_module
 from fracdec.trace_scheme import (ts_all_codewords, ts_decode_message,
                                   ts_download, ts_download_all,
                                   ts_download_fns, ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
+import oracles
 from oracles import ts_decode_bruteforce
 
 
@@ -97,12 +99,11 @@ def test_encode_shape_and_membership():
             word = ts_encode(cfg, msg)
             assert len(word) == cfg.n and all(len(c) == cfg.l for c in word)
             h = P.normalize(msg)
-            assert word == tuple(cfg.basis.project(P.poly_eval(cfg.ext, h, w))
-                                 for w in cfg.omega)
-            symbols = [cfg.basis.reconstruct(col) for col in word]
-            pairs = [(cfg.omega[i], symbols[i]) for i in range(cfg.n)]
-            assert rs_erasure_decode(RsCode(cfg.ext, cfg.k, cfg.omega),
-                                     pairs) == h
+            symbols = [oracles.poly_eval(cfg.ext, h, w) for w in cfg.omega]
+            assert word == tuple(map(cfg.basis.project, symbols))
+            assert tuple(map(cfg.basis.reconstruct, word)) == tuple(symbols)
+            assert oracles.interpolate(cfg.ext, zip(cfg.omega[:cfg.k],
+                                                    symbols)) == h
 
 
 def test_encode_zero_and_constant():
@@ -138,7 +139,7 @@ def test_project_polys_reassemble():
         h = P.normalize(msg)
         for w in cfg.omega:
             assert tuple(P.poly_eval(cfg.base, h_u, w) for h_u in hs) == \
-                cfg.basis.project(P.poly_eval(cfg.ext, h, w))
+                cfg.basis.project(oracles.poly_eval(cfg.ext, h, w))
 
 
 def build_stream_poly(cfg, msg, j):
@@ -167,6 +168,24 @@ def test_download_identity():
                 for i, w in enumerate(cfg.omega):
                     assert ts_download(cfg, word[i], i)[j] == \
                         P.poly_eval(cfg.base, g, w)
+
+
+@pytest.mark.parametrize("name", SHIPPED_TRACE)
+def test_download_weights_are_annihilator_powers(name, monkeypatch):
+    """download_weights[i][j] lists p_j(omega_i)^u for u = 0..l-m, and a
+    download is a dot product with them: no polynomial is evaluated."""
+    cfg = shipped_config(name)
+    for i, w in enumerate(cfg.omega):
+        for j, p_j in enumerate(cfg.annihilators):
+            value = oracles.poly_eval(cfg.base, p_j, w)
+            assert cfg.download_weights[i][j] == tuple(
+                cfg.base.pow(value, u) for u in range(cfg.l - cfg.m + 1))
+    word = ts_encode(cfg, random_message(cfg, trial_stream(15, 0, 0)))
+    calls = []
+    monkeypatch.setattr(ts_module, "poly_eval",
+                        lambda *args: calls.append(args))
+    ts_download_all(cfg, word)
+    assert calls == []
 
 
 def test_download_at_annihilator_roots():
