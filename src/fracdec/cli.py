@@ -13,7 +13,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import serialization as ser
-from .arraycode import ErrorPattern, apply_error_pattern
+from .arraycode import apply_error_pattern
 from .errors import BudgetExceeded, DecodeFailure
 from .fields import PrimeField
 from .frs_scheme import (frs_all_codewords, frs_decode_trial,
@@ -21,7 +21,7 @@ from .frs_scheme import (frs_all_codewords, frs_decode_trial,
                          frs_list_decode_bruteforce)
 from .harness import (ExperimentSpec, _message_space, _scheme_kind,
                       _symbol_field, compare_naive, comparison_to_dict,
-                      random_column_offset, report_to_json, simulate,
+                      random_error_pattern, report_to_json, simulate,
                       trial_stream)
 from .rationals import as_fraction
 from .rs import RsCode, nearest_codeword_bruteforce
@@ -97,15 +97,12 @@ def cmd_corrupt(args):
             if not 0 <= i < cfg.n:
                 raise ValueError(f"position {i} outside 0..{cfg.n - 1}")
         weight = len(support)
-        stream = trial_stream(args.seed, weight, 0)
     else:
-        weight = args.weight
+        weight, support = args.weight, None
         if not 0 <= weight <= cfg.n:
             raise ValueError(f"--weight must be in 0..{cfg.n}")
-        stream = trial_stream(args.seed, weight, 0)
-        support = stream.sample(cfg.n, weight)
-    values = tuple(random_column_offset(cfg, stream) for _ in support)
-    pattern = ErrorPattern(support=support, values=values)
+    pattern = random_error_pattern(cfg, trial_stream(args.seed, weight, 0),
+                                   weight, support)
     corrupted = apply_error_pattern(_symbol_field(cfg), columns, pattern)
     ser.dump_json(args.out, ser.codeword_to_dict(args.scheme, corrupted))
     return 0

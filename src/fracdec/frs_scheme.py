@@ -16,13 +16,13 @@ zero.
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import ne
 
 from .arraycode import DownloadBundle, apply_error_pattern
 from .budget import check_budget
 from .fields import PrimeField, is_prime, prime_factors
-from .polyring import normalize, poly_eval
 from .rationals import as_fraction
-from .rs import RsCode, decode_columns
+from .rs import RsCode, decode_columns, rs_encode, rs_evaluate
 
 
 def smallest_prime_above(bound):
@@ -58,7 +58,9 @@ class FrsConfig:
     alpha_l: derived; the prefix height alpha*l each column serves.
     punctured_dim: derived; the column dimension k/alpha of the punctured
         code.
-    prefix_code: derived; the RS code the flattened prefixes form, with the
+    code: derived; the (nl, kl) RS code on gamma^0, ..., gamma^(nl-1) that
+        the folded code cuts into n columns of l symbols.
+    prefix_code: derived; the puncturing of `code` to the prefixes: the
         prefix points of column 0, then of column 1, and so on.
     """
 
@@ -70,7 +72,7 @@ class FrsConfig:
     alpha: Fraction
     alpha_l: int = dc_field(init=False, repr=False, compare=False)
     punctured_dim: int = dc_field(init=False, repr=False, compare=False)
-    points: tuple = dc_field(init=False, repr=False, compare=False)
+    code: RsCode = dc_field(init=False, repr=False, compare=False)
     prefix_code: RsCode = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,14 +98,11 @@ class FrsConfig:
                 "evaluation points")
         if not is_primitive_root(field.q, self.gamma):
             raise ValueError(f"{self.gamma} is not a primitive root mod {field.q}")
-        points = []
-        x = 1
-        for _ in range(n * l):
-            points.append(x)
-            x = field.mul(x, self.gamma)
-        object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "alpha_l", int(alpha * l))
         object.__setattr__(self, "punctured_dim", int(k / alpha))
+        object.__setattr__(self, "code", RsCode(
+            field, k * l, tuple(pow(self.gamma, i, field.q)
+                                for i in range(n * l))))
         object.__setattr__(self, "prefix_code", RsCode(
             field, k * l, flatten_columns(self.column_points(i, self.alpha_l)
                                           for i in range(n))))
@@ -132,7 +131,7 @@ class FrsConfig:
         """Evaluation points of column i (first `height` of them)."""
         if height is None:
             height = self.l
-        return self.points[i * self.l: i * self.l + height]
+        return self.code.omega[i * self.l: i * self.l + height]
 
 
 def frs_make_config(n, k, l, alpha, *, p=None, gamma=None):
@@ -154,12 +153,7 @@ def frs_encode(cfg, message):
     if len(message) != cfg.message_length:
         raise ValueError(
             f"message must have exactly kl = {cfg.message_length} symbols")
-    for c in message:
-        cfg.field.check(c)
-    h = normalize(message)
-    return tuple(
-        tuple(poly_eval(cfg.field, h, x) for x in cfg.column_points(i))
-        for i in range(cfg.n))
+    return bundle_columns(rs_encode(cfg.code, message), cfg.l)
 
 
 def frs_download_prefix(cfg, column):
@@ -233,20 +227,12 @@ def frs_list_decode_bruteforce(cfg, per_column, radius):
             f"expected {cfg.n} columns of {cfg.alpha_l} downloaded symbols")
     check_budget(cfg.field.order ** cfg.message_length,
                  f"list decoding over {cfg.field!r}^{cfg.message_length}")
-    column_points = [cfg.column_points(i, cfg.alpha_l) for i in range(cfg.n)]
     hits = []
     for message in itertools.product(cfg.field.elements(),
                                      repeat=cfg.message_length):
-        h = normalize(message)
-        dist = 0
-        for i in range(cfg.n):
-            prefix = tuple(poly_eval(cfg.field, h, x)
-                           for x in column_points[i])
-            if prefix != per_column[i]:
-                dist += 1
-                if dist > radius:
-                    break
-        if dist <= radius:
+        prefixes = bundle_columns(rs_evaluate(cfg.prefix_code, message),
+                                  cfg.alpha_l)
+        if sum(map(ne, prefixes, per_column)) <= radius:
             hits.append(message)
     return hits
 

@@ -153,14 +153,15 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         n = self.config.n
+        # counts are plain ints: type() also refuses bools
         for w in self.weights:
-            if not isinstance(w, int) or not 0 <= w <= n:
-                raise ValueError(f"weight {w} outside 0..{n}")
-        if self.trials_per_weight < 1:
-            raise ValueError("trials_per_weight must be at least 1")
+            if type(w) is not int or not 0 <= w <= n:
+                raise ValueError(f"weight {w!r} outside 0..{n}")
+        if type(self.trials_per_weight) is not int or self.trials_per_weight < 1:
+            raise ValueError("trials_per_weight must be an integer of at least 1")
         if self.support_mode not in ("exhaustive", "sampled"):
             raise ValueError("support_mode must be 'exhaustive' or 'sampled'")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
 
@@ -331,7 +332,7 @@ def compare_naive(cfg, t, seed=0):
         raise ValueError(f"alpha*n = {alpha_n} must be integral for the "
                          "whole-column reader")
     alpha_n = int(alpha_n)
-    if not isinstance(t, int) or t < 0:
+    if type(t) is not int or t < 0:
         raise ValueError("t must be a nonnegative integer")
     if t > cfg.radius:
         raise ValueError(f"t = {t} exceeds the fractional radius {cfg.radius}; "

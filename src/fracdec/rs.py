@@ -10,13 +10,15 @@ off the exact quotient.
 
 Both linear maps a code applies on every call, interpolation through its
 points and evaluation at them, depend on the code alone: `RsCode` builds
-them once as integer matrices (O(n^2) memory), and encoding and decoding
-are dot products reduced mod q.
+them once as integer matrices (O(n^2) memory). `rs_evaluate` and
+`rs_interpolate`, the only products with those tables, evaluate and
+interpolate at a code's points for the whole package; like `polyring`,
+they trust their operands.
 """
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from operator import mul
+from operator import mul, ne
 
 from .budget import check_budget
 from .errors import DecodeFailure, InconsistentErasures
@@ -79,14 +81,29 @@ class RsCode:
 
 
 def rs_encode(code, message):
-    """Evaluate the message polynomial at the code's points."""
+    """Evaluate the message polynomial at the code's points, checking
+    every coefficient, trailing zeros included."""
+    message = tuple(message)
+    for c in message:
+        code.field.check(c)
     h = normalize(message)
     if degree(h) >= code.k:
         raise ValueError(f"message degree {degree(h)} >= k = {code.k}")
-    for c in h:
-        code.field.check(c)
+    return rs_evaluate(code, h)
+
+
+def rs_evaluate(code, h):
+    """h at the code's points through `code.powers`; h is at most k
+    canonical coefficients, trailing zeros allowed."""
     q = code.field.q
     return tuple(sum(map(mul, h, row)) % q for row in code.powers)
+
+
+def rs_interpolate(code, word):
+    """The polynomial of degree < n through the n canonical symbols of the
+    sequence `word` at the code's points, through `code.lagrange`."""
+    q = code.field.q
+    return normalize([sum(map(mul, word, row)) % q for row in code.lagrange])
 
 
 def rs_decode_unique(code, received):
@@ -96,7 +113,7 @@ def rs_decode_unique(code, received):
     Raises DecodeFailure when no codeword lies within the radius; by the
     final re-encode check the result is never silently wrong.
     """
-    field, n, k, q = code.field, code.n, code.k, code.field.q
+    field, n, k = code.field, code.n, code.k
     received = tuple(received)
     if len(received) != n:
         raise ValueError(f"received word has {len(received)} symbols, expected {n}")
@@ -106,7 +123,7 @@ def rs_decode_unique(code, received):
     # partial extended Euclid from the master polynomial and the
     # interpolant: track only the coefficient of the interpolant
     r0 = code.master
-    r1 = normalize([sum(map(mul, received, row)) % q for row in code.lagrange])
+    r1 = rs_interpolate(code, received)
     v0, v1 = (), (1,)
     while 2 * degree(r1) >= n + k:
         quot, rem = poly_divmod(field, r0, r1)
@@ -116,7 +133,7 @@ def rs_decode_unique(code, received):
     if rem != () or degree(h) >= k:
         raise DecodeFailure(
             f"no codeword within {code.radius} errors of the received word")
-    codeword = tuple(sum(map(mul, h, row)) % q for row in code.powers)
+    codeword = rs_evaluate(code, h)
     positions = frozenset(i for i in range(n) if codeword[i] != received[i])
     if len(positions) > code.radius:
         raise DecodeFailure(
@@ -176,8 +193,9 @@ def rs_erasure_decode(code, known):
         raise ValueError(f"need at least k = {code.k} clean symbols, got {len(known)}")
     head, tail = known[:code.k], known[code.k:]
     h = interpolate(field, [(code.omega[pos], val) for pos, val in head])
+    codeword = rs_evaluate(code, h)
     for pos, val in tail:
-        if sum(map(mul, h, code.powers[pos])) % field.q != val:
+        if codeword[pos] != val:
             raise InconsistentErasures(
                 f"symbol at position {pos} is off the interpolated polynomial")
     return h
@@ -200,20 +218,9 @@ def nearest_codeword_bruteforce(code, received, radius):
     for c in received:
         field.check(c)
     check_budget(field.order ** k, f"nearest-codeword search over {field!r}^{k}")
-    powers = [[field.pow(w, j) for j in range(k)] for w in code.omega]
     hits = []
     for message in itertools.product(field.elements(), repeat=k):
-        dist = 0
-        for i in range(n):
-            value = 0
-            row = powers[i]
-            for j in range(k):
-                if message[j]:
-                    value = field.add(value, field.mul(message[j], row[j]))
-            if value != received[i]:
-                dist += 1
-                if dist > radius:
-                    break
+        dist = sum(map(ne, rs_evaluate(code, message), received))
         if dist <= radius:
             hits.append((normalize(message), dist))
     hits.sort(key=lambda pair: pair[1])  # stable: canonical order within ties

@@ -33,9 +33,9 @@ from operator import mul
 
 from .arraycode import DownloadBundle, apply_error_pattern
 from .fields import ExtField, PrimeField, dual_basis
-from .polyring import (interpolate, normalize, poly_divmod, poly_eval,
-                       poly_from_roots, poly_sub)
-from .rs import RsCode, decode_columns
+from .polyring import (normalize, poly_divmod, poly_eval, poly_from_roots,
+                       poly_sub)
+from .rs import RsCode, decode_columns, rs_evaluate, rs_interpolate
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,9 @@ class TsConfig:
     basis: trace-dual basis pair used to split symbols into coordinates.
 
     Derived, once per config: annihilators p_j; inner_code, the (n, lk/m)
-    RS code over the base field the download streams belong to; and
+    RS code over the base field the download streams belong to;
+    anchor_code, the (k, k) RS code on the points of A_0, then A_1, and so
+    on, whose interpolation recovers each peel layer; and
     download_weights[i][j] = (p_j(w_i)^0, ..., p_j(w_i)^(l-m)), the
     weights column i combines its symbols with to serve symbol j.
     """
@@ -62,6 +64,7 @@ class TsConfig:
     basis: object
     annihilators: tuple = dc_field(init=False, repr=False, compare=False)
     inner_code: RsCode = dc_field(init=False, repr=False, compare=False)
+    anchor_code: RsCode = dc_field(init=False, repr=False, compare=False)
     download_weights: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,6 +108,7 @@ class TsConfig:
         annihilators = tuple(poly_from_roots(base, s) for s in subsets)
         object.__setattr__(self, "annihilators", annihilators)
         object.__setattr__(self, "inner_code", RsCode(base, l * k // m, omega))
+        object.__setattr__(self, "anchor_code", RsCode(base, k, flat))
         object.__setattr__(self, "download_weights", tuple(
             tuple(tuple(pow(poly_eval(base, p_j, w), u, base.q)
                         for u in range(l - m + 1)) for p_j in annihilators)
@@ -183,10 +187,8 @@ def ts_encode(cfg, message):
     and the encoder runs over the base field only.
     """
     hs = ts_project_polys(cfg, message)
-    q = cfg.base.q
-    # each h_u has degree < k <= lk/m, so map stops at its last coefficient
-    return tuple(tuple(sum(map(mul, h, row)) % q for h in hs)
-                 for row in cfg.inner_code.powers)
+    # each h_u has degree < k <= lk/m, a message of the inner code
+    return tuple(zip(*(rs_evaluate(cfg.inner_code, h) for h in hs)))
 
 
 def ts_project_polys(cfg, message):
@@ -266,11 +268,11 @@ def ts_decode_message(cfg, bundle):
     # roots of p_j, so p_j divides g_j - h_u exactly, whatever the stream
     # decoder returned, and the quotient is the next layer, k/m degrees
     # lower. No check can fail here: only stage 1 can.
-    anchor_points = [(w, j) for j in range(m) for w in cfg.subsets[j]]
     coord_polys = []
     for _ in range(l - m):
-        h_u = interpolate(base, [(w, poly_eval(base, streams[j], w))
-                                 for w, j in anchor_points])
+        h_u = rs_interpolate(cfg.anchor_code, [
+            poly_eval(base, g, w)
+            for g, subset in zip(streams, cfg.subsets) for w in subset])
         coord_polys.append(h_u)
         streams = [poly_divmod(base, poly_sub(base, g, h_u), p_j)[0]
                    for g, p_j in zip(streams, cfg.annihilators)]

@@ -5,9 +5,37 @@ Each acceptance test records exactly one PASS/FAIL line through the
 run so the verdict per criterion is visible without -s.
 """
 
+import sys
+
 import pytest
 
+from fracdec import polyring
+
 _criterion_lines = []
+
+
+@pytest.fixture
+def polyring_calls(monkeypatch):
+    """watch(*names) starts counting calls to the named `polyring`
+    functions from every fracdec module and returns the list each call
+    appends its function's name to."""
+
+    def watch(*names):
+        calls = []
+        for fn in names:
+            original = getattr(polyring, fn)
+
+            def counting(*args, _fn=fn, _original=original):
+                calls.append(_fn)
+                return _original(*args)
+
+            for name, module in list(sys.modules.items()):
+                if (name == "fracdec" or name.startswith("fracdec.")) and \
+                        getattr(module, fn, None) is original:
+                    monkeypatch.setattr(module, fn, counting)
+        return calls
+
+    return watch
 
 
 @pytest.fixture

@@ -85,7 +85,7 @@ def test_make_config_reference_values():
     assert cfg.message_length == 12
     assert cfg.radius == 2
     assert cfg.downloaded_per_word == cfg.accessed_per_word == 24
-    assert cfg.points[:4] == (1, 2, 4, 8)
+    assert cfg.code.omega[:4] == (1, 2, 4, 8)
     assert cfg.column_points(1) == (16, 32, 27, 17)
     assert cfg.column_points(1, 2) == (16, 32)
 
@@ -114,15 +114,43 @@ def test_make_config_rejections():
 def test_encode_frozen_tiny():
     """h = 1 + 2x over GF(5), gamma = 2, two columns of height two."""
     cfg = frs_make_config(2, 1, 2, 1, p=5, gamma=2)
-    assert cfg.points == (1, 2, 4, 3)
+    assert cfg.code.omega == (1, 2, 4, 3)
     assert frs_encode(cfg, (1, 2)) == ((3, 0), (4, 2))
+
+
+@pytest.mark.parametrize("cfg", (reference_config(), tiny_config(),
+                                 frs_make_config(5, 2, 4, Fraction(1, 2))),
+                         ids=("reference", "tiny", "half"))
+def test_config_codes_are_powers_of_gamma(cfg):
+    """code is the RS code on gamma^0, ..., gamma^(nl-1), and prefix_code
+    its puncturing to the first alpha*l points of each column."""
+    q, l = cfg.field.q, cfg.l
+    assert cfg.code.omega == tuple(pow(cfg.gamma, i, q)
+                                   for i in range(cfg.n * l))
+    assert cfg.code.k == cfg.prefix_code.k == cfg.message_length
+    assert cfg.prefix_code.omega == tuple(
+        cfg.code.omega[i * l + j] for i in range(cfg.n)
+        for j in range(cfg.alpha_l))
+
+
+def test_pipeline_and_list_oracle_evaluate_no_polynomial(polyring_calls):
+    """Encoding and the list oracle apply the codes' evaluation tables."""
+    cfg = tiny_config()
+    stream = trial_stream(47, cfg.radius, 0)
+    message = random_message(cfg, stream)
+    pattern = random_error_pattern(cfg, stream, cfg.radius)
+    calls = polyring_calls("poly_eval")
+    decoded, bundle = frs_full_pipeline(cfg, message, pattern)
+    hits = frs_list_decode_bruteforce(cfg, bundle.per_column, cfg.radius)
+    assert decoded == message and hits == [message]
+    assert calls == []
 
 
 def test_encode_identity_and_constant():
     """h = x stores the evaluation points themselves; h = 1 stores ones."""
     cfg = reference_config()
     word = frs_encode(cfg, (0, 1) + (0,) * 10)
-    assert flatten_columns(word) == cfg.points
+    assert flatten_columns(word) == cfg.code.omega
     ones = frs_encode(cfg, (1,) + (0,) * 11)
     assert ones == ((1,) * 4,) * 8
 

@@ -230,6 +230,20 @@ def test_compare_naive_validation():
         compare_naive(cfg, -1)
 
 
+@pytest.mark.parametrize("bad", (True, False, 1.0, 1.5, "1", None))
+def test_counts_must_be_plain_ints(bad):
+    """Weights, the seed, trials_per_weight and t are counts: a bool or a
+    float is refused up front instead of simulating or failing in range()."""
+    cfg = ts_small()
+    good = dict(config=cfg, weights=(1,), trials_per_weight=1, seed=0)
+    for key, value in (("weights", (bad,)), ("weights", (0, bad)),
+                       ("trials_per_weight", bad), ("seed", bad)):
+        with pytest.raises(ValueError):
+            ExperimentSpec(**{**good, key: value})
+    with pytest.raises(ValueError):
+        compare_naive(cfg, bad)
+
+
 def test_compare_naive_deterministic():
     cfg = frs_ref()
     assert compare_naive(cfg, 2, seed=5) == compare_naive(cfg, 2, seed=5)

@@ -14,7 +14,8 @@ from fracdec import polyring as P
 from fracdec.errors import DecodeFailure, InconsistentErasures
 from fracdec.fields import ExtField, PrimeField
 from fracdec.rs import (RsCode, nearest_codeword_bruteforce, rs_decode_unique,
-                        rs_encode, rs_erasure_decode)
+                        rs_encode, rs_erasure_decode, rs_evaluate,
+                        rs_interpolate)
 from fracdec.serialization import config_from_dict, load_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -161,6 +162,24 @@ def test_code_tables_match_reference(q, n, k):
             oracles.poly_eval(field, msg, w) for w in code.omega]
 
 
+@pytest.mark.parametrize("q, n, k", ((13, 1, 1), (13, 6, 2), (13, 13, 5),
+                                     (31, 1, 1), (31, 9, 4), (31, 31, 10)))
+def test_rs_products_match_reference(q, n, k):
+    """rs_interpolate is the textbook interpolant through the code's
+    points, and rs_evaluate the textbook evaluation, padding included."""
+    field = PrimeField(q)
+    rng = random.Random(q * n + k)
+    code = RsCode(field, k, rng.sample(range(q), n))
+    for _ in range(25):
+        word = [rng.randrange(q) for _ in range(n)]
+        assert rs_interpolate(code, word) == oracles.interpolate(
+            field, zip(code.omega, word))
+        msg = [rng.randrange(q) for _ in range(rng.randrange(k + 1))]
+        assert rs_evaluate(code, msg) == tuple(
+            oracles.poly_eval(field, P.normalize(msg), w) for w in code.omega)
+        assert rs_encode(code, msg) == rs_evaluate(code, msg)
+
+
 def test_rs_code_validation():
     RsCode(F13, 2, (0, 1, 2))
     for k in (2.0, True, "2", None):
@@ -183,6 +202,14 @@ def test_rs_encode_examples():
     assert rs_encode(code, (0, 0)) == (0, 0, 0)
     with pytest.raises(ValueError):
         rs_encode(code, (1, 2, 3))
+
+
+def test_rs_encode_checks_trailing_coefficients():
+    """A zero-valued bool or float in the padding is still not a symbol."""
+    code = RsCode(F13, 2, (0, 1, 2, 3))
+    for message in ((1, 0.0), (1, False), (0.0,), (1, 2, False)):
+        with pytest.raises(ValueError, match="not a canonical element"):
+            rs_encode(code, message)
 
 
 def test_rs_encode_mds_injectivity():
@@ -350,6 +377,31 @@ def test_bruteforce_radius_edges():
     for radius in (-1, 1.0, True, "1", None):
         with pytest.raises(ValueError, match="radius must be"):
             nearest_codeword_bruteforce(code, word, radius)
+
+
+def test_nearest_bruteforce_runs_no_field_arithmetic(monkeypatch):
+    """The oracle encodes each candidate through the code's evaluation
+    table: no GF(q) arithmetic method runs, and it finds what the
+    per-position definition of distance finds."""
+    code = RsCode(F13, 2, (0, 1, 2, 3, 5))
+    received = (1, 3, 0, 7, 9)
+    calls = []
+    for method in ("add", "sub", "neg", "mul", "inv", "div", "pow"):
+        def counted(self, *args, _method=method,
+                    _original=getattr(PrimeField, method)):
+            calls.append(_method)
+            return _original(self, *args)
+        monkeypatch.setattr(PrimeField, method, counted)
+    hits = nearest_codeword_bruteforce(code, received, 3)
+    monkeypatch.undo()
+    assert calls == []
+    want = []
+    for msg in itertools.product(range(13), repeat=2):
+        dist = sum(oracles.poly_eval(F13, P.normalize(msg), w) != r
+                   for w, r in zip(code.omega, received))
+        if dist <= 3:
+            want.append((P.normalize(msg), dist))
+    assert hits == sorted(want, key=lambda pair: pair[1])
 
 
 def test_bruteforce_budget(monkeypatch):

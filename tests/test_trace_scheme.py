@@ -429,6 +429,24 @@ def test_pipeline_runs_no_extension_field_arithmetic(name, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", SHIPPED_TRACE)
+def test_peel_interpolates_through_the_anchor_table(name, polyring_calls):
+    """anchor_code is the (k, k) code on A_0, then A_1, ...; the peel
+    applies its Lagrange table and builds no basis polynomial."""
+    cfg = shipped_config(name)
+    assert cfg.anchor_code.omega == tuple(a for s in cfg.subsets for a in s)
+    assert cfg.anchor_code.k == cfg.anchor_code.n == cfg.k
+    stream = trial_stream(48, cfg.radius, 0)
+    message = random_message(cfg, stream)
+    pattern = random_error_pattern(cfg, stream, cfg.radius)
+    word = apply_error_pattern(cfg.base, ts_encode(cfg, message), pattern)
+    bundle = ts_download_all(cfg, word)
+    calls = polyring_calls("interpolate", "lagrange_basis")
+    decoded, _ = ts_decode_message(cfg, bundle)
+    assert decoded == message
+    assert calls == []
+
+
 def test_malformed_bundle_rejected():
     cfg = reference_config()
     good = ts_download_all(cfg, ts_encode(cfg, (0,) * 4))
