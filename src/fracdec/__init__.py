@@ -8,34 +8,62 @@ constructions realizing the optimal radius (a trace-projection Reed-Solomon
 scheme and a folded prefix scheme), the exact radius formulas with their
 converse witnesses, brute-force oracles, and a deterministic simulation
 harness with a CLI.
+
+The names below and the submodules load on first access (PEP 562), so
+`import fracdec` loads no submodule and a caller pays only for the modules
+it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .arraycode import (DownloadBundle, ErrorPattern, apply_error_pattern,
-                        difference_pattern)
-from .bounds import (CollisionWitness, FigureRow, MinInfoResult, RadiusReport,
-                     emit_figure, figure_csv, find_download_collision,
-                     list_capacity, min_info_check, radius_naive,
-                     radius_optimal, radius_report)
-from .budget import DEFAULT_BUDGET, check_budget, enumeration_budget
-from .errors import BudgetExceeded, DecodeFailure, InconsistentErasures
-from .fields import (ExtField, PrimeField, TraceDualBasis, default_modulus,
-                     dual_basis, is_prime, poly_is_irreducible,
-                     polynomial_basis, prime_factors)
-from .frs_scheme import (FrsConfig, bundle_columns, flatten_columns,
-                         frs_decode_trial, frs_download_all,
-                         frs_download_prefix, frs_encode, frs_full_pipeline,
-                         frs_list_decode_bruteforce, frs_make_config,
-                         is_primitive_root, smallest_prime_above,
-                         smallest_primitive_root)
-from .harness import (ExperimentReport, ExperimentSpec, NaiveComparison,
-                      SplitMix64, WeightStats, compare_naive, random_message,
-                      report_to_dict, report_to_json, run_trial, simulate,
-                      trial_stream)
-from .rationals import as_fraction
-from .rs import (RsCode, nearest_codeword_bruteforce, rs_decode_unique,
-                 rs_encode, rs_erasure_decode)
-from .trace_scheme import (TsConfig, ts_decode_message, ts_download,
-                           ts_download_all, ts_encode, ts_full_pipeline,
-                           ts_make_config, ts_project_polys)
+_EXPORTS = {
+    "arraycode": ("DownloadBundle", "ErrorPattern", "apply_error_pattern",
+                  "difference_pattern"),
+    "bounds": ("CollisionWitness", "FigureRow", "MinInfoResult",
+               "RadiusReport", "emit_figure", "figure_csv",
+               "find_download_collision", "list_capacity", "min_info_check",
+               "radius_naive", "radius_optimal", "radius_report"),
+    "budget": ("DEFAULT_BUDGET", "check_budget", "enumeration_budget"),
+    "errors": ("BudgetExceeded", "DecodeFailure", "InconsistentErasures"),
+    "fields": ("ExtField", "PrimeField", "TraceDualBasis", "default_modulus",
+               "dual_basis", "is_prime", "poly_is_irreducible",
+               "polynomial_basis", "prime_factors"),
+    "frs_scheme": ("FrsConfig", "bundle_columns", "flatten_columns",
+                   "frs_decode_trial", "frs_download_all",
+                   "frs_download_prefix", "frs_encode", "frs_full_pipeline",
+                   "frs_list_decode_bruteforce", "frs_make_config",
+                   "is_primitive_root", "smallest_prime_above",
+                   "smallest_primitive_root"),
+    "harness": ("ExperimentReport", "ExperimentSpec", "NaiveComparison",
+                "SplitMix64", "WeightStats", "compare_naive",
+                "random_message", "report_to_dict", "report_to_json",
+                "run_trial", "simulate", "trial_stream"),
+    "rationals": ("as_fraction",),
+    "rs": ("RsCode", "nearest_codeword_bruteforce", "rs_decode_unique",
+           "rs_encode", "rs_erasure_decode"),
+    "trace_scheme": ("TsConfig", "ts_decode_message", "ts_download",
+                     "ts_download_all", "ts_encode", "ts_full_pipeline",
+                     "ts_make_config", "ts_project_polys"),
+}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "polyring", "serialization"}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__),
+                        name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -28,9 +28,11 @@ def _validate_regime(n, k, alpha):
     if n < 1 or not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     if not Fraction(k, n) <= alpha <= 1:
+        reason = ("below the rate even erasure-free recovery is impossible"
+                  if alpha < 1 else "a download cannot exceed the whole word")
         raise ValueError(
             f"alpha = {alpha} must lie in [k/n, 1] = [{Fraction(k, n)}, 1]: "
-            "below the rate even erasure-free recovery is impossible")
+            f"{reason}")
 
 
 def radius_naive(n, k, alpha):

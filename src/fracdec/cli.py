@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import bounds as bounds_mod
 from . import serialization as ser
 from .arraycode import apply_error_pattern
 from .errors import BudgetExceeded, DecodeFailure
@@ -51,7 +50,8 @@ def _load_config(path, expected_scheme=None):
 
 
 def cmd_bounds(args):
-    report = bounds_mod.radius_report(args.n, args.k, as_fraction(args.alpha))
+    from .bounds import radius_report
+    report = radius_report(args.n, args.k, as_fraction(args.alpha))
     ser.dump_json(args.out, {
         "format": 1,
         "n": report.n,
@@ -68,8 +68,9 @@ def cmd_bounds(args):
 
 
 def cmd_figure(args):
-    rows = bounds_mod.emit_figure(as_fraction(args.rate), args.steps)
-    ser.write_text(args.out, bounds_mod.figure_csv(rows))
+    from .bounds import emit_figure, figure_csv
+    rows = emit_figure(as_fraction(args.rate), args.steps)
+    ser.write_text(args.out, figure_csv(rows))
     return 0
 
 
@@ -166,6 +167,7 @@ def cmd_oracle_nearest(args):
 
 
 def cmd_oracle_collision(args):
+    from .bounds import find_download_collision
     cfg = _load_config(args.config)
     if _scheme_kind(cfg) == "ts":
         fns = ts_download_fns(cfg, count=args.download_count)
@@ -176,8 +178,8 @@ def cmd_oracle_collision(args):
     order, length = _message_space(cfg)
     check_budget(order ** length, "codeword enumeration for collision search")
     codewords = [word for _, word in enumerate_words(cfg)]
-    witness = bounds_mod.find_download_collision(_symbol_field(cfg), codewords,
-                                                 fns, args.t)
+    witness = find_download_collision(_symbol_field(cfg), codewords, fns,
+                                      args.t)
     if witness is None:
         ser.dump_json(args.out, {"format": 1, "t": args.t, "witness": None})
         return 0

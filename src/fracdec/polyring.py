@@ -153,7 +153,10 @@ def lagrange_basis(field, xs):
     """The polynomials L_i of degree < len(xs) with L_i(xs[j]) = [i == j].
 
     L_i is (M / (x - xs[i])) / M'(xs[i]) for the monic M whose roots are
-    the xs, so the whole basis costs O(len^2) after building M.
+    the xs. One synthetic-division pass over M yields the quotient
+    coefficients from the top down, and Horner's rule on them as they
+    appear gives the quotient at xs[i], which is M'(xs[i]); so the whole
+    basis costs O(len^2) after building M.
     """
     q = _prime(field)
     xs = list(xs)
@@ -162,9 +165,14 @@ def lagrange_basis(field, xs):
     master = poly_from_roots(field, xs)
     out = []
     for x in xs:
-        basis = poly_divmod(field, master, (-x % q, 1))[0]
-        out.append(poly_scale(field, basis,
-                              pow(poly_eval(field, basis, x), q - 2, q)))
+        quotient = [0] * len(xs)
+        coef = slope = 0
+        for j in range(len(xs), 0, -1):
+            coef = (coef * x + master[j]) % q
+            quotient[j - 1] = coef
+            slope = (slope * x + coef) % q
+        scale = pow(slope, q - 2, q)
+        out.append(tuple(c * scale % q for c in quotient))
     return out
 
 

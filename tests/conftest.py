@@ -5,10 +5,13 @@ Each acceptance test records exactly one PASS/FAIL line through the
 run so the verdict per criterion is visible without -s.
 """
 
+import importlib
+import pkgutil
 import sys
 
 import pytest
 
+import fracdec
 from fracdec import polyring
 
 _criterion_lines = []
@@ -18,9 +21,15 @@ _criterion_lines = []
 def polyring_calls(monkeypatch):
     """watch(*names) starts counting calls to the named `polyring`
     functions from every fracdec module and returns the list each call
-    appends its function's name to."""
+    appends its function's name to.
+
+    Every fracdec module is imported before the patch: one first imported
+    while the patch is in place would bind the counting function and keep
+    it after the test."""
 
     def watch(*names):
+        for module in pkgutil.iter_modules(fracdec.__path__, "fracdec."):
+            importlib.import_module(module.name)
         calls = []
         for fn in names:
             original = getattr(polyring, fn)

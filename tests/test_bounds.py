@@ -27,6 +27,8 @@ def test_as_fraction_forms():
         as_fraction(0.75)
     with pytest.raises(TypeError):
         as_fraction(True)
+    with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+        as_fraction("1/0")
 
 
 def test_radius_frozen_examples():
@@ -48,8 +50,10 @@ def test_radius_alpha_one_is_classical():
 
 
 def test_radius_regime_validation():
-    with pytest.raises(ValueError):
-        radius_optimal(12, 4, Fraction(1, 4))   # below the rate
+    with pytest.raises(ValueError, match="below the rate"):
+        radius_optimal(12, 4, Fraction(1, 4))
+    with pytest.raises(ValueError, match="cannot exceed the whole word"):
+        radius_naive(12, 4, Fraction(3, 2))
     with pytest.raises(ValueError):
         radius_optimal(12, 13, 1)
     with pytest.raises(TypeError):

@@ -149,6 +149,30 @@ def test_out_of_field_symbol_exits_two(tmp_path, capsys, argv, infile):
     assert not out.exists()
 
 
+ZERO_ALPHA_FRS = {"scheme": "frs", "n": 8, "k": 3, "l": 4, "alpha": "1/0"}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["bounds", "--n", "5", "--k", "2", "--alpha", "1/0"], None),
+    (["figure", "--rate", "1/0"], None),
+    (["simulate", "--weights", "0", "--config"], ZERO_ALPHA_FRS),
+    (["frs", "encode", "--message", "msg.json", "--config"], ZERO_ALPHA_FRS),
+], ids=["bounds", "figure", "simulate", "frs-encode"])
+def test_zero_denominator_exits_two(tmp_path, capsys, monkeypatch, argv,
+                                    config):
+    """A zero denominator is a usage error (exit 2, one line, no artifact),
+    not a ZeroDivisionError inside the formulas."""
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        argv = argv + [write_json(tmp_path, "cfg.json", config)]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'1/0' has a zero denominator" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_bounds_command(tmp_path):
     out = str(tmp_path / "b.json")
     assert main(["bounds", "--n", "12", "--k", "4", "--alpha", "1/2",
@@ -161,6 +185,8 @@ def test_bounds_command(tmp_path):
     assert data["listCapacity"] == "1/3"
     assert main(["bounds", "--n", "12", "--k", "4", "--alpha", "1/4",
                  "--out", out]) == 2      # below the rate
+    assert main(["bounds", "--n", "12", "--k", "4", "--alpha", "3/2",
+                 "--out", out]) == 2      # above the whole word
     assert main(["bounds", "--n", "12", "--k", "4", "--alpha", "0.5001x",
                  "--out", out]) == 2
 

@@ -3,13 +3,11 @@ check against the trial-discarding oracle, the punctured distance property,
 and the list oracle."""
 
 import itertools
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fracdec import polyring
 from fracdec.arraycode import (ErrorPattern, apply_error_pattern,
                                difference_pattern)
 from fracdec.bounds import radius_naive
@@ -462,20 +460,10 @@ def test_pipeline_makes_no_prime_field_method_call(name, monkeypatch):
     assert calls == []
 
 
-def test_folded_decode_interpolates_once(monkeypatch):
+def test_folded_decode_interpolates_once(polyring_calls):
     """An at-radius decode is one Euclid decode: trying discard sets would
     interpolate up to 1 + 8 + 28 times here."""
-    original = polyring.interpolate
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if (name == "fracdec" or name.startswith("fracdec.")) and getattr(
-                module, "interpolate", None) is original:
-            monkeypatch.setattr(module, "interpolate", counting)
+    calls = polyring_calls("interpolate")
     cfg = shipped_config("frs-p37-n8-k3")
     message = random_message(cfg, trial_stream(45, 2, 0))
     pattern = ErrorPattern(support=(0, 5), values=((1, 2, 3, 4),) * 2)

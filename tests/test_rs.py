@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import sys
 from operator import mul
 from pathlib import Path
 
@@ -143,6 +142,26 @@ def test_integer_kernel_matches_field_method_reference(q):
         xs = rng.sample(range(q), rng.randrange(1, min(q, 9) + 1))
         points = [(x, rng.randrange(q)) for x in xs]
         assert P.interpolate(field, points) == oracles.interpolate(field, points)
+
+
+@pytest.mark.parametrize("q", (2, 13, 31, 53))
+def test_lagrange_basis_matches_reference(q):
+    """L_i is the interpolant of the indicator of point i, on seeded point
+    sets from a single point up to 13 points (the whole field for q <= 13),
+    with and without 0 among the points."""
+    field = PrimeField(q)
+    rng = random.Random(100 + q)
+    size = min(q, 13)
+    point_sets = [(0,), (q - 1,), (0, 1), tuple(range(q - 1, q - 1 - size, -1))]
+    for _ in range(10):
+        xs = rng.sample(range(1, q), rng.randrange(1, size))
+        point_sets += [tuple(xs), tuple(xs) + (0,)]
+    for xs in point_sets:
+        basis = P.lagrange_basis(field, xs)
+        assert len(basis) == len(xs)
+        for i, got in enumerate(basis):
+            indicator = [(x, int(j == i)) for j, x in enumerate(xs)]
+            assert got == oracles.interpolate(field, indicator)
 
 
 @pytest.mark.parametrize("q, n, k", ((2, 2, 1), (13, 8, 3), (31, 30, 8),
@@ -301,25 +320,14 @@ def test_rs_decode_degenerate_zero_radius():
     assert h == msg and errs == frozenset()
 
 
-def test_rs_decode_reuses_the_master_polynomial(monkeypatch):
+def test_rs_decode_reuses_the_master_polynomial(polyring_calls):
     """RsCode builds its master polynomial and its interpolation and
     evaluation tables once; a decode must not rebuild any of them, divide
     out a Lagrange basis polynomial or evaluate a polynomial."""
     cfg = config_from_dict(load_json(str(CONFIG_DIR / "frs-p37-n8-k3.json")))
     code = cfg.prefix_code
-    calls = []
-    for fn in ("poly_from_roots", "lagrange_basis", "interpolate",
-               "poly_eval"):
-        original = getattr(P, fn)
-
-        def counting(*args, _fn=fn, _original=original):
-            calls.append(_fn)
-            return _original(*args)
-
-        for name, module in list(sys.modules.items()):
-            if (name == "fracdec" or name.startswith("fracdec.")) and getattr(
-                    module, fn, None) is original:
-                monkeypatch.setattr(module, fn, counting)
+    calls = polyring_calls("poly_from_roots", "lagrange_basis", "interpolate",
+                           "poly_eval")
     msg = tuple(range(1, code.k + 1))
     received = list(rs_encode(code, msg))
     for i in range(code.radius):

@@ -62,6 +62,9 @@ def test_config_structural_rejection():
     with pytest.raises(FormatError):
         config_from_dict({"scheme": "frs", "n": 8, "k": 3, "l": 4,
                           "alpha": 0.75})
+    with pytest.raises(FormatError, match="bad alpha value: '1/0' has a zero"):
+        config_from_dict({"scheme": "frs", "n": 8, "k": 3, "l": 4,
+                          "alpha": "1/0"})
 
 
 TS_MINIMAL = {"scheme": "ts", "q": 13, "n": 12, "k": 4, "l": 4, "m": 2}

@@ -9,8 +9,7 @@ from fracdec import fields
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fracdec"
-# __init__.py imports only to re-export, so every name there is "unused"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source):
