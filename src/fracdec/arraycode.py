@@ -40,6 +40,14 @@ class ErrorPattern:
         return len(self.support)
 
 
+def _prime(field):
+    """The q of a prime field; TypeError for any other field."""
+    if field.order != field.char:
+        raise TypeError(f"error patterns apply over prime fields only, "
+                        f"not {field!r}")
+    return field.q
+
+
 def apply_error_pattern(field, columns, pattern):
     """Add the pattern's offsets onto a word, columnwise over the prime
     field `field`.
@@ -58,12 +66,9 @@ def apply_error_pattern(field, columns, pattern):
             raise ValueError(f"offset length {len(vec)} != column length "
                              f"{len(columns[idx])}")
         offsets.append((idx, tuple(field.check(e) for e in vec)))
-    if field.order != field.char:
-        raise TypeError(f"error patterns apply over prime fields only, "
-                        f"not {field!r}")
+    q = _prime(field)
     for idx, vec in offsets:
-        columns[idx] = tuple((a + e) % field.q
-                             for a, e in zip(columns[idx], vec))
+        columns[idx] = tuple((a + e) % q for a, e in zip(columns[idx], vec))
     return tuple(columns)
 
 
@@ -72,14 +77,17 @@ def difference_pattern(field, base_word, other_word, columns=None):
 
     columns defaults to all of them; columns where the words agree are
     skipped, so the pattern weight can be below len(columns). Both words'
-    symbols on those columns are checked against the field.
+    symbols there are checked first; then a non-prime field raises TypeError.
     """
     if columns is None:
         columns = range(len(base_word))
+    pairs = [(i, [(field.check(a), field.check(b))
+                  for a, b in zip(base_word[i], other_word[i])])
+             for i in sorted(columns)]
+    q = _prime(field)
     support, values = [], []
-    for i in sorted(columns):
-        offsets = tuple(field.sub(field.check(b), field.check(a))
-                        for a, b in zip(base_word[i], other_word[i]))
+    for i, column in pairs:
+        offsets = tuple((b - a) % q for a, b in column)
         if any(offsets):
             support.append(i)
             values.append(offsets)

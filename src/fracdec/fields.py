@@ -5,11 +5,11 @@ Elements are canonical integers. In GF(q) an element is its residue in
 coordinate vector (c_0, ..., c_{l-1}) is encoded as sum(c_i * q**i), so
 base-field elements keep their integer value when read in the extension.
 
-Extension arithmetic is `polyring` over the base field, reduced modulo
-`modulus`; the library uses it only to build a trace-dual basis pair.
-Arithmetic assumes canonical operands and does not validate them: `check`
-is the one validator, and the public entry points that take symbols from
-a caller or a file run it once per incoming symbol.
+The library computes on plain integers mod q. The arithmetic methods (in
+the extension, `polyring` reduced modulo `modulus`) are a reference that
+the tests and the benchmark tracer read. They assume canonical operands:
+`check` is the one validator, and the public entry points that take
+symbols from a caller or a file run it once per incoming symbol.
 """
 
 import itertools
@@ -250,8 +250,8 @@ def polynomial_basis(ext):
     return tuple(ext.q ** i for i in range(ext.degree))
 
 
-def _invert_matrix(base, rows):
-    """Inverse of a square matrix over GF(q) by Gauss-Jordan elimination.
+def _invert_matrix(q, rows):
+    """Inverse of a square matrix mod a prime q by Gauss-Jordan elimination.
 
     Returns None when the matrix is singular.
     """
@@ -263,13 +263,13 @@ def _invert_matrix(base, rows):
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = base.inv(aug[col][col])
-        aug[col] = [base.mul(inv, c) for c in aug[col]]
+        inv = pow(aug[col][col], q - 2, q)
+        aug[col] = [inv * c % q for c in aug[col]]
         for r in range(n):
             if r == col or aug[r][col] == 0:
                 continue
             factor = aug[r][col]
-            aug[r] = [base.sub(aug[r][j], base.mul(factor, aug[col][j]))
+            aug[r] = [(aug[r][j] - factor * aug[col][j]) % q
                       for j in range(2 * n)]
     return tuple(tuple(row[n:]) for row in aug)
 
@@ -291,11 +291,13 @@ class TraceDualBasis:
     a lossless split of every extension element into l base-field symbols.
 
     Both directions are l x l matrices over the base field, built once from
-    zeta. The projection matrix P[u][v] = trace(zeta_u * x^v) maps the
-    coordinates of beta to its trace coordinates. The dual element nu_i
-    satisfies trace(zeta_j * nu_i) = delta_ij, so P maps vec(nu_i) to the
-    i-th unit vector: nu is derived as the columns of P's inverse, and a
-    singular P means zeta is not a basis.
+    zeta. P[u][v] = trace(zeta_u * x^v) = sum_a vec(zeta_u)[a] * s[a + v]
+    maps beta's coordinates to its trace coordinates; s[t] = trace(x^t),
+    the power sums of the roots of the modulus c, follow mod q by Newton's
+    identities: s[0] = l, s[t] = -(t * c[l-t] if t <= l else 0)
+    - sum_{i=1}^{min(t-1, l)} c[l-i] * s[t-i]. As trace(zeta_j * nu_i) =
+    delta_ij, P maps vec(nu_i) to the i-th unit vector: nu is the columns
+    of P's inverse, and a singular P means zeta is not a basis.
     """
 
     ext: ExtField
@@ -310,10 +312,16 @@ class TraceDualBasis:
         if len(zeta) != ext.degree:
             raise ValueError(
                 f"basis must have {ext.degree} elements, got {len(zeta)}")
-        proj = tuple(tuple(ext.trace(ext.mul(z, x_v))
-                           for x_v in polynomial_basis(ext))
-                     for z in zeta)
-        recon = _invert_matrix(ext.base, proj)
+        q, l, c = ext.q, ext.degree, ext.modulus
+        s = [l % q]
+        for t in range(1, 2 * l - 1):
+            acc = t * c[l - t] if t <= l else 0
+            acc += sum(c[l - i] * s[t - i] for i in range(1, min(t, l + 1)))
+            s.append(-acc % q)
+        proj = tuple(tuple(sum(a * s[i + v] for i, a in enumerate(vec)) % q
+                           for v in range(l))
+                     for vec in map(ext.to_vec, zeta))
+        recon = _invert_matrix(q, proj)
         if recon is None:
             raise ValueError("given elements are linearly dependent over the "
                              "base field (singular trace projection matrix)")

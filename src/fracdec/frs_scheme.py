@@ -39,11 +39,9 @@ def smallest_primitive_root(p):
 
 
 def is_primitive_root(p, g):
-    field = PrimeField(p)
-    field.check(g)
-    if g == 0:
+    if PrimeField(p).check(g) == 0:
         return False
-    return all(field.pow(g, (p - 1) // f) != 1 for f in prime_factors(p - 1))
+    return all(pow(g, (p - 1) // f, p) != 1 for f in prime_factors(p - 1))
 
 
 @dataclass(frozen=True)

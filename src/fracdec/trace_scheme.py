@@ -172,6 +172,8 @@ def ts_make_config(q, n, k, l, m, *, omega=None, subsets=None, modulus=None,
                             for j in range(m))
         else:
             subsets = ((),) * m  # let TsConfig raise the precise error
+    elif len(subsets := tuple(subsets)) != m:
+        raise ValueError(f"m = {m} needs {m} subsets A, got {len(subsets)}")
     basis = dual_basis(ext, zeta)
     return TsConfig(ext=ext, k=k, omega=omega, subsets=tuple(subsets),
                     basis=basis)

@@ -13,8 +13,17 @@ import pytest
 
 import fracdec
 from fracdec import polyring
+from fracdec.fields import ExtField, PrimeField
 
 _criterion_lines = []
+
+# Every arithmetic method of the two field classes. The library computes
+# on integers mod q; these methods are the reference the tests read.
+FIELD_ARITHMETIC = {
+    PrimeField: ("add", "sub", "neg", "mul", "inv", "div", "pow"),
+    ExtField: ("add", "sub", "neg", "mul", "inv", "div", "pow", "frobenius",
+               "trace"),
+}
 
 
 @pytest.fixture
@@ -45,6 +54,22 @@ def polyring_calls(monkeypatch):
         return calls
 
     return watch
+
+
+@pytest.fixture
+def field_method_calls(monkeypatch):
+    """Count calls to every arithmetic method of PrimeField and ExtField:
+    returns the list each call appends "Class.method" to."""
+    calls = []
+    for cls, methods in FIELD_ARITHMETIC.items():
+        for method in methods:
+            def counting(self, *args, _name=f"{cls.__name__}.{method}",
+                         _original=getattr(cls, method)):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, method, counting)
+    return calls
 
 
 @pytest.fixture

@@ -24,6 +24,21 @@ def poly_mul(field, a, b):
     return normalize(out)
 
 
+def poly_pow(field, a, exponent):
+    """a**exponent by repeated squaring."""
+    if exponent < 0:
+        raise ValueError("polynomial exponent must be nonnegative")
+    result = (1,)
+    square = a
+    while exponent:
+        if exponent & 1:
+            result = poly_mul(field, result, square)
+        exponent >>= 1
+        if exponent:
+            square = poly_mul(field, square, square)
+    return result
+
+
 def poly_divmod(field, a, b):
     """Long division: (quotient, remainder) with deg r < deg b."""
     if not b:

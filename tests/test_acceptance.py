@@ -6,10 +6,9 @@ random parts run on fixed seeds so a failure here reproduces verbatim.
 
 import itertools
 from fractions import Fraction
-from pathlib import Path
 
 from fracdec.arraycode import apply_error_pattern
-from fracdec.bounds import (emit_figure, figure_csv, find_download_collision,
+from fracdec.bounds import (emit_figure, find_download_collision,
                             min_info_check, radius_optimal)
 from fracdec.cli import main
 from fracdec.errors import DecodeFailure
@@ -21,13 +20,14 @@ from fracdec.frs_scheme import (FrsConfig, frs_decode_trial, frs_download_all,
 from fracdec.harness import (compare_naive, random_error_pattern,
                              random_message, run_trial, trial_stream)
 from fracdec.polyring import (normalize, poly_add, poly_divmod, poly_eval,
-                              poly_mul, poly_pow, poly_sub)
+                              poly_mul, poly_sub)
 from fracdec.rs import RsCode, nearest_codeword_bruteforce, rs_decode_unique, \
     rs_encode
 from fracdec.trace_scheme import (TsConfig, ts_all_codewords, ts_download,
                                   ts_download_fns, ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
+from oracles import poly_pow
 
 SEED = 2026
 

@@ -173,6 +173,19 @@ def test_zero_denominator_exits_two(tmp_path, capsys, monkeypatch, argv,
     assert not out.exists()
 
 
+def test_subset_count_must_match_m(tmp_path, capsys):
+    """A trace config with fewer subsets A than m used to load with m
+    silently lowered to len(A)."""
+    config = write_json(tmp_path, "ts.json", {
+        "scheme": "ts", "q": 13, "n": 12, "k": 2, "l": 4, "m": 2,
+        "A": [[0, 1]]})
+    out = tmp_path / "cmp.json"
+    assert main(["compare-naive", "--config", config, "--t", "2",
+                 "--out", str(out)]) == 2
+    assert "m = 2 needs 2 subsets A, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_command(tmp_path):
     out = str(tmp_path / "b.json")
     assert main(["bounds", "--n", "12", "--k", "4", "--alpha", "1/2",

@@ -503,19 +503,44 @@ def test_trace_dual_basis_rejects_dependent_zeta():
                 TraceDualBasis(ext=f, zeta=(*zeta[:-1], dependent))
 
 
-def test_dual_basis_computes_each_trace_once(monkeypatch):
-    """The projection matrix trace(zeta_u * x^v) is built once: l^2 traces."""
-    calls = []
-
-    def counted(self, a, _trace=ExtField.trace):
-        calls.append(a)
-        return _trace(self, a)
-
-    monkeypatch.setattr(ExtField, "trace", counted)
+def test_dual_basis_makes_no_extension_field_call(field_method_calls):
+    """The projection matrix comes from the modulus's power sums on integers
+    mod q: building the pair calls no arithmetic method of either field."""
     for f in (gf8(), gf9(), ExtField(PrimeField(13), 4)):
-        calls.clear()
         dual_basis(f)
-        assert len(calls) == f.degree ** 2
+    assert field_method_calls == []
+
+
+# All 50 fields GF(q^l) with prime q <= 31, 1 <= l <= 5 and q^l <= 10^6,
+# including q | l (such as GF(4), where trace(1) = 0) and l = 1.
+POWER_SUM_FIELDS = [(q, l) for q in range(2, 32) if is_prime(q)
+                    for l in range(1, 6) if q ** l <= 10 ** 6]
+
+
+def test_dual_basis_power_sums_match_extension_traces():
+    """The power-sum projection matrix equals trace(zeta_u * x^v) computed
+    in extension arithmetic, for the default basis and three seeded random
+    zetas per field. A zeta whose coordinates are dependent (one is forced
+    per field) makes that matrix singular and raises the same ValueError."""
+    assert len(POWER_SUM_FIELDS) == 50
+    rng = random.Random(11)
+    for q, l in POWER_SUM_FIELDS:
+        f = ExtField(PrimeField(q), l)
+        xs = polynomial_basis(f)
+        zetas = [xs] + [tuple(rng.randrange(f.order) for _ in range(l))
+                        for _ in range(3)]
+        zetas.append((*zetas[-1][:-1], 0))
+        for zeta in zetas:
+            want = tuple(tuple(f.trace(f.mul(z, x_v)) for x_v in xs)
+                         for z in zeta)
+            dependent = fields._invert_matrix(q, [f.to_vec(z)
+                                                  for z in zeta]) is None
+            assert (fields._invert_matrix(q, want) is None) == dependent
+            if dependent:
+                with pytest.raises(ValueError, match="linearly dependent"):
+                    TraceDualBasis(ext=f, zeta=zeta)
+            else:
+                assert TraceDualBasis(ext=f, zeta=zeta)._proj == want
 
 
 # nu of the default basis for the three shipped trace fields and GF(31^4),

@@ -10,7 +10,7 @@ import pytest
 
 from fracdec.arraycode import (ErrorPattern, apply_error_pattern,
                                difference_pattern)
-from fracdec.bounds import radius_naive
+from fracdec.bounds import find_download_collision, radius_naive
 from fracdec.errors import BudgetExceeded, DecodeFailure
 from fracdec.frs_scheme import (FrsConfig, bundle_columns, flatten_columns,
                                 frs_all_codewords, frs_decode_trial,
@@ -25,7 +25,8 @@ from fracdec.harness import (_decode_naive, _symbol_field,
                              random_message, trial_stream)
 from fracdec.rs import RsCode, decode_columns, rs_decode_unique
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import ts_encode, ts_full_pipeline
+from fracdec.trace_scheme import (ts_all_codewords, ts_download_fns,
+                                  ts_encode, ts_full_pipeline)
 from oracles import trial_decode_columns
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -439,25 +440,26 @@ def test_naive_reader_matches_trial_oracle_at_every_weight(name):
 
 
 @pytest.mark.parametrize("name", SHIPPED_FOLDED + SHIPPED_TRACE)
-def test_pipeline_makes_no_prime_field_method_call(name, monkeypatch):
-    """Encoding, corruption, downloads and decoding at the radius run as
-    integer loops and dot products mod q, not through GF(q)'s methods."""
+def test_pipeline_makes_no_prime_field_method_call(name, field_method_calls):
+    """Building the config from its file, then encoding, corruption,
+    downloads and decoding at the radius, and on the two tiny configs the
+    collision search with its witness, run as integer loops and dot
+    products mod q: no arithmetic method of PrimeField or ExtField runs."""
     cfg = shipped_config(name)
     stream = trial_stream(0, cfg.radius, 0)
     message = random_message(cfg, stream)
     pattern = random_error_pattern(cfg, stream, cfg.radius)
-    calls = []
-    for method in ("add", "sub", "neg", "mul", "div"):
-        def counted(self, *args, _method=method,
-                    _original=getattr(PrimeField, method)):
-            calls.append(_method)
-            return _original(self, *args)
-        monkeypatch.setattr(PrimeField, method, counted)
-    pipeline = (frs_full_pipeline if isinstance(cfg, FrsConfig)
-                else ts_full_pipeline)
+    folded = isinstance(cfg, FrsConfig)
+    pipeline = frs_full_pipeline if folded else ts_full_pipeline
     decoded, _ = pipeline(cfg, message, pattern)
     assert decoded == message and pattern.weight == cfg.radius
-    assert calls == []
+    if name in ("frs-p19-n6-k1", "ts-q5-n4-k2"):
+        fns = frs_download_fns(cfg) if folded else ts_download_fns(cfg)
+        words = [word for _, word in (frs_all_codewords(cfg) if folded
+                                      else ts_all_codewords(cfg))]
+        assert find_download_collision(_symbol_field(cfg), words, fns,
+                                       cfg.radius + 1) is not None
+    assert field_method_calls == []
 
 
 def test_folded_decode_interpolates_once(polyring_calls):

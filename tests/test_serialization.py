@@ -1,7 +1,6 @@
 """File-format tests: round trips, defaults, and structural rejection."""
 
 import io
-import json
 from pathlib import Path
 
 import pytest
@@ -65,6 +64,10 @@ def test_config_structural_rejection():
     with pytest.raises(FormatError, match="bad alpha value: '1/0' has a zero"):
         config_from_dict({"scheme": "frs", "n": 8, "k": 3, "l": 4,
                           "alpha": "1/0"})
+    # m is read, not overridden by the number of subsets A
+    with pytest.raises(ValueError, match="m = 2 needs 2 subsets A, got 1"):
+        config_from_dict({"scheme": "ts", "q": 13, "n": 12, "k": 2, "l": 4,
+                          "m": 2, "A": [[0, 1]]})
 
 
 TS_MINIMAL = {"scheme": "ts", "q": 13, "n": 12, "k": 4, "l": 4, "m": 2}

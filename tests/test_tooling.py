@@ -1,4 +1,5 @@
-"""Source hygiene checks on the package modules, run with the test suite."""
+"""Source hygiene checks on the package modules (and, for unused imports,
+the tests and demos), run with the test suite."""
 
 import ast
 from pathlib import Path
@@ -35,7 +36,11 @@ def test_unused_import_check_flags_unread_names():
     assert unused_imports(source) == ["degree", "os", "osp"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+@pytest.mark.parametrize(
+    "path", MODULES + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "demos").glob("*.py")),
+    ids=lambda path: path.stem if path.parent == SRC
+    else f"{path.parent.name}.{path.stem}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

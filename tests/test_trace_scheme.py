@@ -147,10 +147,10 @@ def build_stream_poly(cfg, msg, j):
     hs = ts_project_polys(cfg, msg)
     base, l, m = cfg.base, cfg.l, cfg.m
     pj = cfg.annihilators[j]
-    g = P.poly_mul(base, hs[l - m + j], P.poly_pow(base, pj, l - m))
+    g = P.poly_mul(base, hs[l - m + j], oracles.poly_pow(base, pj, l - m))
     for u in range(l - m):
         g = P.poly_add(base, g, P.poly_mul(base, hs[u],
-                                           P.poly_pow(base, pj, u)))
+                                           oracles.poly_pow(base, pj, u)))
     return g
 
 
