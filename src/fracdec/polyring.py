@@ -1,4 +1,5 @@
-"""Univariate polynomial arithmetic over a prime field GF(q).
+"""Univariate polynomial arithmetic over a prime field GF(q), and nothing
+else: interpolation at a code's points lives in `rs`.
 
 A polynomial is a tuple of field elements, constant coefficient first,
 with no trailing zeros; the zero polynomial is the empty tuple, of degree
@@ -102,12 +103,16 @@ def poly_eval(field, a, x):
 
 
 def poly_from_roots(field, roots):
-    """Monic polynomial whose roots are exactly the given elements."""
+    """Monic polynomial whose roots are exactly the given elements,
+    multiplied by each x - r in place."""
     q = _prime(field)
-    out = (1,)
+    out = [1]
     for r in roots:
-        out = poly_mul(field, out, (-r % q, 1))
-    return out
+        out.append(1)
+        for i in range(len(out) - 2, 0, -1):
+            out[i] = (out[i - 1] - r * out[i]) % q
+        out[0] = -r * out[0] % q
+    return tuple(out)
 
 
 def poly_powmod(field, a, exponent, modulus):
@@ -133,46 +138,3 @@ def poly_gcd(field, a, b):
     while b:
         a, b = b, poly_divmod(field, a, b)[1]
     return poly_scale(field, a, pow(a[-1], q - 2, q)) if a else ()
-
-
-def lagrange_basis(field, xs):
-    """The polynomials L_i of degree < len(xs) with L_i(xs[j]) = [i == j].
-
-    L_i is (M / (x - xs[i])) / M'(xs[i]) for the monic M whose roots are
-    the xs. One synthetic-division pass over M yields the quotient
-    coefficients from the top down, and Horner's rule on them as they
-    appear gives the quotient at xs[i], which is M'(xs[i]); so the whole
-    basis costs O(len^2) after building M.
-    """
-    q = _prime(field)
-    xs = list(xs)
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must have distinct x coordinates")
-    master = poly_from_roots(field, xs)
-    out = []
-    for x in xs:
-        quotient = [0] * len(xs)
-        coef = slope = 0
-        for j in range(len(xs), 0, -1):
-            coef = (coef * x + master[j]) % q
-            quotient[j - 1] = coef
-            slope = (slope * x + coef) % q
-        scale = pow(slope, q - 2, q)
-        out.append(tuple(c * scale % q for c in quotient))
-    return out
-
-
-def interpolate(field, points):
-    """Unique polynomial of degree < len(points) through the given points.
-
-    points is a sequence of (x, y) pairs with distinct x; the result is
-    sum_i y_i * L_i over the Lagrange basis of the x coordinates.
-    """
-    q = _prime(field)
-    points = list(points)
-    acc = [0] * len(points)
-    for (_, y), basis in zip(points, lagrange_basis(field,
-                                                    (x for x, _ in points))):
-        for j, c in enumerate(basis):
-            acc[j] += y * c
-    return normalize([c % q for c in acc])

@@ -10,7 +10,8 @@ off the exact quotient.
 
 Both linear maps a code applies on every call, interpolation through its
 points and evaluation at them, depend on the code alone: `RsCode` builds
-them once as integer matrices (O(n^2) memory). `rs_evaluate` and
+them once as integer matrices (O(n^2) memory), the Lagrange columns by
+synthetic division of its master polynomial. `rs_evaluate` and
 `rs_interpolate`, the only products with those tables, evaluate and
 interpolate at a code's points for the whole package; like `polyring`,
 they trust their operands.
@@ -23,8 +24,8 @@ from operator import mul, ne
 from .budget import check_budget
 from .errors import DecodeFailure, InconsistentErasures
 from .fields import PrimeField
-from .polyring import (degree, interpolate, lagrange_basis, normalize,
-                       poly_divmod, poly_from_roots, poly_mul, poly_sub)
+from .polyring import (degree, normalize, poly_divmod, poly_from_roots,
+                       poly_mul, poly_sub)
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,10 @@ class RsCode:
         decoding starts its Euclid run from.
     lagrange: n rows of n integers; row j holds each point's weight in
         coefficient j of the interpolant, so column i is the Lagrange basis
-        polynomial (master / (x - omega_i)) / master'(omega_i).
+        polynomial (master / (x - omega_i)) / master'(omega_i). One
+        synthetic-division pass over master yields the quotient from the
+        top down, and Horner's rule on it as it appears gives
+        master'(omega_i), so the table costs O(n^2) after master.
     powers: row i is (omega_i^0, ..., omega_i^(k-1)), the evaluation map.
     """
 
@@ -63,10 +67,20 @@ class RsCode:
             raise ValueError(f"k must be an int, got {k!r}")
         if not 1 <= k <= len(omega):
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={len(omega)}")
-        q = field.q
-        object.__setattr__(self, "master", poly_from_roots(field, omega))
-        object.__setattr__(self, "lagrange",
-                           tuple(zip(*lagrange_basis(field, omega))))
+        q, n = field.q, len(omega)
+        master = poly_from_roots(field, omega)
+        columns = []
+        for x in omega:
+            quotient = [0] * n
+            coef = slope = 0
+            for j in range(n, 0, -1):
+                coef = (coef * x + master[j]) % q
+                quotient[j - 1] = coef
+                slope = (slope * x + coef) % q
+            scale = pow(slope, q - 2, q)
+            columns.append([c * scale % q for c in quotient])
+        object.__setattr__(self, "master", master)
+        object.__setattr__(self, "lagrange", tuple(zip(*columns)))
         object.__setattr__(self, "powers", tuple(
             tuple(pow(w, j, q) for j in range(k)) for w in omega))
 
@@ -192,7 +206,8 @@ def rs_erasure_decode(code, known):
     if len(known) < code.k:
         raise ValueError(f"need at least k = {code.k} clean symbols, got {len(known)}")
     head, tail = known[:code.k], known[code.k:]
-    h = interpolate(field, [(code.omega[pos], val) for pos, val in head])
+    head_code = RsCode(field, code.k, [code.omega[pos] for pos, _ in head])
+    h = rs_interpolate(head_code, [val for _, val in head])
     codeword = rs_evaluate(code, h)
     for pos, val in tail:
         if codeword[pos] != val:

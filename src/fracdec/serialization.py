@@ -83,6 +83,8 @@ def config_from_dict(data):
                      f"ts config needs integer field {key!r}")
         omega = data.get("omega")
         subsets = data.get("A")
+        _require(subsets is None or isinstance(subsets, list),
+                 "ts config field 'A' must be a list of integer lists")
         modulus = data.get("modulus")
         zeta = data.get("zeta")
         return ts_make_config(

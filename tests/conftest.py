@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import fracdec
-from fracdec import polyring
+from fracdec import polyring, rs
 from fracdec.fields import ExtField, PrimeField
 
 _criterion_lines = []
@@ -26,10 +26,9 @@ FIELD_ARITHMETIC = {
 }
 
 
-@pytest.fixture
-def polyring_calls(monkeypatch):
-    """watch(*names) starts counting calls to the named `polyring`
-    functions from every fracdec module and returns the list each call
+def _call_watcher(monkeypatch, home):
+    """watch(*names) starts counting calls to the named functions of the
+    module `home` from every fracdec module and returns the list each call
     appends its function's name to.
 
     Every fracdec module is imported before the patch: one first imported
@@ -41,7 +40,7 @@ def polyring_calls(monkeypatch):
             importlib.import_module(module.name)
         calls = []
         for fn in names:
-            original = getattr(polyring, fn)
+            original = getattr(home, fn)
 
             def counting(*args, _fn=fn, _original=original):
                 calls.append(_fn)
@@ -54,6 +53,34 @@ def polyring_calls(monkeypatch):
         return calls
 
     return watch
+
+
+@pytest.fixture
+def polyring_calls(monkeypatch):
+    """Count calls to `polyring` functions; see `_call_watcher`."""
+    return _call_watcher(monkeypatch, polyring)
+
+
+@pytest.fixture
+def rs_calls(monkeypatch):
+    """Count calls to `rs` functions; see `_call_watcher`."""
+    return _call_watcher(monkeypatch, rs)
+
+
+@pytest.fixture
+def rs_codes_built(monkeypatch):
+    """Count RsCode constructions, through its __post_init__, where every
+    table of a code is built: returns the list each one appends its
+    points to."""
+    built = []
+    original = rs.RsCode.__post_init__
+
+    def counting(self):
+        original(self)
+        built.append(self.omega)
+
+    monkeypatch.setattr(rs.RsCode, "__post_init__", counting)
+    return built
 
 
 @pytest.fixture

@@ -186,6 +186,19 @@ def test_subset_count_must_match_m(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_subsets_must_be_a_list(tmp_path, capsys):
+    """"A": 5 used to fail inside the config builder with "'int' object is
+    not iterable"; it stops at the boundary with the field named."""
+    config = write_json(tmp_path, "ts.json", {
+        "scheme": "ts", "q": 13, "n": 12, "k": 4, "l": 4, "m": 2, "A": 5})
+    out = tmp_path / "cmp.json"
+    assert main(["compare-naive", "--config", config, "--t", "2",
+                 "--out", str(out)]) == 2
+    assert ("ts config field 'A' must be a list of integer lists"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_bounds_command(tmp_path):
     out = str(tmp_path / "b.json")
     assert main(["bounds", "--n", "12", "--k", "4", "--alpha", "1/2",

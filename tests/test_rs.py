@@ -84,26 +84,6 @@ def test_poly_from_roots_vanishes():
             assert P.poly_eval(F13, poly, x) != 0
 
 
-def test_interpolate_roundtrip():
-    random.seed(4)
-    for _ in range(40):
-        k = random.randrange(1, 6)
-        coeffs = P.normalize(tuple(random.randrange(13) for _ in range(k)))
-        xs = random.sample(range(13), k)
-        points = [(x, P.poly_eval(F13, coeffs, x)) for x in xs]
-        assert P.interpolate(F13, points) == coeffs
-    with pytest.raises(ValueError):
-        P.interpolate(F13, [(1, 2), (1, 3)])
-
-
-def test_interpolate_over_extension_field():
-    f = ExtField(PrimeField(3), 2)
-    coeffs = (5, 7)
-    points = [(x, oracles.poly_eval(f, coeffs, x)) for x in (0, 1, 2)]
-    with pytest.raises(TypeError):
-        P.interpolate(f, points[:2])
-
-
 def test_kernel_refuses_extension_fields():
     """Reducing mod q is wrong in GF(q^l): the integer kernel raises
     instead of returning values reduced mod the wrong number."""
@@ -114,8 +94,8 @@ def test_kernel_refuses_extension_fields():
                  lambda: P.poly_mul(f, a, b),
                  lambda: P.poly_divmod(f, a, b), lambda: P.poly_eval(f, a, 3),
                  lambda: P.poly_from_roots(f, (1, 3)),
-                 lambda: P.poly_powmod(f, a, 3, b), lambda: P.poly_gcd(f, a, b),
-                 lambda: P.lagrange_basis(f, (0, 1))):
+                 lambda: P.poly_powmod(f, a, 3, b),
+                 lambda: P.poly_gcd(f, a, b)):
         with pytest.raises(TypeError):
             call()
     with pytest.raises(ValueError, match="prime field"):
@@ -137,16 +117,32 @@ def test_integer_kernel_matches_field_method_reference(q):
         assert P.poly_eval(field, a, x) == oracles.poly_eval(field, a, x)
         if b:
             assert P.poly_divmod(field, a, b) == oracles.poly_divmod(field, a, b)
-        xs = rng.sample(range(q), rng.randrange(1, min(q, 9) + 1))
-        points = [(x, rng.randrange(q)) for x in xs]
-        assert P.interpolate(field, points) == oracles.interpolate(field, points)
+
+
+@pytest.mark.parametrize("q", (2, 13, 31, 53, 257))
+def test_poly_from_roots_matches_product(q):
+    """The one-pass product equals the product of the linear factors
+    x - r through poly_mul, on seeded root lists that include the empty
+    list, 0 and repeated roots."""
+    field = PrimeField(q)
+    rng = random.Random(200 + q)
+    root_lists = [(), (0,), (0, 0), (q - 1,) * 3, tuple(range(min(q, 20)))]
+    for _ in range(40):
+        roots = [rng.randrange(q) for _ in range(rng.randrange(1, 25))]
+        root_lists += [tuple(roots), tuple(roots) + (0,) + tuple(roots[:3])]
+    for roots in root_lists:
+        expected = (1,)
+        for r in roots:
+            expected = P.poly_mul(field, expected, (-r % q, 1))
+        assert P.poly_from_roots(field, roots) == expected
 
 
 @pytest.mark.parametrize("q", (2, 13, 31, 53))
 def test_lagrange_basis_matches_reference(q):
-    """L_i is the interpolant of the indicator of point i, on seeded point
-    sets from a single point up to 13 points (the whole field for q <= 13),
-    with and without 0 among the points."""
+    """Column i of an RsCode's lagrange table is L_i, the interpolant of
+    the indicator of point i, on seeded point sets from a single point up
+    to 13 points (the whole field for q <= 13), with and without 0 among
+    the points."""
     field = PrimeField(q)
     rng = random.Random(100 + q)
     size = min(q, 13)
@@ -155,11 +151,11 @@ def test_lagrange_basis_matches_reference(q):
         xs = rng.sample(range(1, q), rng.randrange(1, size))
         point_sets += [tuple(xs), tuple(xs) + (0,)]
     for xs in point_sets:
-        basis = P.lagrange_basis(field, xs)
+        basis = list(zip(*RsCode(field, len(xs), xs).lagrange))
         assert len(basis) == len(xs)
-        for i, got in enumerate(basis):
+        for i, column in enumerate(basis):
             indicator = [(x, int(j == i)) for j, x in enumerate(xs)]
-            assert got == oracles.interpolate(field, indicator)
+            assert column == oracles.interpolate(field, indicator)
 
 
 @pytest.mark.parametrize("q, n, k", ((2, 2, 1), (13, 8, 3), (31, 30, 8),
@@ -318,21 +314,32 @@ def test_rs_decode_degenerate_zero_radius():
     assert h == msg and errs == frozenset()
 
 
-def test_rs_decode_reuses_the_master_polynomial(polyring_calls):
+def test_rs_decode_reuses_the_master_polynomial(polyring_calls,
+                                                rs_codes_built):
     """RsCode builds its master polynomial and its interpolation and
-    evaluation tables once; a decode must not rebuild any of them, divide
-    out a Lagrange basis polynomial or evaluate a polynomial."""
+    evaluation tables once; a decode must not rebuild any of them, build
+    another code or evaluate a polynomial."""
     cfg = config_from_dict(load_json(str(CONFIG_DIR / "frs-p37-n8-k3.json")))
     code = cfg.prefix_code
-    calls = polyring_calls("poly_from_roots", "lagrange_basis", "interpolate",
-                           "poly_eval")
+    rs_codes_built.clear()
+    calls = polyring_calls("poly_from_roots", "poly_eval")
     msg = tuple(range(1, code.k + 1))
     received = list(rs_encode(code, msg))
     for i in range(code.radius):
         received[2 * i] = (received[2 * i] + 1) % cfg.field.q
     h, errs = rs_decode_unique(code, received)
     assert h == msg and len(errs) == code.radius
-    assert calls == []
+    assert calls == [] and rs_codes_built == []
+
+
+@pytest.mark.parametrize("q, n", ((2, 1), (13, 13), (31, 30)))
+def test_rs_code_builds_its_master_once(q, n, polyring_calls):
+    """The Lagrange table is derived from the code's own master polynomial,
+    so a code multiplies out its points exactly once."""
+    calls = polyring_calls("poly_from_roots")
+    code = RsCode(PrimeField(q), 1, range(n))
+    assert calls == ["poly_from_roots"]
+    assert code.master == P.poly_from_roots(code.field, code.omega)
 
 
 def test_rs_erasure_decode():

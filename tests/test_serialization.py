@@ -64,6 +64,9 @@ def test_config_structural_rejection():
     with pytest.raises(FormatError, match="bad alpha value: '1/0' has a zero"):
         config_from_dict({"scheme": "frs", "n": 8, "k": 3, "l": 4,
                           "alpha": "1/0"})
+    for subsets in (5, "ab", {"0": [0, 1]}):
+        with pytest.raises(FormatError, match="'A' must be a list"):
+            config_from_dict(dict(TS_MINIMAL, A=subsets))
     # m is read, not overridden by the number of subsets A
     with pytest.raises(ValueError, match="m = 2 needs 2 subsets A, got 1"):
         config_from_dict({"scheme": "ts", "q": 13, "n": 12, "k": 2, "l": 4,

@@ -45,16 +45,16 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def stranded_privates(sources):
-    """Module-level `_private` functions, as "module._name", that no module
-    of `sources` (name -> source) reads, sorted."""
+def unread_functions(sources, wanted):
+    """Module-level functions `name` of a module for which
+    `wanted(module, name)` holds, as "module.name", that no module of
+    `sources` (name -> source) reads, sorted."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         defined.extend((module, node.name) for node in tree.body
                        if isinstance(node, ast.FunctionDef)
-                       and node.name.startswith("_")
-                       and not node.name.startswith("__"))
+                       and wanted(module, node.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -62,6 +62,12 @@ def stranded_privates(sources):
                 read.add(node.attr)
     return sorted(f"{module}.{name}" for module, name in defined
                   if name not in read)
+
+
+def stranded_privates(sources):
+    """Module-level `_private` functions that no module of `sources` reads."""
+    return unread_functions(sources, lambda module, name: (
+        name.startswith("_") and not name.startswith("__")))
 
 
 def test_stranded_private_check_flags_unread_functions():
@@ -73,10 +79,24 @@ def test_stranded_private_check_flags_unread_functions():
     assert stranded_privates(sources) == ["a._dead"]
 
 
+def library_sources():
+    return {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+
+
 def test_no_stranded_private_functions():
-    sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in SRC.glob("*.py")}
-    assert stranded_privates(sources) == []
+    assert stranded_privates(library_sources()) == []
+
+
+def test_every_polyring_function_has_a_library_caller():
+    """polyring is the kernel the library computes with: a function only
+    the tests call is dead code there, and belongs in tests/oracles.py."""
+    assert unread_functions(library_sources(),
+                            lambda module, name: module == "polyring") == []
+    sources = {"polyring": "def used():\n    pass\ndef dead():\n    pass\n",
+               "rs": "from .polyring import used\nused()\n"}
+    assert unread_functions(sources,
+                            lambda module, name: module == "polyring") == [
+        "polyring.dead"]
 
 
 def traced_field_methods(source):

@@ -430,9 +430,11 @@ def test_pipeline_runs_no_extension_field_arithmetic(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", SHIPPED_TRACE)
-def test_peel_interpolates_through_the_anchor_table(name, polyring_calls):
-    """anchor_code is the (k, k) code on A_0, then A_1, ...; the peel
-    applies its Lagrange table and builds no basis polynomial."""
+def test_peel_interpolates_through_the_anchor_table(name, rs_calls,
+                                                    rs_codes_built):
+    """anchor_code is the (k, k) code on A_0, then A_1, ...; the decode
+    builds no code and interpolates l times: once in each of the m stream
+    decodes, then once per peel layer through the anchor table."""
     cfg = shipped_config(name)
     assert cfg.anchor_code.omega == tuple(a for s in cfg.subsets for a in s)
     assert cfg.anchor_code.k == cfg.anchor_code.n == cfg.k
@@ -441,10 +443,13 @@ def test_peel_interpolates_through_the_anchor_table(name, polyring_calls):
     pattern = random_error_pattern(cfg, stream, cfg.radius)
     word = apply_error_pattern(cfg.base, ts_encode(cfg, message), pattern)
     bundle = ts_download_all(cfg, word)
-    calls = polyring_calls("interpolate", "lagrange_basis")
+    rs_codes_built.clear()
+    calls = rs_calls("rs_decode_unique", "rs_interpolate")
     decoded, _ = ts_decode_message(cfg, bundle)
     assert decoded == message
-    assert calls == []
+    assert calls == (["rs_decode_unique", "rs_interpolate"] * cfg.m
+                     + ["rs_interpolate"] * (cfg.l - cfg.m))
+    assert rs_codes_built == []
 
 
 def test_malformed_bundle_rejected():
