@@ -10,11 +10,28 @@ off the exact quotient.
 
 Both linear maps a code applies on every call, interpolation through its
 points and evaluation at them, depend on the code alone: `RsCode` builds
-them once as integer matrices (O(n^2) memory), the Lagrange columns by
-synthetic division of its master polynomial. `rs_evaluate` and
-`rs_interpolate`, the only products with those tables, evaluate and
-interpolate at a code's points for the whole package; like `polyring`,
-they trust their operands.
+them once, the Lagrange columns by synthetic division of its master
+polynomial, and packs each column of each table into one integer whose
+fixed-width digits are the column's entries (Kronecker substitution).
+`rs_evaluate` and `rs_interpolate`, the only products with those tables,
+evaluate and interpolate at a code's points for the whole package: each
+is one multiply-accumulate of the operand's symbols with the packed
+columns, then one unpack of the n digits mod q. The digit width is chosen
+so that n * (q - 1)^2 < 2^width, so no digit carries into the next and
+the arithmetic stays exact.
+
+The two products trust their operands, like `polyring`, and here that
+trust is a precondition: every symbol must be a canonical integer in
+[0, q). A non-canonical symbol is not reduced mod q: a negative one
+borrows from the neighbouring digits and an oversized one can carry into
+them, so the product is silently wrong. Symbols
+are checked once, where they enter, before any product sees them:
+`rs_encode`, `rs_decode_unique` (and so `decode_columns`) and
+`rs_erasure_decode` run the field's check on their input, and
+`trace_scheme.ts_encode` checks each message symbol before projecting it.
+Every other operand is computed mod q from checked data: the quotient a
+decode evaluates, the trace peel's `poly_eval` values, and the messages
+the brute-force oracles draw from `field.elements()`.
 """
 
 import itertools
@@ -36,19 +53,25 @@ class RsCode:
     The derived fields are built once, here, and take O(n^2) memory:
     master: the monic polynomial whose roots are the points, which unique
         decoding starts its Euclid run from.
-    lagrange: n rows of n integers; row j holds each point's weight in
-        coefficient j of the interpolant, so column i is the Lagrange basis
-        polynomial (master / (x - omega_i)) / master'(omega_i). One
+    width: the bit width of one packed digit, the least multiple of 8 with
+        n * (q - 1)^2 < 2^width, so a sum of n products of canonical
+        symbols fits in one digit.
+    lagrange: n packed integers; digit j of entry i is point i's weight in
+        coefficient j of the interpolant, so entry i packs the Lagrange
+        basis polynomial (master / (x - omega_i)) / master'(omega_i). One
         synthetic-division pass over master yields the quotient from the
         top down, and Horner's rule on it as it appears gives
         master'(omega_i), so the table costs O(n^2) after master.
-    powers: row i is (omega_i^0, ..., omega_i^(k-1)), the evaluation map.
+    powers: k packed integers; digit i of entry j is omega_i^j, so entry j
+        is column j of the evaluation map.
+    Only `rs_interpolate` and `rs_evaluate` read the packed tables.
     """
 
     field: PrimeField
     k: int
     omega: tuple
     master: tuple = dc_field(init=False, repr=False, compare=False)
+    width: int = dc_field(init=False, repr=False, compare=False)
     lagrange: tuple = dc_field(init=False, repr=False, compare=False)
     powers: tuple = dc_field(init=False, repr=False, compare=False)
 
@@ -68,8 +91,9 @@ class RsCode:
         if not 1 <= k <= len(omega):
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={len(omega)}")
         q, n = field.q, len(omega)
+        size = -(-(n * (q - 1) ** 2).bit_length() // 8)
         master = poly_from_roots(field, omega)
-        columns = []
+        lagrange = []
         for x in omega:
             quotient = [0] * n
             coef = slope = 0
@@ -78,11 +102,15 @@ class RsCode:
                 quotient[j - 1] = coef
                 slope = (slope * x + coef) % q
             scale = pow(slope, q - 2, q)
-            columns.append([c * scale % q for c in quotient])
+            lagrange.append(_pack([c * scale % q for c in quotient], size))
+        powers, column = [], [1] * n
+        for _ in range(k):
+            powers.append(_pack(column, size))
+            column = [c * w % q for c, w in zip(column, omega)]
         object.__setattr__(self, "master", master)
-        object.__setattr__(self, "lagrange", tuple(zip(*columns)))
-        object.__setattr__(self, "powers", tuple(
-            tuple(pow(w, j, q) for j in range(k)) for w in omega))
+        object.__setattr__(self, "width", 8 * size)
+        object.__setattr__(self, "lagrange", tuple(lagrange))
+        object.__setattr__(self, "powers", tuple(powers))
 
     @property
     def n(self):
@@ -106,18 +134,33 @@ def rs_encode(code, message):
     return rs_evaluate(code, h)
 
 
+def _pack(values, size):
+    """One integer whose little-endian digits, `size` bytes each, are the
+    nonnegative `values`."""
+    return int.from_bytes(b"".join(map(
+        int.to_bytes, values, itertools.repeat(size),
+        itertools.repeat("little"))), "little")
+
+
+def _unpack(code, acc):
+    """The n digits of a product with one of the code's packed tables,
+    lowest first, each reduced mod q."""
+    width, q = code.width, code.field.q
+    mask = (1 << width) - 1
+    return [(acc >> shift & mask) % q
+            for shift in range(0, code.n * width, width)]
+
+
 def rs_evaluate(code, h):
     """h at the code's points through `code.powers`; h is at most k
     canonical coefficients, trailing zeros allowed."""
-    q = code.field.q
-    return tuple(sum(map(mul, h, row)) % q for row in code.powers)
+    return tuple(_unpack(code, sum(map(mul, h, code.powers))))
 
 
 def rs_interpolate(code, word):
     """The polynomial of degree < n through the n canonical symbols of the
     sequence `word` at the code's points, through `code.lagrange`."""
-    q = code.field.q
-    return normalize([sum(map(mul, word, row)) % q for row in code.lagrange])
+    return normalize(_unpack(code, sum(map(mul, word, code.lagrange))))
 
 
 def rs_decode_unique(code, received):

@@ -137,9 +137,18 @@ def test_poly_from_roots_matches_product(q):
         assert P.poly_from_roots(field, roots) == expected
 
 
+def table_columns(code, table):
+    """Each packed entry of an RsCode table as the tuple of its n digits,
+    `code.width` bits each, lowest first."""
+    mask = (1 << code.width) - 1
+    return [tuple(entry >> shift & mask
+                  for shift in range(0, code.n * code.width, code.width))
+            for entry in table]
+
+
 @pytest.mark.parametrize("q", (2, 13, 31, 53))
 def test_lagrange_basis_matches_reference(q):
-    """Column i of an RsCode's lagrange table is L_i, the interpolant of
+    """Entry i of an RsCode's lagrange table packs L_i, the interpolant of
     the indicator of point i, on seeded point sets from a single point up
     to 13 points (the whole field for q <= 13), with and without 0 among
     the points."""
@@ -151,7 +160,8 @@ def test_lagrange_basis_matches_reference(q):
         xs = rng.sample(range(1, q), rng.randrange(1, size))
         point_sets += [tuple(xs), tuple(xs) + (0,)]
     for xs in point_sets:
-        basis = list(zip(*RsCode(field, len(xs), xs).lagrange))
+        code = RsCode(field, len(xs), xs)
+        basis = table_columns(code, code.lagrange)
         assert len(basis) == len(xs)
         for i, column in enumerate(basis):
             indicator = [(x, int(j == i)) for j, x in enumerate(xs)]
@@ -162,16 +172,19 @@ def test_lagrange_basis_matches_reference(q):
                                      (53, 24, 12)))
 def test_code_tables_match_reference(q, n, k):
     """lagrange applied to a word is its interpolant, and powers applied to
-    a message is its evaluation at every point."""
+    a message is its evaluation at every point, with the packed tables read
+    back as rows of integers."""
     field = PrimeField(q)
     rng = random.Random(n)
     code = RsCode(field, k, rng.sample(range(q), n))
     for _ in range(20):
         word = [rng.randrange(q) for _ in range(n)]
-        got = P.normalize(sum(map(mul, word, row)) % q for row in code.lagrange)
+        got = P.normalize(sum(map(mul, word, row)) % q
+                          for row in zip(*table_columns(code, code.lagrange)))
         assert got == oracles.interpolate(field, zip(code.omega, word))
         msg = random_poly(rng, q, k)
-        assert [sum(map(mul, msg, row)) % q for row in code.powers] == [
+        assert [sum(map(mul, msg, row)) % q
+                for row in zip(*table_columns(code, code.powers))] == [
             oracles.poly_eval(field, msg, w) for w in code.omega]
 
 
@@ -191,6 +204,42 @@ def test_rs_products_match_reference(q, n, k):
         assert rs_evaluate(code, msg) == tuple(
             oracles.poly_eval(field, P.normalize(msg), w) for w in code.omega)
         assert rs_encode(code, msg) == rs_evaluate(code, msg)
+
+
+@pytest.mark.parametrize("q, n, k", ((2, 1, 1), (2, 2, 1), (2, 2, 2),
+                                     (31, 30, 8), (53, 48, 12),
+                                     (4294967311, 5, 3), (4294967311, 5, 5)))
+def test_packed_products_hold_at_the_carry_boundary(q, n, k):
+    """The packed products equal the textbook ones where the digit sums
+    are largest: words whose symbols are all q - 1 and messages of full
+    length k with every coefficient q - 1, then seeded random words. The
+    shapes are GF(2) at n = 1 and 2, the trace and folded benchmark codes,
+    and GF(2^32 + 15), whose digits are wider than 64 bits."""
+    field = PrimeField(q)
+    rng = random.Random(n * k)
+    code = RsCode(field, k, [q - 1] + rng.sample(range(q - 1), n - 1))
+    assert n * (q - 1) ** 2 < 2 ** code.width
+    words = [[q - 1] * n] + [[rng.randrange(q) for _ in range(n)]
+                             for _ in range(10)]
+    messages = [[q - 1] * k] + [[rng.randrange(q) for _ in range(k)]
+                                for _ in range(10)]
+    for word, msg in zip(words, messages):
+        assert rs_interpolate(code, word) == oracles.interpolate(
+            field, zip(code.omega, word))
+        assert rs_evaluate(code, msg) == tuple(
+            oracles.poly_eval(field, P.normalize(msg), w) for w in code.omega)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_shipped_codes_leave_digits_room(path):
+    """Every code a shipped config builds packs its tables with digits wide
+    enough that n products of canonical symbols never carry."""
+    cfg = config_from_dict(load_json(str(path)))
+    codes = [v for v in vars(cfg).values() if isinstance(v, RsCode)]
+    assert len(codes) == 2
+    for code in codes:
+        assert code.n * (code.field.q - 1) ** 2 < 2 ** code.width
 
 
 def test_rs_code_validation():

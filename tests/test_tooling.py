@@ -124,13 +124,14 @@ def test_traced_field_methods_are_defined():
 def test_code_tables_are_applied_only_in_rs():
     """Evaluation and interpolation at a code's fixed points go through
     rs.rs_evaluate and rs.rs_interpolate: no other module reads an RsCode's
-    `powers` or `lagrange`, frs_scheme imports nothing from polyring, and
+    packed `powers` or `lagrange` or their digit `width`, so none unpacks
+    them by hand, frs_scheme imports nothing from polyring, and
     trace_scheme does not import polyring's interpolate."""
     readers, imported = set(), set()
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("powers",
-                                                                 "lagrange"):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                    "powers", "lagrange", "width"):
                 readers.add(path.stem)
             elif isinstance(node, ast.ImportFrom) and node.module == "polyring":
                 imported.update((path.stem, alias.name) for alias in node.names)
