@@ -62,7 +62,10 @@ class PrimeField:
         return f"GF({self.q})"
 
     def check(self, a):
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
+        # a plain int skips the isinstance tests; anything else takes them
+        if (type(a) is not int and (not isinstance(a, int)
+                                    or isinstance(a, bool))
+                or not 0 <= a < self.q):
             raise ValueError(f"{a!r} is not a canonical element of {self!r}")
         return a
 
@@ -339,8 +342,7 @@ class TraceDualBasis:
         """Base-field coordinate vector (trace(zeta_0 beta), ..., trace(zeta_{l-1} beta))."""
         vec = self.ext.to_vec(beta)
         q = self.ext.q
-        return tuple(sum(row[v] * vec[v] for v in range(self.l)) % q
-                     for row in self._proj)
+        return tuple(sum(map(operator.mul, row, vec)) % q for row in self._proj)
 
     def reconstruct(self, coords):
         """Inverse of project: the unique beta with the given trace coordinates."""

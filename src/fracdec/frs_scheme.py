@@ -22,7 +22,8 @@ from .arraycode import DownloadBundle, apply_error_pattern
 from .budget import check_budget
 from .fields import PrimeField, is_prime, prime_factors
 from .rationals import as_fraction
-from .rs import RsCode, decode_columns, rs_encode, rs_evaluate
+from .rs import (PackedMap, RsCode, decode_columns, packed_map,
+                 packed_product, power_columns, rs_evaluate)
 
 
 def smallest_prime_above(bound):
@@ -56,9 +57,13 @@ class FrsConfig:
     alpha_l: derived; the prefix height alpha*l each column serves.
     punctured_dim: derived; the column dimension k/alpha of the punctured
         code.
-    code: derived; the (nl, kl) RS code on gamma^0, ..., gamma^(nl-1) that
-        the folded code cuts into n columns of l symbols.
-    prefix_code: derived; the puncturing of `code` to the prefixes: the
+    points: derived; the n*l evaluation points gamma^0, ..., gamma^(nl-1),
+        l per column.
+    encode_map: derived; evaluation at `points` of a polynomial of degree
+        < kl, packed by `rs.packed_map` (column j holds the points' j-th
+        powers): the (nl, kl) RS code that the folded code cuts into n
+        columns of l symbols, kept as the one map the encoder reads.
+    prefix_code: derived; the puncturing of that code to the prefixes: the
         prefix points of column 0, then of column 1, and so on.
     """
 
@@ -70,7 +75,8 @@ class FrsConfig:
     alpha: Fraction
     alpha_l: int = dc_field(init=False, repr=False, compare=False)
     punctured_dim: int = dc_field(init=False, repr=False, compare=False)
-    code: RsCode = dc_field(init=False, repr=False, compare=False)
+    points: tuple = dc_field(init=False, repr=False, compare=False)
+    encode_map: PackedMap = dc_field(init=False, repr=False, compare=False)
     prefix_code: RsCode = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,9 +104,10 @@ class FrsConfig:
             raise ValueError(f"{self.gamma} is not a primitive root mod {field.q}")
         object.__setattr__(self, "alpha_l", int(alpha * l))
         object.__setattr__(self, "punctured_dim", int(k / alpha))
-        object.__setattr__(self, "code", RsCode(
-            field, k * l, tuple(pow(self.gamma, i, field.q)
-                                for i in range(n * l))))
+        points = tuple(pow(self.gamma, i, field.q) for i in range(n * l))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "encode_map", packed_map(
+            field.q, power_columns(field.q, points, k * l)))
         object.__setattr__(self, "prefix_code", RsCode(
             field, k * l, flatten_columns(self.column_points(i, self.alpha_l)
                                           for i in range(n))))
@@ -129,7 +136,7 @@ class FrsConfig:
         """Evaluation points of column i (first `height` of them)."""
         if height is None:
             height = self.l
-        return self.code.omega[i * self.l: i * self.l + height]
+        return self.points[i * self.l: i * self.l + height]
 
 
 def frs_make_config(n, k, l, alpha, *, p=None, gamma=None):
@@ -145,13 +152,16 @@ def frs_make_config(n, k, l, alpha, *, p=None, gamma=None):
 
 
 def frs_encode(cfg, message):
-    """Encode kl field symbols (coefficients of h, lowest first) into n
-    columns of l consecutive evaluations."""
+    """Encode kl field symbols (coefficients of h, lowest first), each
+    checked, into n columns of l consecutive evaluations: one product with
+    cfg.encode_map."""
     message = tuple(message)
     if len(message) != cfg.message_length:
         raise ValueError(
             f"message must have exactly kl = {cfg.message_length} symbols")
-    return bundle_columns(rs_encode(cfg.code, message), cfg.l)
+    for c in message:
+        cfg.field.check(c)
+    return bundle_columns(packed_product(cfg.encode_map, message), cfg.l)
 
 
 def frs_download_prefix(cfg, column):

@@ -20,23 +20,33 @@ columns, then one unpack of the n digits mod q. The digit width is chosen
 so that n * (q - 1)^2 < 2^width, so no digit carries into the next and
 the arithmetic stays exact.
 
-The two products trust their operands, like `polyring`, and here that
-trust is a precondition: every symbol must be a canonical integer in
-[0, q). A non-canonical symbol is not reduced mod q: a negative one
-borrows from the neighbouring digits and an oversized one can carry into
-them, so the product is silently wrong. Symbols
-are checked once, where they enter, before any product sees them:
-`rs_encode`, `rs_decode_unique` (and so `decode_columns`) and
-`rs_erasure_decode` run the field's check on their input, and
-`trace_scheme.ts_encode` checks each message symbol before projecting it.
+The schemes' own linear maps are packed the same way, by the same packer
+(`_pack`) and unpacker (`_unpack`): `packed_map` builds a `PackedMap`
+from the columns of a matrix, from a Kronecker product of two, or as a
+block-diagonal map; `tabulate_map` packs a linear function by running it
+once on all its unit inputs together; `packed_product` is the one
+product with a `PackedMap`. The folded encoder and the trace scheme's
+encoder, downloads and decoder are each one such product.
+
+Every product trusts its operands, like `polyring`, and here that trust
+is a precondition: every symbol must be a canonical integer in [0, q). A
+non-canonical symbol is not reduced mod q: a negative one borrows from
+the neighbouring digits and an oversized one can carry into them, so the
+product is silently wrong. Symbols are checked once, where they enter,
+before any product sees them: `rs_encode`, `rs_decode_unique` (and so
+`decode_columns`), `rs_erasure_decode` and `nearest_codeword_bruteforce`
+run the field's check on their input; `frs_scheme.frs_encode` and
+`trace_scheme.ts_encode` check each message symbol, and
+`trace_scheme.ts_download` and `ts_download_all` every column symbol.
 Every other operand is computed mod q from checked data: the quotient a
-decode evaluates, the trace peel's `poly_eval` values, and the messages
-the brute-force oracles draw from `field.elements()`.
+decode evaluates, the decoded streams the trace decode table reads, and
+the messages the brute-force oracles draw from `field.elements()`.
 """
 
 import itertools
 from dataclasses import dataclass, field as dc_field
 from operator import mul, ne
+from typing import NamedTuple
 
 from .budget import check_budget
 from .errors import DecodeFailure, InconsistentErasures
@@ -103,10 +113,7 @@ class RsCode:
                 slope = (slope * x + coef) % q
             scale = pow(slope, q - 2, q)
             lagrange.append(_pack([c * scale % q for c in quotient], size))
-        powers, column = [], [1] * n
-        for _ in range(k):
-            powers.append(_pack(column, size))
-            column = [c * w % q for c, w in zip(column, omega)]
+        powers = [_pack(c, size) for c in power_columns(q, omega, k)]
         object.__setattr__(self, "master", master)
         object.__setattr__(self, "width", 8 * size)
         object.__setattr__(self, "lagrange", tuple(lagrange))
@@ -120,6 +127,16 @@ class RsCode:
     def radius(self):
         """Largest number of errors unique decoding always corrects."""
         return (self.n - self.k) // 2
+
+
+def power_columns(q, points, k):
+    """The k columns of the evaluation map at `points` of polynomials of
+    degree < k: column j lists the points' j-th powers mod q."""
+    columns, column = [], [1] * len(points)
+    for _ in range(k):
+        columns.append(column)
+        column = [c * w % q for c, w in zip(column, points)]
+    return columns
 
 
 def rs_encode(code, message):
@@ -142,25 +159,109 @@ def _pack(values, size):
         itertools.repeat("little"))), "little")
 
 
-def _unpack(code, acc):
-    """The n digits of a product with one of the code's packed tables,
-    lowest first, each reduced mod q."""
-    width, q = code.width, code.field.q
+def _unpack(acc, count, width, q):
+    """The `count` lowest digits, `width` bits each, of a product with a
+    packed table, lowest first, each reduced mod q."""
     mask = (1 << width) - 1
     return [(acc >> shift & mask) % q
-            for shift in range(0, code.n * width, width)]
+            for shift in range(0, count * width, width)]
 
 
 def rs_evaluate(code, h):
     """h at the code's points through `code.powers`; h is at most k
     canonical coefficients, trailing zeros allowed."""
-    return tuple(_unpack(code, sum(map(mul, h, code.powers))))
+    return tuple(_unpack(sum(map(mul, h, code.powers)), code.n, code.width,
+                         code.field.q))
 
 
 def rs_interpolate(code, word):
     """The polynomial of degree < n through the n canonical symbols of the
     sequence `word` at the code's points, through `code.lagrange`."""
-    return normalize(_unpack(code, sum(map(mul, word, code.lagrange))))
+    return normalize(_unpack(sum(map(mul, word, code.lagrange)), code.n,
+                             code.width, code.field.q))
+
+
+class PackedMap(NamedTuple):
+    """A GF(q)-linear map from `inputs` to `outputs` symbols, packed like an
+    RsCode table: one integer per input symbol, whose digit r, `width` bits
+    wide, is a nonnegative integer congruent mod q to the map's entry in
+    output r. `width` is the least multiple of 8 bits with
+    terms * (q - 1) * top < 2^width, where terms is the number of inputs
+    one output depends on and top bounds the digits, so a product with
+    canonical symbols never carries from one digit into the next. Build
+    one with `packed_map`; only `packed_product` reads the packed columns.
+    """
+
+    q: int
+    outputs: int
+    width: int
+    columns: tuple
+
+    @property
+    def inputs(self):
+        return len(self.columns)
+
+
+def packed_map(q, columns, right=((1,),), blocks=1):
+    """Pack a GF(q)-linear map given by the columns of its matrix, each a
+    sequence of canonical symbols, one column per input symbol.
+
+    right: the map is the Kronecker product of `columns` with this second
+        matrix, also given by columns: input a * len(right) + b has column
+        columns[a] (x) right[b], whose entry i * len(right[0]) + u is
+        columns[a][i] * right[b][u]. Each packed column is one product of
+        two packed integers, so its digits are these products unreduced,
+        at most (q - 1)^2. The default, a 1 x 1 identity, leaves the map
+        as given, with canonical entries.
+    blocks: the map is block-diagonal with this many equal blocks, and each
+        given column stacks the same column of every block, block 0 first:
+        input i * c + a, for c given columns, is column a of block i.
+    """
+    columns = [tuple(c) for c in columns]
+    right = [tuple(c) for c in right]
+    height, stride = len(columns[0]), len(right[0])
+    terms = len(columns) * len(right)
+    top = (q - 1) * max(max(c) for c in right)
+    size = -(-(terms * (q - 1) * top).bit_length() // 8)
+    right = [_pack(c, size) for c in right]
+    packed = [c * r for c in (_pack(c, size * stride) for c in columns)
+              for r in right]
+    if blocks > 1:
+        span = height * stride // blocks * 8 * size
+        mask = (1 << span) - 1
+        packed = [col & (mask << i * span)
+                  for i in range(blocks) for col in packed]
+    return PackedMap(q=q, outputs=height * stride, width=8 * size,
+                     columns=tuple(packed))
+
+
+def tabulate_map(q, inputs, top, linear):
+    """Pack the GF(q)-linear map that `linear` computes, run once on all
+    of its unit inputs together.
+
+    `linear` receives the `inputs` unit vectors, each one integer with a
+    digit per input, and returns the map's rows, one per output. It must
+    combine its arguments only by sums and by products with nonnegative
+    integers, keeping every digit congruent mod q to the exact value, and
+    nonnegative and at most `top`, so that digits never carry.
+    """
+    width = top.bit_length()
+    rows = linear([1 << e * width for e in range(inputs)])
+    return packed_map(q, zip(*(_unpack(row, inputs, width, q) for row in rows)))
+
+
+def packed_product(pmap, symbols, first=0, rows=None):
+    """Outputs `rows` (a range; all by default) of the map applied to the
+    vector that holds the canonical `symbols` at inputs first, first + 1,
+    ... and zeros elsewhere, each reduced mod q. The caller checks the
+    symbols and their count: a non-canonical symbol corrupts neighbouring
+    digits, and a short sequence leaves the remaining inputs zero.
+    """
+    if rows is None:
+        rows = range(pmap.outputs)
+    columns = pmap.columns[first:first + len(symbols)]
+    return _unpack(sum(map(mul, symbols, columns)) >> rows.start * pmap.width,
+                   len(rows), pmap.width, pmap.q)
 
 
 def rs_decode_unique(code, received):

@@ -12,14 +12,20 @@ w is the evaluation at w of
 
 a polynomial of degree < lk/m, where h_u collects the u-th trace coordinate
 of each message coefficient. Each of the m download streams is therefore a
-codeword of an (n, lk/m) RS code over B, with errors in shared columns;
-the streams are decoded and the h_u are then peeled off one degree layer
-at a time, using that p_j vanishes on A_j, so interpolating g_j on the
-union of the A_j sees only the current bottom layer.
+codeword of an (n, lk/m) RS code over B, with errors in shared columns.
+The h_u can be peeled off the decoded streams one degree layer at a time,
+using that p_j vanishes on A_j, so interpolating g_j on the union of the
+A_j sees only the current bottom layer.
 
-The decoder returns a message exactly when some message's downloads lie
-within floor((n - k/alpha) / 2) columns of the received ones, with the
-columns where they differ; otherwise it raises DecodeFailure.
+Encoding, downloading and that peel are fixed GF(q)-linear maps of the
+config, so each is one packed table (`rs.packed_map`), built once, and
+each use is one multiply-accumulate with it. The peel is exact for any
+streams, so it runs once per config, on all the unit streams together,
+to derive the decode table; the decoder is the stream decodes
+(`rs.decode_columns`) plus one product with that table. It returns a
+message exactly when some message's downloads lie within
+floor((n - k/alpha) / 2) columns of the received ones, with the columns
+where they differ; otherwise it raises DecodeFailure.
 
 Every column is read in full (l symbols accessed) but transmits only m, so
 the download fraction is alpha = m/l while the corrected error count is
@@ -33,9 +39,9 @@ from operator import mul
 
 from .arraycode import DownloadBundle, apply_error_pattern
 from .fields import ExtField, PrimeField, dual_basis
-from .polyring import (normalize, poly_divmod, poly_eval, poly_from_roots,
-                       poly_sub)
-from .rs import RsCode, decode_columns, rs_evaluate, rs_interpolate
+from .polyring import normalize, poly_eval, poly_from_roots
+from .rs import (PackedMap, RsCode, decode_columns, packed_map,
+                 packed_product, power_columns, rs_interpolate, tabulate_map)
 
 
 @dataclass(frozen=True)
@@ -51,10 +57,22 @@ class TsConfig:
 
     Derived, once per config: annihilators p_j; inner_code, the (n, lk/m)
     RS code over the base field the download streams belong to;
-    anchor_code, the (k, k) RS code on the points of A_0, then A_1, and so
-    on, whose interpolation recovers each peel layer; and
     download_weights[i][j] = (p_j(w_i)^0, ..., p_j(w_i)^(l-m)), the
-    weights column i combines its symbols with to serve symbol j.
+    weights column i combines its symbols with to serve symbol j; and the
+    three GF(q)-linear maps of the scheme, packed by `rs.packed_map` so
+    that each runs as one multiply-accumulate:
+    encode_map: the k*l polynomial-basis digits of a message (symbol t's
+        digit v at input t*l + v) to the n*l stored symbols (column i's
+        coordinate u at output i*l + u). It is the Kronecker product of
+        the evaluation map at omega with the trace projection.
+    download_map: block-diagonal, the n*l stored symbols to the n*m served
+        ones (column i's symbol j at output i*m + j), built from
+        download_weights.
+    decode_map: the l*k coefficients of the m decoded streams (stream j's
+        coefficient c at input j*lk/m + c) to the k*l digits of the
+        message, in encode_map's input order. The peel derives it once,
+        here (see `_decode_table`), so a decode is the m stream decodes
+        plus one product with it.
     """
 
     ext: ExtField
@@ -64,8 +82,10 @@ class TsConfig:
     basis: object
     annihilators: tuple = dc_field(init=False, repr=False, compare=False)
     inner_code: RsCode = dc_field(init=False, repr=False, compare=False)
-    anchor_code: RsCode = dc_field(init=False, repr=False, compare=False)
     download_weights: tuple = dc_field(init=False, repr=False, compare=False)
+    encode_map: PackedMap = dc_field(init=False, repr=False, compare=False)
+    download_map: PackedMap = dc_field(init=False, repr=False, compare=False)
+    decode_map: PackedMap = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ext, base = self.ext, self.ext.base
@@ -105,14 +125,36 @@ class TsConfig:
         if self.basis.ext != ext:
             raise ValueError("basis pair belongs to a different field")
 
+        q, split = base.q, l - m
         annihilators = tuple(poly_from_roots(base, s) for s in subsets)
+        weights = []
+        for w in omega:
+            row = []
+            for p_j in annihilators:
+                value, powers = poly_eval(base, p_j, w), [1]
+                for _ in range(split):
+                    powers.append(powers[-1] * value % q)
+                row.append(tuple(powers))
+            weights.append(tuple(row))
+        # served symbol j of column i weighs coordinate u < l-m by
+        # p_j(w_i)^u and coordinate l-m+j by p_j(w_i)^(l-m); column u of
+        # the download map stacks these weights for every (i, j)
+        by_power = list(zip(*(v for row in weights for v in row)))
+        served = by_power[:split]
+        for j in range(m):
+            top = [0] * (n * m)
+            top[j::m] = by_power[split][j::m]
+            served.append(top)
         object.__setattr__(self, "annihilators", annihilators)
         object.__setattr__(self, "inner_code", RsCode(base, l * k // m, omega))
-        object.__setattr__(self, "anchor_code", RsCode(base, k, flat))
-        object.__setattr__(self, "download_weights", tuple(
-            tuple(tuple(pow(poly_eval(base, p_j, w), u, base.q)
-                        for u in range(l - m + 1)) for p_j in annihilators)
-            for w in omega))
+        object.__setattr__(self, "download_weights", tuple(weights))
+        object.__setattr__(self, "encode_map", packed_map(
+            q, power_columns(q, omega, k),
+            right=[self.basis.project(q ** v) for v in range(l)]))
+        object.__setattr__(self, "download_map",
+                           packed_map(q, served, blocks=n))
+        object.__setattr__(self, "decode_map", _decode_table(
+            base, k, subsets, annihilators, self.basis))
 
     @property
     def base(self):
@@ -185,12 +227,16 @@ def ts_encode(cfg, message):
     Column i holds the trace coordinates of the RS codeword symbol
     h(omega_i), lowest basis index first. The trace is GF(q)-linear and
     omega_i lies in GF(q), so that column is (h_0(omega_i), ...,
-    h_{l-1}(omega_i)) for the coordinate polynomials of ts_project_polys,
-    and the encoder runs over the base field only.
+    h_{l-1}(omega_i)) for the coordinate polynomials of ts_project_polys:
+    a GF(q)-linear map of the message's polynomial-basis digits, which
+    cfg.encode_map applies in one product.
     """
-    hs = ts_project_polys(cfg, message)
-    # each h_u has degree < k <= lk/m, a message of the inner code
-    return tuple(zip(*(rs_evaluate(cfg.inner_code, h) for h in hs)))
+    message = tuple(message)
+    if len(message) != cfg.k:
+        raise ValueError(f"message must have exactly k = {cfg.k} symbols")
+    ext = cfg.ext
+    digits = [c for a in message for c in ext.to_vec(ext.check(a))]
+    return tuple(zip(*[iter(packed_product(cfg.encode_map, digits))] * cfg.l))
 
 
 def ts_project_polys(cfg, message):
@@ -207,29 +253,38 @@ def ts_project_polys(cfg, message):
     return tuple(normalize(tuple(c[u] for c in coords)) for u in range(cfg.l))
 
 
+def _stored_symbols(cfg, columns):
+    """The symbols of the stored `columns`, column by column, each checked
+    before any product sees it, with every column of exactly l."""
+    check, l = cfg.base.check, cfg.l
+    symbols = []
+    for column in columns:
+        column = tuple(column)
+        if len(column) != l:
+            raise ValueError(f"column must have l = {l} symbols, got {len(column)}")
+        symbols.extend(map(check, column))
+    return symbols
+
+
 def ts_download(cfg, column, index):
     """The m base-field symbols column `index` serves to the decoder.
 
     Symbol j equals coordinate (l-m+j) scaled by p_j(w)^(l-m) plus the
-    first l-m coordinates scaled by ascending powers of p_j(w): one dot
-    product with cfg.download_weights[index][j]. On a clean column this is
-    exactly g_j(omega_index).
+    first l-m coordinates scaled by ascending powers of p_j(w), weights
+    cfg.download_weights[index][j]: block `index` of cfg.download_map. On
+    a clean column this is exactly g_j(omega_index).
     """
-    base, l, split = cfg.base, cfg.l, cfg.l - cfg.m
-    column = tuple(column)
-    if len(column) != l:
-        raise ValueError(f"column must have l = {l} symbols, got {len(column)}")
-    for c in column:
-        base.check(c)
+    symbols = _stored_symbols(cfg, (column,))
     if not 0 <= index < cfg.n:
         raise ValueError(f"column index {index} out of range")
-    low = column[:split]
-    return tuple(sum(map(mul, (*low, column[split + j]), weights)) % base.q
-                 for j, weights in enumerate(cfg.download_weights[index]))
+    m = cfg.m
+    return tuple(packed_product(cfg.download_map, symbols, first=index * cfg.l,
+                                rows=range(index * m, index * m + m)))
 
 
 def ts_download_all(cfg, columns):
-    """Downloads from every column, with transfer accounting.
+    """Downloads from every column, with transfer accounting: one product
+    with cfg.download_map.
 
     Each column transmits m of its l symbols' worth of information but must
     be read in full to form the combinations, so downloaded = n*m while
@@ -238,51 +293,103 @@ def ts_download_all(cfg, columns):
     columns = tuple(columns)
     if len(columns) != cfg.n:
         raise ValueError(f"word must have n = {cfg.n} columns")
+    served = packed_product(cfg.download_map, _stored_symbols(cfg, columns))
     return DownloadBundle(
-        per_column=tuple(ts_download(cfg, col, i)
-                         for i, col in enumerate(columns)),
+        per_column=tuple(zip(*[iter(served)] * cfg.m)),
         downloaded=cfg.downloaded_per_word,
         accessed=cfg.accessed_per_word,
     )
 
 
 def ts_decode_message(cfg, bundle):
-    """Decode the m download streams and peel out the message.
+    """Decode the m download streams and read the message off them.
+
+    The streams are words of one (n, lk/m) RS code whose errors share
+    columns; more than `radius` corrected columns in all is a failure.
+    The peel that turns the decoded streams into the message is linear and
+    exact for any streams, so it is cfg.decode_map, one product, and no
+    check can fail after the stream decodes.
 
     Returns (message, corrected_columns) exactly when some message's
-    downloads lie within `radius` columns of the received ones; the peel is
-    exact, so corrected_columns is where that message's downloads differ.
-    Raises DecodeFailure otherwise.
+    downloads lie within `radius` columns of the received ones;
+    corrected_columns is where that message's downloads differ. Raises
+    DecodeFailure otherwise.
     """
-    base, l, m, k = cfg.base, cfg.l, cfg.m, cfg.k
+    m = cfg.m
     per_column = tuple(tuple(c) for c in bundle.per_column)
     if len(per_column) != cfg.n or any(len(c) != m for c in per_column):
         raise ValueError(f"download bundle must be {cfg.n} columns of {m} symbols")
-
-    # stage 1: the streams are words of one (n, lk/m) RS code whose errors
-    # share columns; more than `radius` corrected columns in all is a failure
     streams, corrected = decode_columns(cfg.inner_code, per_column, cfg.radius)
+    size = cfg.inner_code.k
+    coeffs = [c for g in streams for c in (*g, *(0,) * (size - len(g)))]
+    digits = packed_product(cfg.decode_map, coeffs)
+    # symbol t is its l polynomial-basis digits read in base q
+    place = [cfg.base.q ** v for v in range(cfg.l)]
+    return tuple(sum(map(mul, digits[t:t + cfg.l], place))
+                 for t in range(0, len(digits), cfg.l)), corrected
 
-    # stage 2: peel the shared low layers h_0, ..., h_{l-m-1}. Every p_j
-    # vanishes on A_j, so on the union of the subsets the current bottom
-    # layer of each g_j is exposed; those k points pin down one h_u of
-    # degree < k. h_u agrees with g_j on A_j, whose points are distinct
-    # roots of p_j, so p_j divides g_j - h_u exactly, whatever the stream
-    # decoder returned, and the quotient is the next layer, k/m degrees
-    # lower. No check can fail here: only stage 1 can.
-    coord_polys = []
+
+def _decode_table(base, k, subsets, annihilators, basis):
+    """The decode map: the message digits as a GF(q)-linear function of the
+    l*k stream coefficients, tabulated by running the peel once on all the
+    unit streams together (`rs.tabulate_map`).
+
+    Stream j is g_j = sum_{u < l-m} h_u * p_j^u + h_{l-m+j} * p_j^(l-m).
+    Every p_j vanishes on A_j, so on the union of the subsets the current
+    bottom layer of each g_j is exposed, and those k points pin down one
+    h_u of degree < k through the (k, k) code on A_0, then A_1, and so on.
+    h_u agrees with g_j on A_j, whose points are distinct roots of p_j, so
+    p_j divides g_j - h_u exactly, whatever the streams are, and the
+    quotient is the next layer, k/m degrees lower. After l-m layers stream
+    j is the top layer h_{l-m+j}. Symbol t's digits are its trace
+    coordinates (h_0[t], ..., h_{l-1}[t]) through the polynomial-basis
+    coordinates of the dual basis nu.
+
+    Every step is a sum of products with canonical weights: the values at
+    A_j use the powers of its points, h_u the Lagrange basis of the anchor
+    code, a subtraction adds q - 1 times the subtrahend, and the exact
+    quotient by p_j reads each coefficient off the series s of 1/p_j,
+    quotient[i] = sum_t s[t] * dividend[i + d + t]. So a layer whose
+    streams have `length` coefficients, each at most b, yields values at
+    most length*(q-1)*b, h_u at most k*(q-1) times that, remainders at most
+    b + (q-1)*h_u and quotients at most length*(q-1) times those: `bound`
+    follows that product through the layers.
+    """
+    q, l, m = base.q, basis.l, len(subsets)
+    size, d, neg = l * k // m, k // m, q - 1
+    anchor = RsCode(base, k, [a for s in subsets for a in s])
+    basis_polys = [rs_interpolate(anchor, [int(i == r) for r in range(k)])
+                   for i in range(k)]
+    lagrange = [[h[t] if t < len(h) else 0 for h in basis_polys]
+                for t in range(k)]
+    powers = [list(zip(*power_columns(q, s, size))) for s in subsets]
+    series = [[1] for _ in annihilators]
+    for p_j, s in zip(annihilators, series):
+        for t in range(1, size - d):
+            s.append(-sum(p_j[d - i] * s[t - i]
+                          for i in range(1, min(t, d) + 1)) % q)
+    recon = list(zip(*map(basis.ext.to_vec, basis.nu)))
+    bound, length = 1, size
     for _ in range(l - m):
-        h_u = rs_interpolate(cfg.anchor_code, [
-            poly_eval(base, g, w)
-            for g, subset in zip(streams, cfg.subsets) for w in subset])
-        coord_polys.append(h_u)
-        streams = [poly_divmod(base, poly_sub(base, g, h_u), p_j)[0]
-                   for g, p_j in zip(streams, cfg.annihilators)]
+        bound *= length * neg * (1 + k * length * neg ** 3)
+        length -= d
 
-    # stage 3: stream j started below degree lk/m and lost k/m degrees per
-    # peel, so what is left is the top layer h_{l-m+j}, of degree < k
-    coord_polys = [h + (0,) * (k - len(h)) for h in (*coord_polys, *streams)]
-    return tuple(map(cfg.basis.reconstruct, zip(*coord_polys))), corrected
+    def peel(units):
+        streams = [units[j * size:(j + 1) * size] for j in range(m)]
+        layers = []
+        for _ in range(l - m):
+            values = [sum(map(mul, pw, g))
+                      for g, at in zip(streams, powers) for pw in at]
+            h = [sum(map(mul, row, values)) for row in lagrange]
+            layers.append(h)
+            for j, (g, s) in enumerate(zip(streams, series)):
+                rem = [x + neg * y for x, y in zip(g, h)] + g[k:]
+                streams[j] = [sum(map(mul, s, rem[i + d:]))
+                              for i in range(len(rem) - d)]
+        return [sum(map(mul, row, coords))
+                for coords in zip(*layers, *streams) for row in recon]
+
+    return tabulate_map(q, l * k, l * neg * bound, peel)
 
 
 def ts_full_pipeline(cfg, message, pattern):

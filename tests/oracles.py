@@ -135,6 +135,36 @@ def irreducible_by_trial_division(base, coeffs):
     return True
 
 
+def ts_peel(cfg, streams):
+    """The message the peel reads off the m decoded streams of a trace
+    config, one stream at a time and through the field methods: the
+    reference the config's packed decode table is compared against.
+
+    Each layer interpolates the streams' values on the annihilator subsets
+    into one coordinate polynomial h_u, subtracts it and divides stream j
+    by p_j exactly; after l - m layers stream j is h_{l-m+j}, and symbol t
+    is reconstructed from its trace coordinates (h_0[t], ..., h_{l-1}[t]).
+    """
+    base, k = cfg.base, cfg.k
+    streams = [normalize(g) for g in streams]
+    coord_polys = []
+    for _ in range(cfg.l - cfg.m):
+        h_u = interpolate(base, [(a, poly_eval(base, g, a))
+                                 for g, subset in zip(streams, cfg.subsets)
+                                 for a in subset])
+        coord_polys.append(h_u)
+        quotients = []
+        for g, p_j in zip(streams, cfg.annihilators):
+            diff = normalize(base.sub(x, y) for x, y in itertools.zip_longest(
+                g, h_u, fillvalue=0))
+            quot, rem = poly_divmod(base, diff, p_j)
+            assert rem == (), "p_j must divide g_j - h_u exactly"
+            quotients.append(quot)
+        streams = quotients
+    coord_polys = [h + (0,) * (k - len(h)) for h in (*coord_polys, *streams)]
+    return tuple(map(cfg.basis.reconstruct, zip(*coord_polys)))
+
+
 @functools.lru_cache(maxsize=4)
 def _ts_download_table(cfg):
     """(message, downloads) for every message of a trace config."""

@@ -84,7 +84,7 @@ def test_make_config_reference_values():
     assert cfg.message_length == 12
     assert cfg.radius == 2
     assert cfg.downloaded_per_word == cfg.accessed_per_word == 24
-    assert cfg.code.omega[:4] == (1, 2, 4, 8)
+    assert cfg.points[:4] == (1, 2, 4, 8)
     assert cfg.column_points(1) == (16, 32, 27, 17)
     assert cfg.column_points(1, 2) == (16, 32)
 
@@ -113,7 +113,7 @@ def test_make_config_rejections():
 def test_encode_frozen_tiny():
     """h = 1 + 2x over GF(5), gamma = 2, two columns of height two."""
     cfg = frs_make_config(2, 1, 2, 1, p=5, gamma=2)
-    assert cfg.code.omega == (1, 2, 4, 3)
+    assert cfg.points == (1, 2, 4, 3)
     assert frs_encode(cfg, (1, 2)) == ((3, 0), (4, 2))
 
 
@@ -121,14 +121,15 @@ def test_encode_frozen_tiny():
                                  frs_make_config(5, 2, 4, Fraction(1, 2))),
                          ids=("reference", "tiny", "half"))
 def test_config_codes_are_powers_of_gamma(cfg):
-    """code is the RS code on gamma^0, ..., gamma^(nl-1), and prefix_code
-    its puncturing to the first alpha*l points of each column."""
+    """encode_map evaluates at the points gamma^0, ..., gamma^(nl-1), and
+    prefix_code is that code's puncturing to the first alpha*l points of
+    each column."""
     q, l = cfg.field.q, cfg.l
-    assert cfg.code.omega == tuple(pow(cfg.gamma, i, q)
-                                   for i in range(cfg.n * l))
-    assert cfg.code.k == cfg.prefix_code.k == cfg.message_length
+    assert cfg.points == tuple(pow(cfg.gamma, i, q)
+                               for i in range(cfg.n * l))
+    assert cfg.encode_map.inputs == cfg.prefix_code.k == cfg.message_length
     assert cfg.prefix_code.omega == tuple(
-        cfg.code.omega[i * l + j] for i in range(cfg.n)
+        cfg.points[i * l + j] for i in range(cfg.n)
         for j in range(cfg.alpha_l))
 
 
@@ -149,7 +150,7 @@ def test_encode_identity_and_constant():
     """h = x stores the evaluation points themselves; h = 1 stores ones."""
     cfg = reference_config()
     word = frs_encode(cfg, (0, 1) + (0,) * 10)
-    assert flatten_columns(word) == cfg.code.omega
+    assert flatten_columns(word) == cfg.points
     ones = frs_encode(cfg, (1,) + (0,) * 11)
     assert ones == ((1,) * 4,) * 8
 

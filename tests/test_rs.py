@@ -12,9 +12,10 @@ import oracles
 from fracdec import polyring as P
 from fracdec.errors import DecodeFailure, InconsistentErasures
 from fracdec.fields import ExtField, PrimeField
-from fracdec.rs import (RsCode, nearest_codeword_bruteforce, rs_decode_unique,
+from fracdec.rs import (PackedMap, RsCode, nearest_codeword_bruteforce,
+                        packed_map, packed_product, rs_decode_unique,
                         rs_encode, rs_erasure_decode, rs_evaluate,
-                        rs_interpolate)
+                        rs_interpolate, tabulate_map)
 from fracdec.serialization import config_from_dict, load_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -230,16 +231,76 @@ def test_packed_products_hold_at_the_carry_boundary(q, n, k):
             oracles.poly_eval(field, P.normalize(msg), w) for w in code.omega)
 
 
+def matrix_product(q, columns, vector):
+    """The textbook product of the matrix with these columns and a vector,
+    mod q."""
+    return [sum(map(mul, row, vector)) % q for row in zip(*columns)]
+
+
+@pytest.mark.parametrize("q", (2, 13, 31, 4294967311))
+def test_packed_maps_match_the_textbook_products(q):
+    """packed_map's plain, Kronecker and block-diagonal layouts,
+    packed_product on a slice of inputs and rows, and tabulate_map, each
+    against the textbook matrix product, on vectors of all q - 1 and
+    seeded random ones. At q = 2^32 + 15 the digits are wider than 64
+    bits."""
+    rng = random.Random(q)
+
+    def matrix(rows, cols):
+        return [[rng.randrange(q) for _ in range(rows)] for _ in range(cols)]
+
+    left, right = matrix(5, 3), matrix(4, 2)
+    kron = [[a * b % q for a in col_a for b in col_b]
+            for col_a in left for col_b in right]
+    blocks = [matrix(2, 3) for _ in range(4)]
+    stacked = [[x for block in blocks for x in block[a]] for a in range(3)]
+    diagonal = [[x if i == b else 0 for b in range(4) for x in block[a]]
+                for i, block in enumerate(blocks) for a in range(3)]
+
+    def linear(units):
+        return [sum(map(mul, row, units)) for row in zip(*left)]
+
+    cases = ((packed_map(q, left), left), (packed_map(q, left, right), kron),
+             (packed_map(q, stacked, blocks=4), diagonal),
+             (tabulate_map(q, 3, 3 * (q - 1), linear), left))
+    for pmap, columns in cases:
+        assert pmap.inputs == len(columns)
+        assert pmap.outputs == len(columns[0])
+        for vector in table_vectors(rng, q, len(columns)):
+            assert packed_product(pmap, vector) == matrix_product(
+                q, columns, vector)
+    pmap = packed_map(q, stacked, blocks=4)
+    for vector in table_vectors(rng, q, 3):
+        for i, block in enumerate(blocks):
+            assert packed_product(pmap, vector, first=3 * i,
+                                  rows=range(2 * i, 2 * i + 2)) == \
+                matrix_product(q, block, vector)
+
+
+def table_vectors(rng, q, length, count=10):
+    return [[q - 1] * length] + [[rng.randrange(q) for _ in range(length)]
+                                 for _ in range(count)]
+
+
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                          ids=lambda path: path.stem)
 def test_shipped_codes_leave_digits_room(path):
-    """Every code a shipped config builds packs its tables with digits wide
-    enough that n products of canonical symbols never carry."""
+    """Every code and packed map a shipped config builds packs its tables
+    with digits wide enough that products of canonical symbols never
+    carry: n * (q - 1)^2 < 2^width for a code's tables, and for a map,
+    whose digits need not be reduced, each output's largest digit sum."""
     cfg = config_from_dict(load_json(str(path)))
     codes = [v for v in vars(cfg).values() if isinstance(v, RsCode)]
-    assert len(codes) == 2
+    maps = [v for v in vars(cfg).values() if isinstance(v, PackedMap)]
+    assert len(codes) == 1
+    assert len(maps) == (3 if cfg.__class__.__name__ == "TsConfig" else 1)
     for code in codes:
         assert code.n * (code.field.q - 1) ** 2 < 2 ** code.width
+    for pmap in maps:
+        mask = (1 << pmap.width) - 1
+        for shift in range(0, pmap.outputs * pmap.width, pmap.width):
+            assert sum((pmap.q - 1) * (column >> shift & mask)
+                       for column in pmap.columns) < 2 ** pmap.width
 
 
 def test_rs_code_validation():

@@ -2,6 +2,8 @@
 the tests and demos), run with the test suite."""
 
 import ast
+import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -122,19 +124,67 @@ def test_traced_field_methods_are_defined():
 
 
 def test_code_tables_are_applied_only_in_rs():
-    """Evaluation and interpolation at a code's fixed points go through
-    rs.rs_evaluate and rs.rs_interpolate: no other module reads an RsCode's
-    packed `powers` or `lagrange` or their digit `width`, so none unpacks
-    them by hand, frs_scheme imports nothing from polyring, and
-    trace_scheme does not import polyring's interpolate."""
-    readers, imported = set(), set()
+    """Evaluation and interpolation at a code's fixed points, and every
+    product with a packed map, go through rs: no other module reads an
+    RsCode's packed `powers` or `lagrange`, a PackedMap's packed `columns`,
+    or the digit `width` of either, or imports rs's packer and unpacker,
+    so none unpacks a table by hand; the trace and folded configs' maps
+    are read only as the first argument of rs.packed_product; frs_scheme
+    imports nothing from polyring, and trace_scheme does not import
+    polyring's interpolate."""
+    maps = ("encode_map", "download_map", "decode_map")
+    readers, imported, loose = set(), set(), []
     for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        applied = {id(node.args[0]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and node.args
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "packed_product"}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in (
-                    "powers", "lagrange", "width"):
+                    "powers", "lagrange", "columns", "width"):
                 readers.add(path.stem)
-            elif isinstance(node, ast.ImportFrom) and node.module == "polyring":
-                imported.update((path.stem, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and node.attr in maps:
+                if id(node) not in applied:
+                    loose.append(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module in (
+                    "polyring", "rs"):
+                imported.update((node.module, path.stem, alias.name)
+                                for alias in node.names)
     assert readers == {"rs"}
-    assert {name for module, name in imported if module == "frs_scheme"} == set()
-    assert ("trace_scheme", "interpolate") not in imported
+    assert loose == []
+    assert {name for module, _, name in imported
+            if module == "rs" and name.startswith("_")} == set()
+    assert {name for module, stem, name in imported
+            if (module, stem) == ("polyring", "frs_scheme")} == set()
+    assert ("polyring", "trace_scheme", "interpolate") not in imported
+
+
+def test_traced_pipelines_run():
+    """`bench/run.py --trace 1` wraps the library from outside through
+    bench/tracer.py; installing it and running one op of each scheme
+    catches a name it reads having been removed or renamed."""
+    from fracdec.arraycode import ErrorPattern
+    from fracdec.frs_scheme import frs_full_pipeline, frs_make_config
+    from fracdec.trace_scheme import ts_full_pipeline, ts_make_config
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    ts_cfg = ts_make_config(13, 12, 4, 4, 2)
+    frs_cfg = frs_make_config(8, 3, 4, Fraction(3, 4))
+    pattern = ErrorPattern(support=(1,), values=((1, 2, 3, 4),))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        ts_decoded, _ = ts_full_pipeline(ts_cfg, (1, 2, 3, 4), pattern)
+        tracer.end_op()
+        frs_decoded, _ = frs_full_pipeline(frs_cfg, tuple(range(12)), pattern)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert ts_decoded == (1, 2, 3, 4) and frs_decoded == tuple(range(12))
+    assert tracer.stats.ops == 2
+    assert tracer.stats.calls["trace_scheme.ts_decode_message"] == 1
+    assert tracer.stats.calls["frs_scheme.frs_decode_trial"] == 1

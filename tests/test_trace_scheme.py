@@ -2,7 +2,9 @@
 peeling identities, radius sweeps, and accounting."""
 
 import itertools
+import random
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from fracdec.fields import ExtField
 from fracdec.harness import (compare_naive, random_column_offset,
                              random_error_pattern, random_message,
                              trial_stream)
-from fracdec.rs import rs_decode_unique, rs_encode
+from fracdec.rs import rs_decode_unique, rs_encode, rs_evaluate
 from fracdec.serialization import config_from_dict, load_json
 from fracdec import trace_scheme as ts_module
 from fracdec.trace_scheme import (ts_all_codewords, ts_decode_message,
@@ -430,26 +432,123 @@ def test_pipeline_runs_no_extension_field_arithmetic(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", SHIPPED_TRACE)
-def test_peel_interpolates_through_the_anchor_table(name, rs_calls,
-                                                    rs_codes_built):
-    """anchor_code is the (k, k) code on A_0, then A_1, ...; the decode
-    builds no code and interpolates l times: once in each of the m stream
-    decodes, then once per peel layer through the anchor table."""
+def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
+                                                   rs_codes_built):
+    """A decode builds no code and makes the m stream decodes, each
+    interpolating once, then one product with the decode table: the peel
+    runs when the config is built, not per decode."""
     cfg = shipped_config(name)
-    assert cfg.anchor_code.omega == tuple(a for s in cfg.subsets for a in s)
-    assert cfg.anchor_code.k == cfg.anchor_code.n == cfg.k
     stream = trial_stream(48, cfg.radius, 0)
     message = random_message(cfg, stream)
     pattern = random_error_pattern(cfg, stream, cfg.radius)
     word = apply_error_pattern(cfg.base, ts_encode(cfg, message), pattern)
     bundle = ts_download_all(cfg, word)
     rs_codes_built.clear()
-    calls = rs_calls("rs_decode_unique", "rs_interpolate")
+    calls = rs_calls("rs_decode_unique", "rs_interpolate", "packed_product",
+                     "tabulate_map")
     decoded, _ = ts_decode_message(cfg, bundle)
     assert decoded == message
     assert calls == (["rs_decode_unique", "rs_interpolate"] * cfg.m
-                     + ["rs_interpolate"] * (cfg.l - cfg.m))
+                     + ["packed_product"])
     assert rs_codes_built == []
+
+
+# The packed tables against the per-op paths they replace, on the shipped
+# configs (ts-q5-n4-k2 has l = m, so no peel layer) and the shape of the
+# ts-wide benchmark workload.
+TABLE_CONFIGS = {**{name: (lambda name=name: shipped_config(name))
+                    for name in SHIPPED_TRACE},
+                 "q31-n30-k4-l4-m2": lambda: ts_make_config(31, 30, 4, 4, 2)}
+
+
+def table_inputs(rng, q, length, count=10):
+    """All q - 1, where packed digit sums are largest, then seeded random
+    symbols."""
+    return [[q - 1] * length] + [[rng.randrange(q) for _ in range(length)]
+                                 for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", TABLE_CONFIGS)
+def test_encode_table_is_projection_then_evaluation(name):
+    """ts_encode's one product equals evaluating the coordinate polynomials
+    of ts_project_polys at the points."""
+    cfg = TABLE_CONFIGS[name]()
+    rng = random.Random(name)
+    for digits in table_inputs(rng, cfg.base.q, cfg.k * cfg.l):
+        message = tuple(cfg.ext.from_vec(digits[t:t + cfg.l])
+                        for t in range(0, len(digits), cfg.l))
+        assert ts_encode(cfg, message) == tuple(zip(*(
+            rs_evaluate(cfg.inner_code, h)
+            for h in ts_project_polys(cfg, message))))
+
+
+@pytest.mark.parametrize("name", TABLE_CONFIGS)
+def test_download_table_matches_the_weights(name):
+    """ts_download_all's one product equals the per-column ts_download and
+    the dot products of each column with download_weights."""
+    cfg = TABLE_CONFIGS[name]()
+    q, split = cfg.base.q, cfg.l - cfg.m
+    rng = random.Random(name)
+    for symbols in table_inputs(rng, q, cfg.n * cfg.l):
+        word = tuple(zip(*[iter(symbols)] * cfg.l))
+        weighted = tuple(
+            tuple(sum(map(mul, (*col[:split], col[split + j]), weights)) % q
+                  for j, weights in enumerate(cfg.download_weights[i]))
+            for i, col in enumerate(word))
+        assert ts_download_all(cfg, word).per_column == weighted
+        assert tuple(ts_download(cfg, col, i)
+                     for i, col in enumerate(word)) == weighted
+
+
+@pytest.mark.parametrize("name", TABLE_CONFIGS)
+def test_decode_table_matches_the_scalar_peel(name):
+    """The decoder's one product equals the scalar peel of tests/oracles.py
+    on every unit stream, on streams of all q - 1 and on random streams.
+    The streams reach the decoder as clean downloads, their evaluations at
+    the points, so the stream decodes return them unchanged."""
+    cfg = TABLE_CONFIGS[name]()
+    q, size = cfg.base.q, cfg.inner_code.k
+    rng = random.Random(name)
+    inputs = table_inputs(rng, q, cfg.m * size) + [
+        [int(i == e) for i in range(cfg.m * size)]
+        for e in range(cfg.m * size)]
+    for coeffs in inputs:
+        streams = [coeffs[j * size:(j + 1) * size] for j in range(cfg.m)]
+        rows = [rs_evaluate(cfg.inner_code, g) for g in streams]
+        bundle = DownloadBundle(per_column=tuple(zip(*rows)),
+                                downloaded=cfg.downloaded_per_word,
+                                accessed=cfg.accessed_per_word)
+        assert ts_decode_message(cfg, bundle) == (
+            oracles.ts_peel(cfg, streams), frozenset())
+
+
+def map_digits(pmap):
+    """Each packed column of a PackedMap as the tuple of its digits,
+    unreduced, lowest first."""
+    mask = (1 << pmap.width) - 1
+    return [tuple(column >> shift & mask
+                  for shift in range(0, pmap.outputs * pmap.width, pmap.width))
+            for column in pmap.columns]
+
+
+@pytest.mark.parametrize("name", TABLE_CONFIGS)
+def test_tables_leave_digits_room(name):
+    """In every output digit of every table, the products with the
+    largest canonical symbols sum below 2^width, so nothing carries: for
+    the canonical download and decode tables that is
+    terms * (q - 1)^2 < 2^width, terms being the inputs the output reads;
+    the encode table's Kronecker digits reach (q - 1)^2."""
+    cfg = TABLE_CONFIGS[name]()
+    q = cfg.base.q
+    for pmap in (cfg.encode_map, cfg.download_map, cfg.decode_map):
+        digits = map_digits(pmap)
+        assert len(digits) == pmap.inputs
+        assert max(sum((q - 1) * d for d in row)
+                   for row in zip(*digits)) < 2 ** pmap.width
+    for pmap in (cfg.download_map, cfg.decode_map):
+        terms = max(sum(map(bool, row)) for row in zip(*map_digits(pmap)))
+        assert max(map(max, map_digits(pmap))) < q
+        assert terms * (q - 1) ** 2 < 2 ** pmap.width
 
 
 def test_malformed_bundle_rejected():
