@@ -5,6 +5,7 @@ field elements; one corrupted column counts as one error regardless of how
 many of its entries changed.
 """
 
+import itertools
 from dataclasses import dataclass
 
 
@@ -57,7 +58,8 @@ def apply_error_pattern(field, columns, pattern):
     columns were hit. The sums are integers reduced mod q, so a field that
     is not prime raises TypeError.
     """
-    columns = [tuple(field.check(a) for a in col) for col in columns]
+    columns = [tuple(col) for col in columns]
+    field.check_all(itertools.chain.from_iterable(columns))
     offsets = []
     for idx, vec in zip(pattern.support, pattern.values):
         if idx >= len(columns):
@@ -65,7 +67,7 @@ def apply_error_pattern(field, columns, pattern):
         if len(vec) != len(columns[idx]):
             raise ValueError(f"offset length {len(vec)} != column length "
                              f"{len(columns[idx])}")
-        offsets.append((idx, tuple(field.check(e) for e in vec)))
+        offsets.append((idx, field.check_all(vec)))
     q = _prime(field)
     for idx, vec in offsets:
         columns[idx] = tuple((a + e) % q for a, e in zip(columns[idx], vec))

@@ -12,7 +12,6 @@ the tests and the benchmark tracer read. They assume canonical operands:
 symbols from a caller or a file run it once per incoming symbol.
 """
 
-import itertools
 import operator
 from dataclasses import dataclass, field as dc_field
 
@@ -38,6 +37,18 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def _check_all(field, symbols):
+    """The symbols as a tuple, each checked with `field.check`. One pass
+    over plain ints in range stands for the checks; otherwise every symbol
+    is checked in order, so the first bad one raises as it would alone."""
+    symbols = tuple(symbols)
+    if (set(map(type, symbols)) != {int} or min(symbols) < 0
+            or max(symbols) >= field.order):
+        for a in symbols:
+            field.check(a)
+    return symbols
 
 
 class PrimeField:
@@ -68,6 +79,8 @@ class PrimeField:
                 or not 0 <= a < self.q):
             raise ValueError(f"{a!r} is not a canonical element of {self!r}")
         return a
+
+    check_all = _check_all
 
     def elements(self):
         return range(self.q)
@@ -130,10 +143,17 @@ def default_modulus(base, l):
     For l >= 2 the search skips the q^(l-1) leading candidates with c_0 = 0:
     x divides each of them, and testing them would cost far more than the
     few candidates after them (29,791 tests against 2 at q = 31, l = 4).
+    The candidates are made one at a time, from a counter whose base-q
+    digits, most significant first, are (c_0, ..., c_{l-1}), so the search
+    holds no list of field elements and runs over any q.
     """
-    first = range(1, base.q) if l >= 2 else base.elements()
-    for lower in itertools.product(first, *[base.elements()] * (l - 1)):
-        candidate = (*lower, 1)
+    q = base.q
+    for index in range(q ** (l - 1) if l >= 2 else 0, q ** l):
+        lower = []
+        for _ in range(l):
+            index, c = divmod(index, q)
+            lower.append(c)
+        candidate = (*reversed(lower), 1)
         if poly_is_irreducible(base, candidate):
             return candidate
     raise RuntimeError(f"no irreducible polynomial of degree {l} over {base!r}")
@@ -180,6 +200,8 @@ class ExtField:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
             raise ValueError(f"{a!r} is not a canonical element of {self!r}")
         return a
+
+    check_all = _check_all
 
     def elements(self):
         return range(self.order)

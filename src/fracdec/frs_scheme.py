@@ -159,15 +159,14 @@ def frs_encode(cfg, message):
     if len(message) != cfg.message_length:
         raise ValueError(
             f"message must have exactly kl = {cfg.message_length} symbols")
-    for c in message:
-        cfg.field.check(c)
+    cfg.field.check_all(message)
     return bundle_columns(packed_product(cfg.encode_map, message), cfg.l)
 
 
 def frs_download_prefix(cfg, column):
     """The alpha*l symbols a column serves: its prefix, read verbatim.
     Every symbol of the column is checked, served or not."""
-    column = tuple(cfg.field.check(c) for c in column)
+    column = cfg.field.check_all(column)
     if len(column) != cfg.l:
         raise ValueError(f"column must have l = {cfg.l} symbols")
     return column[:cfg.alpha_l]

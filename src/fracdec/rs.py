@@ -3,10 +3,12 @@ decoding, and a brute-force nearest-codeword search used as an oracle.
 
 A message is the coefficient tuple of a polynomial of degree < k over a
 prime field GF(q); the codeword is its evaluations at n distinct points.
-Unique decoding follows the extended-Euclid method: interpolate the
+Unique decoding follows Gao's extended-Euclid method: interpolate the
 received word, run the partial GCD against the master root polynomial
 until the remainder degree drops below (n + k) / 2, and read the message
-off the exact quotient.
+off the quotient. The Euclid run and the quotient are computed on packed
+integers too (see `rs_decode_unique`): a remainder and its cofactor share
+one integer, so each quotient term is one multiply-add.
 
 Both linear maps a code applies on every call, interpolation through its
 points and evaluation at them, depend on the code alone: `RsCode` builds
@@ -51,8 +53,7 @@ from typing import NamedTuple
 from .budget import check_budget
 from .errors import DecodeFailure, InconsistentErasures
 from .fields import PrimeField
-from .polyring import (degree, normalize, poly_divmod, poly_from_roots,
-                       poly_mul, poly_sub)
+from .polyring import degree, normalize, poly_from_roots
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,14 @@ class RsCode:
         master'(omega_i), so the table costs O(n^2) after master.
     powers: k packed integers; digit i of entry j is omega_i^j, so entry j
         is column j of the evaluation map.
-    Only `rs_interpolate` and `rs_evaluate` read the packed tables.
+    decode_width: the bit width of one digit of `rs_decode_unique`'s packed
+        Euclid run, the least multiple of 8 with
+        (k + 1) * (q - 1) * (2q - 1)^t < 2^decode_width, t the radius;
+        `rs_decode_unique` proves that bound.
+    decode_master: the Euclid run's start, master packed at decode_width
+        above t + 1 zero digits (its cofactor, 0).
+    Only `rs_interpolate` and `rs_evaluate` read the packed tables, and
+    only `rs_decode_unique` the decode fields.
     """
 
     field: PrimeField
@@ -84,6 +92,8 @@ class RsCode:
     width: int = dc_field(init=False, repr=False, compare=False)
     lagrange: tuple = dc_field(init=False, repr=False, compare=False)
     powers: tuple = dc_field(init=False, repr=False, compare=False)
+    decode_width: int = dc_field(init=False, repr=False, compare=False)
+    decode_master: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         field, k = self.field, self.k
@@ -114,10 +124,16 @@ class RsCode:
             scale = pow(slope, q - 2, q)
             lagrange.append(_pack([c * scale % q for c in quotient], size))
         powers = [_pack(c, size) for c in power_columns(q, omega, k)]
+        t = (n - k) // 2
+        decode_size = -(-((k + 1) * (q - 1) * (2 * q - 1) ** t)
+                        .bit_length() // 8)
         object.__setattr__(self, "master", master)
         object.__setattr__(self, "width", 8 * size)
         object.__setattr__(self, "lagrange", tuple(lagrange))
         object.__setattr__(self, "powers", tuple(powers))
+        object.__setattr__(self, "decode_width", 8 * decode_size)
+        object.__setattr__(self, "decode_master",
+                           _pack((0,) * (t + 1) + master, decode_size))
 
     @property
     def n(self):
@@ -177,8 +193,11 @@ def rs_evaluate(code, h):
 def rs_interpolate(code, word):
     """The polynomial of degree < n through the n canonical symbols of the
     sequence `word` at the code's points, through `code.lagrange`."""
-    return normalize(_unpack(sum(map(mul, word, code.lagrange)), code.n,
-                             code.width, code.field.q))
+    coeffs = _unpack(sum(map(mul, word, code.lagrange)), code.n, code.width,
+                     code.field.q)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 class PackedMap(NamedTuple):
@@ -270,27 +289,77 @@ def rs_decode_unique(code, received):
     Returns (message, error_positions) with error_positions a frozenset.
     Raises DecodeFailure when no codeword lies within the radius; by the
     final re-encode check the result is never silently wrong.
+
+    Gao's partial extended Euclid runs from (r0, v0) = (master, 0) and
+    (r1, v1) = (interpolant, 1) while 2 deg r1 >= n + k. If a codeword
+    lies within the radius, r1 / v1 is an exact division whose quotient is
+    its message. So a quotient of degree >= k, or a zero quotient of a
+    nonzero r1, fails at once; any other quotient is re-encoded and kept
+    only if it lies within the radius, which an inexact division's never
+    does.
+
+    Each pair (r, v) is one integer of w-bit digits, w = decode_width:
+    digit i is congruent mod q to coefficient i of v, and digit t + 1 + i
+    to coefficient i of r, t the radius. A quotient term f x^s is read off
+    the top digit of r0 mod q, and r0 -= f x^s r1 with v0 -= f x^s v1 is
+    the one multiply-add pair0 += (q - f) * pair1 << s * w, which leaves a
+    digit congruent to 0 where the term cancelled. After each division the
+    digits above the remainder's degree, all congruent to 0, are masked
+    off. The degree of v is the sum of the quotient degrees so far, at
+    most t (below), so v stays in its t + 1 digits.
+
+    No digit carries. Every addend is nonnegative, so each digit only
+    grows, by at most (q - 1) times a digit of pair1 per term that reaches
+    it. If a dividend's digits are at most A_{i-1} and the divisor's A_i,
+    a quotient of degree d leaves digits at most
+    A_{i+1} = A_{i-1} + (d + 1)(q - 1) A_i <= (2q - 1)^d A_i, as
+    A_{i-1} <= A_i and 1 + (d + 1)(q - 1) <= (2q - 1)^d for d >= 1. Every
+    quotient degree is at least 1, and the degrees sum to n minus the
+    degree of the last divisor, at most n - ceil((n + k) / 2) = t. The r
+    digits start canonical (A_0 = A_1 = q - 1), so they stay at most
+    (q - 1)(2q - 1)^t; the v digits start at 0 and 1, so they stay at most
+    (2q - 1)^t. The final division runs only when its quotient has degree
+    < k, so it adds at most k terms of (q - 1) times a digit of v, and no
+    digit exceeds (k + 1)(q - 1)(2q - 1)^t < 2^w.
     """
     field, n, k = code.field, code.n, code.k
     received = tuple(received)
     if len(received) != n:
         raise ValueError(f"received word has {len(received)} symbols, expected {n}")
-    for c in received:
-        field.check(c)
-
-    # partial extended Euclid from the master polynomial and the
-    # interpolant: track only the coefficient of the interpolant
-    r0 = code.master
+    field.check_all(received)
+    q, width = field.q, code.decode_width
+    mask = (1 << width) - 1
+    low = (code.radius + 1) * width
     r1 = rs_interpolate(code, received)
-    v0, v1 = (), (1,)
-    while 2 * degree(r1) >= n + k:
-        quot, rem = poly_divmod(field, r0, r1)
-        r0, r1 = r1, rem
-        v0, v1 = v1, poly_sub(field, v0, poly_mul(field, quot, v1))
-    h, rem = poly_divmod(field, r1, v1)
-    if rem != () or degree(h) >= k:
+    pair0, pair1 = code.decode_master, _pack((1, *(0,) * code.radius, *r1),
+                                            width // 8)
+    top0, top1, v_degree = n, len(r1) - 1, 0
+    while 2 * top1 >= n + k:
+        inv = pow((pair1 >> low + top1 * width) % q, q - 2, q)
+        for s in range(top0 - top1, -1, -1):
+            f = (pair0 >> low + (top1 + s) * width & mask) * inv % q
+            if f:
+                pair0 += (q - f) * pair1 << s * width
+        v_degree += top0 - top1
+        top0, top1 = top1, top1 - 1
+        while top1 >= 0 and not (pair0 >> low + top1 * width & mask) % q:
+            top1 -= 1
+        pair0, pair1 = pair1, pair0 & (1 << low + (top1 + 1) * width) - 1
+    if top1 < 0:
+        h = ()
+    elif not 0 <= top1 - v_degree < k:
         raise DecodeFailure(
             f"no codeword within {code.radius} errors of the received word")
+    else:
+        r, v = pair1 >> low, pair1 & (1 << low) - 1
+        inv = pow((v >> v_degree * width) % q, q - 2, q)
+        quotient = []
+        for s in range(top1 - v_degree, -1, -1):
+            f = (r >> (v_degree + s) * width & mask) * inv % q
+            quotient.append(f)
+            if f:
+                r += (q - f) * v << s * width
+        h = tuple(reversed(quotient))
     codeword = rs_evaluate(code, h)
     positions = frozenset(i for i in range(n) if codeword[i] != received[i])
     if len(positions) > code.radius:

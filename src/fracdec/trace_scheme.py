@@ -256,14 +256,15 @@ def ts_project_polys(cfg, message):
 def _stored_symbols(cfg, columns):
     """The symbols of the stored `columns`, column by column, each checked
     before any product sees it, with every column of exactly l."""
-    check, l = cfg.base.check, cfg.l
+    check_all, l = cfg.base.check_all, cfg.l
     symbols = []
     for column in columns:
         column = tuple(column)
         if len(column) != l:
+            check_all(symbols)  # a bad symbol in an earlier column comes first
             raise ValueError(f"column must have l = {l} symbols, got {len(column)}")
-        symbols.extend(map(check, column))
-    return symbols
+        symbols.extend(column)
+    return check_all(symbols)
 
 
 def ts_download(cfg, column, index):

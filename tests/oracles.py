@@ -3,9 +3,11 @@
 import functools
 import itertools
 
+from fracdec import polyring
 from fracdec.budget import check_budget
 from fracdec.errors import DecodeFailure
 from fracdec.polyring import degree, normalize
+from fracdec.rs import rs_evaluate, rs_interpolate
 from fracdec.trace_scheme import ts_all_codewords, ts_download_all
 
 
@@ -119,6 +121,36 @@ def trial_decode_columns(field, columns, column_points, degree_bound, t_star):
                 return candidate, frozenset(discard)
     raise DecodeFailure(
         f"no consistent candidate after discarding up to {t_star} columns")
+
+
+def rs_decode_euclid(code, received):
+    """`fracdec.rs.rs_decode_unique` one coefficient at a time: Gao's
+    partial extended Euclid from the master polynomial and the interpolant
+    in `fracdec.polyring`, then the exact quotient r1 / v1 and the
+    re-encode check. The reference the packed decoder is compared against,
+    input checks and DecodeFailure messages included."""
+    field, n, k = code.field, code.n, code.k
+    received = tuple(received)
+    if len(received) != n:
+        raise ValueError(f"received word has {len(received)} symbols, expected {n}")
+    for c in received:
+        field.check(c)
+    failure = f"no codeword within {code.radius} errors of the received word"
+    r0, r1 = code.master, rs_interpolate(code, received)
+    v0, v1 = (), (1,)
+    while 2 * degree(r1) >= n + k:
+        quot, rem = polyring.poly_divmod(field, r0, r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, polyring.poly_sub(field, v0,
+                                       polyring.poly_mul(field, quot, v1))
+    h, rem = polyring.poly_divmod(field, r1, v1)
+    if rem != () or degree(h) >= k:
+        raise DecodeFailure(failure)
+    codeword = rs_evaluate(code, h)
+    positions = frozenset(i for i in range(n) if codeword[i] != received[i])
+    if len(positions) > code.radius:
+        raise DecodeFailure(failure)
+    return h, positions
 
 
 def irreducible_by_trial_division(base, coeffs):

@@ -129,6 +129,7 @@ def entry_points(label):
     hit_first = ErrorPattern(support=(0,), values=((1,),))
     points = {
         "check": lambda bad: field.check(bad),
+        "check_all": lambda bad: field.check_all((0, bad, 1)),
         "RsCode": lambda bad: RsCode(field, 1, (0, 1, bad)),
         "apply_error_pattern-word":
             lambda bad: apply_error_pattern(field, ((0,), (bad,)), hit_first),
@@ -198,19 +199,43 @@ def test_entry_points_reject_out_of_field_symbols(label, name):
             call(bad)
 
 
+@pytest.mark.parametrize("field", (PrimeField(7), gf4()), ids=repr)
+def test_vector_check_is_the_symbol_checks_in_order(field):
+    """check_all returns its symbols as a tuple and raises exactly what
+    checking them one at a time raises first."""
+    top = field.order - 1
+    assert field.check_all(iter([0, top, 1])) == (0, top, 1)
+    assert field.check_all([]) == ()
+    for symbols in ([0, top + 1, -1], [1, -1, 2.0], [True, top + 1],
+                    [0, 1.0, top + 1], [top, 3 ** 99]):
+        with pytest.raises(ValueError) as one_at_a_time:
+            for a in symbols:
+                field.check(a)
+        with pytest.raises(ValueError) as vector:
+            field.check_all(symbols)
+        assert str(vector.value) == str(one_at_a_time.value)
+
+
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                          ids=lambda path: path.stem)
 def test_pipeline_checks_each_symbol_a_bounded_number_of_times(path,
                                                               monkeypatch):
     """Validation runs where symbols enter, not on every field operation:
-    one pipeline at the radius makes at most 4*n*l checks, a few per
-    stored symbol, where per-operation checks made thousands."""
+    one pipeline at the radius checks at most 4*n*l symbols, one at a time
+    or in vectors, a few per stored symbol, where per-operation checks
+    made thousands."""
     calls = []
     for cls in (PrimeField, ExtField):
         def counted(self, a, _check=cls.check):
             calls.append(a)
             return _check(self, a)
+
+        def counted_all(self, symbols, _check_all=cls.check_all):
+            symbols = tuple(symbols)
+            calls.extend(symbols)
+            return _check_all(self, symbols)
         monkeypatch.setattr(cls, "check", counted)
+        monkeypatch.setattr(cls, "check_all", counted_all)
     cfg = config_from_dict(load_json(str(path)))
     stream = trial_stream(0, cfg.radius, 0)
     message = random_message(cfg, stream)
@@ -267,6 +292,15 @@ def test_default_moduli():
         (q, l) for q in range(32) if is_prime(q) for l in range(1, 5)}
     for (q, l), modulus in DEFAULT_MODULI.items():
         assert default_modulus(PrimeField(q), l) == modulus, (q, l)
+
+
+def test_default_modulus_searches_large_fields_lazily():
+    """The candidate search never materialises the field: over
+    GF(2^32 + 15), where q = 3 mod 4, x^2 + 1 is the first candidate and
+    irreducible, and a trace config without a modulus builds."""
+    q = 4294967311
+    assert default_modulus(PrimeField(q), 2) == (1, 0, 1)
+    assert ts_make_config(q, 5, 2, 2, 1).ext.modulus == (1, 0, 1)
 
 
 def test_irreducibility_matches_trial_division():

@@ -1,7 +1,9 @@
 """Polynomial ring and Reed-Solomon tests, including oracle agreement."""
 
+import inspect
 import itertools
 import random
+from fractions import Fraction
 from operator import mul
 from pathlib import Path
 
@@ -10,13 +12,18 @@ import pytest
 import oracles
 
 from fracdec import polyring as P
+from fracdec.arraycode import ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure, InconsistentErasures
 from fracdec.fields import ExtField, PrimeField
+from fracdec.frs_scheme import (frs_decode_trial, frs_download_all,
+                                frs_encode, frs_make_config)
 from fracdec.rs import (PackedMap, RsCode, nearest_codeword_bruteforce,
                         packed_map, packed_product, rs_decode_unique,
                         rs_encode, rs_erasure_decode, rs_evaluate,
                         rs_interpolate, tabulate_map)
 from fracdec.serialization import config_from_dict, load_json
+from fracdec.trace_scheme import (TsConfig, ts_decode_message,
+                                  ts_download_all, ts_encode, ts_make_config)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -450,6 +457,166 @@ def test_rs_code_builds_its_master_once(q, n, polyring_calls):
     code = RsCode(PrimeField(q), 1, range(n))
     assert calls == ["poly_from_roots"]
     assert code.master == P.poly_from_roots(code.field, code.omega)
+
+
+# The configs whose RS codes the schemes decode with: the benchmark's trace
+# and folded shapes and the shipped configs.
+DECODER_CONFIGS = {
+    "ts-wide": lambda: ts_make_config(31, 30, 4, 4, 2),
+    "frs-wide": lambda: frs_make_config(12, 3, 4, Fraction(1, 2)),
+    **{path.stem: lambda path=path: config_from_dict(load_json(str(path)))
+       for path in sorted(CONFIG_DIR.glob("*.json"))},
+}
+
+
+def decoder_code(cfg):
+    return cfg.inner_code if isinstance(cfg, TsConfig) else cfg.prefix_code
+
+
+def decode_outcome(decode, code, word):
+    """(message, positions), or the DecodeFailure message."""
+    try:
+        return decode(code, word)
+    except DecodeFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", DECODER_CONFIGS)
+def test_packed_decoder_matches_the_scalar_euclid(name):
+    """rs_decode_unique agrees with the coefficient-at-a-time Euclid
+    decoder, message and positions or failure message, on the zero word,
+    on seeded codewords hit at every error weight from 0 to n, and on
+    uniformly random words."""
+    code = decoder_code(DECODER_CONFIGS[name]())
+    q, n = code.field.q, code.n
+    rng = random.Random(name)
+    words = [[0] * n]
+    for weight in range(n + 1):
+        for _ in range(4):
+            word = list(rs_encode(code, [rng.randrange(q)
+                                         for _ in range(code.k)]))
+            for pos in rng.sample(range(n), weight):
+                word[pos] = (word[pos] + rng.randrange(1, q)) % q
+            words.append(word)
+        words.append([rng.randrange(q) for _ in range(n)])
+    kinds = set()
+    for word in words:
+        got = decode_outcome(rs_decode_unique, code, word)
+        assert got == decode_outcome(oracles.rs_decode_euclid, code, word)
+        kinds.add(type(got))
+    assert kinds == {tuple, str}
+
+
+def euclid_digits(code, received):
+    """rs_decode_unique's packed run replayed on lists of exact digits: the
+    same multiply-adds at the same digit offsets and the same masking, but
+    no digit has a width to carry out of. Returns the message polynomial,
+    or None where the decoder fails before its re-encode check, and the
+    largest digit the run held."""
+    q, n, k, t = code.field.q, code.n, code.k, code.radius
+    r1 = rs_interpolate(code, received)
+    pair0, pair1 = [0] * (t + 1) + list(code.master), [1] + [0] * t + list(r1)
+    largest = max(pair0 + pair1)
+
+    def multiply_add(acc, factor, addend, shift):
+        acc.extend([0] * (len(addend) + shift - len(acc)))
+        for i, digit in enumerate(addend, shift):
+            acc[i] += factor * digit
+        return max(acc)
+
+    top0, top1, v_degree = n, len(r1) - 1, 0
+    while 2 * top1 >= n + k:
+        inv = pow(pair1[t + 1 + top1] % q, q - 2, q)
+        for s in range(top0 - top1, -1, -1):
+            f = pair0[t + 1 + top1 + s] * inv % q
+            if f:
+                largest = max(largest, multiply_add(pair0, q - f, pair1, s))
+        v_degree += top0 - top1
+        top0, top1 = top1, top1 - 1
+        while top1 >= 0 and pair0[t + 1 + top1] % q == 0:
+            top1 -= 1
+        pair0, pair1 = pair1, pair0[:t + 2 + top1]
+    if top1 < 0:
+        return (), largest
+    if not 0 <= top1 - v_degree < k:
+        return None, largest
+    r, v = pair1[t + 1:], pair1[:t + 1]
+    inv = pow(v[v_degree] % q, q - 2, q)
+    quotient = []
+    for s in range(top1 - v_degree, -1, -1):
+        f = r[v_degree + s] * inv % q
+        quotient.append(f)
+        if f:
+            largest = max(largest, multiply_add(r, q - f, v, s))
+    if any(c % q for c in r[:v_degree]):
+        return None, largest
+    return tuple(reversed(quotient)), largest
+
+
+@pytest.mark.parametrize("q, n, k", ((2, 1, 1), (2, 2, 1), (2, 2, 2),
+                                     (4294967311, 5, 1), (4294967311, 5, 3),
+                                     (257, 256, 16)))
+def test_packed_decoder_holds_at_the_carry_boundary(q, n, k):
+    """No digit of the packed Euclid run reaches 2^decode_width: the width
+    meets the bound rs_decode_unique proves, and a replay of the run on
+    exact digits stays below it. The words are all q - 1, the word whose
+    interpolant has every coefficient q - 1, codewords hit at the radius
+    and random words; the shapes are GF(2) at n = 1 and 2, GF(2^32 + 15),
+    whose digits are wider than 64 bits, and a full-length code over
+    GF(257), whose run is 120 steps long."""
+    field = PrimeField(q)
+    rng = random.Random(n * k)
+    code = RsCode(field, k, [q - 1] + rng.sample(range(q - 1), n - 1))
+    t = code.radius
+    assert (k + 1) * (q - 1) * (2 * q - 1) ** t < 2 ** code.decode_width
+    full = RsCode(field, n, code.omega)
+    words = [[q - 1] * n, rs_encode(full, [q - 1] * n)]
+    for _ in range(2):
+        word = list(rs_encode(code, [rng.randrange(q) for _ in range(k)]))
+        for pos in rng.sample(range(n), t):
+            word[pos] = (word[pos] + rng.randrange(1, q)) % q
+        words += [word, [rng.randrange(q) for _ in range(n)]]
+    for word in words:
+        got = decode_outcome(rs_decode_unique, code, word)
+        assert got == decode_outcome(oracles.rs_decode_euclid, code, word)
+        message, largest = euclid_digits(code, word)
+        assert largest < 2 ** code.decode_width
+        if isinstance(got, tuple):
+            assert message == got[0]
+
+
+@pytest.mark.parametrize("name", DECODER_CONFIGS)
+def test_scheme_decodes_call_no_polyring_function(name, polyring_calls):
+    """Decoding runs on packed integers only: neither scheme's decode, at
+    error weights 0 to n, calls any polyring function."""
+    cfg = DECODER_CONFIGS[name]()
+    if isinstance(cfg, TsConfig):
+        field, message = cfg.base, tuple(range(1, cfg.k + 1))
+        word = ts_encode(cfg, message)
+        download, decode = ts_download_all, ts_decode_message
+    else:
+        field, message = cfg.field, tuple(range(1, cfg.message_length + 1))
+        word = frs_encode(cfg, message)
+        download = frs_download_all
+
+        def decode(cfg, bundle):
+            return frs_decode_trial(cfg, bundle.per_column)
+    calls = polyring_calls(*(fn_name for fn_name, fn in vars(P).items()
+                             if inspect.isfunction(fn)
+                             and fn.__module__ == P.__name__))
+    outcomes = set()
+    for weight in range(cfg.n + 1):
+        pattern = ErrorPattern(support=tuple(range(weight)),
+                               values=((1,) * len(word[0]),) * weight)
+        bundle = download(cfg, apply_error_pattern(field, word, pattern))
+        calls.clear()
+        try:
+            decoded, _ = decode(cfg, bundle)
+            outcomes.add(decoded == message)
+        except DecodeFailure:
+            outcomes.add(None)
+        assert calls == [], weight
+    assert True in outcomes and len(outcomes) > 1
 
 
 def test_rs_erasure_decode():
