@@ -47,7 +47,8 @@ _EXPORTS = {
                      "ts_download_all", "ts_encode", "ts_full_pipeline",
                      "ts_make_config", "ts_project_polys"),
 }
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "polyring", "serialization"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "polyring", "records",
+                                      "serialization"}
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

@@ -6,11 +6,11 @@ many of its entries changed.
 """
 
 import itertools
-from dataclasses import dataclass
+
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ErrorPattern:
+class ErrorPattern(Record):
     """A set of corrupted columns and the additive offsets applied to them.
 
     support: strictly increasing column indices.
@@ -18,14 +18,12 @@ class ErrorPattern:
         nonzero entry (a zero offset would not corrupt anything).
     """
 
-    support: tuple
-    values: tuple
+    __slots__ = _fields = ("support", "values")
 
-    def __post_init__(self):
-        support = tuple(self.support)
-        values = tuple(tuple(v) for v in self.values)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "values", values)
+    def __init__(self, support, values):
+        support = tuple(support)
+        values = tuple(map(tuple, values))
+        self._set(support=support, values=values)
         if len(support) != len(values):
             raise ValueError("support and values must have the same length")
         if any(support[i] >= support[i + 1] for i in range(len(support) - 1)):
@@ -96,8 +94,7 @@ def difference_pattern(field, base_word, other_word, columns=None):
     return ErrorPattern(support=tuple(support), values=tuple(values))
 
 
-@dataclass(frozen=True)
-class DownloadBundle:
+class DownloadBundle(Record):
     """Per-column downloaded symbols plus exact transfer accounting.
 
     downloaded counts base-field symbols sent over the wire; accessed counts
@@ -105,10 +102,8 @@ class DownloadBundle:
     only for schemes that compute on more symbols than they transmit.
     """
 
-    per_column: tuple
-    downloaded: int
-    accessed: int
+    __slots__ = _fields = ("per_column", "downloaded", "accessed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_column",
-                           tuple(tuple(c) for c in self.per_column))
+    def __init__(self, per_column, downloaded, accessed):
+        self._set(per_column=tuple(map(tuple, per_column)),
+                  downloaded=downloaded, accessed=accessed)

@@ -13,13 +13,13 @@ All rates and fractions are exact Fractions; see rationals.as_fraction.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
 
-from .arraycode import ErrorPattern, apply_error_pattern, difference_pattern
+from .arraycode import apply_error_pattern, difference_pattern
 from .budget import check_budget
 from .rationals import as_fraction
+from .records import Record
 
 
 def _validate_regime(n, k, alpha):
@@ -63,19 +63,19 @@ def list_capacity(rate, alpha):
     return 1 - rate / alpha
 
 
-@dataclass(frozen=True)
-class RadiusReport:
+class RadiusReport(Record):
     """Side-by-side exact radii for one (n, k, alpha) triple."""
 
-    n: int
-    k: int
-    alpha: Fraction
-    rate: Fraction
-    naive: int
-    optimal: int
-    naive_normalized: Fraction
-    optimal_normalized: Fraction
-    list_capacity: Fraction
+    __slots__ = _fields = ("n", "k", "alpha", "rate", "naive", "optimal",
+                           "naive_normalized", "optimal_normalized",
+                           "list_capacity")
+
+    def __init__(self, n, k, alpha, rate, naive, optimal, naive_normalized,
+                 optimal_normalized, list_capacity):
+        self._set(n=n, k=k, alpha=alpha, rate=rate, naive=naive,
+                  optimal=optimal, naive_normalized=naive_normalized,
+                  optimal_normalized=optimal_normalized,
+                  list_capacity=list_capacity)
 
 
 def radius_report(n, k, alpha):
@@ -93,8 +93,7 @@ def radius_report(n, k, alpha):
     )
 
 
-@dataclass(frozen=True)
-class MinInfoResult:
+class MinInfoResult(Record):
     """Outcome of the information-count necessary condition.
 
     Correcting t errors forces every n - 2t columns to jointly download at
@@ -102,9 +101,10 @@ class MinInfoResult:
     sets and witness names a violating set when the condition fails.
     """
 
-    passed: bool
-    min_total: Fraction
-    witness: tuple
+    __slots__ = _fields = ("passed", "min_total", "witness")
+
+    def __init__(self, passed, min_total, witness):
+        self._set(passed=passed, min_total=min_total, witness=witness)
 
 
 def min_info_check(alphas, t, k):
@@ -132,8 +132,7 @@ def min_info_check(alphas, t, k):
                          witness=() if passed else chosen)
 
 
-@dataclass(frozen=True)
-class CollisionWitness:
+class CollisionWitness(Record):
     """Two codewords plus error patterns with identical downloads.
 
     Corrupting word_a by pattern_a and word_b by pattern_b yields words
@@ -143,11 +142,12 @@ class CollisionWitness:
     identically); the patterns touch only the remaining 2t columns, t each.
     """
 
-    word_a: tuple
-    word_b: tuple
-    pattern_a: ErrorPattern
-    pattern_b: ErrorPattern
-    agree_columns: tuple
+    __slots__ = _fields = ("word_a", "word_b", "pattern_a", "pattern_b",
+                           "agree_columns")
+
+    def __init__(self, word_a, word_b, pattern_a, pattern_b, agree_columns):
+        self._set(word_a=word_a, word_b=word_b, pattern_a=pattern_a,
+                  pattern_b=pattern_b, agree_columns=agree_columns)
 
 
 def find_download_collision(field, codewords, download_fns, t):
@@ -214,11 +214,12 @@ def _build_witness(field, word_a, word_b, agree_columns, t, download_fns):
                             agree_columns=tuple(agree_columns))
 
 
-@dataclass(frozen=True)
-class FigureRow:
-    alpha: Fraction
-    naive_normalized: Fraction
-    optimal_normalized: Fraction
+class FigureRow(Record):
+    __slots__ = _fields = ("alpha", "naive_normalized", "optimal_normalized")
+
+    def __init__(self, alpha, naive_normalized, optimal_normalized):
+        self._set(alpha=alpha, naive_normalized=naive_normalized,
+                  optimal_normalized=optimal_normalized)
 
 
 def emit_figure(rate, steps=61):

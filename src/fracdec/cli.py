@@ -5,6 +5,10 @@ compare-naive, oracle nearest|collision|list. All artifacts are JSON (or
 CSV for figure); "-" means stdin/stdout. Exit codes: 0 success, 1 decode
 failure, 2 usage/config/format errors. FRACDEC_BUDGET caps brute-force
 enumeration sizes.
+
+Each command imports what it runs when it runs: a stage command loads
+only the scheme its config names, and `harness` and `bounds` load only
+for the commands that use them.
 """
 
 import argparse
@@ -12,21 +16,7 @@ import json
 import sys
 
 from . import serialization as ser
-from .arraycode import apply_error_pattern
 from .errors import BudgetExceeded, DecodeFailure
-from .fields import PrimeField
-from .frs_scheme import (frs_all_codewords, frs_decode_trial,
-                         frs_download_all, frs_download_fns, frs_encode,
-                         frs_list_decode_bruteforce)
-from .harness import (ExperimentSpec, _message_space, _scheme_kind,
-                      _symbol_field, compare_naive, comparison_to_dict,
-                      random_error_pattern, report_to_json, simulate,
-                      trial_stream)
-from .rationals import as_fraction
-from .rs import RsCode, nearest_codeword_bruteforce
-from .budget import check_budget
-from .trace_scheme import (ts_all_codewords, ts_decode_message,
-                           ts_download_all, ts_download_fns, ts_encode)
 
 
 def _ints_arg(text, what):
@@ -41,16 +31,15 @@ def _ints_arg(text, what):
 
 def _load_config(path, expected_scheme=None):
     cfg = ser.config_from_dict(ser.load_json(path))
-    if expected_scheme is not None:
-        actual = _scheme_kind(cfg)
-        if actual != expected_scheme:
-            raise ValueError(f"config {path} is for scheme {actual!r}, "
-                             f"expected {expected_scheme!r}")
+    if expected_scheme not in (None, cfg.scheme):
+        raise ValueError(f"config {path} is for scheme {cfg.scheme!r}, "
+                         f"expected {expected_scheme!r}")
     return cfg
 
 
 def cmd_bounds(args):
     from .bounds import radius_report
+    from .rationals import as_fraction
     report = radius_report(args.n, args.k, as_fraction(args.alpha))
     ser.dump_json(args.out, {
         "format": 1,
@@ -69,6 +58,7 @@ def cmd_bounds(args):
 
 def cmd_figure(args):
     from .bounds import emit_figure, figure_csv
+    from .rationals import as_fraction
     rows = emit_figure(as_fraction(args.rate), args.steps)
     ser.write_text(args.out, figure_csv(rows))
     return 0
@@ -77,13 +67,18 @@ def cmd_figure(args):
 def cmd_encode(args):
     cfg = _load_config(args.config, args.scheme)
     message = ser.message_from_dict(ser.load_json(args.message))
-    encode = ts_encode if args.scheme == "ts" else frs_encode
+    if args.scheme == "ts":
+        from .trace_scheme import ts_encode as encode
+    else:
+        from .frs_scheme import frs_encode as encode
     columns = encode(cfg, message)
     ser.dump_json(args.out, ser.codeword_to_dict(args.scheme, columns))
     return 0
 
 
 def cmd_corrupt(args):
+    from .arraycode import apply_error_pattern
+    from .harness import _symbol_field, random_error_pattern, trial_stream
     cfg = _load_config(args.config, args.scheme)
     columns = ser.codeword_from_dict(ser.load_json(args.infile), args.scheme)
     if len(columns) != cfg.n or any(len(c) != cfg.l for c in columns):
@@ -112,7 +107,10 @@ def cmd_corrupt(args):
 def cmd_download(args):
     cfg = _load_config(args.config, args.scheme)
     columns = ser.codeword_from_dict(ser.load_json(args.infile), args.scheme)
-    download = ts_download_all if args.scheme == "ts" else frs_download_all
+    if args.scheme == "ts":
+        from .trace_scheme import ts_download_all as download
+    else:
+        from .frs_scheme import frs_download_all as download
     bundle = download(cfg, columns)
     ser.dump_json(args.out, ser.bundle_to_dict(bundle))
     return 0
@@ -121,8 +119,12 @@ def cmd_download(args):
 def cmd_decode(args):
     cfg = _load_config(args.config, args.scheme)
     bundle = ser.bundle_from_dict(ser.load_json(args.infile))
-    message, corrected = (ts_decode_message(cfg, bundle) if args.scheme == "ts"
-                          else frs_decode_trial(cfg, bundle.per_column))
+    if args.scheme == "ts":
+        from .trace_scheme import ts_decode_message
+        message, corrected = ts_decode_message(cfg, bundle)
+    else:
+        from .frs_scheme import frs_decode_trial
+        message, corrected = frs_decode_trial(cfg, bundle.per_column)
     out = ser.message_to_dict(args.scheme, message)
     out["correctedColumns"] = sorted(corrected)
     ser.dump_json(args.out, out)
@@ -130,6 +132,7 @@ def cmd_decode(args):
 
 
 def cmd_simulate(args):
+    from .harness import ExperimentSpec, report_to_json, simulate
     cfg = _load_config(args.config)
     spec = ExperimentSpec(
         config=cfg,
@@ -144,6 +147,7 @@ def cmd_simulate(args):
 
 
 def cmd_compare_naive(args):
+    from .harness import compare_naive, comparison_to_dict
     cfg = _load_config(args.config)
     result = compare_naive(cfg, args.t, seed=args.seed)
     ser.dump_json(args.out, comparison_to_dict(result))
@@ -151,6 +155,8 @@ def cmd_compare_naive(args):
 
 
 def cmd_oracle_nearest(args):
+    from .fields import PrimeField
+    from .rs import RsCode, nearest_codeword_bruteforce
     field = PrimeField(args.q)
     received = _ints_arg(args.received, "--received")
     n = len(received)
@@ -168,13 +174,17 @@ def cmd_oracle_nearest(args):
 
 def cmd_oracle_collision(args):
     from .bounds import find_download_collision
+    from .budget import check_budget
+    from .harness import _message_space, _symbol_field
     cfg = _load_config(args.config)
-    if _scheme_kind(cfg) == "ts":
+    if cfg.scheme == "ts":
+        from .trace_scheme import ts_all_codewords as enumerate_words
+        from .trace_scheme import ts_download_fns
         fns = ts_download_fns(cfg, count=args.download_count)
-        enumerate_words = ts_all_codewords
     else:
+        from .frs_scheme import frs_all_codewords as enumerate_words
+        from .frs_scheme import frs_download_fns
         fns = frs_download_fns(cfg, height=args.download_count)
-        enumerate_words = frs_all_codewords
     order, length = _message_space(cfg)
     check_budget(order ** length, "codeword enumeration for collision search")
     codewords = [word for _, word in enumerate_words(cfg)]
@@ -203,6 +213,7 @@ def _pattern_dict(pattern):
 
 
 def cmd_oracle_list(args):
+    from .frs_scheme import frs_list_decode_bruteforce
     cfg = _load_config(args.config, "frs")
     bundle = ser.bundle_from_dict(ser.load_json(args.word))
     hits = frs_list_decode_bruteforce(cfg, bundle.per_column, args.radius)

@@ -13,9 +13,9 @@ symbols from a caller or a file run it once per incoming symbol.
 """
 
 import operator
-from dataclasses import dataclass, field as dc_field
 
 from . import polyring
+from .records import Record
 
 
 def is_prime(n):
@@ -307,8 +307,7 @@ def dual_basis(ext, zeta=None):
     return TraceDualBasis(ext=ext, zeta=zeta)
 
 
-@dataclass(frozen=True)
-class TraceDualBasis:
+class TraceDualBasis(Record):
     """A basis zeta of GF(q^l) over GF(q) together with its trace dual nu.
 
     project(beta) yields the base-field coordinates (trace(zeta_j * beta))_j,
@@ -325,15 +324,11 @@ class TraceDualBasis:
     of P's inverse, and a singular P means zeta is not a basis.
     """
 
-    ext: ExtField
-    zeta: tuple
-    nu: tuple = dc_field(init=False)
-    _proj: tuple = dc_field(init=False, repr=False, compare=False)
-    _recon: tuple = dc_field(init=False, repr=False, compare=False)
+    _fields = ("ext", "zeta", "nu")
+    __slots__ = _fields + ("_proj", "_recon")
 
-    def __post_init__(self):
-        ext = self.ext
-        zeta = tuple(ext.check(z) for z in self.zeta)
+    def __init__(self, ext, zeta):
+        zeta = tuple(ext.check(z) for z in zeta)
         if len(zeta) != ext.degree:
             raise ValueError(
                 f"basis must have {ext.degree} elements, got {len(zeta)}")
@@ -350,11 +345,9 @@ class TraceDualBasis:
         if recon is None:
             raise ValueError("given elements are linearly dependent over the "
                              "base field (singular trace projection matrix)")
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "nu",
-                           tuple(_pack(col, ext.q) for col in zip(*recon)))
-        object.__setattr__(self, "_proj", proj)
-        object.__setattr__(self, "_recon", recon)
+        self._set(ext=ext, zeta=zeta,
+                  nu=tuple(_pack(col, ext.q) for col in zip(*recon)),
+                  _proj=proj, _recon=recon)
 
     @property
     def l(self):

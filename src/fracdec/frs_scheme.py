@@ -14,16 +14,15 @@ zero.
 """
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from operator import ne
 
 from .arraycode import DownloadBundle, apply_error_pattern
 from .budget import check_budget
 from .fields import PrimeField, is_prime, prime_factors
 from .rationals import as_fraction
-from .rs import (PackedMap, RsCode, decode_columns, packed_map,
-                 packed_product, power_columns, rs_evaluate)
+from .records import Record
+from .rs import (RsCode, decode_columns, packed_map, packed_product,
+                 power_columns, rs_evaluate)
 
 
 def smallest_prime_above(bound):
@@ -45,8 +44,7 @@ def is_primitive_root(p, g):
     return all(pow(g, (p - 1) // f, p) != 1 for f in prime_factors(p - 1))
 
 
-@dataclass(frozen=True)
-class FrsConfig:
+class FrsConfig(Record):
     """Frozen parameters of one folded-scheme instance.
 
     field: GF(p) with p > n*l so the n*l evaluation points gamma^0, ...,
@@ -54,6 +52,7 @@ class FrsConfig:
     gamma: a primitive element of the field.
     n, k, l: column count, message size in columns, column height.
     alpha: download fraction; alpha*l and k/alpha must be integers.
+    scheme (class attribute): "frs"; see `trace_scheme.TsConfig`.
     alpha_l: derived; the prefix height alpha*l each column serves.
     punctured_dim: derived; the column dimension k/alpha of the punctured
         code.
@@ -67,21 +66,14 @@ class FrsConfig:
         prefix points of column 0, then of column 1, and so on.
     """
 
-    field: PrimeField
-    gamma: int
-    n: int
-    k: int
-    l: int
-    alpha: Fraction
-    alpha_l: int = dc_field(init=False, repr=False, compare=False)
-    punctured_dim: int = dc_field(init=False, repr=False, compare=False)
-    points: tuple = dc_field(init=False, repr=False, compare=False)
-    encode_map: PackedMap = dc_field(init=False, repr=False, compare=False)
-    prefix_code: RsCode = dc_field(init=False, repr=False, compare=False)
+    scheme = "frs"
+    _fields = ("field", "gamma", "n", "k", "l", "alpha")
+    __slots__ = _fields + ("alpha_l", "punctured_dim", "points", "encode_map",
+                           "prefix_code")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        field, n, k, l, alpha = self.field, self.n, self.k, self.l, self.alpha
+    def __init__(self, field, gamma, n, k, l, alpha):
+        alpha = as_fraction(alpha)
+        self._set(field=field, gamma=gamma, n=n, k=k, l=l, alpha=alpha)
         if n < 1 or k < 1 or l < 1:
             raise ValueError("n, k, l must all be at least 1")
         if k > n:
@@ -100,17 +92,14 @@ class FrsConfig:
             raise ValueError(
                 f"field size {field.q} must exceed n*l = {n * l} for distinct "
                 "evaluation points")
-        if not is_primitive_root(field.q, self.gamma):
-            raise ValueError(f"{self.gamma} is not a primitive root mod {field.q}")
-        object.__setattr__(self, "alpha_l", int(alpha * l))
-        object.__setattr__(self, "punctured_dim", int(k / alpha))
-        points = tuple(pow(self.gamma, i, field.q) for i in range(n * l))
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "encode_map", packed_map(
-            field.q, power_columns(field.q, points, k * l)))
-        object.__setattr__(self, "prefix_code", RsCode(
-            field, k * l, flatten_columns(self.column_points(i, self.alpha_l)
-                                          for i in range(n))))
+        if not is_primitive_root(field.q, gamma):
+            raise ValueError(f"{gamma} is not a primitive root mod {field.q}")
+        points = tuple(pow(gamma, i, field.q) for i in range(n * l))
+        self._set(alpha_l=int(alpha * l), punctured_dim=int(k / alpha),
+                  points=points, encode_map=packed_map(
+                      field.q, power_columns(field.q, points, k * l)))
+        self._set(prefix_code=RsCode(field, k * l, flatten_columns(
+            self.column_points(i, self.alpha_l) for i in range(n))))
 
     @property
     def message_length(self):

@@ -4,23 +4,23 @@ Randomness policy: every trial derives its own 64-bit stream from
 (seed, weight, trialIndex) through the splitmix64 finalizer, so reports are
 byte-identical across runs: exhaustive and sampled modes always see the
 same messages and error values for a given trial index.
+
+A config names its scheme (`cfg.scheme`, "ts" or "frs"), and the harness
+imports that scheme's module only when a run needs it, once per
+`simulate` or `compare_naive` call, so a process loads only the scheme it
+runs.
 """
 
 import itertools
 import json
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .budget import check_budget
 from .arraycode import ErrorPattern, apply_error_pattern
 from .errors import DecodeFailure
-from .frs_scheme import (FrsConfig, flatten_columns, frs_encode,
-                         frs_full_pipeline)
 from .polyring import normalize
+from .records import Record
 from .rs import RsCode, decode_columns
-from .trace_scheme import (TsConfig, ts_encode, ts_full_pipeline,
-                           ts_project_polys)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -78,20 +78,29 @@ def trial_stream(seed, weight, trial_index):
 
 
 def _scheme_kind(cfg):
-    if isinstance(cfg, TsConfig):
-        return "ts"
-    if isinstance(cfg, FrsConfig):
-        return "frs"
-    raise TypeError(f"unsupported config type {type(cfg).__name__}")
+    kind = getattr(cfg, "scheme", None)
+    if kind not in ("ts", "frs"):
+        raise TypeError(f"unsupported config type {type(cfg).__name__}")
+    return kind
+
+
+def _pipeline(cfg):
+    """The encode -> corrupt -> download -> decode function of cfg's scheme,
+    whose module this imports on first use."""
+    if _scheme_kind(cfg) == "ts":
+        from .trace_scheme import ts_full_pipeline
+        return ts_full_pipeline
+    from .frs_scheme import frs_full_pipeline
+    return frs_full_pipeline
 
 
 def _symbol_field(cfg):
     """The field stored symbols live in (base field for the trace scheme)."""
-    return cfg.base if isinstance(cfg, TsConfig) else cfg.field
+    return cfg.base if cfg.scheme == "ts" else cfg.field
 
 
 def _message_space(cfg):
-    if isinstance(cfg, TsConfig):
+    if cfg.scheme == "ts":
         return cfg.ext.order, cfg.k
     return cfg.field.order, cfg.message_length
 
@@ -123,14 +132,17 @@ def random_error_pattern(cfg, stream, weight, support=None):
     return ErrorPattern(support=support, values=values)
 
 
-def run_trial(cfg, message, pattern):
+def run_trial(cfg, message, pattern, pipeline=None):
     """One encode-corrupt-download-decode pass.
 
     Returns (outcome, bundle) with outcome one of "success" (decoded equals
     the message), "detected" (the decoder raised), or "silent" (a wrong
     message came back quietly — never expected within the radius).
+    `pipeline` is cfg's `_pipeline`, looked up here unless the caller
+    passes it, as `simulate` does once per run.
     """
-    pipeline = ts_full_pipeline if isinstance(cfg, TsConfig) else frs_full_pipeline
+    if pipeline is None:
+        pipeline = _pipeline(cfg)
     try:
         decoded, bundle = pipeline(cfg, message, pattern)
     except DecodeFailure:
@@ -138,21 +150,20 @@ def run_trial(cfg, message, pattern):
     return ("success" if decoded == message else "silent"), bundle
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Record):
     """What to simulate: a config, the error weights to try, how many value
     draws per weight (per support in exhaustive mode, total in sampled
     mode), the seed, and the support mode."""
 
-    config: object
-    weights: tuple
-    trials_per_weight: int
-    seed: int
-    support_mode: str = "exhaustive"
+    __slots__ = _fields = ("config", "weights", "trials_per_weight", "seed",
+                           "support_mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        n = self.config.n
+    def __init__(self, config, weights, trials_per_weight, seed,
+                 support_mode="exhaustive"):
+        self._set(config=config, weights=tuple(weights),
+                  trials_per_weight=trials_per_weight, seed=seed,
+                  support_mode=support_mode)
+        n = config.n
         # counts are plain ints: type() also refuses bools
         for w in self.weights:
             if type(w) is not int or not 0 <= w <= n:
@@ -165,26 +176,32 @@ class ExperimentSpec:
             raise ValueError("seed must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
-class WeightStats:
-    weight: int
-    trials: int
-    successes: int
-    detected_failures: int
-    silent_failures: int
+class WeightStats(Record):
+    __slots__ = _fields = ("weight", "trials", "successes",
+                           "detected_failures", "silent_failures")
+
+    def __init__(self, weight, trials, successes, detected_failures,
+                 silent_failures):
+        self._set(weight=weight, trials=trials, successes=successes,
+                  detected_failures=detected_failures,
+                  silent_failures=silent_failures)
 
     @property
     def success_rate(self):
+        from fractions import Fraction
         return Fraction(self.successes, self.trials)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    spec: ExperimentSpec
-    per_weight: tuple
-    downloaded_per_trial: int
-    accessed_per_trial: int
-    download_budget: int
+class ExperimentReport(Record):
+    __slots__ = _fields = ("spec", "per_weight", "downloaded_per_trial",
+                           "accessed_per_trial", "download_budget")
+
+    def __init__(self, spec, per_weight, downloaded_per_trial,
+                 accessed_per_trial, download_budget):
+        self._set(spec=spec, per_weight=per_weight,
+                  downloaded_per_trial=downloaded_per_trial,
+                  accessed_per_trial=accessed_per_trial,
+                  download_budget=download_budget)
 
 
 def _trial_plan(cfg, weight, trials_per_weight, mode):
@@ -210,6 +227,7 @@ def simulate(spec):
     """
     cfg = spec.config
     budget = _download_budget(cfg)
+    pipeline = _pipeline(cfg)
     stats = []
     for weight in spec.weights:
         successes = detected = silent = trials = 0
@@ -218,7 +236,7 @@ def simulate(spec):
             stream = trial_stream(spec.seed, weight, index)
             message = random_message(cfg, stream)
             pattern = random_error_pattern(cfg, stream, weight, support)
-            outcome, bundle = run_trial(cfg, message, pattern)
+            outcome, bundle = run_trial(cfg, message, pattern, pipeline)
             if bundle is not None and bundle.downloaded > budget:
                 raise RuntimeError(
                     f"trial downloaded {bundle.downloaded} symbols, over the "
@@ -293,24 +311,26 @@ def report_to_json(report):
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
-class NaiveComparison:
+class NaiveComparison(Record):
     """Outcome of pitting whole-column reading against fractional reading
     on one crafted error pattern (equal download budgets)."""
 
-    scheme: str
-    t: int
-    naive_radius: int
-    fractional_radius: int
-    read_columns: tuple
-    message: tuple
-    pattern: ErrorPattern
-    naive_outcome: str
-    fractional_outcome: str
-    separated: bool
-    downloaded_naive: int
-    downloaded_fractional: int
-    note: str
+    __slots__ = _fields = (
+        "scheme", "t", "naive_radius", "fractional_radius", "read_columns",
+        "message", "pattern", "naive_outcome", "fractional_outcome",
+        "separated", "downloaded_naive", "downloaded_fractional", "note")
+
+    def __init__(self, scheme, t, naive_radius, fractional_radius,
+                 read_columns, message, pattern, naive_outcome,
+                 fractional_outcome, separated, downloaded_naive,
+                 downloaded_fractional, note):
+        self._set(scheme=scheme, t=t, naive_radius=naive_radius,
+                  fractional_radius=fractional_radius,
+                  read_columns=read_columns, message=message,
+                  pattern=pattern, naive_outcome=naive_outcome,
+                  fractional_outcome=fractional_outcome, separated=separated,
+                  downloaded_naive=downloaded_naive,
+                  downloaded_fractional=downloaded_fractional, note=note)
 
 
 def compare_naive(cfg, t, seed=0):
@@ -349,8 +369,7 @@ def compare_naive(cfg, t, seed=0):
     naive_outcome = _decode_naive(cfg, kind, message, pattern, read_columns,
                                   naive_r)
     try:
-        pipeline = ts_full_pipeline if kind == "ts" else frs_full_pipeline
-        decoded, bundle = pipeline(cfg, message, pattern)
+        decoded, bundle = _pipeline(cfg)(cfg, message, pattern)
         fractional_outcome = "recovered" if decoded == message else "miscorrected"
         downloaded_fractional = bundle.downloaded
     except DecodeFailure:
@@ -375,17 +394,19 @@ def compare_naive(cfg, t, seed=0):
 def _decode_naive(cfg, kind, message, pattern, read_columns, naive_radius):
     """Decode from whole columns only, the way an alpha*n-column reader
     would, and classify the outcome against the true message."""
-    encode = ts_encode if kind == "ts" else frs_encode
-    corrupted = apply_error_pattern(_symbol_field(cfg), encode(cfg, message),
-                                    pattern)
     if kind == "ts":
+        from .trace_scheme import ts_encode, ts_project_polys
+        stored = ts_encode(cfg, message)
         # the l stored rows are words of one RS code over GF(q)
         code = RsCode(cfg.base, cfg.k, tuple(cfg.omega[i] for i in read_columns))
         want = ts_project_polys(cfg, message)
     else:
+        from .frs_scheme import flatten_columns, frs_encode
+        stored = frs_encode(cfg, message)
         code = RsCode(cfg.field, cfg.message_length, flatten_columns(
             cfg.column_points(i) for i in read_columns))
         want = (normalize(message),)
+    corrupted = apply_error_pattern(_symbol_field(cfg), stored, pattern)
     try:
         decoded, _ = decode_columns(code, [corrupted[i] for i in read_columns],
                                     naive_radius)

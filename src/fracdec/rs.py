@@ -28,7 +28,9 @@ from the columns of a matrix, from a Kronecker product of two, or as a
 block-diagonal map; `tabulate_map` packs a linear function by running it
 once on all its unit inputs together; `packed_product` is the one
 product with a `PackedMap`. The folded encoder and the trace scheme's
-encoder, downloads and decoder are each one such product.
+encoder, downloads and decoder are each one such product. `RsCode` is a
+frozen record (`records.Record`): its tables are derived slots, left out
+of its equality, hash and repr. `PackedMap` is a `collections.namedtuple`.
 
 Every product trusts its operands, like `polyring`, and here that trust
 is a precondition: every symbol must be a canonical integer in [0, q). A
@@ -46,18 +48,17 @@ the messages the brute-force oracles draw from `field.elements()`.
 """
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from operator import mul, ne
-from typing import NamedTuple
 
 from .budget import check_budget
 from .errors import DecodeFailure, InconsistentErasures
 from .fields import PrimeField
 from .polyring import degree, normalize, poly_from_roots
+from .records import Record
 
 
-@dataclass(frozen=True)
-class RsCode:
+class RsCode(Record):
     """An (n, k) Reed-Solomon code over the prime field `field` with
     evaluation points `omega`.
 
@@ -85,20 +86,13 @@ class RsCode:
     only `rs_decode_unique` the decode fields.
     """
 
-    field: PrimeField
-    k: int
-    omega: tuple
-    master: tuple = dc_field(init=False, repr=False, compare=False)
-    width: int = dc_field(init=False, repr=False, compare=False)
-    lagrange: tuple = dc_field(init=False, repr=False, compare=False)
-    powers: tuple = dc_field(init=False, repr=False, compare=False)
-    decode_width: int = dc_field(init=False, repr=False, compare=False)
-    decode_master: int = dc_field(init=False, repr=False, compare=False)
+    _fields = ("field", "k", "omega")
+    __slots__ = _fields + ("master", "width", "lagrange", "powers",
+                           "decode_width", "decode_master")
 
-    def __post_init__(self):
-        field, k = self.field, self.k
-        omega = tuple(self.omega)
-        object.__setattr__(self, "omega", omega)
+    def __init__(self, field, k, omega):
+        omega = tuple(omega)
+        self._set(field=field, k=k, omega=omega)
         for w in omega:
             field.check(w)
         if not isinstance(field, PrimeField):
@@ -127,13 +121,9 @@ class RsCode:
         t = (n - k) // 2
         decode_size = -(-((k + 1) * (q - 1) * (2 * q - 1) ** t)
                         .bit_length() // 8)
-        object.__setattr__(self, "master", master)
-        object.__setattr__(self, "width", 8 * size)
-        object.__setattr__(self, "lagrange", tuple(lagrange))
-        object.__setattr__(self, "powers", tuple(powers))
-        object.__setattr__(self, "decode_width", 8 * decode_size)
-        object.__setattr__(self, "decode_master",
-                           _pack((0,) * (t + 1) + master, decode_size))
+        self._set(master=master, width=8 * size, lagrange=tuple(lagrange),
+                  powers=tuple(powers), decode_width=8 * decode_size,
+                  decode_master=_pack((0,) * (t + 1) + master, decode_size))
 
     @property
     def n(self):
@@ -200,7 +190,7 @@ def rs_interpolate(code, word):
     return tuple(coeffs)
 
 
-class PackedMap(NamedTuple):
+class PackedMap(namedtuple("PackedMap", "q outputs width columns")):
     """A GF(q)-linear map from `inputs` to `outputs` symbols, packed like an
     RsCode table: one integer per input symbol, whose digit r, `width` bits
     wide, is a nonnegative integer congruent mod q to the map's entry in
@@ -211,10 +201,7 @@ class PackedMap(NamedTuple):
     one with `packed_map`; only `packed_product` reads the packed columns.
     """
 
-    q: int
-    outputs: int
-    width: int
-    columns: tuple
+    __slots__ = ()
 
     @property
     def inputs(self):

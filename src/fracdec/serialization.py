@@ -1,18 +1,16 @@
 """JSON file formats for configs, codewords, downloads, and messages.
 
-Every file carries "format": 1. Field elements are canonical integers.
-Config files may omit defaultable fields (omega, A, modulus, zeta for the
-trace scheme); files written by this module are always fully explicit so a
-run can be reproduced without knowing the defaults.
+Every file carries "format": 1, an integer. Field elements are canonical
+integers. Config files may omit defaultable fields (omega, A, modulus,
+zeta for the trace scheme); files written by this module are always fully
+explicit so a run can be reproduced without knowing the defaults.
+
+Importing this module loads no scheme: reading a config imports the one
+module of the scheme it names, and a config is written by its `scheme`.
 """
 
 import json
 import sys
-
-from .arraycode import DownloadBundle
-from .frs_scheme import FrsConfig, frs_make_config
-from .rationals import as_fraction
-from .trace_scheme import TsConfig, ts_make_config
 
 FORMAT = 1
 
@@ -29,7 +27,7 @@ def _require(cond, message):
 def _check_format(data, what):
     _require(isinstance(data, dict), f"{what} must be a JSON object")
     version = data.get("format", FORMAT)
-    _require(version == FORMAT,
+    _require(_is_int(version) and version == FORMAT,
              f"{what} has format {version!r}, this build reads format {FORMAT}")
 
 
@@ -44,7 +42,8 @@ def _int_list(value, what):
 
 
 def config_to_dict(cfg):
-    if isinstance(cfg, TsConfig):
+    scheme = getattr(cfg, "scheme", None)
+    if scheme == "ts":
         return {
             "format": FORMAT,
             "scheme": "ts",
@@ -58,7 +57,7 @@ def config_to_dict(cfg):
             "modulus": list(cfg.ext.modulus),
             "zeta": list(cfg.basis.zeta),
         }
-    if isinstance(cfg, FrsConfig):
+    if scheme == "frs":
         return {
             "format": FORMAT,
             "scheme": "frs",
@@ -87,6 +86,7 @@ def config_from_dict(data):
                  "ts config field 'A' must be a list of integer lists")
         modulus = data.get("modulus")
         zeta = data.get("zeta")
+        from .trace_scheme import ts_make_config
         return ts_make_config(
             data["q"], data["n"], data["k"], data["l"], data["m"],
             omega=None if omega is None else _int_list(omega, "omega"),
@@ -102,6 +102,8 @@ def config_from_dict(data):
         _require(data.get(key) is None or _is_int(data[key]),
                  f"frs config field {key!r} must be an integer")
     _require("alpha" in data, "frs config needs field 'alpha'")
+    from .frs_scheme import frs_make_config
+    from .rationals import as_fraction
     try:
         alpha = as_fraction(data["alpha"])
     except (TypeError, ValueError) as exc:
@@ -147,6 +149,7 @@ def bundle_from_dict(data):
              "download file needs a nonempty 'perColumn' (or 'columns') list")
     columns = tuple(tuple(_int_list(c, "download column")) for c in per_column)
     total = sum(len(c) for c in columns)
+    from .arraycode import DownloadBundle
     return DownloadBundle(
         per_column=columns,
         downloaded=data.get("downloaded", total),

@@ -33,19 +33,17 @@ floor((n - lk/m) / 2) = floor((n - k/alpha) / 2).
 """
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from operator import mul
 
 from .arraycode import DownloadBundle, apply_error_pattern
 from .fields import ExtField, PrimeField, dual_basis
 from .polyring import normalize, poly_eval, poly_from_roots
-from .rs import (PackedMap, RsCode, decode_columns, packed_map,
-                 packed_product, power_columns, rs_interpolate, tabulate_map)
+from .records import Record
+from .rs import (RsCode, decode_columns, packed_map, packed_product,
+                 power_columns, rs_interpolate, tabulate_map)
 
 
-@dataclass(frozen=True)
-class TsConfig:
+class TsConfig(Record):
     """Frozen parameters of one trace-scheme instance.
 
     ext: the symbol field GF(q^l).
@@ -54,6 +52,8 @@ class TsConfig:
     subsets: the m pairwise disjoint annihilator subsets A_j, each of size
         k/m, drawn from the base field (they need not be evaluation points).
     basis: trace-dual basis pair used to split symbols into coordinates.
+    scheme (class attribute): "ts", how the harness, the file formats and
+        the CLI tell the two schemes' configs apart.
 
     Derived, once per config: annihilators p_j; inner_code, the (n, lk/m)
     RS code over the base field the download streams belong to;
@@ -75,26 +75,18 @@ class TsConfig:
         plus one product with it.
     """
 
-    ext: ExtField
-    k: int
-    omega: tuple
-    subsets: tuple
-    basis: object
-    annihilators: tuple = dc_field(init=False, repr=False, compare=False)
-    inner_code: RsCode = dc_field(init=False, repr=False, compare=False)
-    download_weights: tuple = dc_field(init=False, repr=False, compare=False)
-    encode_map: PackedMap = dc_field(init=False, repr=False, compare=False)
-    download_map: PackedMap = dc_field(init=False, repr=False, compare=False)
-    decode_map: PackedMap = dc_field(init=False, repr=False, compare=False)
+    scheme = "ts"
+    _fields = ("ext", "k", "omega", "subsets", "basis")
+    __slots__ = _fields + ("annihilators", "inner_code", "download_weights",
+                           "encode_map", "download_map", "decode_map")
 
-    def __post_init__(self):
-        ext, base = self.ext, self.ext.base
-        omega = tuple(self.omega)
-        subsets = tuple(tuple(s) for s in self.subsets)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "subsets", subsets)
+    def __init__(self, ext, k, omega, subsets, basis):
+        base = ext.base
+        omega = tuple(omega)
+        subsets = tuple(tuple(s) for s in subsets)
+        self._set(ext=ext, k=k, omega=omega, subsets=subsets, basis=basis)
 
-        n, k, l, m = len(omega), self.k, ext.degree, len(subsets)
+        n, l, m = len(omega), ext.degree, len(subsets)
         if k < 1:
             raise ValueError("message length k must be at least 1")
         if not 1 <= m <= l:
@@ -119,10 +111,11 @@ class TsConfig:
             raise ValueError(f"each annihilator subset must have k/m = {k // m} "
                              "elements")
         if l * k % m != 0 or l * k // m > n:
+            from fractions import Fraction
             raise ValueError(
                 f"download streams form an (n, lk/m) = ({n}, {Fraction(l * k, m)}) "
                 "code; need lk/m to be an integer at most n")
-        if self.basis.ext != ext:
+        if basis.ext != ext:
             raise ValueError("basis pair belongs to a different field")
 
         q, split = base.q, l - m
@@ -145,16 +138,15 @@ class TsConfig:
             top = [0] * (n * m)
             top[j::m] = by_power[split][j::m]
             served.append(top)
-        object.__setattr__(self, "annihilators", annihilators)
-        object.__setattr__(self, "inner_code", RsCode(base, l * k // m, omega))
-        object.__setattr__(self, "download_weights", tuple(weights))
-        object.__setattr__(self, "encode_map", packed_map(
-            q, power_columns(q, omega, k),
-            right=[self.basis.project(q ** v) for v in range(l)]))
-        object.__setattr__(self, "download_map",
-                           packed_map(q, served, blocks=n))
-        object.__setattr__(self, "decode_map", _decode_table(
-            base, k, subsets, annihilators, self.basis))
+        self._set(
+            annihilators=annihilators,
+            inner_code=RsCode(base, l * k // m, omega),
+            download_weights=tuple(weights),
+            encode_map=packed_map(
+                q, power_columns(q, omega, k),
+                right=[basis.project(q ** v) for v in range(l)]),
+            download_map=packed_map(q, served, blocks=n),
+            decode_map=_decode_table(base, k, subsets, annihilators, basis))
 
     @property
     def base(self):
@@ -174,6 +166,7 @@ class TsConfig:
 
     @property
     def alpha(self):
+        from fractions import Fraction
         return Fraction(self.m, self.l)
 
     @property

@@ -69,17 +69,17 @@ def rs_calls(monkeypatch):
 
 @pytest.fixture
 def rs_codes_built(monkeypatch):
-    """Count RsCode constructions, through its __post_init__, where every
+    """Count RsCode constructions, through its __init__, where every
     table of a code is built: returns the list each one appends its
     points to."""
     built = []
-    original = rs.RsCode.__post_init__
+    original = rs.RsCode.__init__
 
-    def counting(self):
-        original(self)
+    def counting(self, *args, **kwargs):
+        original(self, *args, **kwargs)
         built.append(self.omega)
 
-    monkeypatch.setattr(rs.RsCode, "__post_init__", counting)
+    monkeypatch.setattr(rs.RsCode, "__init__", counting)
     return built
 
 

@@ -373,6 +373,20 @@ def test_float_field_size_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"],
+                         ids=["true", "float", "string"])
+def test_format_must_be_the_integer_one(tmp_path, capsys, version):
+    config = tmp_path / "ts.json"
+    config.write_text(json.dumps(dict(load_json(TS_TINY), format=version)))
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--config", str(config), "--weights", "0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config file has format {version!r}, this build reads "
+        "format 1\n")
+    assert not out.exists()
+
+
 def test_budget_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FRACDEC_BUDGET", "2")
     assert main(["oracle", "nearest", "--q", "5", "--k", "2",

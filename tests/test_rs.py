@@ -297,8 +297,9 @@ def test_shipped_codes_leave_digits_room(path):
     carry: n * (q - 1)^2 < 2^width for a code's tables, and for a map,
     whose digits need not be reduced, each output's largest digit sum."""
     cfg = config_from_dict(load_json(str(path)))
-    codes = [v for v in vars(cfg).values() if isinstance(v, RsCode)]
-    maps = [v for v in vars(cfg).values() if isinstance(v, PackedMap)]
+    built = [getattr(cfg, name) for name in type(cfg).__slots__]
+    codes = [v for v in built if isinstance(v, RsCode)]
+    maps = [v for v in built if isinstance(v, PackedMap)]
     assert len(codes) == 1
     assert len(maps) == (3 if cfg.__class__.__name__ == "TsConfig" else 1)
     for code in codes:

@@ -1,4 +1,5 @@
-"""Start-up guards: the package root loads each submodule on first use.
+"""Start-up guards: the package root loads each submodule on first use,
+and each CLI command loads only what it runs.
 
 Each load check runs in a fresh interpreter and reads `sys.modules`, so a
 test that imported a module earlier in this process cannot hide an eager
@@ -6,6 +7,7 @@ import.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -14,8 +16,10 @@ from pathlib import Path
 import pytest
 
 import fracdec
+from fracdec.cli import main
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # Every name the package root exports, by the submodule that defines it.
 ROOT_NAMES = {
@@ -74,26 +78,88 @@ def test_import_loads_no_submodule():
     assert "dataclasses" not in loaded
 
 
-@pytest.mark.parametrize("build, modules", [
-    ("fracdec.ts_make_config(31, 30, 4, 4, 2)",
-     {"errors", "budget", "polyring", "fields", "rs", "arraycode",
-      "trace_scheme"}),
-    ("fracdec.frs_make_config(12, 3, 4, Fraction(1, 2))",
-     {"errors", "budget", "polyring", "fields", "rs", "arraycode",
-      "rationals", "frs_scheme"}),
+# What building a config of each scheme loads, the package root aside.
+SCHEME_MODULES = {
+    "ts": {"errors", "budget", "polyring", "fields", "records", "rs",
+           "arraycode", "trace_scheme"},
+    "frs": {"errors", "budget", "polyring", "fields", "records", "rs",
+            "arraycode", "rationals", "frs_scheme"},
+}
+
+
+@pytest.mark.parametrize("build, scheme", [
+    ("fracdec.ts_make_config(31, 30, 4, 4, 2)", "ts"),
+    ("fracdec.frs_make_config(12, 3, 4, Fraction(1, 2))", "frs"),
 ], ids=["trace", "folded"])
-def test_config_build_loads_only_its_scheme(build, modules):
+def test_config_build_loads_only_its_scheme(build, scheme):
     loaded = loaded_by("from fractions import Fraction\nimport fracdec\n"
                        + build)
-    assert fracdec_modules(loaded) == modules | {"fracdec"}
+    assert fracdec_modules(loaded) == SCHEME_MODULES[scheme] | {"fracdec"}
     assert "json" not in loaded
+    assert "dataclasses" not in loaded
 
 
-def test_cli_loads_both_schemes_but_not_bounds():
-    loaded = fracdec_modules(loaded_by("import fracdec.cli"))
-    assert {"cli", "harness", "serialization", "trace_scheme",
-            "frs_scheme"} <= loaded
-    assert "bounds" not in loaded
+CLI_CONFIGS = {"ts": ROOT / "configs" / "ts-q13-n12-k4.json",
+               "frs": ROOT / "configs" / "frs-p37-n8-k3.json"}
+MESSAGES = {"ts": [5, 0, 11, 2], "frs": list(range(12))}
+STAGES = ("encode", "corrupt", "download", "decode")
+# What each command loads beyond the CLI and its config's scheme.
+COMMAND_MODULES = {"encode": set(), "corrupt": {"harness"},
+                   "download": set(), "decode": set(),
+                   "simulate": {"harness"},
+                   "compare-naive": {"harness", "bounds", "rationals"}}
+
+
+@pytest.fixture(scope="module")
+def stage_files(tmp_path_factory):
+    """Per scheme, the input file of each stage command, made in-process,
+    and a path for the commands' output."""
+    files = {}
+    for scheme, config in CLI_CONFIGS.items():
+        folder = tmp_path_factory.mktemp(scheme)
+        paths = {part: str(folder / f"{part}.json")
+                 for part in ("message", "word", "bad", "down", "out")}
+        Path(paths["message"]).write_text(json.dumps(
+            {"format": 1, "scheme": scheme, "message": MESSAGES[scheme]}))
+        for argv in (["encode", "--message", paths["message"],
+                      "--out", paths["word"]],
+                     ["corrupt", "--in", paths["word"], "--weight", "1",
+                      "--out", paths["bad"]],
+                     ["download", "--in", paths["bad"],
+                      "--out", paths["down"]]):
+            assert main([scheme, argv[0], "--config", str(config),
+                         *argv[1:]]) == 0
+        files[scheme] = paths
+    return files
+
+
+def command_argv(scheme, command, paths):
+    config = ("--config", str(CLI_CONFIGS[scheme]))
+    inputs = {"encode": ("--message", paths["message"]),
+              "corrupt": ("--in", paths["word"], "--weight", "1"),
+              "download": ("--in", paths["bad"]),
+              "decode": ("--in", paths["down"]),
+              "simulate": ("--weights", "0,1", "--trials-per-weight", "2"),
+              "compare-naive": ("--t", "1")}[command]
+    head = [scheme, command] if command in STAGES else [command]
+    return [*head, *config, *inputs, "--out", paths["out"]]
+
+
+@pytest.mark.parametrize("command", [*STAGES, "simulate", "compare-naive"])
+@pytest.mark.parametrize("scheme", ["ts", "frs"])
+def test_cli_command_loads_only_what_it_runs(scheme, command, stage_files):
+    """A command loads the scheme its config names and, of the harness
+    and the bounds, only what it calls; no command loads `dataclasses`,
+    and a trace-scheme stage builds no Fraction, so loads no `fractions`."""
+    argv = command_argv(scheme, command, stage_files[scheme])
+    loaded = loaded_by("from fracdec.cli import main\n"
+                       f"assert main({argv!r}) == 0")
+    assert fracdec_modules(loaded) == ({"fracdec", "cli", "serialization"}
+                                       | SCHEME_MODULES[scheme]
+                                       | COMMAND_MODULES[command])
+    assert "dataclasses" not in loaded
+    if scheme == "ts" and command in STAGES:
+        assert "fractions" not in loaded
 
 
 def test_bare_import_lists_every_name_and_resolves_a_submodule():
@@ -102,7 +168,7 @@ def test_bare_import_lists_every_name_and_resolves_a_submodule():
         "assert {*fracdec.__all__, 'rs', 'cli'} <= set(dir(fracdec))\n"
         "assert fracdec.rs.__name__ == 'fracdec.rs'")
     assert fracdec_modules(loaded) == {"fracdec", "rs", "budget", "errors",
-                                       "fields", "polyring"}
+                                       "fields", "polyring", "records"}
 
 
 def test_root_exports_each_name_from_its_submodule():

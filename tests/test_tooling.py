@@ -47,6 +47,35 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def imported_modules(source):
+    """The top-level names of the modules a source imports, anywhere in
+    it, relative imports aside."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_reads_every_import():
+    source = ("import os.path, json\nfrom typing import Any\n"
+              "from . import fields\nfrom .rs import RsCode\n"
+              "def f():\n    import dataclasses\n")
+    assert imported_modules(source) == {"os", "json", "typing",
+                                        "dataclasses"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_imports_dataclasses_or_typing(path):
+    """Creating a dataclass, and importing `dataclasses` or `typing`,
+    costs every fresh process start-up time (each CLI command is one):
+    records derive from `records.Record` instead."""
+    imported = imported_modules(path.read_text(encoding="utf-8"))
+    assert imported & {"dataclasses", "typing"} == set()
+
+
 def unread_functions(sources, wanted):
     """Module-level functions `name` of a module for which
     `wanted(module, name)` holds, as "module.name", that no module of
