@@ -66,7 +66,7 @@ def cmd_figure(args):
 
 def cmd_encode(args):
     cfg = _load_config(args.config, args.scheme)
-    message = ser.message_from_dict(ser.load_json(args.message))
+    message = ser.message_from_dict(ser.load_json(args.message), args.scheme)
     if args.scheme == "ts":
         from .trace_scheme import ts_encode as encode
     else:
@@ -78,7 +78,9 @@ def cmd_encode(args):
 
 def cmd_corrupt(args):
     from .arraycode import apply_error_pattern
-    from .harness import _symbol_field, random_error_pattern, trial_stream
+    from .harness import (_check_seed, _symbol_field, random_error_pattern,
+                          trial_stream)
+    _check_seed(args.seed)
     cfg = _load_config(args.config, args.scheme)
     columns = ser.codeword_from_dict(ser.load_json(args.infile), args.scheme)
     if len(columns) != cfg.n or any(len(c) != cfg.l for c in columns):

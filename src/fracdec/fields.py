@@ -39,6 +39,16 @@ def prime_factors(n):
     return out
 
 
+def _check(field, a):
+    """`a`, if it is an int, not a bool, in [0, field.order)."""
+    # a plain int skips the isinstance tests; anything else takes them
+    if (type(a) is not int and (not isinstance(a, int)
+                                or isinstance(a, bool))
+            or not 0 <= a < field.order):
+        raise ValueError(f"{a!r} is not a canonical element of {field!r}")
+    return a
+
+
 def _check_all(field, symbols):
     """The symbols as a tuple, each checked with `field.check`. One pass
     over plain ints in range stands for the checks; otherwise every symbol
@@ -72,14 +82,7 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.q})"
 
-    def check(self, a):
-        # a plain int skips the isinstance tests; anything else takes them
-        if (type(a) is not int and (not isinstance(a, int)
-                                    or isinstance(a, bool))
-                or not 0 <= a < self.q):
-            raise ValueError(f"{a!r} is not a canonical element of {self!r}")
-        return a
-
+    check = _check
     check_all = _check_all
 
     def elements(self):
@@ -196,11 +199,7 @@ class ExtField:
     def __repr__(self):
         return f"GF({self.q}^{self.degree})"
 
-    def check(self, a):
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
-            raise ValueError(f"{a!r} is not a canonical element of {self!r}")
-        return a
-
+    check = _check
     check_all = _check_all
 
     def elements(self):

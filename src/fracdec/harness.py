@@ -68,6 +68,13 @@ class SplitMix64:
         return tuple(sorted(pool[:count]))
 
 
+def _check_seed(seed):
+    """Refuse a seed outside [0, 2^64): trial_stream reads only its low 64
+    bits, so any other seed would replay one inside that range."""
+    if type(seed) is not int or not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def trial_stream(seed, weight, trial_index):
     """The per-trial generator: seed, weight, and trial index are folded
     into one splitmix64 state."""
@@ -172,8 +179,7 @@ class ExperimentSpec(Record):
             raise ValueError("trials_per_weight must be an integer of at least 1")
         if self.support_mode not in ("exhaustive", "sampled"):
             raise ValueError("support_mode must be 'exhaustive' or 'sampled'")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        _check_seed(self.seed)
 
 
 class WeightStats(Record):
@@ -354,6 +360,7 @@ def compare_naive(cfg, t, seed=0):
     alpha_n = int(alpha_n)
     if type(t) is not int or t < 0:
         raise ValueError("t must be a nonnegative integer")
+    _check_seed(seed)
     if t > cfg.radius:
         raise ValueError(f"t = {t} exceeds the fractional radius {cfg.radius}; "
                          "neither side could demonstrate anything")

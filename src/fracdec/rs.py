@@ -10,27 +10,24 @@ off the quotient. The Euclid run and the quotient are computed on packed
 integers too (see `rs_decode_unique`): a remainder and its cofactor share
 one integer, so each quotient term is one multiply-add.
 
-Both linear maps a code applies on every call, interpolation through its
-points and evaluation at them, depend on the code alone: `RsCode` builds
-them once, the Lagrange columns by synthetic division of its master
-polynomial, and packs each column of each table into one integer whose
-fixed-width digits are the column's entries (Kronecker substitution).
-`rs_evaluate` and `rs_interpolate`, the only products with those tables,
-evaluate and interpolate at a code's points for the whole package: each
-is one multiply-accumulate of the operand's symbols with the packed
-columns, then one unpack of the n digits mod q. The digit width is chosen
-so that n * (q - 1)^2 < 2^width, so no digit carries into the next and
-the arithmetic stays exact.
+Every GF(q)-linear map the package applies is one `PackedMap`: each
+column of its matrix is packed into one integer whose fixed-width digits
+are the column's entries (Kronecker substitution), so applying the map is
+one multiply-accumulate of the input symbols with the packed columns,
+then one unpack of the output digits mod q. `packed_product` is that one
+product. `packed_map` builds a map from the columns of a matrix, from a
+Kronecker product of two, or as a block-diagonal map, and chooses the
+digit width so that no digit carries into the next; `tabulate_map` packs
+a linear function by running it once on all its unit inputs together.
 
-The schemes' own linear maps are packed the same way, by the same packer
-(`_pack`) and unpacker (`_unpack`): `packed_map` builds a `PackedMap`
-from the columns of a matrix, from a Kronecker product of two, or as a
-block-diagonal map; `tabulate_map` packs a linear function by running it
-once on all its unit inputs together; `packed_product` is the one
-product with a `PackedMap`. The folded encoder and the trace scheme's
-encoder, downloads and decoder are each one such product. `RsCode` is a
-frozen record (`records.Record`): its tables are derived slots, left out
-of its equality, hash and repr. `PackedMap` is a `collections.namedtuple`.
+`RsCode` builds its two maps once: `evaluation` at its points, and
+`interpolation` through them, whose Lagrange columns come from synthetic
+division of its master polynomial. `rs_evaluate` and `rs_interpolate`
+apply them for the whole package. The folded encoder and the trace
+scheme's encoder, downloads and decoder are each one product with a map
+of their config too. `RsCode` is a frozen record (`records.Record`): its
+maps are derived slots, left out of its equality, hash and repr.
+`PackedMap` is a `collections.namedtuple`.
 
 Every product trusts its operands, like `polyring`, and here that trust
 is a precondition: every symbol must be a canonical integer in [0, q). A
@@ -65,29 +62,27 @@ class RsCode(Record):
     The derived fields are built once, here, and take O(n^2) memory:
     master: the monic polynomial whose roots are the points, which unique
         decoding starts its Euclid run from.
-    width: the bit width of one packed digit, the least multiple of 8 with
-        n * (q - 1)^2 < 2^width, so a sum of n products of canonical
-        symbols fits in one digit.
-    lagrange: n packed integers; digit j of entry i is point i's weight in
-        coefficient j of the interpolant, so entry i packs the Lagrange
+    evaluation: the packed map from the k coefficients of a polynomial of
+        degree < k to its values at the n points; input j's column lists
+        the points' j-th powers.
+    interpolation: the packed map from n values at the points to the n
+        coefficients of their interpolant; input i's column is the Lagrange
         basis polynomial (master / (x - omega_i)) / master'(omega_i). One
         synthetic-division pass over master yields the quotient from the
         top down, and Horner's rule on it as it appears gives
-        master'(omega_i), so the table costs O(n^2) after master.
-    powers: k packed integers; digit i of entry j is omega_i^j, so entry j
-        is column j of the evaluation map.
+        master'(omega_i), so the map costs O(n^2) after master.
     decode_width: the bit width of one digit of `rs_decode_unique`'s packed
         Euclid run, the least multiple of 8 with
         (k + 1) * (q - 1) * (2q - 1)^t < 2^decode_width, t the radius;
         `rs_decode_unique` proves that bound.
     decode_master: the Euclid run's start, master packed at decode_width
         above t + 1 zero digits (its cofactor, 0).
-    Only `rs_interpolate` and `rs_evaluate` read the packed tables, and
-    only `rs_decode_unique` the decode fields.
+    Only `rs_evaluate` and `rs_interpolate` apply the two maps, and only
+    `rs_decode_unique` reads the decode fields.
     """
 
     _fields = ("field", "k", "omega")
-    __slots__ = _fields + ("master", "width", "lagrange", "powers",
+    __slots__ = _fields + ("master", "evaluation", "interpolation",
                            "decode_width", "decode_master")
 
     def __init__(self, field, k, omega):
@@ -105,7 +100,6 @@ class RsCode(Record):
         if not 1 <= k <= len(omega):
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={len(omega)}")
         q, n = field.q, len(omega)
-        size = -(-(n * (q - 1) ** 2).bit_length() // 8)
         master = poly_from_roots(field, omega)
         lagrange = []
         for x in omega:
@@ -116,13 +110,14 @@ class RsCode(Record):
                 quotient[j - 1] = coef
                 slope = (slope * x + coef) % q
             scale = pow(slope, q - 2, q)
-            lagrange.append(_pack([c * scale % q for c in quotient], size))
-        powers = [_pack(c, size) for c in power_columns(q, omega, k)]
+            lagrange.append([c * scale % q for c in quotient])
         t = (n - k) // 2
         decode_size = -(-((k + 1) * (q - 1) * (2 * q - 1) ** t)
                         .bit_length() // 8)
-        self._set(master=master, width=8 * size, lagrange=tuple(lagrange),
-                  powers=tuple(powers), decode_width=8 * decode_size,
+        self._set(master=master,
+                  evaluation=packed_map(q, power_columns(q, omega, k)),
+                  interpolation=packed_map(q, lagrange),
+                  decode_width=8 * decode_size,
                   decode_master=_pack((0,) * (t + 1) + master, decode_size))
 
     @property
@@ -167,34 +162,32 @@ def _pack(values, size):
 
 def _unpack(acc, count, width, q):
     """The `count` lowest digits, `width` bits each, of a product with a
-    packed table, lowest first, each reduced mod q."""
+    packed map, lowest first, each reduced mod q."""
     mask = (1 << width) - 1
     return [(acc >> shift & mask) % q
             for shift in range(0, count * width, width)]
 
 
 def rs_evaluate(code, h):
-    """h at the code's points through `code.powers`; h is at most k
+    """h at the code's points, through `code.evaluation`; h is at most k
     canonical coefficients, trailing zeros allowed."""
-    return tuple(_unpack(sum(map(mul, h, code.powers)), code.n, code.width,
-                         code.field.q))
+    return tuple(packed_product(code.evaluation, h))
 
 
 def rs_interpolate(code, word):
-    """The polynomial of degree < n through the n canonical symbols of the
-    sequence `word` at the code's points, through `code.lagrange`."""
-    coeffs = _unpack(sum(map(mul, word, code.lagrange)), code.n, code.width,
-                     code.field.q)
+    """The polynomial of degree < n through the n canonical symbols of
+    `word` at the code's points, through `code.interpolation`."""
+    coeffs = packed_product(code.interpolation, word)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
 
 
 class PackedMap(namedtuple("PackedMap", "q outputs width columns")):
-    """A GF(q)-linear map from `inputs` to `outputs` symbols, packed like an
-    RsCode table: one integer per input symbol, whose digit r, `width` bits
-    wide, is a nonnegative integer congruent mod q to the map's entry in
-    output r. `width` is the least multiple of 8 bits with
+    """A GF(q)-linear map from `inputs` to `outputs` symbols, packed as one
+    integer per input symbol, whose digit r, `width` bits wide, is a
+    nonnegative integer congruent mod q to the map's entry in output r.
+    `width` is the least multiple of 8 bits with
     terms * (q - 1) * top < 2^width, where terms is the number of inputs
     one output depends on and top bounds the digits, so a product with
     canonical symbols never carries from one digit into the next. Build
@@ -256,18 +249,15 @@ def tabulate_map(q, inputs, top, linear):
     return packed_map(q, zip(*(_unpack(row, inputs, width, q) for row in rows)))
 
 
-def packed_product(pmap, symbols, first=0, rows=None):
-    """Outputs `rows` (a range; all by default) of the map applied to the
-    vector that holds the canonical `symbols` at inputs first, first + 1,
-    ... and zeros elsewhere, each reduced mod q. The caller checks the
-    symbols and their count: a non-canonical symbol corrupts neighbouring
-    digits, and a short sequence leaves the remaining inputs zero.
+def packed_product(pmap, symbols):
+    """The map applied to the vector that holds the canonical `symbols` at
+    its first inputs and zeros after them, each output reduced mod q. The
+    caller checks the symbols and their count: a non-canonical symbol
+    corrupts neighbouring digits, and a short sequence leaves the remaining
+    inputs zero.
     """
-    if rows is None:
-        rows = range(pmap.outputs)
-    columns = pmap.columns[first:first + len(symbols)]
-    return _unpack(sum(map(mul, symbols, columns)) >> rows.start * pmap.width,
-                   len(rows), pmap.width, pmap.q)
+    return _unpack(sum(map(mul, symbols, pmap.columns)), pmap.outputs,
+                   pmap.width, pmap.q)
 
 
 def rs_decode_unique(code, received):

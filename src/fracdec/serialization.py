@@ -24,11 +24,14 @@ def _require(cond, message):
         raise FormatError(message)
 
 
-def _check_format(data, what):
+def _check_format(data, what, expected_scheme=None):
     _require(isinstance(data, dict), f"{what} must be a JSON object")
     version = data.get("format", FORMAT)
     _require(_is_int(version) and version == FORMAT,
              f"{what} has format {version!r}, this build reads format {FORMAT}")
+    scheme = data.get("scheme")
+    _require(expected_scheme in (None, scheme),
+             f"{what} is for scheme {scheme!r}, expected {expected_scheme!r}")
 
 
 def _is_int(value):
@@ -121,12 +124,7 @@ def codeword_to_dict(scheme, columns):
 
 
 def codeword_from_dict(data, expected_scheme=None):
-    _check_format(data, "codeword file")
-    scheme = data.get("scheme")
-    if expected_scheme is not None:
-        _require(scheme == expected_scheme,
-                 f"codeword file is for scheme {scheme!r}, expected "
-                 f"{expected_scheme!r}")
+    _check_format(data, "codeword file", expected_scheme)
     columns = data.get("columns")
     _require(isinstance(columns, list) and columns,
              "codeword file needs a nonempty 'columns' list")
@@ -149,12 +147,12 @@ def bundle_from_dict(data):
              "download file needs a nonempty 'perColumn' (or 'columns') list")
     columns = tuple(tuple(_int_list(c, "download column")) for c in per_column)
     total = sum(len(c) for c in columns)
+    counts = [data.get(key, total) for key in ("downloaded", "accessed")]
+    _require(all(_is_int(c) and c >= 0 for c in counts),
+             "download file's 'downloaded' and 'accessed' must be "
+             f"nonnegative integers, got {counts}")
     from .arraycode import DownloadBundle
-    return DownloadBundle(
-        per_column=columns,
-        downloaded=data.get("downloaded", total),
-        accessed=data.get("accessed", total),
-    )
+    return DownloadBundle(columns, *counts)
 
 
 def message_to_dict(scheme, message):
@@ -165,8 +163,8 @@ def message_to_dict(scheme, message):
     }
 
 
-def message_from_dict(data):
-    _check_format(data, "message file")
+def message_from_dict(data, expected_scheme=None):
+    _check_format(data, "message file", expected_scheme)
     return tuple(_int_list(data.get("message"), "message"))
 
 

@@ -56,9 +56,7 @@ class TsConfig(Record):
         the CLI tell the two schemes' configs apart.
 
     Derived, once per config: annihilators p_j; inner_code, the (n, lk/m)
-    RS code over the base field the download streams belong to;
-    download_weights[i][j] = (p_j(w_i)^0, ..., p_j(w_i)^(l-m)), the
-    weights column i combines its symbols with to serve symbol j; and the
+    RS code over the base field the download streams belong to; and the
     three GF(q)-linear maps of the scheme, packed by `rs.packed_map` so
     that each runs as one multiply-accumulate:
     encode_map: the k*l polynomial-basis digits of a message (symbol t's
@@ -66,8 +64,9 @@ class TsConfig(Record):
         coordinate u at output i*l + u). It is the Kronecker product of
         the evaluation map at omega with the trace projection.
     download_map: block-diagonal, the n*l stored symbols to the n*m served
-        ones (column i's symbol j at output i*m + j), built from
-        download_weights.
+        ones (column i's symbol j at output i*m + j). Served symbol j of
+        column i weighs the column's coordinates by the powers
+        p_j(w_i)^0, ..., p_j(w_i)^(l-m).
     decode_map: the l*k coefficients of the m decoded streams (stream j's
         coefficient c at input j*lk/m + c) to the k*l digits of the
         message, in encode_map's input order. The peel derives it once,
@@ -77,8 +76,8 @@ class TsConfig(Record):
 
     scheme = "ts"
     _fields = ("ext", "k", "omega", "subsets", "basis")
-    __slots__ = _fields + ("annihilators", "inner_code", "download_weights",
-                           "encode_map", "download_map", "decode_map")
+    __slots__ = _fields + ("annihilators", "inner_code", "encode_map",
+                           "download_map", "decode_map")
 
     def __init__(self, ext, k, omega, subsets, basis):
         base = ext.base
@@ -122,17 +121,15 @@ class TsConfig(Record):
         annihilators = tuple(poly_from_roots(base, s) for s in subsets)
         weights = []
         for w in omega:
-            row = []
             for p_j in annihilators:
                 value, powers = poly_eval(base, p_j, w), [1]
                 for _ in range(split):
                     powers.append(powers[-1] * value % q)
-                row.append(tuple(powers))
-            weights.append(tuple(row))
+                weights.append(powers)
         # served symbol j of column i weighs coordinate u < l-m by
         # p_j(w_i)^u and coordinate l-m+j by p_j(w_i)^(l-m); column u of
         # the download map stacks these weights for every (i, j)
-        by_power = list(zip(*(v for row in weights for v in row)))
+        by_power = list(zip(*weights))
         served = by_power[:split]
         for j in range(m):
             top = [0] * (n * m)
@@ -141,7 +138,6 @@ class TsConfig(Record):
         self._set(
             annihilators=annihilators,
             inner_code=RsCode(base, l * k // m, omega),
-            download_weights=tuple(weights),
             encode_map=packed_map(
                 q, power_columns(q, omega, k),
                 right=[basis.project(q ** v) for v in range(l)]),
@@ -264,16 +260,16 @@ def ts_download(cfg, column, index):
     """The m base-field symbols column `index` serves to the decoder.
 
     Symbol j equals coordinate (l-m+j) scaled by p_j(w)^(l-m) plus the
-    first l-m coordinates scaled by ascending powers of p_j(w), weights
-    cfg.download_weights[index][j]: block `index` of cfg.download_map. On
-    a clean column this is exactly g_j(omega_index).
+    first l-m coordinates scaled by ascending powers of p_j(w): block
+    `index` of cfg.download_map, applied to the column placed at its
+    inputs. On a clean column this is exactly g_j(omega_index).
     """
     symbols = _stored_symbols(cfg, (column,))
     if not 0 <= index < cfg.n:
         raise ValueError(f"column index {index} out of range")
     m = cfg.m
-    return tuple(packed_product(cfg.download_map, symbols, first=index * cfg.l,
-                                rows=range(index * m, index * m + m)))
+    served = packed_product(cfg.download_map, (0,) * (index * cfg.l) + symbols)
+    return tuple(served[index * m:index * m + m])
 
 
 def ts_download_all(cfg, columns):

@@ -197,6 +197,24 @@ def ts_peel(cfg, streams):
     return tuple(map(cfg.basis.reconstruct, zip(*coord_polys)))
 
 
+def map_digits(pmap):
+    """Each packed column of an `rs.PackedMap` as the tuple of its
+    `outputs` digits, unreduced, lowest first: the map's matrix, read back
+    without `rs.packed_product`."""
+    mask = (1 << pmap.width) - 1
+    return [tuple(column >> shift & mask
+                  for shift in range(0, pmap.outputs * pmap.width, pmap.width))
+            for column in pmap.columns]
+
+
+def largest_digit_sum(pmap):
+    """The largest digit a product of the map with canonical symbols can
+    reach: over every output, the sum of (q - 1) times the output's digit
+    in each column. No digit carries while this is below 2^width."""
+    return max(sum((pmap.q - 1) * d for d in row)
+               for row in zip(*map_digits(pmap)))
+
+
 @functools.lru_cache(maxsize=4)
 def _ts_download_table(cfg):
     """(message, downloads) for every message of a trace config."""

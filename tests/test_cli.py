@@ -283,6 +283,61 @@ def test_compare_naive_command(tmp_path):
                  "--out", out]) == 2
 
 
+@pytest.mark.parametrize("seed, code", [(-1, 2), (2 ** 64, 2),
+                                        (2 ** 64 - 1, 0)],
+                         ids=["minus-one", "two-to-the-64", "top"])
+def test_seed_must_fit_64_bits(tmp_path, capsys, seed, code):
+    """corrupt, simulate and compare-naive take one seed range, [0, 2^64):
+    the trial streams read 64 bits, so -1 would replay 2^64 - 1 and 2^64
+    would replay 0. A seed outside it exits 2 and writes nothing."""
+    msg = write_message(tmp_path, "ts", (1, 2, 3, 4))
+    word, out = str(tmp_path / "w.json"), tmp_path / "out.json"
+    assert main(["ts", "encode", "--config", TS_REF, "--message", msg,
+                 "--out", word]) == 0
+    for argv in (["ts", "corrupt", "--config", TS_REF, "--in", word,
+                  "--weight", "2"],
+                 ["simulate", "--config", TS_TINY, "--weights", "0,1",
+                  "--trials-per-weight", "1"],
+                 ["compare-naive", "--config", TS_REF, "--t", "2"]):
+        assert main(argv + ["--seed", str(seed), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        expected = "" if code == 0 else (
+            f"error: seed must be an integer in [0, 2**64), got {seed}\n")
+        assert capsys.readouterr().err == expected
+        out.unlink(missing_ok=True)
+
+
+def test_download_counts_must_be_nonnegative_integers(tmp_path, capsys):
+    msg = write_message(tmp_path, "ts", (1, 2, 3, 4))
+    word, down, out = (str(tmp_path / n) for n in
+                       ("w.json", "d.json", "m.json"))
+    main(["ts", "encode", "--config", TS_REF, "--message", msg, "--out", word])
+    main(["ts", "download", "--config", TS_REF, "--in", word, "--out", down])
+    bundle = load_json(down)
+    for counts in ({"downloaded": "lots", "accessed": True},
+                   {"downloaded": -1}, {"accessed": 48.0}):
+        bad = write_json(tmp_path, "bad.json", {**bundle, **counts})
+        assert main(["ts", "decode", "--config", TS_REF, "--in", bad,
+                     "--out", out]) == 2
+        assert "must be nonnegative integers" in capsys.readouterr().err
+        assert not Path(out).exists()
+    del bundle["downloaded"], bundle["accessed"]
+    absent = write_json(tmp_path, "absent.json", bundle)
+    assert main(["ts", "decode", "--config", TS_REF, "--in", absent,
+                 "--out", out]) == 0
+    assert load_json(out)["message"] == [1, 2, 3, 4]
+
+
+def test_encode_refuses_a_message_for_the_other_scheme(tmp_path, capsys):
+    msg = write_message(tmp_path, "frs", (1, 2, 3, 4))
+    out = tmp_path / "w.json"
+    assert main(["ts", "encode", "--config", TS_REF, "--message", msg,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: message file is for scheme 'frs', expected 'ts'\n")
+    assert not out.exists()
+
+
 def test_oracle_nearest(tmp_path):
     out = str(tmp_path / "n.json")
     assert main(["oracle", "nearest", "--q", "5", "--k", "1",

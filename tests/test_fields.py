@@ -199,6 +199,27 @@ def test_entry_points_reject_out_of_field_symbols(label, name):
             call(bad)
 
 
+class Subint(int):
+    pass
+
+
+@pytest.mark.parametrize("field", (PrimeField(7), gf4()), ids=repr)
+def test_check_accepts_exactly_the_canonical_ints(field):
+    """Both field classes share one check: an int in [0, order), an int
+    subclass too but never a bool, comes back unchanged; anything else
+    raises with the one message."""
+    assert vars(PrimeField)["check"] is vars(ExtField)["check"]
+    top = field.order - 1
+    for a in (0, 1, top, Subint(top)):
+        assert field.check(a) is a
+    for bad in (-1, top + 1, Subint(-1), True, False, 1.0, "1", None,
+                Fraction(1), 3 ** 99):
+        with pytest.raises(ValueError) as info:
+            field.check(bad)
+        assert str(info.value) == (
+            f"{bad!r} is not a canonical element of {field!r}")
+
+
 @pytest.mark.parametrize("field", (PrimeField(7), gf4()), ids=repr)
 def test_vector_check_is_the_symbol_checks_in_order(field):
     """check_all returns its symbols as a tuple and raises exactly what

@@ -230,6 +230,28 @@ def test_compare_naive_validation():
         compare_naive(cfg, -1)
 
 
+def test_seed_range_is_64_bits():
+    """trial_stream reads only the low 64 bits of a seed, so 2^64 replays 0
+    and -3 replays 2^64 - 3. ExperimentSpec and compare_naive accept
+    exactly [0, 2^64), with one message."""
+    assert trial_stream(0, 1, 0).next_u64() == \
+        trial_stream(2 ** 64, 1, 0).next_u64()
+    assert trial_stream(-3, 1, 0).next_u64() == \
+        trial_stream(2 ** 64 - 3, 1, 0).next_u64()
+    cfg = ts_ref()
+    for seed in (0, 2 ** 64 - 1):
+        ExperimentSpec(config=cfg, weights=(1,), trials_per_weight=1,
+                       seed=seed)
+        compare_naive(cfg, 1, seed=seed)
+    for seed in (-3, -1, 2 ** 64, 2 ** 64 + 3):
+        message = rf"seed must be an integer in \[0, 2\*\*64\), got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(config=cfg, weights=(1,), trials_per_weight=1,
+                           seed=seed)
+        with pytest.raises(ValueError, match=message):
+            compare_naive(cfg, 1, seed=seed)
+
+
 @pytest.mark.parametrize("bad", (True, False, 1.0, 1.5, "1", None))
 def test_counts_must_be_plain_ints(bad):
     """Weights, the seed, trials_per_weight and t are counts: a bool or a
@@ -242,6 +264,8 @@ def test_counts_must_be_plain_ints(bad):
             ExperimentSpec(**{**good, key: value})
     with pytest.raises(ValueError):
         compare_naive(cfg, bad)
+    with pytest.raises(ValueError):
+        compare_naive(cfg, 1, seed=bad)
 
 
 def test_compare_naive_deterministic():

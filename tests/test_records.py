@@ -76,7 +76,7 @@ RECORDS = {
     "RsCode": (
         lambda: RsCode(PrimeField(5), 2, [0, 1, 2, 3]),
         "RsCode(field=GF(5), k=2, omega=(0, 1, 2, 3))",
-        ("master", "width", "lagrange", "powers", "decode_width",
+        ("master", "evaluation", "interpolation", "decode_width",
          "decode_master"),
         (lambda: RsCode(PrimeField(5), 5, [0, 1, 2, 3]),
          ValueError, "need 1 <= k <= n, got k=5, n=4")),
@@ -89,8 +89,8 @@ RECORDS = {
                      "field (singular trace projection matrix)")),
     "TsConfig": (
         ts_tiny, TS_REPR,
-        ("annihilators", "inner_code", "download_weights", "encode_map",
-         "download_map", "decode_map"),
+        ("annihilators", "inner_code", "encode_map", "download_map",
+         "decode_map"),
         (lambda: ts_make_config(5, 4, 2, 2, 2, subsets=((0,), (0,))),
          ValueError, "annihilator subsets must be pairwise disjoint with "
                      "distinct elements")),

@@ -145,21 +145,25 @@ def test_poly_from_roots_matches_product(q):
         assert P.poly_from_roots(field, roots) == expected
 
 
-def table_columns(code, table):
-    """Each packed entry of an RsCode table as the tuple of its n digits,
-    `code.width` bits each, lowest first."""
-    mask = (1 << code.width) - 1
-    return [tuple(entry >> shift & mask
-                  for shift in range(0, code.n * code.width, code.width))
-            for entry in table]
+def assert_code_maps_fit(code):
+    """packed_map's no-carry bound on both of a code's maps, whose entries
+    are canonical: terms * (q - 1)^2 < 2^width, with n terms for
+    interpolation and k for evaluation."""
+    q = code.field.q
+    for pmap, terms in ((code.interpolation, code.n), (code.evaluation, code.k)):
+        assert (pmap.q, pmap.inputs, pmap.outputs) == (q, terms, code.n)
+        assert max(map(max, oracles.map_digits(pmap))) < q
+        assert terms * (q - 1) ** 2 < 2 ** pmap.width
+        assert oracles.largest_digit_sum(pmap) < 2 ** pmap.width
 
 
 @pytest.mark.parametrize("q", (2, 13, 31, 53))
 def test_lagrange_basis_matches_reference(q):
-    """Entry i of an RsCode's lagrange table packs L_i, the interpolant of
-    the indicator of point i, on seeded point sets from a single point up
-    to 13 points (the whole field for q <= 13), with and without 0 among
-    the points."""
+    """Column i of an RsCode's interpolation map packs L_i, the
+    interpolant of the indicator of point i, on seeded point sets from a
+    single point up to 13 points (the whole field for q <= 13), with and
+    without 0 among the points; both maps meet packed_map's no-carry
+    bound."""
     field = PrimeField(q)
     rng = random.Random(100 + q)
     size = min(q, 13)
@@ -169,7 +173,8 @@ def test_lagrange_basis_matches_reference(q):
         point_sets += [tuple(xs), tuple(xs) + (0,)]
     for xs in point_sets:
         code = RsCode(field, len(xs), xs)
-        basis = table_columns(code, code.lagrange)
+        assert_code_maps_fit(code)
+        basis = oracles.map_digits(code.interpolation)
         assert len(basis) == len(xs)
         for i, column in enumerate(basis):
             indicator = [(x, int(j == i)) for j, x in enumerate(xs)]
@@ -179,20 +184,23 @@ def test_lagrange_basis_matches_reference(q):
 @pytest.mark.parametrize("q, n, k", ((2, 2, 1), (13, 8, 3), (31, 30, 8),
                                      (53, 24, 12)))
 def test_code_tables_match_reference(q, n, k):
-    """lagrange applied to a word is its interpolant, and powers applied to
-    a message is its evaluation at every point, with the packed tables read
-    back as rows of integers."""
+    """The interpolation map applied to a word is its interpolant, and the
+    evaluation map applied to a message is its evaluation at every point,
+    with the packed maps read back as rows of integers; both meet
+    packed_map's no-carry bound."""
     field = PrimeField(q)
     rng = random.Random(n)
     code = RsCode(field, k, rng.sample(range(q), n))
+    assert_code_maps_fit(code)
+    interpolation = list(zip(*oracles.map_digits(code.interpolation)))
+    evaluation = list(zip(*oracles.map_digits(code.evaluation)))
     for _ in range(20):
         word = [rng.randrange(q) for _ in range(n)]
         got = P.normalize(sum(map(mul, word, row)) % q
-                          for row in zip(*table_columns(code, code.lagrange)))
+                          for row in interpolation)
         assert got == oracles.interpolate(field, zip(code.omega, word))
         msg = random_poly(rng, q, k)
-        assert [sum(map(mul, msg, row)) % q
-                for row in zip(*table_columns(code, code.powers))] == [
+        assert [sum(map(mul, msg, row)) % q for row in evaluation] == [
             oracles.poly_eval(field, msg, w) for w in code.omega]
 
 
@@ -222,11 +230,12 @@ def test_packed_products_hold_at_the_carry_boundary(q, n, k):
     are largest: words whose symbols are all q - 1 and messages of full
     length k with every coefficient q - 1, then seeded random words. The
     shapes are GF(2) at n = 1 and 2, the trace and folded benchmark codes,
-    and GF(2^32 + 15), whose digits are wider than 64 bits."""
+    and GF(2^32 + 15), whose digits are wider than 64 bits. Both of the
+    code's maps meet packed_map's no-carry bound."""
     field = PrimeField(q)
     rng = random.Random(n * k)
     code = RsCode(field, k, [q - 1] + rng.sample(range(q - 1), n - 1))
-    assert n * (q - 1) ** 2 < 2 ** code.width
+    assert_code_maps_fit(code)
     words = [[q - 1] * n] + [[rng.randrange(q) for _ in range(n)]
                              for _ in range(10)]
     messages = [[q - 1] * k] + [[rng.randrange(q) for _ in range(k)]
@@ -247,7 +256,8 @@ def matrix_product(q, columns, vector):
 @pytest.mark.parametrize("q", (2, 13, 31, 4294967311))
 def test_packed_maps_match_the_textbook_products(q):
     """packed_map's plain, Kronecker and block-diagonal layouts,
-    packed_product on a slice of inputs and rows, and tabulate_map, each
+    packed_product on an input padded with leading zeros and cut short,
+    read on one block of outputs, and tabulate_map, each
     against the textbook matrix product, on vectors of all q - 1 and
     seeded random ones. At q = 2^32 + 15 the digits are wider than 64
     bits."""
@@ -279,8 +289,8 @@ def test_packed_maps_match_the_textbook_products(q):
     pmap = packed_map(q, stacked, blocks=4)
     for vector in table_vectors(rng, q, 3):
         for i, block in enumerate(blocks):
-            assert packed_product(pmap, vector, first=3 * i,
-                                  rows=range(2 * i, 2 * i + 2)) == \
+            padded = (0,) * (3 * i) + tuple(vector)
+            assert packed_product(pmap, padded)[2 * i:2 * i + 2] == \
                 matrix_product(q, block, vector)
 
 
@@ -292,10 +302,11 @@ def table_vectors(rng, q, length, count=10):
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                          ids=lambda path: path.stem)
 def test_shipped_codes_leave_digits_room(path):
-    """Every code and packed map a shipped config builds packs its tables
+    """Every code and packed map a shipped config builds packs its maps
     with digits wide enough that products of canonical symbols never
-    carry: n * (q - 1)^2 < 2^width for a code's tables, and for a map,
-    whose digits need not be reduced, each output's largest digit sum."""
+    carry: packed_map's bound terms * (q - 1)^2 < 2^width for a code's
+    two maps, and for every map, whose digits need not be reduced, each
+    output's largest digit sum."""
     cfg = config_from_dict(load_json(str(path)))
     built = [getattr(cfg, name) for name in type(cfg).__slots__]
     codes = [v for v in built if isinstance(v, RsCode)]
@@ -303,12 +314,10 @@ def test_shipped_codes_leave_digits_room(path):
     assert len(codes) == 1
     assert len(maps) == (3 if cfg.__class__.__name__ == "TsConfig" else 1)
     for code in codes:
-        assert code.n * (code.field.q - 1) ** 2 < 2 ** code.width
+        assert_code_maps_fit(code)
+        maps += [code.interpolation, code.evaluation]
     for pmap in maps:
-        mask = (1 << pmap.width) - 1
-        for shift in range(0, pmap.outputs * pmap.width, pmap.width):
-            assert sum((pmap.q - 1) * (column >> shift & mask)
-                       for column in pmap.columns) < 2 ** pmap.width
+        assert oracles.largest_digit_sum(pmap) < 2 ** pmap.width
 
 
 def test_rs_code_validation():

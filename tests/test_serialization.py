@@ -120,12 +120,26 @@ def test_bundle_round_trip_and_aliases():
     assert got.downloaded == got.accessed == 4
     with pytest.raises(FormatError):
         bundle_from_dict({"perColumn": []})
+    zero = bundle_from_dict(dict(alias, downloaded=0, accessed=0))
+    assert zero.downloaded == zero.accessed == 0
+
+
+@pytest.mark.parametrize("key", ("downloaded", "accessed"))
+@pytest.mark.parametrize("value", ("lots", True, False, -1, 2.0, None, [4]),
+                         ids=repr)
+def test_bundle_counts_must_be_nonnegative_integers(key, value):
+    with pytest.raises(FormatError, match="must be nonnegative integers"):
+        bundle_from_dict({"perColumn": [[1, 2], [3, 4]], key: value})
 
 
 def test_message_round_trip():
     data = message_to_dict("frs", (1, 2, 3))
     assert data == {"format": 1, "scheme": "frs", "message": [1, 2, 3]}
     assert message_from_dict(data) == (1, 2, 3)
+    assert message_from_dict(data, "frs") == (1, 2, 3)
+    for other in ({**data, "scheme": "ts"}, {"format": 1, "message": [1]}):
+        with pytest.raises(FormatError, match="message file is for scheme"):
+            message_from_dict(other, "frs")
     with pytest.raises(FormatError):
         message_from_dict({"format": 1})
     with pytest.raises(FormatError):

@@ -154,15 +154,16 @@ def test_traced_field_methods_are_defined():
 
 def test_code_tables_are_applied_only_in_rs():
     """Evaluation and interpolation at a code's fixed points, and every
-    product with a packed map, go through rs: no other module reads an
-    RsCode's packed `powers` or `lagrange`, a PackedMap's packed `columns`,
-    or the digit `width` of either, or the packed decoder's `decode_width`
-    and `decode_master`, or imports rs's packer and unpacker,
-    so none unpacks a table by hand; the trace and folded configs' maps
-    are read only as the first argument of rs.packed_product; frs_scheme
-    imports nothing from polyring, and trace_scheme does not import
-    polyring's interpolate."""
-    maps = ("encode_map", "download_map", "decode_map")
+    product with a packed map, go through rs: no other module reads a
+    PackedMap's packed `columns` or digit `width`, or the packed decoder's
+    `decode_width` and `decode_master`, or imports rs's packer and
+    unpacker, so none unpacks a map by hand; an RsCode's `evaluation` and
+    `interpolation` and the trace and folded configs' maps are read only
+    as the first argument of rs.packed_product; frs_scheme imports nothing
+    from polyring, and trace_scheme does not import polyring's
+    interpolate."""
+    maps = ("encode_map", "download_map", "decode_map", "evaluation",
+            "interpolation")
     readers, imported, loose = set(), set(), []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -172,8 +173,7 @@ def test_code_tables_are_applied_only_in_rs():
                    and node.func.id == "packed_product"}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in (
-                    "powers", "lagrange", "columns", "width", "decode_width",
-                    "decode_master"):
+                    "columns", "width", "decode_width", "decode_master"):
                 readers.add(path.stem)
             elif isinstance(node, ast.Attribute) and node.attr in maps:
                 if id(node) not in applied:

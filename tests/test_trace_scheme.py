@@ -18,6 +18,7 @@ from fracdec.harness import (compare_naive, random_column_offset,
                              trial_stream)
 from fracdec.rs import rs_decode_unique, rs_encode, rs_evaluate
 from fracdec.serialization import config_from_dict, load_json
+from fracdec import rs as rs_module
 from fracdec import trace_scheme as ts_module
 from fracdec.trace_scheme import (ts_all_codewords, ts_decode_message,
                                   ts_download, ts_download_all,
@@ -170,24 +171,6 @@ def test_download_identity():
                 for i, w in enumerate(cfg.omega):
                     assert ts_download(cfg, word[i], i)[j] == \
                         P.poly_eval(cfg.base, g, w)
-
-
-@pytest.mark.parametrize("name", SHIPPED_TRACE)
-def test_download_weights_are_annihilator_powers(name, monkeypatch):
-    """download_weights[i][j] lists p_j(omega_i)^u for u = 0..l-m, and a
-    download is a dot product with them: no polynomial is evaluated."""
-    cfg = shipped_config(name)
-    for i, w in enumerate(cfg.omega):
-        for j, p_j in enumerate(cfg.annihilators):
-            value = oracles.poly_eval(cfg.base, p_j, w)
-            assert cfg.download_weights[i][j] == tuple(
-                cfg.base.pow(value, u) for u in range(cfg.l - cfg.m + 1))
-    word = ts_encode(cfg, random_message(cfg, trial_stream(15, 0, 0)))
-    calls = []
-    monkeypatch.setattr(ts_module, "poly_eval",
-                        lambda *args: calls.append(args))
-    ts_download_all(cfg, word)
-    assert calls == []
 
 
 def test_download_at_annihilator_roots():
@@ -433,10 +416,14 @@ def test_pipeline_runs_no_extension_field_arithmetic(name, monkeypatch):
 
 @pytest.mark.parametrize("name", SHIPPED_TRACE)
 def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
-                                                   rs_codes_built):
+                                                   rs_codes_built,
+                                                   monkeypatch):
     """A decode builds no code and makes the m stream decodes, each
     interpolating once, then one product with the decode table: the peel
-    runs when the config is built, not per decode."""
+    runs when the config is built, not per decode. Every product is
+    counted by its map: each stream decode applies the inner code's
+    interpolation and evaluation maps once, and cfg.decode_map is applied
+    exactly once, last."""
     cfg = shipped_config(name)
     stream = trial_stream(48, cfg.radius, 0)
     message = random_message(cfg, stream)
@@ -444,12 +431,21 @@ def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
     word = apply_error_pattern(cfg.base, ts_encode(cfg, message), pattern)
     bundle = ts_download_all(cfg, word)
     rs_codes_built.clear()
-    calls = rs_calls("rs_decode_unique", "rs_interpolate", "packed_product",
-                     "tabulate_map")
+    calls = rs_calls("rs_decode_unique", "rs_interpolate", "tabulate_map")
+    products, original = [], rs_module.packed_product
+
+    def counting(pmap, symbols):
+        products.append(pmap)
+        return original(pmap, symbols)
+
+    for module in (rs_module, ts_module):
+        monkeypatch.setattr(module, "packed_product", counting)
     decoded, _ = ts_decode_message(cfg, bundle)
     assert decoded == message
-    assert calls == (["rs_decode_unique", "rs_interpolate"] * cfg.m
-                     + ["packed_product"])
+    assert calls == ["rs_decode_unique", "rs_interpolate"] * cfg.m
+    code = cfg.inner_code
+    assert list(map(id, products)) == list(map(id, (
+        [code.interpolation, code.evaluation] * cfg.m + [cfg.decode_map])))
     assert rs_codes_built == []
 
 
@@ -483,21 +479,30 @@ def test_encode_table_is_projection_then_evaluation(name):
 
 
 @pytest.mark.parametrize("name", TABLE_CONFIGS)
-def test_download_table_matches_the_weights(name):
+def test_download_table_matches_the_weights(name, monkeypatch):
     """ts_download_all's one product equals the per-column ts_download and
-    the dot products of each column with download_weights."""
+    the dot products of each column with its weights: served symbol j of
+    column i weighs the column by p_j(omega_i)^u for u = 0..l-m. A download
+    evaluates no polynomial."""
     cfg = TABLE_CONFIGS[name]()
     q, split = cfg.base.q, cfg.l - cfg.m
+    weights = [[tuple(cfg.base.pow(oracles.poly_eval(cfg.base, p_j, w), u)
+                      for u in range(split + 1))
+                for p_j in cfg.annihilators] for w in cfg.omega]
+    calls = []
+    monkeypatch.setattr(ts_module, "poly_eval",
+                        lambda *args: calls.append(args))
     rng = random.Random(name)
     for symbols in table_inputs(rng, q, cfg.n * cfg.l):
         word = tuple(zip(*[iter(symbols)] * cfg.l))
         weighted = tuple(
-            tuple(sum(map(mul, (*col[:split], col[split + j]), weights)) % q
-                  for j, weights in enumerate(cfg.download_weights[i]))
+            tuple(sum(map(mul, (*col[:split], col[split + j]), column)) % q
+                  for j, column in enumerate(weights[i]))
             for i, col in enumerate(word))
         assert ts_download_all(cfg, word).per_column == weighted
         assert tuple(ts_download(cfg, col, i)
                      for i, col in enumerate(word)) == weighted
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", TABLE_CONFIGS)
@@ -522,15 +527,6 @@ def test_decode_table_matches_the_scalar_peel(name):
             oracles.ts_peel(cfg, streams), frozenset())
 
 
-def map_digits(pmap):
-    """Each packed column of a PackedMap as the tuple of its digits,
-    unreduced, lowest first."""
-    mask = (1 << pmap.width) - 1
-    return [tuple(column >> shift & mask
-                  for shift in range(0, pmap.outputs * pmap.width, pmap.width))
-            for column in pmap.columns]
-
-
 @pytest.mark.parametrize("name", TABLE_CONFIGS)
 def test_tables_leave_digits_room(name):
     """In every output digit of every table, the products with the
@@ -541,13 +537,12 @@ def test_tables_leave_digits_room(name):
     cfg = TABLE_CONFIGS[name]()
     q = cfg.base.q
     for pmap in (cfg.encode_map, cfg.download_map, cfg.decode_map):
-        digits = map_digits(pmap)
-        assert len(digits) == pmap.inputs
-        assert max(sum((q - 1) * d for d in row)
-                   for row in zip(*digits)) < 2 ** pmap.width
+        assert len(oracles.map_digits(pmap)) == pmap.inputs
+        assert oracles.largest_digit_sum(pmap) < 2 ** pmap.width
     for pmap in (cfg.download_map, cfg.decode_map):
-        terms = max(sum(map(bool, row)) for row in zip(*map_digits(pmap)))
-        assert max(map(max, map_digits(pmap))) < q
+        digits = oracles.map_digits(pmap)
+        terms = max(sum(map(bool, row)) for row in zip(*digits))
+        assert max(map(max, digits)) < q
         assert terms * (q - 1) ** 2 < 2 ** pmap.width
 
 
