@@ -173,6 +173,37 @@ def test_download_identity():
                         P.poly_eval(cfg.base, g, w)
 
 
+def annihilator_powers(cfg):
+    """[i][j]: p_j(omega_i)^u for u = 0..l-m, computed by the oracles."""
+    return [[tuple(cfg.base.pow(oracles.poly_eval(cfg.base, p_j, w), u)
+                   for u in range(cfg.l - cfg.m + 1))
+             for p_j in cfg.annihilators] for w in cfg.omega]
+
+
+@pytest.mark.parametrize("name", SHIPPED_TRACE)
+def test_download_weights_are_annihilator_powers(name, monkeypatch):
+    """Block i of cfg.download_map weighs served symbol j by p_j(omega_i)^u
+    for u = 0..l-m (coordinates 0..l-m-1, then coordinate l-m+j), and by
+    nothing else; a download is a product with it: no polynomial is
+    evaluated."""
+    cfg = shipped_config(name)
+    l, m, split = cfg.l, cfg.m, cfg.l - cfg.m
+    digits = oracles.map_digits(cfg.download_map)
+    for i, row in enumerate(annihilator_powers(cfg)):
+        for j, powers in enumerate(row):
+            out = i * m + j
+            used = [i * l + u for u in range(split)] + [i * l + split + j]
+            assert tuple(digits[c][out] for c in used) == powers
+            assert all(digits[c][out] == 0
+                       for c in range(cfg.n * l) if c not in used)
+    word = ts_encode(cfg, random_message(cfg, trial_stream(15, 0, 0)))
+    calls = []
+    monkeypatch.setattr(ts_module, "poly_eval",
+                        lambda *args: calls.append(args))
+    ts_download_all(cfg, word)
+    assert calls == []
+
+
 def test_download_at_annihilator_roots():
     """Where p_j vanishes, the download exposes the bottom coordinate."""
     cfg = reference_config()
@@ -479,19 +510,13 @@ def test_encode_table_is_projection_then_evaluation(name):
 
 
 @pytest.mark.parametrize("name", TABLE_CONFIGS)
-def test_download_table_matches_the_weights(name, monkeypatch):
+def test_download_table_matches_the_weights(name):
     """ts_download_all's one product equals the per-column ts_download and
     the dot products of each column with its weights: served symbol j of
-    column i weighs the column by p_j(omega_i)^u for u = 0..l-m. A download
-    evaluates no polynomial."""
+    column i weighs the column by p_j(omega_i)^u for u = 0..l-m."""
     cfg = TABLE_CONFIGS[name]()
     q, split = cfg.base.q, cfg.l - cfg.m
-    weights = [[tuple(cfg.base.pow(oracles.poly_eval(cfg.base, p_j, w), u)
-                      for u in range(split + 1))
-                for p_j in cfg.annihilators] for w in cfg.omega]
-    calls = []
-    monkeypatch.setattr(ts_module, "poly_eval",
-                        lambda *args: calls.append(args))
+    weights = annihilator_powers(cfg)
     rng = random.Random(name)
     for symbols in table_inputs(rng, q, cfg.n * cfg.l):
         word = tuple(zip(*[iter(symbols)] * cfg.l))
@@ -502,7 +527,6 @@ def test_download_table_matches_the_weights(name, monkeypatch):
         assert ts_download_all(cfg, word).per_column == weighted
         assert tuple(ts_download(cfg, col, i)
                      for i, col in enumerate(word)) == weighted
-    assert calls == []
 
 
 @pytest.mark.parametrize("name", TABLE_CONFIGS)
