@@ -11,7 +11,7 @@ search on an instance small enough to enumerate.
 """
 
 from fracdec.bounds import find_download_collision
-from fracdec.trace_scheme import ts_all_codewords, ts_download_fns, \
+from fracdec.trace_scheme import ts_all_codewords, ts_download_fn, \
     ts_make_config
 
 # (4, 2) over GF(25), full columns: radius floor((4-2)/2) = 1
@@ -19,7 +19,7 @@ cfg = ts_make_config(5, 4, 2, 2, 2)
 words = [word for _, word in ts_all_codewords(cfg)]
 print(f"enumerated all {len(words)} codewords of the (4, 2) instance")
 
-full = ts_download_fns(cfg)                 # both symbols of each column
+full = ts_download_fn(cfg)                  # both symbols of each column
 witness = find_download_collision(cfg.base, words, full, 1)
 print("full download, t=1:", "no collision (radius 1 is real)"
       if witness is None else "collision?!")
@@ -27,7 +27,7 @@ assert witness is None
 
 # halve the download: one symbol per column, alpha = 1/2 = rate, so the
 # optimal radius drops to floor((4 - 4)/2) = 0 and t=1 must be impossible
-half = ts_download_fns(cfg, count=1)
+half = ts_download_fn(cfg, count=1)
 witness = find_download_collision(cfg.base, words, half, 1)
 assert witness is not None
 print("\nhalf download, t=1: collision found")
@@ -39,12 +39,11 @@ print("  corrupt B at", witness.pattern_b.support,
       "by", witness.pattern_b.values)
 print("  downloads already agree on columns", witness.agree_columns)
 
-# check the trap with our own hands: downloads match column by column
+# check the trap with our own hands: one download of each corrupted word
 from fracdec.arraycode import apply_error_pattern
 
 ca = apply_error_pattern(cfg.base, witness.word_a, witness.pattern_a)
 cb = apply_error_pattern(cfg.base, witness.word_b, witness.pattern_b)
-for i in range(cfg.n):
-    assert half[i](ca[i]) == half[i](cb[i])
+assert half(ca) == half(cb)
 print("\nevery downloaded symbol is identical for the two corrupted words;"
       "\nany decoder answering one of them is wrong on the other")

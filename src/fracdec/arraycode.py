@@ -72,6 +72,24 @@ def apply_error_pattern(field, columns, pattern):
     return tuple(columns)
 
 
+def _stored_symbols(field, columns, height):
+    """The symbols of a stored word, column by column, in one flat tuple:
+    every column must hold exactly `height` symbols, and every symbol is
+    checked against `field` before any product sees it. A good word costs
+    one check_all pass; on a bad one the first fault in column order
+    raises."""
+    symbols = []
+    for column in columns:
+        column = tuple(column)
+        if len(column) != height:
+            # a bad symbol in an earlier column comes first
+            field.check_all(symbols)
+            raise ValueError(
+                f"column must have l = {height} symbols, got {len(column)}")
+        symbols.extend(column)
+    return field.check_all(symbols)
+
+
 def difference_pattern(field, base_word, other_word, columns=None):
     """ErrorPattern e with base_word + e == other_word on the given columns.
 

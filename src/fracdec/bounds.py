@@ -7,7 +7,9 @@ achieves floor((n - k/alpha) / 2). The optimal radius is tight: the
 collision search here builds, for any would-be larger radius, two
 codewords plus error patterns that are indistinguishable from the
 downloads, and the information-count check certifies that every n - 2t
-columns must together carry k symbols' worth of downloads.
+columns must together carry k symbols' worth of downloads. The search
+downloads whole words, one call per codeword, through the scheme's own
+download path (`trace_scheme.ts_download_fn`, `frs_scheme.frs_download_fn`).
 
 All rates and fractions are exact Fractions; see rationals.as_fraction.
 """
@@ -150,24 +152,24 @@ class CollisionWitness(Record):
                   pattern_b=pattern_b, agree_columns=agree_columns)
 
 
-def find_download_collision(field, codewords, download_fns, t):
+def find_download_collision(field, codewords, download, t):
     """Search for a pair of codewords indistinguishable at radius t.
 
-    codewords: sequence of array words (tuples of columns); download_fns:
-    one map column -> downloaded symbols per column position. Scans every
-    (n - 2t)-subset of columns for two codewords with equal downloads
-    there, then splits the other 2t columns into halves and crosses each
-    word halfway to the other. Returns the first witness in canonical
-    subset/codeword order, or None when radius t is achievable on this set.
-    Every codeword symbol is checked against `field`.
+    codewords: sequence of array words (tuples of columns), all with the
+    same n columns; download: a map from a whole word to its n per-column
+    downloads, called once per codeword. Scans every (n - 2t)-subset of
+    columns for two codewords with equal downloads there, then splits the
+    other 2t columns into halves and crosses each word halfway to the
+    other. Returns the first witness in canonical subset/codeword order,
+    or None when radius t is achievable on this set. Every codeword symbol
+    is checked against `field`.
     """
-    codewords = [tuple(tuple(field.check(a) for a in col) for col in word)
-                 for word in codewords]
+    codewords = [tuple(map(field.check_all, word)) for word in codewords]
     if not codewords:
         return None
-    n = len(download_fns)
+    n = len(codewords[0])
     if any(len(word) != n for word in codewords):
-        raise ValueError("all codewords must have one column per download map")
+        raise ValueError("all codewords must have the same number of columns")
     if not isinstance(t, int) or t < 0:
         raise ValueError("t must be a nonnegative integer")
     if 2 * t > n:
@@ -175,8 +177,7 @@ def find_download_collision(field, codewords, download_fns, t):
     check_budget(len(codewords) * comb(n, n - 2 * t),
                  f"collision search over {len(codewords)} codewords")
 
-    downloads = [tuple(download_fns[i](word[i]) for i in range(n))
-                 for word in codewords]
+    downloads = [download(word) for word in codewords]
     for subset in itertools.combinations(range(n), n - 2 * t):
         seen = {}
         for idx, word in enumerate(codewords):
@@ -185,17 +186,21 @@ def find_download_collision(field, codewords, download_fns, t):
             if prior == idx or codewords[prior] == word:
                 continue
             return _build_witness(field, codewords[prior], word,
-                                  subset, t, download_fns)
+                                  subset, t, download)
     return None
 
 
-def _build_witness(field, word_a, word_b, agree_columns, t, download_fns):
+def _build_witness(field, word_a, word_b, agree_columns, t, download):
     """Cross two download-colliding codewords into a decoder trap.
 
     The columns outside the overlap are split J1 | J2 with t slots each;
     word_a takes word_b's columns on J1 and word_b takes word_a's on J2,
     leaving both corrupted words identical to (b on J1, a on J2, either on
-    the overlap) as far as downloads go.
+    the overlap) as far as downloads go, provided each column's download
+    depends on that column alone. The search compares downloads column by
+    column and so assumes that; the one comparison of the two corrupted
+    words' downloads here is what checks it, and a download that mixes
+    columns raises RuntimeError.
     """
     n = len(word_a)
     rest = [i for i in range(n) if i not in set(agree_columns)]
@@ -204,11 +209,10 @@ def _build_witness(field, word_a, word_b, agree_columns, t, download_fns):
     pattern_b = difference_pattern(field, word_b, word_a, j2)
     corrupted_a = apply_error_pattern(field, word_a, pattern_a)
     corrupted_b = apply_error_pattern(field, word_b, pattern_b)
-    for i in range(n):
-        if download_fns[i](corrupted_a[i]) != download_fns[i](corrupted_b[i]):
-            raise RuntimeError(
-                "collision construction failed its own download check; "
-                "a download map must be inconsistent between calls")
+    if download(corrupted_a) != download(corrupted_b):
+        raise RuntimeError(
+            "collision construction failed its own download check; "
+            "a column's download must depend on that column alone")
     return CollisionWitness(word_a=word_a, word_b=word_b,
                             pattern_a=pattern_a, pattern_b=pattern_b,
                             agree_columns=tuple(agree_columns))

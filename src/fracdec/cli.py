@@ -114,13 +114,13 @@ def cmd_download(args):
     else:
         from .frs_scheme import frs_download_all as download
     bundle = download(cfg, columns)
-    ser.dump_json(args.out, ser.bundle_to_dict(bundle))
+    ser.dump_json(args.out, ser.bundle_to_dict(args.scheme, bundle))
     return 0
 
 
 def cmd_decode(args):
     cfg = _load_config(args.config, args.scheme)
-    bundle = ser.bundle_from_dict(ser.load_json(args.infile))
+    bundle = ser.bundle_from_dict(ser.load_json(args.infile), args.scheme)
     if args.scheme == "ts":
         from .trace_scheme import ts_decode_message
         message, corrected = ts_decode_message(cfg, bundle)
@@ -181,17 +181,17 @@ def cmd_oracle_collision(args):
     cfg = _load_config(args.config)
     if cfg.scheme == "ts":
         from .trace_scheme import ts_all_codewords as enumerate_words
-        from .trace_scheme import ts_download_fns
-        fns = ts_download_fns(cfg, count=args.download_count)
+        from .trace_scheme import ts_download_fn
+        download = ts_download_fn(cfg, count=args.download_count)
     else:
         from .frs_scheme import frs_all_codewords as enumerate_words
-        from .frs_scheme import frs_download_fns
-        fns = frs_download_fns(cfg, height=args.download_count)
+        from .frs_scheme import frs_download_fn
+        download = frs_download_fn(cfg, height=args.download_count)
     order, length = _message_space(cfg)
     check_budget(order ** length, "codeword enumeration for collision search")
     codewords = [word for _, word in enumerate_words(cfg)]
-    witness = find_download_collision(_symbol_field(cfg), codewords, fns,
-                                      args.t)
+    witness = find_download_collision(_symbol_field(cfg), codewords,
+                                      download, args.t)
     if witness is None:
         ser.dump_json(args.out, {"format": 1, "t": args.t, "witness": None})
         return 0
@@ -217,7 +217,7 @@ def _pattern_dict(pattern):
 def cmd_oracle_list(args):
     from .frs_scheme import frs_list_decode_bruteforce
     cfg = _load_config(args.config, "frs")
-    bundle = ser.bundle_from_dict(ser.load_json(args.word))
+    bundle = ser.bundle_from_dict(ser.load_json(args.word), "frs")
     hits = frs_list_decode_bruteforce(cfg, bundle.per_column, args.radius)
     ser.dump_json(args.out, {
         "format": 1,

@@ -16,7 +16,7 @@ zero.
 import itertools
 from operator import ne
 
-from .arraycode import DownloadBundle, apply_error_pattern
+from .arraycode import DownloadBundle, _stored_symbols, apply_error_pattern
 from .budget import check_budget
 from .fields import PrimeField, is_prime, prime_factors
 from .rationals import as_fraction
@@ -152,22 +152,17 @@ def frs_encode(cfg, message):
     return bundle_columns(packed_product(cfg.encode_map, message), cfg.l)
 
 
-def frs_download_prefix(cfg, column):
-    """The alpha*l symbols a column serves: its prefix, read verbatim.
-    Every symbol of the column is checked, served or not."""
-    column = cfg.field.check_all(column)
-    if len(column) != cfg.l:
-        raise ValueError(f"column must have l = {cfg.l} symbols")
-    return column[:cfg.alpha_l]
-
-
 def frs_download_all(cfg, columns):
-    """Prefix downloads from every column; downloaded == accessed."""
+    """Prefix downloads from every column, the first alpha*l symbols of
+    each, read verbatim; downloaded == accessed. Every symbol of the word
+    is checked, served or not."""
     columns = tuple(columns)
     if len(columns) != cfg.n:
         raise ValueError(f"word must have n = {cfg.n} columns")
+    symbols = _stored_symbols(cfg.field, columns, cfg.l)
     return DownloadBundle(
-        per_column=tuple(frs_download_prefix(cfg, col) for col in columns),
+        per_column=tuple(symbols[i:i + cfg.alpha_l]
+                         for i in range(0, len(symbols), cfg.l)),
         downloaded=cfg.downloaded_per_word,
         accessed=cfg.accessed_per_word,
     )
@@ -250,15 +245,12 @@ def frs_all_codewords(cfg):
         yield message, frs_encode(cfg, message)
 
 
-def frs_download_fns(cfg, height=None):
-    """Per-column download maps for collision search; height defaults to
-    the scheme's prefix height alpha*l."""
+def frs_download_fn(cfg, height=None):
+    """Word -> per-column downloads, for collision search: each stored
+    column's first `height` symbols. height defaults to the scheme's prefix
+    height alpha*l and may be anything up to l."""
     if height is None:
         height = cfg.alpha_l
     if not 0 <= height <= cfg.l:
         raise ValueError(f"height must be between 0 and l = {cfg.l}")
-
-    def make(_i):
-        return lambda column: tuple(column[:height])
-
-    return tuple(make(i) for i in range(cfg.n))
+    return lambda word: tuple(column[:height] for column in word)

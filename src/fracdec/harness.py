@@ -6,9 +6,8 @@ byte-identical across runs: exhaustive and sampled modes always see the
 same messages and error values for a given trial index.
 
 A config names its scheme (`cfg.scheme`, "ts" or "frs"), and the harness
-imports that scheme's module only when a run needs it, once per
-`simulate` or `compare_naive` call, so a process loads only the scheme it
-runs.
+imports that scheme's module only when a run first needs it, so a process
+loads only the scheme it runs.
 """
 
 import itertools
@@ -139,19 +138,15 @@ def random_error_pattern(cfg, stream, weight, support=None):
     return ErrorPattern(support=support, values=values)
 
 
-def run_trial(cfg, message, pattern, pipeline=None):
+def run_trial(cfg, message, pattern):
     """One encode-corrupt-download-decode pass.
 
     Returns (outcome, bundle) with outcome one of "success" (decoded equals
     the message), "detected" (the decoder raised), or "silent" (a wrong
     message came back quietly — never expected within the radius).
-    `pipeline` is cfg's `_pipeline`, looked up here unless the caller
-    passes it, as `simulate` does once per run.
     """
-    if pipeline is None:
-        pipeline = _pipeline(cfg)
     try:
-        decoded, bundle = pipeline(cfg, message, pattern)
+        decoded, bundle = _pipeline(cfg)(cfg, message, pattern)
     except DecodeFailure:
         return "detected", None
     return ("success" if decoded == message else "silent"), bundle
@@ -233,7 +228,6 @@ def simulate(spec):
     """
     cfg = spec.config
     budget = _download_budget(cfg)
-    pipeline = _pipeline(cfg)
     stats = []
     for weight in spec.weights:
         successes = detected = silent = trials = 0
@@ -242,7 +236,7 @@ def simulate(spec):
             stream = trial_stream(spec.seed, weight, index)
             message = random_message(cfg, stream)
             pattern = random_error_pattern(cfg, stream, weight, support)
-            outcome, bundle = run_trial(cfg, message, pattern, pipeline)
+            outcome, bundle = run_trial(cfg, message, pattern)
             if bundle is not None and bundle.downloaded > budget:
                 raise RuntimeError(
                     f"trial downloaded {bundle.downloaded} symbols, over the "

@@ -38,7 +38,7 @@ before any product sees them: `rs_encode`, `rs_decode_unique` (and so
 `decode_columns`), `rs_erasure_decode` and `nearest_codeword_bruteforce`
 run the field's check on their input; `frs_scheme.frs_encode` and
 `trace_scheme.ts_encode` check each message symbol, and
-`trace_scheme.ts_download` and `ts_download_all` every column symbol.
+`trace_scheme.ts_download_all` every column symbol.
 Every other operand is computed mod q from checked data: the quotient a
 decode evaluates, the decoded streams the trace decode table reads, and
 the messages the brute-force oracles draw from `field.elements()`.

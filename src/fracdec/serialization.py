@@ -131,17 +131,18 @@ def codeword_from_dict(data, expected_scheme=None):
     return tuple(tuple(_int_list(c, "column")) for c in columns)
 
 
-def bundle_to_dict(bundle):
+def bundle_to_dict(scheme, bundle):
     return {
         "format": FORMAT,
+        "scheme": scheme,
         "perColumn": [list(c) for c in bundle.per_column],
         "downloaded": bundle.downloaded,
         "accessed": bundle.accessed,
     }
 
 
-def bundle_from_dict(data):
-    _check_format(data, "download file")
+def bundle_from_dict(data, expected_scheme=None):
+    _check_format(data, "download file", expected_scheme)
     per_column = data.get("perColumn", data.get("columns"))
     _require(isinstance(per_column, list) and per_column,
              "download file needs a nonempty 'perColumn' (or 'columns') list")

@@ -35,7 +35,7 @@ floor((n - lk/m) / 2) = floor((n - k/alpha) / 2).
 import itertools
 from operator import mul
 
-from .arraycode import DownloadBundle, apply_error_pattern
+from .arraycode import DownloadBundle, _stored_symbols, apply_error_pattern
 from .fields import ExtField, PrimeField, dual_basis
 from .polyring import normalize, poly_eval, poly_from_roots
 from .records import Record
@@ -242,39 +242,13 @@ def ts_project_polys(cfg, message):
     return tuple(normalize(tuple(c[u] for c in coords)) for u in range(cfg.l))
 
 
-def _stored_symbols(cfg, columns):
-    """The symbols of the stored `columns`, column by column, each checked
-    before any product sees it, with every column of exactly l."""
-    check_all, l = cfg.base.check_all, cfg.l
-    symbols = []
-    for column in columns:
-        column = tuple(column)
-        if len(column) != l:
-            check_all(symbols)  # a bad symbol in an earlier column comes first
-            raise ValueError(f"column must have l = {l} symbols, got {len(column)}")
-        symbols.extend(column)
-    return check_all(symbols)
-
-
-def ts_download(cfg, column, index):
-    """The m base-field symbols column `index` serves to the decoder.
-
-    Symbol j equals coordinate (l-m+j) scaled by p_j(w)^(l-m) plus the
-    first l-m coordinates scaled by ascending powers of p_j(w): block
-    `index` of cfg.download_map, applied to the column placed at its
-    inputs. On a clean column this is exactly g_j(omega_index).
-    """
-    symbols = _stored_symbols(cfg, (column,))
-    if not 0 <= index < cfg.n:
-        raise ValueError(f"column index {index} out of range")
-    m = cfg.m
-    served = packed_product(cfg.download_map, (0,) * (index * cfg.l) + symbols)
-    return tuple(served[index * m:index * m + m])
-
-
 def ts_download_all(cfg, columns):
     """Downloads from every column, with transfer accounting: one product
     with cfg.download_map.
+
+    Column i's symbol j is coordinate l-m+j scaled by p_j(w_i)^(l-m) plus
+    the first l-m coordinates scaled by ascending powers of p_j(w_i); on a
+    clean column it is exactly g_j(omega_i).
 
     Each column transmits m of its l symbols' worth of information but must
     be read in full to form the combinations, so downloaded = n*m while
@@ -283,7 +257,8 @@ def ts_download_all(cfg, columns):
     columns = tuple(columns)
     if len(columns) != cfg.n:
         raise ValueError(f"word must have n = {cfg.n} columns")
-    served = packed_product(cfg.download_map, _stored_symbols(cfg, columns))
+    served = packed_product(cfg.download_map,
+                            _stored_symbols(cfg.base, columns, cfg.l))
     return DownloadBundle(
         per_column=tuple(zip(*[iter(served)] * cfg.m)),
         downloaded=cfg.downloaded_per_word,
@@ -401,16 +376,14 @@ def ts_all_codewords(cfg):
         yield message, ts_encode(cfg, message)
 
 
-def ts_download_fns(cfg, count=None):
-    """Per-column download maps column -> served symbols, for collision
-    search. count limits to the first `count` served symbols (count=m is
-    the full scheme; smaller counts model stingier downloads)."""
+def ts_download_fn(cfg, count=None):
+    """Word -> per-column served symbols, for collision search: one
+    ts_download_all product per word, each column cut to its first `count`
+    served symbols (count=m, the default, is the full scheme; smaller
+    counts model stingier downloads)."""
     if count is None:
         count = cfg.m
     if not 0 <= count <= cfg.m:
         raise ValueError(f"count must be between 0 and m = {cfg.m}")
-
-    def make(i):
-        return lambda column: ts_download(cfg, column, i)[:count]
-
-    return tuple(make(i) for i in range(cfg.n))
+    return lambda word: tuple(served[:count] for served in
+                              ts_download_all(cfg, word).per_column)

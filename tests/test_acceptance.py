@@ -23,8 +23,8 @@ from fracdec.polyring import (normalize, poly_add, poly_divmod, poly_eval,
                               poly_mul, poly_sub)
 from fracdec.rs import RsCode, nearest_codeword_bruteforce, rs_decode_unique, \
     rs_encode
-from fracdec.trace_scheme import (TsConfig, ts_all_codewords, ts_download,
-                                  ts_download_fns, ts_encode,
+from fracdec.trace_scheme import (TsConfig, ts_all_codewords,
+                                  ts_download_all, ts_download_fn, ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
 from oracles import poly_pow
@@ -106,10 +106,10 @@ def test_criterion_3_radius_sharpness(criterion):
 
     tiny = ts_make_config(5, 4, 2, 2, 2)
     words = [word for _, word in ts_all_codewords(tiny)]
-    full_fns = ts_download_fns(tiny)
-    none_at_full = find_download_collision(tiny.base, words, full_fns, 1) is None
-    half_fns = ts_download_fns(tiny, count=1)
-    witness = find_download_collision(tiny.base, words, half_fns, 1)
+    full = ts_download_fn(tiny)
+    none_at_full = find_download_collision(tiny.base, words, full, 1) is None
+    half = ts_download_fn(tiny, count=1)
+    witness = find_download_collision(tiny.base, words, half, 1)
     witness_ok = witness is not None
     if witness_ok:
         ca = apply_error_pattern(tiny.base, witness.word_a, witness.pattern_a)
@@ -117,8 +117,7 @@ def test_criterion_3_radius_sharpness(criterion):
         witness_ok = (witness.word_a != witness.word_b
                       and witness.pattern_a.weight <= 1
                       and witness.pattern_b.weight <= 1
-                      and all(half_fns[i](ca[i]) == half_fns[i](cb[i])
-                              for i in range(tiny.n)))
+                      and half(ca) == half(cb))
     criterion(3, ts_hit is not None and frs_hit is not None
               and none_at_full and witness_ok,
               f"weight-(radius+1) decode breaks at sampled trial {ts_hit} "
@@ -219,7 +218,7 @@ def _trace_identity_errors(cfg, messages):
     base, l, m = cfg.base, cfg.l, cfg.m
     errors = 0
     for message in messages:
-        word = ts_encode(cfg, message)
+        served = ts_download_all(cfg, ts_encode(cfg, message)).per_column
         hs = ts_project_polys(cfg, message)
         streams = []
         for j in range(m):
@@ -230,7 +229,7 @@ def _trace_identity_errors(cfg, messages):
                              poly_mul(base, hs[u], poly_pow(base, pj, u)))
             streams.append(g)
             for i, w in enumerate(cfg.omega):
-                if ts_download(cfg, word[i], i)[j] != poly_eval(base, g, w):
+                if served[i][j] != poly_eval(base, g, w):
                     errors += 1
         for s in range(l - m):
             for j in range(m):

@@ -2,18 +2,24 @@
 and the exact figure sweep."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fracdec import trace_scheme as ts_module
 from fracdec.bounds import (emit_figure, figure_csv, find_download_collision,
                             list_capacity, min_info_check, radius_naive,
                             radius_optimal, radius_report, _decimal6)
 from fracdec.errors import BudgetExceeded
-from fracdec.frs_scheme import frs_all_codewords, frs_download_fns, \
+from fracdec.fields import PrimeField
+from fracdec.frs_scheme import frs_all_codewords, frs_download_fn, \
     frs_make_config
 from fracdec.rationals import as_fraction
-from fracdec.trace_scheme import ts_all_codewords, ts_download_fns, \
+from fracdec.serialization import config_from_dict, load_json
+from fracdec.trace_scheme import ts_all_codewords, ts_download_fn, \
     ts_make_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 HALF = Fraction(1, 2)
 
@@ -136,7 +142,7 @@ def test_collision_trace_full_download_none_at_radius():
     cfg = ts_make_config(5, 4, 2, 2, 2)
     assert cfg.radius == 1
     assert find_download_collision(cfg.base, ts_words(cfg),
-                                   ts_download_fns(cfg), 1) is None
+                                   ts_download_fn(cfg), 1) is None
 
 
 def test_collision_trace_half_download_witness():
@@ -146,9 +152,9 @@ def test_collision_trace_half_download_witness():
     cfg = ts_make_config(5, 4, 2, 2, 1)
     assert cfg.radius == 0
     words = ts_words(cfg)
-    fns = ts_download_fns(cfg)
-    assert find_download_collision(cfg.base, words, fns, 0) is None
-    wit = find_download_collision(cfg.base, words, fns, 1)
+    download = ts_download_fn(cfg)
+    assert find_download_collision(cfg.base, words, download, 0) is None
+    wit = find_download_collision(cfg.base, words, download, 1)
     assert wit is not None
     assert wit.word_a != wit.word_b
     assert len(wit.agree_columns) == cfg.n - 2
@@ -159,8 +165,7 @@ def test_collision_trace_half_download_witness():
     from fracdec.arraycode import apply_error_pattern
     ca = apply_error_pattern(cfg.base, wit.word_a, wit.pattern_a)
     cb = apply_error_pattern(cfg.base, wit.word_b, wit.pattern_b)
-    for i in range(cfg.n):
-        assert fns[i](ca[i]) == fns[i](cb[i])
+    assert download(ca) == download(cb)
 
 
 def test_collision_truncated_downloads_lose_radius():
@@ -168,17 +173,54 @@ def test_collision_truncated_downloads_lose_radius():
     tiny instance is not information-preserving; t = 1 collides."""
     cfg = ts_make_config(5, 4, 2, 2, 2)
     wit = find_download_collision(cfg.base, ts_words(cfg),
-                                  ts_download_fns(cfg, count=1), 1)
+                                  ts_download_fn(cfg, count=1), 1)
     assert wit is not None
+
+
+@pytest.mark.parametrize("count, products", [(2, 625), (1, 627)])
+def test_collision_search_downloads_each_codeword_once(count, products,
+                                                       monkeypatch):
+    """The search downloads each of the 625 codewords of ts-q5-n4-k2 once,
+    one product with cfg.download_map, and building a witness downloads
+    the two corrupted words once each: the full download has no collision
+    at t = 1, the one-symbol download has."""
+    cfg = config_from_dict(load_json(str(CONFIG_DIR / "ts-q5-n4-k2.json")))
+    words, download = ts_words(cfg), ts_download_fn(cfg, count)
+    products_made, original = [], ts_module.packed_product
+
+    def counting(pmap, symbols):
+        products_made.append(pmap)
+        return original(pmap, symbols)
+
+    monkeypatch.setattr(ts_module, "packed_product", counting)
+    wit = find_download_collision(cfg.base, words, download, 1)
+    assert (wit is None) == (count == cfg.m)
+    assert len(products_made) == products
+    assert all(pmap is cfg.download_map for pmap in products_made)
+
+
+def test_witness_check_catches_a_download_that_mixes_columns():
+    """The search compares downloads column by column, so it trusts each
+    column's download to depend on that column alone. Here column 0
+    serves nothing and every other column serves column 0: the two words
+    agree on column 0's download, the crossed words still differ in
+    column 0, and so in every other column's download."""
+    words = [((0,), (0,), (0,)), ((1,), (0,), (0,))]
+
+    def mixing(word):
+        return ((),) + (word[0],) * (len(word) - 1)
+
+    with pytest.raises(RuntimeError, match="depend on that column alone"):
+        find_download_collision(PrimeField(5), words, mixing, 1)
 
 
 def test_collision_folded_tiny():
     cfg = frs_make_config(6, 1, 3, Fraction(1, 3), p=19, gamma=2)
     assert cfg.radius == 1
     words = [word for _, word in frs_all_codewords(cfg)]
-    fns = frs_download_fns(cfg)
-    assert find_download_collision(cfg.field, words, fns, 1) is None
-    wit = find_download_collision(cfg.field, words, fns, 2)
+    download = frs_download_fn(cfg)
+    assert find_download_collision(cfg.field, words, download, 1) is None
+    wit = find_download_collision(cfg.field, words, download, 2)
     assert wit is not None
     assert len(wit.agree_columns) == cfg.n - 4
     assert wit.pattern_a.weight <= 2 and wit.pattern_b.weight <= 2
@@ -187,15 +229,18 @@ def test_collision_folded_tiny():
 def test_collision_validation_and_budget(monkeypatch):
     cfg = ts_make_config(5, 4, 2, 2, 2)
     words = ts_words(cfg)
-    fns = ts_download_fns(cfg)
+    download = ts_download_fn(cfg)
     with pytest.raises(ValueError):
-        find_download_collision(cfg.base, words, fns, 3)     # 2t > n
+        find_download_collision(cfg.base, words, download, 3)     # 2t > n
     with pytest.raises(ValueError):
-        find_download_collision(cfg.base, [words[0][:3]], fns, 1)
-    assert find_download_collision(cfg.base, [], fns, 1) is None
+        find_download_collision(cfg.base, [words[0][:3]], download, 1)
+    with pytest.raises(ValueError, match="same number of columns"):
+        find_download_collision(cfg.base, [words[0], words[1][:3]],
+                                download, 1)
+    assert find_download_collision(cfg.base, [], download, 1) is None
     monkeypatch.setenv("FRACDEC_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
-        find_download_collision(cfg.base, words, fns, 1)
+        find_download_collision(cfg.base, words, download, 1)
 
 
 def test_figure_endpoints_and_monotonicity():

@@ -138,7 +138,7 @@ def write_json(tmp_path, name, data):
      ("codeword", {"scheme": "frs",
                    "columns": [[0, 0, 0]] * 5 + [[19, 0, 0]]})),
     (["oracle", "list", "--config", FRS_TINY, "--radius", "1", "--word"],
-     ("download", {"perColumn": [[0]] * 5 + [[19]]})),
+     ("download", {"scheme": "frs", "perColumn": [[0]] * 5 + [[19]]})),
 ], ids=["ts-corrupt", "frs-corrupt", "frs-download", "oracle-list"])
 def test_out_of_field_symbol_exits_two(tmp_path, capsys, argv, infile):
     name, data = infile
@@ -335,6 +335,39 @@ def test_encode_refuses_a_message_for_the_other_scheme(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: message file is for scheme 'frs', expected 'ts'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("producer, consumer", [
+    (("frs", FRS_TINY, (3, 14, 9)), ["ts", "decode", "--config", "ts.json"]),
+    (("ts", TS_TINY, (7, 12)), ["frs", "decode", "--config", FRS_TINY]),
+    (("ts", TS_TINY, (7, 12)),
+     ["oracle", "list", "--config", FRS_TINY, "--radius", "1"]),
+], ids=["frs-to-ts-decode", "ts-to-frs-decode", "ts-to-oracle-list"])
+def test_download_file_for_the_other_scheme_exits_two(tmp_path, capsys,
+                                                      monkeypatch, producer,
+                                                      consumer):
+    """A download file names its scheme, and the commands that read one
+    refuse the other scheme's. Without that, a frs-p19-n6-k1 download (6
+    columns of 1 symbol) fits the decoder of the trace config
+    q=19, n=6, k=1, l=3, m=1, which ran and reported a decode failure."""
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, "ts.json",
+               {"scheme": "ts", "q": 19, "n": 6, "k": 1, "l": 3, "m": 1})
+    scheme, config, message = producer
+    msg = write_message(tmp_path, scheme, message)
+    word, down = str(tmp_path / "w.json"), str(tmp_path / "d.json")
+    assert main([scheme, "encode", "--config", config, "--message", msg,
+                 "--out", word]) == 0
+    assert main([scheme, "download", "--config", config, "--in", word,
+                 "--out", down]) == 0
+    assert load_json(down)["scheme"] == scheme
+    out = tmp_path / "out.json"
+    flag = "--word" if consumer[0] == "oracle" else "--in"
+    assert main(consumer + [flag, down, "--out", str(out)]) == 2
+    other = "ts" if scheme == "frs" else "frs"
+    assert capsys.readouterr().err == (
+        f"error: download file is for scheme {scheme!r}, expected {other!r}\n")
     assert not out.exists()
 
 

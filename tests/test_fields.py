@@ -20,13 +20,13 @@ from fracdec.fields import (ExtField, PrimeField, TraceDualBasis,
                             default_modulus, dual_basis, is_prime,
                             poly_is_irreducible, polynomial_basis,
                             prime_factors)
-from fracdec.frs_scheme import (frs_download_prefix, frs_encode,
+from fracdec.frs_scheme import (frs_download_all, frs_encode,
                                 frs_full_pipeline, frs_list_decode_bruteforce,
                                 frs_make_config)
 from fracdec.harness import random_error_pattern, random_message, trial_stream
 from fracdec.rs import RsCode, rs_decode_unique, rs_encode, rs_erasure_decode
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import (TsConfig, ts_download, ts_encode,
+from fracdec.trace_scheme import (TsConfig, ts_download_all, ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
 from oracles import ExtFieldReference, irreducible_by_trial_division
@@ -140,7 +140,7 @@ def entry_points(label):
         "difference_pattern-other": lambda bad: difference_pattern(
             field, ((0,), (1,)), ((0,), (bad,))),
         "find_download_collision": lambda bad: find_download_collision(
-            field, [((0,), (0,)), ((0,), (bad,))], (tuple, tuple), 0),
+            field, [((0,), (0,)), ((0,), (bad,))], tuple, 0),
     }
     if label == "GF(7)":
         # Reed-Solomon codes run over prime fields only
@@ -161,12 +161,13 @@ def entry_points(label):
                 lambda bad: ts_make_config(7, 4, 2, 2, 2, subsets=((0,), (bad,))),
             "ts_make_config-modulus":
                 lambda bad: ts_make_config(7, 4, 2, 2, 2, modulus=(bad, 0, 1)),
-            "ts_download": lambda bad: ts_download(ts, (0, bad), 0),
+            "ts_download_all": lambda bad: ts_download_all(
+                ts, ((0, bad),) + ((0, 0),) * 3),
             "frs_make_config-gamma": lambda bad: frs_make_config(
                 2, 1, 2, Fraction(1, 2), p=7, gamma=bad),
             "frs_encode": lambda bad: frs_encode(frs, (0, bad)),
-            "frs_download_prefix":
-                lambda bad: frs_download_prefix(frs, (0, bad)),
+            "frs_download_all":
+                lambda bad: frs_download_all(frs, ((0, bad), (0, 0))),
             "frs_list_decode_bruteforce": lambda bad:
                 frs_list_decode_bruteforce(frs, ((0,), (bad,)), 0),
         })
@@ -235,6 +236,29 @@ def test_vector_check_is_the_symbol_checks_in_order(field):
         with pytest.raises(ValueError) as vector:
             field.check_all(symbols)
         assert str(vector.value) == str(one_at_a_time.value)
+
+
+@pytest.mark.parametrize("scheme", ("ts", "frs"))
+def test_downloads_check_a_word_in_column_order(scheme):
+    """Both schemes' downloads check a word the same way: the column count
+    first, then the first fault in column order, whether a symbol outside
+    the field or a column that is not l = 2 symbols high."""
+    if scheme == "ts":
+        q, cfg, download = 7, ts_make_config(7, 4, 2, 2, 2), ts_download_all
+    else:
+        q, cfg = 11, frs_make_config(4, 1, 2, Fraction(1, 2), p=11)
+        download = frs_download_all
+    good = ((0, 1),) * 4
+    assert len(download(cfg, good).per_column) == 4
+    cases = [
+        (good[:3], "word must have n = 4 columns"),
+        (((0, 1), (0, q), (0,), (0, 1)), "not a canonical element"),
+        (((0, 1), (0,), (0, q), (0, 1)), "column must have l = 2 symbols"),
+        (((0, 1), (0, 1), (0, 1), (0, 1, 2)), "column must have l = 2 symbols"),
+    ]
+    for word, message in cases:
+        with pytest.raises(ValueError, match=message):
+            download(cfg, word)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),

@@ -14,8 +14,7 @@ from fracdec.bounds import find_download_collision, radius_naive
 from fracdec.errors import BudgetExceeded, DecodeFailure
 from fracdec.frs_scheme import (FrsConfig, bundle_columns, flatten_columns,
                                 frs_all_codewords, frs_decode_trial,
-                                frs_download_all, frs_download_fns,
-                                frs_download_prefix, frs_encode,
+                                frs_download_all, frs_download_fn, frs_encode,
                                 frs_full_pipeline, frs_list_decode_bruteforce,
                                 frs_make_config, is_primitive_root,
                                 smallest_prime_above, smallest_primitive_root)
@@ -25,7 +24,7 @@ from fracdec.harness import (_decode_naive, _symbol_field,
                              random_message, trial_stream)
 from fracdec.rs import RsCode, decode_columns, rs_decode_unique
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import (ts_all_codewords, ts_download_fns,
+from fracdec.trace_scheme import (ts_all_codewords, ts_download_fn,
                                   ts_encode, ts_full_pipeline)
 from oracles import trial_decode_columns
 
@@ -168,13 +167,11 @@ def test_download_prefix_and_accounting():
     stream = trial_stream(31, 0, 0)
     msg = random_message(cfg, stream)
     word = frs_encode(cfg, msg)
-    for col in word:
-        assert frs_download_prefix(cfg, col) == col[:3]
     bundle = frs_download_all(cfg, word)
+    assert bundle.per_column == tuple(col[:3] for col in word)
     assert bundle.downloaded == bundle.accessed == 24
-    assert all(len(c) == 3 for c in bundle.per_column)
     full = frs_make_config(8, 3, 4, 1)
-    assert frs_download_prefix(full, word[0]) == word[0]
+    assert frs_download_all(full, word).per_column == word
 
 
 def prefix_affected(cfg, pattern):
@@ -455,10 +452,10 @@ def test_pipeline_makes_no_prime_field_method_call(name, field_method_calls):
     decoded, _ = pipeline(cfg, message, pattern)
     assert decoded == message and pattern.weight == cfg.radius
     if name in ("frs-p19-n6-k1", "ts-q5-n4-k2"):
-        fns = frs_download_fns(cfg) if folded else ts_download_fns(cfg)
+        download = frs_download_fn(cfg) if folded else ts_download_fn(cfg)
         words = [word for _, word in (frs_all_codewords(cfg) if folded
                                       else ts_all_codewords(cfg))]
-        assert find_download_collision(_symbol_field(cfg), words, fns,
+        assert find_download_collision(_symbol_field(cfg), words, download,
                                        cfg.radius + 1) is not None
     assert field_method_calls == []
 
@@ -510,12 +507,11 @@ def test_all_codewords_count():
     assert len({w for _, w in words}) == 25
 
 
-def test_download_fns_heights():
+def test_download_fn_heights():
     cfg = reference_config()
     word = frs_encode(cfg, (0, 1) + (0,) * 10)
-    fns = frs_download_fns(cfg)
-    assert fns[2](word[2]) == word[2][:3]
-    fns1 = frs_download_fns(cfg, height=1)
-    assert fns1[2](word[2]) == word[2][:1]
+    assert frs_download_fn(cfg)(word) == tuple(c[:3] for c in word)
+    assert frs_download_fn(cfg, height=1)(word) == tuple(c[:1] for c in word)
+    assert frs_download_fn(cfg, height=cfg.l)(word) == word
     with pytest.raises(ValueError):
-        frs_download_fns(cfg, height=5)
+        frs_download_fn(cfg, height=5)

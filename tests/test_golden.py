@@ -98,19 +98,19 @@ GOLDEN = {
         "corrupt w1":
             "c8eddd29197da8c80bea1286a7457d4343d124aa66445cac287c0d4253be5d14",
         "download w1":
-            "727d14d76c6b1ee7c33db2456de232fb62a65df7d7d1288a8f5b471023b4543e",
+            "02eacf5b81a7a08b103126df6f06ac23bf222a05ffe1d8295c370b96ac31b3e7",
         "decode w1":
             "0f8734a20879b6f0ebe7895fcf607cc7886639919bcc7cec8d3a6dabde1655e6",
         "corrupt w2":
             "e12c72883dcb8e2a1696017ee2a5ea54449d57c4ad363f102fddbd644a0994cc",
         "download w2":
-            "003271d351a8ec2fc81dbcb08e945e3950e296a125e0cfab6fe99c51460a688d",
+            "d9e1fd0594fc099721ec9afabad77b206f947e0a39fd67ce22609a847943d435",
         "decode w2":
             "b403df7683489906122d75c5db345130b81b1613d58048952e2fe35666d6d684",
         "corrupt last":
             "6d81d1885c25bc25036659e7a480e5ed953f920129c02af8385d620959bbf22a",
         "download last":
-            "b09da356d791f5a359cb235f65c544d08bc3c5d906e9a69b5cd3ea53de3ea814",
+            "5b8e2b84202b33d5ddb915630c84d26cfa59b0b8c5c35ef036c77c3c12da2304",
         "decode last":
             "d980799b6a0c013d6e11d0aab4a5672182e8261b2778cea2f4c982a2d65eb5b7",
         "oracle collision":
@@ -138,19 +138,19 @@ GOLDEN = {
         "corrupt w2":
             "f2c2e778fe33eff884a3cc7867f81cfd0bb8297fa75e4bb50a18feb552aaf21a",
         "download w2":
-            "807466885212030bd5cd62792168ad362825632838a8924d707a5e999a6ee9f4",
+            "7d7aa2eaf14f271712feb3c0938baacf45728faa71e5ff8d5ecd4ca5d9ba04c8",
         "decode w2":
             "247f86fab0106ec1b7d16ca43cdb1db56fbdbdd420b8a66f1f4db89dcc129af1",
         "corrupt w3":
             "796ccfde3585d3c937d45079c5aae5e4479a7d5dadb9903493b6e25f3bf80454",
         "download w3":
-            "2b34e030f9c4b478f04c56a9d3390b7fa3499bf8e33fdf895a38cfcbda4ffd2f",
+            "3621e11b7cc9cb2ad67ed84dcf21da89dad589147ae05b1ecf74586723ef20c1",
         "decode w3":
             "2e3186a3d14d559f3a43cc140de36341c2ded87599f2cd6da9ece4bc08050f74",
         "corrupt last":
             "cafce089903f9f1ecc82f45d26e7bfed757453aab976259552e243f625f4a04d",
         "download last":
-            "0a7d297610afd879ee02b87ee33147e0f53ebbfe5680e5c9560dff04cc304f55",
+            "00a1d750a33c9999ae23bcc72a19e1299578d7fa200508964917ee0600758fb5",
         "decode last":
             "87cbbc211f9a238b37f8df286a83ecd2c0f72e9d57042e4f07113d8b790dc899",
     },
@@ -168,19 +168,19 @@ GOLDEN = {
         "corrupt w2":
             "0bc83135754babe57a6d03e4a44260763c9d65f3434320ea811aa287c200e715",
         "download w2":
-            "667d8cda0124319a0a3a283216d5988ce548aa8e2f00310460a65e532d6347c9",
+            "51d8d7470723fb14c2a3296d7b67d44f9fb4ebaee04bcaac0897c3e958f2eb2b",
         "decode w2":
             "ef886c95117011121eb23c2e9ed14a29462994475de73b88e747b4716e360cad",
         "corrupt w3":
             "da93601f4a412a704a945f7fe541985459f3d8149e477e1872f9b2d5b1a2e360",
         "download w3":
-            "7e2229db954ab008c861da24d753f1fd77f195c38ab0b919b06f9fc880b142e9",
+            "3cb634df6bf62fdf01c3c10eb0e9a9ae149f3f216fbd2cce14930aaab5b89683",
         "decode w3":
             "2a7ab201abd54f33365069fdc7cb539af9c08f55f5092b14966e2a614711c2f4",
         "corrupt last":
             "6c16ce5c4fbd2a607088c6416fcb9b36167b96edfe36f2478d02d32881c4e5d2",
         "download last":
-            "f27897dff0bbfbbc08d771abba9e58459efd382ad1ff0e56986541929379922e",
+            "0c4533e54e40fec545aa36e20f114b763861ef6c84ed39284a8eeaea9bcdb369",
         "decode last":
             "ef886c95117011121eb23c2e9ed14a29462994475de73b88e747b4716e360cad",
     },
@@ -196,19 +196,19 @@ GOLDEN = {
         "corrupt w1":
             "503034a06da3d7a2f2e76294f096c41bddd72641d5455aba96c5c7baf41f5875",
         "download w1":
-            "182f33438d6c26ec42803adece7ea4616731b55bcb3fffc1670c05623f2faa96",
+            "3d30fa96f4541f1a37f4fefb9a37d04dbb5c018807a6abc1d78a25db2a94f9f7",
         "decode w1":
             "d3beec01fc5a34622147d9f88ec761de0bcdcd42a823126e27c5721dad7f54c1",
         "corrupt w2":
             "e6a9eea5b2f6f0d0b52129ea84f187746492ea88cd77ed7791cf3f0da9cd6163",
         "download w2":
-            "116ebdea9e7dd0ccf9500de7c0c06440242fc54328199f021f467603a70826f8",
+            "c7e1a0914c70db8fc157ad4cf9733d5064444d0a8d8752188a510e4611f0d785",
         "decode w2":
             "4216fb0275b5108e5a03287e3644abeb90bab6673f9dc879bbbe2d8a4e888341",
         "corrupt last":
             "6b0b3ec8350e4b6fd8b55046d37fd4685cc1985f67957d639926a2a13286660a",
         "download last":
-            "6f153965ccefe6a2c1a6fae407e03937a957aef6a8f8d0a9a546674819a4496c",
+            "c3e8a73b1fd20840148a3c7b612095c861823db94df6ad5a0758d8438ac5a162",
         "decode last":
             "271a649c8333c5b5357bbecb8c63350900f92a2f856a8f8724bacc255f332279",
     },
@@ -224,19 +224,19 @@ GOLDEN = {
         "corrupt w1":
             "4638ea538cc3383a8a89aaed087f47f44b1e6f1b103b658dcff94912f0a488c2",
         "download w1":
-            "5dccae077e001e7c6ed59d3a213ef69e16a6763821c833f1be7111f85267d950",
+            "6271bdc4cf9786c52406e58237b8f61eeb8fd0229f9b65ed68f1f259c7bac3c3",
         "decode w1":
             "1daf206a66358f79c89c791ce3b87b1f995a4043b7a8ddc324c0ca98a36e8be1",
         "corrupt w2":
             "838ff58321013a6dd98934eee44c9d42c728c0abc2817099016f73eedb25636c",
         "download w2":
-            "5ca34de64e6622c94a4d7512f999c58b4c8a53dede6c51556c9adf34d70fffbd",
+            "9d707b1b5df33041d39769c625b1f9d59496ce9e91913753013913cfbedb3d2d",
         "decode w2":
             "b403df7683489906122d75c5db345130b81b1613d58048952e2fe35666d6d684",
         "corrupt last":
             "48776f2d26bc266f4eab0523c55196a56b57a9b6c693955cecd76d513f61c375",
         "download last":
-            "9081c046851513a28e3f8cb96e6c5e43660aff1e26bd324bb62653818cc9b49b",
+            "e57080cce40c709a9d1e2e846a8c985c436f97e8da01476dfe43d6131be01cf1",
         "decode last":
             "da25155fdcb50e5a9b446fe0ac473501a1c29f6288a95c0d7c98bb14df758b6c",
         "oracle collision":

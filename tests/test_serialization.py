@@ -110,9 +110,14 @@ def test_codeword_round_trip_and_scheme_check():
 def test_bundle_round_trip_and_aliases():
     bundle = DownloadBundle(per_column=((1, 2), (3, 4)), downloaded=4,
                             accessed=8)
-    data = bundle_to_dict(bundle)
+    data = bundle_to_dict("ts", bundle)
     assert data["perColumn"] == [[1, 2], [3, 4]]
+    assert data["scheme"] == "ts"
     assert bundle_from_dict(data) == bundle
+    assert bundle_from_dict(data, "ts") == bundle
+    for other in ({**data, "scheme": "frs"}, {"perColumn": [[1, 2]]}):
+        with pytest.raises(FormatError, match="download file is for scheme"):
+            bundle_from_dict(other, "ts")
     # readers accept the codeword-style key and default the accounting
     alias = {"columns": [[1, 2], [3, 4]]}
     got = bundle_from_dict(alias)

@@ -21,8 +21,7 @@ from fracdec.serialization import config_from_dict, load_json
 from fracdec import rs as rs_module
 from fracdec import trace_scheme as ts_module
 from fracdec.trace_scheme import (ts_all_codewords, ts_decode_message,
-                                  ts_download, ts_download_all,
-                                  ts_download_fns, ts_encode,
+                                  ts_download_all, ts_download_fn, ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
 import oracles
@@ -164,13 +163,12 @@ def test_download_identity():
         stream = trial_stream(13, 0, 0)
         for _ in range(20):
             msg = random_message(cfg, stream)
-            word = ts_encode(cfg, msg)
+            served = ts_download_all(cfg, ts_encode(cfg, msg)).per_column
             for j in range(cfg.m):
                 g = build_stream_poly(cfg, msg, j)
                 assert P.degree(g) < cfg.inner_code.k
                 for i, w in enumerate(cfg.omega):
-                    assert ts_download(cfg, word[i], i)[j] == \
-                        P.poly_eval(cfg.base, g, w)
+                    assert served[i][j] == P.poly_eval(cfg.base, g, w)
 
 
 def annihilator_powers(cfg):
@@ -210,18 +208,21 @@ def test_download_at_annihilator_roots():
     stream = trial_stream(14, 0, 0)
     msg = random_message(cfg, stream)
     word = ts_encode(cfg, msg)
+    served = ts_download_all(cfg, word).per_column
     hs = ts_project_polys(cfg, msg)
     for j, subset in enumerate(cfg.subsets):
         for w in subset:
             i = cfg.omega.index(w)
-            assert ts_download(cfg, word[i], i)[j] == \
-                P.poly_eval(cfg.base, hs[0], w)
-            assert ts_download(cfg, word[i], i)[j] == word[i][0]
+            assert served[i][j] == P.poly_eval(cfg.base, hs[0], w)
+            assert served[i][j] == word[i][0]
 
 
 def test_download_zero_column():
+    """A zero column serves zeros, whatever the other columns hold."""
     cfg = reference_config()
-    assert ts_download(cfg, (0,) * 4, 3) == (0, 0)
+    word = ts_encode(cfg, random_message(cfg, trial_stream(16, 0, 0)))
+    word = word[:3] + ((0,) * 4,) + word[4:]
+    assert ts_download_all(cfg, word).per_column[3] == (0, 0)
 
 
 def test_peeling_identity():
@@ -511,9 +512,9 @@ def test_encode_table_is_projection_then_evaluation(name):
 
 @pytest.mark.parametrize("name", TABLE_CONFIGS)
 def test_download_table_matches_the_weights(name):
-    """ts_download_all's one product equals the per-column ts_download and
-    the dot products of each column with its weights: served symbol j of
-    column i weighs the column by p_j(omega_i)^u for u = 0..l-m."""
+    """ts_download_all's one product, and ts_download_fn's, equal the dot
+    products of each column with its weights: served symbol j of column i
+    weighs the column by p_j(omega_i)^u for u = 0..l-m."""
     cfg = TABLE_CONFIGS[name]()
     q, split = cfg.base.q, cfg.l - cfg.m
     weights = annihilator_powers(cfg)
@@ -525,8 +526,7 @@ def test_download_table_matches_the_weights(name):
                   for j, column in enumerate(weights[i]))
             for i, col in enumerate(word))
         assert ts_download_all(cfg, word).per_column == weighted
-        assert tuple(ts_download(cfg, col, i)
-                     for i, col in enumerate(word)) == weighted
+        assert ts_download_fn(cfg)(word) == weighted
 
 
 @pytest.mark.parametrize("name", TABLE_CONFIGS)
@@ -633,13 +633,12 @@ def test_all_codewords_enumeration():
     assert len(seen) == 625   # encoding is injective
 
 
-def test_download_fns_restriction():
+def test_download_fn_restriction():
     cfg = tiny_config()
-    fns_full = ts_download_fns(cfg)
-    fns_one = ts_download_fns(cfg, count=1)
     word = ts_encode(cfg, (7, 12))
-    for i in range(cfg.n):
-        assert fns_full[i](word[i]) == ts_download(cfg, word[i], i)
-        assert fns_one[i](word[i]) == ts_download(cfg, word[i], i)[:1]
+    served = ts_download_all(cfg, word).per_column
+    assert ts_download_fn(cfg)(word) == served
+    assert ts_download_fn(cfg, count=1)(word) == tuple(s[:1] for s in served)
+    assert ts_download_fn(cfg, count=0)(word) == ((),) * cfg.n
     with pytest.raises(ValueError):
-        ts_download_fns(cfg, count=3)
+        ts_download_fn(cfg, count=3)
