@@ -29,14 +29,6 @@ def _ints_arg(text, what):
                          f"got {text!r}") from None
 
 
-def _load_config(path, expected_scheme=None):
-    cfg = ser.config_from_dict(ser.load_json(path))
-    if expected_scheme not in (None, cfg.scheme):
-        raise ValueError(f"config {path} is for scheme {cfg.scheme!r}, "
-                         f"expected {expected_scheme!r}")
-    return cfg
-
-
 def cmd_bounds(args):
     from .bounds import radius_report
     from .rationals import as_fraction
@@ -65,7 +57,7 @@ def cmd_figure(args):
 
 
 def cmd_encode(args):
-    cfg = _load_config(args.config, args.scheme)
+    cfg = ser.config_from_dict(ser.load_json(args.config), args.scheme)
     message = ser.message_from_dict(ser.load_json(args.message), args.scheme)
     if args.scheme == "ts":
         from .trace_scheme import ts_encode as encode
@@ -81,7 +73,7 @@ def cmd_corrupt(args):
     from .harness import (_check_seed, _symbol_field, random_error_pattern,
                           trial_stream)
     _check_seed(args.seed)
-    cfg = _load_config(args.config, args.scheme)
+    cfg = ser.config_from_dict(ser.load_json(args.config), args.scheme)
     columns = ser.codeword_from_dict(ser.load_json(args.infile), args.scheme)
     if len(columns) != cfg.n or any(len(c) != cfg.l for c in columns):
         raise ValueError(f"codeword must be {cfg.n} columns of {cfg.l} symbols")
@@ -107,7 +99,7 @@ def cmd_corrupt(args):
 
 
 def cmd_download(args):
-    cfg = _load_config(args.config, args.scheme)
+    cfg = ser.config_from_dict(ser.load_json(args.config), args.scheme)
     columns = ser.codeword_from_dict(ser.load_json(args.infile), args.scheme)
     if args.scheme == "ts":
         from .trace_scheme import ts_download_all as download
@@ -119,7 +111,7 @@ def cmd_download(args):
 
 
 def cmd_decode(args):
-    cfg = _load_config(args.config, args.scheme)
+    cfg = ser.config_from_dict(ser.load_json(args.config), args.scheme)
     bundle = ser.bundle_from_dict(ser.load_json(args.infile), args.scheme)
     if args.scheme == "ts":
         from .trace_scheme import ts_decode_message
@@ -135,7 +127,7 @@ def cmd_decode(args):
 
 def cmd_simulate(args):
     from .harness import ExperimentSpec, report_to_json, simulate
-    cfg = _load_config(args.config)
+    cfg = ser.config_from_dict(ser.load_json(args.config))
     spec = ExperimentSpec(
         config=cfg,
         weights=_ints_arg(args.weights, "--weights"),
@@ -150,7 +142,7 @@ def cmd_simulate(args):
 
 def cmd_compare_naive(args):
     from .harness import compare_naive, comparison_to_dict
-    cfg = _load_config(args.config)
+    cfg = ser.config_from_dict(ser.load_json(args.config))
     result = compare_naive(cfg, args.t, seed=args.seed)
     ser.dump_json(args.out, comparison_to_dict(result))
     return 0
@@ -178,7 +170,7 @@ def cmd_oracle_collision(args):
     from .bounds import find_download_collision
     from .budget import check_budget
     from .harness import _message_space, _symbol_field
-    cfg = _load_config(args.config)
+    cfg = ser.config_from_dict(ser.load_json(args.config))
     if cfg.scheme == "ts":
         from .trace_scheme import ts_all_codewords as enumerate_words
         from .trace_scheme import ts_download_fn
@@ -216,7 +208,7 @@ def _pattern_dict(pattern):
 
 def cmd_oracle_list(args):
     from .frs_scheme import frs_list_decode_bruteforce
-    cfg = _load_config(args.config, "frs")
+    cfg = ser.config_from_dict(ser.load_json(args.config), "frs")
     bundle = ser.bundle_from_dict(ser.load_json(args.word), "frs")
     hits = frs_list_decode_bruteforce(cfg, bundle.per_column, args.radius)
     ser.dump_json(args.out, {

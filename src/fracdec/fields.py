@@ -18,8 +18,39 @@ from . import polyring
 from .records import Record
 
 
+# The first 13 primes. No composite below _PSI_13 is a strong probable
+# prime to all of them (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
 def is_prime(n):
-    return n >= 2 and prime_factors(n) == [n]
+    """Whether the integer n is prime, by Miller-Rabin to the bases
+    _BASES, which is exact below _PSI_13; ValueError at or above it."""
+    if n >= _PSI_13:
+        raise ValueError(f"primality is decided only below {_PSI_13}, "
+                         f"not for {n}")
+    if n < 2:
+        return False
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _BASES:
+        # n passes base a if a^odd = 1 or a^(odd * 2^r) = -1 for some r < twos
+        x = pow(a, odd, n)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def prime_factors(n):
@@ -133,9 +164,14 @@ def poly_is_irreducible(base, coeffs):
     power = x
     for i in range(1, deg + 1):
         power = polyring.poly_powmod(base, power, base.q, coeffs)
-        if i in maximal and polyring.poly_gcd(
-                base, polyring.poly_sub(base, power, x), coeffs) != (1,):
-            return False
+        if i in maximal:
+            # a maximal divisor exists only for deg >= 2, where x mod f is
+            # x itself, so x^(q^i) - x lowers coefficient 1 by one
+            diff = list(power) + [0] * (2 - len(power))
+            diff[1] = (diff[1] - 1) % base.q
+            if polyring.poly_gcd(base, polyring.normalize(diff),
+                                 coeffs) != (1,):
+                return False
     return power == x
 
 

@@ -1,5 +1,8 @@
-"""Univariate polynomial arithmetic over a prime field GF(q), and nothing
-else: interpolation at a code's points lives in `rs`.
+"""The polynomial ring over a prime field GF(q) that the library runs:
+the products, division, powers mod a polynomial and gcd that Rabin's
+irreducibility test and the reference field arithmetic in `fields` need,
+and `poly_from_roots`, the root polynomial of a point set. Evaluation and
+interpolation at a code's points live in `rs`.
 
 A polynomial is a tuple of field elements, constant coefficient first,
 with no trailing zeros; the zero polynomial is the empty tuple, of degree
@@ -34,32 +37,6 @@ def degree(a):
     return len(a) - 1
 
 
-def poly_add(field, a, b):
-    q = _prime(field)
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % q
-    return normalize(out)
-
-
-def poly_neg(field, a):
-    q = _prime(field)
-    return tuple(-c % q for c in a)
-
-
-def poly_sub(field, a, b):
-    return poly_add(field, a, poly_neg(field, b))
-
-
-def poly_scale(field, a, c):
-    q = _prime(field)
-    if c == 0:
-        return ()
-    return tuple(coef * c % q for coef in a)
-
-
 def poly_mul(field, a, b):
     """Schoolbook product: accumulate each coefficient, then reduce it once."""
     q = _prime(field)
@@ -91,15 +68,6 @@ def poly_divmod(field, a, b):
         for i, c in enumerate(b, shift):
             rem[i] = (rem[i] - factor * c) % q
     return normalize(quot), normalize(rem)
-
-
-def poly_eval(field, a, x):
-    """Evaluate by Horner's rule."""
-    q = _prime(field)
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % q
-    return acc
 
 
 def poly_from_roots(field, roots):
@@ -137,4 +105,7 @@ def poly_gcd(field, a, b):
     q = _prime(field)
     while b:
         a, b = b, poly_divmod(field, a, b)[1]
-    return poly_scale(field, a, pow(a[-1], q - 2, q)) if a else ()
+    if not a:
+        return ()
+    inv_lead = pow(a[-1], q - 2, q)
+    return tuple(c * inv_lead % q for c in a)

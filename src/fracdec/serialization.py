@@ -74,8 +74,8 @@ def config_to_dict(cfg):
     raise TypeError(f"unsupported config type {type(cfg).__name__}")
 
 
-def config_from_dict(data):
-    _check_format(data, "config file")
+def config_from_dict(data, expected_scheme=None):
+    _check_format(data, "config file", expected_scheme)
     scheme = data.get("scheme")
     _require(scheme in ("ts", "frs"),
              f"config scheme must be 'ts' or 'frs', got {scheme!r}")

@@ -33,11 +33,12 @@ floor((n - lk/m) / 2) = floor((n - k/alpha) / 2).
 """
 
 import itertools
+from math import prod
 from operator import mul
 
 from .arraycode import DownloadBundle, _stored_symbols, apply_error_pattern
 from .fields import ExtField, PrimeField, dual_basis
-from .polyring import normalize, poly_eval, poly_from_roots
+from .polyring import normalize, poly_from_roots
 from .records import Record
 from .rs import (RsCode, decode_columns, packed_map, packed_product,
                  power_columns, rs_interpolate, tabulate_map)
@@ -66,7 +67,9 @@ class TsConfig(Record):
     download_map: block-diagonal, the n*l stored symbols to the n*m served
         ones (column i's symbol j at output i*m + j). Served symbol j of
         column i weighs the column's coordinates by the powers
-        p_j(w_i)^0, ..., p_j(w_i)^(l-m).
+        p_j(w_i)^0, ..., p_j(w_i)^(l-m). p_j(w_i) is read off the roots, as
+        the product of w_i - a over A_j, and its powers are one
+        `rs.power_columns` table, so no polynomial is evaluated.
     decode_map: the l*k coefficients of the m decoded streams (stream j's
         coefficient c at input j*lk/m + c) to the k*l digits of the
         message, in encode_map's input order. The peel derives it once,
@@ -119,22 +122,14 @@ class TsConfig(Record):
 
         q, split = base.q, l - m
         annihilators = tuple(poly_from_roots(base, s) for s in subsets)
-        weights = []
-        for w in omega:
-            for p_j in annihilators:
-                value, powers = poly_eval(base, p_j, w), [1]
-                for _ in range(split):
-                    powers.append(powers[-1] * value % q)
-                weights.append(powers)
-        # served symbol j of column i weighs coordinate u < l-m by
-        # p_j(w_i)^u and coordinate l-m+j by p_j(w_i)^(l-m); column u of
-        # the download map stacks these weights for every (i, j)
-        by_power = list(zip(*weights))
-        served = by_power[:split]
-        for j in range(m):
-            top = [0] * (n * m)
-            top[j::m] = by_power[split][j::m]
-            served.append(top)
+        # served symbol j of column i (output i*m + j) weighs coordinate
+        # u < l-m by p_j(w_i)^u and coordinate l-m+j by p_j(w_i)^(l-m),
+        # where p_j(w_i) is the product of w_i - a over the roots a in A_j
+        values = [prod(w - a for a in s) % q for w in omega for s in subsets]
+        powers = power_columns(q, values, split + 1)
+        served = powers[:split] + [
+            [c if r % m == j else 0 for r, c in enumerate(powers[split])]
+            for j in range(m)]
         self._set(
             annihilators=annihilators,
             inner_code=RsCode(base, l * k // m, omega),

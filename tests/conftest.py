@@ -6,6 +6,7 @@ run so the verdict per criterion is visible without -s.
 """
 
 import importlib
+import inspect
 import pkgutil
 import sys
 
@@ -28,8 +29,9 @@ FIELD_ARITHMETIC = {
 
 def _call_watcher(monkeypatch, home):
     """watch(*names) starts counting calls to the named functions of the
-    module `home` from every fracdec module and returns the list each call
-    appends its function's name to.
+    module `home`, or to every function it defines when no name is given,
+    from every fracdec module and returns the list each call appends its
+    function's name to.
 
     Every fracdec module is imported before the patch: one first imported
     while the patch is in place would bind the counting function and keep
@@ -39,7 +41,9 @@ def _call_watcher(monkeypatch, home):
         for module in pkgutil.iter_modules(fracdec.__path__, "fracdec."):
             importlib.import_module(module.name)
         calls = []
-        for fn in names:
+        for fn in names or [name for name, value in vars(home).items()
+                            if inspect.isfunction(value)
+                            and value.__module__ == home.__name__]:
             original = getattr(home, fn)
 
             def counting(*args, _fn=fn, _original=original):

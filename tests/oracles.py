@@ -16,6 +16,16 @@ from fracdec.trace_scheme import ts_all_codewords, ts_download_all
 # `fracdec.polyring` is compared against, and the arithmetic of the
 # oracles below. Polynomials are normalized tuples, constant term first.
 
+def poly_add(field, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return normalize([*map(field.add, a, b), *a[len(b):]])
+
+
+def poly_sub(field, a, b):
+    return poly_add(field, a, tuple(map(field.neg, b)))
+
+
 def poly_mul(field, a, b):
     if not a or not b:
         return ()
@@ -125,8 +135,8 @@ def trial_decode_columns(field, columns, column_points, degree_bound, t_star):
 
 def rs_decode_euclid(code, received):
     """`fracdec.rs.rs_decode_unique` one coefficient at a time: Gao's
-    partial extended Euclid from the master polynomial and the interpolant
-    in `fracdec.polyring`, then the exact quotient r1 / v1 and the
+    partial extended Euclid from the master polynomial and the interpolant,
+    dividing in `fracdec.polyring`, then the exact quotient r1 / v1 and the
     re-encode check. The reference the packed decoder is compared against,
     input checks and DecodeFailure messages included."""
     field, n, k = code.field, code.n, code.k
@@ -141,8 +151,7 @@ def rs_decode_euclid(code, received):
     while 2 * degree(r1) >= n + k:
         quot, rem = polyring.poly_divmod(field, r0, r1)
         r0, r1 = r1, rem
-        v0, v1 = v1, polyring.poly_sub(field, v0,
-                                       polyring.poly_mul(field, quot, v1))
+        v0, v1 = v1, poly_sub(field, v0, polyring.poly_mul(field, quot, v1))
     h, rem = polyring.poly_divmod(field, r1, v1)
     if rem != () or degree(h) >= k:
         raise DecodeFailure(failure)

@@ -19,15 +19,14 @@ from fracdec.frs_scheme import (FrsConfig, frs_decode_trial, frs_download_all,
                                 smallest_primitive_root)
 from fracdec.harness import (compare_naive, random_error_pattern,
                              random_message, run_trial, trial_stream)
-from fracdec.polyring import (normalize, poly_add, poly_divmod, poly_eval,
-                              poly_mul, poly_sub)
+from fracdec.polyring import normalize, poly_divmod, poly_mul
 from fracdec.rs import RsCode, nearest_codeword_bruteforce, rs_decode_unique, \
     rs_encode
 from fracdec.trace_scheme import (TsConfig, ts_all_codewords,
                                   ts_download_all, ts_download_fn, ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
-from oracles import poly_pow
+from oracles import poly_add, poly_eval, poly_pow, poly_sub
 
 SEED = 2026
 

@@ -443,10 +443,43 @@ def test_usage_and_format_errors(tmp_path, capsys):
     stale.write_text(json.dumps({"format": 2, "scheme": "ts"}))
     assert main(["ts", "decode", "--config", str(stale),
                  "--in", str(stale)]) == 2
+    capsys.readouterr()
     msg = write_message(tmp_path, "frs", tuple(range(12)))
     assert main(["frs", "encode", "--config", TS_REF, "--message", msg,
                  "--out", str(tmp_path / "w.json")]) == 2   # scheme mismatch
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: config file is for scheme 'ts', expected 'frs'\n")
+    msg = write_message(tmp_path, "ts", (1,), name="ts-msg.json")
+    assert main(["ts", "encode", "--config", FRS_TINY, "--message", msg,
+                 "--out", str(tmp_path / "w.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: config file is for scheme 'frs', expected 'ts'\n")
+    assert not (tmp_path / "w.json").exists()
+
+
+def test_large_prime_field_config_runs(tmp_path, capsys):
+    """Primality is decided by Miller-Rabin, so a config over GF(2^61 - 1)
+    builds and encodes, and `oracle nearest` over it reaches its budget
+    check; a field size at or above the test's exact range exits 2 rather
+    than run an unproven test."""
+    q = 2 ** 61 - 1
+    config = write_json(tmp_path, "ts.json", {
+        "format": 1, "scheme": "ts", "q": q, "n": 7, "k": 2, "l": 2, "m": 1})
+    msg = write_message(tmp_path, "ts", (5, q * q - 1))
+    out = tmp_path / "w.json"
+    assert main(["ts", "encode", "--config", config, "--message", msg,
+                 "--out", str(out)]) == 0
+    assert len(load_json(out)["columns"]) == 7
+    assert main(["oracle", "nearest", "--q", str(q), "--k", "1",
+                 "--received", "3,3,4", "--radius", "1",
+                 "--out", str(tmp_path / "n.json")]) == 2
+    assert "budget" in capsys.readouterr().err
+    huge = write_json(tmp_path, "huge.json", {
+        "format": 1, "scheme": "ts", "q": 2 ** 89 - 1, "n": 7, "k": 2,
+        "l": 2, "m": 1})
+    assert main(["ts", "encode", "--config", huge, "--message", msg,
+                 "--out", str(tmp_path / "h.json")]) == 2
+    assert "primality is decided only below" in capsys.readouterr().err
 
 
 def test_float_field_size_exits_two(tmp_path, capsys):

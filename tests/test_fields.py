@@ -67,6 +67,32 @@ def test_prime_helpers():
     assert prime_factors(1) == []
 
 
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-50, 10 ** 5) if is_prime(n)] == \
+        [n for n in range(2, 10 ** 5) if prime_factors(n) == [n]]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (3215031751, False),                   # strong pseudoprime to 2, 3, 5, 7
+    (3825123056546413051, False),          # to every base 2..23
+    (318665857834031151167461, False),     # psi_12: every base 2..37
+    (2 ** 32 + 15, True),
+    (2 ** 61 - 1, True),
+    (2 ** 64 - 59, True),
+    (3317044064679887385961980, False),    # even, just below psi_13
+])
+def test_is_prime_on_large_numbers(n, prime):
+    assert is_prime(n) is prime
+
+
+@pytest.mark.parametrize("n", [3317044064679887385961981, 2 ** 89 - 1])
+def test_is_prime_refuses_numbers_past_its_exact_range(n):
+    with pytest.raises(ValueError, match="primality is decided only below"):
+        is_prime(n)
+    with pytest.raises(ValueError, match="primality is decided only below"):
+        PrimeField(n)
+
+
 def test_prime_field_examples():
     f = PrimeField(13)
     assert f.add(7, 9) == 3

@@ -133,12 +133,13 @@ def test_config_codes_are_powers_of_gamma(cfg):
 
 
 def test_pipeline_and_list_oracle_evaluate_no_polynomial(polyring_calls):
-    """Encoding and the list oracle apply the codes' evaluation tables."""
+    """Encoding and the list oracle apply the codes' evaluation tables:
+    no polyring function runs."""
     cfg = tiny_config()
     stream = trial_stream(47, cfg.radius, 0)
     message = random_message(cfg, stream)
     pattern = random_error_pattern(cfg, stream, cfg.radius)
-    calls = polyring_calls("poly_eval")
+    calls = polyring_calls()
     decoded, bundle = frs_full_pipeline(cfg, message, pattern)
     hits = frs_list_decode_bruteforce(cfg, bundle.per_column, cfg.radius)
     assert decoded == message and hits == [message]
@@ -310,7 +311,8 @@ def test_trial_decoder_doubles_as_scalar_rs_decoder():
     import random
 
     from fracdec.fields import PrimeField
-    from fracdec.polyring import normalize, poly_eval
+    from fracdec.polyring import normalize
+    from oracles import poly_eval
 
     rng = random.Random(99)
     field = PrimeField(13)

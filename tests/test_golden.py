@@ -244,7 +244,7 @@ GOLDEN = {
         "oracle collision short":
             "e9f21b2ecb6d00b9b6052f0dd34a6a7c79895aefac4adb0323f058b05e649ec1",
         "oracle list":
-            "f692f117015534c2f2632a01b28cf9ad57c8edba31ae240b0af7bb903e91e541",
+            "e27dc1587e72597fde7c191778b594bcaf9e53f402abde7fc53596fddb13b407",
         "oracle nearest":
             "39f84c54b51c7ef61530880b5be2bb6bed68ca8bd3a96ffd7f66826e7864b8ed",
         "oracle nearest omega":

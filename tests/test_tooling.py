@@ -160,8 +160,9 @@ def test_code_tables_are_applied_only_in_rs():
     unpacker, so none unpacks a map by hand; an RsCode's `evaluation` and
     `interpolation` and the trace and folded configs' maps are read only
     as the first argument of rs.packed_product; frs_scheme imports nothing
-    from polyring, and trace_scheme does not import polyring's
-    interpolate."""
+    from polyring, and outside fields and polyring no module imports more
+    of polyring than normalize, degree and poly_from_roots, so none
+    evaluates or interpolates a polynomial but through rs."""
     maps = ("encode_map", "download_map", "decode_map", "evaluation",
             "interpolation")
     readers, imported, loose = set(), set(), []
@@ -182,13 +183,18 @@ def test_code_tables_are_applied_only_in_rs():
                     "polyring", "rs"):
                 imported.update((node.module, path.stem, alias.name)
                                 for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                imported.update((alias.name, path.stem, "*")
+                                for alias in node.names)
     assert readers == {"rs"}
     assert loose == []
     assert {name for module, _, name in imported
             if module == "rs" and name.startswith("_")} == set()
     assert {name for module, stem, name in imported
             if (module, stem) == ("polyring", "frs_scheme")} == set()
-    assert ("polyring", "trace_scheme", "interpolate") not in imported
+    assert {name for module, stem, name in imported
+            if module == "polyring" and stem not in ("fields", "polyring")
+            } <= {"normalize", "degree", "poly_from_roots"}
 
 
 def test_traced_pipelines_run():

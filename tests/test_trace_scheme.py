@@ -140,7 +140,8 @@ def test_project_polys_reassemble():
             assert cfg.basis.reconstruct(coords) == coeff
         h = P.normalize(msg)
         for w in cfg.omega:
-            assert tuple(P.poly_eval(cfg.base, h_u, w) for h_u in hs) == \
+            assert tuple(oracles.poly_eval(cfg.base, h_u, w)
+                         for h_u in hs) == \
                 cfg.basis.project(oracles.poly_eval(cfg.ext, h, w))
 
 
@@ -151,8 +152,8 @@ def build_stream_poly(cfg, msg, j):
     pj = cfg.annihilators[j]
     g = P.poly_mul(base, hs[l - m + j], oracles.poly_pow(base, pj, l - m))
     for u in range(l - m):
-        g = P.poly_add(base, g, P.poly_mul(base, hs[u],
-                                           oracles.poly_pow(base, pj, u)))
+        g = oracles.poly_add(base, g, P.poly_mul(base, hs[u],
+                                                 oracles.poly_pow(base, pj, u)))
     return g
 
 
@@ -168,7 +169,7 @@ def test_download_identity():
                 g = build_stream_poly(cfg, msg, j)
                 assert P.degree(g) < cfg.inner_code.k
                 for i, w in enumerate(cfg.omega):
-                    assert served[i][j] == P.poly_eval(cfg.base, g, w)
+                    assert served[i][j] == oracles.poly_eval(cfg.base, g, w)
 
 
 def annihilator_powers(cfg):
@@ -178,13 +179,14 @@ def annihilator_powers(cfg):
              for p_j in cfg.annihilators] for w in cfg.omega]
 
 
-@pytest.mark.parametrize("name", SHIPPED_TRACE)
-def test_download_weights_are_annihilator_powers(name, monkeypatch):
+@pytest.mark.parametrize("name", SHIPPED_TRACE + ("q3-n3-k1-l1",))
+def test_download_weights_are_annihilator_powers(name, polyring_calls):
     """Block i of cfg.download_map weighs served symbol j by p_j(omega_i)^u
     for u = 0..l-m (coordinates 0..l-m-1, then coordinate l-m+j), and by
-    nothing else; a download is a product with it: no polynomial is
-    evaluated."""
-    cfg = shipped_config(name)
+    nothing else; a download is a product with it: no polyring function
+    runs. At l = 1 the weights are one column of ones."""
+    cfg = (ts_make_config(3, 3, 1, 1, 1) if name == "q3-n3-k1-l1"
+           else shipped_config(name))
     l, m, split = cfg.l, cfg.m, cfg.l - cfg.m
     digits = oracles.map_digits(cfg.download_map)
     for i, row in enumerate(annihilator_powers(cfg)):
@@ -195,9 +197,7 @@ def test_download_weights_are_annihilator_powers(name, monkeypatch):
             assert all(digits[c][out] == 0
                        for c in range(cfg.n * l) if c not in used)
     word = ts_encode(cfg, random_message(cfg, trial_stream(15, 0, 0)))
-    calls = []
-    monkeypatch.setattr(ts_module, "poly_eval",
-                        lambda *args: calls.append(args))
+    calls = polyring_calls()
     ts_download_all(cfg, word)
     assert calls == []
 
@@ -213,7 +213,7 @@ def test_download_at_annihilator_roots():
     for j, subset in enumerate(cfg.subsets):
         for w in subset:
             i = cfg.omega.index(w)
-            assert served[i][j] == P.poly_eval(cfg.base, hs[0], w)
+            assert served[i][j] == oracles.poly_eval(cfg.base, hs[0], w)
             assert served[i][j] == word[i][0]
 
 
@@ -237,11 +237,11 @@ def test_peeling_identity():
         for s in range(cfg.l - cfg.m):
             for j in range(cfg.m):
                 for w in cfg.subsets[j]:
-                    assert P.poly_eval(base, streams[j], w) == \
-                        P.poly_eval(base, hs[s], w)
+                    assert oracles.poly_eval(base, streams[j], w) == \
+                        oracles.poly_eval(base, hs[s], w)
             for j in range(cfg.m):
                 quot, rem = P.poly_divmod(
-                    base, P.poly_sub(base, streams[j], hs[s]),
+                    base, oracles.poly_sub(base, streams[j], hs[s]),
                     cfg.annihilators[j])
                 assert rem == ()
                 streams[j] = quot
