@@ -34,14 +34,19 @@ def smallest_prime_above(bound):
 
 
 def smallest_primitive_root(p):
-    """Smallest primitive element of GF(p)."""
-    return next(g for g in PrimeField(p).elements() if is_primitive_root(p, g))
+    """Smallest primitive element of GF(p), factoring p - 1 once."""
+    elements, factors = PrimeField(p).elements(), prime_factors(p - 1)
+    return next(g for g in elements if g and _generates(p, g, factors))
 
 
 def is_primitive_root(p, g):
-    if PrimeField(p).check(g) == 0:
-        return False
-    return all(pow(g, (p - 1) // f, p) != 1 for f in prime_factors(p - 1))
+    return (PrimeField(p).check(g) != 0
+            and _generates(p, g, prime_factors(p - 1)))
+
+
+def _generates(p, g, factors):
+    """Whether nonzero g generates GF(p)*; `factors` are those of p - 1."""
+    return all(pow(g, (p - 1) // f, p) != 1 for f in factors)
 
 
 class FrsConfig(Record):

@@ -45,6 +45,7 @@ the messages the brute-force oracles draw from `field.elements()`.
 """
 
 import itertools
+import struct
 from collections import namedtuple
 from operator import mul, ne
 
@@ -53,6 +54,9 @@ from .errors import DecodeFailure, InconsistentErasures
 from .fields import PrimeField
 from .polyring import degree, normalize, poly_from_roots
 from .records import Record
+
+# struct codes of the unsigned digits rs packs in C, by width in bits
+_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class RsCode(Record):
@@ -72,9 +76,11 @@ class RsCode(Record):
         top down, and Horner's rule on it as it appears gives
         master'(omega_i), so the map costs O(n^2) after master.
     decode_width: the bit width of one digit of `rs_decode_unique`'s packed
-        Euclid run, the least multiple of 8 with
-        (k + 1) * (q - 1) * (2q - 1)^t < 2^decode_width, t the radius;
-        `rs_decode_unique` proves that bound.
+        Euclid run: the least of 8, 16, 32 and 64, or past 64 the least
+        multiple of 8, with (k + 1) * (q - 1) * (2q - 1)^t < 2^decode_width,
+        t the radius; or 64 where that bound is over 128 bits and one
+        division from reduced digits fits,
+        (q - 1) * (1 + max(t + 1, k) * (q - 1)) < 2^64.
     decode_master: the Euclid run's start, master packed at decode_width
         above t + 1 zero digits (its cofactor, 0).
     Only `rs_evaluate` and `rs_interpolate` apply the two maps, and only
@@ -112,13 +118,17 @@ class RsCode(Record):
             scale = pow(slope, q - 2, q)
             lagrange.append([c * scale % q for c in quotient])
         t = (n - k) // 2
-        decode_size = -(-((k + 1) * (q - 1) * (2 * q - 1) ** t)
-                        .bit_length() // 8)
+        bits = ((k + 1) * (q - 1) * (2 * q - 1) ** t).bit_length()
+        if bits > 128 and ((q - 1) * (1 + max(t + 1, k) * (q - 1))
+                           ).bit_length() <= 64:
+            bits = 64
+        decode_size = _digit_bytes(bits)
         self._set(master=master,
                   evaluation=packed_map(q, power_columns(q, omega, k)),
                   interpolation=packed_map(q, lagrange),
                   decode_width=8 * decode_size,
-                  decode_master=_pack((0,) * (t + 1) + master, decode_size))
+                  decode_master=_pack(master, decode_size)
+                  << (t + 1) * 8 * decode_size)
 
     @property
     def n(self):
@@ -152,20 +162,47 @@ def rs_encode(code, message):
     return rs_evaluate(code, h)
 
 
+def _digit_bytes(bits):
+    """The bytes of a digit of at least `bits` bits: 1, 2, 4 or 8, so that
+    struct reads and writes it, or past 8 the least whole number."""
+    size = -(-bits // 8)
+    return 1 << (size - 1).bit_length() if size < 8 else size
+
+
 def _pack(values, size):
     """One integer whose little-endian digits, `size` bytes each, are the
-    nonnegative `values`."""
-    return int.from_bytes(b"".join(map(
-        int.to_bytes, values, itertools.repeat(size),
-        itertools.repeat("little"))), "little")
+    nonnegative `values`, a sequence, packed in C: one `struct.pack` at 1,
+    2, 4 or 8 bytes; at other sizes extended-slice assignment spreads the
+    struct-packed values over a `bytearray`. Values of 2^64 or more are
+    converted one by one."""
+    code = _FORMATS.get(8 * size)
+    if code:
+        return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values),
+                              "little")
+    need = -(-max(values, default=0).bit_length() // 8) or 1
+    lane = 1 << (need - 1).bit_length()
+    if lane > 8 or need > size:
+        return int.from_bytes(b"".join(map(
+            int.to_bytes, values, itertools.repeat(size),
+            itertools.repeat("little"))), "little")
+    lanes = struct.pack(f"<{len(values)}{_FORMATS[8 * lane]}", *values)
+    digits = bytearray(size * len(values))
+    for b in range(need):
+        digits[b::size] = lanes[b::lane]
+    return int.from_bytes(digits, "little")
 
 
 def _unpack(acc, count, width, q):
-    """The `count` lowest digits, `width` bits each, of a product with a
-    packed map, lowest first, each reduced mod q."""
-    mask = (1 << width) - 1
-    return [(acc >> shift & mask) % q
-            for shift in range(0, count * width, width)]
+    """The `count` digits, `width` bits each, of 0 <= acc < 2^(count *
+    width), lowest first, each reduced mod q: at 1, 2, 4 or 8 bytes by one
+    `struct.unpack`, at other widths by a shift and mask per digit."""
+    code = _FORMATS.get(width)
+    if code is None:
+        mask = (1 << width) - 1
+        return [(acc >> shift & mask) % q
+                for shift in range(0, count * width, width)]
+    return [d % q for d in struct.unpack(
+        f"<{count}{code}", acc.to_bytes(count * width // 8, "little"))]
 
 
 def rs_evaluate(code, h):
@@ -187,11 +224,12 @@ class PackedMap(namedtuple("PackedMap", "q outputs width columns")):
     """A GF(q)-linear map from `inputs` to `outputs` symbols, packed as one
     integer per input symbol, whose digit r, `width` bits wide, is a
     nonnegative integer congruent mod q to the map's entry in output r.
-    `width` is the least multiple of 8 bits with
-    terms * (q - 1) * top < 2^width, where terms is the number of inputs
-    one output depends on and top bounds the digits, so a product with
-    canonical symbols never carries from one digit into the next. Build
-    one with `packed_map`; only `packed_product` reads the packed columns.
+    `width` is the least of 8, 16, 32 and 64 bits, or past 64 the least
+    multiple of 8, with terms * (q - 1) * top < 2^width, where terms is
+    the number of inputs one output depends on and top bounds the digits,
+    so a product with canonical symbols never carries from one digit into
+    the next, and digits of up to 8 bytes are read in C. Build one with
+    `packed_map`; only `packed_product` reads the packed columns.
     """
 
     __slots__ = ()
@@ -221,7 +259,7 @@ def packed_map(q, columns, right=((1,),), blocks=1):
     height, stride = len(columns[0]), len(right[0])
     terms = len(columns) * len(right)
     top = (q - 1) * max(max(c) for c in right)
-    size = -(-(terms * (q - 1) * top).bit_length() // 8)
+    size = _digit_bytes((terms * (q - 1) * top).bit_length())
     right = [_pack(c, size) for c in right]
     packed = [c * r for c in (_pack(c, size * stride) for c in columns)
               for r in right]
@@ -287,17 +325,22 @@ def rs_decode_unique(code, received):
 
     No digit carries. Every addend is nonnegative, so each digit only
     grows, by at most (q - 1) times a digit of pair1 per term that reaches
-    it. If a dividend's digits are at most A_{i-1} and the divisor's A_i,
-    a quotient of degree d leaves digits at most
-    A_{i+1} = A_{i-1} + (d + 1)(q - 1) A_i <= (2q - 1)^d A_i, as
-    A_{i-1} <= A_i and 1 + (d + 1)(q - 1) <= (2q - 1)^d for d >= 1. Every
-    quotient degree is at least 1, and the degrees sum to n minus the
-    degree of the last divisor, at most n - ceil((n + k) / 2) = t. The r
-    digits start canonical (A_0 = A_1 = q - 1), so they stay at most
-    (q - 1)(2q - 1)^t; the v digits start at 0 and 1, so they stay at most
-    (2q - 1)^t. The final division runs only when its quotient has degree
-    < k, so it adds at most k terms of (q - 1) times a digit of v, and no
-    digit exceeds (k + 1)(q - 1)(2q - 1)^t < 2^w.
+    it. If the dividend's r digits are at most A_{i-1} and the divisor's
+    A_i, a quotient of degree d leaves r digits at most
+    A_{i+1} = A_{i-1} + (d + 1)(q - 1) A_i. The v digits obey it from 0 and
+    1, against A_0 = A_1 = q - 1, so they stay at most A / s, s = q - 1.
+    The final division, of degree e < k, leaves digits at most
+    A + (e + 1)(q - 1) A / s. The run tracks A, and reduces every digit of
+    the pairs it divides mod q (one unpack, one repack) before a division
+    whose bound could reach 2^w, which sets A = q - 1 and s = 1.
+
+    At the width of (k + 1)(q - 1)(2q - 1)^t that never happens: as
+    A_{i-1} <= A_i and 1 + (d + 1)(q - 1) <= (2q - 1)^d, a division
+    multiplies A by at most (2q - 1)^d, and every d >= 1 while they sum to
+    n minus the degree of the last divisor, at most
+    n - ceil((n + k) / 2) = t; so A <= (q - 1)(2q - 1)^t and the final
+    digits stay at most (k + 1) A. At 64 bits one division from reduced
+    digits fits (see `RsCode`), so a reduction always makes room.
     """
     field, n, k = code.field, code.n, code.k
     received = tuple(received)
@@ -305,19 +348,25 @@ def rs_decode_unique(code, received):
         raise ValueError(f"received word has {len(received)} symbols, expected {n}")
     field.check_all(received)
     q, width = field.q, code.decode_width
-    mask = (1 << width) - 1
+    mask, cap = (1 << width) - 1, 1 << width
     low = (code.radius + 1) * width
     r1 = rs_interpolate(code, received)
-    pair0, pair1 = code.decode_master, _pack((1, *(0,) * code.radius, *r1),
-                                            width // 8)
+    pair0, pair1 = code.decode_master, _pack(r1, width // 8) << low | 1
     top0, top1, v_degree = n, len(r1) - 1, 0
+    a0 = a1 = spread = q - 1
     while 2 * top1 >= n + k:
-        inv = pow((pair1 >> low + top1 * width) % q, q - 2, q)
-        for s in range(top0 - top1, -1, -1):
+        d = top0 - top1
+        grow = (d + 1) * (q - 1)
+        if a0 + grow * a1 >= cap:
+            pair0, pair1 = _reduce(pair0, width, q), _reduce(pair1, width, q)
+            a0, a1, spread = q - 1, q - 1, 1
+        inv = pow((pair1 >> low + top1 * width) % q, -1, q)
+        for s in range(d, -1, -1):
             f = (pair0 >> low + (top1 + s) * width & mask) * inv % q
             if f:
                 pair0 += (q - f) * pair1 << s * width
-        v_degree += top0 - top1
+        a0, a1 = a1, a0 + grow * a1
+        v_degree += d
         top0, top1 = top1, top1 - 1
         while top1 >= 0 and not (pair0 >> low + top1 * width & mask) % q:
             top1 -= 1
@@ -328,8 +377,10 @@ def rs_decode_unique(code, received):
         raise DecodeFailure(
             f"no codeword within {code.radius} errors of the received word")
     else:
+        if a1 + (top1 - v_degree + 1) * (q - 1) * a1 // spread >= cap:
+            pair1 = _reduce(pair1, width, q)
         r, v = pair1 >> low, pair1 & (1 << low) - 1
-        inv = pow((v >> v_degree * width) % q, q - 2, q)
+        inv = pow((v >> v_degree * width) % q, -1, q)
         quotient = []
         for s in range(top1 - v_degree, -1, -1):
             f = (r >> (v_degree + s) * width & mask) * inv % q
@@ -345,6 +396,12 @@ def rs_decode_unique(code, received):
     return h, positions
 
 
+def _reduce(pair, width, q):
+    """`pair` with every `width`-bit digit reduced mod q."""
+    return _pack(_unpack(pair, -(-pair.bit_length() // width), width, q),
+                 width // 8)
+
+
 def decode_columns(code, columns, radius):
     """Decode words of `code` whose errors share columns.
 
@@ -355,15 +412,19 @@ def decode_columns(code, columns, radius):
     Raises DecodeFailure when a word decode fails or the union has more
     than `radius` columns. Exact whenever g * radius <= code.radius.
     """
-    columns = tuple(tuple(c) for c in columns)
-    g, height = code.n // len(columns), len(columns[0])
-    if (g * len(columns) != code.n or height % g
-            or any(len(c) != height for c in columns)):
-        raise ValueError(f"{len(columns)} columns cannot carry words of "
-                         f"length {code.n} in uniform slices")
+    columns = tuple(map(tuple, columns))
+    count, n = len(columns), code.n
+    g, height = n // count, len(columns[0])
+    if g * count != n or height % g or set(map(len, columns)) != {height}:
+        raise ValueError(f"{count} columns cannot carry words of "
+                         f"length {n} in uniform slices")
+    # symbol r of every column, r = 0, 1, ...: word j is rows jg to jg+g-1
+    flat = tuple(itertools.chain.from_iterable(zip(*columns)))
     messages, corrected = [], set()
-    for start in range(0, height, g):
-        word = tuple(v for col in columns for v in col[start:start + g])
+    for start in range(0, len(flat), n):
+        word = [0] * n
+        for u in range(g):
+            word[u::g] = flat[start + u * count:start + (u + 1) * count]
         h, positions = rs_decode_unique(code, word)
         messages.append(h)
         corrected.update(pos // g for pos in positions)

@@ -18,7 +18,8 @@ from fracdec.frs_scheme import (FrsConfig, bundle_columns, flatten_columns,
                                 frs_full_pipeline, frs_list_decode_bruteforce,
                                 frs_make_config, is_primitive_root,
                                 smallest_prime_above, smallest_primitive_root)
-from fracdec.fields import PrimeField
+from fracdec import frs_scheme
+from fracdec.fields import PrimeField, prime_factors
 from fracdec.harness import (_decode_naive, _symbol_field,
                              random_column_offset, random_error_pattern,
                              random_message, trial_stream)
@@ -58,6 +59,29 @@ def test_prime_and_primitive_helpers():
     for bad in (0, 1, 4, 9):
         with pytest.raises(ValueError):
             smallest_primitive_root(bad)
+
+
+def test_primitive_root_search_factors_once(monkeypatch):
+    """The search for a primitive root factors p - 1 once, however many
+    candidates it tries. At the safe prime p = 2199023255867, p - 1 is 2
+    times a 41-bit prime, so each factorisation by trial division is slow,
+    and the search rejects g = 1 before it finds g = 2."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return prime_factors(n)
+
+    monkeypatch.setattr(frs_scheme, "prime_factors", counted)
+    p = 2199023255867
+    assert smallest_primitive_root(p) == 2
+    assert calls == [p - 1]
+    calls.clear()
+    assert is_primitive_root(37, 2) and not is_primitive_root(37, 6)
+    assert not is_primitive_root(37, 0)
+    assert calls == [36, 36]
+    with pytest.raises(ValueError, match="not a canonical element"):
+        is_primitive_root(37, 37)
 
 
 @pytest.mark.parametrize("args, shipped, p, gamma", [

@@ -1,7 +1,9 @@
 """Polynomial ring and Reed-Solomon tests, including oracle agreement."""
 
+import ast
 import itertools
 import random
+import sys
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -11,15 +13,17 @@ import pytest
 import oracles
 
 from fracdec import polyring as P
+from fracdec import rs as rs_module
 from fracdec.arraycode import ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure, InconsistentErasures
 from fracdec.fields import ExtField, PrimeField
 from fracdec.frs_scheme import (frs_decode_trial, frs_download_all,
                                 frs_encode, frs_make_config)
-from fracdec.rs import (PackedMap, RsCode, nearest_codeword_bruteforce,
-                        packed_map, packed_product, rs_decode_unique,
-                        rs_encode, rs_erasure_decode, rs_evaluate,
-                        rs_interpolate, tabulate_map)
+from fracdec.rs import (PackedMap, RsCode, _pack, _unpack, decode_columns,
+                        nearest_codeword_bruteforce, packed_map,
+                        packed_product, rs_decode_unique, rs_encode,
+                        rs_erasure_decode, rs_evaluate, rs_interpolate,
+                        tabulate_map)
 from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import (TsConfig, ts_decode_message,
                                   ts_download_all, ts_encode, ts_make_config)
@@ -307,6 +311,126 @@ def test_shipped_codes_leave_digits_room(path):
         assert oracles.largest_digit_sum(pmap) < 2 ** pmap.width
 
 
+def reference_digits(acc, count, width):
+    """The `count` lowest `width`-bit digits of acc, lowest first, by
+    repeated division."""
+    digits = []
+    for _ in range(count):
+        acc, digit = divmod(acc, 2 ** width)
+        digits.append(digit)
+    return digits
+
+
+@pytest.mark.parametrize("width", (8, 16, 32, 64, 80, 13))
+def test_unpack_reads_every_digit_width(width):
+    """_unpack reads digits of 1, 2, 4 and 8 bytes in C and any other width
+    (an 80-bit decode_width, or the odd width tabulate_map packs its unit
+    inputs at) by shifts, and both agree with repeated division: on
+    accumulators whose digits all hold 2^width - 1, the largest digit that
+    does not carry, all hold q - 1 where it fits, all 0, or are seeded
+    random."""
+    rng = random.Random(width)
+    top = 2 ** width - 1
+    for q in (2, 31, 257, 4294967311):
+        for count in (0, 1, 7, 40):
+            for digits in ([top] * count, [min(q - 1, top)] * count,
+                           [0] * count,
+                           [rng.randrange(top + 1) for _ in range(count)]):
+                acc = sum(d << i * width for i, d in enumerate(digits))
+                assert reference_digits(acc, count, width) == digits
+                assert _unpack(acc, count, width, q) == [d % q for d in digits]
+
+
+@pytest.mark.parametrize("size", (1, 2, 4, 8, 10))
+def test_pack_writes_every_digit_size(size):
+    """_pack writes digits of 1, 2, 4 and 8 bytes with one struct call and
+    digits of any other size (10 bytes: an 80-bit decode_width) by
+    spreading struct-packed bytes over the digits; values of 2^64 or more
+    take the per-value path. Each packed integer holds the values as its
+    digits, and _unpack at a modulus above them reads them back."""
+    rng = random.Random(size)
+    top = 2 ** (8 * size) - 1
+    lanes = [2 ** bits - 1 for bits in (8, 16, 32, 64, 8 * size)
+             if bits <= 8 * size]
+    for count in (0, 1, 3, 40):
+        cases = [[0] * count, [rng.randrange(top + 1) for _ in range(count)]]
+        cases += [[lane] * count for lane in lanes]
+        cases += [[rng.randrange(lane + 1) for _ in range(count)]
+                  for lane in lanes]
+        for values in cases:
+            packed = _pack(values, size)
+            assert reference_digits(packed, count, 8 * size) == values
+            assert packed < 2 ** (8 * size * count)
+            assert _unpack(packed, count, 8 * size, top + 1) == values
+            assert _pack(tuple(values), size) == packed
+
+
+@pytest.mark.parametrize("q", (2, 13, 257, 65537, 4294967311))
+def test_products_hold_at_all_q_minus_one(q):
+    """packed_map rounds its digit size up to 1, 2, 4 or 8 bytes, and past
+    8 keeps the least whole number of bytes. A map whose entries are all
+    q - 1, applied to symbols that are all q - 1, fills every digit with
+    terms * (q - 1)^2, the largest digit the no-carry bound allows, and
+    each output still reads back as that value mod q."""
+    rng = random.Random(q)
+    for terms, outputs in ((1, 1), (3, 5), (40, 7)):
+        pmap = packed_map(q, [[q - 1] * outputs] * terms)
+        largest = terms * (q - 1) ** 2
+        assert largest < 2 ** pmap.width
+        bits = -(-largest.bit_length() // 8) * 8
+        assert pmap.width == (bits if bits > 64 else
+                              min(w for w in (8, 16, 32, 64) if w >= bits))
+        assert packed_product(pmap, [q - 1] * terms) == [largest % q] * outputs
+        acc = sum((q - 1) * column for column in pmap.columns)
+        assert reference_digits(acc, outputs, pmap.width) == [largest] * outputs
+        vector = [rng.randrange(q) for _ in range(terms)]
+        assert packed_product(pmap, vector) == [
+            sum(vector) * (q - 1) % q] * outputs
+
+
+def test_unpack_matches_map_digits():
+    """Unpacking each packed column of a map, at its width, gives the
+    oracle's digits reduced mod q, for maps whose digits are 1, 2, 4, 8 and
+    more than 8 bytes wide, and a tabulated map."""
+    maps = [RsCode(PrimeField(q), k, range(n)).interpolation
+            for q, n, k in ((2, 2, 1), (13, 8, 3), (257, 64, 16),
+                            (65537, 20, 5), (4294967311, 5, 3))]
+    maps.append(tabulate_map(31, 3, 3 * 30, lambda units: [
+        sum(units), 2 * units[0] + units[2]]))
+    widths = {pmap.width for pmap in maps}
+    assert widths >= {8, 16, 32, 64} and max(widths) > 64
+    for pmap in maps:
+        assert [_unpack(column, pmap.outputs, pmap.width, pmap.q)
+                for column in pmap.columns] == [
+            [d % pmap.q for d in digits] for digits in oracles.map_digits(pmap)]
+
+
+@pytest.mark.parametrize("order", ("little", "big"))
+def test_digits_are_little_endian_on_any_host(order, monkeypatch):
+    """Digit 0 is the lowest: every struct format in rs names its byte
+    order ("<") rather than taking the host's, and packing and unpacking
+    agree with the little-endian byte order whatever sys.byteorder says."""
+    monkeypatch.setattr(sys, "byteorder", order)
+    for size in (1, 2, 4, 8, 10):
+        values = [1 + i for i in range(5)]
+        packed = _pack(values, size)
+        assert packed == int.from_bytes(
+            b"".join(v.to_bytes(size, "little") for v in values), "little")
+        assert _unpack(packed, 5, 8 * size, 2 ** 61 - 1) == values
+    assert _unpack(0x0102, 1, 16, 65537) == [0x0102]
+    assert _unpack(0x0102, 2, 8, 257) == [0x02, 0x01]
+    tree = ast.parse(Path(rs_module.__file__).read_text(encoding="utf-8"))
+    formats = [node.args[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "struct"]
+    assert formats
+    for fmt in formats:
+        assert isinstance(fmt, ast.JoinedStr)
+        assert fmt.values[0].value.startswith("<")
+
+
 def test_rs_code_validation():
     RsCode(F13, 2, (0, 1, 2))
     for k in (2.0, True, "2", None):
@@ -507,14 +631,21 @@ def test_packed_decoder_matches_the_scalar_euclid(name):
 
 def euclid_digits(code, received):
     """rs_decode_unique's packed run replayed on lists of exact digits: the
-    same multiply-adds at the same digit offsets and the same masking, but
-    no digit has a width to carry out of. Returns the message polynomial,
-    or None where the decoder fails before its re-encode check, and the
-    largest digit the run held."""
+    same multiply-adds at the same digit offsets, the same masking, and the
+    same reductions of every digit mod q, taken where the decoder's
+    tracked bound A would reach 2^decode_width, but no digit has a width
+    to carry out of. After each division every r digit is at most A and
+    every v digit at most A / s, the bounds rs_decode_unique proves.
+    Returns the message polynomial, or None where the decoder fails before
+    its re-encode check, the largest digit the run held, and the number of
+    pairs it reduced."""
     q, n, k, t = code.field.q, code.n, code.k, code.radius
+    cap = 2 ** code.decode_width
     r1 = rs_interpolate(code, received)
     pair0, pair1 = [0] * (t + 1) + list(code.master), [1] + [0] * t + list(r1)
     largest = max(pair0 + pair1)
+    a0 = a1 = spread = q - 1
+    reductions = 0
 
     def multiply_add(acc, factor, addend, shift):
         acc.extend([0] * (len(addend) + shift - len(acc)))
@@ -522,22 +653,39 @@ def euclid_digits(code, received):
             acc[i] += factor * digit
         return max(acc)
 
+    def assert_within(pair, bound):
+        assert max(pair[t + 1:], default=0) <= bound
+        assert max(pair[:t + 1]) <= bound // spread
+
     top0, top1, v_degree = n, len(r1) - 1, 0
     while 2 * top1 >= n + k:
+        d = top0 - top1
+        if a0 + (d + 1) * (q - 1) * a1 >= cap:
+            pair0, pair1 = [c % q for c in pair0], [c % q for c in pair1]
+            a0, a1, spread = q - 1, q - 1, 1
+            reductions += 2
         inv = pow(pair1[t + 1 + top1] % q, q - 2, q)
-        for s in range(top0 - top1, -1, -1):
+        for s in range(d, -1, -1):
             f = pair0[t + 1 + top1 + s] * inv % q
             if f:
                 largest = max(largest, multiply_add(pair0, q - f, pair1, s))
-        v_degree += top0 - top1
+        a0, a1 = a1, a0 + (d + 1) * (q - 1) * a1
+        assert_within(pair0, a1)
+        v_degree += d
         top0, top1 = top1, top1 - 1
         while top1 >= 0 and pair0[t + 1 + top1] % q == 0:
             top1 -= 1
         pair0, pair1 = pair1, pair0[:t + 2 + top1]
     if top1 < 0:
-        return (), largest
+        return (), largest, reductions
     if not 0 <= top1 - v_degree < k:
-        return None, largest
+        return None, largest, reductions
+    bound = a1 + (top1 - v_degree + 1) * (q - 1) * a1 // spread
+    if bound >= cap:
+        pair1 = [c % q for c in pair1]
+        a1, spread = q - 1, 1
+        bound = a1 + (top1 - v_degree + 1) * (q - 1) * a1
+        reductions += 1
     r, v = pair1[t + 1:], pair1[:t + 1]
     inv = pow(v[v_degree] % q, q - 2, q)
     quotient = []
@@ -546,41 +694,65 @@ def euclid_digits(code, received):
         quotient.append(f)
         if f:
             largest = max(largest, multiply_add(r, q - f, v, s))
+    assert max(r) <= bound
     if any(c % q for c in r[:v_degree]):
-        return None, largest
-    return tuple(reversed(quotient)), largest
+        return None, largest, reductions
+    return tuple(reversed(quotient)), largest, reductions
 
 
 @pytest.mark.parametrize("q, n, k", ((2, 1, 1), (2, 2, 1), (2, 2, 2),
                                      (4294967311, 5, 1), (4294967311, 5, 3),
+                                     (257, 128, 32), (257, 256, 128),
                                      (257, 256, 16)))
-def test_packed_decoder_holds_at_the_carry_boundary(q, n, k):
-    """No digit of the packed Euclid run reaches 2^decode_width: the width
-    meets the bound rs_decode_unique proves, and a replay of the run on
-    exact digits stays below it. The words are all q - 1, the word whose
-    interpolant has every coefficient q - 1, codewords hit at the radius
-    and random words; the shapes are GF(2) at n = 1 and 2, GF(2^32 + 15),
-    whose digits are wider than 64 bits, and a full-length code over
-    GF(257), whose run is 120 steps long."""
+def test_packed_decoder_holds_at_the_carry_boundary(q, n, k, monkeypatch):
+    """No digit of the packed Euclid run reaches 2^decode_width. Below 128
+    bits the width meets the bound rs_decode_unique proves, so the run
+    never reduces its digits; above, the run has 64-bit digits, one
+    division from reduced digits fits them, and the run reduces where its
+    tracked bound says. A replay of the run on exact digits, reducing
+    where the decoder does, stays below 2^decode_width and within the
+    tracked bounds, and the decoder reduces as many pairs as the replay.
+    The words are all q - 1, the word whose interpolant has every
+    coefficient q - 1, codewords hit at the radius and random words; the
+    shapes are GF(2) at n = 1 and 2, GF(2^32 + 15), whose
+    digits stay wider than 64 bits, and long codes over GF(257), whose
+    runs are 48, 64 and 120 steps long and reduce."""
     field = PrimeField(q)
     rng = random.Random(n * k)
     code = RsCode(field, k, [q - 1] + rng.sample(range(q - 1), n - 1))
     t = code.radius
-    assert (k + 1) * (q - 1) * (2 * q - 1) ** t < 2 ** code.decode_width
-    full = RsCode(field, n, code.omega)
-    words = [[q - 1] * n, rs_encode(full, [q - 1] * n)]
+    full = (k + 1) * (q - 1) * (2 * q - 1) ** t
+    capped = full.bit_length() > 128
+    if capped:
+        assert code.decode_width == 64
+        assert (q - 1) * (1 + max(t + 1, k) * (q - 1)) < 2 ** 64
+    else:
+        assert full < 2 ** code.decode_width
+    if q > 2 ** 32:
+        assert code.decode_width > 64
+    full_code = RsCode(field, n, code.omega)
+    words = [[q - 1] * n, rs_encode(full_code, [q - 1] * n)]
     for _ in range(2):
         word = list(rs_encode(code, [rng.randrange(q) for _ in range(k)]))
         for pos in rng.sample(range(n), t):
             word[pos] = (word[pos] + rng.randrange(1, q)) % q
         words += [word, [rng.randrange(q) for _ in range(n)]]
+    calls = []
+    reduce = rs_module._reduce
+    monkeypatch.setattr(rs_module, "_reduce",
+                        lambda *args: calls.append(args) or reduce(*args))
+    reduced = 0
     for word in words:
+        calls.clear()
         got = decode_outcome(rs_decode_unique, code, word)
         assert got == decode_outcome(oracles.rs_decode_euclid, code, word)
-        message, largest = euclid_digits(code, word)
+        message, largest, reductions = euclid_digits(code, word)
         assert largest < 2 ** code.decode_width
+        assert len(calls) == reductions
         if isinstance(got, tuple):
             assert message == got[0]
+        reduced += reductions
+    assert bool(reduced) == capped
 
 
 @pytest.mark.parametrize("name", DECODER_CONFIGS)
@@ -613,6 +785,31 @@ def test_scheme_decodes_call_no_polyring_function(name, polyring_calls):
             outcomes.add(None)
         assert calls == [], weight
     assert True in outcomes and len(outcomes) > 1
+
+
+def test_decode_columns_reads_words_across_columns():
+    """Column i carries g consecutive symbols of each word: word j is
+    columns[i][j*g:(j+1)*g] read across i. With g = 2 symbols of each of
+    two words per column, decode_columns returns what decoding each word
+    so formed returns, and the union of the columns the decodes corrected;
+    more corrected columns than the radius fail, and columns of unequal
+    height, or a column count that does not divide n, raise ValueError."""
+    code = RsCode(F13, 2, range(12))
+    rng = random.Random(12)
+    words = [list(rs_encode(code, [rng.randrange(13) for _ in range(2)]))
+             for _ in range(2)]
+    words[0][3] = (words[0][3] + 1) % 13
+    words[1][10] = (words[1][10] + 5) % 13
+    columns = [words[0][2 * i:2 * i + 2] + words[1][2 * i:2 * i + 2]
+               for i in range(6)]
+    messages, corrected = decode_columns(code, columns, 2)
+    assert messages == tuple(rs_decode_unique(code, w)[0] for w in words)
+    assert corrected == {1, 5}
+    with pytest.raises(DecodeFailure, match="more than the radius 1"):
+        decode_columns(code, columns, 1)
+    for bad in (columns[:5], columns[:5] + [columns[5][:3]]):
+        with pytest.raises(ValueError, match="uniform slices"):
+            decode_columns(code, bad, 2)
 
 
 def test_rs_erasure_decode():
