@@ -57,19 +57,38 @@ def apply_error_pattern(field, columns, pattern):
     is not prime raises TypeError.
     """
     columns = [tuple(col) for col in columns]
-    field.check_all(itertools.chain.from_iterable(columns))
-    offsets = []
+    symbols = list(field.check_all(itertools.chain.from_iterable(columns)))
+    bounds = list(itertools.accumulate(map(len, columns), initial=0))
+    offsets = _checked_offsets(field, pattern, bounds)
+    _add_offsets(_prime(field), symbols, offsets)
+    return tuple(tuple(symbols[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def _checked_offsets(field, pattern, bounds):
+    """The pattern's offsets as (start, offset) pairs on a flat word whose
+    column i is symbols bounds[i] to bounds[i + 1]. In support order, each
+    column must lie in the word, each offset must have its column's length
+    and every offset symbol is checked against `field`; the first fault
+    raises."""
+    n, offsets = len(bounds) - 1, []
     for idx, vec in zip(pattern.support, pattern.values):
-        if idx >= len(columns):
-            raise ValueError(f"error column {idx} outside word of length {len(columns)}")
-        if len(vec) != len(columns[idx]):
+        if idx >= n:
+            raise ValueError(f"error column {idx} outside word of length {n}")
+        start = bounds[idx]
+        if len(vec) != bounds[idx + 1] - start:
             raise ValueError(f"offset length {len(vec)} != column length "
-                             f"{len(columns[idx])}")
-        offsets.append((idx, field.check_all(vec)))
-    q = _prime(field)
-    for idx, vec in offsets:
-        columns[idx] = tuple((a + e) % q for a, e in zip(columns[idx], vec))
-    return tuple(columns)
+                             f"{bounds[idx + 1] - start}")
+        offsets.append((start, field.check_all(vec)))
+    return offsets
+
+
+def _add_offsets(q, symbols, offsets):
+    """Add each checked (start, offset) pair onto the flat list of
+    canonical `symbols` in place, mod q."""
+    for start, vec in offsets:
+        end = start + len(vec)
+        symbols[start:end] = [(a + e) % q
+                              for a, e in zip(symbols[start:end], vec)]
 
 
 def _stored_symbols(field, columns, height):
@@ -78,16 +97,14 @@ def _stored_symbols(field, columns, height):
     checked against `field` before any product sees it. A good word costs
     one check_all pass; on a bad one the first fault in column order
     raises."""
-    symbols = []
-    for column in columns:
-        column = tuple(column)
-        if len(column) != height:
-            # a bad symbol in an earlier column comes first
-            field.check_all(symbols)
-            raise ValueError(
-                f"column must have l = {height} symbols, got {len(column)}")
-        symbols.extend(column)
-    return field.check_all(symbols)
+    columns = tuple(map(tuple, columns))
+    if set(map(len, columns)) - {height}:
+        short = next(i for i, c in enumerate(columns) if len(c) != height)
+        # a bad symbol in an earlier column comes first
+        field.check_all(itertools.chain.from_iterable(columns[:short]))
+        raise ValueError(f"column must have l = {height} symbols, "
+                         f"got {len(columns[short])}")
+    return field.check_all(itertools.chain.from_iterable(columns))
 
 
 def difference_pattern(field, base_word, other_word, columns=None):

@@ -16,7 +16,8 @@ zero.
 import itertools
 from operator import ne
 
-from .arraycode import DownloadBundle, _stored_symbols, apply_error_pattern
+from .arraycode import (DownloadBundle, _add_offsets, _checked_offsets,
+                        _stored_symbols)
 from .budget import check_budget
 from .fields import PrimeField, is_prime, prime_factors
 from .rationals import as_fraction
@@ -149,12 +150,22 @@ def frs_encode(cfg, message):
     """Encode kl field symbols (coefficients of h, lowest first), each
     checked, into n columns of l consecutive evaluations: one product with
     cfg.encode_map."""
+    return bundle_columns(_encode(cfg, _checked_message(cfg, message)), cfg.l)
+
+
+def _checked_message(cfg, message):
+    """The message as a tuple of exactly kl symbols, each checked."""
     message = tuple(message)
     if len(message) != cfg.message_length:
         raise ValueError(
             f"message must have exactly kl = {cfg.message_length} symbols")
-    cfg.field.check_all(message)
-    return bundle_columns(packed_product(cfg.encode_map, message), cfg.l)
+    return cfg.field.check_all(message)
+
+
+def _encode(cfg, message):
+    """The n*l stored symbols of a checked message, column by column, as
+    one flat list."""
+    return packed_product(cfg.encode_map, message)
 
 
 def frs_download_all(cfg, columns):
@@ -164,17 +175,23 @@ def frs_download_all(cfg, columns):
     columns = tuple(columns)
     if len(columns) != cfg.n:
         raise ValueError(f"word must have n = {cfg.n} columns")
-    symbols = _stored_symbols(cfg.field, columns, cfg.l)
+    return _download(cfg, _stored_symbols(cfg.field, columns, cfg.l))
+
+
+def _download(cfg, stored):
+    """The bundle of a word's n*l canonical stored symbols, flat and column
+    by column."""
     return DownloadBundle(
-        per_column=tuple(symbols[i:i + cfg.alpha_l]
-                         for i in range(0, len(symbols), cfg.l)),
+        per_column=[stored[i:i + cfg.alpha_l]
+                    for i in range(0, len(stored), cfg.l)],
         downloaded=cfg.downloaded_per_word,
         accessed=cfg.accessed_per_word,
     )
 
 
 def frs_decode_trial(cfg, per_column):
-    """Decode prefix downloads, fixing up to `radius` bad columns.
+    """Decode prefix downloads, n sequences of alpha*l symbols, fixing up
+    to `radius` bad columns.
 
     Returns (message, corrected_columns) with the message padded back to
     length kl. The prefixes form an RS word of length n*alpha*l and
@@ -182,8 +199,8 @@ def frs_decode_trial(cfg, per_column):
     alpha*l * radius, so one Euclid decode of the flattened prefixes finds
     the stored message whenever at most `radius` columns are bad.
     """
-    per_column = tuple(tuple(c) for c in per_column)
-    if len(per_column) != cfg.n or any(len(c) != cfg.alpha_l for c in per_column):
+    if (len(per_column) != cfg.n
+            or set(map(len, per_column)) != {cfg.alpha_l}):
         raise ValueError(
             f"expected {cfg.n} columns of {cfg.alpha_l} downloaded symbols")
     (h,), corrected = decode_columns(cfg.prefix_code, per_column, cfg.radius)
@@ -234,10 +251,19 @@ def frs_list_decode_bruteforce(cfg, per_column, radius):
 
 
 def frs_full_pipeline(cfg, message, pattern):
-    """encode -> corrupt -> download -> decode, returning (message, bundle)."""
-    stored = frs_encode(cfg, message)
-    corrupted = apply_error_pattern(cfg.field, stored, pattern)
-    bundle = frs_download_all(cfg, corrupted)
+    """encode -> corrupt -> download -> decode, returning (message, bundle).
+
+    Only what enters is checked: the message, as frs_encode checks it, and
+    the pattern, as apply_error_pattern checks it, with the same errors in
+    the same order. The word then stays one flat list of canonical symbols
+    through the cores of frs_encode, apply_error_pattern and
+    frs_download_all, and frs_decode_trial checks the bundle once.
+    """
+    stored = _encode(cfg, _checked_message(cfg, message))
+    l = cfg.l
+    _add_offsets(cfg.field.q, stored, _checked_offsets(
+        cfg.field, pattern, range(0, cfg.n * l + 1, l)))
+    bundle = _download(cfg, stored)
     decoded, _ = frs_decode_trial(cfg, bundle.per_column)
     return decoded, bundle
 

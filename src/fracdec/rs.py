@@ -34,11 +34,16 @@ is a precondition: every symbol must be a canonical integer in [0, q). A
 non-canonical symbol is not reduced mod q: a negative one borrows from
 the neighbouring digits and an oversized one can carry into them, so the
 product is silently wrong. Symbols are checked once, where they enter,
-before any product sees them: `rs_encode`, `rs_decode_unique` (and so
-`decode_columns`), `rs_erasure_decode` and `nearest_codeword_bruteforce`
-run the field's check on their input; `frs_scheme.frs_encode` and
-`trace_scheme.ts_encode` check each message symbol, and
-`trace_scheme.ts_download_all` every column symbol.
+before any product sees them: `rs_encode`, `rs_decode_unique`,
+`decode_columns`, `rs_erasure_decode` and `nearest_codeword_bruteforce`
+run the field's check on their input, and `decode_columns` checks all its
+words in one pass before it decodes each through `rs_decode_unique`'s
+unchecked core; `frs_scheme.frs_encode` and `trace_scheme.ts_encode`
+check each message symbol, `arraycode.apply_error_pattern` every word
+and offset symbol, and the two schemes' `*_download_all` every column
+symbol. The schemes' full pipelines check their message and error
+pattern as those calls do and pass the canonical word between the
+stages' unchecked cores.
 Every other operand is computed mod q from checked data: the quotient a
 decode evaluates, the decoded streams the trace decode table reads, and
 the messages the brute-force oracles draw from `field.elements()`.
@@ -47,7 +52,7 @@ the messages the brute-force oracles draw from `field.elements()`.
 import itertools
 import struct
 from collections import namedtuple
-from operator import mul, ne
+from operator import floordiv, mul, ne
 
 from .budget import check_budget
 from .errors import DecodeFailure, InconsistentErasures
@@ -342,12 +347,16 @@ def rs_decode_unique(code, received):
     digits stay at most (k + 1) A. At 64 bits one division from reduced
     digits fits (see `RsCode`), so a reduction always makes room.
     """
-    field, n, k = code.field, code.n, code.k
     received = tuple(received)
-    if len(received) != n:
-        raise ValueError(f"received word has {len(received)} symbols, expected {n}")
-    field.check_all(received)
-    q, width = field.q, code.decode_width
+    if len(received) != code.n:
+        raise ValueError(
+            f"received word has {len(received)} symbols, expected {code.n}")
+    return _decode_unique(code, code.field.check_all(received))
+
+
+def _decode_unique(code, received):
+    """`rs_decode_unique` of a sequence of n canonical symbols, unchecked."""
+    n, k, q, width = code.n, code.k, code.field.q, code.decode_width
     mask, cap = (1 << width) - 1, 1 << width
     low = (code.radius + 1) * width
     r1 = rs_interpolate(code, received)
@@ -389,7 +398,8 @@ def rs_decode_unique(code, received):
                 r += (q - f) * v << s * width
         h = tuple(reversed(quotient))
     codeword = rs_evaluate(code, h)
-    positions = frozenset(i for i in range(n) if codeword[i] != received[i])
+    positions = frozenset(itertools.compress(range(n),
+                                             map(ne, codeword, received)))
     if len(positions) > code.radius:
         raise DecodeFailure(
             f"no codeword within {code.radius} errors of the received word")
@@ -405,29 +415,30 @@ def _reduce(pair, width, q):
 def decode_columns(code, columns, radius):
     """Decode words of `code` whose errors share columns.
 
-    Column i carries g = code.n // len(columns) consecutive symbols of each
-    word: word j is columns[i][j*g:(j+1)*g] read across i, in the order of
-    `code.omega`. Returns (messages, corrected_columns): one message
-    polynomial per word and the union of the columns the decodes corrected.
-    Raises DecodeFailure when a word decode fails or the union has more
-    than `radius` columns. Exact whenever g * radius <= code.radius.
+    Column i, a sequence, carries g = code.n // len(columns) consecutive
+    symbols of each word: word j is columns[i][j*g:(j+1)*g] read across i,
+    in the order of `code.omega`. Every symbol is checked once, word by
+    word, before the first decode. Returns (messages, corrected_columns):
+    one message polynomial per word and the union of the columns the
+    decodes corrected. Raises DecodeFailure when a word decode fails or the
+    union has more than `radius` columns. Exact whenever
+    g * radius <= code.radius.
     """
-    columns = tuple(map(tuple, columns))
     count, n = len(columns), code.n
     g, height = n // count, len(columns[0])
     if g * count != n or height % g or set(map(len, columns)) != {height}:
         raise ValueError(f"{count} columns cannot carry words of "
                          f"length {n} in uniform slices")
-    # symbol r of every column, r = 0, 1, ...: word j is rows jg to jg+g-1
-    flat = tuple(itertools.chain.from_iterable(zip(*columns)))
+    words = list(zip(*columns))  # row r: symbol r of every column
+    if g > 1:  # word j interleaves rows jg to jg+g-1
+        words = [tuple(itertools.chain.from_iterable(zip(*words[r:r + g])))
+                 for r in range(0, height, g)]
+    code.field.check_all(itertools.chain.from_iterable(words))
     messages, corrected = [], set()
-    for start in range(0, len(flat), n):
-        word = [0] * n
-        for u in range(g):
-            word[u::g] = flat[start + u * count:start + (u + 1) * count]
-        h, positions = rs_decode_unique(code, word)
+    for word in words:
+        h, positions = _decode_unique(code, word)
         messages.append(h)
-        corrected.update(pos // g for pos in positions)
+        corrected.update(map(floordiv, positions, itertools.repeat(g)))
     if len(corrected) > radius:
         raise DecodeFailure(
             f"nearest codeword differs on {len(corrected)} columns, more "

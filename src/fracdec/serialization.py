@@ -170,10 +170,19 @@ def message_from_dict(data, expected_scheme=None):
 
 
 def load_json(path):
+    """The JSON value in the file at `path`, or on standard input for "-"."""
     if path == "-":
-        return json.load(sys.stdin)
+        return _parse_json(sys.stdin, "standard input")
     with open(path, "r", encoding="utf-8") as fh:
+        return _parse_json(fh, path)
+
+
+def _parse_json(fh, source):
+    """A value nested too deeply for the parser is a FormatError."""
+    try:
         return json.load(fh)
+    except RecursionError:
+        raise FormatError(f"{source} nests JSON too deeply to read") from None
 
 
 def dump_json(path, data):

@@ -36,7 +36,8 @@ import itertools
 from math import prod
 from operator import mul
 
-from .arraycode import DownloadBundle, _stored_symbols, apply_error_pattern
+from .arraycode import (DownloadBundle, _add_offsets, _checked_offsets,
+                        _stored_symbols)
 from .fields import ExtField, PrimeField, dual_basis
 from .polyring import normalize, poly_from_roots
 from .records import Record
@@ -89,16 +90,7 @@ class TsConfig(Record):
         self._set(ext=ext, k=k, omega=omega, subsets=subsets, basis=basis)
 
         n, l, m = len(omega), ext.degree, len(subsets)
-        if k < 1:
-            raise ValueError("message length k must be at least 1")
-        if not 1 <= m <= l:
-            raise ValueError(f"need 1 <= m <= l, got m={m}, l={l}")
-        if k % m != 0:
-            raise ValueError(f"m = {m} must divide k = {k}")
-        if n > base.q:
-            raise ValueError(
-                f"n = {n} distinct base-field evaluation points need q >= n, "
-                f"but q = {base.q}")
+        _check_sizes(base.q, n, k, l, m)
         for w in omega:
             base.check(w)
         if len(set(omega)) != n:
@@ -112,11 +104,6 @@ class TsConfig(Record):
         if any(len(s) != k // m for s in subsets):
             raise ValueError(f"each annihilator subset must have k/m = {k // m} "
                              "elements")
-        if l * k % m != 0 or l * k // m > n:
-            from fractions import Fraction
-            raise ValueError(
-                f"download streams form an (n, lk/m) = ({n}, {Fraction(l * k, m)}) "
-                "code; need lk/m to be an integer at most n")
         if basis.ext != ext:
             raise ValueError("basis pair belongs to a different field")
 
@@ -174,6 +161,27 @@ class TsConfig(Record):
         return self.n * self.l
 
 
+def _check_sizes(q, n, k, l, m):
+    """The checks of a trace config that read only its sizes: n points of
+    GF(q), and m streams of an (n, lk/m) code. As lk/m >= k, they bound k
+    by n <= q too."""
+    if k < 1:
+        raise ValueError("message length k must be at least 1")
+    if not 1 <= m <= l:
+        raise ValueError(f"need 1 <= m <= l, got m={m}, l={l}")
+    if k % m != 0:
+        raise ValueError(f"m = {m} must divide k = {k}")
+    if n > q:
+        raise ValueError(
+            f"n = {n} distinct base-field evaluation points need q >= n, "
+            f"but q = {q}")
+    if l * k % m != 0 or l * k // m > n:
+        from fractions import Fraction
+        raise ValueError(
+            f"download streams form an (n, lk/m) = ({n}, {Fraction(l * k, m)}) "
+            "code; need lk/m to be an integer at most n")
+
+
 def ts_make_config(q, n, k, l, m, *, omega=None, subsets=None, modulus=None,
                    zeta=None):
     """Build a TsConfig, filling defaults.
@@ -182,22 +190,22 @@ def ts_make_config(q, n, k, l, m, *, omega=None, subsets=None, modulus=None,
     k/m points starting at 0 (overlap with omega is harmless: the scheme
     never evaluates anything it needs at an annihilator root it cannot
     afford); modulus defaults to the first irreducible polynomial in
-    lexicographic order; zeta defaults to the polynomial basis.
+    lexicographic order; zeta defaults to the polynomial basis. The sizes
+    are checked before omega or the subsets are built, so an n or k beyond
+    q is refused without building them.
     """
     base = PrimeField(q)
     ext = ExtField(base, l, modulus)
+    _check_sizes(q, n, k, l, m)
     if omega is None:
         omega = tuple(range(n))
     omega = tuple(omega)
     if len(omega) != n:
         raise ValueError(f"expected {n} evaluation points, got {len(omega)}")
     if subsets is None:
-        if m >= 1 and k % m == 0:
-            size = k // m
-            subsets = tuple(tuple(range(j * size, (j + 1) * size))
-                            for j in range(m))
-        else:
-            subsets = ((),) * m  # let TsConfig raise the precise error
+        size = k // m
+        subsets = tuple(tuple(range(j * size, (j + 1) * size))
+                        for j in range(m))
     elif len(subsets := tuple(subsets)) != m:
         raise ValueError(f"m = {m} needs {m} subsets A, got {len(subsets)}")
     basis = dual_basis(ext, zeta)
@@ -215,12 +223,25 @@ def ts_encode(cfg, message):
     a GF(q)-linear map of the message's polynomial-basis digits, which
     cfg.encode_map applies in one product.
     """
+    stored = _encode(cfg, _checked_message(cfg, message))
+    return tuple(zip(*[iter(stored)] * cfg.l))
+
+
+def _checked_message(cfg, message):
+    """The message as a tuple of exactly k symbols, each checked."""
     message = tuple(message)
     if len(message) != cfg.k:
         raise ValueError(f"message must have exactly k = {cfg.k} symbols")
-    ext = cfg.ext
-    digits = [c for a in message for c in ext.to_vec(ext.check(a))]
-    return tuple(zip(*[iter(packed_product(cfg.encode_map, digits))] * cfg.l))
+    return cfg.ext.check_all(message)
+
+
+def _encode(cfg, message):
+    """The n*l stored symbols of a checked message, column by column, as
+    one flat list: one product with cfg.encode_map of the message's
+    polynomial-basis digits, which are its symbols' base-q digits."""
+    q, l = cfg.base.q, cfg.l
+    return packed_product(cfg.encode_map, [a // q ** v % q for a in message
+                                           for v in range(l)])
 
 
 def ts_project_polys(cfg, message):
@@ -230,10 +251,7 @@ def ts_project_polys(cfg, message):
     a polynomial over the base field of degree < k, and evaluating the
     stack (h_0(w), ..., h_{l-1}(w)) reproduces the stored column at w.
     """
-    message = tuple(message)
-    if len(message) != cfg.k:
-        raise ValueError(f"message must have exactly k = {cfg.k} symbols")
-    coords = [cfg.basis.project(cfg.ext.check(a)) for a in message]
+    coords = [cfg.basis.project(a) for a in _checked_message(cfg, message)]
     return tuple(normalize(tuple(c[u] for c in coords)) for u in range(cfg.l))
 
 
@@ -252,8 +270,13 @@ def ts_download_all(cfg, columns):
     columns = tuple(columns)
     if len(columns) != cfg.n:
         raise ValueError(f"word must have n = {cfg.n} columns")
-    served = packed_product(cfg.download_map,
-                            _stored_symbols(cfg.base, columns, cfg.l))
+    return _download(cfg, _stored_symbols(cfg.base, columns, cfg.l))
+
+
+def _download(cfg, stored):
+    """The bundle of a word's n*l canonical stored symbols, flat and column
+    by column."""
+    served = packed_product(cfg.download_map, stored)
     return DownloadBundle(
         per_column=tuple(zip(*[iter(served)] * cfg.m)),
         downloaded=cfg.downloaded_per_word,
@@ -275,18 +298,18 @@ def ts_decode_message(cfg, bundle):
     corrected_columns is where that message's downloads differ. Raises
     DecodeFailure otherwise.
     """
-    m = cfg.m
-    per_column = tuple(tuple(c) for c in bundle.per_column)
-    if len(per_column) != cfg.n or any(len(c) != m for c in per_column):
+    m, per_column = cfg.m, bundle.per_column
+    if len(per_column) != cfg.n or set(map(len, per_column)) != {m}:
         raise ValueError(f"download bundle must be {cfg.n} columns of {m} symbols")
     streams, corrected = decode_columns(cfg.inner_code, per_column, cfg.radius)
     size = cfg.inner_code.k
     coeffs = [c for g in streams for c in (*g, *(0,) * (size - len(g)))]
     digits = packed_product(cfg.decode_map, coeffs)
     # symbol t is its l polynomial-basis digits read in base q
-    place = [cfg.base.q ** v for v in range(cfg.l)]
-    return tuple(sum(map(mul, digits[t:t + cfg.l], place))
-                 for t in range(0, len(digits), cfg.l)), corrected
+    l = cfg.l
+    place = [cfg.base.q ** v for v in range(l)]
+    return tuple(sum(map(mul, symbol, place))
+                 for symbol in zip(*[iter(digits)] * l)), corrected
 
 
 def _decode_table(base, k, subsets, annihilators, basis):
@@ -356,10 +379,17 @@ def ts_full_pipeline(cfg, message, pattern):
     """encode -> corrupt -> download -> decode, returning (message, bundle).
 
     The bundle carries the exact downloaded/accessed counts of the run.
+    Only what enters is checked: the message, as ts_encode checks it, and
+    the pattern, as apply_error_pattern checks it, with the same errors in
+    the same order. The word then stays one flat list of canonical symbols
+    through the cores of ts_encode, apply_error_pattern and
+    ts_download_all, and ts_decode_message checks the bundle once.
     """
-    stored = ts_encode(cfg, message)
-    corrupted = apply_error_pattern(cfg.base, stored, pattern)
-    bundle = ts_download_all(cfg, corrupted)
+    stored = _encode(cfg, _checked_message(cfg, message))
+    l = cfg.l
+    _add_offsets(cfg.base.q, stored, _checked_offsets(
+        cfg.base, pattern, range(0, cfg.n * l + 1, l)))
+    bundle = _download(cfg, stored)
     decoded, _ = ts_decode_message(cfg, bundle)
     return decoded, bundle
 

@@ -514,3 +514,37 @@ def test_budget_exit_code(tmp_path, monkeypatch, capsys):
                  "--received", "1,2,3,4", "--radius", "1",
                  "--out", str(tmp_path / "n.json")]) == 2
     assert "budget" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("kind", ["config", "message", "codeword",
+                                  "download"])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, kind):
+    """A file too deeply nested for the JSON parser is a format error of
+    that file: exit 2 and one error line, not a RecursionError."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    msg = write_message(tmp_path, "ts", (1, 2, 3, 4))
+    argv = {
+        "config": ["ts", "encode", "--config", str(deep), "--message", msg],
+        "message": ["ts", "encode", "--config", TS_REF, "--message",
+                    str(deep)],
+        "codeword": ["ts", "download", "--config", TS_REF, "--in", str(deep)],
+        "download": ["ts", "decode", "--config", TS_REF, "--in", str(deep)],
+    }[kind]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {deep} nests JSON too deeply to read\n")
+    assert not out.exists()
+
+
+def test_trace_config_beyond_q_exits_two(tmp_path, capsys):
+    """n far beyond q is refused before the default points are built."""
+    config = write_json(tmp_path, "cfg.json", {
+        "scheme": "ts", "q": 5, "n": 10 ** 18, "k": 2, "l": 2, "m": 2})
+    msg = write_message(tmp_path, "ts", (1, 2))
+    assert main(["ts", "encode", "--config", config, "--message", msg,
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: n = 1000000000000000000 distinct base-field evaluation "
+        "points need q >= n, but q = 5\n")

@@ -292,9 +292,10 @@ def test_downloads_check_a_word_in_column_order(scheme):
 def test_pipeline_checks_each_symbol_a_bounded_number_of_times(path,
                                                               monkeypatch):
     """Validation runs where symbols enter, not on every field operation:
-    one pipeline at the radius checks at most 4*n*l symbols, one at a time
-    or in vectors, a few per stored symbol, where per-operation checks
-    made thousands."""
+    one pipeline at the radius checks its message, its offsets and the
+    downloaded symbols once each, one at a time or in vectors, and no
+    symbol the library computed, where per-operation checks made
+    thousands."""
     calls = []
     for cls in (PrimeField, ExtField):
         def counted(self, a, _check=cls.check):
@@ -316,7 +317,8 @@ def test_pipeline_checks_each_symbol_a_bounded_number_of_times(path,
     calls.clear()
     decoded, _ = pipeline(cfg, message, pattern)
     assert decoded == message
-    assert 0 < len(calls) <= 4 * cfg.n * cfg.l
+    entering = len(message) + sum(map(len, pattern.values))
+    assert len(calls) == entering + cfg.downloaded_per_word
 
 
 def test_negative_exponent_rejected():

@@ -88,6 +88,20 @@ def test_make_config_rejections():
         ts_make_config(13, 12, 4, 4, 2, subsets=((0,), (1,)))      # wrong size
 
 
+@pytest.mark.parametrize("n, k, message", [
+    (10 ** 18, 2, "n = 1000000000000000000 distinct base-field evaluation "
+                  "points need q >= n, but q = 5"),
+    (4, 10 ** 18, r"download streams form an \(n, lk/m\) = "
+                  r"\(4, 1000000000000000000\) code; need lk/m to be an "
+                  "integer at most n"),
+], ids=["n", "k"])
+def test_sizes_beyond_q_are_refused_before_defaults_are_built(n, k, message):
+    """The default points 0..n-1 and subsets of k/m points each are built
+    only after n and k are checked against q: a huge size is refused with
+    the config's own ValueError, not a MemoryError."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ts_make_config(5, n, k, 2, 2)
+
 def test_encode_shape_and_membership():
     """The GF(q^l) reference for the base-field encoder: column i is the
     projection of h(omega_i), evaluated over the extension field, and the
@@ -450,12 +464,12 @@ def test_pipeline_runs_no_extension_field_arithmetic(name, monkeypatch):
 def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
                                                    rs_codes_built,
                                                    monkeypatch):
-    """A decode builds no code and makes the m stream decodes, each
-    interpolating once, then one product with the decode table: the peel
-    runs when the config is built, not per decode. Every product is
-    counted by its map: each stream decode applies the inner code's
-    interpolation and evaluation maps once, and cfg.decode_map is applied
-    exactly once, last."""
+    """A decode builds no code and makes the m stream decodes through the
+    unchecked core of rs_decode_unique, each interpolating once, then one
+    product with the decode table: the peel runs when the config is built,
+    not per decode. Every product is counted by its map: each stream
+    decode applies the inner code's interpolation and evaluation maps
+    once, and cfg.decode_map is applied exactly once, last."""
     cfg = shipped_config(name)
     stream = trial_stream(48, cfg.radius, 0)
     message = random_message(cfg, stream)
@@ -463,7 +477,7 @@ def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
     word = apply_error_pattern(cfg.base, ts_encode(cfg, message), pattern)
     bundle = ts_download_all(cfg, word)
     rs_codes_built.clear()
-    calls = rs_calls("rs_decode_unique", "rs_interpolate", "tabulate_map")
+    calls = rs_calls("_decode_unique", "rs_interpolate", "tabulate_map")
     products, original = [], rs_module.packed_product
 
     def counting(pmap, symbols):
@@ -474,7 +488,7 @@ def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
         monkeypatch.setattr(module, "packed_product", counting)
     decoded, _ = ts_decode_message(cfg, bundle)
     assert decoded == message
-    assert calls == ["rs_decode_unique", "rs_interpolate"] * cfg.m
+    assert calls == ["_decode_unique", "rs_interpolate"] * cfg.m
     code = cfg.inner_code
     assert list(map(id, products)) == list(map(id, (
         [code.interpolation, code.evaluation] * cfg.m + [cfg.decode_map])))
