@@ -22,8 +22,8 @@ from .budget import check_budget
 from .fields import PrimeField, is_prime, prime_factors
 from .rationals import as_fraction
 from .records import Record
-from .rs import (RsCode, decode_columns, packed_map, packed_product,
-                 power_columns, rs_evaluate)
+from .rs import (RsCode, decode_columns, decode_words, packed_map,
+                 packed_product, power_columns, rs_evaluate)
 
 
 def smallest_prime_above(bound):
@@ -204,7 +204,12 @@ def frs_decode_trial(cfg, per_column):
         raise ValueError(
             f"expected {cfg.n} columns of {cfg.alpha_l} downloaded symbols")
     (h,), corrected = decode_columns(cfg.prefix_code, per_column, cfg.radius)
-    return h + (0,) * (cfg.message_length - len(h)), corrected
+    return _padded(cfg, h), corrected
+
+
+def _padded(cfg, h):
+    """The message polynomial h padded with zeros to length kl."""
+    return h + (0,) * (cfg.message_length - len(h))
 
 
 def bundle_columns(word, height):
@@ -257,15 +262,18 @@ def frs_full_pipeline(cfg, message, pattern):
     the pattern, as apply_error_pattern checks it, with the same errors in
     the same order. The word then stays one flat list of canonical symbols
     through the cores of frs_encode, apply_error_pattern and
-    frs_download_all, and frs_decode_trial checks the bundle once.
+    frs_download_all. No public stage or decoder is called: the
+    concatenated prefixes go straight to `rs.decode_words` as one word of
+    the prefix code, so the served symbols are never checked again.
     """
     stored = _encode(cfg, _checked_message(cfg, message))
     l = cfg.l
     _add_offsets(cfg.field.q, stored, _checked_offsets(
         cfg.field, pattern, range(0, cfg.n * l + 1, l)))
     bundle = _download(cfg, stored)
-    decoded, _ = frs_decode_trial(cfg, bundle.per_column)
-    return decoded, bundle
+    word = tuple(itertools.chain.from_iterable(bundle.per_column))
+    (h,), _ = decode_words(cfg.prefix_code, [word], cfg.alpha_l, cfg.radius)
+    return _padded(cfg, h), bundle
 
 
 def frs_all_codewords(cfg):

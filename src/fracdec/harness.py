@@ -170,6 +170,8 @@ class ExperimentSpec(Record):
         for w in self.weights:
             if type(w) is not int or not 0 <= w <= n:
                 raise ValueError(f"weight {w!r} outside 0..{n}")
+        if len(set(self.weights)) != len(self.weights):
+            raise ValueError("weights must not repeat")
         if type(self.trials_per_weight) is not int or self.trials_per_weight < 1:
             raise ValueError("trials_per_weight must be an integer of at least 1")
         if self.support_mode not in ("exhaustive", "sampled"):

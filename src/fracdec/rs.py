@@ -34,16 +34,20 @@ is a precondition: every symbol must be a canonical integer in [0, q). A
 non-canonical symbol is not reduced mod q: a negative one borrows from
 the neighbouring digits and an oversized one can carry into them, so the
 product is silently wrong. Symbols are checked once, where they enter,
-before any product sees them: `rs_encode`, `rs_decode_unique`,
-`decode_columns`, `rs_erasure_decode` and `nearest_codeword_bruteforce`
-run the field's check on their input, and `decode_columns` checks all its
-words in one pass before it decodes each through `rs_decode_unique`'s
-unchecked core; `frs_scheme.frs_encode` and `trace_scheme.ts_encode`
-check each message symbol, `arraycode.apply_error_pattern` every word
-and offset symbol, and the two schemes' `*_download_all` every column
-symbol. The schemes' full pipelines check their message and error
-pattern as those calls do and pass the canonical word between the
-stages' unchecked cores.
+before any product sees them. In this module `rs_encode`,
+`rs_decode_unique`, `decode_columns`, `rs_erasure_decode` and
+`nearest_codeword_bruteforce` check their input; `decode_columns` checks
+its columns' shape and all their symbols in one pass, then hands the
+words to `decode_words`. `packed_product`, `rs_evaluate`,
+`rs_interpolate` and `decode_words` check nothing: `decode_words` takes
+words of exactly n canonical symbols and decodes each through
+`rs_decode_unique`'s unchecked core. Elsewhere `frs_scheme.frs_encode`
+and `trace_scheme.ts_encode` check each message symbol,
+`arraycode.apply_error_pattern` every word and offset symbol, the two
+schemes' `*_download_all` every column symbol, and their decoders the
+downloads through `decode_columns`. The schemes' full pipelines check
+their message and error pattern as those calls do, then pass canonical
+symbols between the stages' unchecked cores, down to `decode_words`.
 Every other operand is computed mod q from checked data: the quotient a
 decode evaluates, the decoded streams the trace decode table reads, and
 the messages the brute-force oracles draw from `field.elements()`.
@@ -310,6 +314,10 @@ def rs_decode_unique(code, received):
     Raises DecodeFailure when no codeword lies within the radius; by the
     final re-encode check the result is never silently wrong.
 
+    A word whose interpolant has at most k coefficients is a codeword, and
+    that interpolant is its message: it is returned with no positions at
+    once, before any Euclid step, division or re-encode.
+
     Gao's partial extended Euclid runs from (r0, v0) = (master, 0) and
     (r1, v1) = (interpolant, 1) while 2 deg r1 >= n + k. If a codeword
     lies within the radius, r1 / v1 is an exact division whose quotient is
@@ -360,6 +368,8 @@ def _decode_unique(code, received):
     mask, cap = (1 << width) - 1, 1 << width
     low = (code.radius + 1) * width
     r1 = rs_interpolate(code, received)
+    if len(r1) <= k:  # the word is a codeword: r1 is its message
+        return r1, frozenset()
     pair0, pair1 = code.decode_master, _pack(r1, width // 8) << low | 1
     top0, top1, v_degree = n, len(r1) - 1, 0
     a0 = a1 = spread = q - 1
@@ -417,12 +427,9 @@ def decode_columns(code, columns, radius):
 
     Column i, a sequence, carries g = code.n // len(columns) consecutive
     symbols of each word: word j is columns[i][j*g:(j+1)*g] read across i,
-    in the order of `code.omega`. Every symbol is checked once, word by
-    word, before the first decode. Returns (messages, corrected_columns):
-    one message polynomial per word and the union of the columns the
-    decodes corrected. Raises DecodeFailure when a word decode fails or the
-    union has more than `radius` columns. Exact whenever
-    g * radius <= code.radius.
+    in the order of `code.omega`. The columns' shape and every symbol are
+    checked once, before the first decode; then `decode_words` decodes the
+    words so formed and returns its result.
     """
     count, n = len(columns), code.n
     g, height = n // count, len(columns[0])
@@ -434,6 +441,20 @@ def decode_columns(code, columns, radius):
         words = [tuple(itertools.chain.from_iterable(zip(*words[r:r + g])))
                  for r in range(0, height, g)]
     code.field.check_all(itertools.chain.from_iterable(words))
+    return decode_words(code, words, g, radius)
+
+
+def decode_words(code, words, g, radius):
+    """Decode words of `code`, each a sequence of n canonical symbols, whose
+    errors share columns of g consecutive symbols: position p lies in
+    column p // g. Unchecked, like `packed_product`: the caller passes
+    canonical symbols, n to a word.
+
+    Returns (messages, corrected_columns): one message polynomial per word
+    and the union of the columns the decodes corrected. Raises
+    DecodeFailure when a word decode fails or the union has more than
+    `radius` columns. Exact whenever g * radius <= code.radius.
+    """
     messages, corrected = [], set()
     for word in words:
         h, positions = _decode_unique(code, word)

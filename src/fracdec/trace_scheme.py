@@ -41,8 +41,8 @@ from .arraycode import (DownloadBundle, _add_offsets, _checked_offsets,
 from .fields import ExtField, PrimeField, dual_basis
 from .polyring import normalize, poly_from_roots
 from .records import Record
-from .rs import (RsCode, decode_columns, packed_map, packed_product,
-                 power_columns, rs_interpolate, tabulate_map)
+from .rs import (RsCode, decode_columns, decode_words, packed_map,
+                 packed_product, power_columns, rs_interpolate, tabulate_map)
 
 
 class TsConfig(Record):
@@ -270,13 +270,13 @@ def ts_download_all(cfg, columns):
     columns = tuple(columns)
     if len(columns) != cfg.n:
         raise ValueError(f"word must have n = {cfg.n} columns")
-    return _download(cfg, _stored_symbols(cfg.base, columns, cfg.l))
+    stored = _stored_symbols(cfg.base, columns, cfg.l)
+    return _bundle(cfg, packed_product(cfg.download_map, stored))
 
 
-def _download(cfg, stored):
-    """The bundle of a word's n*l canonical stored symbols, flat and column
-    by column."""
-    served = packed_product(cfg.download_map, stored)
+def _bundle(cfg, served):
+    """The bundle of a word's n*m served symbols, flat and column by
+    column."""
     return DownloadBundle(
         per_column=tuple(zip(*[iter(served)] * cfg.m)),
         downloaded=cfg.downloaded_per_word,
@@ -302,6 +302,13 @@ def ts_decode_message(cfg, bundle):
     if len(per_column) != cfg.n or set(map(len, per_column)) != {m}:
         raise ValueError(f"download bundle must be {cfg.n} columns of {m} symbols")
     streams, corrected = decode_columns(cfg.inner_code, per_column, cfg.radius)
+    return _read_message(cfg, streams), corrected
+
+
+def _read_message(cfg, streams):
+    """The message whose stream polynomials are `streams`: one product
+    with cfg.decode_map of their coefficients, each stream padded to
+    lk/m."""
     size = cfg.inner_code.k
     coeffs = [c for g in streams for c in (*g, *(0,) * (size - len(g)))]
     digits = packed_product(cfg.decode_map, coeffs)
@@ -309,7 +316,7 @@ def ts_decode_message(cfg, bundle):
     l = cfg.l
     place = [cfg.base.q ** v for v in range(l)]
     return tuple(sum(map(mul, symbol, place))
-                 for symbol in zip(*[iter(digits)] * l)), corrected
+                 for symbol in zip(*[iter(digits)] * l))
 
 
 def _decode_table(base, k, subsets, annihilators, basis):
@@ -383,15 +390,19 @@ def ts_full_pipeline(cfg, message, pattern):
     the pattern, as apply_error_pattern checks it, with the same errors in
     the same order. The word then stays one flat list of canonical symbols
     through the cores of ts_encode, apply_error_pattern and
-    ts_download_all, and ts_decode_message checks the bundle once.
+    ts_download_all. No public stage or decoder is called: the m strided
+    slices of the served symbols go straight to `rs.decode_words` as the
+    streams, and ts_decode_message's message read-out follows, so the
+    served symbols are never checked again.
     """
     stored = _encode(cfg, _checked_message(cfg, message))
-    l = cfg.l
+    l, m = cfg.l, cfg.m
     _add_offsets(cfg.base.q, stored, _checked_offsets(
         cfg.base, pattern, range(0, cfg.n * l + 1, l)))
-    bundle = _download(cfg, stored)
-    decoded, _ = ts_decode_message(cfg, bundle)
-    return decoded, bundle
+    served = packed_product(cfg.download_map, stored)
+    streams, _ = decode_words(cfg.inner_code,
+                              [served[j::m] for j in range(m)], 1, cfg.radius)
+    return _read_message(cfg, streams), _bundle(cfg, served)
 
 
 def ts_all_codewords(cfg):

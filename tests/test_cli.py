@@ -256,6 +256,16 @@ def test_simulate_command_byte_identical(tmp_path):
                for row in report["perWeight"])
 
 
+def test_simulate_repeated_weight_exits_two(tmp_path, capsys):
+    """A weight listed twice is a usage error, like a repeated --positions
+    column: exit 2, one error line, no report."""
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--config", TS_TINY, "--weights", "1,1",
+                 "--trials-per-weight", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: weights must not repeat\n"
+    assert not out.exists()
+
+
 def test_simulate_sampled_mode(tmp_path):
     out = str(tmp_path / "r.json")
     assert main(["simulate", "--config", FRS_REF, "--weights", "2,3",

@@ -292,10 +292,10 @@ def test_downloads_check_a_word_in_column_order(scheme):
 def test_pipeline_checks_each_symbol_a_bounded_number_of_times(path,
                                                               monkeypatch):
     """Validation runs where symbols enter, not on every field operation:
-    one pipeline at the radius checks its message, its offsets and the
-    downloaded symbols once each, one at a time or in vectors, and no
-    symbol the library computed, where per-operation checks made
-    thousands."""
+    one pipeline at the radius checks its message and its offsets once
+    each, one at a time or in vectors, and no symbol the library computed,
+    the served symbols it decodes included, where per-operation checks
+    made thousands."""
     calls = []
     for cls in (PrimeField, ExtField):
         def counted(self, a, _check=cls.check):
@@ -318,7 +318,7 @@ def test_pipeline_checks_each_symbol_a_bounded_number_of_times(path,
     decoded, _ = pipeline(cfg, message, pattern)
     assert decoded == message
     entering = len(message) + sum(map(len, pattern.values))
-    assert len(calls) == entering + cfg.downloaded_per_word
+    assert len(calls) == entering
 
 
 def test_negative_exponent_rejected():

@@ -118,6 +118,9 @@ def test_experiment_spec_validation():
                        support_mode="all")
     with pytest.raises(ValueError):
         ExperimentSpec(config=cfg, weights=(1,), trials_per_weight=1, seed=-1)
+    with pytest.raises(ValueError, match="weights must not repeat"):
+        ExperimentSpec(config=cfg, weights=(0, 1, 1), trials_per_weight=1,
+                       seed=0)
 
 
 def test_simulate_exhaustive_counts_and_purity_within_radius():

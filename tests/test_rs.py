@@ -755,6 +755,52 @@ def test_packed_decoder_holds_at_the_carry_boundary(q, n, k, monkeypatch):
     assert bool(reduced) == capped
 
 
+@pytest.mark.parametrize("q, n, k", ((2, 2, 1), (5, 4, 2), (31, 30, 8),
+                                     (53, 24, 12)))
+def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
+                                                         monkeypatch):
+    """A received codeword leaves rs_decode_unique right after its one
+    interpolation: on the zero word and on a codeword of each message
+    degree below k, the decoder returns the message with no positions, as
+    the scalar Euclid decoder does, and makes no product with
+    code.evaluation. Each of those words with one symbol changed is no
+    codeword, so it takes the Euclid path: it fails where the radius is 0
+    and otherwise re-encodes and reports the changed position, as the
+    scalar Euclid decoder does."""
+    field = PrimeField(q)
+    rng = random.Random(q * n + k)
+    code = RsCode(field, k, rng.sample(range(q), n))
+    messages = [()] + [tuple(rng.randrange(q) for _ in range(d))
+                       + (rng.randrange(1, q),) for d in range(k)]
+    products, original = [], rs_module.packed_product
+
+    def counting(pmap, symbols):
+        products.append(pmap)
+        return original(pmap, symbols)
+
+    for message in messages:
+        word = list(rs_encode(code, message))
+        assert oracles.rs_decode_euclid(code, word) == (message, frozenset())
+        monkeypatch.setattr(rs_module, "packed_product", counting)
+        products.clear()
+        assert rs_decode_unique(code, word) == (message, frozenset())
+        assert list(map(id, products)) == [id(code.interpolation)]
+        monkeypatch.undo()
+        pos = rng.randrange(n)
+        word[pos] = (word[pos] + rng.randrange(1, q)) % q
+        want = decode_outcome(oracles.rs_decode_euclid, code, word)
+        monkeypatch.setattr(rs_module, "packed_product", counting)
+        products.clear()
+        got = decode_outcome(rs_decode_unique, code, word)
+        monkeypatch.undo()
+        assert got == want
+        if code.radius:
+            assert got == (message, frozenset({pos}))
+            assert any(pmap is code.evaluation for pmap in products)
+        else:
+            assert isinstance(got, str)
+
+
 @pytest.mark.parametrize("name", DECODER_CONFIGS)
 def test_scheme_decodes_call_no_polyring_function(name, polyring_calls):
     """Decoding runs on packed integers only: neither scheme's decode, at

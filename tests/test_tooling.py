@@ -199,8 +199,11 @@ def test_code_tables_are_applied_only_in_rs():
 
 def test_traced_pipelines_run():
     """`bench/run.py --trace 1` wraps the library from outside through
-    bench/tracer.py; installing it and running one op of each scheme
-    catches a name it reads having been removed or renamed."""
+    bench/tracer.py; installing it, running one op of each scheme and then
+    each scheme's public decoder on the op's bundle catches a name it reads
+    having been removed or renamed. Each op decodes its served symbols in
+    one `rs.decode_words` span, not through the public decoders."""
+    from fracdec import frs_scheme, trace_scheme
     from fracdec.arraycode import ErrorPattern
     from fracdec.frs_scheme import frs_full_pipeline, frs_make_config
     from fracdec.trace_scheme import ts_full_pipeline, ts_make_config
@@ -215,13 +218,21 @@ def test_traced_pipelines_run():
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        ts_decoded, _ = ts_full_pipeline(ts_cfg, (1, 2, 3, 4), pattern)
+        ts_decoded, ts_bundle = ts_full_pipeline(ts_cfg, (1, 2, 3, 4), pattern)
         tracer.end_op()
-        frs_decoded, _ = frs_full_pipeline(frs_cfg, tuple(range(12)), pattern)
+        frs_decoded, frs_bundle = frs_full_pipeline(frs_cfg, tuple(range(12)),
+                                                    pattern)
+        tracer.end_op()
+        op_calls = dict(tracer.stats.calls)
+        ts_again, _ = trace_scheme.ts_decode_message(ts_cfg, ts_bundle)
+        frs_again, _ = frs_scheme.frs_decode_trial(frs_cfg,
+                                                   frs_bundle.per_column)
         tracer.end_op()
     finally:
         tracer.uninstall()
-    assert ts_decoded == (1, 2, 3, 4) and frs_decoded == tuple(range(12))
-    assert tracer.stats.ops == 2
+    assert ts_decoded == ts_again == (1, 2, 3, 4)
+    assert frs_decoded == frs_again == tuple(range(12))
+    assert tracer.stats.ops == 3
+    assert op_calls["rs.decode_words"] == 2
     assert tracer.stats.calls["trace_scheme.ts_decode_message"] == 1
     assert tracer.stats.calls["frs_scheme.frs_decode_trial"] == 1
