@@ -11,15 +11,14 @@ search on an instance small enough to enumerate.
 """
 
 from fracdec.bounds import find_download_collision
-from fracdec.trace_scheme import ts_all_codewords, ts_download_fn, \
-    ts_make_config
+from fracdec.trace_scheme import ts_make_config
 
 # (4, 2) over GF(25), full columns: radius floor((4-2)/2) = 1
 cfg = ts_make_config(5, 4, 2, 2, 2)
-words = [word for _, word in ts_all_codewords(cfg)]
+words = [word for _, word in cfg.codewords()]
 print(f"enumerated all {len(words)} codewords of the (4, 2) instance")
 
-full = ts_download_fn(cfg)                  # both symbols of each column
+full = cfg.download_fn()                    # both symbols of each column
 witness = find_download_collision(cfg.base, words, full, 1)
 print("full download, t=1:", "no collision (radius 1 is real)"
       if witness is None else "collision?!")
@@ -27,7 +26,7 @@ assert witness is None
 
 # halve the download: one symbol per column, alpha = 1/2 = rate, so the
 # optimal radius drops to floor((4 - 4)/2) = 0 and t=1 must be impossible
-half = ts_download_fn(cfg, count=1)
+half = cfg.download_fn(1)
 witness = find_download_collision(cfg.base, words, half, 1)
 assert witness is not None
 print("\nhalf download, t=1: collision found")

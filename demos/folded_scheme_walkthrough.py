@@ -13,36 +13,36 @@ downloaded symbols equal accessed symbols, there is no access overhead.
 from fractions import Fraction
 
 from fracdec.arraycode import ErrorPattern, apply_error_pattern
-from fracdec.frs_scheme import (frs_decode_trial, frs_download_all,
-                                frs_encode, frs_make_config)
+from fracdec.bounds import radius_naive
+from fracdec.frs_scheme import frs_make_config
 
 cfg = frs_make_config(8, 3, 4, Fraction(3, 4))
 print(f"p={cfg.field.q} gamma={cfg.gamma} n={cfg.n} k={cfg.k} l={cfg.l} "
       f"alpha={cfg.alpha}")
-print(f"radius {cfg.radius} from 3-of-4 prefixes "
-      f"(naive 6-whole-column reading would give radius 1)")
+print(f"radius {cfg.radius} from 3-of-4 prefixes (naive reading of "
+      f"{cfg.alpha * cfg.n} whole columns would give radius "
+      f"{radius_naive(cfg.n, cfg.k, cfg.alpha)})")
 
 message = tuple(range(1, 13))            # 12 coefficients, degree < kl
-stored = frs_encode(cfg, message)
+stored = cfg.encode(message)
 print("\ncolumn 2 holds", stored[2], "at points", cfg.column_points(2))
 
 pattern = ErrorPattern(support=(1, 6),
                        values=((5, 0, 0, 0), (1, 2, 3, 4)))
-received = apply_error_pattern(cfg.field, stored, pattern)
+received = apply_error_pattern(cfg.symbol_field, stored, pattern)
 
-bundle = frs_download_all(cfg, received)
+bundle = cfg.download(received)
 print(f"downloaded = accessed = {bundle.downloaded} symbols")
 
-decoded, corrected = frs_decode_trial(cfg, bundle.per_column)
+decoded, corrected = cfg.decode(bundle.per_column)
 print("decoded message:", decoded)
 print("columns the decoder corrected:", sorted(corrected))
 assert decoded == message
 
 # corruption that never enters a served prefix is invisible by design
 tail_only = ErrorPattern(support=(0, 3, 5), values=(((0, 0, 0, 9),) * 3))
-received = apply_error_pattern(cfg.field, stored, tail_only)
-decoded, corrected = frs_decode_trial(
-    cfg, frs_download_all(cfg, received).per_column)
+received = apply_error_pattern(cfg.symbol_field, stored, tail_only)
+decoded, corrected = cfg.decode(cfg.download(received).per_column)
 assert decoded == message and not corrected
 print("\ntail-only corruption in 3 columns: decode unaffected, "
       "nothing corrected")

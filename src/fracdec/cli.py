@@ -8,7 +8,8 @@ enumeration sizes.
 
 Each command imports what it runs when it runs: a stage command loads
 only the scheme its config names, and `harness` and `bounds` load only
-for the commands that use them.
+for the commands that use them. A command runs a scheme through its
+config's methods; only the parser and the file formats name the schemes.
 """
 
 import argparse
@@ -59,19 +60,14 @@ def cmd_figure(args):
 def cmd_encode(args):
     cfg = ser.config_from_dict(ser.load_json(args.config), args.scheme)
     message = ser.message_from_dict(ser.load_json(args.message), args.scheme)
-    if args.scheme == "ts":
-        from .trace_scheme import ts_encode as encode
-    else:
-        from .frs_scheme import frs_encode as encode
-    columns = encode(cfg, message)
+    columns = cfg.encode(message)
     ser.dump_json(args.out, ser.codeword_to_dict(args.scheme, columns))
     return 0
 
 
 def cmd_corrupt(args):
     from .arraycode import apply_error_pattern
-    from .harness import (_check_seed, _symbol_field, random_error_pattern,
-                          trial_stream)
+    from .harness import _check_seed, random_error_pattern, trial_stream
     _check_seed(args.seed)
     cfg = ser.config_from_dict(ser.load_json(args.config), args.scheme)
     columns = ser.codeword_from_dict(ser.load_json(args.infile), args.scheme)
@@ -93,7 +89,7 @@ def cmd_corrupt(args):
             raise ValueError(f"--weight must be in 0..{cfg.n}")
     pattern = random_error_pattern(cfg, trial_stream(args.seed, weight, 0),
                                    weight, support)
-    corrupted = apply_error_pattern(_symbol_field(cfg), columns, pattern)
+    corrupted = apply_error_pattern(cfg.symbol_field, columns, pattern)
     ser.dump_json(args.out, ser.codeword_to_dict(args.scheme, corrupted))
     return 0
 
@@ -101,11 +97,7 @@ def cmd_corrupt(args):
 def cmd_download(args):
     cfg = ser.config_from_dict(ser.load_json(args.config), args.scheme)
     columns = ser.codeword_from_dict(ser.load_json(args.infile), args.scheme)
-    if args.scheme == "ts":
-        from .trace_scheme import ts_download_all as download
-    else:
-        from .frs_scheme import frs_download_all as download
-    bundle = download(cfg, columns)
+    bundle = cfg.download(columns)
     ser.dump_json(args.out, ser.bundle_to_dict(args.scheme, bundle))
     return 0
 
@@ -113,12 +105,7 @@ def cmd_download(args):
 def cmd_decode(args):
     cfg = ser.config_from_dict(ser.load_json(args.config), args.scheme)
     bundle = ser.bundle_from_dict(ser.load_json(args.infile), args.scheme)
-    if args.scheme == "ts":
-        from .trace_scheme import ts_decode_message
-        message, corrected = ts_decode_message(cfg, bundle)
-    else:
-        from .frs_scheme import frs_decode_trial
-        message, corrected = frs_decode_trial(cfg, bundle.per_column)
+    message, corrected = cfg.decode(bundle.per_column)
     out = ser.message_to_dict(args.scheme, message)
     out["correctedColumns"] = sorted(corrected)
     ser.dump_json(args.out, out)
@@ -169,21 +156,13 @@ def cmd_oracle_nearest(args):
 def cmd_oracle_collision(args):
     from .bounds import find_download_collision
     from .budget import check_budget
-    from .harness import _message_space, _symbol_field
     cfg = ser.config_from_dict(ser.load_json(args.config))
-    if cfg.scheme == "ts":
-        from .trace_scheme import ts_all_codewords as enumerate_words
-        from .trace_scheme import ts_download_fn
-        download = ts_download_fn(cfg, count=args.download_count)
-    else:
-        from .frs_scheme import frs_all_codewords as enumerate_words
-        from .frs_scheme import frs_download_fn
-        download = frs_download_fn(cfg, height=args.download_count)
-    order, length = _message_space(cfg)
+    download = cfg.download_fn(args.download_count)
+    order, length = cfg.message_space
     check_budget(order ** length, "codeword enumeration for collision search")
-    codewords = [word for _, word in enumerate_words(cfg)]
-    witness = find_download_collision(_symbol_field(cfg), codewords,
-                                      download, args.t)
+    codewords = [word for _, word in cfg.codewords()]
+    witness = find_download_collision(cfg.symbol_field, codewords, download,
+                                      args.t)
     if witness is None:
         ser.dump_json(args.out, {"format": 1, "t": args.t, "witness": None})
         return 0
@@ -323,8 +302,10 @@ def build_parser():
     q.add_argument("--config", required=True)
     q.add_argument("--t", type=int, required=True)
     q.add_argument("--download-count", type=int, default=None,
-                   help="per-column downloaded symbols (default: the "
-                        "scheme's own count; smaller models a tighter budget)")
+                   help="per-column downloaded symbols: 0..m for a trace "
+                        "config, 0..l for a folded one (default: the "
+                        "scheme's own count, m or alpha*l; smaller models a "
+                        "tighter budget)")
     _add_out(q)
     q.set_defaults(func=cmd_oracle_collision)
 

@@ -58,7 +58,8 @@ class FrsConfig(Record):
     gamma: a primitive element of the field.
     n, k, l: column count, message size in columns, column height.
     alpha: download fraction; alpha*l and k/alpha must be integers.
-    scheme (class attribute): "frs"; see `trace_scheme.TsConfig`.
+    scheme (class attribute): "frs", the name the file formats and the
+        CLI give the scheme.
     alpha_l: derived; the prefix height alpha*l each column serves.
     punctured_dim: derived; the column dimension k/alpha of the punctured
         code.
@@ -132,6 +133,55 @@ class FrsConfig(Record):
         if height is None:
             height = self.l
         return self.points[i * self.l: i * self.l + height]
+
+    # The interface shared with trace_scheme.TsConfig, which says more.
+
+    @property
+    def symbol_field(self):
+        """The field of the stored symbols, GF(p)."""
+        return self.field
+
+    @property
+    def message_space(self):
+        """(order, length): kl symbols of GF(p)."""
+        return self.field.order, self.message_length
+
+    def encode(self, message):
+        return frs_encode(self, message)
+
+    def download(self, word):
+        return frs_download_all(self, word)
+
+    def decode(self, per_column):
+        return frs_decode_trial(self, per_column)
+
+    def pipeline(self, message, pattern):
+        return frs_full_pipeline(self, message, pattern)
+
+    def codewords(self):
+        """Every (message, word) of the code, in canonical message order."""
+        for message in itertools.product(self.field.elements(),
+                                         repeat=self.message_length):
+            yield message, frs_encode(self, message)
+
+    def download_fn(self, count=None):
+        """Word -> per-column downloads, for collision search: the first
+        `count` of each column's l stored symbols (default alpha*l)."""
+        count = self.alpha_l if count is None else count
+        if not 0 <= count <= self.l:
+            raise ValueError(f"download count must lie in 0..{self.l}, the l "
+                             f"symbols a column stores, got {count}")
+        return lambda word: tuple(column[:count] for column in word)
+
+    def column_code(self, columns):
+        """The code whole columns, concatenated, are a word of."""
+        return RsCode(self.field, self.message_length, flatten_columns(
+            self.column_points(i) for i in columns))
+
+    def message_polys(self, message):
+        """What column_code decodes clean columns to, before normalizing:
+        the message's one polynomial h, checked."""
+        return (_checked_message(self, message),)
 
 
 def frs_make_config(n, k, l, alpha, *, p=None, gamma=None):
@@ -274,22 +324,3 @@ def frs_full_pipeline(cfg, message, pattern):
     word = tuple(itertools.chain.from_iterable(bundle.per_column))
     (h,), _ = decode_words(cfg.prefix_code, [word], cfg.alpha_l, cfg.radius)
     return _padded(cfg, h), bundle
-
-
-def frs_all_codewords(cfg):
-    """Iterate (message, array word) over the whole code, in canonical
-    message order. Budget-gated via the callers that materialize it."""
-    for message in itertools.product(cfg.field.elements(),
-                                     repeat=cfg.message_length):
-        yield message, frs_encode(cfg, message)
-
-
-def frs_download_fn(cfg, height=None):
-    """Word -> per-column downloads, for collision search: each stored
-    column's first `height` symbols. height defaults to the scheme's prefix
-    height alpha*l and may be anything up to l."""
-    if height is None:
-        height = cfg.alpha_l
-    if not 0 <= height <= cfg.l:
-        raise ValueError(f"height must be between 0 and l = {cfg.l}")
-    return lambda word: tuple(column[:height] for column in word)

@@ -5,9 +5,9 @@ Randomness policy: every trial derives its own 64-bit stream from
 byte-identical across runs: exhaustive and sampled modes always see the
 same messages and error values for a given trial index.
 
-A config names its scheme (`cfg.scheme`, "ts" or "frs"), and the harness
-imports that scheme's module only when a run first needs it, so a process
-loads only the scheme it runs.
+The harness runs a config through the interface both schemes' configs
+share (see `trace_scheme.TsConfig`), so it imports no scheme's module and
+a process loads only the scheme its config was built by.
 """
 
 import itertools
@@ -19,7 +19,7 @@ from .arraycode import ErrorPattern, apply_error_pattern
 from .errors import DecodeFailure
 from .polyring import normalize
 from .records import Record
-from .rs import RsCode, decode_columns
+from .rs import decode_columns
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -83,43 +83,15 @@ def trial_stream(seed, weight, trial_index):
     return SplitMix64(s)
 
 
-def _scheme_kind(cfg):
-    kind = getattr(cfg, "scheme", None)
-    if kind not in ("ts", "frs"):
-        raise TypeError(f"unsupported config type {type(cfg).__name__}")
-    return kind
-
-
-def _pipeline(cfg):
-    """The encode -> corrupt -> download -> decode function of cfg's scheme,
-    whose module this imports on first use."""
-    if _scheme_kind(cfg) == "ts":
-        from .trace_scheme import ts_full_pipeline
-        return ts_full_pipeline
-    from .frs_scheme import frs_full_pipeline
-    return frs_full_pipeline
-
-
-def _symbol_field(cfg):
-    """The field stored symbols live in (base field for the trace scheme)."""
-    return cfg.base if cfg.scheme == "ts" else cfg.field
-
-
-def _message_space(cfg):
-    if cfg.scheme == "ts":
-        return cfg.ext.order, cfg.k
-    return cfg.field.order, cfg.message_length
-
-
 def random_message(cfg, stream):
-    order, length = _message_space(cfg)
+    order, length = cfg.message_space
     return tuple(stream.below(order) for _ in range(length))
 
 
 def random_column_offset(cfg, stream):
     """A uniformly random nonzero column offset (at least one nonzero
     symbol, so one offset = one column error)."""
-    order = _symbol_field(cfg).order
+    order = cfg.symbol_field.order
     while True:
         vec = tuple(stream.below(order) for _ in range(cfg.l))
         if any(vec):
@@ -146,7 +118,7 @@ def run_trial(cfg, message, pattern):
     message came back quietly — never expected within the radius).
     """
     try:
-        decoded, bundle = _pipeline(cfg)(cfg, message, pattern)
+        decoded, bundle = cfg.pipeline(message, pattern)
     except DecodeFailure:
         return "detected", None
     return ("success" if decoded == message else "silent"), bundle
@@ -277,12 +249,11 @@ def report_to_dict(report):
     from .serialization import config_to_dict
 
     cfg = report.spec.config
-    field = _symbol_field(cfg)
-    symbol_bits = (field.order - 1).bit_length()
+    symbol_bits = (cfg.symbol_field.order - 1).bit_length()
     return {
         "format": 1,
         "version": __version__,
-        "scheme": _scheme_kind(cfg),
+        "scheme": cfg.scheme,
         "config": config_to_dict(cfg),
         "seed": report.spec.seed,
         "supportMode": report.spec.support_mode,
@@ -348,7 +319,6 @@ def compare_naive(cfg, t, seed=0):
     """
     from .bounds import radius_naive
 
-    kind = _scheme_kind(cfg)
     alpha_n = cfg.alpha * cfg.n
     if alpha_n.denominator != 1:
         raise ValueError(f"alpha*n = {alpha_n} must be integral for the "
@@ -369,49 +339,33 @@ def compare_naive(cfg, t, seed=0):
     message = random_message(cfg, stream)
     pattern = random_error_pattern(cfg, stream, t, support=read_columns[:t])
 
-    naive_outcome = _decode_naive(cfg, kind, message, pattern, read_columns,
-                                  naive_r)
-    try:
-        decoded, bundle = _pipeline(cfg)(cfg, message, pattern)
-        fractional_outcome = "recovered" if decoded == message else "miscorrected"
-        downloaded_fractional = bundle.downloaded
-    except DecodeFailure:
-        fractional_outcome = "failed"
-        downloaded_fractional = cfg.downloaded_per_word
-
+    naive_outcome = _decode_naive(cfg, message, pattern, read_columns, naive_r)
+    outcome, _ = run_trial(cfg, message, pattern)
+    fractional_outcome = {"success": "recovered", "silent": "miscorrected",
+                          "detected": "failed"}[outcome]
     separated = naive_outcome != "recovered" and fractional_outcome == "recovered"
     note = ("" if t > naive_r else
             "no separation at these parameters: the weight is within the "
             "naive radius too")
     return NaiveComparison(
-        scheme=kind, t=t, naive_radius=naive_r, fractional_radius=cfg.radius,
-        read_columns=read_columns, message=message, pattern=pattern,
-        naive_outcome=naive_outcome, fractional_outcome=fractional_outcome,
-        separated=separated,
+        scheme=cfg.scheme, t=t, naive_radius=naive_r,
+        fractional_radius=cfg.radius, read_columns=read_columns,
+        message=message, pattern=pattern, naive_outcome=naive_outcome,
+        fractional_outcome=fractional_outcome, separated=separated,
         downloaded_naive=alpha_n * cfg.l,
-        downloaded_fractional=downloaded_fractional,
-        note=note,
+        downloaded_fractional=cfg.downloaded_per_word, note=note,
     )
 
 
-def _decode_naive(cfg, kind, message, pattern, read_columns, naive_radius):
+def _decode_naive(cfg, message, pattern, read_columns, naive_radius):
     """Decode from whole columns only, the way an alpha*n-column reader
     would, and classify the outcome against the true message."""
-    if kind == "ts":
-        from .trace_scheme import ts_encode, ts_project_polys
-        stored = ts_encode(cfg, message)
-        # the l stored rows are words of one RS code over GF(q)
-        code = RsCode(cfg.base, cfg.k, tuple(cfg.omega[i] for i in read_columns))
-        want = ts_project_polys(cfg, message)
-    else:
-        from .frs_scheme import flatten_columns, frs_encode
-        stored = frs_encode(cfg, message)
-        code = RsCode(cfg.field, cfg.message_length, flatten_columns(
-            cfg.column_points(i) for i in read_columns))
-        want = (normalize(message),)
-    corrupted = apply_error_pattern(_symbol_field(cfg), stored, pattern)
+    stored = cfg.encode(message)
+    want = tuple(map(normalize, cfg.message_polys(message)))
+    corrupted = apply_error_pattern(cfg.symbol_field, stored, pattern)
     try:
-        decoded, _ = decode_columns(code, [corrupted[i] for i in read_columns],
+        decoded, _ = decode_columns(cfg.column_code(read_columns),
+                                    [corrupted[i] for i in read_columns],
                                     naive_radius)
     except DecodeFailure:
         return "failed"

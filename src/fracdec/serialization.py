@@ -5,8 +5,10 @@ integers. Config files may omit defaultable fields (omega, A, modulus,
 zeta for the trace scheme); files written by this module are always fully
 explicit so a run can be reproduced without knowing the defaults.
 
-Importing this module loads no scheme: reading a config imports the one
-module of the scheme it names, and a config is written by its `scheme`.
+Besides the CLI's parser, this is the one module that names the schemes
+("ts" or "frs"). Importing it loads no scheme: reading a config imports
+the one module of the scheme it names, and a config is written by its
+`scheme`.
 """
 
 import json

@@ -54,8 +54,8 @@ class TsConfig(Record):
     subsets: the m pairwise disjoint annihilator subsets A_j, each of size
         k/m, drawn from the base field (they need not be evaluation points).
     basis: trace-dual basis pair used to split symbols into coordinates.
-    scheme (class attribute): "ts", how the harness, the file formats and
-        the CLI tell the two schemes' configs apart.
+    scheme (class attribute): "ts", the name the file formats and the CLI
+        give the scheme.
 
     Derived, once per config: annihilators p_j; inner_code, the (n, lk/m)
     RS code over the base field the download streams belong to; and the
@@ -159,6 +159,54 @@ class TsConfig(Record):
     @property
     def accessed_per_word(self):
         return self.n * self.l
+
+    # The interface shared with frs_scheme.FrsConfig; each stage calls this
+    # module's function by name, so rebinding that name reaches it too.
+
+    @property
+    def symbol_field(self):
+        """The field of the stored symbols, GF(q)."""
+        return self.ext.base
+
+    @property
+    def message_space(self):
+        """(order, length): k symbols of GF(q^l)."""
+        return self.ext.order, self.k
+
+    def encode(self, message):
+        return ts_encode(self, message)
+
+    def download(self, word):
+        return ts_download_all(self, word)
+
+    def decode(self, per_column):
+        return ts_decode_message(self, per_column)
+
+    def pipeline(self, message, pattern):
+        return ts_full_pipeline(self, message, pattern)
+
+    def codewords(self):
+        """Every (message, word) of the code, in canonical message order."""
+        for message in itertools.product(self.ext.elements(), repeat=self.k):
+            yield message, ts_encode(self, message)
+
+    def download_fn(self, count=None):
+        """Word -> per-column downloads, for collision search: the first
+        `count` of each column's m served symbols (default all m)."""
+        count = self.m if count is None else count
+        if not 0 <= count <= self.m:
+            raise ValueError(f"download count must lie in 0..{self.m}, the m "
+                             f"symbols a column serves, got {count}")
+        return lambda word: tuple(served[:count] for served in
+                                  ts_download_all(self, word).per_column)
+
+    def column_code(self, columns):
+        """The code each stored row is a word of, read at whole columns."""
+        return RsCode(self.base, self.k, [self.omega[i] for i in columns])
+
+    def message_polys(self, message):
+        """What column_code decodes clean rows to: ts_project_polys."""
+        return ts_project_polys(self, message)
 
 
 def _check_sizes(q, n, k, l, m):
@@ -284,8 +332,9 @@ def _bundle(cfg, served):
     )
 
 
-def ts_decode_message(cfg, bundle):
-    """Decode the m download streams and read the message off them.
+def ts_decode_message(cfg, per_column):
+    """Decode the m download streams, n columns of m served symbols, and
+    read the message off them.
 
     The streams are words of one (n, lk/m) RS code whose errors share
     columns; more than `radius` corrected columns in all is a failure.
@@ -298,7 +347,7 @@ def ts_decode_message(cfg, bundle):
     corrected_columns is where that message's downloads differ. Raises
     DecodeFailure otherwise.
     """
-    m, per_column = cfg.m, bundle.per_column
+    m = cfg.m
     if len(per_column) != cfg.n or set(map(len, per_column)) != {m}:
         raise ValueError(f"download bundle must be {cfg.n} columns of {m} symbols")
     streams, corrected = decode_columns(cfg.inner_code, per_column, cfg.radius)
@@ -403,23 +452,3 @@ def ts_full_pipeline(cfg, message, pattern):
     streams, _ = decode_words(cfg.inner_code,
                               [served[j::m] for j in range(m)], 1, cfg.radius)
     return _read_message(cfg, streams), _bundle(cfg, served)
-
-
-def ts_all_codewords(cfg):
-    """Iterate (message, array word) over the whole code, in canonical
-    message order. Budget-gated via the callers that materialize it."""
-    for message in itertools.product(cfg.ext.elements(), repeat=cfg.k):
-        yield message, ts_encode(cfg, message)
-
-
-def ts_download_fn(cfg, count=None):
-    """Word -> per-column served symbols, for collision search: one
-    ts_download_all product per word, each column cut to its first `count`
-    served symbols (count=m, the default, is the full scheme; smaller
-    counts model stingier downloads)."""
-    if count is None:
-        count = cfg.m
-    if not 0 <= count <= cfg.m:
-        raise ValueError(f"count must be between 0 and m = {cfg.m}")
-    return lambda word: tuple(served[:count] for served in
-                              ts_download_all(cfg, word).per_column)

@@ -22,8 +22,7 @@ from fracdec.harness import (compare_naive, random_error_pattern,
 from fracdec.polyring import normalize, poly_divmod, poly_mul
 from fracdec.rs import RsCode, nearest_codeword_bruteforce, rs_decode_unique, \
     rs_encode
-from fracdec.trace_scheme import (TsConfig, ts_all_codewords,
-                                  ts_download_all, ts_download_fn, ts_encode,
+from fracdec.trace_scheme import (TsConfig, ts_download_all, ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
 from oracles import poly_add, poly_eval, poly_pow, poly_sub
@@ -104,10 +103,10 @@ def test_criterion_3_radius_sharpness(criterion):
     frs_hit = _first_non_success(frs_reference(), 3)
 
     tiny = ts_make_config(5, 4, 2, 2, 2)
-    words = [word for _, word in ts_all_codewords(tiny)]
-    full = ts_download_fn(tiny)
+    words = [word for _, word in tiny.codewords()]
+    full = tiny.download_fn()
     none_at_full = find_download_collision(tiny.base, words, full, 1) is None
-    half = ts_download_fn(tiny, count=1)
+    half = tiny.download_fn(1)
     witness = find_download_collision(tiny.base, words, half, 1)
     witness_ok = witness is not None
     if witness_ok:

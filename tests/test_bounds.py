@@ -12,12 +12,10 @@ from fracdec.bounds import (emit_figure, figure_csv, find_download_collision,
                             radius_optimal, radius_report, _decimal6)
 from fracdec.errors import BudgetExceeded
 from fracdec.fields import PrimeField
-from fracdec.frs_scheme import frs_all_codewords, frs_download_fn, \
-    frs_make_config
+from fracdec.frs_scheme import frs_make_config
 from fracdec.rationals import as_fraction
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import ts_all_codewords, ts_download_fn, \
-    ts_make_config
+from fracdec.trace_scheme import ts_make_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -132,8 +130,8 @@ def test_min_info_flip_at_shipped_radii():
     assert not min_info_check([Fraction(3, 4)] * 8, 3, 3).passed
 
 
-def ts_words(cfg):
-    return [word for _, word in ts_all_codewords(cfg)]
+def all_words(cfg):
+    return [word for _, word in cfg.codewords()]
 
 
 def test_collision_trace_full_download_none_at_radius():
@@ -141,8 +139,8 @@ def test_collision_trace_full_download_none_at_radius():
     two codewords collide at t = 1."""
     cfg = ts_make_config(5, 4, 2, 2, 2)
     assert cfg.radius == 1
-    assert find_download_collision(cfg.base, ts_words(cfg),
-                                   ts_download_fn(cfg), 1) is None
+    assert find_download_collision(cfg.base, all_words(cfg),
+                                   cfg.download_fn(), 1) is None
 
 
 def test_collision_trace_half_download_witness():
@@ -151,8 +149,8 @@ def test_collision_trace_half_download_witness():
     downloads are injective."""
     cfg = ts_make_config(5, 4, 2, 2, 1)
     assert cfg.radius == 0
-    words = ts_words(cfg)
-    download = ts_download_fn(cfg)
+    words = all_words(cfg)
+    download = cfg.download_fn()
     assert find_download_collision(cfg.base, words, download, 0) is None
     wit = find_download_collision(cfg.base, words, download, 1)
     assert wit is not None
@@ -172,8 +170,8 @@ def test_collision_truncated_downloads_lose_radius():
     """Serving only the first of the two per-column symbols of the m = 2
     tiny instance is not information-preserving; t = 1 collides."""
     cfg = ts_make_config(5, 4, 2, 2, 2)
-    wit = find_download_collision(cfg.base, ts_words(cfg),
-                                  ts_download_fn(cfg, count=1), 1)
+    wit = find_download_collision(cfg.base, all_words(cfg),
+                                  cfg.download_fn(1), 1)
     assert wit is not None
 
 
@@ -185,7 +183,7 @@ def test_collision_search_downloads_each_codeword_once(count, products,
     the two corrupted words once each: the full download has no collision
     at t = 1, the one-symbol download has."""
     cfg = config_from_dict(load_json(str(CONFIG_DIR / "ts-q5-n4-k2.json")))
-    words, download = ts_words(cfg), ts_download_fn(cfg, count)
+    words, download = all_words(cfg), cfg.download_fn(count)
     products_made, original = [], ts_module.packed_product
 
     def counting(pmap, symbols):
@@ -217,8 +215,7 @@ def test_witness_check_catches_a_download_that_mixes_columns():
 def test_collision_folded_tiny():
     cfg = frs_make_config(6, 1, 3, Fraction(1, 3), p=19, gamma=2)
     assert cfg.radius == 1
-    words = [word for _, word in frs_all_codewords(cfg)]
-    download = frs_download_fn(cfg)
+    words, download = all_words(cfg), cfg.download_fn()
     assert find_download_collision(cfg.field, words, download, 1) is None
     wit = find_download_collision(cfg.field, words, download, 2)
     assert wit is not None
@@ -228,8 +225,8 @@ def test_collision_folded_tiny():
 
 def test_collision_validation_and_budget(monkeypatch):
     cfg = ts_make_config(5, 4, 2, 2, 2)
-    words = ts_words(cfg)
-    download = ts_download_fn(cfg)
+    words = all_words(cfg)
+    download = cfg.download_fn()
     with pytest.raises(ValueError):
         find_download_collision(cfg.base, words, download, 3)     # 2t > n
     with pytest.raises(ValueError):

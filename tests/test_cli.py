@@ -410,7 +410,10 @@ def test_oracle_negative_radius_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.count("radius must be") == 2
 
 
-def test_oracle_collision(tmp_path):
+def test_oracle_collision(tmp_path, capsys):
+    assert main(["oracle", "collision", "--help"]) == 0
+    assert ("0..m for a trace config, 0..l for a folded one"
+            in " ".join(capsys.readouterr().out.split()))
     out = str(tmp_path / "w.json")
     assert main(["oracle", "collision", "--config", TS_TINY, "--t", "1",
                  "--out", out]) == 0
@@ -423,6 +426,23 @@ def test_oracle_collision(tmp_path):
     assert wit["wordA"] != wit["wordB"]
     assert len(wit["patternA"]["support"]) <= 1
     assert len(wit["patternB"]["support"]) <= 1
+
+
+@pytest.mark.parametrize("config, count, message", [
+    (TS_TINY, "3", "0..2, the m symbols a column serves, got 3"),
+    (FRS_TINY, "4", "0..3, the l symbols a column stores, got 4"),
+    (FRS_TINY, "-1", "0..3, the l symbols a column stores, got -1"),
+], ids=["ts", "frs", "frs-negative"])
+def test_oracle_collision_download_count_out_of_range_exits_two(
+        tmp_path, capsys, config, count, message):
+    """Each scheme's count has its own range, and the error names the
+    count and that range: one stderr line, exit 2, no output file."""
+    out = tmp_path / "w.json"
+    assert main(["oracle", "collision", "--config", config, "--t", "1",
+                 "--download-count", count, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: download count must lie in {message}\n")
+    assert not out.exists()
 
 
 def test_oracle_list(tmp_path):

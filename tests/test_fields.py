@@ -21,14 +21,12 @@ from fracdec.fields import (ExtField, PrimeField, TraceDualBasis,
                             poly_is_irreducible, polynomial_basis,
                             prime_factors)
 from fracdec.frs_scheme import (frs_download_all, frs_encode,
-                                frs_full_pipeline, frs_list_decode_bruteforce,
-                                frs_make_config)
+                                frs_list_decode_bruteforce, frs_make_config)
 from fracdec.harness import random_error_pattern, random_message, trial_stream
 from fracdec.rs import RsCode, rs_decode_unique, rs_encode, rs_erasure_decode
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import (TsConfig, ts_download_all, ts_encode,
-                                  ts_full_pipeline, ts_make_config,
-                                  ts_project_polys)
+from fracdec.trace_scheme import (ts_download_all, ts_encode,
+                                  ts_make_config, ts_project_polys)
 from oracles import ExtFieldReference, irreducible_by_trial_division
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -269,13 +267,11 @@ def test_downloads_check_a_word_in_column_order(scheme):
     """Both schemes' downloads check a word the same way: the column count
     first, then the first fault in column order, whether a symbol outside
     the field or a column that is not l = 2 symbols high."""
-    if scheme == "ts":
-        q, cfg, download = 7, ts_make_config(7, 4, 2, 2, 2), ts_download_all
-    else:
-        q, cfg = 11, frs_make_config(4, 1, 2, Fraction(1, 2), p=11)
-        download = frs_download_all
+    cfg = (ts_make_config(7, 4, 2, 2, 2) if scheme == "ts"
+           else frs_make_config(4, 1, 2, Fraction(1, 2), p=11))
+    q = cfg.symbol_field.q
     good = ((0, 1),) * 4
-    assert len(download(cfg, good).per_column) == 4
+    assert len(cfg.download(good).per_column) == 4
     cases = [
         (good[:3], "word must have n = 4 columns"),
         (((0, 1), (0, q), (0,), (0, 1)), "not a canonical element"),
@@ -284,7 +280,7 @@ def test_downloads_check_a_word_in_column_order(scheme):
     ]
     for word, message in cases:
         with pytest.raises(ValueError, match=message):
-            download(cfg, word)
+            cfg.download(word)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
@@ -312,10 +308,8 @@ def test_pipeline_checks_each_symbol_a_bounded_number_of_times(path,
     stream = trial_stream(0, cfg.radius, 0)
     message = random_message(cfg, stream)
     pattern = random_error_pattern(cfg, stream, cfg.radius)
-    pipeline = (ts_full_pipeline if isinstance(cfg, TsConfig)
-                else frs_full_pipeline)
     calls.clear()
-    decoded, _ = pipeline(cfg, message, pattern)
+    decoded, _ = cfg.pipeline(message, pattern)
     assert decoded == message
     entering = len(message) + sum(map(len, pattern.values))
     assert len(calls) == entering

@@ -13,20 +13,17 @@ from fracdec.arraycode import (ErrorPattern, apply_error_pattern,
 from fracdec.bounds import find_download_collision, radius_naive
 from fracdec.errors import BudgetExceeded, DecodeFailure
 from fracdec.frs_scheme import (FrsConfig, bundle_columns, flatten_columns,
-                                frs_all_codewords, frs_decode_trial,
-                                frs_download_all, frs_download_fn, frs_encode,
+                                frs_decode_trial, frs_download_all, frs_encode,
                                 frs_full_pipeline, frs_list_decode_bruteforce,
                                 frs_make_config, is_primitive_root,
                                 smallest_prime_above, smallest_primitive_root)
 from fracdec import frs_scheme
 from fracdec.fields import PrimeField, prime_factors
-from fracdec.harness import (_decode_naive, _symbol_field,
-                             random_column_offset, random_error_pattern,
-                             random_message, trial_stream)
+from fracdec.harness import (_decode_naive, random_column_offset,
+                             random_error_pattern, random_message,
+                             trial_stream)
 from fracdec.rs import RsCode, decode_columns, rs_decode_unique
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import (ts_all_codewords, ts_download_fn,
-                                  ts_encode, ts_full_pipeline)
 from oracles import trial_decode_columns
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -369,14 +366,13 @@ def received_words(cfg, width, seed, trials_per_weight=9):
     changes only the first symbol of each bad column, so a word with more
     bad columns than the radius can still lie within the symbol radius.
     Works for both schemes."""
-    encode = frs_encode if isinstance(cfg, FrsConfig) else ts_encode
-    field = _symbol_field(cfg)
+    field = cfg.symbol_field
     for weight in range(width + 1):
         for index in range(trials_per_weight):
             stream = trial_stream(seed, weight, index)
             message = random_message(cfg, stream)
-            stored = encode(cfg, message)
-            other = encode(cfg, random_message(cfg, stream))
+            stored = cfg.encode(message)
+            other = cfg.encode(random_message(cfg, stream))
             received = list(stored)
             for i in stream.sample(width, weight):
                 if index % 3 == 1 and other[i] != stored[i]:
@@ -455,10 +451,9 @@ def test_naive_reader_matches_trial_oracle_at_every_weight(name):
         if kind == "frs":
             assert decoded_or_failure(length, decode_one_word, code, columns,
                                       naive_r) == want
-        pattern = difference_pattern(_symbol_field(cfg), stored, received)
+        pattern = difference_pattern(cfg.symbol_field, stored, received)
         outcome = classify(want, message)
-        assert _decode_naive(cfg, kind, message, pattern, read,
-                             naive_r) == outcome
+        assert _decode_naive(cfg, message, pattern, read, naive_r) == outcome
         seen[outcome] += 1
     assert all(seen.values()), seen
 
@@ -473,15 +468,12 @@ def test_pipeline_makes_no_prime_field_method_call(name, field_method_calls):
     stream = trial_stream(0, cfg.radius, 0)
     message = random_message(cfg, stream)
     pattern = random_error_pattern(cfg, stream, cfg.radius)
-    folded = isinstance(cfg, FrsConfig)
-    pipeline = frs_full_pipeline if folded else ts_full_pipeline
-    decoded, _ = pipeline(cfg, message, pattern)
+    decoded, _ = cfg.pipeline(message, pattern)
     assert decoded == message and pattern.weight == cfg.radius
     if name in ("frs-p19-n6-k1", "ts-q5-n4-k2"):
-        download = frs_download_fn(cfg) if folded else ts_download_fn(cfg)
-        words = [word for _, word in (frs_all_codewords(cfg) if folded
-                                      else ts_all_codewords(cfg))]
-        assert find_download_collision(_symbol_field(cfg), words, download,
+        words = [word for _, word in cfg.codewords()]
+        assert find_download_collision(cfg.symbol_field, words,
+                                       cfg.download_fn(),
                                        cfg.radius + 1) is not None
     assert field_method_calls == []
 
@@ -528,7 +520,7 @@ def test_bundle_flatten_roundtrip():
 
 def test_all_codewords_count():
     cfg = frs_make_config(2, 1, 2, 1, p=5, gamma=2)
-    words = list(frs_all_codewords(cfg))
+    words = list(cfg.codewords())
     assert len(words) == 25
     assert len({w for _, w in words}) == 25
 
@@ -536,8 +528,9 @@ def test_all_codewords_count():
 def test_download_fn_heights():
     cfg = reference_config()
     word = frs_encode(cfg, (0, 1) + (0,) * 10)
-    assert frs_download_fn(cfg)(word) == tuple(c[:3] for c in word)
-    assert frs_download_fn(cfg, height=1)(word) == tuple(c[:1] for c in word)
-    assert frs_download_fn(cfg, height=cfg.l)(word) == word
-    with pytest.raises(ValueError):
-        frs_download_fn(cfg, height=5)
+    assert cfg.download_fn()(word) == tuple(c[:3] for c in word)
+    assert cfg.download_fn(1)(word) == tuple(c[:1] for c in word)
+    assert cfg.download_fn(cfg.l)(word) == word
+    with pytest.raises(ValueError, match=r"download count must lie in 0\.\.4, "
+                       "the l symbols a column stores, got 5"):
+        cfg.download_fn(5)

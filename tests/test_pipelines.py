@@ -1,8 +1,9 @@
 """Each full pipeline against the staged chain of the public stage functions.
 
-`ts_full_pipeline` and `frs_full_pipeline` check only the message and the
-error pattern and then run the stage cores on one flat word. The staged
-chain decode(download(apply_error_pattern(encode(m), p))) checks at every
+`cfg.pipeline`, that is `ts_full_pipeline` or `frs_full_pipeline`, checks
+only the message and the error pattern and then runs the stage cores on
+one flat word. The staged chain of the config's methods,
+decode(download(apply_error_pattern(encode(m), p))), checks at every
 stage. Both must give the same message and an equal bundle, or both raise
 DecodeFailure, at every error weight; on malformed input both must raise
 the same exception with the same message.
@@ -15,13 +16,10 @@ import pytest
 
 from fracdec.arraycode import ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure
-from fracdec.frs_scheme import (frs_decode_trial, frs_download_all,
-                                frs_encode, frs_full_pipeline,
-                                frs_make_config)
+from fracdec.frs_scheme import frs_make_config
 from fracdec.harness import random_error_pattern, random_message, trial_stream
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import (ts_decode_message, ts_download_all,
-                                  ts_encode, ts_full_pipeline, ts_make_config)
+from fracdec.trace_scheme import ts_make_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = {path.stem: (lambda path=path: config_from_dict(load_json(str(path))))
@@ -33,19 +31,13 @@ TRIALS_PER_WEIGHT = 3
 
 
 def full(cfg, message, pattern):
-    if cfg.scheme == "ts":
-        return ts_full_pipeline(cfg, message, pattern)
-    return frs_full_pipeline(cfg, message, pattern)
+    return cfg.pipeline(message, pattern)
 
 
 def staged(cfg, message, pattern):
-    if cfg.scheme == "ts":
-        bundle = ts_download_all(cfg, apply_error_pattern(
-            cfg.base, ts_encode(cfg, message), pattern))
-        return ts_decode_message(cfg, bundle)[0], bundle
-    bundle = frs_download_all(cfg, apply_error_pattern(
-        cfg.field, frs_encode(cfg, message), pattern))
-    return frs_decode_trial(cfg, bundle.per_column)[0], bundle
+    bundle = cfg.download(apply_error_pattern(
+        cfg.symbol_field, cfg.encode(message), pattern))
+    return cfg.decode(bundle.per_column)[0], bundle
 
 
 def outcome(pipeline, cfg, message, pattern):
@@ -81,8 +73,7 @@ def malformed_inputs(cfg):
     stream = trial_stream(22, 1, 0)
     message = random_message(cfg, stream)
     n, l = cfg.n, cfg.l
-    q = cfg.base.q if cfg.scheme == "ts" else cfg.field.q
-    order = cfg.ext.order if cfg.scheme == "ts" else cfg.field.order
+    q, (order, _) = cfg.symbol_field.q, cfg.message_space
     ones = (1,) * l
     good = ErrorPattern(support=(0,), values=(ones,))
     beyond = ErrorPattern(support=(n,), values=(ones,))

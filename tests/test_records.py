@@ -21,8 +21,8 @@ from fracdec.bounds import (CollisionWitness, FigureRow, MinInfoResult,
 from fracdec.fields import ExtField, PrimeField, TraceDualBasis, dual_basis
 from fracdec.frs_scheme import FrsConfig, frs_make_config
 from fracdec.harness import (ExperimentReport, ExperimentSpec,
-                             NaiveComparison, WeightStats, _scheme_kind,
-                             compare_naive, simulate)
+                             NaiveComparison, WeightStats, compare_naive,
+                             simulate)
 from fracdec.rs import RsCode
 from fracdec.trace_scheme import TsConfig, ts_make_config
 
@@ -222,7 +222,4 @@ def test_record_semantics(name):
 
 def test_configs_name_their_scheme():
     assert (TsConfig.scheme, FrsConfig.scheme) == ("ts", "frs")
-    assert _scheme_kind(ts_tiny()) == "ts"
-    assert _scheme_kind(frs_tiny()) == "frs"
-    with pytest.raises(TypeError, match="unsupported config type object"):
-        _scheme_kind(object())
+    assert (ts_tiny().scheme, frs_tiny().scheme) == ("ts", "frs")

@@ -17,16 +17,14 @@ from fracdec import rs as rs_module
 from fracdec.arraycode import ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure, InconsistentErasures
 from fracdec.fields import ExtField, PrimeField
-from fracdec.frs_scheme import (frs_decode_trial, frs_download_all,
-                                frs_encode, frs_make_config)
+from fracdec.frs_scheme import frs_make_config
 from fracdec.rs import (PackedMap, RsCode, _pack, _unpack, decode_columns,
                         nearest_codeword_bruteforce, packed_map,
                         packed_product, rs_decode_unique, rs_encode,
                         rs_erasure_decode, rs_evaluate, rs_interpolate,
                         tabulate_map)
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import (TsConfig, ts_decode_message,
-                                  ts_download_all, ts_encode, ts_make_config)
+from fracdec.trace_scheme import TsConfig, ts_make_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -806,26 +804,18 @@ def test_scheme_decodes_call_no_polyring_function(name, polyring_calls):
     """Decoding runs on packed integers only: neither scheme's decode, at
     error weights 0 to n, calls any polyring function."""
     cfg = DECODER_CONFIGS[name]()
-    if isinstance(cfg, TsConfig):
-        field, message = cfg.base, tuple(range(1, cfg.k + 1))
-        word = ts_encode(cfg, message)
-        download, decode = ts_download_all, ts_decode_message
-    else:
-        field, message = cfg.field, tuple(range(1, cfg.message_length + 1))
-        word = frs_encode(cfg, message)
-        download = frs_download_all
-
-        def decode(cfg, bundle):
-            return frs_decode_trial(cfg, bundle.per_column)
+    message = tuple(range(1, cfg.message_space[1] + 1))
+    word = cfg.encode(message)
     calls = polyring_calls()
     outcomes = set()
     for weight in range(cfg.n + 1):
         pattern = ErrorPattern(support=tuple(range(weight)),
                                values=((1,) * len(word[0]),) * weight)
-        bundle = download(cfg, apply_error_pattern(field, word, pattern))
+        bundle = cfg.download(apply_error_pattern(cfg.symbol_field, word,
+                                                  pattern))
         calls.clear()
         try:
-            decoded, _ = decode(cfg, bundle)
+            decoded, _ = cfg.decode(bundle.per_column)
             outcomes.add(decoded == message)
         except DecodeFailure:
             outcomes.add(None)

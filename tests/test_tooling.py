@@ -3,12 +3,15 @@ the tests and demos), run with the test suite."""
 
 import ast
 import importlib.util
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fracdec import fields
+from fracdec.frs_scheme import FrsConfig
+from fracdec.trace_scheme import TsConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fracdec"
@@ -224,7 +227,8 @@ def test_traced_pipelines_run():
                                                     pattern)
         tracer.end_op()
         op_calls = dict(tracer.stats.calls)
-        ts_again, _ = trace_scheme.ts_decode_message(ts_cfg, ts_bundle)
+        ts_again, _ = trace_scheme.ts_decode_message(ts_cfg,
+                                                     ts_bundle.per_column)
         frs_again, _ = frs_scheme.frs_decode_trial(frs_cfg,
                                                    frs_bundle.per_column)
         tracer.end_op()
@@ -236,3 +240,75 @@ def test_traced_pipelines_run():
     assert op_calls["rs.decode_words"] == 2
     assert tracer.stats.calls["trace_scheme.ts_decode_message"] == 1
     assert tracer.stats.calls["frs_scheme.frs_decode_trial"] == 1
+
+
+SCHEME_NAMES = ("ts", "frs")
+# Where scheme names may be compared: the file formats, and the CLI's
+# parser and the one command that only the folded scheme has.
+NAMING_ALLOWED = {"serialization": None,
+                  "cli": {"build_parser", "cmd_oracle_list"}}
+
+
+def scheme_name_comparisons(module, source):
+    """"module:line" of each comparison of anything with "ts" or "frs"
+    (a constant, or one in a tuple, list or set literal) outside the
+    places NAMING_ALLOWED lists, in source order."""
+    allowed = NAMING_ALLOWED.get(module, set())
+    if allowed is None:
+        return []
+    found = []
+
+    def names_a_scheme(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(names_a_scheme, node.elts))
+        return isinstance(node, ast.Constant) and node.value in SCHEME_NAMES
+
+    def visit(node, inside):
+        if isinstance(node, ast.FunctionDef) and inside is None:
+            inside = node.name
+        if isinstance(node, ast.Compare) and inside not in allowed and any(
+                map(names_a_scheme, [node.left, *node.comparators])):
+            found.append(f"{module}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_scheme_name_check_flags_comparisons():
+    source = ("def build_parser(a):\n    return a == 'ts'\n"
+              "def f(cfg):\n    if cfg.scheme == 'ts':\n        pass\n"
+              "    return 'frs' != cfg.scheme or cfg.kind in ('x', 'frs')\n"
+              "scheme = 'ts'\nprint('ts', cfg.scheme == 'other')\n")
+    assert scheme_name_comparisons("cli", source) == [
+        "cli:4", "cli:6", "cli:6"]
+    assert scheme_name_comparisons("harness", source) == [
+        "harness:2", "harness:4", "harness:6", "harness:6"]
+    assert scheme_name_comparisons("serialization", source) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_only_the_file_formats_and_the_parser_compare_scheme_names(path):
+    """The harness and the CLI commands run either scheme through the
+    interface both configs share, so no other module tells the schemes
+    apart by name."""
+    assert scheme_name_comparisons(
+        path.stem, path.read_text(encoding="utf-8")) == []
+
+
+SCHEME_INTERFACE = ("encode", "download", "decode", "pipeline", "codewords",
+                    "download_fn", "column_code", "message_polys",
+                    "symbol_field", "message_space")
+
+
+def test_both_configs_expose_one_interface():
+    """TsConfig and FrsConfig have every method of the scheme interface
+    with equal signatures (parameter names, kinds and defaults), and its
+    properties as properties."""
+    for name in SCHEME_INTERFACE:
+        ts, frs = getattr(TsConfig, name), getattr(FrsConfig, name)
+        if isinstance(ts, property) or isinstance(frs, property):
+            assert isinstance(ts, property) and isinstance(frs, property), name
+        else:
+            assert inspect.signature(ts) == inspect.signature(frs), name

@@ -20,8 +20,8 @@ from fracdec.rs import rs_decode_unique, rs_encode, rs_evaluate
 from fracdec.serialization import config_from_dict, load_json
 from fracdec import rs as rs_module
 from fracdec import trace_scheme as ts_module
-from fracdec.trace_scheme import (ts_all_codewords, ts_decode_message,
-                                  ts_download_all, ts_download_fn, ts_encode,
+from fracdec.trace_scheme import (ts_decode_message, ts_download_all,
+                                  ts_encode,
                                   ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
 import oracles
@@ -294,8 +294,8 @@ def test_decode_returns_stored_array():
     stored = ts_encode(cfg, msg)
     pattern = pattern_from_stream(cfg, stream, (4, 9))
     corrupted = apply_error_pattern(cfg.base, stored, pattern)
-    decoded, corrected = ts_decode_message(cfg,
-                                           ts_download_all(cfg, corrupted))
+    decoded, corrected = ts_decode_message(
+        cfg, ts_download_all(cfg, corrupted).per_column)
     assert ts_encode(cfg, decoded) == stored
     assert corrected == {4, 9}
 
@@ -315,7 +315,7 @@ def test_beyond_radius_returns_stay_within_the_radius():
         bundle = ts_download_all(cfg, apply_error_pattern(
             cfg.base, ts_encode(cfg, msg), pattern))
         try:
-            decoded, corrected = ts_decode_message(cfg, bundle)
+            decoded, corrected = ts_decode_message(cfg, bundle.per_column)
         except DecodeFailure:
             outcomes["fail"] += 1
             continue
@@ -374,15 +374,15 @@ def test_peel_is_exact_beyond_the_radius(params):
         except DecodeFailure:
             counts["stream"] += 1
             with pytest.raises(DecodeFailure):
-                ts_decode_message(cfg, bundle)
+                ts_decode_message(cfg, bundle.per_column)
             continue
         union = frozenset().union(*(pos for _, pos in decoded_streams))
         if len(union) > cfg.radius:
             counts["union"] += 1
             with pytest.raises(DecodeFailure):
-                ts_decode_message(cfg, bundle)
+                ts_decode_message(cfg, bundle.per_column)
             continue
-        decoded, corrected = ts_decode_message(cfg, bundle)
+        decoded, corrected = ts_decode_message(cfg, bundle.per_column)
         clean = ts_download_all(cfg, ts_encode(cfg, decoded)).per_column
         for j, (g_j, _) in enumerate(decoded_streams):
             assert tuple(c[j] for c in clean) == rs_encode(cfg.inner_code, g_j)
@@ -419,16 +419,13 @@ def test_decode_contract_matches_bruteforce_oracle(name):
             (other[i] if trial % 2 else
              tuple(stream.below(cfg.base.q) for _ in range(cfg.m)))
             if i in bad else clean[i] for i in range(cfg.n))
-        bundle = DownloadBundle(per_column=per_column,
-                                downloaded=cfg.downloaded_per_word,
-                                accessed=cfg.accessed_per_word)
         want = ts_decode_bruteforce(cfg, per_column, cfg.radius)
         if want is None:
             with pytest.raises(DecodeFailure):
-                ts_decode_message(cfg, bundle)
+                ts_decode_message(cfg, per_column)
             seen["failed"] += 1
             continue
-        decoded, corrected = ts_decode_message(cfg, bundle)
+        decoded, corrected = ts_decode_message(cfg, per_column)
         assert decoded == want
         assert corrected == differing_columns(cfg, want, per_column)
         seen["returned"] += 1
@@ -486,7 +483,7 @@ def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
 
     for module in (rs_module, ts_module):
         monkeypatch.setattr(module, "packed_product", counting)
-    decoded, _ = ts_decode_message(cfg, bundle)
+    decoded, _ = ts_decode_message(cfg, bundle.per_column)
     assert decoded == message
     assert calls == ["_decode_unique", "rs_interpolate"] * cfg.m
     code = cfg.inner_code
@@ -526,7 +523,7 @@ def test_encode_table_is_projection_then_evaluation(name):
 
 @pytest.mark.parametrize("name", TABLE_CONFIGS)
 def test_download_table_matches_the_weights(name):
-    """ts_download_all's one product, and ts_download_fn's, equal the dot
+    """ts_download_all's one product, and cfg.download_fn's, equal the dot
     products of each column with its weights: served symbol j of column i
     weighs the column by p_j(omega_i)^u for u = 0..l-m."""
     cfg = TABLE_CONFIGS[name]()
@@ -540,7 +537,7 @@ def test_download_table_matches_the_weights(name):
                   for j, column in enumerate(weights[i]))
             for i, col in enumerate(word))
         assert ts_download_all(cfg, word).per_column == weighted
-        assert ts_download_fn(cfg)(word) == weighted
+        assert cfg.download_fn()(word) == weighted
 
 
 @pytest.mark.parametrize("name", TABLE_CONFIGS)
@@ -558,10 +555,7 @@ def test_decode_table_matches_the_scalar_peel(name):
     for coeffs in inputs:
         streams = [coeffs[j * size:(j + 1) * size] for j in range(cfg.m)]
         rows = [rs_evaluate(cfg.inner_code, g) for g in streams]
-        bundle = DownloadBundle(per_column=tuple(zip(*rows)),
-                                downloaded=cfg.downloaded_per_word,
-                                accessed=cfg.accessed_per_word)
-        assert ts_decode_message(cfg, bundle) == (
+        assert ts_decode_message(cfg, tuple(zip(*rows))) == (
             oracles.ts_peel(cfg, streams), frozenset())
 
 
@@ -586,14 +580,11 @@ def test_tables_leave_digits_room(name):
 
 def test_malformed_bundle_rejected():
     cfg = reference_config()
-    good = ts_download_all(cfg, ts_encode(cfg, (0,) * 4))
+    good = ts_download_all(cfg, ts_encode(cfg, (0,) * 4)).per_column
     with pytest.raises(ValueError):
-        ts_decode_message(cfg, DownloadBundle(
-            per_column=good.per_column[:-1], downloaded=22, accessed=44))
+        ts_decode_message(cfg, good[:-1])
     with pytest.raises(ValueError):
-        ts_decode_message(cfg, DownloadBundle(
-            per_column=tuple(c[:1] for c in good.per_column),
-            downloaded=12, accessed=48))
+        ts_decode_message(cfg, tuple(c[:1] for c in good))
 
 
 def test_m_equals_l_degenerates_to_plain_decoding():
@@ -641,7 +632,7 @@ def test_disjoint_subsets_outside_omega_also_work():
 
 def test_all_codewords_enumeration():
     cfg = tiny_config()
-    words = list(ts_all_codewords(cfg))
+    words = list(cfg.codewords())
     assert len(words) == cfg.ext.order ** cfg.k == 625
     seen = {word for _, word in words}
     assert len(seen) == 625   # encoding is injective
@@ -651,8 +642,9 @@ def test_download_fn_restriction():
     cfg = tiny_config()
     word = ts_encode(cfg, (7, 12))
     served = ts_download_all(cfg, word).per_column
-    assert ts_download_fn(cfg)(word) == served
-    assert ts_download_fn(cfg, count=1)(word) == tuple(s[:1] for s in served)
-    assert ts_download_fn(cfg, count=0)(word) == ((),) * cfg.n
-    with pytest.raises(ValueError):
-        ts_download_fn(cfg, count=3)
+    assert cfg.download_fn()(word) == served
+    assert cfg.download_fn(1)(word) == tuple(s[:1] for s in served)
+    assert cfg.download_fn(0)(word) == ((),) * cfg.n
+    with pytest.raises(ValueError, match=r"download count must lie in 0\.\.2, "
+                       "the m symbols a column serves, got 3"):
+        cfg.download_fn(3)
