@@ -31,7 +31,6 @@ _EXPORTS = {
                "dual_basis", "is_prime", "poly_is_irreducible",
                "polynomial_basis", "prime_factors"),
     "frs_scheme": ("FrsConfig", "bundle_columns", "flatten_columns",
-                   "frs_decode_trial", "frs_download_all", "frs_encode",
                    "frs_full_pipeline", "frs_list_decode_bruteforce",
                    "frs_make_config", "is_primitive_root",
                    "smallest_prime_above", "smallest_primitive_root"),
@@ -42,8 +41,7 @@ _EXPORTS = {
     "rationals": ("as_fraction",),
     "rs": ("RsCode", "nearest_codeword_bruteforce", "rs_decode_unique",
            "rs_encode", "rs_erasure_decode"),
-    "trace_scheme": ("TsConfig", "ts_decode_message", "ts_download_all",
-                     "ts_encode", "ts_full_pipeline", "ts_make_config",
+    "trace_scheme": ("TsConfig", "ts_full_pipeline", "ts_make_config",
                      "ts_project_polys"),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "polyring", "records",

@@ -1,8 +1,15 @@
-"""Shared plumbing for array codes.
+"""Shared plumbing for array codes, and the stages both schemes run.
 
 A word of an array code is a tuple of n columns, each column a tuple of
 field elements; one corrupted column counts as one error regardless of how
 many of its entries changed.
+
+`ArrayConfig` is the base of both schemes' configs. It writes each stage
+once: encode, download, decode, the full pipeline and the enumeration of
+the code. A scheme supplies its layout as derived slots and three small
+methods; `rs.decode_words` is the one place served symbols become words.
+This module loads `rs` only once a scheme module defines its config, so
+importing it alone, as `bounds` does, loads no code tables.
 """
 
 import itertools
@@ -142,3 +149,132 @@ class DownloadBundle(Record):
     def __init__(self, per_column, downloaded, accessed):
         self._set(per_column=tuple(map(tuple, per_column)),
                   downloaded=downloaded, accessed=accessed)
+
+
+class ArrayConfig(Record):
+    """The stages of an array code that serves a linear function of each
+    column and corrects the bad columns with one RS unique decoder.
+
+    A message is `message_length` symbols of `message_field`. It is stored
+    as n columns of l symbols of `symbol_field`, the n*l stored symbols
+    being one product with the config's packed `encode_map`. Each column
+    serves `served_per_column` symbols, g consecutive symbols of each of
+    the words of `served_code`, an RS code over the symbol field. Besides
+    those derived slots, a scheme has n, l, radius and accessed_per_word,
+    and defines three methods, each handed canonical symbols:
+    _inputs(message): encode_map's inputs for a checked message;
+    _serve(stored): the served symbols of the n*l stored ones; both flat
+        and column by column;
+    _message(polys): the message whose served words decode to `polys`,
+        one polynomial per word.
+
+    Every stage checks what enters it, once, and passes canonical symbols
+    on: `encode` and `pipeline` each message symbol, `download` every
+    stored symbol, served or not, `decode` every served one through
+    `rs.decode_columns`, and `pipeline` the error pattern as
+    `apply_error_pattern` does.
+    """
+
+    __slots__ = ("served_code", "g", "served_per_column", "message_field",
+                 "message_length")
+
+    def __init_subclass__(cls, **kwargs):
+        # rs's functions become this module's globals once a scheme module,
+        # which has imported rs by then, defines its config: the stages
+        # call them at no import cost, and importing this module alone, as
+        # bounds does, loads no rs
+        global decode_columns, decode_words, packed_product
+        from .rs import decode_columns, decode_words, packed_product
+        super().__init_subclass__(**kwargs)
+
+    @property
+    def symbol_field(self):
+        """The field of the stored and the served symbols, GF(q)."""
+        return self.served_code.field
+
+    @property
+    def message_space(self):
+        """(order, length): the order of the message symbols' field, and
+        the message length."""
+        return self.message_field.order, self.message_length
+
+    @property
+    def downloaded_per_word(self):
+        return self.n * self.served_per_column
+
+    def _checked_message(self, message):
+        """The message as a tuple of exactly message_length symbols, each
+        checked against the message field."""
+        message = tuple(message)
+        if len(message) != self.message_length:
+            raise ValueError(f"message must have exactly "
+                             f"{self.message_length} symbols")
+        return self.message_field.check_all(message)
+
+    def encode(self, message):
+        """The stored word of a message, n columns of l symbols: one
+        product with encode_map. Every message symbol is checked."""
+        stored = packed_product(self.encode_map,
+                                self._inputs(self._checked_message(message)))
+        return tuple(zip(*[iter(stored)] * self.l))
+
+    def download(self, word):
+        """The served symbols of a stored word, with transfer accounting.
+        The word must have n columns of l symbols, and every symbol is
+        checked, served or not; the first fault in column order raises."""
+        columns = tuple(word)
+        if len(columns) != self.n:
+            raise ValueError(f"word must have n = {self.n} columns")
+        return self._bundle(self._serve(
+            _stored_symbols(self.symbol_field, columns, self.l)))
+
+    def _bundle(self, served):
+        """The bundle of a word's served symbols, flat and column by
+        column."""
+        return DownloadBundle(
+            per_column=zip(*[iter(served)] * self.served_per_column),
+            downloaded=self.downloaded_per_word,
+            accessed=self.accessed_per_word)
+
+    def decode(self, per_column):
+        """Decode n columns of served symbols.
+
+        Returns (message, corrected_columns) exactly when some message's
+        downloads lie within `radius` columns of the received ones;
+        corrected_columns is where that message's downloads differ.
+        Raises DecodeFailure otherwise, and ValueError on a bundle of
+        another shape or on a symbol outside the field, the first in
+        column order.
+        """
+        n, size = self.n, self.served_per_column
+        if len(per_column) != n or set(map(len, per_column)) != {size}:
+            raise ValueError(f"download bundle must be {n} columns of {size} "
+                             "symbols")
+        polys, corrected = decode_columns(self.served_code, per_column,
+                                          self.radius)
+        return self._message(polys), corrected
+
+    def pipeline(self, message, pattern):
+        """encode -> corrupt -> download -> decode, returning (message,
+        bundle), the bundle with the run's exact transfer accounting.
+
+        Only what enters is checked: the message, as `encode` checks it,
+        and the pattern, as `apply_error_pattern` checks it, with the same
+        errors in the same order. The word then stays one flat list of
+        canonical symbols, and its served symbols go to `rs.decode_words`
+        unchecked. Raises DecodeFailure as `decode` does.
+        """
+        stored = packed_product(self.encode_map,
+                                self._inputs(self._checked_message(message)))
+        field, l = self.served_code.field, self.l
+        _add_offsets(field.q, stored, _checked_offsets(
+            field, pattern, range(0, len(stored) + 1, l)))
+        served = self._serve(stored)
+        polys, _ = decode_words(self.served_code, served, self.g, self.radius)
+        return self._message(polys), self._bundle(served)
+
+    def codewords(self):
+        """Every (message, word) of the code, in canonical message order."""
+        for message in itertools.product(self.message_field.elements(),
+                                         repeat=self.message_length):
+            yield message, self.encode(message)

@@ -8,8 +8,9 @@ collision search here builds, for any would-be larger radius, two
 codewords plus error patterns that are indistinguishable from the
 downloads, and the information-count check certifies that every n - 2t
 columns must together carry k symbols' worth of downloads. The search
-downloads whole words, one call per codeword, through the scheme's own
-download path (`trace_scheme.ts_download_fn`, `frs_scheme.frs_download_fn`).
+downloads whole words, one call per codeword, through the download it is
+given: for a scheme config, `cfg.download_fn(count)`, the scheme's own
+download path.
 
 All rates and fractions are exact Fractions; see rationals.as_fraction.
 """

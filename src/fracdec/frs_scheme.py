@@ -16,14 +16,11 @@ zero.
 import itertools
 from operator import ne
 
-from .arraycode import (DownloadBundle, _add_offsets, _checked_offsets,
-                        _stored_symbols)
+from .arraycode import ArrayConfig
 from .budget import check_budget
 from .fields import PrimeField, is_prime, prime_factors
 from .rationals import as_fraction
-from .records import Record
-from .rs import (RsCode, decode_columns, decode_words, packed_map,
-                 packed_product, power_columns, rs_evaluate)
+from .rs import RsCode, packed_map, power_columns, rs_evaluate
 
 
 def smallest_prime_above(bound):
@@ -50,7 +47,7 @@ def _generates(p, g, factors):
     return all(pow(g, (p - 1) // f, p) != 1 for f in factors)
 
 
-class FrsConfig(Record):
+class FrsConfig(ArrayConfig):
     """Frozen parameters of one folded-scheme instance.
 
     field: GF(p) with p > n*l so the n*l evaluation points gamma^0, ...,
@@ -69,14 +66,23 @@ class FrsConfig(Record):
         < kl, packed by `rs.packed_map` (column j holds the points' j-th
         powers): the (nl, kl) RS code that the folded code cuts into n
         columns of l symbols, kept as the one map the encoder reads.
-    prefix_code: derived; the puncturing of that code to the prefixes: the
-        prefix points of column 0, then of column 1, and so on.
+
+    The rest of the derived slots are the layout of
+    `arraycode.ArrayConfig`, whose stages this scheme runs: a message is
+    the kl coefficients of h, lowest first, in the field; each column
+    serves its prefix, its first alpha*l symbols, read verbatim, so
+    downloaded == accessed; and served_code is the puncturing of the
+    (nl, kl) code to the prefixes, the prefix points of column 0, then of
+    column 1, and so on, whose one word the concatenated prefixes are
+    (so g = alpha*l). Its symbol radius floor(alpha*l*(n - k/alpha)/2)
+    covers alpha*l * radius, so one Euclid decode finds the stored message
+    whenever at most `radius` columns are bad; the decoded h is padded
+    back to length kl.
     """
 
     scheme = "frs"
     _fields = ("field", "gamma", "n", "k", "l", "alpha")
-    __slots__ = _fields + ("alpha_l", "punctured_dim", "points", "encode_map",
-                           "prefix_code")
+    __slots__ = _fields + ("alpha_l", "punctured_dim", "points", "encode_map")
 
     def __init__(self, field, gamma, n, k, l, alpha):
         alpha = as_fraction(alpha)
@@ -102,25 +108,19 @@ class FrsConfig(Record):
         if not is_primitive_root(field.q, gamma):
             raise ValueError(f"{gamma} is not a primitive root mod {field.q}")
         points = tuple(pow(gamma, i, field.q) for i in range(n * l))
-        self._set(alpha_l=int(alpha * l), punctured_dim=int(k / alpha),
+        alpha_l = int(alpha * l)
+        self._set(alpha_l=alpha_l, punctured_dim=int(k / alpha),
                   points=points, encode_map=packed_map(
-                      field.q, power_columns(field.q, points, k * l)))
-        self._set(prefix_code=RsCode(field, k * l, flatten_columns(
-            self.column_points(i, self.alpha_l) for i in range(n))))
-
-    @property
-    def message_length(self):
-        return self.k * self.l
+                      field.q, power_columns(field.q, points, k * l)),
+                  g=alpha_l, served_per_column=alpha_l, message_field=field,
+                  message_length=k * l)
+        self._set(served_code=RsCode(field, k * l, self._serve(points)))
 
     @property
     def radius(self):
         """floor((n - k/alpha) / 2): the column errors one Euclid decode of
         the flattened prefixes always corrects."""
         return (self.n - self.punctured_dim) // 2
-
-    @property
-    def downloaded_per_word(self):
-        return self.n * self.alpha_l
 
     @property
     def accessed_per_word(self):
@@ -134,35 +134,20 @@ class FrsConfig(Record):
             height = self.l
         return self.points[i * self.l: i * self.l + height]
 
-    # The interface shared with trace_scheme.TsConfig, which says more.
+    def _inputs(self, message):
+        """The message itself: h's coefficients are encode_map's inputs."""
+        return message
 
-    @property
-    def symbol_field(self):
-        """The field of the stored symbols, GF(p)."""
-        return self.field
+    def _serve(self, stored):
+        """The prefixes, the first alpha*l of each column's l symbols."""
+        head = self.alpha_l
+        return tuple(itertools.compress(stored, itertools.cycle(
+            (1,) * head + (0,) * (self.l - head))))
 
-    @property
-    def message_space(self):
-        """(order, length): kl symbols of GF(p)."""
-        return self.field.order, self.message_length
-
-    def encode(self, message):
-        return frs_encode(self, message)
-
-    def download(self, word):
-        return frs_download_all(self, word)
-
-    def decode(self, per_column):
-        return frs_decode_trial(self, per_column)
-
-    def pipeline(self, message, pattern):
-        return frs_full_pipeline(self, message, pattern)
-
-    def codewords(self):
-        """Every (message, word) of the code, in canonical message order."""
-        for message in itertools.product(self.field.elements(),
-                                         repeat=self.message_length):
-            yield message, frs_encode(self, message)
+    def _message(self, polys):
+        """The one decoded polynomial h, padded with zeros to length kl."""
+        (h,) = polys
+        return h + (0,) * (self.message_length - len(h))
 
     def download_fn(self, count=None):
         """Word -> per-column downloads, for collision search: the first
@@ -181,7 +166,7 @@ class FrsConfig(Record):
     def message_polys(self, message):
         """What column_code decodes clean columns to, before normalizing:
         the message's one polynomial h, checked."""
-        return (_checked_message(self, message),)
+        return (self._checked_message(message),)
 
 
 def frs_make_config(n, k, l, alpha, *, p=None, gamma=None):
@@ -194,72 +179,6 @@ def frs_make_config(n, k, l, alpha, *, p=None, gamma=None):
         gamma = smallest_primitive_root(p)
     return FrsConfig(field=field, gamma=gamma, n=n, k=k, l=l,
                      alpha=as_fraction(alpha))
-
-
-def frs_encode(cfg, message):
-    """Encode kl field symbols (coefficients of h, lowest first), each
-    checked, into n columns of l consecutive evaluations: one product with
-    cfg.encode_map."""
-    return bundle_columns(_encode(cfg, _checked_message(cfg, message)), cfg.l)
-
-
-def _checked_message(cfg, message):
-    """The message as a tuple of exactly kl symbols, each checked."""
-    message = tuple(message)
-    if len(message) != cfg.message_length:
-        raise ValueError(
-            f"message must have exactly kl = {cfg.message_length} symbols")
-    return cfg.field.check_all(message)
-
-
-def _encode(cfg, message):
-    """The n*l stored symbols of a checked message, column by column, as
-    one flat list."""
-    return packed_product(cfg.encode_map, message)
-
-
-def frs_download_all(cfg, columns):
-    """Prefix downloads from every column, the first alpha*l symbols of
-    each, read verbatim; downloaded == accessed. Every symbol of the word
-    is checked, served or not."""
-    columns = tuple(columns)
-    if len(columns) != cfg.n:
-        raise ValueError(f"word must have n = {cfg.n} columns")
-    return _download(cfg, _stored_symbols(cfg.field, columns, cfg.l))
-
-
-def _download(cfg, stored):
-    """The bundle of a word's n*l canonical stored symbols, flat and column
-    by column."""
-    return DownloadBundle(
-        per_column=[stored[i:i + cfg.alpha_l]
-                    for i in range(0, len(stored), cfg.l)],
-        downloaded=cfg.downloaded_per_word,
-        accessed=cfg.accessed_per_word,
-    )
-
-
-def frs_decode_trial(cfg, per_column):
-    """Decode prefix downloads, n sequences of alpha*l symbols, fixing up
-    to `radius` bad columns.
-
-    Returns (message, corrected_columns) with the message padded back to
-    length kl. The prefixes form an RS word of length n*alpha*l and
-    dimension kl whose symbol radius floor(alpha*l*(n - k/alpha)/2) covers
-    alpha*l * radius, so one Euclid decode of the flattened prefixes finds
-    the stored message whenever at most `radius` columns are bad.
-    """
-    if (len(per_column) != cfg.n
-            or set(map(len, per_column)) != {cfg.alpha_l}):
-        raise ValueError(
-            f"expected {cfg.n} columns of {cfg.alpha_l} downloaded symbols")
-    (h,), corrected = decode_columns(cfg.prefix_code, per_column, cfg.radius)
-    return _padded(cfg, h), corrected
-
-
-def _padded(cfg, h):
-    """The message polynomial h padded with zeros to length kl."""
-    return h + (0,) * (cfg.message_length - len(h))
 
 
 def bundle_columns(word, height):
@@ -298,7 +217,7 @@ def frs_list_decode_bruteforce(cfg, per_column, radius):
     hits = []
     for message in itertools.product(cfg.field.elements(),
                                      repeat=cfg.message_length):
-        prefixes = bundle_columns(rs_evaluate(cfg.prefix_code, message),
+        prefixes = bundle_columns(rs_evaluate(cfg.served_code, message),
                                   cfg.alpha_l)
         if sum(map(ne, prefixes, per_column)) <= radius:
             hits.append(message)
@@ -306,21 +225,5 @@ def frs_list_decode_bruteforce(cfg, per_column, radius):
 
 
 def frs_full_pipeline(cfg, message, pattern):
-    """encode -> corrupt -> download -> decode, returning (message, bundle).
-
-    Only what enters is checked: the message, as frs_encode checks it, and
-    the pattern, as apply_error_pattern checks it, with the same errors in
-    the same order. The word then stays one flat list of canonical symbols
-    through the cores of frs_encode, apply_error_pattern and
-    frs_download_all. No public stage or decoder is called: the
-    concatenated prefixes go straight to `rs.decode_words` as one word of
-    the prefix code, so the served symbols are never checked again.
-    """
-    stored = _encode(cfg, _checked_message(cfg, message))
-    l = cfg.l
-    _add_offsets(cfg.field.q, stored, _checked_offsets(
-        cfg.field, pattern, range(0, cfg.n * l + 1, l)))
-    bundle = _download(cfg, stored)
-    word = tuple(itertools.chain.from_iterable(bundle.per_column))
-    (h,), _ = decode_words(cfg.prefix_code, [word], cfg.alpha_l, cfg.radius)
-    return _padded(cfg, h), bundle
+    """cfg.pipeline(message, pattern); see `arraycode.ArrayConfig`."""
+    return cfg.pipeline(message, pattern)

@@ -23,9 +23,9 @@ a linear function by running it once on all its unit inputs together.
 `RsCode` builds its two maps once: `evaluation` at its points, and
 `interpolation` through them, whose Lagrange columns come from synthetic
 division of its master polynomial. `rs_evaluate` and `rs_interpolate`
-apply them for the whole package. The folded encoder and the trace
-scheme's encoder, downloads and decoder are each one product with a map
-of their config too. `RsCode` is a frozen record (`records.Record`): its
+apply them for the whole package. Both schemes' encoders, and the trace
+scheme's downloads and decoder, are each one product with a map of their
+config too. `RsCode` is a frozen record (`records.Record`): its
 maps are derived slots, left out of its equality, hash and repr.
 `PackedMap` is a `collections.namedtuple`.
 
@@ -37,18 +37,19 @@ product is silently wrong. Symbols are checked once, where they enter,
 before any product sees them. In this module `rs_encode`,
 `rs_decode_unique`, `decode_columns`, `rs_erasure_decode` and
 `nearest_codeword_bruteforce` check their input; `decode_columns` checks
-its columns' shape and all their symbols in one pass, then hands the
-words to `decode_words`. `packed_product`, `rs_evaluate`,
+its columns' shape, then all their symbols in one pass in column order,
+and hands them to `decode_words`. `packed_product`, `rs_evaluate`,
 `rs_interpolate` and `decode_words` check nothing: `decode_words` takes
-words of exactly n canonical symbols and decodes each through
-`rs_decode_unique`'s unchecked core. Elsewhere `frs_scheme.frs_encode`
-and `trace_scheme.ts_encode` check each message symbol,
-`arraycode.apply_error_pattern` every word and offset symbol, the two
-schemes' `*_download_all` every column symbol, and their decoders the
-downloads through `decode_columns`. The schemes' full pipelines check
-their message and error pattern as those calls do, then pass canonical
-symbols between the stages' unchecked cores, down to `decode_words`.
-Every other operand is computed mod q from checked data: the quotient a
+a word's served symbols, flat and column by column, forms the words of
+the code from them, the one place in the package that does, and decodes
+each through `rs_decode_unique`'s unchecked core. Elsewhere
+`arraycode.apply_error_pattern` checks every word and offset symbol, and
+the stages both scheme configs share (`arraycode.ArrayConfig`) check what
+enters them: `encode` each message symbol, `download` every stored
+symbol, and `decode` the downloads through `decode_columns`. Their
+`pipeline` checks its message and error pattern as `encode` and
+`apply_error_pattern` do, then keeps canonical symbols in one flat list
+down to `decode_words`. Every other operand is computed mod q from checked data: the quotient a
 decode evaluates, the decoded streams the trace decode table reads, and
 the messages the brute-force oracles draw from `field.elements()`.
 """
@@ -427,34 +428,42 @@ def decode_columns(code, columns, radius):
 
     Column i, a sequence, carries g = code.n // len(columns) consecutive
     symbols of each word: word j is columns[i][j*g:(j+1)*g] read across i,
-    in the order of `code.omega`. The columns' shape and every symbol are
-    checked once, before the first decode; then `decode_words` decodes the
-    words so formed and returns its result.
+    in the order of `code.omega`. The columns' shape is checked, then every
+    symbol, once and in column order, before the first decode; then
+    `decode_words` decodes the columns' symbols and returns its result.
     """
     count, n = len(columns), code.n
     g, height = n // count, len(columns[0])
     if g * count != n or height % g or set(map(len, columns)) != {height}:
         raise ValueError(f"{count} columns cannot carry words of "
                          f"length {n} in uniform slices")
-    words = list(zip(*columns))  # row r: symbol r of every column
-    if g > 1:  # word j interleaves rows jg to jg+g-1
-        words = [tuple(itertools.chain.from_iterable(zip(*words[r:r + g])))
-                 for r in range(0, height, g)]
-    code.field.check_all(itertools.chain.from_iterable(words))
-    return decode_words(code, words, g, radius)
+    served = code.field.check_all(itertools.chain.from_iterable(columns))
+    return decode_words(code, served, g, radius)
 
 
-def decode_words(code, words, g, radius):
-    """Decode words of `code`, each a sequence of n canonical symbols, whose
-    errors share columns of g consecutive symbols: position p lies in
-    column p // g. Unchecked, like `packed_product`: the caller passes
-    canonical symbols, n to a word.
+def decode_words(code, served, g, radius):
+    """Decode the words of `code` that a word's served symbols carry.
+
+    `served` is flat and column by column: each column serves the same
+    number of canonical symbols, g consecutive symbols of each word, so
+    word j is symbols j*g to j*g+g-1 of every column, read across the
+    columns, and its position p lies in column p // g. This is the one
+    place served symbols become words. Unchecked, like `packed_product`:
+    the caller passes canonical symbols, n of each word.
 
     Returns (messages, corrected_columns): one message polynomial per word
     and the union of the columns the decodes corrected. Raises
     DecodeFailure when a word decode fails or the union has more than
     `radius` columns. Exact whenever g * radius <= code.radius.
     """
+    span = len(served) // code.n * g  # the symbols one column serves
+    if span == g:  # one word: the served symbols themselves
+        words = [served]
+    else:  # row r: symbol r of every column; word j interleaves g rows
+        words = [served[r::span] for r in range(span)]
+        if g > 1:
+            words = [tuple(itertools.chain.from_iterable(zip(*words[r:r + g])))
+                     for r in range(0, span, g)]
     messages, corrected = [], set()
     for word in words:
         h, positions = _decode_unique(code, word)

@@ -22,7 +22,9 @@ config, so each is one packed table (`rs.packed_map`), built once, and
 each use is one multiply-accumulate with it. The peel is exact for any
 streams, so it runs once per config, on all the unit streams together,
 to derive the decode table; the decoder is the stream decodes
-(`rs.decode_columns`) plus one product with that table. It returns a
+(`rs.decode_columns`) plus one product with that table. The stages are
+`arraycode.ArrayConfig`'s, shared with the folded scheme; this module
+supplies the layout and the three products. It returns a
 message exactly when some message's downloads lie within
 floor((n - k/alpha) / 2) columns of the received ones, with the columns
 where they differ; otherwise it raises DecodeFailure.
@@ -32,20 +34,17 @@ the download fraction is alpha = m/l while the corrected error count is
 floor((n - lk/m) / 2) = floor((n - k/alpha) / 2).
 """
 
-import itertools
 from math import prod
 from operator import mul
 
-from .arraycode import (DownloadBundle, _add_offsets, _checked_offsets,
-                        _stored_symbols)
+from .arraycode import ArrayConfig
 from .fields import ExtField, PrimeField, dual_basis
 from .polyring import normalize, poly_from_roots
-from .records import Record
-from .rs import (RsCode, decode_columns, decode_words, packed_map,
-                 packed_product, power_columns, rs_interpolate, tabulate_map)
+from .rs import (RsCode, packed_map, packed_product, power_columns,
+                 rs_interpolate, tabulate_map)
 
 
-class TsConfig(Record):
+class TsConfig(ArrayConfig):
     """Frozen parameters of one trace-scheme instance.
 
     ext: the symbol field GF(q^l).
@@ -57,31 +56,39 @@ class TsConfig(Record):
     scheme (class attribute): "ts", the name the file formats and the CLI
         give the scheme.
 
-    Derived, once per config: annihilators p_j; inner_code, the (n, lk/m)
-    RS code over the base field the download streams belong to; and the
-    three GF(q)-linear maps of the scheme, packed by `rs.packed_map` so
-    that each runs as one multiply-accumulate:
+    Derived, once per config: annihilators p_j; the layout of
+    `arraycode.ArrayConfig`, whose stages this scheme runs: a message is k
+    symbols of ext; each column serves m symbols, one of each of the m
+    download streams, the words of served_code, the (n, lk/m) RS code over
+    the base field (so g = 1); and the three GF(q)-linear maps of the
+    scheme, packed by `rs.packed_map` so that each runs as one
+    multiply-accumulate:
     encode_map: the k*l polynomial-basis digits of a message (symbol t's
         digit v at input t*l + v) to the n*l stored symbols (column i's
         coordinate u at output i*l + u). It is the Kronecker product of
-        the evaluation map at omega with the trace projection.
+        the evaluation map at omega with the trace projection, so column i
+        holds the trace coordinates of the RS codeword symbol h(omega_i),
+        (h_0(omega_i), ..., h_{l-1}(omega_i)) for the coordinate
+        polynomials of ts_project_polys.
     download_map: block-diagonal, the n*l stored symbols to the n*m served
         ones (column i's symbol j at output i*m + j). Served symbol j of
         column i weighs the column's coordinates by the powers
-        p_j(w_i)^0, ..., p_j(w_i)^(l-m). p_j(w_i) is read off the roots, as
-        the product of w_i - a over A_j, and its powers are one
+        p_j(w_i)^0, ..., p_j(w_i)^(l-m), so on a clean column it is
+        exactly g_j(omega_i). p_j(w_i) is read off the roots, as the
+        product of w_i - a over A_j, and its powers are one
         `rs.power_columns` table, so no polynomial is evaluated.
     decode_map: the l*k coefficients of the m decoded streams (stream j's
         coefficient c at input j*lk/m + c) to the k*l digits of the
         message, in encode_map's input order. The peel derives it once,
-        here (see `_decode_table`), so a decode is the m stream decodes
-        plus one product with it.
+        here (see `_decode_table`); it is exact for any streams, so a
+        decode is the m stream decodes plus one product with it, and no
+        check can fail after the stream decodes.
     """
 
     scheme = "ts"
     _fields = ("ext", "k", "omega", "subsets", "basis")
-    __slots__ = _fields + ("annihilators", "inner_code", "encode_map",
-                           "download_map", "decode_map")
+    __slots__ = _fields + ("annihilators", "encode_map", "download_map",
+                           "decode_map")
 
     def __init__(self, ext, k, omega, subsets, basis):
         base = ext.base
@@ -119,7 +126,8 @@ class TsConfig(Record):
             for j in range(m)]
         self._set(
             annihilators=annihilators,
-            inner_code=RsCode(base, l * k // m, omega),
+            served_code=RsCode(base, l * k // m, omega), g=1,
+            served_per_column=m, message_field=ext, message_length=k,
             encode_map=packed_map(
                 q, power_columns(q, omega, k),
                 right=[basis.project(q ** v) for v in range(l)]),
@@ -149,46 +157,37 @@ class TsConfig(Record):
 
     @property
     def radius(self):
-        """floor((n - k/alpha) / 2), met with equality by ts_decode_message."""
+        """floor((n - k/alpha) / 2), met with equality by the decoder."""
         return (self.n - self.l * self.k // self.m) // 2
 
     @property
-    def downloaded_per_word(self):
-        return self.n * self.m
-
-    @property
     def accessed_per_word(self):
+        """n*l: a column transmits m of its l symbols' worth of information
+        but must be read in full to form the combinations."""
         return self.n * self.l
 
-    # The interface shared with frs_scheme.FrsConfig; each stage calls this
-    # module's function by name, so rebinding that name reaches it too.
+    def _inputs(self, message):
+        """The message's polynomial-basis digits, its symbols' base-q
+        digits."""
+        q, l = self.base.q, self.l
+        return [a // q ** v % q for a in message for v in range(l)]
 
-    @property
-    def symbol_field(self):
-        """The field of the stored symbols, GF(q)."""
-        return self.ext.base
+    def _serve(self, stored):
+        """One product with download_map."""
+        return packed_product(self.download_map, stored)
 
-    @property
-    def message_space(self):
-        """(order, length): k symbols of GF(q^l)."""
-        return self.ext.order, self.k
-
-    def encode(self, message):
-        return ts_encode(self, message)
-
-    def download(self, word):
-        return ts_download_all(self, word)
-
-    def decode(self, per_column):
-        return ts_decode_message(self, per_column)
-
-    def pipeline(self, message, pattern):
-        return ts_full_pipeline(self, message, pattern)
-
-    def codewords(self):
-        """Every (message, word) of the code, in canonical message order."""
-        for message in itertools.product(self.ext.elements(), repeat=self.k):
-            yield message, ts_encode(self, message)
+    def _message(self, streams):
+        """The message whose stream polynomials are `streams`: one product
+        with decode_map of their coefficients, each stream padded to
+        lk/m."""
+        size = self.served_code.k
+        coeffs = [c for g in streams for c in (*g, *(0,) * (size - len(g)))]
+        digits = packed_product(self.decode_map, coeffs)
+        # symbol t is its l polynomial-basis digits read in base q
+        l = self.l
+        place = [self.base.q ** v for v in range(l)]
+        return tuple(sum(map(mul, symbol, place))
+                     for symbol in zip(*[iter(digits)] * l))
 
     def download_fn(self, count=None):
         """Word -> per-column downloads, for collision search: the first
@@ -198,7 +197,7 @@ class TsConfig(Record):
             raise ValueError(f"download count must lie in 0..{self.m}, the m "
                              f"symbols a column serves, got {count}")
         return lambda word: tuple(served[:count] for served in
-                                  ts_download_all(self, word).per_column)
+                                  self.download(word).per_column)
 
     def column_code(self, columns):
         """The code each stored row is a word of, read at whole columns."""
@@ -261,37 +260,6 @@ def ts_make_config(q, n, k, l, m, *, omega=None, subsets=None, modulus=None,
                     basis=basis)
 
 
-def ts_encode(cfg, message):
-    """Encode k field symbols into an l x n array of base-field symbols.
-
-    Column i holds the trace coordinates of the RS codeword symbol
-    h(omega_i), lowest basis index first. The trace is GF(q)-linear and
-    omega_i lies in GF(q), so that column is (h_0(omega_i), ...,
-    h_{l-1}(omega_i)) for the coordinate polynomials of ts_project_polys:
-    a GF(q)-linear map of the message's polynomial-basis digits, which
-    cfg.encode_map applies in one product.
-    """
-    stored = _encode(cfg, _checked_message(cfg, message))
-    return tuple(zip(*[iter(stored)] * cfg.l))
-
-
-def _checked_message(cfg, message):
-    """The message as a tuple of exactly k symbols, each checked."""
-    message = tuple(message)
-    if len(message) != cfg.k:
-        raise ValueError(f"message must have exactly k = {cfg.k} symbols")
-    return cfg.ext.check_all(message)
-
-
-def _encode(cfg, message):
-    """The n*l stored symbols of a checked message, column by column, as
-    one flat list: one product with cfg.encode_map of the message's
-    polynomial-basis digits, which are its symbols' base-q digits."""
-    q, l = cfg.base.q, cfg.l
-    return packed_product(cfg.encode_map, [a // q ** v % q for a in message
-                                           for v in range(l)])
-
-
 def ts_project_polys(cfg, message):
     """The l coordinate polynomials h_u of a message.
 
@@ -299,73 +267,8 @@ def ts_project_polys(cfg, message):
     a polynomial over the base field of degree < k, and evaluating the
     stack (h_0(w), ..., h_{l-1}(w)) reproduces the stored column at w.
     """
-    coords = [cfg.basis.project(a) for a in _checked_message(cfg, message)]
+    coords = [cfg.basis.project(a) for a in cfg._checked_message(message)]
     return tuple(normalize(tuple(c[u] for c in coords)) for u in range(cfg.l))
-
-
-def ts_download_all(cfg, columns):
-    """Downloads from every column, with transfer accounting: one product
-    with cfg.download_map.
-
-    Column i's symbol j is coordinate l-m+j scaled by p_j(w_i)^(l-m) plus
-    the first l-m coordinates scaled by ascending powers of p_j(w_i); on a
-    clean column it is exactly g_j(omega_i).
-
-    Each column transmits m of its l symbols' worth of information but must
-    be read in full to form the combinations, so downloaded = n*m while
-    accessed = n*l.
-    """
-    columns = tuple(columns)
-    if len(columns) != cfg.n:
-        raise ValueError(f"word must have n = {cfg.n} columns")
-    stored = _stored_symbols(cfg.base, columns, cfg.l)
-    return _bundle(cfg, packed_product(cfg.download_map, stored))
-
-
-def _bundle(cfg, served):
-    """The bundle of a word's n*m served symbols, flat and column by
-    column."""
-    return DownloadBundle(
-        per_column=tuple(zip(*[iter(served)] * cfg.m)),
-        downloaded=cfg.downloaded_per_word,
-        accessed=cfg.accessed_per_word,
-    )
-
-
-def ts_decode_message(cfg, per_column):
-    """Decode the m download streams, n columns of m served symbols, and
-    read the message off them.
-
-    The streams are words of one (n, lk/m) RS code whose errors share
-    columns; more than `radius` corrected columns in all is a failure.
-    The peel that turns the decoded streams into the message is linear and
-    exact for any streams, so it is cfg.decode_map, one product, and no
-    check can fail after the stream decodes.
-
-    Returns (message, corrected_columns) exactly when some message's
-    downloads lie within `radius` columns of the received ones;
-    corrected_columns is where that message's downloads differ. Raises
-    DecodeFailure otherwise.
-    """
-    m = cfg.m
-    if len(per_column) != cfg.n or set(map(len, per_column)) != {m}:
-        raise ValueError(f"download bundle must be {cfg.n} columns of {m} symbols")
-    streams, corrected = decode_columns(cfg.inner_code, per_column, cfg.radius)
-    return _read_message(cfg, streams), corrected
-
-
-def _read_message(cfg, streams):
-    """The message whose stream polynomials are `streams`: one product
-    with cfg.decode_map of their coefficients, each stream padded to
-    lk/m."""
-    size = cfg.inner_code.k
-    coeffs = [c for g in streams for c in (*g, *(0,) * (size - len(g)))]
-    digits = packed_product(cfg.decode_map, coeffs)
-    # symbol t is its l polynomial-basis digits read in base q
-    l = cfg.l
-    place = [cfg.base.q ** v for v in range(l)]
-    return tuple(sum(map(mul, symbol, place))
-                 for symbol in zip(*[iter(digits)] * l))
 
 
 def _decode_table(base, k, subsets, annihilators, basis):
@@ -432,23 +335,5 @@ def _decode_table(base, k, subsets, annihilators, basis):
 
 
 def ts_full_pipeline(cfg, message, pattern):
-    """encode -> corrupt -> download -> decode, returning (message, bundle).
-
-    The bundle carries the exact downloaded/accessed counts of the run.
-    Only what enters is checked: the message, as ts_encode checks it, and
-    the pattern, as apply_error_pattern checks it, with the same errors in
-    the same order. The word then stays one flat list of canonical symbols
-    through the cores of ts_encode, apply_error_pattern and
-    ts_download_all. No public stage or decoder is called: the m strided
-    slices of the served symbols go straight to `rs.decode_words` as the
-    streams, and ts_decode_message's message read-out follows, so the
-    served symbols are never checked again.
-    """
-    stored = _encode(cfg, _checked_message(cfg, message))
-    l, m = cfg.l, cfg.m
-    _add_offsets(cfg.base.q, stored, _checked_offsets(
-        cfg.base, pattern, range(0, cfg.n * l + 1, l)))
-    served = packed_product(cfg.download_map, stored)
-    streams, _ = decode_words(cfg.inner_code,
-                              [served[j::m] for j in range(m)], 1, cfg.radius)
-    return _read_message(cfg, streams), _bundle(cfg, served)
+    """cfg.pipeline(message, pattern); see `arraycode.ArrayConfig`."""
+    return cfg.pipeline(message, pattern)

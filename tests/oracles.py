@@ -8,7 +8,6 @@ from fracdec.budget import check_budget
 from fracdec.errors import DecodeFailure
 from fracdec.polyring import degree, normalize
 from fracdec.rs import rs_evaluate, rs_interpolate
-from fracdec.trace_scheme import ts_download_all
 
 
 # Polynomial arithmetic through the field's own add/sub/mul/neg/div, so it
@@ -229,7 +228,7 @@ def _ts_download_table(cfg):
     """(message, downloads) for every message of a trace config."""
     check_budget(cfg.ext.order ** cfg.k,
                  f"download table over {cfg.ext!r}^{cfg.k}")
-    return tuple((message, ts_download_all(cfg, word).per_column)
+    return tuple((message, cfg.download(word).per_column)
                  for message, word in cfg.codewords())
 
 

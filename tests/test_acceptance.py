@@ -13,8 +13,7 @@ from fracdec.bounds import (emit_figure, find_download_collision,
 from fracdec.cli import main
 from fracdec.errors import DecodeFailure
 from fracdec.fields import ExtField, PrimeField, default_modulus, dual_basis
-from fracdec.frs_scheme import (FrsConfig, frs_decode_trial, frs_download_all,
-                                frs_encode, frs_full_pipeline,
+from fracdec.frs_scheme import (FrsConfig, frs_full_pipeline,
                                 frs_list_decode_bruteforce, frs_make_config,
                                 smallest_primitive_root)
 from fracdec.harness import (compare_naive, random_error_pattern,
@@ -22,8 +21,7 @@ from fracdec.harness import (compare_naive, random_error_pattern,
 from fracdec.polyring import normalize, poly_divmod, poly_mul
 from fracdec.rs import RsCode, nearest_codeword_bruteforce, rs_decode_unique, \
     rs_encode
-from fracdec.trace_scheme import (TsConfig, ts_download_all, ts_encode,
-                                  ts_full_pipeline, ts_make_config,
+from fracdec.trace_scheme import (TsConfig, ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
 from oracles import poly_add, poly_eval, poly_pow, poly_sub
 
@@ -197,10 +195,10 @@ def test_criterion_6_oracle_equivalence(criterion):
             stream = trial_stream(SEED, 60 + weight, rep)
             message = random_message(tiny, stream)
             pattern = random_error_pattern(tiny, stream, weight)
-            word = apply_error_pattern(tiny.field, frs_encode(tiny, message),
+            word = apply_error_pattern(tiny.field, tiny.encode(message),
                                        pattern)
-            grid = frs_download_all(tiny, word).per_column
-            decoded, _ = frs_decode_trial(tiny, grid)
+            grid = tiny.download(word).per_column
+            decoded, _ = tiny.decode(grid)
             hits = frs_list_decode_bruteforce(tiny, grid, tiny.radius)
             frs_checked += 1
             frs_disagreements += not (decoded == message and hits == [message])
@@ -216,7 +214,7 @@ def _trace_identity_errors(cfg, messages):
     base, l, m = cfg.base, cfg.l, cfg.m
     errors = 0
     for message in messages:
-        served = ts_download_all(cfg, ts_encode(cfg, message)).per_column
+        served = cfg.download(cfg.encode(message)).per_column
         hs = ts_project_polys(cfg, message)
         streams = []
         for j in range(m):

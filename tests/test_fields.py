@@ -20,13 +20,11 @@ from fracdec.fields import (ExtField, PrimeField, TraceDualBasis,
                             default_modulus, dual_basis, is_prime,
                             poly_is_irreducible, polynomial_basis,
                             prime_factors)
-from fracdec.frs_scheme import (frs_download_all, frs_encode,
-                                frs_list_decode_bruteforce, frs_make_config)
+from fracdec.frs_scheme import frs_list_decode_bruteforce, frs_make_config
 from fracdec.harness import random_error_pattern, random_message, trial_stream
 from fracdec.rs import RsCode, rs_decode_unique, rs_encode, rs_erasure_decode
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import (ts_download_all, ts_encode,
-                                  ts_make_config, ts_project_polys)
+from fracdec.trace_scheme import ts_make_config, ts_project_polys
 from oracles import ExtFieldReference, irreducible_by_trial_division
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -185,13 +183,13 @@ def entry_points(label):
                 lambda bad: ts_make_config(7, 4, 2, 2, 2, subsets=((0,), (bad,))),
             "ts_make_config-modulus":
                 lambda bad: ts_make_config(7, 4, 2, 2, 2, modulus=(bad, 0, 1)),
-            "ts_download_all": lambda bad: ts_download_all(
-                ts, ((0, bad),) + ((0, 0),) * 3),
+            "TsConfig.download":
+                lambda bad: ts.download(((0, bad),) + ((0, 0),) * 3),
             "frs_make_config-gamma": lambda bad: frs_make_config(
                 2, 1, 2, Fraction(1, 2), p=7, gamma=bad),
-            "frs_encode": lambda bad: frs_encode(frs, (0, bad)),
-            "frs_download_all":
-                lambda bad: frs_download_all(frs, ((0, bad), (0, 0))),
+            "FrsConfig.encode": lambda bad: frs.encode((0, bad)),
+            "FrsConfig.download":
+                lambda bad: frs.download(((0, bad), (0, 0))),
             "frs_list_decode_bruteforce": lambda bad:
                 frs_list_decode_bruteforce(frs, ((0,), (bad,)), 0),
         })
@@ -203,7 +201,7 @@ def entry_points(label):
             "dual_basis": lambda bad: dual_basis(field, zeta=(1, bad)),
             "TraceDualBasis":
                 lambda bad: TraceDualBasis(ext=field, zeta=(1, bad)),
-            "ts_encode": lambda bad: ts_encode(ts, (bad,)),
+            "TsConfig.encode": lambda bad: ts.encode((bad,)),
             "ts_project_polys": lambda bad: ts_project_polys(ts, (bad,)),
         })
     return points

@@ -13,7 +13,6 @@ from fracdec.arraycode import (ErrorPattern, apply_error_pattern,
 from fracdec.bounds import find_download_collision, radius_naive
 from fracdec.errors import BudgetExceeded, DecodeFailure
 from fracdec.frs_scheme import (FrsConfig, bundle_columns, flatten_columns,
-                                frs_decode_trial, frs_download_all, frs_encode,
                                 frs_full_pipeline, frs_list_decode_bruteforce,
                                 frs_make_config, is_primitive_root,
                                 smallest_prime_above, smallest_primitive_root)
@@ -134,7 +133,7 @@ def test_encode_frozen_tiny():
     """h = 1 + 2x over GF(5), gamma = 2, two columns of height two."""
     cfg = frs_make_config(2, 1, 2, 1, p=5, gamma=2)
     assert cfg.points == (1, 2, 4, 3)
-    assert frs_encode(cfg, (1, 2)) == ((3, 0), (4, 2))
+    assert cfg.encode((1, 2)) == ((3, 0), (4, 2))
 
 
 @pytest.mark.parametrize("cfg", (reference_config(), tiny_config(),
@@ -142,13 +141,13 @@ def test_encode_frozen_tiny():
                          ids=("reference", "tiny", "half"))
 def test_config_codes_are_powers_of_gamma(cfg):
     """encode_map evaluates at the points gamma^0, ..., gamma^(nl-1), and
-    prefix_code is that code's puncturing to the first alpha*l points of
+    served_code is that code's puncturing to the first alpha*l points of
     each column."""
     q, l = cfg.field.q, cfg.l
     assert cfg.points == tuple(pow(cfg.gamma, i, q)
                                for i in range(cfg.n * l))
-    assert cfg.encode_map.inputs == cfg.prefix_code.k == cfg.message_length
-    assert cfg.prefix_code.omega == tuple(
+    assert cfg.encode_map.inputs == cfg.served_code.k == cfg.message_length
+    assert cfg.served_code.omega == tuple(
         cfg.points[i * l + j] for i in range(cfg.n)
         for j in range(cfg.alpha_l))
 
@@ -170,30 +169,30 @@ def test_pipeline_and_list_oracle_evaluate_no_polynomial(polyring_calls):
 def test_encode_identity_and_constant():
     """h = x stores the evaluation points themselves; h = 1 stores ones."""
     cfg = reference_config()
-    word = frs_encode(cfg, (0, 1) + (0,) * 10)
+    word = cfg.encode((0, 1) + (0,) * 10)
     assert flatten_columns(word) == cfg.points
-    ones = frs_encode(cfg, (1,) + (0,) * 11)
+    ones = cfg.encode((1,) + (0,) * 11)
     assert ones == ((1,) * 4,) * 8
 
 
 def test_encode_validation():
     cfg = reference_config()
     with pytest.raises(ValueError):
-        frs_encode(cfg, (0,) * 11)
+        cfg.encode((0,) * 11)
     with pytest.raises(ValueError):
-        frs_encode(cfg, (37,) + (0,) * 11)
+        cfg.encode((37,) + (0,) * 11)
 
 
 def test_download_prefix_and_accounting():
     cfg = reference_config()
     stream = trial_stream(31, 0, 0)
     msg = random_message(cfg, stream)
-    word = frs_encode(cfg, msg)
-    bundle = frs_download_all(cfg, word)
+    word = cfg.encode(msg)
+    bundle = cfg.download(word)
     assert bundle.per_column == tuple(col[:3] for col in word)
     assert bundle.downloaded == bundle.accessed == 24
     full = frs_make_config(8, 3, 4, 1)
-    assert frs_download_all(full, word).per_column == word
+    assert full.download(word).per_column == word
 
 
 def prefix_affected(cfg, pattern):
@@ -210,9 +209,8 @@ def test_trial_decode_roundtrip_and_discard_reporting():
         msg = random_message(cfg, stream)
         values = tuple(random_column_offset(cfg, stream) for _ in support)
         pattern = ErrorPattern(support=support, values=values)
-        word = apply_error_pattern(cfg.field, frs_encode(cfg, msg), pattern)
-        decoded, discarded = frs_decode_trial(
-            cfg, frs_download_all(cfg, word).per_column)
+        word = apply_error_pattern(cfg.field, cfg.encode(msg), pattern)
+        decoded, discarded = cfg.decode(cfg.download(word).per_column)
         assert decoded == msg
         assert discarded == prefix_affected(cfg, pattern)
 
@@ -226,9 +224,8 @@ def test_tail_corruption_is_invisible():
     tail_offset = (0, 0, 0, 5)
     pattern = ErrorPattern(support=(0, 2, 4, 5, 7),
                            values=(tail_offset,) * 5)
-    word = apply_error_pattern(cfg.field, frs_encode(cfg, msg), pattern)
-    decoded, discarded = frs_decode_trial(
-        cfg, frs_download_all(cfg, word).per_column)
+    word = apply_error_pattern(cfg.field, cfg.encode(msg), pattern)
+    decoded, discarded = cfg.decode(cfg.download(word).per_column)
     assert decoded == msg and discarded == frozenset()
 
 
@@ -260,8 +257,8 @@ def test_punctured_distance_exhaustive_tiny():
     for message in itertools.product(range(19), repeat=3):
         if message == (0, 0, 0):
             continue
-        word = frs_encode(cfg, message)
-        grid = frs_download_all(cfg, word).per_column
+        word = cfg.encode(message)
+        grid = cfg.download(word).per_column
         weight = sum(1 for i in range(cfg.n) if grid[i] != zero_grid[i])
         min_weight = min(min_weight, weight)
     assert min_weight == cfg.n - cfg.punctured_dim + 1 == 4
@@ -275,10 +272,10 @@ def test_trial_decode_agrees_with_list_oracle_tiny():
         support = stream.sample(cfg.n, 1)
         values = tuple(random_column_offset(cfg, stream) for _ in support)
         word = apply_error_pattern(
-            cfg.field, frs_encode(cfg, msg),
+            cfg.field, cfg.encode(msg),
             ErrorPattern(support=support, values=values))
-        grid = frs_download_all(cfg, word).per_column
-        decoded, _ = frs_decode_trial(cfg, grid)
+        grid = cfg.download(word).per_column
+        decoded, _ = cfg.decode(grid)
         hits = frs_list_decode_bruteforce(cfg, grid, cfg.radius)
         assert hits == [msg] if decoded == msg else decoded in hits
         assert decoded == msg
@@ -287,7 +284,7 @@ def test_trial_decode_agrees_with_list_oracle_tiny():
 def test_list_bruteforce_edges():
     cfg = tiny_config()
     msg = (3, 14, 9)
-    grid = frs_download_all(cfg, frs_encode(cfg, msg)).per_column
+    grid = cfg.download(cfg.encode(msg)).per_column
     assert frs_list_decode_bruteforce(cfg, grid, 0) == [msg]
     everything = frs_list_decode_bruteforce(cfg, grid, cfg.n)
     assert len(everything) == 19 ** 3
@@ -314,13 +311,13 @@ def test_same_encoder_serves_multiple_fractions():
     assert cfg34.radius == cfg1.radius == 2
     stream = trial_stream(36, 2, 0)
     msg = random_message(cfg34, stream)
-    assert frs_encode(cfg34, msg) == frs_encode(cfg1, msg)
+    assert cfg34.encode(msg) == cfg1.encode(msg)
     support = (1, 6)
     values = tuple(random_column_offset(cfg34, stream) for _ in support)
     pattern = ErrorPattern(support=support, values=values)
-    word = apply_error_pattern(cfg34.field, frs_encode(cfg34, msg), pattern)
-    dec34, _ = frs_decode_trial(cfg34, frs_download_all(cfg34, word).per_column)
-    dec1, _ = frs_decode_trial(cfg1, frs_download_all(cfg1, word).per_column)
+    word = apply_error_pattern(cfg34.field, cfg34.encode(msg), pattern)
+    dec34, _ = cfg34.decode(cfg34.download(word).per_column)
+    dec1, _ = cfg1.decode(cfg1.download(word).per_column)
     assert dec34 == dec1 == msg
 
 
@@ -410,8 +407,8 @@ def test_decoder_matches_trial_oracle_at_every_weight(name):
     points = [cfg.column_points(i, cfg.alpha_l) for i in range(cfg.n)]
     seen = {"recovered": 0, "miscorrected": 0, "failed": 0}
     for message, _, received in received_words(cfg, cfg.n, seed=41):
-        grid = frs_download_all(cfg, received).per_column
-        got = decoded_or_failure(kl, frs_decode_trial, cfg, grid)
+        grid = cfg.download(received).per_column
+        got = decoded_or_failure(kl, cfg.decode, grid)
         want = decoded_or_failure(kl, trial_decode_columns, cfg.field, grid,
                                   points, kl, cfg.radius)
         assert got == want
@@ -485,10 +482,9 @@ def test_folded_decode_interpolates_once(rs_calls):
     cfg = shipped_config("frs-p37-n8-k3")
     message = random_message(cfg, trial_stream(45, 2, 0))
     pattern = ErrorPattern(support=(0, 5), values=((1, 2, 3, 4),) * 2)
-    word = apply_error_pattern(cfg.field, frs_encode(cfg, message), pattern)
+    word = apply_error_pattern(cfg.field, cfg.encode(message), pattern)
     calls.clear()
-    decoded, corrected = frs_decode_trial(
-        cfg, frs_download_all(cfg, word).per_column)
+    decoded, corrected = cfg.decode(cfg.download(word).per_column)
     assert decoded == message and corrected == frozenset({0, 5})
     assert calls == ["rs_interpolate"]
 
@@ -501,9 +497,8 @@ def test_wide_folded_decode_at_radius():
     message = random_message(cfg, stream)
     support = stream.sample(cfg.n, 6)
     pattern = ErrorPattern(support=support, values=((1, 2, 3, 4),) * 6)
-    word = apply_error_pattern(cfg.field, frs_encode(cfg, message), pattern)
-    decoded, corrected = frs_decode_trial(
-        cfg, frs_download_all(cfg, word).per_column)
+    word = apply_error_pattern(cfg.field, cfg.encode(message), pattern)
+    decoded, corrected = cfg.decode(cfg.download(word).per_column)
     assert decoded == message and corrected == frozenset(support)
 
 
@@ -527,7 +522,7 @@ def test_all_codewords_count():
 
 def test_download_fn_heights():
     cfg = reference_config()
-    word = frs_encode(cfg, (0, 1) + (0,) * 10)
+    word = cfg.encode((0, 1) + (0,) * 10)
     assert cfg.download_fn()(word) == tuple(c[:3] for c in word)
     assert cfg.download_fn(1)(word) == tuple(c[:1] for c in word)
     assert cfg.download_fn(cfg.l)(word) == word

@@ -57,6 +57,10 @@ def missing(cls, names):
                        f"argument: '{names[-1]}'")
 
 
+# The derived slots that arraycode.ArrayConfig, the base of both configs,
+# declares and reads.
+LAYOUT = ("served_code", "g", "served_per_column", "message_field",
+          "message_length")
 # name: (build, pinned repr, derived fields, (bad call, error, message))
 RECORDS = {
     "ErrorPattern": (
@@ -89,8 +93,8 @@ RECORDS = {
                      "field (singular trace projection matrix)")),
     "TsConfig": (
         ts_tiny, TS_REPR,
-        ("annihilators", "inner_code", "encode_map", "download_map",
-         "decode_map"),
+        ("annihilators", "encode_map", "download_map", "decode_map",
+         *LAYOUT),
         (lambda: ts_make_config(5, 4, 2, 2, 2, subsets=((0,), (0,))),
          ValueError, "annihilator subsets must be pairwise disjoint with "
                      "distinct elements")),
@@ -98,7 +102,7 @@ RECORDS = {
         frs_tiny,
         "FrsConfig(field=GF(19), gamma=2, n=6, k=1, l=3, "
         "alpha=Fraction(1, 3))",
-        ("alpha_l", "punctured_dim", "points", "encode_map", "prefix_code"),
+        ("alpha_l", "punctured_dim", "points", "encode_map", *LAYOUT),
         (lambda: frs_make_config(6, 1, 3, Fraction(1, 2), p=19),
          ValueError, "alpha*l = 3/2 must be an integer")),
     "ExperimentSpec": (
@@ -182,7 +186,9 @@ def test_record_semantics(name):
     record, twin = build(), build()
     cls = type(record)
     assert cls.__name__ == name and repr(record) == text
-    assert set(cls.__slots__) == {*cls._fields, *derived}
+    assert {slot for owner in cls.__mro__
+            for slot in getattr(owner, "__slots__", ())} == {*cls._fields,
+                                                             *derived}
     assert record is not twin
     assert record == twin and not record != twin
     assert hash(record) == hash(twin)

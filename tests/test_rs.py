@@ -297,7 +297,8 @@ def test_shipped_codes_leave_digits_room(path):
     two maps, and for every map, whose digits need not be reduced, each
     output's largest digit sum."""
     cfg = config_from_dict(load_json(str(path)))
-    built = [getattr(cfg, name) for name in type(cfg).__slots__]
+    built = [getattr(cfg, name) for owner in type(cfg).__mro__
+             for name in getattr(owner, "__slots__", ())]
     codes = [v for v in built if isinstance(v, RsCode)]
     maps = [v for v in built if isinstance(v, PackedMap)]
     assert len(codes) == 1
@@ -556,7 +557,7 @@ def test_rs_decode_reuses_the_master_polynomial(polyring_calls,
     evaluation tables once; a decode must not rebuild any of them, build
     another code or evaluate a polynomial."""
     cfg = config_from_dict(load_json(str(CONFIG_DIR / "frs-p37-n8-k3.json")))
-    code = cfg.prefix_code
+    code = cfg.served_code
     rs_codes_built.clear()
     calls = polyring_calls("poly_from_roots", "poly_mul", "poly_divmod",
                            "poly_powmod", "poly_gcd")
@@ -590,7 +591,7 @@ DECODER_CONFIGS = {
 
 
 def decoder_code(cfg):
-    return cfg.inner_code if isinstance(cfg, TsConfig) else cfg.prefix_code
+    return cfg.served_code if isinstance(cfg, TsConfig) else cfg.served_code
 
 
 def decode_outcome(decode, code, word):
@@ -846,6 +847,24 @@ def test_decode_columns_reads_words_across_columns():
     for bad in (columns[:5], columns[:5] + [columns[5][:3]]):
         with pytest.raises(ValueError, match="uniform slices"):
             decode_columns(code, bad, 2)
+
+
+def test_decode_columns_checks_symbols_in_column_order():
+    """decode_columns reports the first non-canonical symbol in column
+    order, as a download reports the first in a stored word: with two
+    words per column, column 1's second symbol comes before column 2's
+    first, though row by row it would come after. A config's decode
+    checks its downloads the same way."""
+    code = RsCode(F13, 2, range(6))
+    columns = [[0, 0] for _ in range(6)]
+    columns[1][1], columns[2][0] = 13, -1
+    with pytest.raises(ValueError) as info:
+        decode_columns(code, columns, 2)
+    assert str(info.value) == "13 is not a canonical element of GF(13)"
+    cfg = ts_make_config(13, 6, 2, 2, 2)
+    with pytest.raises(ValueError) as info:
+        cfg.decode(columns)
+    assert str(info.value) == "13 is not a canonical element of GF(13)"
 
 
 def test_rs_erasure_decode():

@@ -6,14 +6,14 @@ from pathlib import Path
 import pytest
 
 from fracdec.arraycode import DownloadBundle
-from fracdec.frs_scheme import frs_encode, frs_make_config
+from fracdec.frs_scheme import frs_make_config
 from fracdec.serialization import (FormatError, bundle_from_dict,
                                    bundle_to_dict, codeword_from_dict,
                                    codeword_to_dict, config_from_dict,
                                    config_to_dict, dump_json, load_json,
                                    message_from_dict, message_to_dict,
                                    write_text)
-from fracdec.trace_scheme import ts_encode, ts_make_config
+from fracdec.trace_scheme import ts_make_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -95,7 +95,7 @@ def test_config_rejects_non_integer_scalars(base, key, value):
 
 def test_codeword_round_trip_and_scheme_check():
     cfg = ts_make_config(5, 4, 2, 2, 2)
-    word = ts_encode(cfg, (3, 1))
+    word = cfg.encode((3, 1))
     data = codeword_to_dict("ts", word)
     assert codeword_from_dict(data, "ts") == word
     assert codeword_from_dict(data) == word
@@ -174,7 +174,7 @@ def test_encode_decode_through_files(tmp_path):
     cfg = config_from_dict(load_json(str(CONFIG_DIR / "frs-p37-n8-k3.json")))
     assert cfg == frs_make_config(8, 3, 4, "3/4")
     msg = tuple(range(12))
-    word = frs_encode(cfg, msg)
+    word = cfg.encode(msg)
     path = str(tmp_path / "word.json")
     dump_json(path, codeword_to_dict("frs", word))
     assert codeword_from_dict(load_json(path), "frs") == word

@@ -35,7 +35,6 @@ ROOT_NAMES = {
                "dual_basis", "is_prime", "poly_is_irreducible",
                "polynomial_basis", "prime_factors"),
     "frs_scheme": ("FrsConfig", "bundle_columns", "flatten_columns",
-                   "frs_decode_trial", "frs_download_all", "frs_encode",
                    "frs_full_pipeline", "frs_list_decode_bruteforce",
                    "frs_make_config", "is_primitive_root",
                    "smallest_prime_above", "smallest_primitive_root"),
@@ -46,8 +45,7 @@ ROOT_NAMES = {
     "rationals": ("as_fraction",),
     "rs": ("RsCode", "nearest_codeword_bruteforce", "rs_decode_unique",
            "rs_encode", "rs_erasure_decode"),
-    "trace_scheme": ("TsConfig", "ts_decode_message", "ts_download_all",
-                     "ts_encode", "ts_full_pipeline", "ts_make_config",
+    "trace_scheme": ("TsConfig", "ts_full_pipeline", "ts_make_config",
                      "ts_project_polys"),
 }
 
@@ -161,6 +159,27 @@ def test_cli_command_loads_only_what_it_runs(scheme, command, stage_files):
         assert "fractions" not in loaded
 
 
+# What `bounds` and `figure` load, the package root included: the radius
+# formulas and their witnesses, and no scheme, field or code table.
+BOUNDS_MODULES = {"fracdec", "cli", "serialization", "bounds", "arraycode",
+                  "records", "budget", "errors", "rationals"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "12", "--k", "4", "--alpha", "1/2"],
+    ["figure", "--rate", "1/3", "--steps", "5"],
+], ids=["bounds", "figure"])
+def test_bounds_and_figure_load_no_scheme(argv, tmp_path):
+    """`bounds` imports `arraycode`, the base of both configs, so the
+    scheme stages there must not load `rs` (and with it `fields` and
+    `polyring`) when the module loads."""
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    loaded = loaded_by("from fracdec.cli import main\n"
+                       f"assert main({argv!r}) == 0")
+    assert fracdec_modules(loaded) == BOUNDS_MODULES
+    assert "dataclasses" not in loaded
+
+
 def test_bare_import_lists_every_name_and_resolves_a_submodule():
     loaded = loaded_by(
         "import fracdec\n"
@@ -172,7 +191,7 @@ def test_bare_import_lists_every_name_and_resolves_a_submodule():
 
 def test_root_exports_each_name_from_its_submodule():
     names = {name for group in ROOT_NAMES.values() for name in group}
-    assert len(names) == 68
+    assert len(names) == 62
     assert sorted(fracdec.__all__) == sorted(names)
     listed = dir(fracdec)
     for module, group in ROOT_NAMES.items():

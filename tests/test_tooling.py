@@ -202,44 +202,59 @@ def test_code_tables_are_applied_only_in_rs():
 
 def test_traced_pipelines_run():
     """`bench/run.py --trace 1` wraps the library from outside through
-    bench/tracer.py; installing it, running one op of each scheme and then
-    each scheme's public decoder on the op's bundle catches a name it reads
-    having been removed or renamed. Each op decodes its served symbols in
-    one `rs.decode_words` span, not through the public decoders."""
+    bench/tracer.py. Installing it, then building a config of each scheme,
+    running one op of each through its full pipeline and decoding the op's
+    bundle with cfg.decode, catches a name it reads having been removed or
+    renamed: a build is one `*_make_config` span, an op one
+    `*_full_pipeline` span that decodes its served symbols in one
+    `rs.decode_words` span, and a decode one `rs.decode_columns` span and
+    one `rs.decode_words` span."""
     from fracdec import frs_scheme, trace_scheme
     from fracdec.arraycode import ErrorPattern
-    from fracdec.frs_scheme import frs_full_pipeline, frs_make_config
-    from fracdec.trace_scheme import ts_full_pipeline, ts_make_config
 
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", ROOT / "bench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    ts_cfg = ts_make_config(13, 12, 4, 4, 2)
-    frs_cfg = frs_make_config(8, 3, 4, Fraction(3, 4))
     pattern = ErrorPattern(support=(1,), values=((1, 2, 3, 4),))
     tracer = tracer_module.Tracer()
+
+    def traced(call, *args):
+        """call(*args), as one op, and the spans it made by name."""
+        before = dict(tracer.stats.calls)
+        result = call(*args)
+        tracer.end_op()
+        return result, {name: count - before.get(name, 0)
+                        for name, count in tracer.stats.calls.items()}
+
     tracer.install()
     try:
-        ts_decoded, ts_bundle = ts_full_pipeline(ts_cfg, (1, 2, 3, 4), pattern)
-        tracer.end_op()
-        frs_decoded, frs_bundle = frs_full_pipeline(frs_cfg, tuple(range(12)),
-                                                    pattern)
-        tracer.end_op()
-        op_calls = dict(tracer.stats.calls)
-        ts_again, _ = trace_scheme.ts_decode_message(ts_cfg,
-                                                     ts_bundle.per_column)
-        frs_again, _ = frs_scheme.frs_decode_trial(frs_cfg,
-                                                   frs_bundle.per_column)
-        tracer.end_op()
+        ts_cfg, ts_build = traced(trace_scheme.ts_make_config, 13, 12, 4, 4, 2)
+        frs_cfg, frs_build = traced(frs_scheme.frs_make_config, 8, 3, 4,
+                                    Fraction(3, 4))
+        (ts_decoded, ts_bundle), ts_op = traced(
+            trace_scheme.ts_full_pipeline, ts_cfg, (1, 2, 3, 4), pattern)
+        (frs_decoded, frs_bundle), frs_op = traced(
+            frs_scheme.frs_full_pipeline, frs_cfg, tuple(range(12)), pattern)
+        (ts_again, ts_fixed), ts_decode = traced(ts_cfg.decode,
+                                                 ts_bundle.per_column)
+        (frs_again, frs_fixed), frs_decode = traced(frs_cfg.decode,
+                                                    frs_bundle.per_column)
     finally:
         tracer.uninstall()
     assert ts_decoded == ts_again == (1, 2, 3, 4)
     assert frs_decoded == frs_again == tuple(range(12))
-    assert tracer.stats.ops == 3
-    assert op_calls["rs.decode_words"] == 2
-    assert tracer.stats.calls["trace_scheme.ts_decode_message"] == 1
-    assert tracer.stats.calls["frs_scheme.frs_decode_trial"] == 1
+    assert ts_fixed == frs_fixed == {1}
+    assert tracer.stats.ops == 6
+    assert ts_build["trace_scheme.ts_make_config"] == 1
+    assert ts_build["fields.dual_basis"] == ts_build[
+        "fields.default_modulus"] == 1
+    assert frs_build["frs_scheme.frs_make_config"] == 1
+    for op, scheme in ((ts_op, "trace_scheme.ts"), (frs_op, "frs_scheme.frs")):
+        assert op[f"{scheme}_full_pipeline"] == op["rs.decode_words"] == 1
+        assert op.get("rs.decode_columns", 0) == 0
+    for decode in (ts_decode, frs_decode):
+        assert decode["rs.decode_columns"] == decode["rs.decode_words"] == 1
 
 
 SCHEME_NAMES = ("ts", "frs")
@@ -302,13 +317,37 @@ SCHEME_INTERFACE = ("encode", "download", "decode", "pipeline", "codewords",
                     "symbol_field", "message_space")
 
 
+# The stages written once, in arraycode.ArrayConfig, for both schemes.
+SHARED_STAGES = ("encode", "download", "decode", "pipeline", "codewords")
+# Every public module-level function of each scheme module: the config
+# builder, the pipeline under the name the benchmark imports, and helpers
+# that run no stage.
+SCHEME_FUNCTIONS = {
+    "trace_scheme": {"ts_make_config", "ts_full_pipeline", "ts_project_polys"},
+    "frs_scheme": {"frs_make_config", "frs_full_pipeline", "bundle_columns",
+                   "flatten_columns", "frs_list_decode_bruteforce",
+                   "is_primitive_root", "smallest_prime_above",
+                   "smallest_primitive_root"},
+}
+
+
 def test_both_configs_expose_one_interface():
     """TsConfig and FrsConfig have every method of the scheme interface
     with equal signatures (parameter names, kinds and defaults), and its
-    properties as properties."""
+    properties as properties. The stages are one function each, shared by
+    both configs, and neither scheme module defines another public
+    module-level function, so no per-scheme stage comes back beside
+    them."""
     for name in SCHEME_INTERFACE:
         ts, frs = getattr(TsConfig, name), getattr(FrsConfig, name)
         if isinstance(ts, property) or isinstance(frs, property):
             assert isinstance(ts, property) and isinstance(frs, property), name
         else:
             assert inspect.signature(ts) == inspect.signature(frs), name
+    for name in SHARED_STAGES:
+        assert getattr(TsConfig, name) is getattr(FrsConfig, name), name
+    for module, allowed in SCHEME_FUNCTIONS.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        assert {node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")} == allowed, module

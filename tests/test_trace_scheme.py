@@ -20,9 +20,7 @@ from fracdec.rs import rs_decode_unique, rs_encode, rs_evaluate
 from fracdec.serialization import config_from_dict, load_json
 from fracdec import rs as rs_module
 from fracdec import trace_scheme as ts_module
-from fracdec.trace_scheme import (ts_decode_message, ts_download_all,
-                                  ts_encode,
-                                  ts_full_pipeline, ts_make_config,
+from fracdec.trace_scheme import (ts_full_pipeline, ts_make_config,
                                   ts_project_polys)
 import oracles
 from oracles import ts_decode_bruteforce
@@ -51,7 +49,7 @@ def pattern_from_stream(cfg, stream, support):
 
 def differing_columns(cfg, message, per_column):
     """Columns where the message's downloads differ from `per_column`."""
-    clean = ts_download_all(cfg, ts_encode(cfg, message)).per_column
+    clean = cfg.download(cfg.encode(message)).per_column
     return frozenset(i for i in range(cfg.n)
                      if clean[i] != tuple(per_column[i]))
 
@@ -64,7 +62,7 @@ def test_make_config_reference_values():
     assert cfg.annihilators[0] == (0, 12, 1)      # x^2 + 12x
     assert cfg.annihilators[1] == (6, 8, 1)       # x^2 + 8x + 6
     assert cfg.radius == 2
-    assert cfg.inner_code.k == 8
+    assert cfg.served_code.k == 8
     assert cfg.downloaded_per_word == 24
     assert cfg.accessed_per_word == 48
 
@@ -112,7 +110,7 @@ def test_encode_shape_and_membership():
         stream = trial_stream(11, 0, 0)
         for _ in range(5):
             msg = random_message(cfg, stream)
-            word = ts_encode(cfg, msg)
+            word = cfg.encode(msg)
             assert len(word) == cfg.n and all(len(c) == cfg.l for c in word)
             h = P.normalize(msg)
             symbols = [oracles.poly_eval(cfg.ext, h, w) for w in cfg.omega]
@@ -124,18 +122,18 @@ def test_encode_shape_and_membership():
 
 def test_encode_zero_and_constant():
     cfg = reference_config()
-    zero = ts_encode(cfg, (0,) * 4)
+    zero = cfg.encode((0,) * 4)
     assert zero == ((0,) * 4,) * 12
-    const = ts_encode(cfg, (17, 0, 0, 0))
+    const = cfg.encode((17, 0, 0, 0))
     assert all(col == cfg.basis.project(17) for col in const)
 
 
 def test_encode_validation():
     cfg = reference_config()
     with pytest.raises(ValueError):
-        ts_encode(cfg, (1, 2, 3))
+        cfg.encode((1, 2, 3))
     with pytest.raises(ValueError):
-        ts_encode(cfg, (1, 2, 3, cfg.ext.order))
+        cfg.encode((1, 2, 3, cfg.ext.order))
 
 
 def test_project_polys_reassemble():
@@ -178,10 +176,10 @@ def test_download_identity():
         stream = trial_stream(13, 0, 0)
         for _ in range(20):
             msg = random_message(cfg, stream)
-            served = ts_download_all(cfg, ts_encode(cfg, msg)).per_column
+            served = cfg.download(cfg.encode(msg)).per_column
             for j in range(cfg.m):
                 g = build_stream_poly(cfg, msg, j)
-                assert P.degree(g) < cfg.inner_code.k
+                assert P.degree(g) < cfg.served_code.k
                 for i, w in enumerate(cfg.omega):
                     assert served[i][j] == oracles.poly_eval(cfg.base, g, w)
 
@@ -210,9 +208,9 @@ def test_download_weights_are_annihilator_powers(name, polyring_calls):
             assert tuple(digits[c][out] for c in used) == powers
             assert all(digits[c][out] == 0
                        for c in range(cfg.n * l) if c not in used)
-    word = ts_encode(cfg, random_message(cfg, trial_stream(15, 0, 0)))
+    word = cfg.encode(random_message(cfg, trial_stream(15, 0, 0)))
     calls = polyring_calls()
-    ts_download_all(cfg, word)
+    cfg.download(word)
     assert calls == []
 
 
@@ -221,8 +219,8 @@ def test_download_at_annihilator_roots():
     cfg = reference_config()
     stream = trial_stream(14, 0, 0)
     msg = random_message(cfg, stream)
-    word = ts_encode(cfg, msg)
-    served = ts_download_all(cfg, word).per_column
+    word = cfg.encode(msg)
+    served = cfg.download(word).per_column
     hs = ts_project_polys(cfg, msg)
     for j, subset in enumerate(cfg.subsets):
         for w in subset:
@@ -234,9 +232,9 @@ def test_download_at_annihilator_roots():
 def test_download_zero_column():
     """A zero column serves zeros, whatever the other columns hold."""
     cfg = reference_config()
-    word = ts_encode(cfg, random_message(cfg, trial_stream(16, 0, 0)))
+    word = cfg.encode(random_message(cfg, trial_stream(16, 0, 0)))
     word = word[:3] + ((0,) * 4,) + word[4:]
-    assert ts_download_all(cfg, word).per_column[3] == (0, 0)
+    assert cfg.download(word).per_column[3] == (0, 0)
 
 
 def test_peeling_identity():
@@ -291,12 +289,11 @@ def test_decode_returns_stored_array():
     cfg = reference_config()
     stream = trial_stream(18, 2, 0)
     msg = random_message(cfg, stream)
-    stored = ts_encode(cfg, msg)
+    stored = cfg.encode(msg)
     pattern = pattern_from_stream(cfg, stream, (4, 9))
     corrupted = apply_error_pattern(cfg.base, stored, pattern)
-    decoded, corrected = ts_decode_message(
-        cfg, ts_download_all(cfg, corrupted).per_column)
-    assert ts_encode(cfg, decoded) == stored
+    decoded, corrected = cfg.decode(cfg.download(corrupted).per_column)
+    assert cfg.encode(decoded) == stored
     assert corrected == {4, 9}
 
 
@@ -312,10 +309,10 @@ def test_beyond_radius_returns_stay_within_the_radius():
         msg = random_message(cfg, stream)
         support = stream.sample(cfg.n, 3)
         pattern = pattern_from_stream(cfg, stream, support)
-        bundle = ts_download_all(cfg, apply_error_pattern(
-            cfg.base, ts_encode(cfg, msg), pattern))
+        bundle = cfg.download(apply_error_pattern(
+            cfg.base, cfg.encode(msg), pattern))
         try:
-            decoded, corrected = ts_decode_message(cfg, bundle.per_column)
+            decoded, corrected = cfg.decode(bundle.per_column)
         except DecodeFailure:
             outcomes["fail"] += 1
             continue
@@ -357,35 +354,35 @@ def test_peel_is_exact_beyond_the_radius(params):
         else:
             weight = cfg.radius + 1 + trial % (cfg.n - cfg.radius)
             msg = random_message(cfg, stream)
-            stored = ts_encode(cfg, msg)
+            stored = cfg.encode(msg)
             if trial % 3 == 1:
                 received = apply_error_pattern(
                     cfg.base, stored, random_error_pattern(cfg, stream, weight))
             else:
-                other = ts_encode(cfg, random_message(cfg, stream))
+                other = cfg.encode(random_message(cfg, stream))
                 bad = stream.sample(cfg.n, weight)
                 received = tuple(other[i] if i in bad else stored[i]
                                  for i in range(cfg.n))
-            bundle = ts_download_all(cfg, received)
+            bundle = cfg.download(received)
         try:
             decoded_streams = [rs_decode_unique(
-                cfg.inner_code, tuple(c[j] for c in bundle.per_column))
+                cfg.served_code, tuple(c[j] for c in bundle.per_column))
                 for j in range(cfg.m)]
         except DecodeFailure:
             counts["stream"] += 1
             with pytest.raises(DecodeFailure):
-                ts_decode_message(cfg, bundle.per_column)
+                cfg.decode(bundle.per_column)
             continue
         union = frozenset().union(*(pos for _, pos in decoded_streams))
         if len(union) > cfg.radius:
             counts["union"] += 1
             with pytest.raises(DecodeFailure):
-                ts_decode_message(cfg, bundle.per_column)
+                cfg.decode(bundle.per_column)
             continue
-        decoded, corrected = ts_decode_message(cfg, bundle.per_column)
-        clean = ts_download_all(cfg, ts_encode(cfg, decoded)).per_column
+        decoded, corrected = cfg.decode(bundle.per_column)
+        clean = cfg.download(cfg.encode(decoded)).per_column
         for j, (g_j, _) in enumerate(decoded_streams):
-            assert tuple(c[j] for c in clean) == rs_encode(cfg.inner_code, g_j)
+            assert tuple(c[j] for c in clean) == rs_encode(cfg.served_code, g_j)
         assert corrected == union == differing_columns(
             cfg, decoded, bundle.per_column)
         counts["returned"] += 1
@@ -410,10 +407,8 @@ def test_decode_contract_matches_bruteforce_oracle(name):
     seen = {"returned": 0, "failed": 0}
     for trial in range(300):
         stream = trial_stream(53, cfg.n, trial)
-        clean = ts_download_all(
-            cfg, ts_encode(cfg, random_message(cfg, stream))).per_column
-        other = ts_download_all(
-            cfg, ts_encode(cfg, random_message(cfg, stream))).per_column
+        clean = cfg.download(cfg.encode(random_message(cfg, stream))).per_column
+        other = cfg.download(cfg.encode(random_message(cfg, stream))).per_column
         bad = stream.sample(cfg.n, trial % (cfg.n + 1))
         per_column = tuple(
             (other[i] if trial % 2 else
@@ -422,10 +417,10 @@ def test_decode_contract_matches_bruteforce_oracle(name):
         want = ts_decode_bruteforce(cfg, per_column, cfg.radius)
         if want is None:
             with pytest.raises(DecodeFailure):
-                ts_decode_message(cfg, per_column)
+                cfg.decode(per_column)
             seen["failed"] += 1
             continue
-        decoded, corrected = ts_decode_message(cfg, per_column)
+        decoded, corrected = cfg.decode(per_column)
         assert decoded == want
         assert corrected == differing_columns(cfg, want, per_column)
         seen["returned"] += 1
@@ -471,8 +466,8 @@ def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
     stream = trial_stream(48, cfg.radius, 0)
     message = random_message(cfg, stream)
     pattern = random_error_pattern(cfg, stream, cfg.radius)
-    word = apply_error_pattern(cfg.base, ts_encode(cfg, message), pattern)
-    bundle = ts_download_all(cfg, word)
+    word = apply_error_pattern(cfg.base, cfg.encode(message), pattern)
+    bundle = cfg.download(word)
     rs_codes_built.clear()
     calls = rs_calls("_decode_unique", "rs_interpolate", "tabulate_map")
     products, original = [], rs_module.packed_product
@@ -483,10 +478,10 @@ def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
 
     for module in (rs_module, ts_module):
         monkeypatch.setattr(module, "packed_product", counting)
-    decoded, _ = ts_decode_message(cfg, bundle.per_column)
+    decoded, _ = cfg.decode(bundle.per_column)
     assert decoded == message
     assert calls == ["_decode_unique", "rs_interpolate"] * cfg.m
-    code = cfg.inner_code
+    code = cfg.served_code
     assert list(map(id, products)) == list(map(id, (
         [code.interpolation, code.evaluation] * cfg.m + [cfg.decode_map])))
     assert rs_codes_built == []
@@ -509,21 +504,21 @@ def table_inputs(rng, q, length, count=10):
 
 @pytest.mark.parametrize("name", TABLE_CONFIGS)
 def test_encode_table_is_projection_then_evaluation(name):
-    """ts_encode's one product equals evaluating the coordinate polynomials
+    """cfg.encode's one product equals evaluating the coordinate polynomials
     of ts_project_polys at the points."""
     cfg = TABLE_CONFIGS[name]()
     rng = random.Random(name)
     for digits in table_inputs(rng, cfg.base.q, cfg.k * cfg.l):
         message = tuple(cfg.ext.from_vec(digits[t:t + cfg.l])
                         for t in range(0, len(digits), cfg.l))
-        assert ts_encode(cfg, message) == tuple(zip(*(
-            rs_evaluate(cfg.inner_code, h)
+        assert cfg.encode(message) == tuple(zip(*(
+            rs_evaluate(cfg.served_code, h)
             for h in ts_project_polys(cfg, message))))
 
 
 @pytest.mark.parametrize("name", TABLE_CONFIGS)
 def test_download_table_matches_the_weights(name):
-    """ts_download_all's one product, and cfg.download_fn's, equal the dot
+    """cfg.download's one product, and cfg.download_fn's, equal the dot
     products of each column with its weights: served symbol j of column i
     weighs the column by p_j(omega_i)^u for u = 0..l-m."""
     cfg = TABLE_CONFIGS[name]()
@@ -536,7 +531,7 @@ def test_download_table_matches_the_weights(name):
             tuple(sum(map(mul, (*col[:split], col[split + j]), column)) % q
                   for j, column in enumerate(weights[i]))
             for i, col in enumerate(word))
-        assert ts_download_all(cfg, word).per_column == weighted
+        assert cfg.download(word).per_column == weighted
         assert cfg.download_fn()(word) == weighted
 
 
@@ -547,15 +542,15 @@ def test_decode_table_matches_the_scalar_peel(name):
     The streams reach the decoder as clean downloads, their evaluations at
     the points, so the stream decodes return them unchanged."""
     cfg = TABLE_CONFIGS[name]()
-    q, size = cfg.base.q, cfg.inner_code.k
+    q, size = cfg.base.q, cfg.served_code.k
     rng = random.Random(name)
     inputs = table_inputs(rng, q, cfg.m * size) + [
         [int(i == e) for i in range(cfg.m * size)]
         for e in range(cfg.m * size)]
     for coeffs in inputs:
         streams = [coeffs[j * size:(j + 1) * size] for j in range(cfg.m)]
-        rows = [rs_evaluate(cfg.inner_code, g) for g in streams]
-        assert ts_decode_message(cfg, tuple(zip(*rows))) == (
+        rows = [rs_evaluate(cfg.served_code, g) for g in streams]
+        assert cfg.decode(tuple(zip(*rows))) == (
             oracles.ts_peel(cfg, streams), frozenset())
 
 
@@ -580,11 +575,11 @@ def test_tables_leave_digits_room(name):
 
 def test_malformed_bundle_rejected():
     cfg = reference_config()
-    good = ts_download_all(cfg, ts_encode(cfg, (0,) * 4)).per_column
+    good = cfg.download(cfg.encode((0,) * 4)).per_column
     with pytest.raises(ValueError):
-        ts_decode_message(cfg, good[:-1])
+        cfg.decode(good[:-1])
     with pytest.raises(ValueError):
-        ts_decode_message(cfg, tuple(c[:1] for c in good))
+        cfg.decode(tuple(c[:1] for c in good))
 
 
 def test_m_equals_l_degenerates_to_plain_decoding():
@@ -601,7 +596,7 @@ def test_m_equals_l_degenerates_to_plain_decoding():
 
 def test_m_one_deepest_peeling():
     cfg = ts_make_config(13, 12, 3, 4, 1)
-    assert cfg.inner_code.k == 12 and cfg.radius == 0
+    assert cfg.served_code.k == 12 and cfg.radius == 0
     stream = trial_stream(21, 0, 0)
     msg = random_message(cfg, stream)
     decoded, _ = ts_full_pipeline(cfg, msg,
@@ -640,8 +635,8 @@ def test_all_codewords_enumeration():
 
 def test_download_fn_restriction():
     cfg = tiny_config()
-    word = ts_encode(cfg, (7, 12))
-    served = ts_download_all(cfg, word).per_column
+    word = cfg.encode((7, 12))
+    served = cfg.download(word).per_column
     assert cfg.download_fn()(word) == served
     assert cfg.download_fn(1)(word) == tuple(s[:1] for s in served)
     assert cfg.download_fn(0)(word) == ((),) * cfg.n
