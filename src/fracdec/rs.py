@@ -23,9 +23,9 @@ a linear function by running it once on all its unit inputs together.
 `RsCode` builds its two maps once: `evaluation` at its points, and
 `interpolation` through them, whose Lagrange columns come from synthetic
 division of its master polynomial. `rs_evaluate` and `rs_interpolate`
-apply them for the whole package. Both schemes' encoders, and the trace
-scheme's downloads and decoder, are each one product with a map of their
-config too. `RsCode` is a frozen record (`records.Record`): its
+apply them for the whole package. The folded encoder and the trace
+scheme's encoder, downloads and decoder are each one product with a map
+of their config too. `RsCode` is a frozen record (`records.Record`): its
 maps are derived slots, left out of its equality, hash and repr.
 `PackedMap` is a `collections.namedtuple`.
 

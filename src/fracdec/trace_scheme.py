@@ -22,12 +22,12 @@ config, so each is one packed table (`rs.packed_map`), built once, and
 each use is one multiply-accumulate with it. The peel is exact for any
 streams, so it runs once per config, on all the unit streams together,
 to derive the decode table; the decoder is the stream decodes
-(`rs.decode_columns`) plus one product with that table. The stages are
-`arraycode.ArrayConfig`'s, shared with the folded scheme; this module
-supplies the layout and the three products. It returns a
+(`rs.decode_columns`) plus one product with that table. It returns a
 message exactly when some message's downloads lie within
 floor((n - k/alpha) / 2) columns of the received ones, with the columns
-where they differ; otherwise it raises DecodeFailure.
+where they differ; otherwise it raises DecodeFailure. The stages are
+`arraycode.ArrayConfig`'s, shared with the folded scheme; this module
+supplies the layout and the three products.
 
 Every column is read in full (l symbols accessed) but transmits only m, so
 the download fraction is alpha = m/l while the corrected error count is
