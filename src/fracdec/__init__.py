@@ -26,7 +26,7 @@ _EXPORTS = {
                "find_download_collision", "list_capacity", "min_info_check",
                "radius_naive", "radius_optimal", "radius_report"),
     "budget": ("DEFAULT_BUDGET", "check_budget", "enumeration_budget"),
-    "errors": ("BudgetExceeded", "DecodeFailure", "InconsistentErasures"),
+    "errors": ("BudgetExceeded", "DecodeFailure"),
     "fields": ("ExtField", "PrimeField", "TraceDualBasis", "default_modulus",
                "dual_basis", "is_prime", "poly_is_irreducible",
                "polynomial_basis", "prime_factors"),
@@ -39,10 +39,8 @@ _EXPORTS = {
                 "random_message", "report_to_dict", "report_to_json",
                 "run_trial", "simulate", "trial_stream"),
     "rationals": ("as_fraction",),
-    "rs": ("RsCode", "nearest_codeword_bruteforce", "rs_decode_unique",
-           "rs_encode", "rs_erasure_decode"),
-    "trace_scheme": ("TsConfig", "ts_full_pipeline", "ts_make_config",
-                     "ts_project_polys"),
+    "rs": ("RsCode", "nearest_codeword_bruteforce"),
+    "trace_scheme": ("TsConfig", "ts_full_pipeline", "ts_make_config"),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "polyring", "records",
                                       "serialization"}

@@ -8,13 +8,12 @@ many of its entries changed.
 once: encode, download, decode, the full pipeline and the enumeration of
 the code. A scheme supplies its layout as derived slots and three small
 methods; `rs.decode_words` is the one place served symbols become words.
-This module loads `rs` only once a scheme module defines its config, so
-importing it alone, as `bounds` does, loads no code tables.
 """
 
 import itertools
 
 from .records import Record
+from .rs import decode_columns, decode_words, packed_product
 
 
 class ErrorPattern(Record):
@@ -177,15 +176,6 @@ class ArrayConfig(Record):
 
     __slots__ = ("served_code", "g", "served_per_column", "message_field",
                  "message_length")
-
-    def __init_subclass__(cls, **kwargs):
-        # rs's functions become this module's globals once a scheme module,
-        # which has imported rs by then, defines its config: the stages
-        # call them at no import cost, and importing this module alone, as
-        # bounds does, loads no rs
-        global decode_columns, decode_words, packed_product
-        from .rs import decode_columns, decode_words, packed_product
-        super().__init_subclass__(**kwargs)
 
     @property
     def symbol_field(self):

@@ -19,7 +19,6 @@ import itertools
 from fractions import Fraction
 from math import comb, floor
 
-from .arraycode import apply_error_pattern, difference_pattern
 from .budget import check_budget
 from .rationals import as_fraction
 from .records import Record
@@ -203,6 +202,8 @@ def _build_witness(field, word_a, word_b, agree_columns, t, download):
     words' downloads here is what checks it, and a download that mixes
     columns raises RuntimeError.
     """
+    from .arraycode import apply_error_pattern, difference_pattern
+
     n = len(word_a)
     rest = [i for i in range(n) if i not in set(agree_columns)]
     j1, j2 = rest[:t], rest[t:]

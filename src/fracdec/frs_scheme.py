@@ -163,11 +163,6 @@ class FrsConfig(ArrayConfig):
         return RsCode(self.field, self.message_length, flatten_columns(
             self.column_points(i) for i in columns))
 
-    def message_polys(self, message):
-        """What column_code decodes clean columns to, before normalizing:
-        the message's one polynomial h, checked."""
-        return (self._checked_message(message),)
-
 
 def frs_make_config(n, k, l, alpha, *, p=None, gamma=None):
     """Build an FrsConfig; p defaults to the smallest prime > n*l and gamma

@@ -17,7 +17,6 @@ from math import comb
 from .budget import check_budget
 from .arraycode import ErrorPattern, apply_error_pattern
 from .errors import DecodeFailure
-from .polyring import normalize
 from .records import Record
 from .rs import decode_columns
 
@@ -46,12 +45,17 @@ class SplitMix64:
 
     def below(self, bound):
         """Uniform integer in [0, bound) by rejection sampling (no modulo
-        bias)."""
+        bias). Each candidate is the fewest 64-bit draws, concatenated,
+        that reach bound - 1: one draw for every bound up to 2^64."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
+        words = -(-(bound - 1).bit_length() // 64) or 1
+        span = 1 << 64 * words
+        limit = span - span % bound
         while True:
             v = self.next_u64()
+            for _ in range(words - 1):
+                v = v << 64 | self.next_u64()
             if v < limit:
                 return v % bound
 
@@ -359,14 +363,15 @@ def compare_naive(cfg, t, seed=0):
 
 def _decode_naive(cfg, message, pattern, read_columns, naive_radius):
     """Decode from whole columns only, the way an alpha*n-column reader
-    would, and classify the outcome against the true message."""
+    would, and classify the outcome against what the same reader decodes
+    from the clean columns, at radius 0."""
     stored = cfg.encode(message)
-    want = tuple(map(normalize, cfg.message_polys(message)))
+    code = cfg.column_code(read_columns)
+    want, _ = decode_columns(code, [stored[i] for i in read_columns], 0)
     corrupted = apply_error_pattern(cfg.symbol_field, stored, pattern)
     try:
-        decoded, _ = decode_columns(cfg.column_code(read_columns),
-                                    [corrupted[i] for i in read_columns],
-                                    naive_radius)
+        decoded, _ = decode_columns(
+            code, [corrupted[i] for i in read_columns], naive_radius)
     except DecodeFailure:
         return "failed"
     return "recovered" if decoded == want else "miscorrected"

@@ -1,5 +1,6 @@
-"""Reed-Solomon codes: evaluation encoding, unique decoding, erasure
-decoding, and a brute-force nearest-codeword search used as an oracle.
+"""Reed-Solomon codes: evaluation encoding, unique decoding of words
+whose errors share columns, and a brute-force nearest-codeword search used
+as an oracle.
 
 A message is the coefficient tuple of a polynomial of degree < k over a
 prime field GF(q); the codeword is its evaluations at n distinct points.
@@ -7,7 +8,7 @@ Unique decoding follows Gao's extended-Euclid method: interpolate the
 received word, run the partial GCD against the master root polynomial
 until the remainder degree drops below (n + k) / 2, and read the message
 off the quotient. The Euclid run and the quotient are computed on packed
-integers too (see `rs_decode_unique`): a remainder and its cofactor share
+integers too (see `_decode_unique`): a remainder and its cofactor share
 one integer, so each quotient term is one multiply-add.
 
 Every GF(q)-linear map the package applies is one `PackedMap`: each
@@ -34,24 +35,26 @@ is a precondition: every symbol must be a canonical integer in [0, q). A
 non-canonical symbol is not reduced mod q: a negative one borrows from
 the neighbouring digits and an oversized one can carry into them, so the
 product is silently wrong. Symbols are checked once, where they enter,
-before any product sees them. In this module `rs_encode`,
-`rs_decode_unique`, `decode_columns`, `rs_erasure_decode` and
-`nearest_codeword_bruteforce` check their input; `decode_columns` checks
-its columns' shape, then all their symbols in one pass in column order,
-and hands them to `decode_words`. `packed_product`, `rs_evaluate`,
+before any product sees them. In this module `decode_columns` and
+`nearest_codeword_bruteforce` check their input. `decode_columns` is the
+one checked decoder: it checks its columns' shape, then all their
+symbols in one pass in column order, and hands them to `decode_words`.
+A single word is n columns of one symbol each, and an erasure decode is
+`decode_columns` on the code punctured to the known positions, at radius
+0. `rs_evaluate` is the one encoder. `packed_product`, `rs_evaluate`,
 `rs_interpolate` and `decode_words` check nothing: `decode_words` takes
 a word's served symbols, flat and column by column, forms the words of
 the code from them, the one place in the package that does, and decodes
-each through `rs_decode_unique`'s unchecked core. Elsewhere
-`arraycode.apply_error_pattern` checks every word and offset symbol, and
-the stages both scheme configs share (`arraycode.ArrayConfig`) check what
-enters them: `encode` each message symbol, `download` every stored
-symbol, and `decode` the downloads through `decode_columns`. Their
-`pipeline` checks its message and error pattern as `encode` and
-`apply_error_pattern` do, then keeps canonical symbols in one flat list
-down to `decode_words`. Every other operand is computed mod q from checked data: the quotient a
-decode evaluates, the decoded streams the trace decode table reads, and
-the messages the brute-force oracles draw from `field.elements()`.
+each through `_decode_unique`. Elsewhere `arraycode.apply_error_pattern`
+checks every word and offset symbol, and the stages both scheme configs
+share (`arraycode.ArrayConfig`) check what enters them: `encode` each
+message symbol, `download` every stored symbol, and `decode` the
+downloads through `decode_columns`. Their `pipeline` checks its message
+and error pattern as `encode` and `apply_error_pattern` do, then keeps
+canonical symbols in one flat list down to `decode_words`. Every other
+operand is computed mod q from checked data: the quotient a decode
+evaluates, the decoded streams the trace decode table reads, and the
+messages the brute-force oracles draw from `field.elements()`.
 """
 
 import itertools
@@ -60,9 +63,9 @@ from collections import namedtuple
 from operator import floordiv, mul, ne
 
 from .budget import check_budget
-from .errors import DecodeFailure, InconsistentErasures
+from .errors import DecodeFailure
 from .fields import PrimeField
-from .polyring import degree, normalize, poly_from_roots
+from .polyring import normalize, poly_from_roots
 from .records import Record
 
 # struct codes of the unsigned digits rs packs in C, by width in bits
@@ -85,7 +88,7 @@ class RsCode(Record):
         synthetic-division pass over master yields the quotient from the
         top down, and Horner's rule on it as it appears gives
         master'(omega_i), so the map costs O(n^2) after master.
-    decode_width: the bit width of one digit of `rs_decode_unique`'s packed
+    decode_width: the bit width of one digit of `_decode_unique`'s packed
         Euclid run: the least of 8, 16, 32 and 64, or past 64 the least
         multiple of 8, with (k + 1) * (q - 1) * (2q - 1)^t < 2^decode_width,
         t the radius; or 64 where that bound is over 128 bits and one
@@ -94,7 +97,7 @@ class RsCode(Record):
     decode_master: the Euclid run's start, master packed at decode_width
         above t + 1 zero digits (its cofactor, 0).
     Only `rs_evaluate` and `rs_interpolate` apply the two maps, and only
-    `rs_decode_unique` reads the decode fields.
+    `_decode_unique` reads the decode fields.
     """
 
     _fields = ("field", "k", "omega")
@@ -158,18 +161,6 @@ def power_columns(q, points, k):
         columns.append(column)
         column = [c * w % q for c, w in zip(column, points)]
     return columns
-
-
-def rs_encode(code, message):
-    """Evaluate the message polynomial at the code's points, checking
-    every coefficient, trailing zeros included."""
-    message = tuple(message)
-    for c in message:
-        code.field.check(c)
-    h = normalize(message)
-    if degree(h) >= code.k:
-        raise ValueError(f"message degree {degree(h)} >= k = {code.k}")
-    return rs_evaluate(code, h)
 
 
 def _digit_bytes(bits):
@@ -308,8 +299,9 @@ def packed_product(pmap, symbols):
                    pmap.width, pmap.q)
 
 
-def rs_decode_unique(code, received):
-    """Decode up to floor((n - k) / 2) errors.
+def _decode_unique(code, received):
+    """Decode up to floor((n - k) / 2) errors in a word of n canonical
+    symbols, unchecked: `decode_words` is its one caller.
 
     Returns (message, error_positions) with error_positions a frozenset.
     Raises DecodeFailure when no codeword lies within the radius; by the
@@ -356,15 +348,6 @@ def rs_decode_unique(code, received):
     digits stay at most (k + 1) A. At 64 bits one division from reduced
     digits fits (see `RsCode`), so a reduction always makes room.
     """
-    received = tuple(received)
-    if len(received) != code.n:
-        raise ValueError(
-            f"received word has {len(received)} symbols, expected {code.n}")
-    return _decode_unique(code, code.field.check_all(received))
-
-
-def _decode_unique(code, received):
-    """`rs_decode_unique` of a sequence of n canonical symbols, unchecked."""
     n, k, q, width = code.n, code.k, code.field.q, code.decode_width
     mask, cap = (1 << width) - 1, 1 << width
     low = (code.radius + 1) * width
@@ -431,6 +414,10 @@ def decode_columns(code, columns, radius):
     in the order of `code.omega`. The columns' shape is checked, then every
     symbol, once and in column order, before the first decode; then
     `decode_words` decodes the columns' symbols and returns its result.
+    A single word is n columns of one symbol each. At radius 0 on the
+    code punctured to some positions, it is an erasure decode: it returns
+    the message exactly when the symbols at those positions lie on one
+    codeword, and raises DecodeFailure otherwise.
     """
     count, n = len(columns), code.n
     g, height = n // count, len(columns[0])
@@ -474,38 +461,6 @@ def decode_words(code, served, g, radius):
             f"nearest codeword differs on {len(corrected)} columns, more "
             f"than the radius {radius}")
     return tuple(messages), frozenset(corrected)
-
-
-def rs_erasure_decode(code, known):
-    """Recover the message from >= k error-free (position, value) pairs.
-
-    Interpolates through the first k pairs and checks the rest; any
-    disagreement raises InconsistentErasures since the inputs were claimed
-    to be clean. Positions must be plain ints.
-    """
-    field = code.field
-    known = list(known)
-    positions = [pos for pos, _ in known]
-    for pos in positions:
-        if not isinstance(pos, int) or isinstance(pos, bool):
-            raise ValueError(f"position {pos!r} is not an int")
-    if len(set(positions)) != len(positions):
-        raise ValueError("duplicate positions in erasure input")
-    for pos, val in known:
-        if not 0 <= pos < code.n:
-            raise ValueError(f"position {pos} outside codeword of length {code.n}")
-        field.check(val)
-    if len(known) < code.k:
-        raise ValueError(f"need at least k = {code.k} clean symbols, got {len(known)}")
-    head, tail = known[:code.k], known[code.k:]
-    head_code = RsCode(field, code.k, [code.omega[pos] for pos, _ in head])
-    h = rs_interpolate(head_code, [val for _, val in head])
-    codeword = rs_evaluate(code, h)
-    for pos, val in tail:
-        if codeword[pos] != val:
-            raise InconsistentErasures(
-                f"symbol at position {pos} is off the interpolated polynomial")
-    return h
 
 
 def nearest_codeword_bruteforce(code, received, radius):

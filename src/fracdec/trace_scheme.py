@@ -39,7 +39,7 @@ from operator import mul
 
 from .arraycode import ArrayConfig
 from .fields import ExtField, PrimeField, dual_basis
-from .polyring import normalize, poly_from_roots
+from .polyring import poly_from_roots
 from .rs import (RsCode, packed_map, packed_product, power_columns,
                  rs_interpolate, tabulate_map)
 
@@ -68,8 +68,8 @@ class TsConfig(ArrayConfig):
         coordinate u at output i*l + u). It is the Kronecker product of
         the evaluation map at omega with the trace projection, so column i
         holds the trace coordinates of the RS codeword symbol h(omega_i),
-        (h_0(omega_i), ..., h_{l-1}(omega_i)) for the coordinate
-        polynomials of ts_project_polys.
+        (h_0(omega_i), ..., h_{l-1}(omega_i)), where h_u has the u-th
+        trace coordinate of each message symbol.
     download_map: block-diagonal, the n*l stored symbols to the n*m served
         ones (column i's symbol j at output i*m + j). Served symbol j of
         column i weighs the column's coordinates by the powers
@@ -203,10 +203,6 @@ class TsConfig(ArrayConfig):
         """The code each stored row is a word of, read at whole columns."""
         return RsCode(self.base, self.k, [self.omega[i] for i in columns])
 
-    def message_polys(self, message):
-        """What column_code decodes clean rows to: ts_project_polys."""
-        return ts_project_polys(self, message)
-
 
 def _check_sizes(q, n, k, l, m):
     """The checks of a trace config that read only its sizes: n points of
@@ -258,17 +254,6 @@ def ts_make_config(q, n, k, l, m, *, omega=None, subsets=None, modulus=None,
     basis = dual_basis(ext, zeta)
     return TsConfig(ext=ext, k=k, omega=omega, subsets=tuple(subsets),
                     basis=basis)
-
-
-def ts_project_polys(cfg, message):
-    """The l coordinate polynomials h_u of a message.
-
-    h_u has the u-th trace coordinate of each message coefficient, so it is
-    a polynomial over the base field of degree < k, and evaluating the
-    stack (h_0(w), ..., h_{l-1}(w)) reproduces the stored column at w.
-    """
-    coords = [cfg.basis.project(a) for a in cfg._checked_message(message)]
-    return tuple(normalize(tuple(c[u] for c in coords)) for u in range(cfg.l))
 
 
 def _decode_table(base, k, subsets, annihilators, basis):

@@ -133,11 +133,11 @@ def trial_decode_columns(field, columns, column_points, degree_bound, t_star):
 
 
 def rs_decode_euclid(code, received):
-    """`fracdec.rs.rs_decode_unique` one coefficient at a time: Gao's
+    """`fracdec.rs._decode_unique` one coefficient at a time: Gao's
     partial extended Euclid from the master polynomial and the interpolant,
     dividing in `fracdec.polyring`, then the exact quotient r1 / v1 and the
     re-encode check. The reference the packed decoder is compared against,
-    input checks and DecodeFailure messages included."""
+    DecodeFailure messages included."""
     field, n, k = code.field, code.n, code.k
     received = tuple(received)
     if len(received) != n:
@@ -159,6 +159,17 @@ def rs_decode_euclid(code, received):
     if len(positions) > code.radius:
         raise DecodeFailure(failure)
     return h, positions
+
+
+def ts_project_polys(cfg, message):
+    """The l coordinate polynomials h_u of a trace-scheme message.
+
+    h_u has the u-th trace coordinate of each message coefficient, so it is
+    a polynomial over the base field of degree < k, and evaluating the
+    stack (h_0(w), ..., h_{l-1}(w)) reproduces the stored column at w.
+    """
+    coords = [cfg.basis.project(a) for a in message]
+    return tuple(normalize(tuple(c[u] for c in coords)) for u in range(cfg.l))
 
 
 def irreducible_by_trial_division(base, coeffs):

@@ -19,11 +19,10 @@ from fracdec.frs_scheme import (FrsConfig, frs_full_pipeline,
 from fracdec.harness import (compare_naive, random_error_pattern,
                              random_message, run_trial, trial_stream)
 from fracdec.polyring import normalize, poly_divmod, poly_mul
-from fracdec.rs import RsCode, nearest_codeword_bruteforce, rs_decode_unique, \
-    rs_encode
-from fracdec.trace_scheme import (TsConfig, ts_full_pipeline, ts_make_config,
-                                  ts_project_polys)
-from oracles import poly_add, poly_eval, poly_pow, poly_sub
+from fracdec.rs import (RsCode, decode_columns, nearest_codeword_bruteforce,
+                        rs_evaluate)
+from fracdec.trace_scheme import TsConfig, ts_full_pipeline, ts_make_config
+from oracles import poly_add, poly_eval, poly_pow, poly_sub, ts_project_polys
 
 SEED = 2026
 
@@ -172,13 +171,14 @@ def test_criterion_6_oracle_equivalence(criterion):
         k = 1 + stream.below(min(2, n))
         code = RsCode(field, k, tuple(range(n)))
         message = normalize(tuple(stream.below(13) for _ in range(k)))
-        word = list(rs_encode(code, message))
+        word = list(rs_evaluate(code, message))
         weight = stream.below(code.radius + 1)
         support = stream.sample(n, weight)
         for i in support:
             word[i] = field.add(word[i], 1 + stream.below(12))
         try:
-            decoded, positions = rs_decode_unique(code, word)
+            (decoded,), positions = decode_columns(
+                code, [(s,) for s in word], code.radius)
             hits = nearest_codeword_bruteforce(code, word, code.radius)
             agree = (len(hits) == 1
                      and hits[0] == (decoded, len(positions))

@@ -22,9 +22,9 @@ from fracdec.fields import (ExtField, PrimeField, TraceDualBasis,
                             prime_factors)
 from fracdec.frs_scheme import frs_list_decode_bruteforce, frs_make_config
 from fracdec.harness import random_error_pattern, random_message, trial_stream
-from fracdec.rs import RsCode, rs_decode_unique, rs_encode, rs_erasure_decode
+from fracdec.rs import RsCode, decode_columns
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import ts_make_config, ts_project_polys
+from fracdec.trace_scheme import ts_make_config
 from oracles import ExtFieldReference, irreducible_by_trial_division
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -170,11 +170,8 @@ def entry_points(label):
         ts = ts_make_config(7, 4, 2, 2, 2)
         frs = frs_make_config(2, 1, 2, Fraction(1, 2), p=7)
         points.update({
-            "rs_encode": lambda bad: rs_encode(code, (bad,)),
-            "rs_decode_unique":
-                lambda bad: rs_decode_unique(code, (0, 0, bad)),
-            "rs_erasure_decode":
-                lambda bad: rs_erasure_decode(code, [(0, 0), (1, bad)]),
+            "decode_columns":
+                lambda bad: decode_columns(code, ((0,), (0,), (bad,)), 1),
             "poly_is_irreducible":
                 lambda bad: poly_is_irreducible(field, (bad, 0, 1)),
             "ts_make_config-omega":
@@ -202,7 +199,6 @@ def entry_points(label):
             "TraceDualBasis":
                 lambda bad: TraceDualBasis(ext=field, zeta=(1, bad)),
             "TsConfig.encode": lambda bad: ts.encode((bad,)),
-            "ts_project_polys": lambda bad: ts_project_polys(ts, (bad,)),
         })
     return points
 

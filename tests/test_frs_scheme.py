@@ -21,7 +21,7 @@ from fracdec.fields import PrimeField, prime_factors
 from fracdec.harness import (_decode_naive, random_column_offset,
                              random_error_pattern, random_message,
                              trial_stream)
-from fracdec.rs import RsCode, decode_columns, rs_decode_unique
+from fracdec.rs import RsCode, decode_columns
 from fracdec.serialization import config_from_dict, load_json
 from oracles import trial_decode_columns
 
@@ -342,7 +342,8 @@ def test_trial_decoder_doubles_as_scalar_rs_decoder():
         support = rng.sample(range(8), rng.randrange(code.radius + 1))
         for i in support:
             word[i] = field.add(word[i], rng.randrange(1, 13))
-        expect_h, expect_pos = rs_decode_unique(code, word)
+        (expect_h,), expect_pos = decode_columns(
+            code, [(y,) for y in word], code.radius)
         got_h, got_pos = trial_decode_columns(
             field, [(y,) for y in word], [(w,) for w in code.omega],
             degree_bound=2, t_star=code.radius)

@@ -1,8 +1,13 @@
 """Simulation harness tests: the deterministic RNG, experiment plumbing,
 report stability, and the naive-vs-fractional comparison."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +19,10 @@ from fracdec.harness import (ExperimentSpec, SplitMix64, _download_budget,
                              random_column_offset, random_error_pattern,
                              random_message, report_to_dict, report_to_json,
                              run_trial, simulate, trial_stream)
+from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import ts_make_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ts_ref():
@@ -50,6 +58,68 @@ def test_below_bounds():
     assert seen == set(range(6))
     with pytest.raises(ValueError):
         g.below(0)
+
+
+def run_child(*argv):
+    """Run `python *argv` with the package importable, in a child process
+    with a timeout, so a call that never returns fails the test rather
+    than hanging it; return its stdout."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=path)).stdout
+
+
+def test_below_draws_past_64_bits():
+    """A bound over 2^64 draws each candidate from as many 64-bit words
+    as it needs, concatenated, first draw highest, and returns a value in
+    range (in a child process: a draw that never returns would hang)."""
+    bounds = (2 ** 64 + 1, 2 ** 65, 257 ** 8, 2 ** 200 - 1)
+    first, after, draws = json.loads(run_child("-c", f"""
+import json
+from fracdec.harness import SplitMix64
+g = SplitMix64(3)
+first, after = g.below(2 ** 65), g.next_u64()
+print(json.dumps([first, after, [[g.below(b) for _ in range(50)]
+                                 for b in {bounds!r}]]))
+"""))
+    ref = SplitMix64(3)
+    # 2^128 is a multiple of 2^65, so the first candidate is kept
+    assert first == (ref.next_u64() << 64 | ref.next_u64()) % 2 ** 65
+    assert after == ref.next_u64()
+    for bound, values in zip(bounds, draws):
+        assert all(0 <= v < bound for v in values), bound
+
+
+def test_below_draws_one_word_up_to_64_bits():
+    """A bound up to 2^64 draws one word per candidate and rejects as the
+    one-word rejection sampler does, so every seeded report is as
+    before."""
+    g, ref = SplitMix64(4), SplitMix64(4)
+    for bound in (1, 6, 257 ** 7, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64) * 20:
+        limit = 2 ** 64 - 2 ** 64 % bound
+        while (v := ref.next_u64()) >= limit:
+            pass
+        assert g.below(bound) == v % bound
+    assert g.next_u64() == ref.next_u64()
+
+
+def test_cli_draws_messages_of_a_field_past_64_bits(tmp_path):
+    """A trace config over GF(257^8) has message symbols of order 257^8 >
+    2^64: `simulate` and `compare-naive` draw its messages and finish, in
+    child processes with a timeout."""
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"format": 1, "scheme": "ts", "q": 257,
+                                  "n": 8, "k": 2, "l": 8, "m": 2}))
+    for argv in (["simulate", "--weights", "0", "--trials-per-weight", "1",
+                  "--mode", "sampled"], ["compare-naive", "--t", "0"]):
+        out = tmp_path / f"{argv[0]}.json"
+        run_child("-m", "fracdec.cli", *argv, "--config", str(config),
+                  "--out", str(out))
+        report = json.loads(out.read_text())
+        assert report["scheme"] == "ts"
+    assert report["naiveOutcome"] == report["fractionalOutcome"] == "recovered"
 
 
 def test_sample_properties():
@@ -215,6 +285,19 @@ def test_compare_naive_folded_separation():
     assert result.fractional_outcome == "recovered"
     assert result.separated
     assert result.downloaded_naive == result.downloaded_fractional == 24
+
+
+def test_compare_naive_pins_a_naive_miscorrection():
+    """On the shipped ts-q13-n12-k4 at t = 2 and seed 49 the whole-column
+    reader decodes to another message: the corrupted columns lie within
+    its radius of a different codeword. The fractional reader recovers
+    the message."""
+    cfg = config_from_dict(load_json(str(ROOT / "configs" /
+                                         "ts-q13-n12-k4.json")))
+    d = comparison_to_dict(compare_naive(cfg, 2, seed=49))
+    assert d["naiveOutcome"] == "miscorrected"
+    assert d["fractionalOutcome"] == "recovered"
+    assert d["separated"] is True
 
 
 def test_compare_naive_no_separation_note():

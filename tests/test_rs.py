@@ -15,22 +15,38 @@ import oracles
 from fracdec import polyring as P
 from fracdec import rs as rs_module
 from fracdec.arraycode import ErrorPattern, apply_error_pattern
-from fracdec.errors import DecodeFailure, InconsistentErasures
+from fracdec.errors import DecodeFailure
 from fracdec.fields import ExtField, PrimeField
 from fracdec.frs_scheme import frs_make_config
 from fracdec.rs import (PackedMap, RsCode, _pack, _unpack, decode_columns,
                         nearest_codeword_bruteforce, packed_map,
-                        packed_product, rs_decode_unique, rs_encode,
-                        rs_erasure_decode, rs_evaluate, rs_interpolate,
+                        packed_product, rs_evaluate, rs_interpolate,
                         tabulate_map)
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import TsConfig, ts_make_config
+from fracdec.trace_scheme import ts_make_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 F13 = PrimeField(13)
 F5 = PrimeField(5)
 F2 = PrimeField(2)
+
+
+def decode_word(code, word):
+    """The checked decode of one word: decode_columns on its n symbols as
+    n columns of one symbol each, at the code's radius, as (message, error
+    positions)."""
+    (h,), positions = decode_columns(code, [(s,) for s in word], code.radius)
+    return h, positions
+
+
+def erasure_decode(code, known):
+    """The message through the (position, symbol) pairs `known`:
+    decode_columns at radius 0 on the code punctured to those positions."""
+    punctured = RsCode(code.field, code.k,
+                       [code.omega[pos] for pos, _ in known])
+    (h,), _ = decode_columns(punctured, [(s,) for _, s in known], 0)
+    return h
 
 
 def test_poly_normal_form():
@@ -208,7 +224,6 @@ def test_rs_products_match_reference(q, n, k):
         msg = [rng.randrange(q) for _ in range(rng.randrange(k + 1))]
         assert rs_evaluate(code, msg) == tuple(
             oracles.poly_eval(field, P.normalize(msg), w) for w in code.omega)
-        assert rs_encode(code, msg) == rs_evaluate(code, msg)
 
 
 @pytest.mark.parametrize("q, n, k", ((2, 1, 1), (2, 2, 1), (2, 2, 2),
@@ -446,20 +461,22 @@ def test_rs_code_validation():
 
 
 def test_rs_encode_examples():
+    """rs_evaluate, the one RS encoder, pads a short message with zeros."""
     code = RsCode(F13, 2, (0, 1, 2))
-    assert rs_encode(code, (1, 2)) == (1, 3, 5)
-    assert rs_encode(code, ()) == (0, 0, 0)
-    assert rs_encode(code, (0, 0)) == (0, 0, 0)
-    with pytest.raises(ValueError):
-        rs_encode(code, (1, 2, 3))
+    assert rs_evaluate(code, (1, 2)) == (1, 3, 5)
+    assert rs_evaluate(code, ()) == (0, 0, 0)
+    assert rs_evaluate(code, (0, 0)) == (0, 0, 0)
 
 
 def test_rs_encode_checks_trailing_coefficients():
-    """A zero-valued bool or float in the padding is still not a symbol."""
-    code = RsCode(F13, 2, (0, 1, 2, 3))
-    for message in ((1, 0.0), (1, False), (0.0,), (1, 2, False)):
+    """rs_evaluate checks nothing; a message is checked where it enters, by
+    a config's encode. A zero-valued bool or float among the trailing
+    coefficients of a folded config's message, the coefficients of its RS
+    message polynomial, is still not a symbol."""
+    cfg = frs_make_config(4, 1, 2, Fraction(1, 2))
+    for message in ((1, 0.0), (1, False), (0.0, 0), (False, 0)):
         with pytest.raises(ValueError, match="not a canonical element"):
-            rs_encode(code, message)
+            cfg.encode(message)
 
 
 def test_rs_encode_mds_injectivity():
@@ -467,7 +484,7 @@ def test_rs_encode_mds_injectivity():
     code = RsCode(F5, 2, tuple(range(4)))
     words = {}
     for msg in itertools.product(range(5), repeat=2):
-        word = rs_encode(code, msg)
+        word = rs_evaluate(code, msg)
         for other, prior in words.items():
             dist = sum(1 for x, y in zip(word, prior) if x != y)
             assert dist >= code.n - code.k + 1, (msg, other)
@@ -477,23 +494,23 @@ def test_rs_encode_mds_injectivity():
 def test_rs_decode_error_free():
     code = RsCode(F13, 3, tuple(range(7)))
     msg = (4, 0, 9)
-    h, errs = rs_decode_unique(code, rs_encode(code, msg))
+    h, errs = decode_word(code, rs_evaluate(code, msg))
     assert h == P.normalize(msg) and errs == frozenset()
 
 
 def test_rs_decode_repetition_example():
     code = RsCode(F13, 1, tuple(range(5)))
-    h, errs = rs_decode_unique(code, (7, 7, 7, 0, 7))
+    h, errs = decode_word(code, (7, 7, 7, 0, 7))
     assert h == (7,) and errs == frozenset({3})
 
 
 def test_rs_decode_reports_positions():
     code = RsCode(F13, 2, tuple(range(7)))
     msg = (3, 11)
-    word = list(rs_encode(code, msg))
+    word = list(rs_evaluate(code, msg))
     word[1] = (word[1] + 5) % 13
     word[6] = (word[6] + 1) % 13
-    h, errs = rs_decode_unique(code, tuple(word))
+    h, errs = decode_word(code, tuple(word))
     assert h == msg and errs == frozenset({1, 6})
 
 
@@ -504,7 +521,7 @@ def test_rs_decode_matches_bruteforce_exhaustively():
     for received in itertools.product(range(5), repeat=4):
         best = nearest_codeword_bruteforce(code, received, code.radius)
         try:
-            h, _ = rs_decode_unique(code, received)
+            h, _ = decode_word(code, received)
             assert best and h == best[0][0]
             assert len([b for b in best if b[1] == best[0][1]]) == 1
         except DecodeFailure:
@@ -516,13 +533,13 @@ def test_rs_decode_matches_bruteforce_sampled():
     random.seed(5)
     for _ in range(300):
         msg = tuple(random.randrange(13) for _ in range(2))
-        word = list(rs_encode(code, msg))
+        word = list(rs_evaluate(code, msg))
         for pos in random.sample(range(8), random.randrange(5)):
             word[pos] = (word[pos] + random.randrange(1, 13)) % 13
         received = tuple(word)
         best = nearest_codeword_bruteforce(code, received, code.radius)
         try:
-            h, errs = rs_decode_unique(code, received)
+            h, errs = decode_word(code, received)
             assert best and h == best[0][0]
             assert len(errs) == best[0][1]
         except DecodeFailure:
@@ -536,10 +553,10 @@ def test_rs_decode_never_exceeds_radius():
     for _ in range(200):
         received = tuple(random.randrange(5) for _ in range(5))
         try:
-            h, errs = rs_decode_unique(code, received)
+            h, errs = decode_word(code, received)
         except DecodeFailure:
             continue
-        word = rs_encode(code, h + (0,) * (code.k - len(h)))
+        word = rs_evaluate(code, h)
         dist = sum(1 for x, y in zip(word, received) if x != y)
         assert dist <= code.radius and len(errs) == dist
 
@@ -547,7 +564,7 @@ def test_rs_decode_never_exceeds_radius():
 def test_rs_decode_degenerate_zero_radius():
     code = RsCode(F13, 3, (0, 1, 2))
     msg = (1, 4, 2)
-    h, errs = rs_decode_unique(code, rs_encode(code, msg))
+    h, errs = decode_word(code, rs_evaluate(code, msg))
     assert h == msg and errs == frozenset()
 
 
@@ -562,10 +579,10 @@ def test_rs_decode_reuses_the_master_polynomial(polyring_calls,
     calls = polyring_calls("poly_from_roots", "poly_mul", "poly_divmod",
                            "poly_powmod", "poly_gcd")
     msg = tuple(range(1, code.k + 1))
-    received = list(rs_encode(code, msg))
+    received = list(rs_evaluate(code, msg))
     for i in range(code.radius):
         received[2 * i] = (received[2 * i] + 1) % cfg.field.q
-    h, errs = rs_decode_unique(code, received)
+    h, errs = decode_word(code, received)
     assert h == msg and len(errs) == code.radius
     assert calls == [] and rs_codes_built == []
 
@@ -590,10 +607,6 @@ DECODER_CONFIGS = {
 }
 
 
-def decoder_code(cfg):
-    return cfg.served_code if isinstance(cfg, TsConfig) else cfg.served_code
-
-
 def decode_outcome(decode, code, word):
     """(message, positions), or the DecodeFailure message."""
     try:
@@ -604,37 +617,38 @@ def decode_outcome(decode, code, word):
 
 @pytest.mark.parametrize("name", DECODER_CONFIGS)
 def test_packed_decoder_matches_the_scalar_euclid(name):
-    """rs_decode_unique agrees with the coefficient-at-a-time Euclid
-    decoder, message and positions or failure message, on the zero word,
-    on seeded codewords hit at every error weight from 0 to n, and on
-    uniformly random words."""
-    code = decoder_code(DECODER_CONFIGS[name]())
+    """The packed decoder, through decode_columns one symbol per column,
+    agrees with the coefficient-at-a-time Euclid decoder, message and
+    positions or failure message, on the zero word, on seeded codewords
+    hit at every error weight from 0 to n, and on uniformly random
+    words."""
+    code = DECODER_CONFIGS[name]().served_code
     q, n = code.field.q, code.n
     rng = random.Random(name)
     words = [[0] * n]
     for weight in range(n + 1):
         for _ in range(4):
-            word = list(rs_encode(code, [rng.randrange(q)
-                                         for _ in range(code.k)]))
+            word = list(rs_evaluate(code, [rng.randrange(q)
+                                           for _ in range(code.k)]))
             for pos in rng.sample(range(n), weight):
                 word[pos] = (word[pos] + rng.randrange(1, q)) % q
             words.append(word)
         words.append([rng.randrange(q) for _ in range(n)])
     kinds = set()
     for word in words:
-        got = decode_outcome(rs_decode_unique, code, word)
+        got = decode_outcome(decode_word, code, word)
         assert got == decode_outcome(oracles.rs_decode_euclid, code, word)
         kinds.add(type(got))
     assert kinds == {tuple, str}
 
 
 def euclid_digits(code, received):
-    """rs_decode_unique's packed run replayed on lists of exact digits: the
+    """rs._decode_unique's packed run replayed on lists of exact digits: the
     same multiply-adds at the same digit offsets, the same masking, and the
     same reductions of every digit mod q, taken where the decoder's
     tracked bound A would reach 2^decode_width, but no digit has a width
     to carry out of. After each division every r digit is at most A and
-    every v digit at most A / s, the bounds rs_decode_unique proves.
+    every v digit at most A / s, the bounds rs._decode_unique proves.
     Returns the message polynomial, or None where the decoder fails before
     its re-encode check, the largest digit the run held, and the number of
     pairs it reduced."""
@@ -705,7 +719,7 @@ def euclid_digits(code, received):
                                      (257, 256, 16)))
 def test_packed_decoder_holds_at_the_carry_boundary(q, n, k, monkeypatch):
     """No digit of the packed Euclid run reaches 2^decode_width. Below 128
-    bits the width meets the bound rs_decode_unique proves, so the run
+    bits the width meets the bound rs._decode_unique proves, so the run
     never reduces its digits; above, the run has 64-bit digits, one
     division from reduced digits fits them, and the run reduces where its
     tracked bound says. A replay of the run on exact digits, reducing
@@ -730,9 +744,9 @@ def test_packed_decoder_holds_at_the_carry_boundary(q, n, k, monkeypatch):
     if q > 2 ** 32:
         assert code.decode_width > 64
     full_code = RsCode(field, n, code.omega)
-    words = [[q - 1] * n, rs_encode(full_code, [q - 1] * n)]
+    words = [[q - 1] * n, rs_evaluate(full_code, [q - 1] * n)]
     for _ in range(2):
-        word = list(rs_encode(code, [rng.randrange(q) for _ in range(k)]))
+        word = list(rs_evaluate(code, [rng.randrange(q) for _ in range(k)]))
         for pos in rng.sample(range(n), t):
             word[pos] = (word[pos] + rng.randrange(1, q)) % q
         words += [word, [rng.randrange(q) for _ in range(n)]]
@@ -743,7 +757,7 @@ def test_packed_decoder_holds_at_the_carry_boundary(q, n, k, monkeypatch):
     reduced = 0
     for word in words:
         calls.clear()
-        got = decode_outcome(rs_decode_unique, code, word)
+        got = decode_outcome(decode_word, code, word)
         assert got == decode_outcome(oracles.rs_decode_euclid, code, word)
         message, largest, reductions = euclid_digits(code, word)
         assert largest < 2 ** code.decode_width
@@ -758,11 +772,11 @@ def test_packed_decoder_holds_at_the_carry_boundary(q, n, k, monkeypatch):
                                      (53, 24, 12)))
 def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
                                                          monkeypatch):
-    """A received codeword leaves rs_decode_unique right after its one
-    interpolation: on the zero word and on a codeword of each message
-    degree below k, the decoder returns the message with no positions, as
-    the scalar Euclid decoder does, and makes no product with
-    code.evaluation. Each of those words with one symbol changed is no
+    """A received codeword leaves the checked decode, decode_columns one
+    symbol per column, right after its one interpolation: on the zero word
+    and on a codeword of each message degree below k, the decoder returns
+    the message with no positions, as the scalar Euclid decoder does, and
+    makes no product with code.evaluation. Each of those words with one symbol changed is no
     codeword, so it takes the Euclid path: it fails where the radius is 0
     and otherwise re-encodes and reports the changed position, as the
     scalar Euclid decoder does."""
@@ -778,11 +792,11 @@ def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
         return original(pmap, symbols)
 
     for message in messages:
-        word = list(rs_encode(code, message))
+        word = list(rs_evaluate(code, message))
         assert oracles.rs_decode_euclid(code, word) == (message, frozenset())
         monkeypatch.setattr(rs_module, "packed_product", counting)
         products.clear()
-        assert rs_decode_unique(code, word) == (message, frozenset())
+        assert decode_word(code, word) == (message, frozenset())
         assert list(map(id, products)) == [id(code.interpolation)]
         monkeypatch.undo()
         pos = rng.randrange(n)
@@ -790,7 +804,7 @@ def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
         want = decode_outcome(oracles.rs_decode_euclid, code, word)
         monkeypatch.setattr(rs_module, "packed_product", counting)
         products.clear()
-        got = decode_outcome(rs_decode_unique, code, word)
+        got = decode_outcome(decode_word, code, word)
         monkeypatch.undo()
         assert got == want
         if code.radius:
@@ -833,14 +847,14 @@ def test_decode_columns_reads_words_across_columns():
     height, or a column count that does not divide n, raise ValueError."""
     code = RsCode(F13, 2, range(12))
     rng = random.Random(12)
-    words = [list(rs_encode(code, [rng.randrange(13) for _ in range(2)]))
+    words = [list(rs_evaluate(code, [rng.randrange(13) for _ in range(2)]))
              for _ in range(2)]
     words[0][3] = (words[0][3] + 1) % 13
     words[1][10] = (words[1][10] + 5) % 13
     columns = [words[0][2 * i:2 * i + 2] + words[1][2 * i:2 * i + 2]
                for i in range(6)]
     messages, corrected = decode_columns(code, columns, 2)
-    assert messages == tuple(rs_decode_unique(code, w)[0] for w in words)
+    assert messages == tuple(decode_word(code, w)[0] for w in words)
     assert corrected == {1, 5}
     with pytest.raises(DecodeFailure, match="more than the radius 1"):
         decode_columns(code, columns, 1)
@@ -868,47 +882,52 @@ def test_decode_columns_checks_symbols_in_column_order():
 
 
 def test_rs_erasure_decode():
+    """An erasure decode is decode_columns at radius 0 on the punctured
+    code: it returns the message from any k clean positions, checks every
+    extra one, and raises DecodeFailure on any symbol off the codeword,
+    whether or not the punctured code could correct it."""
     code = RsCode(F13, 3, tuple(range(8)))
     msg = (2, 0, 7)
-    word = rs_encode(code, msg)
+    word = rs_evaluate(code, msg)
     # any k clean positions suffice
-    h = rs_erasure_decode(code, [(5, word[5]), (0, word[0]), (3, word[3])])
+    h = erasure_decode(code, [(5, word[5]), (0, word[0]), (3, word[3])])
     assert h == msg
     # extra consistent point is verified, not ignored
-    h = rs_erasure_decode(code, [(5, word[5]), (0, word[0]), (3, word[3]),
-                                 (7, word[7])])
+    h = erasure_decode(code, [(5, word[5]), (0, word[0]), (3, word[3]),
+                              (7, word[7])])
     assert h == msg
-    # altered extra point must be caught
-    with pytest.raises(InconsistentErasures):
-        rs_erasure_decode(code, [(5, word[5]), (0, word[0]), (3, word[3]),
-                                 (7, (word[7] + 1) % 13)])
-    with pytest.raises(ValueError):
-        rs_erasure_decode(code, [(5, word[5]), (0, word[0])])
-    with pytest.raises(ValueError):
-        rs_erasure_decode(code, [(5, word[5]), (5, word[5]), (3, word[3])])
-    # positions are plain ints: nothing is truncated or parsed
-    for bad in (0.9, 1.9, 5.0, "1", True, None):
-        with pytest.raises(ValueError):
-            rs_erasure_decode(code, [(bad, word[1]), (0, word[0]),
-                                     (3, word[3])])
-    with pytest.raises(ValueError):
-        rs_erasure_decode(RsCode(F13, 2, tuple(range(8))),
-                          [(0.9, word[0]), ("1", word[1])])
+    # altered extra point must be caught: with one extra point no codeword
+    # lies within the punctured code's radius 0, with two the punctured
+    # code corrects it at its radius 1, more than 0
+    with pytest.raises(DecodeFailure, match="no codeword within 0 errors"):
+        erasure_decode(code, [(5, word[5]), (0, word[0]), (3, word[3]),
+                              (7, (word[7] + 1) % 13)])
+    with pytest.raises(DecodeFailure, match="more than the radius 0"):
+        erasure_decode(code, [(5, word[5]), (0, word[0]), (3, word[3]),
+                              (7, (word[7] + 1) % 13), (1, word[1])])
+    # fewer than k positions, or a repeated one, is no punctured code
+    with pytest.raises(ValueError, match="k <= n"):
+        erasure_decode(code, [(5, word[5]), (0, word[0])])
+    with pytest.raises(ValueError, match="distinct"):
+        erasure_decode(code, [(5, word[5]), (5, word[5]), (3, word[3])])
+    # a symbol outside the field is refused
+    with pytest.raises(ValueError, match="not a canonical element"):
+        erasure_decode(code, [(5, word[5]), (0, 13), (3, word[3])])
 
 
 def test_rs_erasure_all_k_subsets():
     """Recovery from every k-subset of coordinates, exhaustively."""
     code = RsCode(F13, 3, tuple(range(6)))
     msg = (9, 1, 12)
-    word = rs_encode(code, msg)
+    word = rs_evaluate(code, msg)
     for subset in itertools.combinations(range(6), 3):
         pairs = [(pos, word[pos]) for pos in subset]
-        assert rs_erasure_decode(code, pairs) == msg
+        assert erasure_decode(code, pairs) == msg
 
 
 def test_bruteforce_radius_edges():
     code = RsCode(F5, 1, tuple(range(4)))
-    word = rs_encode(code, (3,))
+    word = rs_evaluate(code, (3,))
     assert nearest_codeword_bruteforce(code, word, 0) == [((3,), 0)]
     everything = nearest_codeword_bruteforce(code, word, 4)
     assert len(everything) == 5

@@ -30,7 +30,7 @@ ROOT_NAMES = {
                "find_download_collision", "list_capacity", "min_info_check",
                "radius_naive", "radius_optimal", "radius_report"),
     "budget": ("DEFAULT_BUDGET", "check_budget", "enumeration_budget"),
-    "errors": ("BudgetExceeded", "DecodeFailure", "InconsistentErasures"),
+    "errors": ("BudgetExceeded", "DecodeFailure"),
     "fields": ("ExtField", "PrimeField", "TraceDualBasis", "default_modulus",
                "dual_basis", "is_prime", "poly_is_irreducible",
                "polynomial_basis", "prime_factors"),
@@ -43,10 +43,8 @@ ROOT_NAMES = {
                 "random_message", "report_to_dict", "report_to_json",
                 "run_trial", "simulate", "trial_stream"),
     "rationals": ("as_fraction",),
-    "rs": ("RsCode", "nearest_codeword_bruteforce", "rs_decode_unique",
-           "rs_encode", "rs_erasure_decode"),
-    "trace_scheme": ("TsConfig", "ts_full_pipeline", "ts_make_config",
-                     "ts_project_polys"),
+    "rs": ("RsCode", "nearest_codeword_bruteforce"),
+    "trace_scheme": ("TsConfig", "ts_full_pipeline", "ts_make_config"),
 }
 
 
@@ -161,8 +159,8 @@ def test_cli_command_loads_only_what_it_runs(scheme, command, stage_files):
 
 # What `bounds` and `figure` load, the package root included: the radius
 # formulas and their witnesses, and no scheme, field or code table.
-BOUNDS_MODULES = {"fracdec", "cli", "serialization", "bounds", "arraycode",
-                  "records", "budget", "errors", "rationals"}
+BOUNDS_MODULES = {"fracdec", "cli", "serialization", "bounds", "records",
+                  "budget", "errors", "rationals"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -170,9 +168,9 @@ BOUNDS_MODULES = {"fracdec", "cli", "serialization", "bounds", "arraycode",
     ["figure", "--rate", "1/3", "--steps", "5"],
 ], ids=["bounds", "figure"])
 def test_bounds_and_figure_load_no_scheme(argv, tmp_path):
-    """`bounds` imports `arraycode`, the base of both configs, so the
-    scheme stages there must not load `rs` (and with it `fields` and
-    `polyring`) when the module loads."""
+    """`bounds` imports `arraycode`, the base of both configs, which loads
+    `rs` (and with it `fields` and `polyring`), only inside the collision
+    search, so the radius formulas load no code table."""
     argv = [*argv, "--out", str(tmp_path / "out")]
     loaded = loaded_by("from fracdec.cli import main\n"
                        f"assert main({argv!r}) == 0")
@@ -191,7 +189,7 @@ def test_bare_import_lists_every_name_and_resolves_a_submodule():
 
 def test_root_exports_each_name_from_its_submodule():
     names = {name for group in ROOT_NAMES.values() for name in group}
-    assert len(names) == 62
+    assert len(names) == 57
     assert sorted(fracdec.__all__) == sorted(names)
     listed = dir(fracdec)
     for module, group in ROOT_NAMES.items():

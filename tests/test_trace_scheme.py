@@ -16,14 +16,13 @@ from fracdec.fields import ExtField
 from fracdec.harness import (compare_naive, random_column_offset,
                              random_error_pattern, random_message,
                              trial_stream)
-from fracdec.rs import rs_decode_unique, rs_encode, rs_evaluate
+from fracdec.rs import decode_columns, rs_evaluate
 from fracdec.serialization import config_from_dict, load_json
 from fracdec import rs as rs_module
 from fracdec import trace_scheme as ts_module
-from fracdec.trace_scheme import (ts_full_pipeline, ts_make_config,
-                                  ts_project_polys)
+from fracdec.trace_scheme import ts_full_pipeline, ts_make_config
 import oracles
-from oracles import ts_decode_bruteforce
+from oracles import ts_decode_bruteforce, ts_project_polys
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -336,7 +335,7 @@ def test_peel_is_exact_beyond_the_radius(params):
     A decode raises exactly when a stream decode fails or the union of
     their corrected columns exceeds the radius. Otherwise the peel inverts
     whatever they returned: the message's clean download streams are
-    rs_encode(g_j), and the corrected columns are the union, which is where
+    rs_evaluate(g_j), and the corrected columns are the union, which is where
     those downloads differ from the received ones. Inputs are random
     downloads and words corrupted in radius+1..n columns, a third of them
     by copying the columns of another codeword."""
@@ -365,9 +364,9 @@ def test_peel_is_exact_beyond_the_radius(params):
                                  for i in range(cfg.n))
             bundle = cfg.download(received)
         try:
-            decoded_streams = [rs_decode_unique(
-                cfg.served_code, tuple(c[j] for c in bundle.per_column))
-                for j in range(cfg.m)]
+            decoded_streams = [decode_columns(
+                cfg.served_code, [(c[j],) for c in bundle.per_column],
+                cfg.served_code.radius) for j in range(cfg.m)]
         except DecodeFailure:
             counts["stream"] += 1
             with pytest.raises(DecodeFailure):
@@ -381,8 +380,9 @@ def test_peel_is_exact_beyond_the_radius(params):
             continue
         decoded, corrected = cfg.decode(bundle.per_column)
         clean = cfg.download(cfg.encode(decoded)).per_column
-        for j, (g_j, _) in enumerate(decoded_streams):
-            assert tuple(c[j] for c in clean) == rs_encode(cfg.served_code, g_j)
+        for j, ((g_j,), _) in enumerate(decoded_streams):
+            assert tuple(c[j] for c in clean) == rs_evaluate(cfg.served_code,
+                                                             g_j)
         assert corrected == union == differing_columns(
             cfg, decoded, bundle.per_column)
         counts["returned"] += 1
@@ -456,10 +456,10 @@ def test_pipeline_runs_no_extension_field_arithmetic(name, monkeypatch):
 def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
                                                    rs_codes_built,
                                                    monkeypatch):
-    """A decode builds no code and makes the m stream decodes through the
-    unchecked core of rs_decode_unique, each interpolating once, then one
-    product with the decode table: the peel runs when the config is built,
-    not per decode. Every product is counted by its map: each stream
+    """A decode builds no code and makes the m stream decodes through
+    rs._decode_unique, each interpolating once, then one product with the
+    decode table: the peel runs when the config is built, not per
+    decode. Every product is counted by its map: each stream
     decode applies the inner code's interpolation and evaluation maps
     once, and cfg.decode_map is applied exactly once, last."""
     cfg = shipped_config(name)
