@@ -27,20 +27,20 @@ _EXPORTS = {
                "radius_naive", "radius_optimal", "radius_report"),
     "budget": ("DEFAULT_BUDGET", "check_budget", "enumeration_budget"),
     "errors": ("BudgetExceeded", "DecodeFailure"),
-    "fields": ("ExtField", "PrimeField", "TraceDualBasis", "default_modulus",
-               "dual_basis", "is_prime", "poly_is_irreducible",
-               "polynomial_basis", "prime_factors"),
+    "fields": ("ExtField", "TraceDualBasis", "default_modulus", "dual_basis",
+               "poly_is_irreducible", "polynomial_basis"),
     "frs_scheme": ("FrsConfig", "bundle_columns", "flatten_columns",
                    "frs_full_pipeline", "frs_list_decode_bruteforce",
                    "frs_make_config", "is_primitive_root",
                    "smallest_prime_above", "smallest_primitive_root"),
     "harness": ("ExperimentReport", "ExperimentSpec", "NaiveComparison",
-                "SplitMix64", "WeightStats", "compare_naive",
-                "random_message", "report_to_dict", "report_to_json",
-                "run_trial", "simulate", "trial_stream"),
+                "WeightStats", "compare_naive", "report_to_dict",
+                "report_to_json", "run_trial", "simulate"),
+    "primefield": ("PrimeField", "is_prime", "prime_factors"),
     "rationals": ("as_fraction",),
     "rs": ("RsCode", "nearest_codeword_bruteforce"),
     "trace_scheme": ("TsConfig", "ts_full_pipeline", "ts_make_config"),
+    "trials": ("SplitMix64", "random_message", "trial_stream"),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "polyring", "records",
                                       "serialization"}

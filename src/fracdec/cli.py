@@ -7,9 +7,13 @@ failure, 2 usage/config/format errors. FRACDEC_BUDGET caps brute-force
 enumeration sizes.
 
 Each command imports what it runs when it runs: a stage command loads
-only the scheme its config names, and `harness` and `bounds` load only
-for the commands that use them. A command runs a scheme through its
-config's methods; only the parser and the file formats name the schemes.
+only the scheme its config names, `corrupt` adds the seeded draws of
+`trials`, `simulate` and `compare-naive` add `harness`, and `bounds`
+loads only for `bounds`, `figure` and the collision oracle. `main` builds
+only the parser branch its first argument names, and the whole parser
+when that names no command, so help and usage errors read the same. A
+command runs a scheme through its config's methods; only the parser and
+the file formats name the schemes.
 """
 
 import argparse
@@ -67,8 +71,8 @@ def cmd_encode(args):
 
 def cmd_corrupt(args):
     from .arraycode import apply_error_pattern
-    from .harness import _check_seed, random_error_pattern, trial_stream
-    _check_seed(args.seed)
+    from .trials import check_seed, random_error_pattern, trial_stream
+    check_seed(args.seed)
     cfg = ser.config_from_dict(ser.load_json(args.config), args.scheme)
     columns = ser.codeword_from_dict(ser.load_json(args.infile), args.scheme)
     if len(columns) != cfg.n or any(len(c) != cfg.l for c in columns):
@@ -136,7 +140,7 @@ def cmd_compare_naive(args):
 
 
 def cmd_oracle_nearest(args):
-    from .fields import PrimeField
+    from .primefield import PrimeField
     from .rs import RsCode, nearest_codeword_bruteforce
     field = PrimeField(args.q)
     received = _ints_arg(args.received, "--received")
@@ -203,14 +207,8 @@ def _add_out(parser, default="-"):
                         help=f"output path (default {default!r})")
 
 
-def build_parser():
-    top = argparse.ArgumentParser(
-        prog="fracdec",
-        description="Error correction for MDS array codes from a fraction "
-                    "of each received column.")
-    sub = top.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("bounds", help="radius formulas for one (n, k, alpha)")
+def _add_bounds(sub, name):
+    p = sub.add_parser(name, help="radius formulas for one (n, k, alpha)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", required=True,
@@ -218,50 +216,53 @@ def build_parser():
     _add_out(p)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("figure",
+
+def _add_figure(sub, name):
+    p = sub.add_parser(name,
                        help="CSV sweep of naive vs optimal normalized radii")
     p.add_argument("--rate", required=True, help="code rate R in (0,1)")
     p.add_argument("--steps", type=int, default=61)
     _add_out(p)
     p.set_defaults(func=cmd_figure)
 
-    for scheme in ("ts", "frs"):
-        sp = sub.add_parser(scheme, help=f"{scheme} pipeline stages")
-        stages = sp.add_subparsers(dest="stage", required=True, metavar="stage")
 
-        q = stages.add_parser("encode", help="message file -> codeword file")
-        q.add_argument("--config", required=True)
-        q.add_argument("--message", required=True)
-        _add_out(q)
-        q.set_defaults(func=cmd_encode, scheme=scheme)
+def _add_stages(sub, scheme):
+    sp = sub.add_parser(scheme, help=f"{scheme} pipeline stages")
+    stages = sp.add_subparsers(dest="stage", required=True, metavar="stage")
 
-        q = stages.add_parser("corrupt",
-                              help="add column errors to a codeword file")
-        q.add_argument("--config", required=True)
-        q.add_argument("--in", dest="infile", required=True)
-        q.add_argument("--positions",
-                       help="comma-separated column indices to corrupt")
-        q.add_argument("--weight", type=int,
-                       help="number of random columns to corrupt")
-        q.add_argument("--seed", type=int, default=0)
-        _add_out(q)
-        q.set_defaults(func=cmd_corrupt, scheme=scheme)
+    q = stages.add_parser("encode", help="message file -> codeword file")
+    q.add_argument("--config", required=True)
+    q.add_argument("--message", required=True)
+    _add_out(q)
+    q.set_defaults(func=cmd_encode, scheme=scheme)
 
-        q = stages.add_parser("download",
-                              help="codeword file -> download file")
-        q.add_argument("--config", required=True)
-        q.add_argument("--in", dest="infile", required=True)
-        _add_out(q)
-        q.set_defaults(func=cmd_download, scheme=scheme)
+    q = stages.add_parser("corrupt",
+                          help="add column errors to a codeword file")
+    q.add_argument("--config", required=True)
+    q.add_argument("--in", dest="infile", required=True)
+    q.add_argument("--positions",
+                   help="comma-separated column indices to corrupt")
+    q.add_argument("--weight", type=int,
+                   help="number of random columns to corrupt")
+    q.add_argument("--seed", type=int, default=0)
+    _add_out(q)
+    q.set_defaults(func=cmd_corrupt, scheme=scheme)
 
-        q = stages.add_parser("decode",
-                              help="download file -> message file")
-        q.add_argument("--config", required=True)
-        q.add_argument("--in", dest="infile", required=True)
-        _add_out(q)
-        q.set_defaults(func=cmd_decode, scheme=scheme)
+    q = stages.add_parser("download", help="codeword file -> download file")
+    q.add_argument("--config", required=True)
+    q.add_argument("--in", dest="infile", required=True)
+    _add_out(q)
+    q.set_defaults(func=cmd_download, scheme=scheme)
 
-    p = sub.add_parser("simulate",
+    q = stages.add_parser("decode", help="download file -> message file")
+    q.add_argument("--config", required=True)
+    q.add_argument("--in", dest="infile", required=True)
+    _add_out(q)
+    q.set_defaults(func=cmd_decode, scheme=scheme)
+
+
+def _add_simulate(sub, name):
+    p = sub.add_parser(name,
                        help="deterministic error-weight sweep with a report")
     p.add_argument("--config", required=True)
     p.add_argument("--weights", required=True,
@@ -273,7 +274,9 @@ def build_parser():
     _add_out(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare-naive",
+
+def _add_compare_naive(sub, name):
+    p = sub.add_parser(name,
                        help="whole-column reading vs fractional reading on "
                             "one crafted pattern")
     p.add_argument("--config", required=True)
@@ -282,7 +285,9 @@ def build_parser():
     _add_out(p)
     p.set_defaults(func=cmd_compare_naive)
 
-    p = sub.add_parser("oracle", help="brute-force reference searches")
+
+def _add_oracle(sub, name):
+    p = sub.add_parser(name, help="brute-force reference searches")
     osub = p.add_subparsers(dest="oracle", required=True, metavar="kind")
 
     q = osub.add_parser("nearest",
@@ -317,11 +322,34 @@ def build_parser():
     _add_out(q)
     q.set_defaults(func=cmd_oracle_list)
 
+
+# Each command's parser branch, in the order the help lists them.
+_BRANCHES = {"bounds": _add_bounds, "figure": _add_figure,
+             "ts": _add_stages, "frs": _add_stages,
+             "simulate": _add_simulate, "compare-naive": _add_compare_naive,
+             "oracle": _add_oracle}
+
+
+def build_parser(command=None):
+    """The `fracdec` parser: every command's branch, or only `command`'s.
+    A branch's help, usage and errors are the same either way, since each
+    subparser's text is its own and the top usage names no command."""
+    top = argparse.ArgumentParser(
+        prog="fracdec",
+        description="Error correction for MDS array codes from a fraction "
+                    "of each received column.")
+    sub = top.add_subparsers(dest="command", required=True, metavar="command")
+    for name, add in _BRANCHES.items():
+        if command in (None, name):
+            add(sub, name)
     return top
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a process runs one command, so it builds only that command's branch;
+    # help and bad commands take the whole parser, which lists them all
+    parser = build_parser(argv[0] if argv and argv[0] in _BRANCHES else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

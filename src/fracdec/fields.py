@@ -1,148 +1,27 @@
-"""Prime fields, extension fields, and trace-dual basis pairs.
+"""Extension fields GF(q^l) and trace-dual basis pairs, over the prime
+fields of `primefield`.
 
-Elements are canonical integers. In GF(q) an element is its residue in
-[0, q). In GF(q^l), built as GF(q)[x]/(modulus), the element with
-coordinate vector (c_0, ..., c_{l-1}) is encoded as sum(c_i * q**i), so
+GF(q^l) is built as GF(q)[x]/(modulus), and the element with coordinate
+vector (c_0, ..., c_{l-1}) is encoded as the integer sum(c_i * q**i), so
 base-field elements keep their integer value when read in the extension.
+A default modulus is the first irreducible that Rabin's test accepts,
+which runs on `polyring`. Only the trace scheme needs any of this: the
+folded scheme's processes import `primefield` alone, and this module
+re-exports its `PrimeField` for callers that read it here.
 
 The library computes on plain integers mod q. The arithmetic methods (in
 the extension, `polyring` reduced modulo `modulus`) are a reference that
 the tests and the benchmark tracer read. They assume canonical operands:
-`check` is the one validator, and the public entry points that take
-symbols from a caller or a file run it once per incoming symbol.
+`check`, shared with `PrimeField`, is the one validator, and the public
+entry points that take symbols from a caller or a file run it once per
+incoming symbol.
 """
 
 import operator
 
 from . import polyring
+from .primefield import PrimeField, prime_factors
 from .records import Record
-
-
-# The first 13 primes. No composite below _PSI_13 is a strong probable
-# prime to all of them (Sorenson and Webster, "Strong pseudoprimes to
-# twelve prime bases", Math. Comp. 86, 2017).
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
-
-
-def is_prime(n):
-    """Whether the integer n is prime, by Miller-Rabin to the bases
-    _BASES, which is exact below _PSI_13; ValueError at or above it."""
-    if n >= _PSI_13:
-        raise ValueError(f"primality is decided only below {_PSI_13}, "
-                         f"not for {n}")
-    if n < 2:
-        return False
-    for a in _BASES:
-        if n % a == 0:
-            return n == a
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    for a in _BASES:
-        # n passes base a if a^odd = 1 or a^(odd * 2^r) = -1 for some r < twos
-        x = pow(a, odd, n)
-        if x == 1:
-            continue
-        for _ in range(twos):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
-def prime_factors(n):
-    """Sorted distinct prime factors of n >= 1, by trial division."""
-    if n < 1:
-        raise ValueError("can only factor positive integers")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _check(field, a):
-    """`a`, if it is an int, not a bool, in [0, field.order)."""
-    # a plain int skips the isinstance tests; anything else takes them
-    if (type(a) is not int and (not isinstance(a, int)
-                                or isinstance(a, bool))
-            or not 0 <= a < field.order):
-        raise ValueError(f"{a!r} is not a canonical element of {field!r}")
-    return a
-
-
-def _check_all(field, symbols):
-    """The symbols as a tuple, each checked with `field.check`. One pass
-    over plain ints in range stands for the checks; otherwise every symbol
-    is checked in order, so the first bad one raises as it would alone."""
-    symbols = tuple(symbols)
-    if (set(map(type, symbols)) != {int} or min(symbols) < 0
-            or max(symbols) >= field.order):
-        for a in symbols:
-            field.check(a)
-    return symbols
-
-
-class PrimeField:
-    """GF(q) for prime q, with arithmetic on canonical integers."""
-
-    def __init__(self, q):
-        if not isinstance(q, int) or isinstance(q, bool):
-            raise ValueError(f"field size {q!r} is not an integer")
-        if not is_prime(q):
-            raise ValueError(f"field size {q} is not prime")
-        self.q = q
-        self.order = q
-        self.char = q
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.q == other.q
-
-    def __hash__(self):
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self):
-        return f"GF({self.q})"
-
-    check = _check
-    check_all = _check_all
-
-    def elements(self):
-        return range(self.q)
-
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self!r}")
-        return pow(a, self.q - 2, self.q)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, e):
-        if e < 0:
-            raise ValueError("exponent must be nonnegative; invert first")
-        return pow(a, e, self.q)
 
 
 def poly_is_irreducible(base, coeffs):
@@ -235,8 +114,8 @@ class ExtField:
     def __repr__(self):
         return f"GF({self.q}^{self.degree})"
 
-    check = _check
-    check_all = _check_all
+    check = PrimeField.check
+    check_all = PrimeField.check_all
 
     def elements(self):
         return range(self.order)

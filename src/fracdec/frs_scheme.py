@@ -11,14 +11,17 @@ floor((n - k/alpha) / 2) column errors while downloading exactly an alpha
 fraction. Nothing outside the prefix is ever read, so downloaded symbols
 equal accessed symbols: the access overhead of combining full columns is
 zero.
+
+The folded scheme needs only GF(p): it imports `primefield`, not
+`fields` or `polyring`, and its list oracle imports the enumeration
+budget when it runs.
 """
 
 import itertools
 from operator import ne
 
 from .arraycode import ArrayConfig
-from .budget import check_budget
-from .fields import PrimeField, is_prime, prime_factors
+from .primefield import PrimeField, is_prime, prime_factors
 from .rationals import as_fraction
 from .rs import RsCode, packed_map, power_columns, rs_evaluate
 
@@ -200,6 +203,8 @@ def frs_list_decode_bruteforce(cfg, per_column, radius):
     list-decoding questions about the punctured code. The radius must be a
     nonnegative int.
     """
+    from .budget import check_budget
+
     if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
         raise ValueError(f"radius must be a nonnegative int, got {radius!r}")
     per_column = tuple(tuple(cfg.field.check(c) for c in col)

@@ -1,117 +1,27 @@
 """Deterministic simulation harness and the naive-vs-fractional demo.
 
-Randomness policy: every trial derives its own 64-bit stream from
-(seed, weight, trialIndex) through the splitmix64 finalizer, so reports are
-byte-identical across runs: exhaustive and sampled modes always see the
-same messages and error values for a given trial index.
+Every trial draws its message and error pattern from its own seeded
+stream (see `trials`), so a report is byte-identical per seed: exhaustive
+and sampled modes always see the same messages and error values for a
+given trial index.
 
 The harness runs a config through the interface both schemes' configs
-share (see `trace_scheme.TsConfig`), so it imports no scheme's module and
-a process loads only the scheme its config was built by.
+share (see `arraycode.ArrayConfig`), so it imports no scheme's module and
+a process loads only the scheme its config was built by. It loads the
+enumeration budget only for an exhaustive sweep, and `compare_naive`
+computes the naive radius itself, so `bounds` is never loaded.
 """
 
 import itertools
 import json
 from math import comb
 
-from .budget import check_budget
-from .arraycode import ErrorPattern, apply_error_pattern
+from .arraycode import apply_error_pattern
 from .errors import DecodeFailure
 from .records import Record
 from .rs import decode_columns
-
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_SALT = 0xD1B54A32D192ED03
-
-
-def _mix64(z):
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """The splitmix64 generator: tiny, portable, and fully specified, so
-    identical seeds give identical streams on every platform."""
-
-    def __init__(self, seed):
-        self._state = seed & _MASK64
-
-    def next_u64(self):
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
-
-    def below(self, bound):
-        """Uniform integer in [0, bound) by rejection sampling (no modulo
-        bias). Each candidate is the fewest 64-bit draws, concatenated,
-        that reach bound - 1: one draw for every bound up to 2^64."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        words = -(-(bound - 1).bit_length() // 64) or 1
-        span = 1 << 64 * words
-        limit = span - span % bound
-        while True:
-            v = self.next_u64()
-            for _ in range(words - 1):
-                v = v << 64 | self.next_u64()
-            if v < limit:
-                return v % bound
-
-    def sample(self, n, count):
-        """`count` distinct indices from range(n), sorted; partial
-        Fisher-Yates so the draw count is fixed."""
-        if not 0 <= count <= n:
-            raise ValueError(f"cannot sample {count} of {n}")
-        pool = list(range(n))
-        for i in range(count):
-            j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return tuple(sorted(pool[:count]))
-
-
-def _check_seed(seed):
-    """Refuse a seed outside [0, 2^64): trial_stream reads only its low 64
-    bits, so any other seed would replay one inside that range."""
-    if type(seed) is not int or not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-
-
-def trial_stream(seed, weight, trial_index):
-    """The per-trial generator: seed, weight, and trial index are folded
-    into one splitmix64 state."""
-    s = _mix64(seed)
-    s = _mix64(s ^ (weight & _MASK64) ^ _GOLDEN)
-    s = _mix64(s ^ (trial_index & _MASK64) ^ _SALT)
-    return SplitMix64(s)
-
-
-def random_message(cfg, stream):
-    order, length = cfg.message_space
-    return tuple(stream.below(order) for _ in range(length))
-
-
-def random_column_offset(cfg, stream):
-    """A uniformly random nonzero column offset (at least one nonzero
-    symbol, so one offset = one column error)."""
-    order = cfg.symbol_field.order
-    while True:
-        vec = tuple(stream.below(order) for _ in range(cfg.l))
-        if any(vec):
-            return vec
-
-
-def random_error_pattern(cfg, stream, weight, support=None):
-    """Error pattern of the given column weight; support drawn from the
-    stream unless pinned by the caller."""
-    if support is None:
-        support = stream.sample(cfg.n, weight)
-    support = tuple(sorted(support))
-    if len(support) != weight:
-        raise ValueError(f"support size {len(support)} != weight {weight}")
-    values = tuple(random_column_offset(cfg, stream) for _ in support)
-    return ErrorPattern(support=support, values=values)
+from .trials import (check_seed, random_error_pattern, random_message,
+                     trial_stream)
 
 
 def run_trial(cfg, message, pattern):
@@ -152,7 +62,7 @@ class ExperimentSpec(Record):
             raise ValueError("trials_per_weight must be an integer of at least 1")
         if self.support_mode not in ("exhaustive", "sampled"):
             raise ValueError("support_mode must be 'exhaustive' or 'sampled'")
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
 
 class WeightStats(Record):
@@ -186,6 +96,7 @@ class ExperimentReport(Record):
 def _trial_plan(cfg, weight, trials_per_weight, mode):
     """Yield (trial_index, pinned_support or None) for one weight."""
     if mode == "exhaustive":
+        from .budget import check_budget
         check_budget(comb(cfg.n, weight) * trials_per_weight,
                      f"exhaustive weight-{weight} sweep")
         index = 0
@@ -315,14 +226,13 @@ def compare_naive(cfg, t, seed=0):
     it both ways.
 
     The naive side reads those alpha*n columns whole and decodes the
-    punctured code, radius floor((alpha*n - k) / 2); the fractional side
+    punctured code, radius max(0, floor((alpha*n - k) / 2)), the value of
+    `bounds.radius_naive`, here from the integer alpha*n; the fractional side
     reads a fraction of all n columns at the same total download. For
     radius_naive < t <= radius_optimal the naive decoder cannot return the
     truth (it sits farther than its radius), so the separation is
     deterministic, not probabilistic.
     """
-    from .bounds import radius_naive
-
     alpha_n = cfg.alpha * cfg.n
     if alpha_n.denominator != 1:
         raise ValueError(f"alpha*n = {alpha_n} must be integral for the "
@@ -330,11 +240,11 @@ def compare_naive(cfg, t, seed=0):
     alpha_n = int(alpha_n)
     if type(t) is not int or t < 0:
         raise ValueError("t must be a nonnegative integer")
-    _check_seed(seed)
+    check_seed(seed)
     if t > cfg.radius:
         raise ValueError(f"t = {t} exceeds the fractional radius {cfg.radius}; "
                          "neither side could demonstrate anything")
-    naive_r = radius_naive(cfg.n, cfg.k, cfg.alpha)
+    naive_r = max(0, (alpha_n - cfg.k) // 2)
     read_columns = tuple(range(alpha_n))
     if t > len(read_columns):
         raise ValueError(f"cannot place {t} errors inside {alpha_n} columns")

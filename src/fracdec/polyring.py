@@ -1,8 +1,9 @@
-"""The polynomial ring over a prime field GF(q) that the library runs:
-the products, division, powers mod a polynomial and gcd that Rabin's
-irreducibility test and the reference field arithmetic in `fields` need,
-and `poly_from_roots`, the root polynomial of a point set. Evaluation and
-interpolation at a code's points live in `rs`.
+"""The polynomial ring over a prime field GF(q) that Rabin's
+irreducibility test and the reference field arithmetic in `fields` need:
+products, division, powers mod a polynomial and gcd. Only the trace
+scheme's extension fields use it, so a folded process never loads it.
+Evaluation and interpolation at a code's points, and `poly_from_roots`,
+the root polynomial of a point set, live in `rs`.
 
 A polynomial is a tuple of field elements, constant coefficient first,
 with no trailing zeros; the zero polynomial is the empty tuple, of degree
@@ -68,19 +69,6 @@ def poly_divmod(field, a, b):
         for i, c in enumerate(b, shift):
             rem[i] = (rem[i] - factor * c) % q
     return normalize(quot), normalize(rem)
-
-
-def poly_from_roots(field, roots):
-    """Monic polynomial whose roots are exactly the given elements,
-    multiplied by each x - r in place."""
-    q = _prime(field)
-    out = [1]
-    for r in roots:
-        out.append(1)
-        for i in range(len(out) - 2, 0, -1):
-            out[i] = (out[i - 1] - r * out[i]) % q
-        out[0] = -r * out[0] % q
-    return tuple(out)
 
 
 def poly_powmod(field, a, exponent, modulus):

@@ -62,10 +62,8 @@ import struct
 from collections import namedtuple
 from operator import floordiv, mul, ne
 
-from .budget import check_budget
 from .errors import DecodeFailure
-from .fields import PrimeField
-from .polyring import normalize, poly_from_roots
+from .primefield import PrimeField
 from .records import Record
 
 # struct codes of the unsigned digits rs packs in C, by width in bits
@@ -151,6 +149,23 @@ class RsCode(Record):
     def radius(self):
         """Largest number of errors unique decoding always corrects."""
         return (self.n - self.k) // 2
+
+
+def poly_from_roots(field, roots):
+    """Monic polynomial whose roots are exactly the given elements of the
+    prime field `field`, multiplied by each x - r in place; TypeError for
+    any other field."""
+    if field.order != field.char:
+        raise TypeError(f"root polynomials are formed over prime fields "
+                        f"only, not {field!r}")
+    q = field.q
+    out = [1]
+    for r in roots:
+        out.append(1)
+        for i in range(len(out) - 2, 0, -1):
+            out[i] = (out[i - 1] - r * out[i]) % q
+        out[0] = -r * out[0] % q
+    return tuple(out)
 
 
 def power_columns(q, points, k):
@@ -411,8 +426,9 @@ def decode_columns(code, columns, radius):
 
     Column i, a sequence, carries g = code.n // len(columns) consecutive
     symbols of each word: word j is columns[i][j*g:(j+1)*g] read across i,
-    in the order of `code.omega`. The columns' shape is checked, then every
-    symbol, once and in column order, before the first decode; then
+    in the order of `code.omega`. The columns' shape is checked (at least
+    one column, each of the same positive height, a multiple of g), then
+    every symbol, once and in column order, before the first decode; then
     `decode_words` decodes the columns' symbols and returns its result.
     A single word is n columns of one symbol each. At radius 0 on the
     code punctured to some positions, it is an erasure decode: it returns
@@ -420,8 +436,10 @@ def decode_columns(code, columns, radius):
     codeword, and raises DecodeFailure otherwise.
     """
     count, n = len(columns), code.n
-    g, height = n // count, len(columns[0])
-    if g * count != n or height % g or set(map(len, columns)) != {height}:
+    g = n // count if count else 0
+    height = len(columns[0]) if count else 0
+    if (g * count != n or not height or height % g
+            or set(map(len, columns)) != {height}):
         raise ValueError(f"{count} columns cannot carry words of "
                          f"length {n} in uniform slices")
     served = code.field.check_all(itertools.chain.from_iterable(columns))
@@ -471,6 +489,9 @@ def nearest_codeword_bruteforce(code, received, radius):
     messages, so it is gated by the enumeration budget. The radius must be
     a nonnegative int.
     """
+    from .budget import check_budget
+    from .polyring import normalize
+
     field, n, k = code.field, code.n, code.k
     if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
         raise ValueError(f"radius must be a nonnegative int, got {radius!r}")

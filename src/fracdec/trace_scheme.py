@@ -38,10 +38,10 @@ from math import prod
 from operator import mul
 
 from .arraycode import ArrayConfig
-from .fields import ExtField, PrimeField, dual_basis
-from .polyring import poly_from_roots
-from .rs import (RsCode, packed_map, packed_product, power_columns,
-                 rs_interpolate, tabulate_map)
+from .fields import ExtField, dual_basis
+from .primefield import PrimeField
+from .rs import (RsCode, packed_map, packed_product, poly_from_roots,
+                 power_columns, rs_interpolate, tabulate_map)
 
 
 class TsConfig(ArrayConfig):

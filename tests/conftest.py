@@ -14,7 +14,8 @@ import pytest
 
 import fracdec
 from fracdec import polyring, rs
-from fracdec.fields import ExtField, PrimeField
+from fracdec.fields import ExtField
+from fracdec.primefield import PrimeField
 
 _criterion_lines = []
 

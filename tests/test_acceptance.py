@@ -12,16 +12,17 @@ from fracdec.bounds import (emit_figure, find_download_collision,
                             min_info_check, radius_optimal)
 from fracdec.cli import main
 from fracdec.errors import DecodeFailure
-from fracdec.fields import ExtField, PrimeField, default_modulus, dual_basis
+from fracdec.fields import ExtField, default_modulus, dual_basis
 from fracdec.frs_scheme import (FrsConfig, frs_full_pipeline,
                                 frs_list_decode_bruteforce, frs_make_config,
                                 smallest_primitive_root)
-from fracdec.harness import (compare_naive, random_error_pattern,
-                             random_message, run_trial, trial_stream)
+from fracdec.harness import compare_naive, run_trial
 from fracdec.polyring import normalize, poly_divmod, poly_mul
+from fracdec.primefield import PrimeField
 from fracdec.rs import (RsCode, decode_columns, nearest_codeword_bruteforce,
                         rs_evaluate)
 from fracdec.trace_scheme import TsConfig, ts_full_pipeline, ts_make_config
+from fracdec.trials import random_error_pattern, random_message, trial_stream
 from oracles import poly_add, poly_eval, poly_pow, poly_sub, ts_project_polys
 
 SEED = 2026

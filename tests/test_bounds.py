@@ -11,8 +11,8 @@ from fracdec.bounds import (emit_figure, figure_csv, find_download_collision,
                             list_capacity, min_info_check, radius_naive,
                             radius_optimal, radius_report, _decimal6)
 from fracdec.errors import BudgetExceeded
-from fracdec.fields import PrimeField
 from fracdec.frs_scheme import frs_make_config
+from fracdec.primefield import PrimeField
 from fracdec.rationals import as_fraction
 from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import ts_make_config

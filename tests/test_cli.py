@@ -5,11 +5,12 @@ errors (including budget refusals).
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from fracdec.cli import main
+from fracdec.cli import build_parser, main
 from fracdec.serialization import load_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -485,6 +486,81 @@ def test_usage_and_format_errors(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: config file is for scheme 'frs', expected 'ts'\n")
     assert not (tmp_path / "w.json").exists()
+
+
+COMMANDS = ("bounds", "figure", "ts", "frs", "simulate", "compare-naive",
+            "oracle")
+# Every command path, with arguments that satisfy its required options.
+REQUIRED = {
+    ("bounds",): ("--n", "12", "--k", "4", "--alpha", "1/2"),
+    ("figure",): ("--rate", "1/3"),
+    **{(scheme, stage): ("--config", "c.json", flag, "f.json")
+       for scheme in ("ts", "frs")
+       for stage, flag in (("encode", "--message"), ("corrupt", "--in"),
+                           ("download", "--in"), ("decode", "--in"))},
+    ("simulate",): ("--config", "c.json", "--weights", "0"),
+    ("compare-naive",): ("--config", "c.json", "--t", "0"),
+    ("oracle", "nearest"): ("--q", "5", "--k", "1", "--received", "0",
+                            "--radius", "0"),
+    ("oracle", "collision"): ("--config", "c.json", "--t", "0"),
+    ("oracle", "list"): ("--config", "c.json", "--word", "w.json",
+                         "--radius", "0"),
+}
+
+
+def listed_commands(parser):
+    """The commands the top-level help lists, in order."""
+    return re.findall(r"^ {4}(\S+)", parser.format_help(), re.MULTILINE)
+
+
+def parsed(parser, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits, as for help or
+    a usage error."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return info.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("path", sorted(REQUIRED), ids=" ".join)
+@pytest.mark.parametrize("case", ["help", "unknown option", "missing required"])
+def test_one_branch_parser_reads_as_the_whole_parser(path, case, capsys):
+    """`main` builds only the branch its first argument names. For every
+    command path, its help, an unknown option and a missing required
+    argument give the same stdout, stderr and exit code from that branch
+    alone as from the whole parser, and through `main`."""
+    argv = {"help": [*path, "--help"],
+            "unknown option": [*path, *REQUIRED[path], "--bogus"],
+            "missing required": [*path, *REQUIRED[path][:-2]]}[case]
+    whole = parsed(build_parser(), argv, capsys)
+    branch = parsed(build_parser(path[0]), argv, capsys)
+    assert branch == whole
+    assert whole[0] == (0 if case == "help" else 2)
+    assert whole[1 if case == "help" else 2]
+    assert main(argv) == whole[0]
+    assert capsys.readouterr()[:] == whole[1:]
+    assert listed_commands(build_parser(path[0])) == [path[0]]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]],
+                         ids=["bare", "help", "bogus"])
+def test_parser_without_a_command_lists_every_command(argv, capsys):
+    """With no command, `--help` or an unknown command, `main` builds the
+    whole parser: the help lists every command, and an unknown command's
+    error names every choice."""
+    assert listed_commands(build_parser()) == list(COMMANDS)
+    code, out, err = parsed(build_parser(), argv, capsys)
+    assert main(argv) == (0 if code == 0 else 2)
+    assert capsys.readouterr()[:] == (out, err)
+    if argv:
+        text = out if code == 0 else err
+        quote = "" if code == 0 else "'"
+        assert [name for name in COMMANDS
+                if f"{quote}{name}{quote}" not in text] == []
+    else:
+        assert err.endswith("error: the following arguments are required: "
+                            "command\n")
 
 
 def test_large_prime_field_config_runs(tmp_path, capsys):

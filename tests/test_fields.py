@@ -16,15 +16,14 @@ from fracdec import fields
 from fracdec.arraycode import (ErrorPattern, apply_error_pattern,
                                difference_pattern)
 from fracdec.bounds import find_download_collision
-from fracdec.fields import (ExtField, PrimeField, TraceDualBasis,
-                            default_modulus, dual_basis, is_prime,
-                            poly_is_irreducible, polynomial_basis,
-                            prime_factors)
+from fracdec.fields import (ExtField, TraceDualBasis, default_modulus,
+                            dual_basis, poly_is_irreducible, polynomial_basis)
 from fracdec.frs_scheme import frs_list_decode_bruteforce, frs_make_config
-from fracdec.harness import random_error_pattern, random_message, trial_stream
+from fracdec.primefield import PrimeField, is_prime, prime_factors
 from fracdec.rs import RsCode, decode_columns
 from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import ts_make_config
+from fracdec.trials import random_error_pattern, random_message, trial_stream
 from oracles import ExtFieldReference, irreducible_by_trial_division
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -17,12 +17,12 @@ from fracdec.frs_scheme import (FrsConfig, bundle_columns, flatten_columns,
                                 frs_make_config, is_primitive_root,
                                 smallest_prime_above, smallest_primitive_root)
 from fracdec import frs_scheme
-from fracdec.fields import PrimeField, prime_factors
-from fracdec.harness import (_decode_naive, random_column_offset,
-                             random_error_pattern, random_message,
-                             trial_stream)
+from fracdec.harness import _decode_naive
+from fracdec.primefield import PrimeField, prime_factors
 from fracdec.rs import RsCode, decode_columns
 from fracdec.serialization import config_from_dict, load_json
+from fracdec.trials import (random_column_offset, random_error_pattern,
+                            random_message, trial_stream)
 from oracles import trial_decode_columns
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -328,7 +328,6 @@ def test_trial_decoder_doubles_as_scalar_rs_decoder():
     reported positions."""
     import random
 
-    from fracdec.fields import PrimeField
     from fracdec.polyring import normalize
     from oracles import poly_eval
 

@@ -12,15 +12,20 @@ from pathlib import Path
 import pytest
 
 from fracdec.arraycode import ErrorPattern
+from fracdec.bounds import radius_naive
 from fracdec.errors import BudgetExceeded
-from fracdec.frs_scheme import frs_make_config
-from fracdec.harness import (ExperimentSpec, SplitMix64, _download_budget,
-                             compare_naive, comparison_to_dict,
-                             random_column_offset, random_error_pattern,
-                             random_message, report_to_dict, report_to_json,
-                             run_trial, simulate, trial_stream)
+from fracdec.fields import ExtField, dual_basis
+from fracdec.frs_scheme import (FrsConfig, frs_make_config,
+                                smallest_primitive_root)
+from fracdec.harness import (ExperimentSpec, _download_budget, compare_naive,
+                             comparison_to_dict, report_to_dict,
+                             report_to_json, run_trial, simulate)
+from fracdec.primefield import PrimeField
 from fracdec.serialization import config_from_dict, load_json
-from fracdec.trace_scheme import ts_make_config
+from fracdec.trace_scheme import TsConfig, ts_make_config
+from fracdec.trials import (SplitMix64, random_column_offset,
+                            random_error_pattern, random_message,
+                            trial_stream)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,7 +83,7 @@ def test_below_draws_past_64_bits():
     bounds = (2 ** 64 + 1, 2 ** 65, 257 ** 8, 2 ** 200 - 1)
     first, after, draws = json.loads(run_child("-c", f"""
 import json
-from fracdec.harness import SplitMix64
+from fracdec.trials import SplitMix64
 g = SplitMix64(3)
 first, after = g.below(2 ** 65), g.next_u64()
 print(json.dumps([first, after, [[g.below(b) for _ in range(50)]
@@ -298,6 +303,51 @@ def test_compare_naive_pins_a_naive_miscorrection():
     assert d["naiveOutcome"] == "miscorrected"
     assert d["fractionalOutcome"] == "recovered"
     assert d["separated"] is True
+
+
+def naive_radius_grid():
+    """Valid trace configs over GF(13^l) and folded configs over GF(67),
+    l = 2..4, every alpha = a/l, k and n (n <= 13 and n <= 16), for which
+    alpha*n is an integer, as the whole-column reader needs."""
+    base = PrimeField(13)
+    for l in (2, 3, 4):
+        ext = ExtField(base, l)
+        basis = dual_basis(ext)
+        for m in range(1, l + 1):
+            for k in range(m, 13 * m // l + 1, m):
+                subsets = tuple(tuple(range(j * (k // m), (j + 1) * (k // m)))
+                                for j in range(m))
+                for n in range(l * k // m, 14):
+                    if n * m % l == 0:
+                        yield TsConfig(ext=ext, k=k, omega=tuple(range(n)),
+                                       subsets=subsets, basis=basis)
+    field = PrimeField(67)
+    gamma = smallest_primitive_root(67)
+    for l in (2, 3, 4):
+        for a in range(1, l + 1):
+            alpha = Fraction(a, l)
+            for k in range(1, 17):
+                if (k / alpha).denominator != 1 or k / alpha > 16:
+                    continue
+                for n in range(int(k / alpha), 17):
+                    if (alpha * n).denominator == 1:
+                        yield FrsConfig(field=field, gamma=gamma, n=n, k=k,
+                                        l=l, alpha=alpha)
+
+
+def test_compare_naive_radius_matches_the_bound():
+    """compare_naive forms the naive radius from the integer alpha*n
+    itself, without `bounds`; it must equal bounds.radius_naive on the
+    five shipped configs and on a grid of valid trace and folded ones."""
+    shipped = [config_from_dict(load_json(str(path)))
+               for path in sorted((ROOT / "configs").glob("*.json"))]
+    assert len(shipped) == 5
+    schemes = set()
+    for cfg in [*shipped, *naive_radius_grid()]:
+        result = compare_naive(cfg, 0)
+        assert result.naive_radius == radius_naive(cfg.n, cfg.k, cfg.alpha)
+        schemes.add(cfg.scheme)
+    assert schemes == {"ts", "frs"}
 
 
 def test_compare_naive_no_separation_note():

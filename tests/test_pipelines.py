@@ -17,9 +17,9 @@ import pytest
 from fracdec.arraycode import ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure
 from fracdec.frs_scheme import frs_make_config
-from fracdec.harness import random_error_pattern, random_message, trial_stream
 from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import ts_make_config
+from fracdec.trials import random_error_pattern, random_message, trial_stream
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = {path.stem: (lambda path=path: config_from_dict(load_json(str(path))))

@@ -18,11 +18,12 @@ from fracdec.arraycode import DownloadBundle, ErrorPattern
 from fracdec.bounds import (CollisionWitness, FigureRow, MinInfoResult,
                             RadiusReport, emit_figure, min_info_check,
                             radius_report)
-from fracdec.fields import ExtField, PrimeField, TraceDualBasis, dual_basis
+from fracdec.fields import ExtField, TraceDualBasis, dual_basis
 from fracdec.frs_scheme import FrsConfig, frs_make_config
 from fracdec.harness import (ExperimentReport, ExperimentSpec,
                              NaiveComparison, WeightStats, compare_naive,
                              simulate)
+from fracdec.primefield import PrimeField
 from fracdec.rs import RsCode
 from fracdec.trace_scheme import TsConfig, ts_make_config
 

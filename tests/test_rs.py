@@ -16,8 +16,9 @@ from fracdec import polyring as P
 from fracdec import rs as rs_module
 from fracdec.arraycode import ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure
-from fracdec.fields import ExtField, PrimeField
+from fracdec.fields import ExtField
 from fracdec.frs_scheme import frs_make_config
+from fracdec.primefield import PrimeField
 from fracdec.rs import (PackedMap, RsCode, _pack, _unpack, decode_columns,
                         nearest_codeword_bruteforce, packed_map,
                         packed_product, rs_evaluate, rs_interpolate,
@@ -92,7 +93,7 @@ def test_poly_divmod_identity():
 
 def test_poly_from_roots_vanishes():
     roots = (0, 1, 5)
-    poly = P.poly_from_roots(F13, roots)
+    poly = rs_module.poly_from_roots(F13, roots)
     assert P.degree(poly) == 3 and poly[-1] == 1
     for r in roots:
         assert oracles.poly_eval(F13, poly, r) == 0
@@ -108,7 +109,7 @@ def test_kernel_refuses_extension_fields():
     a, b = (5, 7), (1, 1)
     for call in (lambda: P.poly_mul(f, a, b),
                  lambda: P.poly_divmod(f, a, b),
-                 lambda: P.poly_from_roots(f, (1, 3)),
+                 lambda: rs_module.poly_from_roots(f, (1, 3)),
                  lambda: P.poly_powmod(f, a, 3, b),
                  lambda: P.poly_gcd(f, a, b)):
         with pytest.raises(TypeError):
@@ -147,7 +148,7 @@ def test_poly_from_roots_matches_product(q):
         expected = (1,)
         for r in roots:
             expected = P.poly_mul(field, expected, (-r % q, 1))
-        assert P.poly_from_roots(field, roots) == expected
+        assert rs_module.poly_from_roots(field, roots) == expected
 
 
 def assert_code_maps_fit(code):
@@ -568,7 +569,7 @@ def test_rs_decode_degenerate_zero_radius():
     assert h == msg and errs == frozenset()
 
 
-def test_rs_decode_reuses_the_master_polynomial(polyring_calls,
+def test_rs_decode_reuses_the_master_polynomial(polyring_calls, rs_calls,
                                                 rs_codes_built):
     """RsCode builds its master polynomial and its interpolation and
     evaluation tables once; a decode must not rebuild any of them, build
@@ -576,25 +577,26 @@ def test_rs_decode_reuses_the_master_polynomial(polyring_calls,
     cfg = config_from_dict(load_json(str(CONFIG_DIR / "frs-p37-n8-k3.json")))
     code = cfg.served_code
     rs_codes_built.clear()
-    calls = polyring_calls("poly_from_roots", "poly_mul", "poly_divmod",
-                           "poly_powmod", "poly_gcd")
+    calls = polyring_calls("poly_mul", "poly_divmod", "poly_powmod",
+                           "poly_gcd")
+    roots = rs_calls("poly_from_roots")
     msg = tuple(range(1, code.k + 1))
     received = list(rs_evaluate(code, msg))
     for i in range(code.radius):
         received[2 * i] = (received[2 * i] + 1) % cfg.field.q
     h, errs = decode_word(code, received)
     assert h == msg and len(errs) == code.radius
-    assert calls == [] and rs_codes_built == []
+    assert calls == roots == rs_codes_built == []
 
 
 @pytest.mark.parametrize("q, n", ((2, 1), (13, 13), (31, 30)))
-def test_rs_code_builds_its_master_once(q, n, polyring_calls):
+def test_rs_code_builds_its_master_once(q, n, rs_calls):
     """The Lagrange table is derived from the code's own master polynomial,
     so a code multiplies out its points exactly once."""
-    calls = polyring_calls("poly_from_roots")
+    calls = rs_calls("poly_from_roots")
     code = RsCode(PrimeField(q), 1, range(n))
     assert calls == ["poly_from_roots"]
-    assert code.master == P.poly_from_roots(code.field, code.omega)
+    assert code.master == rs_module.poly_from_roots(code.field, code.omega)
 
 
 # The configs whose RS codes the schemes decode with: the benchmark's trace
@@ -861,6 +863,24 @@ def test_decode_columns_reads_words_across_columns():
     for bad in (columns[:5], columns[:5] + [columns[5][:3]]):
         with pytest.raises(ValueError, match="uniform slices"):
             decode_columns(code, bad, 2)
+
+
+def test_decode_columns_refuses_no_columns():
+    """An empty column list carries no word: it is a bad shape, refused
+    with the shape's ValueError before any division by the column count."""
+    with pytest.raises(ValueError) as info:
+        decode_columns(RsCode(F13, 2, range(6)), [], 1)
+    assert str(info.value) == ("0 columns cannot carry words of length 6 "
+                               "in uniform slices")
+
+
+def test_decode_columns_refuses_empty_columns():
+    """n columns of height 0 carry no word either: they are refused with
+    the shape's ValueError rather than decoded to no messages at all."""
+    with pytest.raises(ValueError) as info:
+        decode_columns(RsCode(F13, 2, range(6)), [()] * 6, 1)
+    assert str(info.value) == ("6 columns cannot carry words of length 6 "
+                               "in uniform slices")
 
 
 def test_decode_columns_checks_symbols_in_column_order():

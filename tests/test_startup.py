@@ -31,20 +31,20 @@ ROOT_NAMES = {
                "radius_naive", "radius_optimal", "radius_report"),
     "budget": ("DEFAULT_BUDGET", "check_budget", "enumeration_budget"),
     "errors": ("BudgetExceeded", "DecodeFailure"),
-    "fields": ("ExtField", "PrimeField", "TraceDualBasis", "default_modulus",
-               "dual_basis", "is_prime", "poly_is_irreducible",
-               "polynomial_basis", "prime_factors"),
+    "fields": ("ExtField", "TraceDualBasis", "default_modulus", "dual_basis",
+               "poly_is_irreducible", "polynomial_basis"),
     "frs_scheme": ("FrsConfig", "bundle_columns", "flatten_columns",
                    "frs_full_pipeline", "frs_list_decode_bruteforce",
                    "frs_make_config", "is_primitive_root",
                    "smallest_prime_above", "smallest_primitive_root"),
     "harness": ("ExperimentReport", "ExperimentSpec", "NaiveComparison",
-                "SplitMix64", "WeightStats", "compare_naive",
-                "random_message", "report_to_dict", "report_to_json",
-                "run_trial", "simulate", "trial_stream"),
+                "WeightStats", "compare_naive", "report_to_dict",
+                "report_to_json", "run_trial", "simulate"),
+    "primefield": ("PrimeField", "is_prime", "prime_factors"),
     "rationals": ("as_fraction",),
     "rs": ("RsCode", "nearest_codeword_bruteforce"),
     "trace_scheme": ("TsConfig", "ts_full_pipeline", "ts_make_config"),
+    "trials": ("SplitMix64", "random_message", "trial_stream"),
 }
 
 
@@ -74,12 +74,15 @@ def test_import_loads_no_submodule():
 
 
 # What building a config of each scheme loads, the package root aside.
+# The folded scheme computes over GF(p) alone, so it loads no extension
+# field code (`fields`, `polyring`) and, outside its oracles, no `budget`.
 SCHEME_MODULES = {
-    "ts": {"errors", "budget", "polyring", "fields", "records", "rs",
+    "ts": {"errors", "primefield", "polyring", "fields", "records", "rs",
            "arraycode", "trace_scheme"},
-    "frs": {"errors", "budget", "polyring", "fields", "records", "rs",
-            "arraycode", "rationals", "frs_scheme"},
+    "frs": {"errors", "primefield", "records", "rs", "arraycode",
+            "rationals", "frs_scheme"},
 }
+NOT_FOLDED = {"fields", "polyring", "budget"}
 
 
 @pytest.mark.parametrize("build, scheme", [
@@ -90,6 +93,9 @@ def test_config_build_loads_only_its_scheme(build, scheme):
     loaded = loaded_by("from fractions import Fraction\nimport fracdec\n"
                        + build)
     assert fracdec_modules(loaded) == SCHEME_MODULES[scheme] | {"fracdec"}
+    if scheme == "frs":
+        assert len(fracdec_modules(loaded)) == 8
+        assert fracdec_modules(loaded) & NOT_FOLDED == set()
     assert "json" not in loaded
     assert "dataclasses" not in loaded
 
@@ -98,11 +104,14 @@ CLI_CONFIGS = {"ts": ROOT / "configs" / "ts-q13-n12-k4.json",
                "frs": ROOT / "configs" / "frs-p37-n8-k3.json"}
 MESSAGES = {"ts": [5, 0, 11, 2], "frs": list(range(12))}
 STAGES = ("encode", "corrupt", "download", "decode")
-# What each command loads beyond the CLI and its config's scheme.
-COMMAND_MODULES = {"encode": set(), "corrupt": {"harness"},
+# What each command loads beyond the CLI and its config's scheme: the
+# seeded draws for `corrupt`, and the harness with them for `simulate`
+# (whose exhaustive sweep checks the enumeration budget) and
+# `compare-naive` (which computes the naive radius without `bounds`).
+COMMAND_MODULES = {"encode": set(), "corrupt": {"trials"},
                    "download": set(), "decode": set(),
-                   "simulate": {"harness"},
-                   "compare-naive": {"harness", "bounds", "rationals"}}
+                   "simulate": {"harness", "trials", "budget"},
+                   "compare-naive": {"harness", "trials"}}
 
 
 @pytest.fixture(scope="module")
@@ -143,15 +152,22 @@ def command_argv(scheme, command, paths):
 @pytest.mark.parametrize("command", [*STAGES, "simulate", "compare-naive"])
 @pytest.mark.parametrize("scheme", ["ts", "frs"])
 def test_cli_command_loads_only_what_it_runs(scheme, command, stage_files):
-    """A command loads the scheme its config names and, of the harness
-    and the bounds, only what it calls; no command loads `dataclasses`,
-    and a trace-scheme stage builds no Fraction, so loads no `fractions`."""
+    """A command loads the scheme its config names and, of the draws, the
+    harness and the budget, only what it calls; a folded command loads no
+    extension field code and no stage command the budget; no command
+    loads `dataclasses`, and a trace-scheme stage builds no Fraction, so
+    loads no `fractions`."""
     argv = command_argv(scheme, command, stage_files[scheme])
     loaded = loaded_by("from fracdec.cli import main\n"
                        f"assert main({argv!r}) == 0")
-    assert fracdec_modules(loaded) == ({"fracdec", "cli", "serialization"}
-                                       | SCHEME_MODULES[scheme]
-                                       | COMMAND_MODULES[command])
+    modules = fracdec_modules(loaded)
+    assert modules == ({"fracdec", "cli", "serialization"}
+                       | SCHEME_MODULES[scheme] | COMMAND_MODULES[command])
+    if scheme == "frs":
+        assert modules & {"fields", "polyring"} == set()
+    if command in STAGES:
+        assert "budget" not in modules
+    assert "bounds" not in modules
     assert "dataclasses" not in loaded
     if scheme == "ts" and command in STAGES:
         assert "fractions" not in loaded
@@ -169,8 +185,8 @@ BOUNDS_MODULES = {"fracdec", "cli", "serialization", "bounds", "records",
 ], ids=["bounds", "figure"])
 def test_bounds_and_figure_load_no_scheme(argv, tmp_path):
     """`bounds` imports `arraycode`, the base of both configs, which loads
-    `rs` (and with it `fields` and `polyring`), only inside the collision
-    search, so the radius formulas load no code table."""
+    `rs` (and with it `primefield`), only inside the collision search, so
+    the radius formulas load no code table."""
     argv = [*argv, "--out", str(tmp_path / "out")]
     loaded = loaded_by("from fracdec.cli import main\n"
                        f"assert main({argv!r}) == 0")
@@ -183,8 +199,8 @@ def test_bare_import_lists_every_name_and_resolves_a_submodule():
         "import fracdec\n"
         "assert {*fracdec.__all__, 'rs', 'cli'} <= set(dir(fracdec))\n"
         "assert fracdec.rs.__name__ == 'fracdec.rs'")
-    assert fracdec_modules(loaded) == {"fracdec", "rs", "budget", "errors",
-                                       "fields", "polyring", "records"}
+    assert fracdec_modules(loaded) == {"fracdec", "rs", "errors",
+                                       "primefield", "records"}
 
 
 def test_root_exports_each_name_from_its_submodule():

@@ -186,8 +186,8 @@ def test_code_tables_are_applied_only_in_rs():
     `interpolation` and the trace and folded configs' maps are read only
     as the first argument of rs.packed_product; frs_scheme imports nothing
     from polyring, and outside fields and polyring no module imports more
-    of polyring than normalize and poly_from_roots, so none evaluates or
-    interpolates a polynomial but through rs."""
+    of polyring than normalize, so none evaluates or interpolates a
+    polynomial but through rs."""
     maps = ("encode_map", "download_map", "decode_map", "evaluation",
             "interpolation")
     readers, imported, loose = set(), set(), []
@@ -219,7 +219,7 @@ def test_code_tables_are_applied_only_in_rs():
             if (module, stem) == ("polyring", "frs_scheme")} == set()
     assert {name for module, stem, name in imported
             if module == "polyring" and stem not in ("fields", "polyring")
-            } <= {"normalize", "poly_from_roots"}
+            } <= {"normalize"}
 
 
 def test_traced_pipelines_run():

@@ -13,14 +13,14 @@ from fracdec import polyring as P
 from fracdec.arraycode import DownloadBundle, ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure
 from fracdec.fields import ExtField
-from fracdec.harness import (compare_naive, random_column_offset,
-                             random_error_pattern, random_message,
-                             trial_stream)
+from fracdec.harness import compare_naive
 from fracdec.rs import decode_columns, rs_evaluate
 from fracdec.serialization import config_from_dict, load_json
 from fracdec import rs as rs_module
 from fracdec import trace_scheme as ts_module
 from fracdec.trace_scheme import ts_full_pipeline, ts_make_config
+from fracdec.trials import (random_column_offset, random_error_pattern,
+                            random_message, trial_stream)
 import oracles
 from oracles import ts_decode_bruteforce, ts_project_polys
 
