@@ -23,14 +23,15 @@ _EXPORTS = {
                   "difference_pattern"),
     "bounds": ("CollisionWitness", "FigureRow", "MinInfoResult",
                "RadiusReport", "emit_figure", "figure_csv",
-               "find_download_collision", "list_capacity", "min_info_check",
-               "radius_naive", "radius_optimal", "radius_report"),
+               "find_download_collision", "list_capacity",
+               "list_decode_bruteforce", "min_info_check",
+               "nearest_codeword_bruteforce", "radius_naive",
+               "radius_optimal", "radius_report"),
     "budget": ("DEFAULT_BUDGET", "check_budget", "enumeration_budget"),
     "errors": ("BudgetExceeded", "DecodeFailure"),
     "fields": ("ExtField", "TraceDualBasis", "default_modulus", "dual_basis",
                "poly_is_irreducible", "polynomial_basis"),
-    "frs_scheme": ("FrsConfig", "bundle_columns", "flatten_columns",
-                   "frs_full_pipeline", "frs_list_decode_bruteforce",
+    "frs_scheme": ("FrsConfig", "flatten_columns", "frs_full_pipeline",
                    "frs_make_config", "is_primitive_root",
                    "smallest_prime_above", "smallest_primitive_root"),
     "harness": ("ExperimentReport", "ExperimentSpec", "NaiveComparison",
@@ -38,7 +39,7 @@ _EXPORTS = {
                 "report_to_json", "run_trial", "simulate"),
     "primefield": ("PrimeField", "is_prime", "prime_factors"),
     "rationals": ("as_fraction",),
-    "rs": ("RsCode", "nearest_codeword_bruteforce"),
+    "rs": ("RsCode",),
     "trace_scheme": ("TsConfig", "ts_full_pipeline", "ts_make_config"),
     "trials": ("SplitMix64", "random_message", "trial_stream"),
 }

@@ -12,6 +12,7 @@ methods; `rs.decode_words` is the one place served symbols become words.
 
 import itertools
 
+from .primefield import prime_q
 from .records import Record
 from .rs import decode_columns, decode_words, packed_product
 
@@ -45,14 +46,6 @@ class ErrorPattern(Record):
         return len(self.support)
 
 
-def _prime(field):
-    """The q of a prime field; TypeError for any other field."""
-    if field.order != field.char:
-        raise TypeError(f"error patterns apply over prime fields only, "
-                        f"not {field!r}")
-    return field.q
-
-
 def apply_error_pattern(field, columns, pattern):
     """Add the pattern's offsets onto a word, columnwise over the prime
     field `field`.
@@ -66,7 +59,7 @@ def apply_error_pattern(field, columns, pattern):
     symbols = list(field.check_all(itertools.chain.from_iterable(columns)))
     bounds = list(itertools.accumulate(map(len, columns), initial=0))
     offsets = _checked_offsets(field, pattern, bounds)
-    _add_offsets(_prime(field), symbols, offsets)
+    _add_offsets(prime_q(field, "an error pattern"), symbols, offsets)
     return tuple(tuple(symbols[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
@@ -125,7 +118,7 @@ def difference_pattern(field, base_word, other_word, columns=None):
     pairs = [(i, [(field.check(a), field.check(b))
                   for a, b in zip(base_word[i], other_word[i])])
              for i in sorted(columns)]
-    q = _prime(field)
+    q = prime_q(field, "an error pattern")
     support, values = [], []
     for i, column in pairs:
         offsets = tuple((b - a) % q for a, b in column)

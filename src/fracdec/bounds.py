@@ -12,12 +12,17 @@ downloads whole words, one call per codeword, through the download it is
 given: for a scheme config, `cfg.download_fn(count)`, the scheme's own
 download path.
 
+The package's exhaustive searches are all here, each gated by the budget
+and importing the code it runs only when it runs: the collision search, a
+list decoder for either scheme and the RS nearest-codeword search.
+
 All rates and fractions are exact Fractions; see rationals.as_fraction.
 """
 
 import itertools
 from fractions import Fraction
 from math import comb, floor
+from operator import ne
 
 from .budget import check_budget
 from .rationals import as_fraction
@@ -218,6 +223,60 @@ def _build_witness(field, word_a, word_b, agree_columns, t, download):
     return CollisionWitness(word_a=word_a, word_b=word_b,
                             pattern_a=pattern_a, pattern_b=pattern_b,
                             agree_columns=tuple(agree_columns))
+
+
+def _check_radius(radius):
+    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
+        raise ValueError(f"radius must be a nonnegative int, got {radius!r}")
+
+
+def list_decode_bruteforce(cfg, per_column, radius):
+    """Every message of `cfg.codewords()` whose `cfg.download_fn()`
+    downloads differ from `per_column` on at most `radius` columns, in
+    canonical message order, for a config of either scheme.
+
+    Checks the radius, a nonnegative int, then every symbol of per_column,
+    then its shape, n columns of served_per_column symbols; the enumeration
+    is gated by the budget.
+    """
+    _check_radius(radius)
+    per_column = tuple(map(cfg.symbol_field.check_all, per_column))
+    n, size = cfg.n, cfg.served_per_column
+    if len(per_column) != n or any(len(c) != size for c in per_column):
+        raise ValueError(f"expected {n} columns of {size} downloaded symbols")
+    field, length = cfg.message_field, cfg.message_length
+    check_budget(field.order ** length, f"list decoding over {field!r}^{length}")
+    download = cfg.download_fn()
+    return [message for message, word in cfg.codewords()
+            if sum(map(ne, download(word), per_column)) <= radius]
+
+
+def nearest_codeword_bruteforce(code, received, radius):
+    """All (message, distance) pairs with distance <= radius, by full search
+    of the RS code `code`.
+
+    The list is sorted by distance, ties broken by canonical message order
+    (lexicographic on the padded coefficient tuple). Enumerates all q^k
+    messages, so it is gated by the enumeration budget. The radius must be
+    a nonnegative int.
+    """
+    from .polyring import normalize
+    from .rs import rs_evaluate
+
+    field, n, k = code.field, code.n, code.k
+    _check_radius(radius)
+    received = tuple(received)
+    if len(received) != n:
+        raise ValueError(f"received word has {len(received)} symbols, expected {n}")
+    field.check_all(received)
+    check_budget(field.order ** k, f"nearest-codeword search over {field!r}^{k}")
+    hits = []
+    for message in itertools.product(field.elements(), repeat=k):
+        dist = sum(map(ne, rs_evaluate(code, message), received))
+        if dist <= radius:
+            hits.append((normalize(message), dist))
+    hits.sort(key=lambda pair: pair[1])  # stable: canonical order within ties
+    return hits
 
 
 class FigureRow(Record):

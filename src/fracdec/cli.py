@@ -8,12 +8,12 @@ enumeration sizes.
 
 Each command imports what it runs when it runs: a stage command loads
 only the scheme its config names, `corrupt` adds the seeded draws of
-`trials`, `simulate` and `compare-naive` add `harness`, and `bounds`
-loads only for `bounds`, `figure` and the collision oracle. `main` builds
-only the parser branch its first argument names, and the whole parser
-when that names no command, so help and usage errors read the same. A
-command runs a scheme through its config's methods; only the parser and
-the file formats name the schemes.
+`trials`, `simulate` and `compare-naive` add `harness`, and `bounds`,
+which holds every brute-force search, loads only for `bounds`, `figure`
+and the three oracles. `main` builds only the parser branch its first
+argument names, and the whole parser when that names no command, so help
+and usage errors read the same. A command runs a scheme through its
+config's methods; only the parser and the file formats name the schemes.
 """
 
 import argparse
@@ -140,8 +140,9 @@ def cmd_compare_naive(args):
 
 
 def cmd_oracle_nearest(args):
+    from .bounds import nearest_codeword_bruteforce
     from .primefield import PrimeField
-    from .rs import RsCode, nearest_codeword_bruteforce
+    from .rs import RsCode
     field = PrimeField(args.q)
     received = _ints_arg(args.received, "--received")
     n = len(received)
@@ -190,10 +191,10 @@ def _pattern_dict(pattern):
 
 
 def cmd_oracle_list(args):
-    from .frs_scheme import frs_list_decode_bruteforce
+    from .bounds import list_decode_bruteforce
     cfg = ser.config_from_dict(ser.load_json(args.config), "frs")
     bundle = ser.bundle_from_dict(ser.load_json(args.word), "frs")
-    hits = frs_list_decode_bruteforce(cfg, bundle.per_column, args.radius)
+    hits = list_decode_bruteforce(cfg, bundle.per_column, args.radius)
     ser.dump_json(args.out, {
         "format": 1,
         "radius": args.radius,

@@ -13,17 +13,16 @@ equal accessed symbols: the access overhead of combining full columns is
 zero.
 
 The folded scheme needs only GF(p): it imports `primefield`, not
-`fields` or `polyring`, and its list oracle imports the enumeration
-budget when it runs.
+`fields`, `polyring` or the enumeration budget. Its list-decoding
+reference is `bounds.list_decode_bruteforce`, which serves either scheme.
 """
 
 import itertools
-from operator import ne
 
 from .arraycode import ArrayConfig
 from .primefield import PrimeField, is_prime, prime_factors
 from .rationals import as_fraction
-from .rs import RsCode, packed_map, power_columns, rs_evaluate
+from .rs import RsCode, packed_map, power_columns
 
 
 def smallest_prime_above(bound):
@@ -153,8 +152,8 @@ class FrsConfig(ArrayConfig):
         return h + (0,) * (self.message_length - len(h))
 
     def download_fn(self, count=None):
-        """Word -> per-column downloads, for collision search: the first
-        `count` of each column's l stored symbols (default alpha*l)."""
+        """Word -> per-column downloads, for the searches in `bounds`: the
+        first `count` of each column's l stored symbols (default alpha*l)."""
         count = self.alpha_l if count is None else count
         if not 0 <= count <= self.l:
             raise ValueError(f"download count must lie in 0..{self.l}, the l "
@@ -179,49 +178,12 @@ def frs_make_config(n, k, l, alpha, *, p=None, gamma=None):
                      alpha=as_fraction(alpha))
 
 
-def bundle_columns(word, height):
-    """Group a flat evaluation word into columns of the given height."""
-    word = tuple(word)
-    if height < 1 or len(word) % height != 0:
-        raise ValueError(f"word length {len(word)} is not a multiple of {height}")
-    return tuple(word[i: i + height] for i in range(0, len(word), height))
-
-
 def flatten_columns(columns):
-    """Inverse of bundle_columns: concatenate columns of uniform height."""
+    """Concatenate columns of uniform height into one flat tuple."""
     columns = tuple(tuple(c) for c in columns)
     if columns and any(len(c) != len(columns[0]) for c in columns):
         raise ValueError("columns must have uniform height")
     return tuple(v for col in columns for v in col)
-
-
-def frs_list_decode_bruteforce(cfg, per_column, radius):
-    """All messages whose prefix downloads are within `radius` column
-    changes of the given ones, in canonical message order.
-
-    Full q^(kl) enumeration, gated by the budget; the reference answer for
-    list-decoding questions about the punctured code. The radius must be a
-    nonnegative int.
-    """
-    from .budget import check_budget
-
-    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
-        raise ValueError(f"radius must be a nonnegative int, got {radius!r}")
-    per_column = tuple(tuple(cfg.field.check(c) for c in col)
-                       for col in per_column)
-    if len(per_column) != cfg.n or any(len(c) != cfg.alpha_l for c in per_column):
-        raise ValueError(
-            f"expected {cfg.n} columns of {cfg.alpha_l} downloaded symbols")
-    check_budget(cfg.field.order ** cfg.message_length,
-                 f"list decoding over {cfg.field!r}^{cfg.message_length}")
-    hits = []
-    for message in itertools.product(cfg.field.elements(),
-                                     repeat=cfg.message_length):
-        prefixes = bundle_columns(rs_evaluate(cfg.served_code, message),
-                                  cfg.alpha_l)
-        if sum(map(ne, prefixes, per_column)) <= radius:
-            hits.append(message)
-    return hits
 
 
 def frs_full_pipeline(cfg, message, pattern):

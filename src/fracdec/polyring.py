@@ -11,18 +11,13 @@ with no trailing zeros; the zero polynomial is the empty tuple, of degree
 and runs plain integer loops reduced mod q, with no per-coefficient field
 method call. A field that is not prime (such as an `ExtField`, whose q is
 its characteristic) raises TypeError rather than return values reduced
-mod the wrong number.
+mod the wrong number (`primefield.prime_q`).
 Coefficients and points must be canonical integers of that field. Nothing
 here validates them: callers check symbols where they enter, with the
 field's `check`.
 """
 
-
-def _prime(field):
-    """The q of a prime field; TypeError for any other field."""
-    if field.order != field.char:
-        raise TypeError(f"polyring works over prime fields only, not {field!r}")
-    return field.q
+from .primefield import prime_q
 
 
 def normalize(coeffs):
@@ -40,7 +35,7 @@ def degree(a):
 
 def poly_mul(field, a, b):
     """Schoolbook product: accumulate each coefficient, then reduce it once."""
-    q = _prime(field)
+    q = prime_q(field, "polyring")
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -53,7 +48,7 @@ def poly_mul(field, a, b):
 
 def poly_divmod(field, a, b):
     """Long division: return (quotient, remainder) with deg r < deg b."""
-    q = _prime(field)
+    q = prime_q(field, "polyring")
     if not b:
         raise ZeroDivisionError("polynomial division by the zero polynomial")
     if len(a) < len(b):
@@ -90,7 +85,7 @@ def poly_powmod(field, a, exponent, modulus):
 
 def poly_gcd(field, a, b):
     """Monic greatest common divisor by Euclid's algorithm; gcd(0, 0) = 0."""
-    q = _prime(field)
+    q = prime_q(field, "polyring")
     while b:
         a, b = b, poly_divmod(field, a, b)[1]
     if not a:

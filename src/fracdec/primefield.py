@@ -67,6 +67,14 @@ def prime_factors(n):
     return out
 
 
+def prime_q(field, what):
+    """The q of a prime field, whose integer arithmetic mod q `what` runs;
+    TypeError for any other field, where reducing mod q would be wrong."""
+    if field.order != field.char:
+        raise TypeError(f"{what} runs over prime fields only, not {field!r}")
+    return field.q
+
+
 class PrimeField:
     """GF(q) for prime q, with arithmetic on canonical integers."""
 

@@ -1,6 +1,5 @@
-"""Reed-Solomon codes: evaluation encoding, unique decoding of words
-whose errors share columns, and a brute-force nearest-codeword search used
-as an oracle.
+"""Reed-Solomon codes: evaluation encoding and unique decoding of words
+whose errors share columns.
 
 A message is the coefficient tuple of a polynomial of degree < k over a
 prime field GF(q); the codeword is its evaluations at n distinct points.
@@ -35,10 +34,9 @@ is a precondition: every symbol must be a canonical integer in [0, q). A
 non-canonical symbol is not reduced mod q: a negative one borrows from
 the neighbouring digits and an oversized one can carry into them, so the
 product is silently wrong. Symbols are checked once, where they enter,
-before any product sees them. In this module `decode_columns` and
-`nearest_codeword_bruteforce` check their input. `decode_columns` is the
-one checked decoder: it checks its columns' shape, then all their
-symbols in one pass in column order, and hands them to `decode_words`.
+before any product sees them. In this module only `decode_columns`, the
+one checked decoder, checks its input: its columns' shape, then all their
+symbols in one pass in column order, before it hands them to `decode_words`.
 A single word is n columns of one symbol each, and an erasure decode is
 `decode_columns` on the code punctured to the known positions, at radius
 0. `rs_evaluate` is the one encoder. `packed_product`, `rs_evaluate`,
@@ -54,7 +52,8 @@ and error pattern as `encode` and `apply_error_pattern` do, then keeps
 canonical symbols in one flat list down to `decode_words`. Every other
 operand is computed mod q from checked data: the quotient a decode
 evaluates, the decoded streams the trace decode table reads, and the
-messages the brute-force oracles draw from `field.elements()`.
+messages the brute-force oracles, all in `bounds`, draw from
+`field.elements()`. This kernel imports neither `polyring` nor the budget.
 """
 
 import itertools
@@ -63,7 +62,7 @@ from collections import namedtuple
 from operator import floordiv, mul, ne
 
 from .errors import DecodeFailure
-from .primefield import PrimeField
+from .primefield import PrimeField, prime_q
 from .records import Record
 
 # struct codes of the unsigned digits rs packs in C, by width in bits
@@ -89,7 +88,7 @@ class RsCode(Record):
     decode_width: the bit width of one digit of `_decode_unique`'s packed
         Euclid run: the least of 8, 16, 32 and 64, or past 64 the least
         multiple of 8, with (k + 1) * (q - 1) * (2q - 1)^t < 2^decode_width,
-        t the radius; or 64 where that bound is over 128 bits and one
+        t the radius; but 64 wherever that bound passes 64 bits and one
         division from reduced digits fits,
         (q - 1) * (1 + max(t + 1, k) * (q - 1)) < 2^64.
     decode_master: the Euclid run's start, master packed at decode_width
@@ -130,8 +129,8 @@ class RsCode(Record):
             lagrange.append([c * scale % q for c in quotient])
         t = (n - k) // 2
         bits = ((k + 1) * (q - 1) * (2 * q - 1) ** t).bit_length()
-        if bits > 128 and ((q - 1) * (1 + max(t + 1, k) * (q - 1))
-                           ).bit_length() <= 64:
+        if bits > 64 and ((q - 1) * (1 + max(t + 1, k) * (q - 1))
+                          ).bit_length() <= 64:
             bits = 64
         decode_size = _digit_bytes(bits)
         self._set(master=master,
@@ -155,10 +154,7 @@ def poly_from_roots(field, roots):
     """Monic polynomial whose roots are exactly the given elements of the
     prime field `field`, multiplied by each x - r in place; TypeError for
     any other field."""
-    if field.order != field.char:
-        raise TypeError(f"root polynomials are formed over prime fields "
-                        f"only, not {field!r}")
-    q = field.q
+    q = prime_q(field, "a root polynomial")
     out = [1]
     for r in roots:
         out.append(1)
@@ -479,32 +475,3 @@ def decode_words(code, served, g, radius):
             f"nearest codeword differs on {len(corrected)} columns, more "
             f"than the radius {radius}")
     return tuple(messages), frozenset(corrected)
-
-
-def nearest_codeword_bruteforce(code, received, radius):
-    """All (message, distance) pairs with distance <= radius, by full search.
-
-    The list is sorted by distance, ties broken by canonical message order
-    (lexicographic on the padded coefficient tuple). Enumerates all q^k
-    messages, so it is gated by the enumeration budget. The radius must be
-    a nonnegative int.
-    """
-    from .budget import check_budget
-    from .polyring import normalize
-
-    field, n, k = code.field, code.n, code.k
-    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
-        raise ValueError(f"radius must be a nonnegative int, got {radius!r}")
-    received = tuple(received)
-    if len(received) != n:
-        raise ValueError(f"received word has {len(received)} symbols, expected {n}")
-    for c in received:
-        field.check(c)
-    check_budget(field.order ** k, f"nearest-codeword search over {field!r}^{k}")
-    hits = []
-    for message in itertools.product(field.elements(), repeat=k):
-        dist = sum(map(ne, rs_evaluate(code, message), received))
-        if dist <= radius:
-            hits.append((normalize(message), dist))
-    hits.sort(key=lambda pair: pair[1])  # stable: canonical order within ties
-    return hits

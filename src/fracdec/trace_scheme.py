@@ -190,8 +190,8 @@ class TsConfig(ArrayConfig):
                      for symbol in zip(*[iter(digits)] * l))
 
     def download_fn(self, count=None):
-        """Word -> per-column downloads, for collision search: the first
-        `count` of each column's m served symbols (default all m)."""
+        """Word -> per-column downloads, for the searches in `bounds`: the
+        first `count` of each column's m served symbols (default all m)."""
         count = self.m if count is None else count
         if not 0 <= count <= self.m:
             raise ValueError(f"download count must lie in 0..{self.m}, the m "

@@ -9,18 +9,17 @@ from fractions import Fraction
 
 from fracdec.arraycode import apply_error_pattern
 from fracdec.bounds import (emit_figure, find_download_collision,
-                            min_info_check, radius_optimal)
+                            list_decode_bruteforce, min_info_check,
+                            nearest_codeword_bruteforce, radius_optimal)
 from fracdec.cli import main
 from fracdec.errors import DecodeFailure
 from fracdec.fields import ExtField, default_modulus, dual_basis
 from fracdec.frs_scheme import (FrsConfig, frs_full_pipeline,
-                                frs_list_decode_bruteforce, frs_make_config,
-                                smallest_primitive_root)
+                                frs_make_config, smallest_primitive_root)
 from fracdec.harness import compare_naive, run_trial
 from fracdec.polyring import normalize, poly_divmod, poly_mul
 from fracdec.primefield import PrimeField
-from fracdec.rs import (RsCode, decode_columns, nearest_codeword_bruteforce,
-                        rs_evaluate)
+from fracdec.rs import RsCode, decode_columns, rs_evaluate
 from fracdec.trace_scheme import TsConfig, ts_full_pipeline, ts_make_config
 from fracdec.trials import random_error_pattern, random_message, trial_stream
 from oracles import poly_add, poly_eval, poly_pow, poly_sub, ts_project_polys
@@ -200,7 +199,7 @@ def test_criterion_6_oracle_equivalence(criterion):
                                        pattern)
             grid = tiny.download(word).per_column
             decoded, _ = tiny.decode(grid)
-            hits = frs_list_decode_bruteforce(tiny, grid, tiny.radius)
+            hits = list_decode_bruteforce(tiny, grid, tiny.radius)
             frs_checked += 1
             frs_disagreements += not (decoded == message and hits == [message])
 

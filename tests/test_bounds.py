@@ -1,6 +1,7 @@
 """Radius bounds, the information-count condition, collision witnesses,
 and the exact figure sweep."""
 
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,14 +9,17 @@ import pytest
 
 from fracdec import trace_scheme as ts_module
 from fracdec.bounds import (emit_figure, figure_csv, find_download_collision,
-                            list_capacity, min_info_check, radius_naive,
-                            radius_optimal, radius_report, _decimal6)
+                            list_capacity, list_decode_bruteforce,
+                            min_info_check, radius_naive, radius_optimal,
+                            radius_report, _decimal6)
 from fracdec.errors import BudgetExceeded
 from fracdec.frs_scheme import frs_make_config
 from fracdec.primefield import PrimeField
 from fracdec.rationals import as_fraction
 from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import ts_make_config
+from fracdec.trials import random_message, trial_stream
+from oracles import ts_decode_bruteforce
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -33,6 +37,22 @@ def test_as_fraction_forms():
         as_fraction(True)
     with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
         as_fraction("1/0")
+
+
+def test_as_fraction_refuses_huge_decimal_exponents():
+    """A decimal exponent past 4300 in magnitude is refused before
+    Fraction expands it into a power of ten of that many digits, which
+    took over a second at 2000000; exponents up to 4300 still read."""
+    assert as_fraction("1e4300") == 10 ** 4300
+    assert as_fraction(" 5E-0_004_300 ") == Fraction(5, 10 ** 4300)
+    for value in ("1e-2000000", "1e-20000000", "2.5E+4301", "1e0_4_3_0_1",
+                  "1e000000000000000004301", "1e" + "9" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="decimal exponent of magnitude "
+                                             "above 4300") as info:
+            as_fraction(value)
+        assert time.perf_counter() - start < 0.1
+        assert repr(value) in str(info.value)
 
 
 def test_radius_frozen_examples():
@@ -238,6 +258,35 @@ def test_collision_validation_and_budget(monkeypatch):
     monkeypatch.setenv("FRACDEC_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
         find_download_collision(cfg.base, words, download, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: config_from_dict(load_json(CONFIG_DIR / "ts-q5-n4-k2.json")),
+    lambda: ts_make_config(7, 7, 2, 2, 2),
+], ids=["ts-q5-n4-k2", "q7-n7-k2-l2-m2"])
+def test_list_decoder_matches_the_trace_oracle(build):
+    """On trace configs, the list decoder written on the config interface
+    returns exactly the message the trace scheme's own brute-force oracle
+    names, or nothing where it names none, at every radius up to the
+    config's: on codeword downloads with 0..n columns replaced by another
+    codeword's downloads or random symbols."""
+    cfg = build()
+    named = 0
+    for trial in range(cfg.n + 1):
+        stream = trial_stream(27, cfg.n, trial)
+        clean = cfg.download(cfg.encode(random_message(cfg, stream))).per_column
+        other = cfg.download(cfg.encode(random_message(cfg, stream))).per_column
+        bad = stream.sample(cfg.n, trial)
+        per_column = tuple(
+            (other[i] if trial % 2 else
+             tuple(stream.below(cfg.base.q) for _ in range(cfg.m)))
+            if i in bad else clean[i] for i in range(cfg.n))
+        for radius in range(cfg.radius + 1):
+            want = ts_decode_bruteforce(cfg, per_column, radius)
+            assert list_decode_bruteforce(cfg, per_column, radius) == (
+                [] if want is None else [want])
+            named += want is not None
+    assert 0 < named < (cfg.n + 1) * (cfg.radius + 1)
 
 
 def test_figure_endpoints_and_monotonicity():

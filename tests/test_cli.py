@@ -6,6 +6,7 @@ errors (including budget refusals).
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,29 @@ def test_zero_denominator_exits_two(tmp_path, capsys, monkeypatch, argv,
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "'1/0' has a zero denominator" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["bounds", "--n", "12", "--k", "4", "--alpha", "1e-20000000"], None),
+    (["simulate", "--weights", "0", "--config"],
+     dict(ZERO_ALPHA_FRS, alpha="1e-2000000")),
+], ids=["bounds", "simulate"])
+def test_huge_decimal_exponent_exits_two(tmp_path, capsys, monkeypatch, argv,
+                                         config):
+    """An alpha whose decimal exponent passes 4300 in magnitude is a usage
+    error, refused in one line well under a second; Fraction alone spent
+    over a second expanding such a string, and longer on `bounds`."""
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        argv = argv + [write_json(tmp_path, "cfg.json", config)]
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert "decimal exponent of magnitude above 4300" in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert not out.exists()
 

@@ -15,10 +15,10 @@ import pytest
 from fracdec import fields
 from fracdec.arraycode import (ErrorPattern, apply_error_pattern,
                                difference_pattern)
-from fracdec.bounds import find_download_collision
+from fracdec.bounds import find_download_collision, list_decode_bruteforce
 from fracdec.fields import (ExtField, TraceDualBasis, default_modulus,
                             dual_basis, poly_is_irreducible, polynomial_basis)
-from fracdec.frs_scheme import frs_list_decode_bruteforce, frs_make_config
+from fracdec.frs_scheme import frs_make_config
 from fracdec.primefield import PrimeField, is_prime, prime_factors
 from fracdec.rs import RsCode, decode_columns
 from fracdec.serialization import config_from_dict, load_json
@@ -186,8 +186,9 @@ def entry_points(label):
             "FrsConfig.encode": lambda bad: frs.encode((0, bad)),
             "FrsConfig.download":
                 lambda bad: frs.download(((0, bad), (0, 0))),
-            "frs_list_decode_bruteforce": lambda bad:
-                frs_list_decode_bruteforce(frs, ((0,), (bad,)), 0),
+            # a bad symbol raises before the shape, here a third column
+            "list_decode_bruteforce": lambda bad: list_decode_bruteforce(
+                frs, ((0,), (bad,), (0,)), 0),
         })
     else:
         ts = ts_make_config(2, 2, 1, 2, 1)

@@ -10,12 +10,13 @@ import pytest
 
 from fracdec.arraycode import (ErrorPattern, apply_error_pattern,
                                difference_pattern)
-from fracdec.bounds import find_download_collision, radius_naive
+from fracdec.bounds import (find_download_collision, list_decode_bruteforce,
+                            radius_naive)
 from fracdec.errors import BudgetExceeded, DecodeFailure
-from fracdec.frs_scheme import (FrsConfig, bundle_columns, flatten_columns,
-                                frs_full_pipeline, frs_list_decode_bruteforce,
-                                frs_make_config, is_primitive_root,
-                                smallest_prime_above, smallest_primitive_root)
+from fracdec.frs_scheme import (FrsConfig, flatten_columns,
+                                frs_full_pipeline, frs_make_config,
+                                is_primitive_root, smallest_prime_above,
+                                smallest_primitive_root)
 from fracdec import frs_scheme
 from fracdec.harness import _decode_naive
 from fracdec.primefield import PrimeField, prime_factors
@@ -161,7 +162,7 @@ def test_pipeline_and_list_oracle_evaluate_no_polynomial(polyring_calls):
     pattern = random_error_pattern(cfg, stream, cfg.radius)
     calls = polyring_calls()
     decoded, bundle = frs_full_pipeline(cfg, message, pattern)
-    hits = frs_list_decode_bruteforce(cfg, bundle.per_column, cfg.radius)
+    hits = list_decode_bruteforce(cfg, bundle.per_column, cfg.radius)
     assert decoded == message and hits == [message]
     assert calls == []
 
@@ -276,7 +277,7 @@ def test_trial_decode_agrees_with_list_oracle_tiny():
             ErrorPattern(support=support, values=values))
         grid = cfg.download(word).per_column
         decoded, _ = cfg.decode(grid)
-        hits = frs_list_decode_bruteforce(cfg, grid, cfg.radius)
+        hits = list_decode_bruteforce(cfg, grid, cfg.radius)
         assert hits == [msg] if decoded == msg else decoded in hits
         assert decoded == msg
 
@@ -285,11 +286,11 @@ def test_list_bruteforce_edges():
     cfg = tiny_config()
     msg = (3, 14, 9)
     grid = cfg.download(cfg.encode(msg)).per_column
-    assert frs_list_decode_bruteforce(cfg, grid, 0) == [msg]
-    everything = frs_list_decode_bruteforce(cfg, grid, cfg.n)
+    assert list_decode_bruteforce(cfg, grid, 0) == [msg]
+    everything = list_decode_bruteforce(cfg, grid, cfg.n)
     assert len(everything) == 19 ** 3
     with pytest.raises(ValueError):
-        frs_list_decode_bruteforce(cfg, grid[:-1], 0)
+        list_decode_bruteforce(cfg, grid[:-1], 0)
 
 
 def test_list_bruteforce_budget(monkeypatch):
@@ -297,10 +298,10 @@ def test_list_bruteforce_budget(monkeypatch):
     cfg = tiny_config()
     grid = ((0,),) * cfg.n
     with pytest.raises(BudgetExceeded):
-        frs_list_decode_bruteforce(cfg, grid, 1)
+        list_decode_bruteforce(cfg, grid, 1)
     for radius in (-1, 1.0, True, "1"):
         with pytest.raises(ValueError, match="radius must be"):
-            frs_list_decode_bruteforce(cfg, grid, radius)
+            list_decode_bruteforce(cfg, grid, radius)
 
 
 def test_same_encoder_serves_multiple_fractions():
@@ -502,12 +503,9 @@ def test_wide_folded_decode_at_radius():
     assert decoded == message and corrected == frozenset(support)
 
 
-def test_bundle_flatten_roundtrip():
+def test_flatten_columns():
     cols = ((1, 2), (3, 4), (5, 6))
-    assert bundle_columns((1, 2, 3, 4, 5, 6), 2) == cols
     assert flatten_columns(cols) == (1, 2, 3, 4, 5, 6)
-    with pytest.raises(ValueError):
-        bundle_columns((1, 2, 3), 2)
     with pytest.raises(ValueError):
         flatten_columns(((1, 2), (3,)))
     assert flatten_columns(()) == ()

@@ -15,14 +15,14 @@ import oracles
 from fracdec import polyring as P
 from fracdec import rs as rs_module
 from fracdec.arraycode import ErrorPattern, apply_error_pattern
+from fracdec.bounds import nearest_codeword_bruteforce
 from fracdec.errors import DecodeFailure
 from fracdec.fields import ExtField
 from fracdec.frs_scheme import frs_make_config
 from fracdec.primefield import PrimeField
 from fracdec.rs import (PackedMap, RsCode, _pack, _unpack, decode_columns,
-                        nearest_codeword_bruteforce, packed_map,
-                        packed_product, rs_evaluate, rs_interpolate,
-                        tabulate_map)
+                        packed_map, packed_product, rs_evaluate,
+                        rs_interpolate, tabulate_map)
 from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import ts_make_config
 
@@ -717,30 +717,31 @@ def euclid_digits(code, received):
 
 @pytest.mark.parametrize("q, n, k", ((2, 1, 1), (2, 2, 1), (2, 2, 2),
                                      (4294967311, 5, 1), (4294967311, 5, 3),
-                                     (257, 128, 32), (257, 256, 128),
-                                     (257, 256, 16)))
+                                     (31, 30, 8), (257, 128, 32),
+                                     (257, 256, 128), (257, 256, 16)))
 def test_packed_decoder_holds_at_the_carry_boundary(q, n, k, monkeypatch):
-    """No digit of the packed Euclid run reaches 2^decode_width. Below 128
-    bits the width meets the bound rs._decode_unique proves, so the run
-    never reduces its digits; above, the run has 64-bit digits, one
-    division from reduced digits fits them, and the run reduces where its
-    tracked bound says. A replay of the run on exact digits, reducing
+    """No digit of the packed Euclid run reaches 2^decode_width. Up to 64
+    bits, or where one division from reduced digits does not fit 64 bits,
+    the width meets the bound rs._decode_unique proves, so the run never
+    reduces its digits; otherwise the run has 64-bit digits and reduces
+    where its tracked bound says. A replay of the run on exact digits, reducing
     where the decoder does, stays below 2^decode_width and within the
     tracked bounds, and the decoder reduces as many pairs as the replay.
     The words are all q - 1, the word whose interpolant has every
     coefficient q - 1, codewords hit at the radius and random words; the
     shapes are GF(2) at n = 1 and 2, GF(2^32 + 15), whose
-    digits stay wider than 64 bits, and long codes over GF(257), whose
-    runs are 48, 64 and 120 steps long and reduce."""
+    digits stay wider than 64 bits, the (30, 8) code over GF(31), whose
+    bound of 74 bits puts it on 64-bit digits, and long codes over
+    GF(257), whose runs are 48, 64 and 120 steps long and reduce."""
     field = PrimeField(q)
     rng = random.Random(n * k)
     code = RsCode(field, k, [q - 1] + rng.sample(range(q - 1), n - 1))
     t = code.radius
     full = (k + 1) * (q - 1) * (2 * q - 1) ** t
-    capped = full.bit_length() > 128
+    capped = (full.bit_length() > 64
+              and (q - 1) * (1 + max(t + 1, k) * (q - 1)) < 2 ** 64)
     if capped:
         assert code.decode_width == 64
-        assert (q - 1) * (1 + max(t + 1, k) * (q - 1)) < 2 ** 64
     else:
         assert full < 2 ** code.decode_width
     if q > 2 ** 32:
@@ -768,6 +769,31 @@ def test_packed_decoder_holds_at_the_carry_boundary(q, n, k, monkeypatch):
             assert message == got[0]
         reduced += reductions
     assert bool(reduced) == capped
+
+
+def test_served_trace_code_decodes_on_64_bit_digits(rs_calls):
+    """The (30, 8) code over GF(31) that ts_make_config(31, 30, 4, 4, 2)
+    serves has a never-reduce bound of 74 bits, and one division from
+    reduced digits fits 64, so its Euclid run uses 64-bit digits and
+    reduces them mod q on the way. Words hit at every weight 0..11 decode
+    to the planted message and report the hit positions."""
+    code = ts_make_config(31, 30, 4, 4, 2).served_code
+    q, n, k, t = code.field.q, code.n, code.k, code.radius
+    assert (q, n, k, t) == (31, 30, 8, 11)
+    assert ((k + 1) * (q - 1) * (2 * q - 1) ** t).bit_length() == 74
+    assert code.decode_width == 64
+    reductions = rs_calls("_reduce")
+    rng = random.Random(3130)
+    for weight in range(t + 1):
+        for _ in range(5):
+            message = tuple(rng.randrange(q) for _ in range(k - 1)) + (
+                rng.randrange(1, q),)
+            word = list(rs_evaluate(code, message))
+            support = rng.sample(range(n), weight)
+            for pos in support:
+                word[pos] = (word[pos] + rng.randrange(1, q)) % q
+            assert decode_word(code, word) == (message, frozenset(support))
+    assert reductions
 
 
 @pytest.mark.parametrize("q, n, k", ((2, 2, 1), (5, 4, 2), (31, 30, 8),

@@ -27,14 +27,15 @@ ROOT_NAMES = {
                   "difference_pattern"),
     "bounds": ("CollisionWitness", "FigureRow", "MinInfoResult",
                "RadiusReport", "emit_figure", "figure_csv",
-               "find_download_collision", "list_capacity", "min_info_check",
-               "radius_naive", "radius_optimal", "radius_report"),
+               "find_download_collision", "list_capacity",
+               "list_decode_bruteforce", "min_info_check",
+               "nearest_codeword_bruteforce", "radius_naive",
+               "radius_optimal", "radius_report"),
     "budget": ("DEFAULT_BUDGET", "check_budget", "enumeration_budget"),
     "errors": ("BudgetExceeded", "DecodeFailure"),
     "fields": ("ExtField", "TraceDualBasis", "default_modulus", "dual_basis",
                "poly_is_irreducible", "polynomial_basis"),
-    "frs_scheme": ("FrsConfig", "bundle_columns", "flatten_columns",
-                   "frs_full_pipeline", "frs_list_decode_bruteforce",
+    "frs_scheme": ("FrsConfig", "flatten_columns", "frs_full_pipeline",
                    "frs_make_config", "is_primitive_root",
                    "smallest_prime_above", "smallest_primitive_root"),
     "harness": ("ExperimentReport", "ExperimentSpec", "NaiveComparison",
@@ -42,7 +43,7 @@ ROOT_NAMES = {
                 "report_to_json", "run_trial", "simulate"),
     "primefield": ("PrimeField", "is_prime", "prime_factors"),
     "rationals": ("as_fraction",),
-    "rs": ("RsCode", "nearest_codeword_bruteforce"),
+    "rs": ("RsCode",),
     "trace_scheme": ("TsConfig", "ts_full_pipeline", "ts_make_config"),
     "trials": ("SplitMix64", "random_message", "trial_stream"),
 }
@@ -75,7 +76,7 @@ def test_import_loads_no_submodule():
 
 # What building a config of each scheme loads, the package root aside.
 # The folded scheme computes over GF(p) alone, so it loads no extension
-# field code (`fields`, `polyring`) and, outside its oracles, no `budget`.
+# field code (`fields`, `polyring`) and no `budget`.
 SCHEME_MODULES = {
     "ts": {"errors", "primefield", "polyring", "fields", "records", "rs",
            "arraycode", "trace_scheme"},
@@ -205,7 +206,7 @@ def test_bare_import_lists_every_name_and_resolves_a_submodule():
 
 def test_root_exports_each_name_from_its_submodule():
     names = {name for group in ROOT_NAMES.values() for name in group}
-    assert len(names) == 57
+    assert len(names) == 56
     assert sorted(fracdec.__all__) == sorted(names)
     listed = dir(fracdec)
     for module, group in ROOT_NAMES.items():

@@ -79,6 +79,27 @@ def test_no_module_imports_dataclasses_or_typing(path):
     assert imported & {"dataclasses", "typing"} == set()
 
 
+def package_imports(source):
+    """The package modules a source imports relatively, anywhere in it."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module
+                         else (alias.name for alias in node.names))
+    return names
+
+
+def test_only_the_oracles_and_the_sweep_import_the_budget():
+    """Brute force lives in the budget-gated oracles, all in `bounds`, and
+    in the harness's exhaustive sweep, which the CLI serves: no other
+    module, the decoding kernel `rs` above all, imports the budget."""
+    assert package_imports("from .budget import check_budget\n"
+                           "def f():\n    from . import rs, fields\n"
+                           "import json\n") == {"budget", "rs", "fields"}
+    assert {path.stem for path in MODULES if "budget" in package_imports(
+        path.read_text(encoding="utf-8"))} == {"bounds", "harness", "cli"}
+
+
 def unread_functions(sources, wanted):
     """Module-level functions `name` of a module for which
     `wanted(module, name)` holds, as "module.name", that no module of
@@ -346,8 +367,7 @@ SHARED_STAGES = ("encode", "download", "decode", "pipeline", "codewords")
 # that run no stage.
 SCHEME_FUNCTIONS = {
     "trace_scheme": {"ts_make_config", "ts_full_pipeline"},
-    "frs_scheme": {"frs_make_config", "frs_full_pipeline", "bundle_columns",
-                   "flatten_columns", "frs_list_decode_bruteforce",
+    "frs_scheme": {"frs_make_config", "frs_full_pipeline", "flatten_columns",
                    "is_primitive_root", "smallest_prime_above",
                    "smallest_primitive_root"},
 }
