@@ -6,15 +6,18 @@ many of its entries changed.
 
 `ArrayConfig` is the base of both schemes' configs. It writes each stage
 once: encode, download, decode, the full pipeline and the enumeration of
-the code. A scheme supplies its layout as derived slots and three small
-methods; `rs.decode_words` is the one place served symbols become words.
+the code. A scheme supplies its layout and three packed maps as derived
+slots, and two small methods; `rs.decode_words` is the one place served
+symbols become words. The full pipeline never forms the stored word: the
+served symbols are linear in the message and the offsets, so its transmit
+side is one `rs.packed_sum`.
 """
 
 import itertools
 
 from .primefield import prime_q
 from .records import Record
-from .rs import decode_columns, decode_words, packed_product
+from .rs import decode_columns, decode_words, packed_product, packed_sum
 
 
 class ErrorPattern(Record):
@@ -59,7 +62,11 @@ def apply_error_pattern(field, columns, pattern):
     symbols = list(field.check_all(itertools.chain.from_iterable(columns)))
     bounds = list(itertools.accumulate(map(len, columns), initial=0))
     offsets = _checked_offsets(field, pattern, bounds)
-    _add_offsets(prime_q(field, "an error pattern"), symbols, offsets)
+    q = prime_q(field, "an error pattern")
+    for start, vec in offsets:
+        end = start + len(vec)
+        symbols[start:end] = [(a + e) % q
+                              for a, e in zip(symbols[start:end], vec)]
     return tuple(tuple(symbols[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
@@ -79,15 +86,6 @@ def _checked_offsets(field, pattern, bounds):
                              f"{bounds[idx + 1] - start}")
         offsets.append((start, field.check_all(vec)))
     return offsets
-
-
-def _add_offsets(q, symbols, offsets):
-    """Add each checked (start, offset) pair onto the flat list of
-    canonical `symbols` in place, mod q."""
-    for start, vec in offsets:
-        end = start + len(vec)
-        symbols[start:end] = [(a + e) % q
-                              for a, e in zip(symbols[start:end], vec)]
 
 
 def _stored_symbols(field, columns, height):
@@ -148,15 +146,24 @@ class ArrayConfig(Record):
     column and corrects the bad columns with one RS unique decoder.
 
     A message is `message_length` symbols of `message_field`. It is stored
-    as n columns of l symbols of `symbol_field`, the n*l stored symbols
-    being one product with the config's packed `encode_map`. Each column
-    serves `served_per_column` symbols, g consecutive symbols of each of
-    the words of `served_code`, an RS code over the symbol field. Besides
-    those derived slots, a scheme has n, l, radius and accessed_per_word,
-    and defines three methods, each handed canonical symbols:
+    as n columns of l symbols of `symbol_field`. Each column serves
+    `served_per_column` symbols, g consecutive symbols of each of the
+    words of `served_code`, an RS code over the symbol field. A scheme
+    sets those derived slots and three packed maps (`rs.PackedMap`):
+    encode_map: the encode inputs of a message to its n*l stored symbols,
+        column by column;
+    download_map: the n*l stored symbols to the served ones, flat and
+        column by column; block-diagonal, column i's served symbols
+        reading only its own l stored ones;
+    transmit_map: the composite of the two, the encode inputs of a
+        message to the served symbols of its stored word, built from the
+        scheme's structure rather than by composing the two maps.
+    download_map and transmit_map share their digit width, which holds
+    the products of all the encode inputs plus those of the stored
+    symbols one served symbol reads, so one accumulation adds both.
+    Besides those slots, a scheme has n, l, radius and accessed_per_word,
+    and defines two methods, each handed canonical symbols:
     _inputs(message): encode_map's inputs for a checked message;
-    _serve(stored): the served symbols of the n*l stored ones; both flat
-        and column by column;
     _message(polys): the message whose served words decode to `polys`,
         one polynomial per word.
 
@@ -168,7 +175,8 @@ class ArrayConfig(Record):
     """
 
     __slots__ = ("served_code", "g", "served_per_column", "message_field",
-                 "message_length")
+                 "message_length", "encode_map", "download_map",
+                 "transmit_map")
 
     @property
     def symbol_field(self):
@@ -202,13 +210,15 @@ class ArrayConfig(Record):
         return tuple(zip(*[iter(stored)] * self.l))
 
     def download(self, word):
-        """The served symbols of a stored word, with transfer accounting.
-        The word must have n columns of l symbols, and every symbol is
-        checked, served or not; the first fault in column order raises."""
+        """The served symbols of a stored word, with transfer accounting:
+        one product with download_map. The word must have n columns of l
+        symbols, and every symbol is checked, served or not; the first
+        fault in column order raises."""
         columns = tuple(word)
         if len(columns) != self.n:
             raise ValueError(f"word must have n = {self.n} columns")
-        return self._bundle(self._serve(
+        return self._bundle(packed_product(
+            self.download_map,
             _stored_symbols(self.symbol_field, columns, self.l)))
 
     def _bundle(self, served):
@@ -243,16 +253,18 @@ class ArrayConfig(Record):
 
         Only what enters is checked: the message, as `encode` checks it,
         and the pattern, as `apply_error_pattern` checks it, with the same
-        errors in the same order. The word then stays one flat list of
-        canonical symbols, and its served symbols go to `rs.decode_words`
+        errors in the same order. The stored word is never formed: the
+        served symbols are the message's inputs through transmit_map plus
+        each offset through the download columns of its own l stored
+        symbols, one `rs.packed_sum`, and they go to `rs.decode_words`
         unchecked. Raises DecodeFailure as `decode` does.
         """
-        stored = packed_product(self.encode_map,
-                                self._inputs(self._checked_message(message)))
-        field, l = self.served_code.field, self.l
-        _add_offsets(field.q, stored, _checked_offsets(
-            field, pattern, range(0, len(stored) + 1, l)))
-        served = self._serve(stored)
+        inputs = self._inputs(self._checked_message(message))
+        l = self.l
+        offsets = _checked_offsets(self.symbol_field, pattern,
+                                   range(0, self.n * l + 1, l))
+        served = packed_sum(self.transmit_map, inputs, self.download_map,
+                            offsets)
         polys, _ = decode_words(self.served_code, served, self.g, self.radius)
         return self._message(polys), self._bundle(served)
 

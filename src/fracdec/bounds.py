@@ -25,7 +25,7 @@ from math import comb, floor
 from operator import ne
 
 from .budget import check_budget
-from .rationals import as_fraction
+from .rationals import as_fraction, brief
 from .records import Record
 
 
@@ -38,7 +38,8 @@ def _validate_regime(n, k, alpha):
         reason = ("below the rate even erasure-free recovery is impossible"
                   if alpha < 1 else "a download cannot exceed the whole word")
         raise ValueError(
-            f"alpha = {alpha} must lie in [k/n, 1] = [{Fraction(k, n)}, 1]: "
+            f"alpha = {brief(alpha)} must lie in [k/n, 1] = "
+            f"[{Fraction(k, n)}, 1]: "
             f"{reason}")
 
 
@@ -63,10 +64,11 @@ def list_capacity(rate, alpha):
     from an alpha fraction can work at rate R, as n grows."""
     rate, alpha = as_fraction(rate), as_fraction(alpha)
     if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        raise ValueError(f"alpha must lie in (0, 1], got {brief(alpha)}")
     if not 0 <= rate <= alpha:
         raise ValueError(
-            f"rate = {rate} must lie in [0, alpha] = [0, {alpha}]")
+            f"rate = {brief(rate)} must lie in [0, alpha] = "
+            f"[0, {brief(alpha)}]")
     return 1 - rate / alpha
 
 
@@ -124,7 +126,8 @@ def min_info_check(alphas, t, k):
     alphas = [as_fraction(a) for a in alphas]
     for a in alphas:
         if not 0 <= a <= 1:
-            raise ValueError(f"per-column fraction {a} outside [0, 1]")
+            raise ValueError(f"per-column fraction {brief(a)} outside "
+                             "[0, 1]")
     n = len(alphas)
     if not isinstance(t, int) or t < 0:
         raise ValueError("t must be a nonnegative integer")
@@ -287,17 +290,24 @@ class FigureRow(Record):
                   optimal_normalized=optimal_normalized)
 
 
+MAX_FIGURE_STEPS = 10000
+
+
 def emit_figure(rate, steps=61):
     """Rows of (alpha, naive, optimal) normalized radii at a fixed rate.
 
-    alpha sweeps [rate, 1] in `steps` evenly spaced exact points; at
+    alpha sweeps [rate, 1] in `steps` evenly spaced exact points, 2 to
+    MAX_FIGURE_STEPS of them, as every row is built in memory; at
     alpha = rate both curves hit 0, at alpha = 1 both hit (1 - rate) / 2.
     """
     rate = as_fraction(rate)
     if not 0 < rate < 1:
-        raise ValueError(f"rate must lie in (0, 1), got {rate}")
+        raise ValueError(f"rate must lie in (0, 1), got {brief(rate)}")
     if steps < 2:
         raise ValueError("need at least 2 sweep points")
+    if steps > MAX_FIGURE_STEPS:
+        raise ValueError(f"at most {MAX_FIGURE_STEPS} sweep points "
+                         f"(--steps), got {steps}")
     rows = []
     for i in range(steps):
         alpha = rate + Fraction(i, steps - 1) * (1 - rate)

@@ -21,7 +21,7 @@ import itertools
 
 from .arraycode import ArrayConfig
 from .primefield import PrimeField, is_prime, prime_factors
-from .rationals import as_fraction
+from .rationals import as_fraction, brief
 from .rs import RsCode, packed_map, power_columns
 
 
@@ -64,10 +64,6 @@ class FrsConfig(ArrayConfig):
         code.
     points: derived; the n*l evaluation points gamma^0, ..., gamma^(nl-1),
         l per column.
-    encode_map: derived; evaluation at `points` of a polynomial of degree
-        < kl, packed by `rs.packed_map` (column j holds the points' j-th
-        powers): the (nl, kl) RS code that the folded code cuts into n
-        columns of l symbols, kept as the one map the encoder reads.
 
     The rest of the derived slots are the layout of
     `arraycode.ArrayConfig`, whose stages this scheme runs: a message is
@@ -80,11 +76,21 @@ class FrsConfig(ArrayConfig):
     covers alpha*l * radius, so one Euclid decode finds the stored message
     whenever at most `radius` columns are bad; the decoded h is padded
     back to length kl.
+
+    The config's three maps, packed by `rs.packed_map`, are encode_map,
+    evaluation at `points` of a polynomial of degree < kl (column j holds
+    the points' j-th powers), the (nl, kl) RS code that the folded code
+    cuts into n columns of l symbols; download_map, the selection of each
+    column's prefix; and transmit_map, evaluation at the prefix points,
+    the same matrix as served_code's evaluation map, cut from encode_map's
+    columns. An output of the pipeline's packed sum adds kl products with
+    transmit_map and one with download_map, so both carry the width of
+    kl + 1 products.
     """
 
     scheme = "frs"
     _fields = ("field", "gamma", "n", "k", "l", "alpha")
-    __slots__ = _fields + ("alpha_l", "punctured_dim", "points", "encode_map")
+    __slots__ = _fields + ("alpha_l", "punctured_dim", "points")
 
     def __init__(self, field, gamma, n, k, l, alpha):
         alpha = as_fraction(alpha)
@@ -94,9 +100,10 @@ class FrsConfig(ArrayConfig):
         if k > n:
             raise ValueError(f"need k <= n, got k={k}, n={n}")
         if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+            raise ValueError(f"alpha must lie in (0, 1], got {brief(alpha)}")
         if (alpha * l).denominator != 1:
-            raise ValueError(f"alpha*l = {alpha * l} must be an integer")
+            raise ValueError(f"alpha*l = {brief(alpha * l)} must be an "
+                             "integer")
         if (k / alpha).denominator != 1:
             raise ValueError(f"k/alpha = {k / alpha} must be an integer")
         if k / alpha > n:
@@ -109,14 +116,22 @@ class FrsConfig(ArrayConfig):
                 "evaluation points")
         if not is_primitive_root(field.q, gamma):
             raise ValueError(f"{gamma} is not a primitive root mod {field.q}")
-        points = tuple(pow(gamma, i, field.q) for i in range(n * l))
-        alpha_l = int(alpha * l)
+        q, alpha_l = field.q, int(alpha * l)
+        points = tuple(pow(gamma, i, q) for i in range(n * l))
+        prefix = (1,) * alpha_l + (0,) * (l - alpha_l)
+        powers = power_columns(q, points, k * l)
+        transmit = [list(itertools.compress(c, itertools.cycle(prefix)))
+                    for c in powers]
         self._set(alpha_l=alpha_l, punctured_dim=int(k / alpha),
-                  points=points, encode_map=packed_map(
-                      field.q, power_columns(field.q, points, k * l)),
-                  g=alpha_l, served_per_column=alpha_l, message_field=field,
-                  message_length=k * l)
-        self._set(served_code=RsCode(field, k * l, self._serve(points)))
+                  points=points, g=alpha_l, served_per_column=alpha_l,
+                  message_field=field, message_length=k * l,
+                  served_code=RsCode(field, k * l, itertools.compress(
+                      points, itertools.cycle(prefix))),
+                  encode_map=packed_map(q, powers),
+                  download_map=packed_map(
+                      q, [[int(r % alpha_l == u) for r in range(n * alpha_l)]
+                          for u in range(l)], blocks=n, terms=k * l + 1),
+                  transmit_map=packed_map(q, transmit, terms=k * l + 1))
 
     @property
     def radius(self):
@@ -139,12 +154,6 @@ class FrsConfig(ArrayConfig):
     def _inputs(self, message):
         """The message itself: h's coefficients are encode_map's inputs."""
         return message
-
-    def _serve(self, stored):
-        """The prefixes, the first alpha*l of each column's l symbols."""
-        head = self.alpha_l
-        return tuple(itertools.compress(stored, itertools.cycle(
-            (1,) * head + (0,) * (self.l - head))))
 
     def _message(self, polys):
         """The one decoded polynomial h, padded with zeros to length kl."""

@@ -15,17 +15,24 @@ column of its matrix is packed into one integer whose fixed-width digits
 are the column's entries (Kronecker substitution), so applying the map is
 one multiply-accumulate of the input symbols with the packed columns,
 then one unpack of the output digits mod q. `packed_product` is that one
-product. `packed_map` builds a map from the columns of a matrix, from a
+product; `packed_sum` adds, in the same accumulation, the products of a
+few sparse runs of inputs with a second map of the same outputs and
+width. `packed_map` builds a map from the columns of a matrix, from a
 Kronecker product of two, or as a block-diagonal map, and chooses the
-digit width so that no digit carries into the next; `tabulate_map` packs
-a linear function by running it once on all its unit inputs together.
+digit width so that no digit carries into the next, also where two maps
+are summed; `tabulate_map` packs a linear function by running it once on
+all its unit inputs together.
 
 `RsCode` builds its two maps once: `evaluation` at its points, and
 `interpolation` through them, whose Lagrange columns come from synthetic
 division of its master polynomial. `rs_evaluate` and `rs_interpolate`
-apply them for the whole package. The folded encoder and the trace
-scheme's encoder, downloads and decoder are each one product with a map
-of their config too. `RsCode` is a frozen record (`records.Record`): its
+apply them for the whole package. Each scheme config
+(`arraycode.ArrayConfig`) packs three maps more: `encode_map` (message
+to stored symbols), `download_map` (stored to served symbols) and
+`transmit_map` (message straight to served symbols), the last two at
+one width, so that a pipeline serves a message and its error offsets in
+one `packed_sum`; the trace config adds `decode_map` (decoded streams
+to the message). `RsCode` is a frozen record (`records.Record`): its
 maps are derived slots, left out of its equality, hash and repr.
 `PackedMap` is a `collections.namedtuple`.
 
@@ -39,8 +46,9 @@ one checked decoder, checks its input: its columns' shape, then all their
 symbols in one pass in column order, before it hands them to `decode_words`.
 A single word is n columns of one symbol each, and an erasure decode is
 `decode_columns` on the code punctured to the known positions, at radius
-0. `rs_evaluate` is the one encoder. `packed_product`, `rs_evaluate`,
-`rs_interpolate` and `decode_words` check nothing: `decode_words` takes
+0. `rs_evaluate` is the one encoder. `packed_product`, `packed_sum`,
+`rs_evaluate`, `rs_interpolate` and `decode_words` check nothing but that
+`packed_sum`'s two maps share outputs and width: `decode_words` takes
 a word's served symbols, flat and column by column, forms the words of
 the code from them, the one place in the package that does, and decodes
 each through `_decode_unique`. Elsewhere `arraycode.apply_error_pattern`
@@ -48,8 +56,9 @@ checks every word and offset symbol, and the stages both scheme configs
 share (`arraycode.ArrayConfig`) check what enters them: `encode` each
 message symbol, `download` every stored symbol, and `decode` the
 downloads through `decode_columns`. Their `pipeline` checks its message
-and error pattern as `encode` and `apply_error_pattern` do, then keeps
-canonical symbols in one flat list down to `decode_words`. Every other
+and error pattern as `encode` and `apply_error_pattern` do, then serves
+them in one `packed_sum` and hands the served symbols to `decode_words`.
+Every other
 operand is computed mod q from checked data: the quotient a decode
 evaluates, the decoded streams the trace decode table reads, and the
 messages the brute-force oracles, all in `bounds`, draw from
@@ -205,16 +214,17 @@ def _pack(values, size):
 
 
 def _unpack(acc, count, width, q):
-    """The `count` digits, `width` bits each, of 0 <= acc < 2^(count *
-    width), lowest first, each reduced mod q: at 1, 2, 4 or 8 bytes by one
-    `struct.unpack`, at other widths by a shift and mask per digit."""
+    """The `count` digits, `width` bits each (a multiple of 8), of
+    0 <= acc < 2^(count * width), lowest first, each reduced mod q, read
+    off one `to_bytes`: at 1, 2, 4 or 8 bytes by one `struct.unpack`, at
+    other sizes one slice per digit."""
+    data = acc.to_bytes(count * width // 8, "little")
     code = _FORMATS.get(width)
-    if code is None:
-        mask = (1 << width) - 1
-        return [(acc >> shift & mask) % q
-                for shift in range(0, count * width, width)]
-    return [d % q for d in struct.unpack(
-        f"<{count}{code}", acc.to_bytes(count * width // 8, "little"))]
+    if code:
+        return [d % q for d in struct.unpack(f"<{count}{code}", data)]
+    size = width // 8
+    return [int.from_bytes(data[i:i + size], "little") % q
+            for i in range(0, len(data), size)]
 
 
 def rs_evaluate(code, h):
@@ -238,10 +248,12 @@ class PackedMap(namedtuple("PackedMap", "q outputs width columns")):
     nonnegative integer congruent mod q to the map's entry in output r.
     `width` is the least of 8, 16, 32 and 64 bits, or past 64 the least
     multiple of 8, with terms * (q - 1) * top < 2^width, where terms is
-    the number of inputs one output depends on and top bounds the digits,
-    so a product with canonical symbols never carries from one digit into
-    the next, and digits of up to 8 bytes are read in C. Build one with
-    `packed_map`; only `packed_product` reads the packed columns.
+    the number of inputs one output depends on (or, for maps that
+    `packed_sum` adds, their joint count) and top bounds the digits, so a
+    product with canonical symbols never carries from one digit into the
+    next, and digits of up to 8 bytes are read in C. Build one with
+    `packed_map`; only `packed_product` and `packed_sum` read the packed
+    columns.
     """
 
     __slots__ = ()
@@ -251,7 +263,7 @@ class PackedMap(namedtuple("PackedMap", "q outputs width columns")):
         return len(self.columns)
 
 
-def packed_map(q, columns, right=((1,),), blocks=1):
+def packed_map(q, columns, right=((1,),), blocks=1, terms=None):
     """Pack a GF(q)-linear map given by the columns of its matrix, each a
     sequence of canonical symbols, one column per input symbol.
 
@@ -265,11 +277,16 @@ def packed_map(q, columns, right=((1,),), blocks=1):
     blocks: the map is block-diagonal with this many equal blocks, and each
         given column stacks the same column of every block, block 0 first:
         input i * c + a, for c given columns, is column a of block i.
+    terms: how many products of a symbol with a digit one output sums,
+        by default the given columns times len(right). Maps that
+        `packed_sum` adds in one accumulation each pass their joint
+        count, so that they share a width that holds the joint sum.
     """
     columns = [tuple(c) for c in columns]
     right = [tuple(c) for c in right]
     height, stride = len(columns[0]), len(right[0])
-    terms = len(columns) * len(right)
+    if terms is None:
+        terms = len(columns) * len(right)
     top = (q - 1) * max(max(c) for c in right)
     size = _digit_bytes((terms * (q - 1) * top).bit_length())
     right = [_pack(c, size) for c in right]
@@ -292,9 +309,11 @@ def tabulate_map(q, inputs, top, linear):
     digit per input, and returns the map's rows, one per output. It must
     combine its arguments only by sums and by products with nonnegative
     integers, keeping every digit congruent mod q to the exact value, and
-    nonnegative and at most `top`, so that digits never carry.
+    nonnegative and at most `top`, so that digits never carry. Each unit
+    digit is the least whole number of bytes that holds `top`, so every
+    row is read off one `to_bytes`.
     """
-    width = top.bit_length()
+    width = 8 * -(-top.bit_length() // 8)
     rows = linear([1 << e * width for e in range(inputs)])
     return packed_map(q, zip(*(_unpack(row, inputs, width, q) for row in rows)))
 
@@ -308,6 +327,24 @@ def packed_product(pmap, symbols):
     """
     return _unpack(sum(map(mul, symbols, pmap.columns)), pmap.outputs,
                    pmap.width, pmap.q)
+
+
+def packed_sum(pmap, symbols, spread, offsets):
+    """`packed_product(pmap, symbols)` plus `spread` applied to a vector
+    that is zero but at the `offsets`, in one accumulation reduced mod q
+    once. Each (start, values) pair of `offsets` holds canonical values at
+    inputs start, start + 1, ..., so it costs len(values) products with
+    `spread`'s columns there, whatever `spread`'s size. The two maps must
+    share outputs and digit width, and that width must hold the joint
+    digit sum (see `packed_map`'s `terms`); unchecked otherwise, like
+    `packed_product`.
+    """
+    if (pmap.outputs, pmap.width) != (spread.outputs, spread.width):
+        raise ValueError("summed maps need the same outputs and width")
+    acc, columns = sum(map(mul, symbols, pmap.columns)), spread.columns
+    for start, values in offsets:
+        acc += sum(map(mul, values, columns[start:start + len(values)]))
+    return _unpack(acc, pmap.outputs, pmap.width, pmap.q)
 
 
 def _decode_unique(code, received):

@@ -19,7 +19,9 @@ A_j sees only the current bottom layer.
 
 Encoding, downloading and that peel are fixed GF(q)-linear maps of the
 config, so each is one packed table (`rs.packed_map`), built once, and
-each use is one multiply-accumulate with it. The peel is exact for any
+each use is one multiply-accumulate with it; so is encoding and
+downloading at once, from the message to the served symbols, whose table
+is built column block by column block. The peel is exact for any
 streams, so it runs once per config, on all the unit streams together,
 to derive the decode table; the decoder is the stream decodes
 (`rs.decode_columns`) plus one product with that table. It returns a
@@ -27,7 +29,7 @@ message exactly when some message's downloads lie within
 floor((n - k/alpha) / 2) columns of the received ones, with the columns
 where they differ; otherwise it raises DecodeFailure. The stages are
 `arraycode.ArrayConfig`'s, shared with the folded scheme; this module
-supplies the layout and the three products.
+supplies the layout and the four tables.
 
 Every column is read in full (l symbols accessed) but transmits only m, so
 the download fraction is alpha = m/l while the corrected error count is
@@ -60,7 +62,7 @@ class TsConfig(ArrayConfig):
     `arraycode.ArrayConfig`, whose stages this scheme runs: a message is k
     symbols of ext; each column serves m symbols, one of each of the m
     download streams, the words of served_code, the (n, lk/m) RS code over
-    the base field (so g = 1); and the three GF(q)-linear maps of the
+    the base field (so g = 1); and the four GF(q)-linear maps of the
     scheme, packed by `rs.packed_map` so that each runs as one
     multiply-accumulate:
     encode_map: the k*l polynomial-basis digits of a message (symbol t's
@@ -77,6 +79,16 @@ class TsConfig(ArrayConfig):
         exactly g_j(omega_i). p_j(w_i) is read off the roots, as the
         product of w_i - a over A_j, and its powers are one
         `rs.power_columns` table, so no polynomial is evaluated.
+    transmit_map: download_map after encode_map, the k*l message digits to
+        the n*m served symbols. Served symbol j of column i weighs the
+        column's coordinates by row j of the m x l download block W_i,
+        and digit v of symbol t puts omega_i^t times column v of the trace
+        projection P there, so entry (i*m + j, t*l + v) is
+        omega_i^t * (W_i P)[j][v]: O(n*m*l*l) steps for the blocks W_i P
+        and O(n*m*k*l) for the entries. It and download_map are packed
+        at the width of k*l + l - m + 1 products per output, the message
+        digits and the coordinates a served symbol reads, so the pipeline
+        adds both in one `rs.packed_sum`.
     decode_map: the l*k coefficients of the m decoded streams (stream j's
         coefficient c at input j*lk/m + c) to the k*l digits of the
         message, in encode_map's input order. The peel derives it once,
@@ -87,8 +99,7 @@ class TsConfig(ArrayConfig):
 
     scheme = "ts"
     _fields = ("ext", "k", "omega", "subsets", "basis")
-    __slots__ = _fields + ("annihilators", "encode_map", "download_map",
-                           "decode_map")
+    __slots__ = _fields + ("annihilators", "decode_map")
 
     def __init__(self, ext, k, omega, subsets, basis):
         base = ext.base
@@ -124,14 +135,24 @@ class TsConfig(ArrayConfig):
         served = powers[:split] + [
             [c if r % m == j else 0 for r, c in enumerate(powers[split])]
             for j in range(m)]
+        # column v of P holds the trace coordinates of x^v; row r = i*m + j
+        # of `mixed` is row j of W_i P, and the omega_i^t repeat m times
+        proj = [basis.project(q ** v) for v in range(l)]
+        mixed = [[sum(map(mul, row, p)) % q for p in proj]
+                 for row in zip(*served)]
+        omega_powers = power_columns(q, omega, k)
+        spread = [[c for c in column for _ in range(m)]
+                  for column in omega_powers]
+        transmit = [[a * b % q for a, b in zip(column, digit)]
+                    for column in spread for digit in zip(*mixed)]
+        terms = k * l + split + 1
         self._set(
             annihilators=annihilators,
             served_code=RsCode(base, l * k // m, omega), g=1,
             served_per_column=m, message_field=ext, message_length=k,
-            encode_map=packed_map(
-                q, power_columns(q, omega, k),
-                right=[basis.project(q ** v) for v in range(l)]),
-            download_map=packed_map(q, served, blocks=n),
+            encode_map=packed_map(q, omega_powers, right=proj),
+            download_map=packed_map(q, served, blocks=n, terms=terms),
+            transmit_map=packed_map(q, transmit, terms=terms),
             decode_map=_decode_table(base, k, subsets, annihilators, basis))
 
     @property
@@ -171,10 +192,6 @@ class TsConfig(ArrayConfig):
         digits."""
         q, l = self.base.q, self.l
         return [a // q ** v % q for a in message for v in range(l)]
-
-    def _serve(self, stored):
-        """One product with download_map."""
-        return packed_product(self.download_map, stored)
 
     def _message(self, streams):
         """The message whose stream polynomials are `streams`: one product

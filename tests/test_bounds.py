@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fracdec import trace_scheme as ts_module
+from fracdec import arraycode
 from fracdec.bounds import (emit_figure, figure_csv, find_download_collision,
                             list_capacity, list_decode_bruteforce,
                             min_info_check, radius_naive, radius_optimal,
@@ -15,7 +15,7 @@ from fracdec.bounds import (emit_figure, figure_csv, find_download_collision,
 from fracdec.errors import BudgetExceeded
 from fracdec.frs_scheme import frs_make_config
 from fracdec.primefield import PrimeField
-from fracdec.rationals import as_fraction
+from fracdec.rationals import as_fraction, brief
 from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import ts_make_config
 from fracdec.trials import random_message, trial_stream
@@ -53,6 +53,21 @@ def test_as_fraction_refuses_huge_decimal_exponents():
             as_fraction(value)
         assert time.perf_counter() - start < 0.1
         assert repr(value) in str(info.value)
+
+
+def test_brief_names_long_parts_by_their_digit_count():
+    """Short rationals print in full; a numerator or denominator of 10^24
+    or more prints as its digit count, exact at every power-of-ten and
+    power-of-two edge, and past CPython's 4300-digit str() limit."""
+    assert brief(Fraction(-3, 4)) == "-3/4" and brief(7) == "7"
+    assert brief(Fraction(10 ** 24 - 1, 10 ** 24 - 2)) == (
+        f"{10 ** 24 - 1}/{10 ** 24 - 2}")
+    for x in [10 ** e + d for e in range(25, 80) for d in (-1, 0)] + [
+            10 ** 24] + [2 ** b + d for b in range(80, 300) for d in (-1, 0)]:
+        assert brief(Fraction(x)) == f"<{len(str(x))} digits>"
+        assert brief(Fraction(1, x)) == f"1/<{len(str(x))} digits>"
+    assert brief(Fraction(1, 10 ** 4300)) == "1/<4301 digits>"
+    assert brief(-Fraction(10 ** 5000 - 1, 7)) == "-<5000 digits>/7"
 
 
 def test_radius_frozen_examples():
@@ -204,13 +219,13 @@ def test_collision_search_downloads_each_codeword_once(count, products,
     at t = 1, the one-symbol download has."""
     cfg = config_from_dict(load_json(str(CONFIG_DIR / "ts-q5-n4-k2.json")))
     words, download = all_words(cfg), cfg.download_fn(count)
-    products_made, original = [], ts_module.packed_product
+    products_made, original = [], arraycode.packed_product
 
     def counting(pmap, symbols):
         products_made.append(pmap)
         return original(pmap, symbols)
 
-    monkeypatch.setattr(ts_module, "packed_product", counting)
+    monkeypatch.setattr(arraycode, "packed_product", counting)
     wit = find_download_collision(cfg.base, words, download, 1)
     assert (wit is None) == (count == cfg.m)
     assert len(products_made) == products

@@ -198,6 +198,61 @@ def test_huge_decimal_exponent_exits_two(tmp_path, capsys, monkeypatch, argv,
     assert not out.exists()
 
 
+LONG_DIGITS = "1/" + "1" * 5000
+TINY_DECIMAL = "0." + "0" * 4000 + "1"
+
+
+@pytest.mark.parametrize("argv, config, says", [
+    (["bounds", "--n", "12", "--k", "4", "--alpha", LONG_DIGITS], None,
+     "has more than 4300 digits"),
+    (["bounds", "--n", "12", "--k", "4", "--alpha", TINY_DECIMAL], None,
+     "alpha = 1/<4002 digits> must lie in [k/n, 1]"),
+    (["bounds", "--n", "12", "--k", "4", "--alpha", "1e4300"], None,
+     "alpha = <4301 digits> must lie in [k/n, 1]"),
+    (["figure", "--rate", "1e4300"], None, "got <4301 digits>"),
+    (["simulate", "--weights", "0", "--config"],
+     dict(ZERO_ALPHA_FRS, alpha=TINY_DECIMAL, p=37, gamma=2),
+     "alpha*l = 1/<4001 digits> must be an integer"),
+], ids=["bounds-digits", "bounds-tiny", "bounds-huge", "figure-huge",
+        "simulate-tiny"])
+def test_long_rationals_exit_two_in_one_short_line(tmp_path, capsys,
+                                                   monkeypatch, argv, config,
+                                                   says):
+    """A rational of thousands of digits is a usage error in our own words:
+    past 4300 digits it is refused where it is read, not with CPython's
+    int-limit text, and a shorter one that fails a range check is named by
+    its digit count, not printed (str() of an int raises past 4300 digits
+    anyway). Each refusal is one line under 200 characters, in under half
+    a second."""
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        argv = argv + [write_json(tmp_path, "cfg.json", config)]
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert says in err and "integer string conversion" not in err
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert not out.exists()
+
+
+def test_figure_steps_are_capped(tmp_path, capsys):
+    """`figure` builds every row in memory, so --steps past the cap is a
+    usage error before any row is built; the cap itself still runs."""
+    out = tmp_path / "fig.csv"
+    start = time.perf_counter()
+    assert main(["figure", "--rate", "1/3", "--steps", "100000000",
+                 "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err == "error: at most 10000 sweep points (--steps), got 100000000\n"
+    assert not out.exists()
+    assert main(["figure", "--rate", "1/3", "--steps", "10000",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 10001
+
+
 def test_subset_count_must_match_m(tmp_path, capsys):
     """A trace config with fewer subsets A than m used to load with m
     silently lowered to len(A)."""

@@ -61,7 +61,7 @@ def missing(cls, names):
 # The derived slots that arraycode.ArrayConfig, the base of both configs,
 # declares and reads.
 LAYOUT = ("served_code", "g", "served_per_column", "message_field",
-          "message_length")
+          "message_length", "encode_map", "download_map", "transmit_map")
 # name: (build, pinned repr, derived fields, (bad call, error, message))
 RECORDS = {
     "ErrorPattern": (
@@ -94,8 +94,7 @@ RECORDS = {
                      "field (singular trace projection matrix)")),
     "TsConfig": (
         ts_tiny, TS_REPR,
-        ("annihilators", "encode_map", "download_map", "decode_map",
-         *LAYOUT),
+        ("annihilators", "decode_map", *LAYOUT),
         (lambda: ts_make_config(5, 4, 2, 2, 2, subsets=((0,), (0,))),
          ValueError, "annihilator subsets must be pairwise disjoint with "
                      "distinct elements")),
@@ -103,7 +102,7 @@ RECORDS = {
         frs_tiny,
         "FrsConfig(field=GF(19), gamma=2, n=6, k=1, l=3, "
         "alpha=Fraction(1, 3))",
-        ("alpha_l", "punctured_dim", "points", "encode_map", *LAYOUT),
+        ("alpha_l", "punctured_dim", "points", *LAYOUT),
         (lambda: frs_make_config(6, 1, 3, Fraction(1, 2), p=19),
          ValueError, "alpha*l = 3/2 must be an integer")),
     "ExperimentSpec": (

@@ -318,7 +318,7 @@ def test_shipped_codes_leave_digits_room(path):
     codes = [v for v in built if isinstance(v, RsCode)]
     maps = [v for v in built if isinstance(v, PackedMap)]
     assert len(codes) == 1
-    assert len(maps) == (3 if cfg.__class__.__name__ == "TsConfig" else 1)
+    assert len(maps) == (4 if cfg.__class__.__name__ == "TsConfig" else 3)
     for code in codes:
         assert_code_maps_fit(code)
         maps += [code.interpolation, code.evaluation]
@@ -336,11 +336,12 @@ def reference_digits(acc, count, width):
     return digits
 
 
-@pytest.mark.parametrize("width", (8, 16, 32, 64, 80, 13))
+@pytest.mark.parametrize("width", (8, 16, 32, 64, 80, 24))
 def test_unpack_reads_every_digit_width(width):
-    """_unpack reads digits of 1, 2, 4 and 8 bytes in C and any other width
-    (an 80-bit decode_width, or the odd width tabulate_map packs its unit
-    inputs at) by shifts, and both agree with repeated division: on
+    """_unpack reads digits of 1, 2, 4 and 8 bytes in C and any other whole
+    number of bytes (an 80-bit decode_width, or the 3-byte digits
+    tabulate_map may pack its unit inputs at) by slices, and both agree
+    with repeated division: on
     accumulators whose digits all hold 2^width - 1, the largest digit that
     does not carry, all hold q - 1 where it fits, all 0, or are seeded
     random."""

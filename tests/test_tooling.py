@@ -205,19 +205,22 @@ def test_code_tables_are_applied_only_in_rs():
     `decode_width` and `decode_master`, or imports rs's packer and
     unpacker, so none unpacks a map by hand; an RsCode's `evaluation` and
     `interpolation` and the trace and folded configs' maps are read only
-    as the first argument of rs.packed_product; frs_scheme imports nothing
+    as the first argument of rs.packed_product or as one of the two maps
+    rs.packed_sum adds (its first and third); frs_scheme imports nothing
     from polyring, and outside fields and polyring no module imports more
     of polyring than normalize, so none evaluates or interpolates a
     polynomial but through rs."""
-    maps = ("encode_map", "download_map", "decode_map", "evaluation",
-            "interpolation")
+    maps = ("encode_map", "download_map", "transmit_map", "decode_map",
+            "evaluation", "interpolation")
+    map_args = {"packed_product": (0,), "packed_sum": (0, 2)}
     readers, imported, loose = set(), set(), []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        applied = {id(node.args[0]) for node in ast.walk(tree)
-                   if isinstance(node, ast.Call) and node.args
+        applied = {id(node.args[i]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
                    and isinstance(node.func, ast.Name)
-                   and node.func.id == "packed_product"}
+                   for i in map_args.get(node.func.id, ())
+                   if i < len(node.args)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in (
                     "columns", "width", "decode_width", "decode_master"):
