@@ -6,18 +6,21 @@ many of its entries changed.
 
 `ArrayConfig` is the base of both schemes' configs. It writes each stage
 once: encode, download, decode, the full pipeline and the enumeration of
-the code. A scheme supplies its layout and three packed maps as derived
-slots, and two small methods; `rs.decode_words` is the one place served
-symbols become words. The full pipeline never forms the stored word: the
-served symbols are linear in the message and the offsets, so its transmit
-side is one `rs.packed_sum`.
+the code. A scheme supplies its layout and four packed maps as derived
+slots, and two small methods. The full pipeline never forms the stored
+word: the served symbols are linear in the message and the offsets, so
+its transmit side is one `rs.packed_sum`. Its decode side, and the
+staged `decode`'s, is one `rs.decode_words`, the one place served
+symbols become words: a Euclid run per word to a quotient, then one
+product with the scheme's `decode_map` that re-encodes every word in
+served order and, for the trace scheme, reads the message digits too.
 """
 
 import itertools
 
 from .primefield import prime_q
 from .records import Record
-from .rs import decode_columns, decode_words, packed_product, packed_sum
+from .rs import decode_words, packed_product, packed_sum
 
 
 class ErrorPattern(Record):
@@ -149,7 +152,7 @@ class ArrayConfig(Record):
     as n columns of l symbols of `symbol_field`. Each column serves
     `served_per_column` symbols, g consecutive symbols of each of the
     words of `served_code`, an RS code over the symbol field. A scheme
-    sets those derived slots and three packed maps (`rs.PackedMap`):
+    sets those derived slots and four packed maps (`rs.PackedMap`):
     encode_map: the encode inputs of a message to its n*l stored symbols,
         column by column;
     download_map: the n*l stored symbols to the served ones, flat and
@@ -157,26 +160,29 @@ class ArrayConfig(Record):
         reading only its own l stored ones;
     transmit_map: the composite of the two, the encode inputs of a
         message to the served symbols of its stored word, built from the
-        scheme's structure rather than by composing the two maps.
+        scheme's structure rather than by composing the two maps;
+    decode_map: the map `rs.decode_words` applies after its Euclid runs,
+        from every word's quotient coefficients to their re-encoded
+        served symbols (`rs.served_map`) and then to any tail the
+        scheme's message is read from.
     download_map and transmit_map share their digit width, which holds
     the products of all the encode inputs plus those of the stored
     symbols one served symbol reads, so one accumulation adds both.
     Besides those slots, a scheme has n, l, radius and accessed_per_word,
     and defines two methods, each handed canonical symbols:
     _inputs(message): encode_map's inputs for a checked message;
-    _message(polys): the message whose served words decode to `polys`,
-        one polynomial per word.
+    _message(polys, tail): the message whose served words decode to
+        `polys`, one polynomial per word, with decode_map's tail `tail`.
 
     Every stage checks what enters it, once, and passes canonical symbols
     on: `encode` and `pipeline` each message symbol, `download` every
-    stored symbol, served or not, `decode` every served one through
-    `rs.decode_columns`, and `pipeline` the error pattern as
-    `apply_error_pattern` does.
+    stored symbol, served or not, `decode` every served one, and
+    `pipeline` the error pattern as `apply_error_pattern` does.
     """
 
     __slots__ = ("served_code", "g", "served_per_column", "message_field",
                  "message_length", "encode_map", "download_map",
-                 "transmit_map")
+                 "transmit_map", "decode_map")
 
     @property
     def symbol_field(self):
@@ -243,9 +249,16 @@ class ArrayConfig(Record):
         if len(per_column) != n or set(map(len, per_column)) != {size}:
             raise ValueError(f"download bundle must be {n} columns of {size} "
                              "symbols")
-        polys, corrected = decode_columns(self.served_code, per_column,
-                                          self.radius)
-        return self._message(polys), corrected
+        return self._decoded(self.symbol_field.check_all(
+            itertools.chain.from_iterable(per_column)))
+
+    def _decoded(self, served):
+        """(message, corrected_columns) from a word's canonical served
+        symbols, flat and column by column: `rs.decode_words` with
+        decode_map."""
+        polys, tail, corrected = decode_words(
+            self.served_code, served, self.g, self.radius, self.decode_map)
+        return self._message(polys, tail), corrected
 
     def pipeline(self, message, pattern):
         """encode -> corrupt -> download -> decode, returning (message,
@@ -256,8 +269,9 @@ class ArrayConfig(Record):
         errors in the same order. The stored word is never formed: the
         served symbols are the message's inputs through transmit_map plus
         each offset through the download columns of its own l stored
-        symbols, one `rs.packed_sum`, and they go to `rs.decode_words`
-        unchecked. Raises DecodeFailure as `decode` does.
+        symbols, one `rs.packed_sum`, and they are decoded unchecked, as
+        `decode` decodes its checked ones. Raises DecodeFailure as `decode`
+        does.
         """
         inputs = self._inputs(self._checked_message(message))
         l = self.l
@@ -265,8 +279,7 @@ class ArrayConfig(Record):
                                    range(0, self.n * l + 1, l))
         served = packed_sum(self.transmit_map, inputs, self.download_map,
                             offsets)
-        polys, _ = decode_words(self.served_code, served, self.g, self.radius)
-        return self._message(polys), self._bundle(served)
+        return self._decoded(served)[0], self._bundle(served)
 
     def codewords(self):
         """Every (message, word) of the code, in canonical message order."""

@@ -6,11 +6,12 @@ Columns are l consecutive evaluations of one polynomial h of degree
 for only its first alpha*l entries. The punctured word it sees is itself a
 folded code with n columns of height alpha*l built from a degree < kl
 polynomial, i.e. an (n, k/alpha) MDS array code. Flattened, it is an RS
-code of length n*alpha*l and dimension kl, so one Euclid decode corrects
-floor((n - k/alpha) / 2) column errors while downloading exactly an alpha
-fraction. Nothing outside the prefix is ever read, so downloaded symbols
-equal accessed symbols: the access overhead of combining full columns is
-zero.
+code of length n*alpha*l and dimension kl, so one Euclid run on the
+flattened prefixes, then one product that re-encodes its quotient for
+the check against them, corrects floor((n - k/alpha) / 2) column errors
+while downloading exactly an alpha fraction. Nothing outside the prefix
+is ever read, so downloaded symbols equal accessed symbols: the access
+overhead of combining full columns is zero.
 
 The folded scheme needs only GF(p): it imports `primefield`, not
 `fields`, `polyring` or the enumeration budget. Its list-decoding
@@ -77,7 +78,7 @@ class FrsConfig(ArrayConfig):
     whenever at most `radius` columns are bad; the decoded h is padded
     back to length kl.
 
-    The config's three maps, packed by `rs.packed_map`, are encode_map,
+    The config's maps, packed by `rs.packed_map`, are encode_map,
     evaluation at `points` of a polynomial of degree < kl (column j holds
     the points' j-th powers), the (nl, kl) RS code that the folded code
     cuts into n columns of l symbols; download_map, the selection of each
@@ -85,7 +86,11 @@ class FrsConfig(ArrayConfig):
     the same matrix as served_code's evaluation map, cut from encode_map's
     columns. An output of the pipeline's packed sum adds kl products with
     transmit_map and one with download_map, so both carry the width of
-    kl + 1 products.
+    kl + 1 products. decode_map is transmit_map itself: the one word's
+    quotient is the message, so re-encoding it is evaluating the message
+    at the prefix points, and kl products fit the width of kl + 1. A
+    decode is one Euclid run on the flattened prefixes, then one product
+    with it.
     """
 
     scheme = "frs"
@@ -120,8 +125,9 @@ class FrsConfig(ArrayConfig):
         points = tuple(pow(gamma, i, q) for i in range(n * l))
         prefix = (1,) * alpha_l + (0,) * (l - alpha_l)
         powers = power_columns(q, points, k * l)
-        transmit = [list(itertools.compress(c, itertools.cycle(prefix)))
-                    for c in powers]
+        transmit = packed_map(q, [
+            list(itertools.compress(c, itertools.cycle(prefix)))
+            for c in powers], terms=k * l + 1)
         self._set(alpha_l=alpha_l, punctured_dim=int(k / alpha),
                   points=points, g=alpha_l, served_per_column=alpha_l,
                   message_field=field, message_length=k * l,
@@ -131,7 +137,7 @@ class FrsConfig(ArrayConfig):
                   download_map=packed_map(
                       q, [[int(r % alpha_l == u) for r in range(n * alpha_l)]
                           for u in range(l)], blocks=n, terms=k * l + 1),
-                  transmit_map=packed_map(q, transmit, terms=k * l + 1))
+                  transmit_map=transmit, decode_map=transmit)
 
     @property
     def radius(self):
@@ -155,8 +161,9 @@ class FrsConfig(ArrayConfig):
         """The message itself: h's coefficients are encode_map's inputs."""
         return message
 
-    def _message(self, polys):
-        """The one decoded polynomial h, padded with zeros to length kl."""
+    def _message(self, polys, tail):
+        """The one decoded polynomial h, padded with zeros to length kl;
+        decode_map has no tail."""
         (h,) = polys
         return h + (0,) * (self.message_length - len(h))
 

@@ -29,12 +29,12 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         exponent = _EXPONENT.search(value)
         digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        head = f"{value[:20]!r}... ({len(value)} characters)"
         if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
-            raise ValueError(f"{value!r} has a decimal exponent of magnitude "
+            raise ValueError(f"{head} has a decimal exponent of magnitude "
                              f"above {_MAX_EXPONENT}")
         if sum(map(str.isdigit, value)) > _MAX_DIGITS:
-            raise ValueError(f"{value[:20]!r}... ({len(value)} characters) "
-                             f"has more than {_MAX_DIGITS} digits")
+            raise ValueError(f"{head} has more than {_MAX_DIGITS} digits")
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -7,8 +7,8 @@ Unique decoding follows Gao's extended-Euclid method: interpolate the
 received word, run the partial GCD against the master root polynomial
 until the remainder degree drops below (n + k) / 2, and read the message
 off the quotient. The Euclid run and the quotient are computed on packed
-integers too (see `_decode_unique`): a remainder and its cofactor share
-one integer, so each quotient term is one multiply-add.
+integers too (see `_quotient`): a remainder and its cofactor share one
+integer, so each quotient term is one multiply-add.
 
 Every GF(q)-linear map the package applies is one `PackedMap`: each
 column of its matrix is packed into one integer whose fixed-width digits
@@ -20,8 +20,8 @@ few sparse runs of inputs with a second map of the same outputs and
 width. `packed_map` builds a map from the columns of a matrix, from a
 Kronecker product of two, or as a block-diagonal map, and chooses the
 digit width so that no digit carries into the next, also where two maps
-are summed; `tabulate_map` packs a linear function by running it once on
-all its unit inputs together.
+are summed; `tabulate_columns` tabulates a linear function by running
+it once on all its unit inputs together.
 
 `RsCode` builds its two maps once: `evaluation` at its points, and
 `interpolation` through them, whose Lagrange columns come from synthetic
@@ -31,9 +31,10 @@ apply them for the whole package. Each scheme config
 to stored symbols), `download_map` (stored to served symbols) and
 `transmit_map` (message straight to served symbols), the last two at
 one width, so that a pipeline serves a message and its error offsets in
-one `packed_sum`; the trace config adds `decode_map` (decoded streams
-to the message). `RsCode` is a frozen record (`records.Record`): its
-maps are derived slots, left out of its equality, hash and repr.
+one `packed_sum`; and `decode_map` (see `served_map`), from decoded
+words to their re-encoded served symbols and, for the trace config, on
+to the message digits. `RsCode` is a frozen record (`records.Record`):
+its maps are derived slots, left out of its equality, hash and repr.
 `PackedMap` is a `collections.namedtuple`.
 
 Every product trusts its operands, like `polyring`, and here that trust
@@ -48,27 +49,30 @@ A single word is n columns of one symbol each, and an erasure decode is
 `decode_columns` on the code punctured to the known positions, at radius
 0. `rs_evaluate` is the one encoder. `packed_product`, `packed_sum`,
 `rs_evaluate`, `rs_interpolate` and `decode_words` check nothing but that
-`packed_sum`'s two maps share outputs and width: `decode_words` takes
-a word's served symbols, flat and column by column, forms the words of
-the code from them, the one place in the package that does, and decodes
-each through `_decode_unique`. Elsewhere `arraycode.apply_error_pattern`
-checks every word and offset symbol, and the stages both scheme configs
-share (`arraycode.ArrayConfig`) check what enters them: `encode` each
-message symbol, `download` every stored symbol, and `decode` the
-downloads through `decode_columns`. Their `pipeline` checks its message
-and error pattern as `encode` and `apply_error_pattern` do, then serves
-them in one `packed_sum` and hands the served symbols to `decode_words`.
-Every other
-operand is computed mod q from checked data: the quotient a decode
-evaluates, the decoded streams the trace decode table reads, and the
-messages the brute-force oracles, all in `bounds`, draw from
-`field.elements()`. This kernel imports neither `polyring` nor the budget.
+`packed_sum`'s two maps share outputs and width.
+
+`decode_words`, the one decoder, run by the pipeline, the staged decode
+and `decode_columns`, is the one place served symbols become words: per
+word an interpolation and, unless it is a codeword, a Euclid run to a
+quotient; then one product re-encodes every word in served order, and
+reads any tail, such as the trace message digits, and one comparison
+with the served symbols finds the columns that differ. Elsewhere
+`arraycode.apply_error_pattern` checks every word and offset symbol, and
+the stages both scheme configs share (`arraycode.ArrayConfig`) check
+what enters them: `encode` each message symbol, `download` every stored
+symbol, and `decode` every served one. Their `pipeline` checks its
+message and error pattern as `encode` and `apply_error_pattern` do, then
+serves them in one `packed_sum` and hands the served symbols to
+`decode_words`. Every other operand is computed mod q from checked data:
+the quotients a decode re-encodes, and the messages the brute-force
+oracles, all in `bounds`, draw from `field.elements()`. This kernel
+imports neither `polyring` nor the budget.
 """
 
 import itertools
 import struct
 from collections import namedtuple
-from operator import floordiv, mul, ne
+from operator import mul, ne
 
 from .errors import DecodeFailure
 from .primefield import PrimeField, prime_q
@@ -94,7 +98,7 @@ class RsCode(Record):
         synthetic-division pass over master yields the quotient from the
         top down, and Horner's rule on it as it appears gives
         master'(omega_i), so the map costs O(n^2) after master.
-    decode_width: the bit width of one digit of `_decode_unique`'s packed
+    decode_width: the bit width of one digit of `_quotient`'s packed
         Euclid run: the least of 8, 16, 32 and 64, or past 64 the least
         multiple of 8, with (k + 1) * (q - 1) * (2q - 1)^t < 2^decode_width,
         t the radius; but 64 wherever that bound passes 64 bits and one
@@ -103,7 +107,7 @@ class RsCode(Record):
     decode_master: the Euclid run's start, master packed at decode_width
         above t + 1 zero digits (its cofactor, 0).
     Only `rs_evaluate` and `rs_interpolate` apply the two maps, and only
-    `_decode_unique` reads the decode fields.
+    `_quotient` reads the decode fields.
     """
 
     _fields = ("field", "k", "omega")
@@ -301,9 +305,10 @@ def packed_map(q, columns, right=((1,),), blocks=1, terms=None):
                      columns=tuple(packed))
 
 
-def tabulate_map(q, inputs, top, linear):
-    """Pack the GF(q)-linear map that `linear` computes, run once on all
-    of its unit inputs together.
+def tabulate_columns(q, inputs, top, linear):
+    """The columns of the GF(q)-linear map that `linear` computes, one
+    tuple of canonical entries per input, from one run on all of its unit
+    inputs together.
 
     `linear` receives the `inputs` unit vectors, each one integer with a
     digit per input, and returns the map's rows, one per output. It must
@@ -315,7 +320,7 @@ def tabulate_map(q, inputs, top, linear):
     """
     width = 8 * -(-top.bit_length() // 8)
     rows = linear([1 << e * width for e in range(inputs)])
-    return packed_map(q, zip(*(_unpack(row, inputs, width, q) for row in rows)))
+    return list(zip(*(_unpack(row, inputs, width, q) for row in rows)))
 
 
 def packed_product(pmap, symbols):
@@ -347,25 +352,24 @@ def packed_sum(pmap, symbols, spread, offsets):
     return _unpack(acc, pmap.outputs, pmap.width, pmap.q)
 
 
-def _decode_unique(code, received):
-    """Decode up to floor((n - k) / 2) errors in a word of n canonical
-    symbols, unchecked: `decode_words` is its one caller.
+def _quotient(code, r1):
+    """The message polynomial Gao's decoder reads off a word that is no
+    codeword, from its interpolant `r1`, more than k canonical
+    coefficients with a nonzero top one; not yet re-encoded:
+    `decode_words` is its one caller, and checks the quotient against the
+    word.
 
-    Returns (message, error_positions) with error_positions a frozenset.
-    Raises DecodeFailure when no codeword lies within the radius; by the
-    final re-encode check the result is never silently wrong.
-
-    A word whose interpolant has at most k coefficients is a codeword, and
-    that interpolant is its message: it is returned with no positions at
-    once, before any Euclid step, division or re-encode.
+    Returns the quotient as a tuple of at most k coefficients, trailing
+    zeros dropped. Raises DecodeFailure when its degree shows that no
+    codeword lies within the radius.
 
     Gao's partial extended Euclid runs from (r0, v0) = (master, 0) and
     (r1, v1) = (interpolant, 1) while 2 deg r1 >= n + k. If a codeword
     lies within the radius, r1 / v1 is an exact division whose quotient is
     its message. So a quotient of degree >= k, or a zero quotient of a
-    nonzero r1, fails at once; any other quotient is re-encoded and kept
-    only if it lies within the radius, which an inexact division's never
-    does.
+    nonzero r1, fails at once; any other quotient is returned, and the
+    re-encode check in `decode_words` keeps it only if it lies within the
+    radius, which an inexact division's never does.
 
     Each pair (r, v) is one integer of w-bit digits, w = decode_width:
     digit i is congruent mod q to coefficient i of v, and digit t + 1 + i
@@ -399,9 +403,6 @@ def _decode_unique(code, received):
     n, k, q, width = code.n, code.k, code.field.q, code.decode_width
     mask, cap = (1 << width) - 1, 1 << width
     low = (code.radius + 1) * width
-    r1 = rs_interpolate(code, received)
-    if len(r1) <= k:  # the word is a codeword: r1 is its message
-        return r1, frozenset()
     pair0, pair1 = code.decode_master, _pack(r1, width // 8) << low | 1
     top0, top1, v_degree = n, len(r1) - 1, 0
     a0 = a1 = spread = q - 1
@@ -423,29 +424,26 @@ def _decode_unique(code, received):
             top1 -= 1
         pair0, pair1 = pair1, pair0 & (1 << low + (top1 + 1) * width) - 1
     if top1 < 0:
-        h = ()
-    elif not 0 <= top1 - v_degree < k:
-        raise DecodeFailure(
-            f"no codeword within {code.radius} errors of the received word")
-    else:
-        if a1 + (top1 - v_degree + 1) * (q - 1) * a1 // spread >= cap:
-            pair1 = _reduce(pair1, width, q)
-        r, v = pair1 >> low, pair1 & (1 << low) - 1
-        inv = pow((v >> v_degree * width) % q, -1, q)
-        quotient = []
-        for s in range(top1 - v_degree, -1, -1):
-            f = (r >> (v_degree + s) * width & mask) * inv % q
-            quotient.append(f)
-            if f:
-                r += (q - f) * v << s * width
-        h = tuple(reversed(quotient))
-    codeword = rs_evaluate(code, h)
-    positions = frozenset(itertools.compress(range(n),
-                                             map(ne, codeword, received)))
-    if len(positions) > code.radius:
-        raise DecodeFailure(
-            f"no codeword within {code.radius} errors of the received word")
-    return h, positions
+        return ()
+    if not 0 <= top1 - v_degree < k:
+        raise _no_codeword(code)
+    if a1 + (top1 - v_degree + 1) * (q - 1) * a1 // spread >= cap:
+        pair1 = _reduce(pair1, width, q)
+    r, v = pair1 >> low, pair1 & (1 << low) - 1
+    inv = pow((v >> v_degree * width) % q, -1, q)
+    quotient = []
+    for s in range(top1 - v_degree, -1, -1):
+        f = (r >> (v_degree + s) * width & mask) * inv % q
+        quotient.append(f)
+        if f:
+            r += (q - f) * v << s * width
+    return tuple(reversed(quotient))
+
+
+def _no_codeword(code):
+    """The failure of a word with no codeword within the code's radius."""
+    return DecodeFailure(
+        f"no codeword within {code.radius} errors of the received word")
 
 
 def _reduce(pair, width, q):
@@ -462,11 +460,12 @@ def decode_columns(code, columns, radius):
     in the order of `code.omega`. The columns' shape is checked (at least
     one column, each of the same positive height, a multiple of g), then
     every symbol, once and in column order, before the first decode; then
-    `decode_words` decodes the columns' symbols and returns its result.
-    A single word is n columns of one symbol each. At radius 0 on the
-    code punctured to some positions, it is an erasure decode: it returns
-    the message exactly when the symbols at those positions lie on one
-    codeword, and raises DecodeFailure otherwise.
+    `decode_words` decodes the columns' symbols with the `served_map` of
+    their layout. Returns (messages, corrected_columns) as `decode_words`
+    does, without a tail. A single word is n columns of one symbol each.
+    At radius 0 on the code punctured to some positions, it is an erasure
+    decode: it returns the message exactly when the symbols at those
+    positions lie on one codeword, and raises DecodeFailure otherwise.
     """
     count, n = len(columns), code.n
     g = n // count if count else 0
@@ -476,10 +475,12 @@ def decode_columns(code, columns, radius):
         raise ValueError(f"{count} columns cannot carry words of "
                          f"length {n} in uniform slices")
     served = code.field.check_all(itertools.chain.from_iterable(columns))
-    return decode_words(code, served, g, radius)
+    messages, _, corrected = decode_words(code, served, g, radius,
+                                          served_map(code, g, height // g))
+    return messages, corrected
 
 
-def decode_words(code, served, g, radius):
+def decode_words(code, served, g, radius, pmap):
     """Decode the words of `code` that a word's served symbols carry.
 
     `served` is flat and column by column: each column serves the same
@@ -489,12 +490,25 @@ def decode_words(code, served, g, radius):
     place served symbols become words. Unchecked, like `packed_product`:
     the caller passes canonical symbols, n of each word.
 
-    Returns (messages, corrected_columns): one message polynomial per word
-    and the union of the columns the decodes corrected. Raises
-    DecodeFailure when a word decode fails or the union has more than
-    `radius` columns. Exact whenever g * radius <= code.radius.
+    Each word is interpolated; an interpolant of at most k coefficients
+    is a codeword's message, and any other runs Gao's Euclid to a quotient
+    (`_quotient`). Then one product with `pmap` (see `served_map`) takes
+    every word's message coefficients, word j's coefficient c at input
+    j*k + c, to the re-encoded served symbols in served order and then to
+    any further outputs, the tail. One comparison with `served`, column by
+    column, finds the columns where the re-encodes differ; only if a word
+    could differ on more than code.radius symbols there (g a column) are
+    its errors counted. When every word is a codeword, nothing is
+    compared, and the product runs only for a tail.
+
+    Returns (messages, tail, corrected_columns): one message polynomial per
+    word, trailing zeros dropped, the tail, and those columns. Raises
+    DecodeFailure when a word has no codeword within code.radius of it or
+    the columns number more than `radius`. Exact whenever
+    g * radius <= code.radius.
     """
-    span = len(served) // code.n * g  # the symbols one column serves
+    size = len(served)
+    span = size // code.n * g  # the symbols one column serves
     if span == g:  # one word: the served symbols themselves
         words = [served]
     else:  # row r: symbol r of every column; word j interleaves g rows
@@ -502,13 +516,50 @@ def decode_words(code, served, g, radius):
         if g > 1:
             words = [tuple(itertools.chain.from_iterable(zip(*words[r:r + g])))
                      for r in range(0, span, g)]
-    messages, corrected = [], set()
+    k, t = code.k, code.radius
+    messages, coeffs, clean = [], [], True
     for word in words:
-        h, positions = _decode_unique(code, word)
+        h = rs_interpolate(code, word)
+        if len(h) > k:
+            h, clean = _quotient(code, h), False
         messages.append(h)
-        corrected.update(map(floordiv, positions, itertools.repeat(g)))
+        coeffs += h
+        coeffs += (0,) * (k - len(h))
+    if clean:  # each word is its own re-encode: only a tail is left to read
+        out = packed_product(pmap, coeffs) if pmap.outputs > size else []
+        return tuple(messages), out[size:], frozenset()
+    out = packed_product(pmap, coeffs)
+    corrected = frozenset(itertools.compress(itertools.count(), map(
+        ne, zip(*[iter(out)] * span), zip(*[iter(served)] * span))))
+    if len(corrected) * g > t:  # a word may differ on more than t symbols
+        wrong = list(map(ne, out, served))
+        rows = [wrong[r::span].count(True) for r in range(span)]
+        if max(map(sum, zip(*[iter(rows)] * g))) > t:
+            raise _no_codeword(code)
     if len(corrected) > radius:
         raise DecodeFailure(
             f"nearest codeword differs on {len(corrected)} columns, more "
             f"than the radius {radius}")
-    return tuple(messages), frozenset(corrected)
+    return tuple(messages), out[size:], corrected
+
+
+def served_map(code, g, words, tail=()):
+    """The map `decode_words` applies to `words` words of `code` served g
+    symbols a column: from each word's k coefficients (word j's
+    coefficient c at input j*k + c) to its evaluations at the points,
+    placed where the served symbols hold them, position p of word j at
+    output (p // g) * g * words + j * g + p % g; then, if `tail` gives one
+    column of canonical symbols per input, those as further outputs. Its
+    width holds a sum over every input. One word with no tail is the
+    matrix of the code's own `evaluation`.
+    """
+    q, n, span = code.field.q, code.n, g * words
+    powers, columns = power_columns(q, code.omega, code.k), []
+    for j in range(words):
+        for power in powers:
+            column = [0] * (n * words)
+            for u in range(g):
+                column[j * g + u::span] = power[u::g]
+            columns.append(column)
+    return packed_map(q, [[*c, *t] for c, t in zip(
+        columns, tail or itertools.repeat(()))])

@@ -23,11 +23,14 @@ each use is one multiply-accumulate with it; so is encoding and
 downloading at once, from the message to the served symbols, whose table
 is built column block by column block. The peel is exact for any
 streams, so it runs once per config, on all the unit streams together,
-to derive the decode table; the decoder is the stream decodes
-(`rs.decode_columns`) plus one product with that table. It returns a
-message exactly when some message's downloads lie within
-floor((n - k/alpha) / 2) columns of the received ones, with the columns
-where they differ; otherwise it raises DecodeFailure. The stages are
+to derive the decode table. A decode (`rs.decode_words`) runs each
+stream's interpolation and Euclid to a quotient, then one product with
+the config's decode map: its outputs are the m re-encoded streams in
+served order, checked against the served symbols, and then the decode
+table's message digits. It returns a message exactly when some
+message's downloads lie within floor((n - k/alpha) / 2) columns of the
+received ones, with the columns where they differ; otherwise it raises
+DecodeFailure. The stages are
 `arraycode.ArrayConfig`'s, shared with the folded scheme; this module
 supplies the layout and the four tables.
 
@@ -42,8 +45,8 @@ from operator import mul
 from .arraycode import ArrayConfig
 from .fields import ExtField, dual_basis
 from .primefield import PrimeField
-from .rs import (RsCode, packed_map, packed_product, poly_from_roots,
-                 power_columns, rs_interpolate, tabulate_map)
+from .rs import (RsCode, packed_map, poly_from_roots, power_columns,
+                 rs_interpolate, served_map, tabulate_columns)
 
 
 class TsConfig(ArrayConfig):
@@ -58,7 +61,9 @@ class TsConfig(ArrayConfig):
     scheme (class attribute): "ts", the name the file formats and the CLI
         give the scheme.
 
-    Derived, once per config: annihilators p_j; the layout of
+    Derived, once per config: annihilators p_j; place_values, the
+    base-q place values q^0, ..., q^(l-1) of a symbol's polynomial-basis
+    digits; the layout of
     `arraycode.ArrayConfig`, whose stages this scheme runs: a message is k
     symbols of ext; each column serves m symbols, one of each of the m
     download streams, the words of served_code, the (n, lk/m) RS code over
@@ -90,16 +95,18 @@ class TsConfig(ArrayConfig):
         digits and the coordinates a served symbol reads, so the pipeline
         adds both in one `rs.packed_sum`.
     decode_map: the l*k coefficients of the m decoded streams (stream j's
-        coefficient c at input j*lk/m + c) to the k*l digits of the
-        message, in encode_map's input order. The peel derives it once,
-        here (see `_decode_table`); it is exact for any streams, so a
-        decode is the m stream decodes plus one product with it, and no
-        check can fail after the stream decodes.
+        coefficient c at input j*lk/m + c) to the n*m re-encoded served
+        symbols (`rs.served_map`), then, as its tail, to the k*l digits
+        of the message, in encode_map's input order. The peel derives the
+        tail once, here (see `_decode_table`); it is exact for any
+        streams, so a decode is the m Euclid runs plus one product with
+        the map, whose re-encodes are checked against the served symbols
+        and whose tail is the message.
     """
 
     scheme = "ts"
     _fields = ("ext", "k", "omega", "subsets", "basis")
-    __slots__ = _fields + ("annihilators", "decode_map")
+    __slots__ = _fields + ("annihilators", "place_values")
 
     def __init__(self, ext, k, omega, subsets, basis):
         base = ext.base
@@ -137,7 +144,8 @@ class TsConfig(ArrayConfig):
             for j in range(m)]
         # column v of P holds the trace coordinates of x^v; row r = i*m + j
         # of `mixed` is row j of W_i P, and the omega_i^t repeat m times
-        proj = [basis.project(q ** v) for v in range(l)]
+        place_values = tuple(q ** v for v in range(l))
+        proj = [basis.project(p) for p in place_values]
         mixed = [[sum(map(mul, row, p)) % q for p in proj]
                  for row in zip(*served)]
         omega_powers = power_columns(q, omega, k)
@@ -146,14 +154,16 @@ class TsConfig(ArrayConfig):
         transmit = [[a * b % q for a, b in zip(column, digit)]
                     for column in spread for digit in zip(*mixed)]
         terms = k * l + split + 1
+        code = RsCode(base, l * k // m, omega)
         self._set(
-            annihilators=annihilators,
-            served_code=RsCode(base, l * k // m, omega), g=1,
-            served_per_column=m, message_field=ext, message_length=k,
+            annihilators=annihilators, place_values=place_values,
+            served_code=code, g=1, served_per_column=m, message_field=ext,
+            message_length=k,
             encode_map=packed_map(q, omega_powers, right=proj),
             download_map=packed_map(q, served, blocks=n, terms=terms),
             transmit_map=packed_map(q, transmit, terms=terms),
-            decode_map=_decode_table(base, k, subsets, annihilators, basis))
+            decode_map=served_map(code, 1, m, tail=_decode_table(
+                base, k, subsets, annihilators, basis)))
 
     @property
     def base(self):
@@ -190,21 +200,16 @@ class TsConfig(ArrayConfig):
     def _inputs(self, message):
         """The message's polynomial-basis digits, its symbols' base-q
         digits."""
-        q, l = self.base.q, self.l
-        return [a // q ** v % q for a in message for v in range(l)]
+        q, place_values = self.base.q, self.place_values
+        return [a // p % q for a in message for p in place_values]
 
-    def _message(self, streams):
-        """The message whose stream polynomials are `streams`: one product
-        with decode_map of their coefficients, each stream padded to
-        lk/m."""
-        size = self.served_code.k
-        coeffs = [c for g in streams for c in (*g, *(0,) * (size - len(g)))]
-        digits = packed_product(self.decode_map, coeffs)
-        # symbol t is its l polynomial-basis digits read in base q
-        l = self.l
-        place = [self.base.q ** v for v in range(l)]
-        return tuple(sum(map(mul, symbol, place))
-                     for symbol in zip(*[iter(digits)] * l))
+    def _message(self, streams, digits):
+        """The message whose polynomial-basis digits are decode_map's tail
+        `digits`: symbol t is its l digits read in base q. The stream
+        polynomials themselves are not needed."""
+        place_values = self.place_values
+        return tuple(sum(map(mul, symbol, place_values))
+                     for symbol in zip(*[iter(digits)] * self.l))
 
     def download_fn(self, count=None):
         """Word -> per-column downloads, for the searches in `bounds`: the
@@ -274,9 +279,10 @@ def ts_make_config(q, n, k, l, m, *, omega=None, subsets=None, modulus=None,
 
 
 def _decode_table(base, k, subsets, annihilators, basis):
-    """The decode map: the message digits as a GF(q)-linear function of the
-    l*k stream coefficients, tabulated by running the peel once on all the
-    unit streams together (`rs.tabulate_map`).
+    """The decode table: the message digits as a GF(q)-linear function of
+    the l*k stream coefficients, one column per coefficient, tabulated by
+    running the peel once on all the unit streams together
+    (`rs.tabulate_columns`).
 
     Stream j is g_j = sum_{u < l-m} h_u * p_j^u + h_{l-m+j} * p_j^(l-m).
     Every p_j vanishes on A_j, so on the union of the subsets the current
@@ -333,7 +339,7 @@ def _decode_table(base, k, subsets, annihilators, basis):
         return [sum(map(mul, row, coords))
                 for coords in zip(*layers, *streams) for row in recon]
 
-    return tabulate_map(q, l * k, l * neg * bound, peel)
+    return tabulate_columns(q, l * k, l * neg * bound, peel)
 
 
 def ts_full_pipeline(cfg, message, pattern):

@@ -133,11 +133,13 @@ def trial_decode_columns(field, columns, column_points, degree_bound, t_star):
 
 
 def rs_decode_euclid(code, received):
-    """`fracdec.rs._decode_unique` one coefficient at a time: Gao's
-    partial extended Euclid from the master polynomial and the interpolant,
-    dividing in `fracdec.polyring`, then the exact quotient r1 / v1 and the
-    re-encode check. The reference the packed decoder is compared against,
-    DecodeFailure messages included."""
+    """One word's unique decode, one coefficient at a time: Gao's partial
+    extended Euclid from the master polynomial and the interpolant,
+    dividing in `fracdec.polyring`, then the exact quotient r1 / v1 and
+    the re-encode check, as the packed decoder (`fracdec.rs._quotient`,
+    then the re-encode in `fracdec.rs.decode_words`) does them. The
+    reference the packed decoder is compared against, DecodeFailure
+    messages included."""
     field, n, k = code.field, code.n, code.k
     received = tuple(received)
     if len(received) != n:
@@ -159,6 +161,43 @@ def rs_decode_euclid(code, received):
     if len(positions) > code.radius:
         raise DecodeFailure(failure)
     return h, positions
+
+
+def decode_words_per_word(code, served, g, radius):
+    """`fracdec.rs.decode_words` as it ran word by word before the one
+    product: each word of the served symbols (word j's position p is
+    served symbol (p // g) * span + j * g + p % g, span the symbols a
+    column serves) is interpolated, run through Euclid, re-encoded and
+    checked against the radius on its own (`rs_decode_euclid`), and then
+    the union of the columns the words corrected is checked. Returns
+    (messages, corrected_columns) or raises DecodeFailure with the
+    library's texts."""
+    span = len(served) // code.n * g
+    messages, corrected = [], set()
+    for j in range(span // g):
+        word = [served[p // g * span + j * g + p % g] for p in range(code.n)]
+        h, positions = rs_decode_euclid(code, word)
+        messages.append(h)
+        corrected.update(p // g for p in positions)
+    if len(corrected) > radius:
+        raise DecodeFailure(
+            f"nearest codeword differs on {len(corrected)} columns, more "
+            f"than the radius {radius}")
+    return tuple(messages), frozenset(corrected)
+
+
+def decode_reference(cfg, served):
+    """(message, corrected_columns) of a config's decode of its served
+    symbols, flat and column by column, by the per-word flow
+    (`decode_words_per_word`) and, for a trace config, the scalar peel
+    (`ts_peel`); a folded config's message is its one word's polynomial
+    padded to kl."""
+    polys, corrected = decode_words_per_word(cfg.served_code, served, cfg.g,
+                                             cfg.radius)
+    if cfg.scheme == "ts":
+        return ts_peel(cfg, polys), corrected
+    (h,) = polys
+    return h + (0,) * (cfg.message_length - len(h)), corrected
 
 
 def ts_project_polys(cfg, message):

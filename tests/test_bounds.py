@@ -42,7 +42,8 @@ def test_as_fraction_forms():
 def test_as_fraction_refuses_huge_decimal_exponents():
     """A decimal exponent past 4300 in magnitude is refused before
     Fraction expands it into a power of ten of that many digits, which
-    took over a second at 2000000; exponents up to 4300 still read."""
+    took over a second at 2000000, in one short message that names the
+    value by its first 20 characters; exponents up to 4300 still read."""
     assert as_fraction("1e4300") == 10 ** 4300
     assert as_fraction(" 5E-0_004_300 ") == Fraction(5, 10 ** 4300)
     for value in ("1e-2000000", "1e-20000000", "2.5E+4301", "1e0_4_3_0_1",
@@ -52,7 +53,8 @@ def test_as_fraction_refuses_huge_decimal_exponents():
                                              "above 4300") as info:
             as_fraction(value)
         assert time.perf_counter() - start < 0.1
-        assert repr(value) in str(info.value)
+        assert repr(value[:20]) in str(info.value)
+        assert len(str(info.value)) < 200
 
 
 def test_brief_names_long_parts_by_their_digit_count():

@@ -205,6 +205,8 @@ TINY_DECIMAL = "0." + "0" * 4000 + "1"
 @pytest.mark.parametrize("argv, config, says", [
     (["bounds", "--n", "12", "--k", "4", "--alpha", LONG_DIGITS], None,
      "has more than 4300 digits"),
+    (["bounds", "--n", "12", "--k", "4", "--alpha", "1e" + "9" * 5000], None,
+     "decimal exponent of magnitude above 4300"),
     (["bounds", "--n", "12", "--k", "4", "--alpha", TINY_DECIMAL], None,
      "alpha = 1/<4002 digits> must lie in [k/n, 1]"),
     (["bounds", "--n", "12", "--k", "4", "--alpha", "1e4300"], None,
@@ -213,8 +215,8 @@ TINY_DECIMAL = "0." + "0" * 4000 + "1"
     (["simulate", "--weights", "0", "--config"],
      dict(ZERO_ALPHA_FRS, alpha=TINY_DECIMAL, p=37, gamma=2),
      "alpha*l = 1/<4001 digits> must be an integer"),
-], ids=["bounds-digits", "bounds-tiny", "bounds-huge", "figure-huge",
-        "simulate-tiny"])
+], ids=["bounds-digits", "bounds-exponent", "bounds-tiny", "bounds-huge",
+        "figure-huge", "simulate-tiny"])
 def test_long_rationals_exit_two_in_one_short_line(tmp_path, capsys,
                                                    monkeypatch, argv, config,
                                                    says):

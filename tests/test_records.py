@@ -61,7 +61,8 @@ def missing(cls, names):
 # The derived slots that arraycode.ArrayConfig, the base of both configs,
 # declares and reads.
 LAYOUT = ("served_code", "g", "served_per_column", "message_field",
-          "message_length", "encode_map", "download_map", "transmit_map")
+          "message_length", "encode_map", "download_map", "transmit_map",
+          "decode_map")
 # name: (build, pinned repr, derived fields, (bad call, error, message))
 RECORDS = {
     "ErrorPattern": (
@@ -94,7 +95,7 @@ RECORDS = {
                      "field (singular trace projection matrix)")),
     "TsConfig": (
         ts_tiny, TS_REPR,
-        ("annihilators", "decode_map", *LAYOUT),
+        ("annihilators", "place_values", *LAYOUT),
         (lambda: ts_make_config(5, 4, 2, 2, 2, subsets=((0,), (0,))),
          ValueError, "annihilator subsets must be pairwise disjoint with "
                      "distinct elements")),

@@ -22,7 +22,7 @@ from fracdec.frs_scheme import frs_make_config
 from fracdec.primefield import PrimeField
 from fracdec.rs import (PackedMap, RsCode, _pack, _unpack, decode_columns,
                         packed_map, packed_product, rs_evaluate,
-                        rs_interpolate, tabulate_map)
+                        rs_interpolate, tabulate_columns)
 from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import ts_make_config
 
@@ -262,7 +262,7 @@ def matrix_product(q, columns, vector):
 def test_packed_maps_match_the_textbook_products(q):
     """packed_map's plain, Kronecker and block-diagonal layouts,
     packed_product on an input padded with leading zeros and cut short,
-    read on one block of outputs, and tabulate_map, each
+    read on one block of outputs, and the map of tabulate_columns, each
     against the textbook matrix product, on vectors of all q - 1 and
     seeded random ones. At q = 2^32 + 15 the digits are wider than 64
     bits."""
@@ -284,7 +284,8 @@ def test_packed_maps_match_the_textbook_products(q):
 
     cases = ((packed_map(q, left), left), (packed_map(q, left, right), kron),
              (packed_map(q, stacked, blocks=4), diagonal),
-             (tabulate_map(q, 3, 3 * (q - 1), linear), left))
+             (packed_map(q, tabulate_columns(q, 3, 3 * (q - 1), linear)),
+              left))
     for pmap, columns in cases:
         assert pmap.inputs == len(columns)
         assert pmap.outputs == len(columns[0])
@@ -318,7 +319,10 @@ def test_shipped_codes_leave_digits_room(path):
     codes = [v for v in built if isinstance(v, RsCode)]
     maps = [v for v in built if isinstance(v, PackedMap)]
     assert len(codes) == 1
-    assert len(maps) == (4 if cfg.__class__.__name__ == "TsConfig" else 3)
+    # the folded decode_map is its transmit_map
+    assert len(maps) == 4
+    assert len(set(map(id, maps))) == (
+        4 if cfg.__class__.__name__ == "TsConfig" else 3)
     for code in codes:
         assert_code_maps_fit(code)
         maps += [code.interpolation, code.evaluation]
@@ -340,7 +344,7 @@ def reference_digits(acc, count, width):
 def test_unpack_reads_every_digit_width(width):
     """_unpack reads digits of 1, 2, 4 and 8 bytes in C and any other whole
     number of bytes (an 80-bit decode_width, or the 3-byte digits
-    tabulate_map may pack its unit inputs at) by slices, and both agree
+    tabulate_columns may pack its unit inputs at) by slices, and both agree
     with repeated division: on
     accumulators whose digits all hold 2^width - 1, the largest digit that
     does not carry, all hold q - 1 where it fits, all 0, or are seeded
@@ -411,8 +415,8 @@ def test_unpack_matches_map_digits():
     maps = [RsCode(PrimeField(q), k, range(n)).interpolation
             for q, n, k in ((2, 2, 1), (13, 8, 3), (257, 64, 16),
                             (65537, 20, 5), (4294967311, 5, 3))]
-    maps.append(tabulate_map(31, 3, 3 * 30, lambda units: [
-        sum(units), 2 * units[0] + units[2]]))
+    maps.append(packed_map(31, tabulate_columns(31, 3, 3 * 30, lambda units: [
+        sum(units), 2 * units[0] + units[2]])))
     widths = {pmap.width for pmap in maps}
     assert widths >= {8, 16, 32, 64} and max(widths) > 64
     for pmap in maps:
@@ -805,9 +809,11 @@ def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
     symbol per column, right after its one interpolation: on the zero word
     and on a codeword of each message degree below k, the decoder returns
     the message with no positions, as the scalar Euclid decoder does, and
-    makes no product with code.evaluation. Each of those words with one symbol changed is no
-    codeword, so it takes the Euclid path: it fails where the radius is 0
-    and otherwise re-encodes and reports the changed position, as the
+    makes no other product: with no tail to read, nothing is re-encoded.
+    Each of those words with one symbol changed is no codeword, so it
+    takes the Euclid path: it fails where the radius is 0 and otherwise
+    re-encodes, with one product with a map of code.evaluation's digits
+    after the interpolation, and reports the changed position, as the
     scalar Euclid decoder does."""
     field = PrimeField(q)
     rng = random.Random(q * n + k)
@@ -838,7 +844,10 @@ def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
         assert got == want
         if code.radius:
             assert got == (message, frozenset({pos}))
-            assert any(pmap is code.evaluation for pmap in products)
+            interpolation, reencode = products
+            assert interpolation is code.interpolation
+            assert oracles.map_digits(reencode) == oracles.map_digits(
+                code.evaluation)
         else:
             assert isinstance(got, str)
 

@@ -205,14 +205,16 @@ def test_code_tables_are_applied_only_in_rs():
     `decode_width` and `decode_master`, or imports rs's packer and
     unpacker, so none unpacks a map by hand; an RsCode's `evaluation` and
     `interpolation` and the trace and folded configs' maps are read only
-    as the first argument of rs.packed_product or as one of the two maps
-    rs.packed_sum adds (its first and third); frs_scheme imports nothing
+    as the first argument of rs.packed_product, as one of the two maps
+    rs.packed_sum adds (its first and third) or as the map
+    rs.decode_words applies (its fifth); frs_scheme imports nothing
     from polyring, and outside fields and polyring no module imports more
     of polyring than normalize, so none evaluates or interpolates a
     polynomial but through rs."""
     maps = ("encode_map", "download_map", "transmit_map", "decode_map",
             "evaluation", "interpolation")
-    map_args = {"packed_product": (0,), "packed_sum": (0, 2)}
+    map_args = {"packed_product": (0,), "packed_sum": (0, 2),
+                "decode_words": (4,)}
     readers, imported, loose = set(), set(), []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -253,8 +255,8 @@ def test_traced_pipelines_run():
     bundle with cfg.decode, catches a name it reads having been removed or
     renamed: a build is one `*_make_config` span, an op one
     `*_full_pipeline` span that decodes its served symbols in one
-    `rs.decode_words` span, and a decode one `rs.decode_columns` span and
-    one `rs.decode_words` span."""
+    `rs.decode_words` span, and so does a decode, with no
+    `rs.decode_columns` span."""
     from fracdec import frs_scheme, trace_scheme
     from fracdec.arraycode import ErrorPattern
 
@@ -300,7 +302,8 @@ def test_traced_pipelines_run():
         assert op[f"{scheme}_full_pipeline"] == op["rs.decode_words"] == 1
         assert op.get("rs.decode_columns", 0) == 0
     for decode in (ts_decode, frs_decode):
-        assert decode["rs.decode_columns"] == decode["rs.decode_words"] == 1
+        assert decode["rs.decode_words"] == 1
+        assert decode.get("rs.decode_columns", 0) == 0
 
 
 SCHEME_NAMES = ("ts", "frs")

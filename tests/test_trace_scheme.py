@@ -17,7 +17,6 @@ from fracdec.harness import compare_naive
 from fracdec.rs import decode_columns, rs_evaluate
 from fracdec.serialization import config_from_dict, load_json
 from fracdec import rs as rs_module
-from fracdec import trace_scheme as ts_module
 from fracdec.trace_scheme import ts_full_pipeline, ts_make_config
 from fracdec.trials import (random_column_offset, random_error_pattern,
                             random_message, trial_stream)
@@ -456,12 +455,14 @@ def test_pipeline_runs_no_extension_field_arithmetic(name, monkeypatch):
 def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
                                                    rs_codes_built,
                                                    monkeypatch):
-    """A decode builds no code and makes the m stream decodes through
-    rs._decode_unique, each interpolating once, then one product with the
-    decode table: the peel runs when the config is built, not per
-    decode. Every product is counted by its map: each stream
-    decode applies the inner code's interpolation and evaluation maps
-    once, and cfg.decode_map is applied exactly once, last."""
+    """A decode builds no code, interpolates each of the m streams and
+    runs each corrupted one's Euclid to a quotient (rs._quotient), then
+    makes one product with the config's decode_map, which re-encodes
+    every stream and reads the message digits too: the peel runs when the
+    config is built, not per decode. Every product is counted by its
+    map: the inner code's interpolation once per stream, then
+    cfg.decode_map exactly once, last, and never the inner code's
+    evaluation map."""
     cfg = shipped_config(name)
     stream = trial_stream(48, cfg.radius, 0)
     message = random_message(cfg, stream)
@@ -469,21 +470,21 @@ def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
     word = apply_error_pattern(cfg.base, cfg.encode(message), pattern)
     bundle = cfg.download(word)
     rs_codes_built.clear()
-    calls = rs_calls("_decode_unique", "rs_interpolate", "tabulate_map")
+    calls = rs_calls("_quotient", "rs_interpolate", "tabulate_columns",
+                     "served_map")
     products, original = [], rs_module.packed_product
 
     def counting(pmap, symbols):
         products.append(pmap)
         return original(pmap, symbols)
 
-    for module in (rs_module, ts_module):
-        monkeypatch.setattr(module, "packed_product", counting)
-    decoded, _ = cfg.decode(bundle.per_column)
-    assert decoded == message
-    assert calls == ["_decode_unique", "rs_interpolate"] * cfg.m
+    monkeypatch.setattr(rs_module, "packed_product", counting)
+    decoded, corrected = cfg.decode(bundle.per_column)
+    assert decoded == message and corrected == set(pattern.support)
+    assert calls == ["rs_interpolate", "_quotient"] * cfg.m
     code = cfg.served_code
     assert list(map(id, products)) == list(map(id, (
-        [code.interpolation, code.evaluation] * cfg.m + [cfg.decode_map])))
+        [code.interpolation] * cfg.m + [cfg.decode_map])))
     assert rs_codes_built == []
 
 

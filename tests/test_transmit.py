@@ -44,9 +44,9 @@ def served_by_pipeline(cfg, message, pattern, monkeypatch):
     raised, and the served symbols it handed the decoder."""
     seen = []
 
-    def recording(code, served, g, radius):
+    def recording(code, served, g, radius, pmap):
         seen.append(tuple(served))
-        return decode_words(code, served, g, radius)
+        return decode_words(code, served, g, radius, pmap)
 
     decode_words = arraycode.decode_words
     monkeypatch.setattr(arraycode, "decode_words", recording)
@@ -99,7 +99,8 @@ def matrix(pmap):
 def test_transmit_map_is_download_after_encode(name):
     """Entry (r, c) of transmit_map is the sum over stored symbols s of
     download entry (r, s) times encode entry (s, c), mod q; for a folded
-    config that is served_code's evaluation map itself."""
+    config that is served_code's evaluation map itself, and the config's
+    decode_map is the very same object."""
     cfg = CONFIGS[name]()
     q = cfg.symbol_field.q
     download, encode = matrix(cfg.download_map), matrix(cfg.encode_map)
@@ -110,6 +111,7 @@ def test_transmit_map_is_download_after_encode(name):
     if cfg.scheme == "frs":
         assert oracles.map_digits(cfg.transmit_map) == oracles.map_digits(
             cfg.served_code.evaluation)
+        assert cfg.decode_map is cfg.transmit_map
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -154,8 +156,12 @@ def test_packed_sum_refuses_maps_of_another_width():
 def test_pipeline_never_forms_the_stored_word(name, monkeypatch):
     """One pipeline makes one packed sum, of the message's encode inputs
     with transmit_map and of each offset with the l download columns of
-    its own column, and no other product with download_map or encode_map,
-    nor any product with n*l outputs."""
+    its own column. Its other products are the decode's: one
+    interpolation per served word, then exactly one with cfg.decode_map,
+    which a folded pipeline skips only when its word is a codeword, for
+    its map has no tail to read. So none is with download_map or
+    encode_map, none has n*l outputs, and none is with served_code's
+    evaluation map."""
     cfg = CONFIGS[name]()
     products, sums = [], []
     originals = {"packed_product": rs.packed_product,
@@ -184,8 +190,12 @@ def test_pipeline_never_forms_the_stored_word(name, monkeypatch):
         assert len(inputs) == cfg.encode_map.inputs
         assert [(start, len(values)) for start, values in offsets] == [
             (i * cfg.l, cfg.l) for i in range(weight)]
-        assert products
+        code, words = cfg.served_code, cfg.served_per_column // cfg.g
+        tail = cfg.decode_map.outputs > cfg.downloaded_per_word
+        decodes = [cfg.decode_map] if weight or tail else []
+        assert tail == (cfg.scheme == "ts")
+        assert list(map(id, next(zip(*products)))) == list(map(id, (
+            [code.interpolation] * words + decodes)))
         for pmap, *_ in products:
-            assert pmap is not cfg.download_map
-            assert pmap is not cfg.encode_map
             assert pmap.outputs != cfg.n * cfg.l
+            assert pmap is not code.evaluation
