@@ -264,7 +264,7 @@ def nearest_codeword_bruteforce(code, received, radius):
     a nonnegative int.
     """
     from .polyring import normalize
-    from .rs import rs_evaluate
+    from .rs import packed_product, served_map
 
     field, n, k = code.field, code.n, code.k
     _check_radius(radius)
@@ -273,9 +273,9 @@ def nearest_codeword_bruteforce(code, received, radius):
         raise ValueError(f"received word has {len(received)} symbols, expected {n}")
     field.check_all(received)
     check_budget(field.order ** k, f"nearest-codeword search over {field!r}^{k}")
-    hits = []
+    evaluation, hits = served_map(code, 1, 1), []
     for message in itertools.product(field.elements(), repeat=k):
-        dist = sum(map(ne, rs_evaluate(code, message), received))
+        dist = sum(map(ne, packed_product(evaluation, message), received))
         if dist <= radius:
             hits.append((normalize(message), dist))
     hits.sort(key=lambda pair: pair[1])  # stable: canonical order within ties

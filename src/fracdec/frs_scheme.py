@@ -83,14 +83,14 @@ class FrsConfig(ArrayConfig):
     the points' j-th powers), the (nl, kl) RS code that the folded code
     cuts into n columns of l symbols; download_map, the selection of each
     column's prefix; and transmit_map, evaluation at the prefix points,
-    the same matrix as served_code's evaluation map, cut from encode_map's
-    columns. An output of the pipeline's packed sum adds kl products with
-    transmit_map and one with download_map, so both carry the width of
-    kl + 1 products. decode_map is transmit_map itself: the one word's
-    quotient is the message, so re-encoding it is evaluating the message
-    at the prefix points, and kl products fit the width of kl + 1. A
-    decode is one Euclid run on the flattened prefixes, then one product
-    with it.
+    cut from encode_map's columns: the config's one prefix evaluation,
+    the matrix `rs.served_map` gives served_code's one word. An output of
+    the pipeline's packed sum adds kl products with transmit_map and one
+    with download_map, so both carry the width of kl + 1 products.
+    decode_map is transmit_map itself: the one word's quotient is the
+    message, so re-encoding it is evaluating the message at the prefix
+    points, and kl products fit the width of kl + 1. A decode is one
+    Euclid run on the flattened prefixes, then one product with it.
     """
 
     scheme = "frs"

@@ -274,17 +274,19 @@ def compare_naive(cfg, t, seed=0):
 def _decode_naive(cfg, message, pattern, read_columns, naive_radius):
     """Decode from whole columns only, the way an alpha*n-column reader
     would, and classify the outcome against what the same reader decodes
-    from the clean columns, at radius 0."""
+    from the clean columns: one `decode_columns` call reads each column as
+    its clean symbols, then its corrupted ones. The clean words, the first
+    half, are codewords, which correct no column and never fail."""
     stored = cfg.encode(message)
-    code = cfg.column_code(read_columns)
-    want, _ = decode_columns(code, [stored[i] for i in read_columns], 0)
     corrupted = apply_error_pattern(cfg.symbol_field, stored, pattern)
     try:
-        decoded, _ = decode_columns(
-            code, [corrupted[i] for i in read_columns], naive_radius)
+        messages, _ = decode_columns(
+            cfg.column_code(read_columns),
+            [(*stored[i], *corrupted[i]) for i in read_columns], naive_radius)
     except DecodeFailure:
         return "failed"
-    return "recovered" if decoded == want else "miscorrected"
+    clean = messages[:len(messages) // 2]
+    return "recovered" if messages[len(clean):] == clean else "miscorrected"
 
 
 def comparison_to_dict(result):

@@ -23,19 +23,22 @@ digit width so that no digit carries into the next, also where two maps
 are summed; `tabulate_columns` tabulates a linear function by running
 it once on all its unit inputs together.
 
-`RsCode` builds its two maps once: `evaluation` at its points, and
-`interpolation` through them, whose Lagrange columns come from synthetic
-division of its master polynomial. `rs_evaluate` and `rs_interpolate`
-apply them for the whole package. Each scheme config
-(`arraycode.ArrayConfig`) packs three maps more: `encode_map` (message
-to stored symbols), `download_map` (stored to served symbols) and
-`transmit_map` (message straight to served symbols), the last two at
-one width, so that a pipeline serves a message and its error offsets in
-one `packed_sum`; and `decode_map` (see `served_map`), from decoded
+`RsCode` builds only what its decoder reads, once: the `interpolation`
+map through its points, whose Lagrange columns come from synthetic
+division of its master polynomial and which `rs_interpolate` applies for
+the whole package, and the start of its packed Euclid run. Every
+evaluation map is built once, where its layout is fixed. Each scheme
+config (`arraycode.ArrayConfig`) packs its maps at set-up: `encode_map`
+(message to stored symbols), `download_map` (stored to served symbols)
+and `transmit_map` (message straight to served symbols), the last two
+at one width, so that a pipeline serves a message and its error offsets
+in one `packed_sum`; and `decode_map` (see `served_map`), from decoded
 words to their re-encoded served symbols and, for the trace config, on
-to the message digits. `RsCode` is a frozen record (`records.Record`):
-its maps are derived slots, left out of its equality, hash and repr.
-`PackedMap` is a `collections.namedtuple`.
+to the message digits. `decode_columns` and the nearest-codeword oracle
+in `bounds` each build one `served_map` per call. `RsCode` is a frozen
+record (`records.Record`): its map and decode fields are derived slots,
+left out of its equality, hash and repr. `PackedMap` is a
+`collections.namedtuple`.
 
 Every product trusts its operands, like `polyring`, and here that trust
 is a precondition: every symbol must be a canonical integer in [0, q). A
@@ -47,9 +50,8 @@ one checked decoder, checks its input: its columns' shape, then all their
 symbols in one pass in column order, before it hands them to `decode_words`.
 A single word is n columns of one symbol each, and an erasure decode is
 `decode_columns` on the code punctured to the known positions, at radius
-0. `rs_evaluate` is the one encoder. `packed_product`, `packed_sum`,
-`rs_evaluate`, `rs_interpolate` and `decode_words` check nothing but that
-`packed_sum`'s two maps share outputs and width.
+0. `packed_product`, `packed_sum`, `rs_interpolate` and `decode_words`
+check nothing but that `packed_sum`'s two maps share outputs and width.
 
 `decode_words`, the one decoder, run by the pipeline, the staged decode
 and `decode_columns`, is the one place served symbols become words: per
@@ -86,12 +88,9 @@ class RsCode(Record):
     """An (n, k) Reed-Solomon code over the prime field `field` with
     evaluation points `omega`.
 
-    The derived fields are built once, here, and take O(n^2) memory:
-    master: the monic polynomial whose roots are the points, which unique
-        decoding starts its Euclid run from.
-    evaluation: the packed map from the k coefficients of a polynomial of
-        degree < k to its values at the n points; input j's column lists
-        the points' j-th powers.
+    The derived fields are what decoding reads, built once, here, in
+    O(n^2) memory, from master, the monic polynomial whose roots are the
+    points (`poly_from_roots`):
     interpolation: the packed map from n values at the points to the n
         coefficients of their interpolant; input i's column is the Lagrange
         basis polynomial (master / (x - omega_i)) / master'(omega_i). One
@@ -106,13 +105,13 @@ class RsCode(Record):
         (q - 1) * (1 + max(t + 1, k) * (q - 1)) < 2^64.
     decode_master: the Euclid run's start, master packed at decode_width
         above t + 1 zero digits (its cofactor, 0).
-    Only `rs_evaluate` and `rs_interpolate` apply the two maps, and only
-    `_quotient` reads the decode fields.
+    Only `rs_interpolate` applies the map, and only `_quotient` reads the
+    decode fields.
     """
 
     _fields = ("field", "k", "omega")
-    __slots__ = _fields + ("master", "evaluation", "interpolation",
-                           "decode_width", "decode_master")
+    __slots__ = _fields + ("interpolation", "decode_width",
+                           "decode_master")
 
     def __init__(self, field, k, omega):
         omega = tuple(omega)
@@ -146,9 +145,7 @@ class RsCode(Record):
                           ).bit_length() <= 64:
             bits = 64
         decode_size = _digit_bytes(bits)
-        self._set(master=master,
-                  evaluation=packed_map(q, power_columns(q, omega, k)),
-                  interpolation=packed_map(q, lagrange),
+        self._set(interpolation=packed_map(q, lagrange),
                   decode_width=8 * decode_size,
                   decode_master=_pack(master, decode_size)
                   << (t + 1) * 8 * decode_size)
@@ -229,12 +226,6 @@ def _unpack(acc, count, width, q):
     size = width // 8
     return [int.from_bytes(data[i:i + size], "little") % q
             for i in range(0, len(data), size)]
-
-
-def rs_evaluate(code, h):
-    """h at the code's points, through `code.evaluation`; h is at most k
-    canonical coefficients, trailing zeros allowed."""
-    return tuple(packed_product(code.evaluation, h))
 
 
 def rs_interpolate(code, word):
@@ -551,7 +542,8 @@ def served_map(code, g, words, tail=()):
     output (p // g) * g * words + j * g + p % g; then, if `tail` gives one
     column of canonical symbols per input, those as further outputs. Its
     width holds a sum over every input. One word with no tail is the
-    matrix of the code's own `evaluation`.
+    code's evaluation map: from k coefficients to the values at its
+    points, input j's column the points' j-th powers.
     """
     q, n, span = code.field.q, code.n, g * words
     powers, columns = power_columns(q, code.omega, code.k), []

@@ -47,9 +47,9 @@ def _call_watcher(monkeypatch, home):
                             and value.__module__ == home.__name__]:
             original = getattr(home, fn)
 
-            def counting(*args, _fn=fn, _original=original):
+            def counting(*args, _fn=fn, _original=original, **kwargs):
                 calls.append(_fn)
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             for name, module in list(sys.modules.items()):
                 if (name == "fracdec" or name.startswith("fracdec.")) and \

@@ -7,7 +7,7 @@ from fracdec import polyring
 from fracdec.budget import check_budget
 from fracdec.errors import DecodeFailure
 from fracdec.polyring import degree, normalize
-from fracdec.rs import rs_evaluate, rs_interpolate
+from fracdec.rs import poly_from_roots, rs_interpolate
 
 
 # Polynomial arithmetic through the field's own add/sub/mul/neg/div, so it
@@ -73,6 +73,12 @@ def poly_eval(field, a, x):
     for c in reversed(a):
         acc = field.add(field.mul(acc, x), c)
     return acc
+
+
+def rs_evaluate(code, h):
+    """The codeword of message h in the RS code `code`: h at each of the
+    code's points by Horner's rule, trailing zeros allowed."""
+    return tuple(poly_eval(code.field, h, w) for w in code.omega)
 
 
 def interpolate(field, points):
@@ -147,7 +153,8 @@ def rs_decode_euclid(code, received):
     for c in received:
         field.check(c)
     failure = f"no codeword within {code.radius} errors of the received word"
-    r0, r1 = code.master, rs_interpolate(code, received)
+    r0 = poly_from_roots(field, code.omega)
+    r1 = rs_interpolate(code, received)
     v0, v1 = (), (1,)
     while 2 * degree(r1) >= n + k:
         quot, rem = polyring.poly_divmod(field, r0, r1)

@@ -19,10 +19,11 @@ from fracdec.frs_scheme import (FrsConfig, frs_full_pipeline,
 from fracdec.harness import compare_naive, run_trial
 from fracdec.polyring import normalize, poly_divmod, poly_mul
 from fracdec.primefield import PrimeField
-from fracdec.rs import RsCode, decode_columns, rs_evaluate
+from fracdec.rs import RsCode, decode_columns
 from fracdec.trace_scheme import TsConfig, ts_full_pipeline, ts_make_config
 from fracdec.trials import random_error_pattern, random_message, trial_stream
-from oracles import poly_add, poly_eval, poly_pow, poly_sub, ts_project_polys
+from oracles import (poly_add, poly_eval, poly_pow, poly_sub, rs_evaluate,
+                     ts_project_polys)
 
 SEED = 2026
 

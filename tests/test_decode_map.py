@@ -19,7 +19,7 @@ import oracles
 from fracdec import arraycode
 from fracdec.arraycode import ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure
-from fracdec.rs import packed_product, rs_evaluate
+from fracdec.rs import packed_product
 from test_pipelines import CONFIGS
 from test_transmit import CARRY_CONFIGS
 from test_transmit import CONFIGS as CARRY_BUILDERS
@@ -116,10 +116,10 @@ def test_decode_matches_the_per_word_reference(name, monkeypatch):
 
 def reencoded(cfg, coeffs):
     """The served symbols of the words whose coefficients are `coeffs`,
-    each word's k in turn, through rs_evaluate: column i serves g symbols
-    of word 0, then g of word 1, and so on."""
+    each word's k in turn, through oracles.rs_evaluate: column i serves
+    g symbols of word 0, then g of word 1, and so on."""
     code, g = cfg.served_code, cfg.g
-    words = [rs_evaluate(code, coeffs[j:j + code.k])
+    words = [oracles.rs_evaluate(code, coeffs[j:j + code.k])
              for j in range(0, len(coeffs), code.k)]
     return [s for i in range(cfg.n) for word in words
             for s in word[i * g:(i + 1) * g]]
@@ -129,8 +129,8 @@ def reencoded(cfg, coeffs):
 def test_decode_map_leaves_digits_room(name):
     """With every quotient coefficient at q - 1, decode_map's one product
     equals the textbook product of its matrix: the re-encoded served
-    symbols rs_evaluate gives, then for a trace config the message digits
-    the scalar peel reads. Its width is the least that holds its joint
+    symbols oracles.rs_evaluate gives, then for a trace config the message
+    digits the scalar peel reads. Its width is the least that holds its joint
     sum: every input's product for a trace map; and a folded map, being
     its transmit_map, also holds the one download product the pipeline's
     packed sum adds."""

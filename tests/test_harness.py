@@ -305,6 +305,22 @@ def test_compare_naive_pins_a_naive_miscorrection():
     assert d["separated"] is True
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_naive_reader_decodes_once_per_comparison(path, rs_calls):
+    """The whole-column reader decodes its clean and corrupted columns in
+    one decode_columns call, which builds one served map, at every weight
+    compare_naive accepts, whatever the outcome."""
+    cfg = config_from_dict(load_json(str(path)))
+    calls = rs_calls("decode_columns", "served_map")
+    outcomes = set()
+    for t in range(cfg.radius + 1):
+        calls.clear()
+        outcomes.add(compare_naive(cfg, t, seed=t).naive_outcome)
+        assert calls == ["decode_columns", "served_map"]
+    assert "recovered" in outcomes
+
+
 def naive_radius_grid():
     """Valid trace configs over GF(13^l) and folded configs over GF(67),
     l = 2..4, every alpha = a/l, k and n (n <= 13 and n <= 16), for which

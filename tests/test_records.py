@@ -82,8 +82,7 @@ RECORDS = {
     "RsCode": (
         lambda: RsCode(PrimeField(5), 2, [0, 1, 2, 3]),
         "RsCode(field=GF(5), k=2, omega=(0, 1, 2, 3))",
-        ("master", "evaluation", "interpolation", "decode_width",
-         "decode_master"),
+        ("interpolation", "decode_width", "decode_master"),
         (lambda: RsCode(PrimeField(5), 5, [0, 1, 2, 3]),
          ValueError, "need 1 <= k <= n, got k=5, n=4")),
     "TraceDualBasis": (

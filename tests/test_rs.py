@@ -21,8 +21,8 @@ from fracdec.fields import ExtField
 from fracdec.frs_scheme import frs_make_config
 from fracdec.primefield import PrimeField
 from fracdec.rs import (PackedMap, RsCode, _pack, _unpack, decode_columns,
-                        packed_map, packed_product, rs_evaluate,
-                        rs_interpolate, tabulate_columns)
+                        packed_map, packed_product, rs_interpolate,
+                        served_map, tabulate_columns)
 from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import ts_make_config
 
@@ -152,11 +152,13 @@ def test_poly_from_roots_matches_product(q):
 
 
 def assert_code_maps_fit(code):
-    """packed_map's no-carry bound on both of a code's maps, whose entries
-    are canonical: terms * (q - 1)^2 < 2^width, with n terms for
-    interpolation and k for evaluation."""
+    """packed_map's no-carry bound on a code's interpolation map and on the
+    evaluation map at its points, served_map's one word, whose entries are
+    canonical: terms * (q - 1)^2 < 2^width, with n terms for interpolation
+    and k for evaluation."""
     q = code.field.q
-    for pmap, terms in ((code.interpolation, code.n), (code.evaluation, code.k)):
+    for pmap, terms in ((code.interpolation, code.n),
+                        (served_map(code, 1, 1), code.k)):
         assert (pmap.q, pmap.inputs, pmap.outputs) == (q, terms, code.n)
         assert max(map(max, oracles.map_digits(pmap))) < q
         assert terms * (q - 1) ** 2 < 2 ** pmap.width
@@ -168,8 +170,8 @@ def test_lagrange_basis_matches_reference(q):
     """Column i of an RsCode's interpolation map packs L_i, the
     interpolant of the indicator of point i, on seeded point sets from a
     single point up to 13 points (the whole field for q <= 13), with and
-    without 0 among the points; both maps meet packed_map's no-carry
-    bound."""
+    without 0 among the points; it and the evaluation map at the points
+    meet packed_map's no-carry bound."""
     field = PrimeField(q)
     rng = random.Random(100 + q)
     size = min(q, 13)
@@ -191,15 +193,15 @@ def test_lagrange_basis_matches_reference(q):
                                      (53, 24, 12)))
 def test_code_tables_match_reference(q, n, k):
     """The interpolation map applied to a word is its interpolant, and the
-    evaluation map applied to a message is its evaluation at every point,
-    with the packed maps read back as rows of integers; both meet
-    packed_map's no-carry bound."""
+    evaluation map at the points, served_map's one word, applied to a
+    message is its evaluation at every point, with the packed maps read
+    back as rows of integers; both meet packed_map's no-carry bound."""
     field = PrimeField(q)
     rng = random.Random(n)
     code = RsCode(field, k, rng.sample(range(q), n))
     assert_code_maps_fit(code)
     interpolation = list(zip(*oracles.map_digits(code.interpolation)))
-    evaluation = list(zip(*oracles.map_digits(code.evaluation)))
+    evaluation = list(zip(*oracles.map_digits(served_map(code, 1, 1))))
     for _ in range(20):
         word = [rng.randrange(q) for _ in range(n)]
         got = P.normalize(sum(map(mul, word, row)) % q
@@ -214,16 +216,18 @@ def test_code_tables_match_reference(q, n, k):
                                      (31, 1, 1), (31, 9, 4), (31, 31, 10)))
 def test_rs_products_match_reference(q, n, k):
     """rs_interpolate is the textbook interpolant through the code's
-    points, and rs_evaluate the textbook evaluation, padding included."""
+    points, and a product with the evaluation map at them, served_map's
+    one word, the textbook evaluation, padding included."""
     field = PrimeField(q)
     rng = random.Random(q * n + k)
     code = RsCode(field, k, rng.sample(range(q), n))
+    evaluation = served_map(code, 1, 1)
     for _ in range(25):
         word = [rng.randrange(q) for _ in range(n)]
         assert rs_interpolate(code, word) == oracles.interpolate(
             field, zip(code.omega, word))
         msg = [rng.randrange(q) for _ in range(rng.randrange(k + 1))]
-        assert rs_evaluate(code, msg) == tuple(
+        assert packed_product(evaluation, msg) == list(
             oracles.poly_eval(field, P.normalize(msg), w) for w in code.omega)
 
 
@@ -235,12 +239,14 @@ def test_packed_products_hold_at_the_carry_boundary(q, n, k):
     are largest: words whose symbols are all q - 1 and messages of full
     length k with every coefficient q - 1, then seeded random words. The
     shapes are GF(2) at n = 1 and 2, the trace and folded benchmark codes,
-    and GF(2^32 + 15), whose digits are wider than 64 bits. Both of the
-    code's maps meet packed_map's no-carry bound."""
+    and GF(2^32 + 15), whose digits are wider than 64 bits. The code's
+    interpolation map and the evaluation map at its points meet
+    packed_map's no-carry bound."""
     field = PrimeField(q)
     rng = random.Random(n * k)
     code = RsCode(field, k, [q - 1] + rng.sample(range(q - 1), n - 1))
     assert_code_maps_fit(code)
+    evaluation = served_map(code, 1, 1)
     words = [[q - 1] * n] + [[rng.randrange(q) for _ in range(n)]
                              for _ in range(10)]
     messages = [[q - 1] * k] + [[rng.randrange(q) for _ in range(k)]
@@ -248,7 +254,7 @@ def test_packed_products_hold_at_the_carry_boundary(q, n, k):
     for word, msg in zip(words, messages):
         assert rs_interpolate(code, word) == oracles.interpolate(
             field, zip(code.omega, word))
-        assert rs_evaluate(code, msg) == tuple(
+        assert packed_product(evaluation, msg) == list(
             oracles.poly_eval(field, P.normalize(msg), w) for w in code.omega)
 
 
@@ -325,7 +331,7 @@ def test_shipped_codes_leave_digits_room(path):
         4 if cfg.__class__.__name__ == "TsConfig" else 3)
     for code in codes:
         assert_code_maps_fit(code)
-        maps += [code.interpolation, code.evaluation]
+        maps += [code.interpolation, served_map(code, 1, 1)]
     for pmap in maps:
         assert oracles.largest_digit_sum(pmap) < 2 ** pmap.width
 
@@ -466,19 +472,11 @@ def test_rs_code_validation():
         RsCode(F13, 1, (0, 13))        # point outside the field
 
 
-def test_rs_encode_examples():
-    """rs_evaluate, the one RS encoder, pads a short message with zeros."""
-    code = RsCode(F13, 2, (0, 1, 2))
-    assert rs_evaluate(code, (1, 2)) == (1, 3, 5)
-    assert rs_evaluate(code, ()) == (0, 0, 0)
-    assert rs_evaluate(code, (0, 0)) == (0, 0, 0)
-
-
 def test_rs_encode_checks_trailing_coefficients():
-    """rs_evaluate checks nothing; a message is checked where it enters, by
-    a config's encode. A zero-valued bool or float among the trailing
-    coefficients of a folded config's message, the coefficients of its RS
-    message polynomial, is still not a symbol."""
+    """A message is checked where it enters, by a config's encode. A
+    zero-valued bool or float among the trailing coefficients of a folded
+    config's message, the coefficients of its RS message polynomial, is
+    still not a symbol."""
     cfg = frs_make_config(4, 1, 2, Fraction(1, 2))
     for message in ((1, 0.0), (1, False), (0.0, 0), (False, 0)):
         with pytest.raises(ValueError, match="not a canonical element"):
@@ -490,7 +488,7 @@ def test_rs_encode_mds_injectivity():
     code = RsCode(F5, 2, tuple(range(4)))
     words = {}
     for msg in itertools.product(range(5), repeat=2):
-        word = rs_evaluate(code, msg)
+        word = oracles.rs_evaluate(code, msg)
         for other, prior in words.items():
             dist = sum(1 for x, y in zip(word, prior) if x != y)
             assert dist >= code.n - code.k + 1, (msg, other)
@@ -500,7 +498,7 @@ def test_rs_encode_mds_injectivity():
 def test_rs_decode_error_free():
     code = RsCode(F13, 3, tuple(range(7)))
     msg = (4, 0, 9)
-    h, errs = decode_word(code, rs_evaluate(code, msg))
+    h, errs = decode_word(code, oracles.rs_evaluate(code, msg))
     assert h == P.normalize(msg) and errs == frozenset()
 
 
@@ -513,7 +511,7 @@ def test_rs_decode_repetition_example():
 def test_rs_decode_reports_positions():
     code = RsCode(F13, 2, tuple(range(7)))
     msg = (3, 11)
-    word = list(rs_evaluate(code, msg))
+    word = list(oracles.rs_evaluate(code, msg))
     word[1] = (word[1] + 5) % 13
     word[6] = (word[6] + 1) % 13
     h, errs = decode_word(code, tuple(word))
@@ -539,7 +537,7 @@ def test_rs_decode_matches_bruteforce_sampled():
     random.seed(5)
     for _ in range(300):
         msg = tuple(random.randrange(13) for _ in range(2))
-        word = list(rs_evaluate(code, msg))
+        word = list(oracles.rs_evaluate(code, msg))
         for pos in random.sample(range(8), random.randrange(5)):
             word[pos] = (word[pos] + random.randrange(1, 13)) % 13
         received = tuple(word)
@@ -562,7 +560,7 @@ def test_rs_decode_never_exceeds_radius():
             h, errs = decode_word(code, received)
         except DecodeFailure:
             continue
-        word = rs_evaluate(code, h)
+        word = oracles.rs_evaluate(code, h)
         dist = sum(1 for x, y in zip(word, received) if x != y)
         assert dist <= code.radius and len(errs) == dist
 
@@ -570,14 +568,14 @@ def test_rs_decode_never_exceeds_radius():
 def test_rs_decode_degenerate_zero_radius():
     code = RsCode(F13, 3, (0, 1, 2))
     msg = (1, 4, 2)
-    h, errs = decode_word(code, rs_evaluate(code, msg))
+    h, errs = decode_word(code, oracles.rs_evaluate(code, msg))
     assert h == msg and errs == frozenset()
 
 
 def test_rs_decode_reuses_the_master_polynomial(polyring_calls, rs_calls,
                                                 rs_codes_built):
-    """RsCode builds its master polynomial and its interpolation and
-    evaluation tables once; a decode must not rebuild any of them, build
+    """RsCode builds its master polynomial, its interpolation table and
+    its Euclid start once; a decode must not rebuild any of them, build
     another code or evaluate a polynomial."""
     cfg = config_from_dict(load_json(str(CONFIG_DIR / "frs-p37-n8-k3.json")))
     code = cfg.served_code
@@ -586,7 +584,7 @@ def test_rs_decode_reuses_the_master_polynomial(polyring_calls, rs_calls,
                            "poly_gcd")
     roots = rs_calls("poly_from_roots")
     msg = tuple(range(1, code.k + 1))
-    received = list(rs_evaluate(code, msg))
+    received = list(oracles.rs_evaluate(code, msg))
     for i in range(code.radius):
         received[2 * i] = (received[2 * i] + 1) % cfg.field.q
     h, errs = decode_word(code, received)
@@ -596,12 +594,35 @@ def test_rs_decode_reuses_the_master_polynomial(polyring_calls, rs_calls,
 
 @pytest.mark.parametrize("q, n", ((2, 1), (13, 13), (31, 30)))
 def test_rs_code_builds_its_master_once(q, n, rs_calls):
-    """The Lagrange table is derived from the code's own master polynomial,
-    so a code multiplies out its points exactly once."""
+    """The Lagrange table and the Euclid start are derived from the code's
+    own master polynomial, so a code multiplies out its points exactly
+    once; the Euclid start packs that polynomial above the radius + 1
+    digits of its zero cofactor."""
     calls = rs_calls("poly_from_roots")
     code = RsCode(PrimeField(q), 1, range(n))
     assert calls == ["poly_from_roots"]
-    assert code.master == rs_module.poly_from_roots(code.field, code.omega)
+    master = rs_module.poly_from_roots(code.field, code.omega)
+    width = code.decode_width
+    assert code.decode_master == _pack(master, width // 8) << (
+        code.radius + 1) * width
+
+
+def test_codes_and_configs_build_only_the_maps_they_apply(rs_calls):
+    """Every packed map is built once, where its layout is fixed, and only
+    if something applies it: an RsCode packs its interpolation map alone;
+    a folded config its encode, download and transmit maps (transmit_map
+    is also its decode_map) and its served code's; a trace config its
+    encode, download, transmit and decode maps, its served code's and the
+    anchor code's its decode table is read through."""
+    calls = rs_calls("packed_map")
+    RsCode(F13, 2, range(6))
+    assert len(calls) == 1
+    calls.clear()
+    frs_make_config(12, 3, 4, Fraction(1, 2))
+    assert len(calls) == 4
+    calls.clear()
+    ts_make_config(31, 30, 4, 4, 2)
+    assert len(calls) == 6
 
 
 # The configs whose RS codes the schemes decode with: the benchmark's trace
@@ -635,8 +656,8 @@ def test_packed_decoder_matches_the_scalar_euclid(name):
     words = [[0] * n]
     for weight in range(n + 1):
         for _ in range(4):
-            word = list(rs_evaluate(code, [rng.randrange(q)
-                                           for _ in range(code.k)]))
+            word = list(oracles.rs_evaluate(code, [
+                rng.randrange(q) for _ in range(code.k)]))
             for pos in rng.sample(range(n), weight):
                 word[pos] = (word[pos] + rng.randrange(1, q)) % q
             words.append(word)
@@ -662,7 +683,8 @@ def euclid_digits(code, received):
     q, n, k, t = code.field.q, code.n, code.k, code.radius
     cap = 2 ** code.decode_width
     r1 = rs_interpolate(code, received)
-    pair0, pair1 = [0] * (t + 1) + list(code.master), [1] + [0] * t + list(r1)
+    master = rs_module.poly_from_roots(code.field, code.omega)
+    pair0, pair1 = [0] * (t + 1) + list(master), [1] + [0] * t + list(r1)
     largest = max(pair0 + pair1)
     a0 = a1 = spread = q - 1
     reductions = 0
@@ -752,9 +774,10 @@ def test_packed_decoder_holds_at_the_carry_boundary(q, n, k, monkeypatch):
     if q > 2 ** 32:
         assert code.decode_width > 64
     full_code = RsCode(field, n, code.omega)
-    words = [[q - 1] * n, rs_evaluate(full_code, [q - 1] * n)]
+    words = [[q - 1] * n, oracles.rs_evaluate(full_code, [q - 1] * n)]
     for _ in range(2):
-        word = list(rs_evaluate(code, [rng.randrange(q) for _ in range(k)]))
+        word = list(oracles.rs_evaluate(
+            code, [rng.randrange(q) for _ in range(k)]))
         for pos in rng.sample(range(n), t):
             word[pos] = (word[pos] + rng.randrange(1, q)) % q
         words += [word, [rng.randrange(q) for _ in range(n)]]
@@ -793,7 +816,7 @@ def test_served_trace_code_decodes_on_64_bit_digits(rs_calls):
         for _ in range(5):
             message = tuple(rng.randrange(q) for _ in range(k - 1)) + (
                 rng.randrange(1, q),)
-            word = list(rs_evaluate(code, message))
+            word = list(oracles.rs_evaluate(code, message))
             support = rng.sample(range(n), weight)
             for pos in support:
                 word[pos] = (word[pos] + rng.randrange(1, q)) % q
@@ -812,8 +835,9 @@ def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
     makes no other product: with no tail to read, nothing is re-encoded.
     Each of those words with one symbol changed is no codeword, so it
     takes the Euclid path: it fails where the radius is 0 and otherwise
-    re-encodes, with one product with a map of code.evaluation's digits
-    after the interpolation, and reports the changed position, as the
+    re-encodes, with one product with a map of the digits of the
+    evaluation map at the points, served_map's one word, after the
+    interpolation, and reports the changed position, as the
     scalar Euclid decoder does."""
     field = PrimeField(q)
     rng = random.Random(q * n + k)
@@ -827,7 +851,7 @@ def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
         return original(pmap, symbols)
 
     for message in messages:
-        word = list(rs_evaluate(code, message))
+        word = list(oracles.rs_evaluate(code, message))
         assert oracles.rs_decode_euclid(code, word) == (message, frozenset())
         monkeypatch.setattr(rs_module, "packed_product", counting)
         products.clear()
@@ -847,7 +871,7 @@ def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
             interpolation, reencode = products
             assert interpolation is code.interpolation
             assert oracles.map_digits(reencode) == oracles.map_digits(
-                code.evaluation)
+                served_map(code, 1, 1))
         else:
             assert isinstance(got, str)
 
@@ -885,8 +909,8 @@ def test_decode_columns_reads_words_across_columns():
     height, or a column count that does not divide n, raise ValueError."""
     code = RsCode(F13, 2, range(12))
     rng = random.Random(12)
-    words = [list(rs_evaluate(code, [rng.randrange(13) for _ in range(2)]))
-             for _ in range(2)]
+    words = [list(oracles.rs_evaluate(
+        code, [rng.randrange(13) for _ in range(2)])) for _ in range(2)]
     words[0][3] = (words[0][3] + 1) % 13
     words[1][10] = (words[1][10] + 5) % 13
     columns = [words[0][2 * i:2 * i + 2] + words[1][2 * i:2 * i + 2]
@@ -944,7 +968,7 @@ def test_rs_erasure_decode():
     whether or not the punctured code could correct it."""
     code = RsCode(F13, 3, tuple(range(8)))
     msg = (2, 0, 7)
-    word = rs_evaluate(code, msg)
+    word = oracles.rs_evaluate(code, msg)
     # any k clean positions suffice
     h = erasure_decode(code, [(5, word[5]), (0, word[0]), (3, word[3])])
     assert h == msg
@@ -975,7 +999,7 @@ def test_rs_erasure_all_k_subsets():
     """Recovery from every k-subset of coordinates, exhaustively."""
     code = RsCode(F13, 3, tuple(range(6)))
     msg = (9, 1, 12)
-    word = rs_evaluate(code, msg)
+    word = oracles.rs_evaluate(code, msg)
     for subset in itertools.combinations(range(6), 3):
         pairs = [(pos, word[pos]) for pos in subset]
         assert erasure_decode(code, pairs) == msg
@@ -983,7 +1007,7 @@ def test_rs_erasure_all_k_subsets():
 
 def test_bruteforce_radius_edges():
     code = RsCode(F5, 1, tuple(range(4)))
-    word = rs_evaluate(code, (3,))
+    word = oracles.rs_evaluate(code, (3,))
     assert nearest_codeword_bruteforce(code, word, 0) == [((3,), 0)]
     everything = nearest_codeword_bruteforce(code, word, 4)
     assert len(everything) == 5
@@ -993,9 +1017,10 @@ def test_bruteforce_radius_edges():
 
 
 def test_nearest_bruteforce_runs_no_field_arithmetic(monkeypatch):
-    """The oracle encodes each candidate through the code's evaluation
-    table: no GF(q) arithmetic method runs, and it finds what the
-    per-position definition of distance finds."""
+    """The oracle encodes each candidate through one evaluation map at the
+    code's points, served_map's one word: no GF(q) arithmetic method
+    runs, and it finds what the per-position definition of distance
+    finds."""
     code = RsCode(F13, 2, (0, 1, 2, 3, 5))
     received = (1, 3, 0, 7, 9)
     calls = []

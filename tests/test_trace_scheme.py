@@ -14,7 +14,7 @@ from fracdec.arraycode import DownloadBundle, ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure
 from fracdec.fields import ExtField
 from fracdec.harness import compare_naive
-from fracdec.rs import decode_columns, rs_evaluate
+from fracdec.rs import decode_columns
 from fracdec.serialization import config_from_dict, load_json
 from fracdec import rs as rs_module
 from fracdec.trace_scheme import ts_full_pipeline, ts_make_config
@@ -334,10 +334,10 @@ def test_peel_is_exact_beyond_the_radius(params):
     A decode raises exactly when a stream decode fails or the union of
     their corrected columns exceeds the radius. Otherwise the peel inverts
     whatever they returned: the message's clean download streams are
-    rs_evaluate(g_j), and the corrected columns are the union, which is where
-    those downloads differ from the received ones. Inputs are random
-    downloads and words corrupted in radius+1..n columns, a third of them
-    by copying the columns of another codeword."""
+    the evaluations of g_j at the points, and the corrected columns are
+    the union, which is where those downloads differ from the received
+    ones. Inputs are random downloads and words corrupted in radius+1..n
+    columns, a third of them by copying the columns of another codeword."""
     cfg = ts_make_config(*params)
     counts = {"stream": 0, "union": 0, "returned": 0}
     for trial in range(200):
@@ -380,8 +380,8 @@ def test_peel_is_exact_beyond_the_radius(params):
         decoded, corrected = cfg.decode(bundle.per_column)
         clean = cfg.download(cfg.encode(decoded)).per_column
         for j, ((g_j,), _) in enumerate(decoded_streams):
-            assert tuple(c[j] for c in clean) == rs_evaluate(cfg.served_code,
-                                                             g_j)
+            assert tuple(c[j] for c in clean) == oracles.rs_evaluate(
+                cfg.served_code, g_j)
         assert corrected == union == differing_columns(
             cfg, decoded, bundle.per_column)
         counts["returned"] += 1
@@ -461,8 +461,7 @@ def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
     every stream and reads the message digits too: the peel runs when the
     config is built, not per decode. Every product is counted by its
     map: the inner code's interpolation once per stream, then
-    cfg.decode_map exactly once, last, and never the inner code's
-    evaluation map."""
+    cfg.decode_map exactly once, last, and no other map."""
     cfg = shipped_config(name)
     stream = trial_stream(48, cfg.radius, 0)
     message = random_message(cfg, stream)
@@ -513,7 +512,7 @@ def test_encode_table_is_projection_then_evaluation(name):
         message = tuple(cfg.ext.from_vec(digits[t:t + cfg.l])
                         for t in range(0, len(digits), cfg.l))
         assert cfg.encode(message) == tuple(zip(*(
-            rs_evaluate(cfg.served_code, h)
+            oracles.rs_evaluate(cfg.served_code, h)
             for h in ts_project_polys(cfg, message))))
 
 
@@ -550,7 +549,7 @@ def test_decode_table_matches_the_scalar_peel(name):
         for e in range(cfg.m * size)]
     for coeffs in inputs:
         streams = [coeffs[j * size:(j + 1) * size] for j in range(cfg.m)]
-        rows = [rs_evaluate(cfg.served_code, g) for g in streams]
+        rows = [oracles.rs_evaluate(cfg.served_code, g) for g in streams]
         assert cfg.decode(tuple(zip(*rows))) == (
             oracles.ts_peel(cfg, streams), frozenset())
 

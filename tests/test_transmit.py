@@ -99,8 +99,8 @@ def matrix(pmap):
 def test_transmit_map_is_download_after_encode(name):
     """Entry (r, c) of transmit_map is the sum over stored symbols s of
     download entry (r, s) times encode entry (s, c), mod q; for a folded
-    config that is served_code's evaluation map itself, and the config's
-    decode_map is the very same object."""
+    config that is the evaluation map at served_code's points, served_map's
+    one word, and the config's decode_map is the very same object."""
     cfg = CONFIGS[name]()
     q = cfg.symbol_field.q
     download, encode = matrix(cfg.download_map), matrix(cfg.encode_map)
@@ -110,7 +110,7 @@ def test_transmit_map_is_download_after_encode(name):
     assert matrix(cfg.transmit_map) == composed
     if cfg.scheme == "frs":
         assert oracles.map_digits(cfg.transmit_map) == oracles.map_digits(
-            cfg.served_code.evaluation)
+            rs.served_map(cfg.served_code, 1, 1))
         assert cfg.decode_map is cfg.transmit_map
 
 
@@ -160,8 +160,7 @@ def test_pipeline_never_forms_the_stored_word(name, monkeypatch):
     interpolation per served word, then exactly one with cfg.decode_map,
     which a folded pipeline skips only when its word is a codeword, for
     its map has no tail to read. So none is with download_map or
-    encode_map, none has n*l outputs, and none is with served_code's
-    evaluation map."""
+    encode_map, and none has n*l outputs."""
     cfg = CONFIGS[name]()
     products, sums = [], []
     originals = {"packed_product": rs.packed_product,
@@ -198,4 +197,3 @@ def test_pipeline_never_forms_the_stored_word(name, monkeypatch):
             [code.interpolation] * words + decodes)))
         for pmap, *_ in products:
             assert pmap.outputs != cfg.n * cfg.l
-            assert pmap is not code.evaluation
