@@ -8,7 +8,11 @@ received word, run the partial GCD against the master root polynomial
 until the remainder degree drops below (n + k) / 2, and read the message
 off the quotient. The Euclid run and the quotient are computed on packed
 integers too (see `_quotient`): a remainder and its cofactor share one
-integer, so each quotient term is one multiply-add.
+integer, so each quotient term is one multiply-add, and where a proven
+bound on the digits would reach the digit width, the run folds every
+digit of both pairs in a few big-integer operations, mapping
+hi * 2^s + lo to hi * (2^s mod q) + lo, and reduces each digit mod q only
+where no fold makes room.
 
 Every GF(q)-linear map the package applies is one `PackedMap`: each
 column of its matrix is packed into one integer whose fixed-width digits
@@ -26,13 +30,14 @@ it once on all its unit inputs together.
 `RsCode` builds only what its decoder reads, once: the `interpolation`
 map through its points, whose Lagrange columns come from synthetic
 division of its master polynomial and which `rs_interpolate` applies for
-the whole package, and the start of its packed Euclid run. Every
-evaluation map is built once, where its layout is fixed. Each scheme
-config (`arraycode.ArrayConfig`) packs its maps at set-up: `encode_map`
+the whole package, and the start and tables of its packed Euclid run:
+truncation masks, folds and, for small q, inverses. Every evaluation map
+is built once, where its layout is fixed. Each scheme config
+(`arraycode.ArrayConfig`) packs its maps at set-up: `encode_map`
 (message to stored symbols), `download_map` (stored to served symbols)
-and `transmit_map` (message straight to served symbols), the last two
-at one width, so that a pipeline serves a message and its error offsets
-in one `packed_sum`; and `decode_map` (see `served_map`), from decoded
+and `transmit_map` (message straight to served symbols), the last two at
+one width, so that a pipeline serves a message and its error offsets in
+one `packed_sum`; and `decode_map` (see `served_map`), from decoded
 words to their re-encoded served symbols and, for the trace config, on
 to the message digits. `decode_columns` and the nearest-codeword oracle
 in `bounds` each build one `served_map` per call. `RsCode` is a frozen
@@ -83,6 +88,11 @@ from .records import Record
 # struct codes of the unsigned digits rs packs in C, by width in bits
 _FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
+# The largest q whose code keeps a table of inverses for its Euclid run: a
+# lookup costs a small fraction of pow(x, -1, q), and the table holds at
+# most this many entries, one multiply and two divisions each to build.
+_INVERSE_LIMIT = 1 << 9
+
 
 class RsCode(Record):
     """An (n, k) Reed-Solomon code over the prime field `field` with
@@ -105,13 +115,24 @@ class RsCode(Record):
         (q - 1) * (1 + max(t + 1, k) * (q - 1)) < 2^64.
     decode_master: the Euclid run's start, master packed at decode_width
         above t + 1 zero digits (its cofactor, 0).
+    decode_keep: the run's truncation masks; entry j keeps the t + 1
+        cofactor digits and the j lowest remainder digits of a pair,
+        j < n.
+    decode_folds: the run's folds (see `_quotient`), only at that capped
+        width of 64: one for each s of 32, 16 and 8 with q < 2^s,
+        (s, 2^s mod q, a mask of the s low bits of each of n + t + 2
+        digits, a mask of the 64 - s low bits of each); otherwise empty.
+    decode_inverses: the inverses mod q, entry x of x (0 at 0), for
+        q <= _INVERSE_LIMIT; None above it, where the run calls pow.
     Only `rs_interpolate` applies the map, and only `_quotient` reads the
-    decode fields.
+    decode fields. The tables beyond the map take O(n^2) words at most:
+    n masks of at most n + t + 2 digits, at most six of n + t + 2 and at
+    most _INVERSE_LIMIT inverses.
     """
 
     _fields = ("field", "k", "omega")
-    __slots__ = _fields + ("interpolation", "decode_width",
-                           "decode_master")
+    __slots__ = _fields + ("interpolation", "decode_width", "decode_master",
+                           "decode_keep", "decode_folds", "decode_inverses")
 
     def __init__(self, field, k, omega):
         omega = tuple(omega)
@@ -141,14 +162,21 @@ class RsCode(Record):
             lagrange.append([c * scale % q for c in quotient])
         t = (n - k) // 2
         bits = ((k + 1) * (q - 1) * (2 * q - 1) ** t).bit_length()
-        if bits > 64 and ((q - 1) * (1 + max(t + 1, k) * (q - 1))
-                          ).bit_length() <= 64:
-            bits = 64
-        decode_size = _digit_bytes(bits)
+        capped = bits > 64 and ((q - 1) * (1 + max(t + 1, k) * (q - 1))
+                                ).bit_length() <= 64
+        width = 64 if capped else 8 * _digit_bytes(bits)
+        low = (t + 1) * width
         self._set(interpolation=packed_map(q, lagrange),
-                  decode_width=8 * decode_size,
-                  decode_master=_pack(master, decode_size)
-                  << (t + 1) * 8 * decode_size)
+                  decode_width=width,
+                  decode_master=_pack(master, width // 8) << low,
+                  decode_keep=tuple((1 << low + j * width) - 1
+                                    for j in range(n)),
+                  decode_folds=tuple(
+                      (s, pow(2, s, q), _digit_mask(s, n + t + 2),
+                       _digit_mask(64 - s, n + t + 2))
+                      for s in (32, 16, 8) if capped and q < 1 << s),
+                  decode_inverses=_inverses(q) if q <= _INVERSE_LIMIT
+                  else None)
 
     @property
     def n(self):
@@ -189,6 +217,23 @@ def _digit_bytes(bits):
     struct reads and writes it, or past 8 the least whole number."""
     size = -(-bits // 8)
     return 1 << (size - 1).bit_length() if size < 8 else size
+
+
+def _digit_mask(bits, count):
+    """The mask of the `bits` low bits, a multiple of 8, of each of `count`
+    64-bit digits."""
+    return int.from_bytes(bytes(8 - bits // 8).rjust(8, b"\xff") * count,
+                          "little")
+
+
+def _inverses(q):
+    """The inverses mod the prime q as a tuple: entry x is the inverse of
+    x, and entry 0 is 0. Each entry comes from an earlier one, as
+    q = (q // x) x + q % x gives 1/x = -(q // x) / (q % x) mod q."""
+    inverses = [0, 1]
+    for x in range(2, q):
+        inverses.append(-(q // x) * inverses[q % x] % q)
+    return tuple(inverses)
 
 
 def _pack(values, size):
@@ -369,8 +414,9 @@ def _quotient(code, r1):
     the one multiply-add pair0 += (q - f) * pair1 << s * w, which leaves a
     digit congruent to 0 where the term cancelled. After each division the
     digits above the remainder's degree, all congruent to 0, are masked
-    off. The degree of v is the sum of the quotient degrees so far, at
-    most t (below), so v stays in its t + 1 digits.
+    off (`decode_keep`). The degree of v is the sum of the quotient
+    degrees so far, at most t (below), so v stays in its t + 1 digits.
+    Inverses come from `decode_inverses`, or pow above its q.
 
     No digit carries. Every addend is nonnegative, so each digit only
     grows, by at most (q - 1) times a digit of pair1 per term that reaches
@@ -379,9 +425,22 @@ def _quotient(code, r1):
     A_{i+1} = A_{i-1} + (d + 1)(q - 1) A_i. The v digits obey it from 0 and
     1, against A_0 = A_1 = q - 1, so they stay at most A / s, s = q - 1.
     The final division, of degree e < k, leaves digits at most
-    A + (e + 1)(q - 1) A / s. The run tracks A, and reduces every digit of
-    the pairs it divides mod q (one unpack, one repack) before a division
-    whose bound could reach 2^w, which sets A = q - 1 and s = 1.
+    A + (e + 1)(q - 1) A / s. The run tracks A for each pair, and before a
+    division whose bound could reach 2^w it makes room in the pairs it
+    divides, and sets s = 1:
+    - by folds, where their bounds leave room. The fold at b bits, one of
+      the code's `decode_folds` (b = 32, 16, 8 with q < 2^b), maps each
+      digit x = hi 2^b + lo, lo < 2^b, to hi c + lo, c = 2^b mod q, which
+      is congruent to x. As c < 2^b, the new digit is at most x, and at
+      most (A >> b) c + 2^b - 1 when x <= A; v digits, at most A / s <= A,
+      too. So after each fold in turn the pair's new A is the least of A
+      and that bound (`_fold_bound`), which the folds shrink from near 2^w
+      while q is small. A new digit and its term hi c stay at most the old
+      A < 2^w, so the packed fold carries nowhere: one shift and one mask
+      give every hi, one mask every lo, and one multiply by c and one add
+      join them (`_fold`).
+    - otherwise, by reducing every digit mod q (one unpack, one repack),
+      which sets A = q - 1.
 
     At the width of (k + 1)(q - 1)(2q - 1)^t that never happens: as
     A_{i-1} <= A_i and 1 + (d + 1)(q - 1) <= (2q - 1)^d, a division
@@ -389,39 +448,61 @@ def _quotient(code, r1):
     n minus the degree of the last divisor, at most
     n - ceil((n + k) / 2) = t; so A <= (q - 1)(2q - 1)^t and the final
     digits stay at most (k + 1) A. At 64 bits one division from reduced
-    digits fits (see `RsCode`), so a reduction always makes room.
+    digits fits (see `RsCode`), so an exact reduction always makes room,
+    and folds are taken only where they do: at q = 31 they take a bound
+    near 2^64 below 2^15, which leaves room for about eight more
+    divisions, but at q = 2^31 - 1 only below 2^34, and a division
+    multiplies it by about 2q, so that run reduces exactly.
     """
     n, k, q, width = code.n, code.k, code.field.q, code.decode_width
     mask, cap = (1 << width) - 1, 1 << width
+    keep, folds, inverses = (code.decode_keep, code.decode_folds,
+                             code.decode_inverses)
     low = (code.radius + 1) * width
     pair0, pair1 = code.decode_master, _pack(r1, width // 8) << low | 1
-    top0, top1, v_degree = n, len(r1) - 1, 0
+    top0, top1, lead, v_degree = n, len(r1) - 1, r1[-1], 0
     a0 = a1 = spread = q - 1
     while 2 * top1 >= n + k:
         d = top0 - top1
         grow = (d + 1) * (q - 1)
-        if a0 + grow * a1 >= cap:
-            pair0, pair1 = _reduce(pair0, width, q), _reduce(pair1, width, q)
-            a0, a1, spread = q - 1, q - 1, 1
-        inv = pow((pair1 >> low + top1 * width) % q, -1, q)
+        a2 = a0 + grow * a1
+        if a2 >= cap:
+            b0, b1 = _fold_bound(a0, folds), _fold_bound(a1, folds)
+            if b0 + grow * b1 < cap:
+                pair0, pair1, a0, a1 = (_fold(pair0, folds),
+                                        _fold(pair1, folds), b0, b1)
+            else:
+                pair0, pair1 = (_reduce(pair0, width, q),
+                                _reduce(pair1, width, q))
+                a0 = a1 = q - 1
+            a2, spread = a0 + grow * a1, 1
+        inv = inverses[lead] if inverses else pow(lead, -1, q)
+        at = low + top1 * width
         for s in range(d, -1, -1):
-            f = (pair0 >> low + (top1 + s) * width & mask) * inv % q
+            f = (pair0 >> at + s * width & mask) * inv % q
             if f:
                 pair0 += (q - f) * pair1 << s * width
-        a0, a1 = a1, a0 + grow * a1
+        a0, a1 = a1, a2
         v_degree += d
-        top0, top1 = top1, top1 - 1
-        while top1 >= 0 and not (pair0 >> low + top1 * width & mask) % q:
-            top1 -= 1
-        pair0, pair1 = pair1, pair0 & (1 << low + (top1 + 1) * width) - 1
+        top0, lead = top1, 0
+        while not lead and top1:
+            top1, at = top1 - 1, at - width
+            lead = (pair0 >> at & mask) % q
+        if not lead:
+            top1 = -1
+        pair0, pair1 = pair1, pair0 & keep[top1 + 1]
     if top1 < 0:
         return ()
     if not 0 <= top1 - v_degree < k:
         raise _no_codeword(code)
-    if a1 + (top1 - v_degree + 1) * (q - 1) * a1 // spread >= cap:
-        pair1 = _reduce(pair1, width, q)
-    r, v = pair1 >> low, pair1 & (1 << low) - 1
-    inv = pow((v >> v_degree * width) % q, -1, q)
+    grow = (top1 - v_degree + 1) * (q - 1)
+    if a1 + grow * a1 // spread >= cap:
+        b1 = _fold_bound(a1, folds)
+        pair1 = (_fold(pair1, folds) if b1 + grow * b1 < cap
+                 else _reduce(pair1, width, q))
+    r, v = pair1 >> low, pair1 & keep[0]
+    lead = (v >> v_degree * width) % q
+    inv = inverses[lead] if inverses else pow(lead, -1, q)
     quotient = []
     for s in range(top1 - v_degree, -1, -1):
         f = (r >> (v_degree + s) * width & mask) * inv % q
@@ -435,6 +516,23 @@ def _no_codeword(code):
     """The failure of a word with no codeword within the code's radius."""
     return DecodeFailure(
         f"no codeword within {code.radius} errors of the received word")
+
+
+def _fold_bound(bound, folds):
+    """The bound on the digits, at most `bound`, of a pair `_fold` folds:
+    each fold takes it to the least of itself and
+    (bound >> s) * (2^s mod q) + 2^s - 1."""
+    for shift, residue, _, _ in folds:
+        bound = min(bound, (bound >> shift) * residue + (1 << shift) - 1)
+    return bound
+
+
+def _fold(pair, folds):
+    """`pair` with each digit hi * 2^s + lo, lo < 2^s, mapped to
+    hi * (2^s mod q) + lo by each fold in turn."""
+    for shift, residue, lows, highs in folds:
+        pair = (pair >> shift & highs) * residue + (pair & lows)
+    return pair
 
 
 def _reduce(pair, width, q):

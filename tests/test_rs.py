@@ -671,23 +671,50 @@ def test_packed_decoder_matches_the_scalar_euclid(name):
 
 
 def euclid_digits(code, received):
-    """rs._decode_unique's packed run replayed on lists of exact digits: the
-    same multiply-adds at the same digit offsets, the same masking, and the
-    same reductions of every digit mod q, taken where the decoder's
-    tracked bound A would reach 2^decode_width, but no digit has a width
-    to carry out of. After each division every r digit is at most A and
-    every v digit at most A / s, the bounds rs._decode_unique proves.
-    Returns the message polynomial, or None where the decoder fails before
-    its re-encode check, the largest digit the run held, and the number of
-    pairs it reduced."""
+    """rs._quotient's packed run replayed on lists of exact digits: the
+    same multiply-adds at the same digit offsets, the same masking, and,
+    where the decoder's tracked bound A would reach 2^decode_width, the
+    same room made, but on digits that have no width to carry out of:
+    each digit folded, x -> (x >> b) * (2^b mod q) + (x mod 2^b) for b =
+    32, 16 and 8 with q < 2^b in turn, where the bounds that leaves fit
+    the next division, and otherwise reduced mod q. After each division
+    every r digit is at most A and every v digit at most A / s, and after
+    each fold every digit at most the folded bound: the bounds
+    rs._quotient proves. Returns the message polynomial, or None where
+    the decoder fails before its re-encode check, the largest digit the
+    run held, and the run's events in order: "divide" for each division,
+    the final one too, and "fold" or "reduce" for each pair made room
+    in."""
     q, n, k, t = code.field.q, code.n, code.k, code.radius
     cap = 2 ** code.decode_width
+    full = (k + 1) * (q - 1) * (2 * q - 1) ** t
+    shifts = [b for b in (32, 16, 8) if q < 2 ** b] if full >= 2 ** 64 else []
     r1 = rs_interpolate(code, received)
     master = rs_module.poly_from_roots(code.field, code.omega)
     pair0, pair1 = [0] * (t + 1) + list(master), [1] + [0] * t + list(r1)
     largest = max(pair0 + pair1)
     a0 = a1 = spread = q - 1
-    reductions = 0
+    events = []
+
+    def fold_bound(bound):
+        for b in shifts:
+            bound = min(bound, (bound >> b) * (2 ** b % q) + 2 ** b - 1)
+        return bound
+
+    def fold(pair, bound):
+        for b in shifts:
+            pair = [(c >> b) * (2 ** b % q) + c % 2 ** b for c in pair]
+        assert max(pair) <= bound
+        return pair
+
+    def make_room(pairs, bounds, grow):
+        """The pairs folded or reduced, their bounds and the one event."""
+        folded = [fold_bound(bound) for bound in bounds]
+        if folded[0] + grow * folded[-1] < cap:
+            return ([fold(p, b) for p, b in zip(pairs, folded)], folded,
+                    "fold")
+        return ([[c % q for c in p] for p in pairs], [q - 1] * len(pairs),
+                "reduce")
 
     def multiply_add(acc, factor, addend, shift):
         acc.extend([0] * (len(addend) + shift - len(acc)))
@@ -702,16 +729,19 @@ def euclid_digits(code, received):
     top0, top1, v_degree = n, len(r1) - 1, 0
     while 2 * top1 >= n + k:
         d = top0 - top1
-        if a0 + (d + 1) * (q - 1) * a1 >= cap:
-            pair0, pair1 = [c % q for c in pair0], [c % q for c in pair1]
-            a0, a1, spread = q - 1, q - 1, 1
-            reductions += 2
+        grow = (d + 1) * (q - 1)
+        if a0 + grow * a1 >= cap:
+            (pair0, pair1), (a0, a1), event = make_room(
+                (pair0, pair1), (a0, a1), grow)
+            spread = 1
+            events += [event] * 2
+        events.append("divide")
         inv = pow(pair1[t + 1 + top1] % q, q - 2, q)
         for s in range(d, -1, -1):
             f = pair0[t + 1 + top1 + s] * inv % q
             if f:
                 largest = max(largest, multiply_add(pair0, q - f, pair1, s))
-        a0, a1 = a1, a0 + (d + 1) * (q - 1) * a1
+        a0, a1 = a1, a0 + grow * a1
         assert_within(pair0, a1)
         v_degree += d
         top0, top1 = top1, top1 - 1
@@ -719,15 +749,16 @@ def euclid_digits(code, received):
             top1 -= 1
         pair0, pair1 = pair1, pair0[:t + 2 + top1]
     if top1 < 0:
-        return (), largest, reductions
+        return (), largest, events
     if not 0 <= top1 - v_degree < k:
-        return None, largest, reductions
-    bound = a1 + (top1 - v_degree + 1) * (q - 1) * a1 // spread
-    if bound >= cap:
-        pair1 = [c % q for c in pair1]
-        a1, spread = q - 1, 1
-        bound = a1 + (top1 - v_degree + 1) * (q - 1) * a1
-        reductions += 1
+        return None, largest, events
+    grow = (top1 - v_degree + 1) * (q - 1)
+    if a1 + grow * a1 // spread >= cap:
+        (pair1,), (a1,), event = make_room((pair1,), (a1,), grow)
+        spread = 1
+        events.append(event)
+    events.append("divide")
+    bound = a1 + grow * a1 // spread
     r, v = pair1[t + 1:], pair1[:t + 1]
     inv = pow(v[v_degree] % q, q - 2, q)
     quotient = []
@@ -738,28 +769,49 @@ def euclid_digits(code, received):
             largest = max(largest, multiply_add(r, q - f, v, s))
     assert max(r) <= bound
     if any(c % q for c in r[:v_degree]):
-        return None, largest, reductions
-    return tuple(reversed(quotient)), largest, reductions
+        return None, largest, events
+    return tuple(reversed(quotient)), largest, events
+
+
+class InverseLog:
+    """An inverse table, for any q, that logs "divide" at each lookup: the
+    packed Euclid run makes one per division, the final one too."""
+
+    def __init__(self, q, log):
+        self.q, self.log = q, log
+
+    def __getitem__(self, x):
+        self.log.append("divide")
+        return pow(x, -1, self.q)
 
 
 @pytest.mark.parametrize("q, n, k", ((2, 1, 1), (2, 2, 1), (2, 2, 2),
                                      (4294967311, 5, 1), (4294967311, 5, 3),
                                      (31, 30, 8), (257, 128, 32),
-                                     (257, 256, 128), (257, 256, 16)))
+                                     (257, 256, 128), (257, 256, 16),
+                                     (65537, 256, 16), (2147483647, 7, 3)))
 def test_packed_decoder_holds_at_the_carry_boundary(q, n, k, monkeypatch):
     """No digit of the packed Euclid run reaches 2^decode_width. Up to 64
     bits, or where one division from reduced digits does not fit 64 bits,
-    the width meets the bound rs._decode_unique proves, so the run never
-    reduces its digits; otherwise the run has 64-bit digits and reduces
-    where its tracked bound says. A replay of the run on exact digits, reducing
-    where the decoder does, stays below 2^decode_width and within the
-    tracked bounds, and the decoder reduces as many pairs as the replay.
+    the width meets the bound rs._quotient proves, so the run never makes
+    room; otherwise the run has 64-bit digits and folds or reduces where
+    its tracked bound says. A replay of the run on exact digits stays
+    below 2^decode_width and within the tracked bounds, and the decoder's
+    divisions, folds and exact reductions come in the replay's order: it
+    makes room at exactly the divisions where the bound would reach
+    2^decode_width, and folds and reduces as many pairs as the replay.
+    Folds make room at every q up to 2^16 + 1 here; at q = 2^31 - 1 only
+    the exact reduction does, and its decodes still match the scalar
+    Euclid's. (A trigger of `> 2^w` in place of `>= 2^w` differs only
+    where the bound is exactly 2^w, which no run here reaches: before any
+    fold it is q - 1 times an odd number.)
     The words are all q - 1, the word whose interpolant has every
     coefficient q - 1, codewords hit at the radius and random words; the
-    shapes are GF(2) at n = 1 and 2, GF(2^32 + 15), whose
-    digits stay wider than 64 bits, the (30, 8) code over GF(31), whose
-    bound of 74 bits puts it on 64-bit digits, and long codes over
-    GF(257), whose runs are 48, 64 and 120 steps long and reduce."""
+    shapes are GF(2) at n = 1 and 2, GF(2^32 + 15), whose digits stay
+    wider than 64 bits, the (30, 8) code over GF(31), whose bound of 74
+    bits puts it on 64-bit digits, long codes over GF(257) and GF(65537),
+    whose runs are 48, 64 and 120 steps long, and the (7, 3) code over
+    GF(2^31 - 1)."""
     field = PrimeField(q)
     rng = random.Random(n * k)
     code = RsCode(field, k, [q - 1] + rng.sample(range(q - 1), n - 1))
@@ -781,36 +833,47 @@ def test_packed_decoder_holds_at_the_carry_boundary(q, n, k, monkeypatch):
         for pos in rng.sample(range(n), t):
             word[pos] = (word[pos] + rng.randrange(1, q)) % q
         words += [word, [rng.randrange(q) for _ in range(n)]]
-    calls = []
-    reduce = rs_module._reduce
-    monkeypatch.setattr(rs_module, "_reduce",
-                        lambda *args: calls.append(args) or reduce(*args))
-    reduced = 0
+    log = []
+    object.__setattr__(code, "decode_inverses", InverseLog(q, log))
+    for name in ("_fold", "_reduce"):
+        original = getattr(rs_module, name)
+        monkeypatch.setattr(rs_module, name,
+                            lambda *args, _name=name[1:], _original=original:
+                            log.append(_name) or _original(*args))
+    folded = reduced = 0
     for word in words:
-        calls.clear()
+        log.clear()
         got = decode_outcome(decode_word, code, word)
         assert got == decode_outcome(oracles.rs_decode_euclid, code, word)
-        message, largest, reductions = euclid_digits(code, word)
+        message, largest, events = euclid_digits(code, word)
         assert largest < 2 ** code.decode_width
-        assert len(calls) == reductions
+        codeword = len(rs_interpolate(code, word)) <= k  # runs no Euclid
+        assert log == ([] if codeword else events)
         if isinstance(got, tuple):
             assert message == got[0]
-        reduced += reductions
-    assert bool(reduced) == capped
+        folded += events.count("fold")
+        reduced += events.count("reduce")
+    assert bool(folded or reduced) == capped
+    assert bool(reduced) == (q == 2 ** 31 - 1)
 
 
 def test_served_trace_code_decodes_on_64_bit_digits(rs_calls):
     """The (30, 8) code over GF(31) that ts_make_config(31, 30, 4, 4, 2)
     serves has a never-reduce bound of 74 bits, and one division from
     reduced digits fits 64, so its Euclid run uses 64-bit digits and
-    reduces them mod q on the way. Words hit at every weight 0..11 decode
-    to the planted message and report the hit positions."""
+    folds them on the way, never reducing them exactly: folds at 32, 16
+    and 8 bits take a bound near 2^64 below 2^15. Words hit at every
+    weight 0..11 decode to the planted message and report the hit
+    positions."""
     code = ts_make_config(31, 30, 4, 4, 2).served_code
     q, n, k, t = code.field.q, code.n, code.k, code.radius
     assert (q, n, k, t) == (31, 30, 8, 11)
     assert ((k + 1) * (q - 1) * (2 * q - 1) ** t).bit_length() == 74
     assert code.decode_width == 64
-    reductions = rs_calls("_reduce")
+    assert [fold[:2] for fold in code.decode_folds] == [(32, 4), (16, 2),
+                                                        (8, 8)]
+    assert rs_module._fold_bound(2 ** 64 - 1, code.decode_folds) < 2 ** 15
+    calls = rs_calls("_fold", "_reduce")
     rng = random.Random(3130)
     for weight in range(t + 1):
         for _ in range(5):
@@ -821,7 +884,7 @@ def test_served_trace_code_decodes_on_64_bit_digits(rs_calls):
             for pos in support:
                 word[pos] = (word[pos] + rng.randrange(1, q)) % q
             assert decode_word(code, word) == (message, frozenset(support))
-    assert reductions
+    assert "_fold" in calls and "_reduce" not in calls
 
 
 @pytest.mark.parametrize("q, n, k", ((2, 2, 1), (5, 4, 2), (31, 30, 8),

@@ -202,9 +202,10 @@ def test_code_tables_are_applied_only_in_rs():
     """Evaluation and interpolation at a code's fixed points, and every
     product with a packed map, go through rs: no other module reads a
     PackedMap's packed `columns` or digit `width`, or the packed decoder's
-    `decode_width` and `decode_master`, or imports rs's packer and
-    unpacker, so none unpacks a map by hand; an RsCode's `evaluation` and
-    `interpolation` and the trace and folded configs' maps are read only
+    fields (`decode_width`, `decode_master` and its tables `decode_keep`,
+    `decode_folds` and `decode_inverses`), or imports rs's packer and
+    unpacker, so none unpacks a map by hand; an RsCode's `interpolation`
+    and the trace and folded configs' maps are read only
     as the first argument of rs.packed_product, as one of the two maps
     rs.packed_sum adds (its first and third) or as the map
     rs.decode_words applies (its fifth); frs_scheme imports nothing
@@ -212,7 +213,7 @@ def test_code_tables_are_applied_only_in_rs():
     of polyring than normalize, so none evaluates or interpolates a
     polynomial but through rs."""
     maps = ("encode_map", "download_map", "transmit_map", "decode_map",
-            "evaluation", "interpolation")
+            "interpolation")
     map_args = {"packed_product": (0,), "packed_sum": (0, 2),
                 "decode_words": (4,)}
     readers, imported, loose = set(), set(), []
@@ -225,7 +226,8 @@ def test_code_tables_are_applied_only_in_rs():
                    if i < len(node.args)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in (
-                    "columns", "width", "decode_width", "decode_master"):
+                    "columns", "width", "decode_width", "decode_master",
+                    "decode_keep", "decode_folds", "decode_inverses"):
                 readers.add(path.stem)
             elif isinstance(node, ast.Attribute) and node.attr in maps:
                 if id(node) not in applied:
