@@ -31,8 +31,8 @@ it once on all its unit inputs together.
 map through its points, whose Lagrange columns come from synthetic
 division of its master polynomial and which `rs_interpolate` applies for
 the whole package, and the start and tables of its packed Euclid run:
-truncation masks, folds and, for small q, inverses. Every evaluation map
-is built once, where its layout is fixed. Each scheme config
+its folds and, for small q, its inverses. Every evaluation map is built
+once, where its layout is fixed. Each scheme config
 (`arraycode.ArrayConfig`) packs its maps at set-up: `encode_map`
 (message to stored symbols), `download_map` (stored to served symbols)
 and `transmit_map` (message straight to served symbols), the last two at
@@ -88,10 +88,13 @@ from .records import Record
 # struct codes of the unsigned digits rs packs in C, by width in bits
 _FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
-# The largest q whose code keeps a table of inverses for its Euclid run: a
-# lookup costs a small fraction of pow(x, -1, q), and the table holds at
-# most this many entries, one multiply and two divisions each to build.
-_INVERSE_LIMIT = 1 << 9
+# The largest q whose code keeps a table of inverses for its Euclid run. A
+# lookup saves about 0.1 us a division over pow(x, -1, q), 2-6% of a decode
+# at the radius, and the table costs about 0.07 us an entry to build (Python
+# 3.11): at q = 127 it takes 9 us, a fifth of an (8, 2) code's build, and
+# pays after about 6 such decodes; at q = 509, 44 us, more than the build,
+# and about 26 decodes.
+_INVERSE_LIMIT = 1 << 7
 
 
 class RsCode(Record):
@@ -115,24 +118,23 @@ class RsCode(Record):
         (q - 1) * (1 + max(t + 1, k) * (q - 1)) < 2^64.
     decode_master: the Euclid run's start, master packed at decode_width
         above t + 1 zero digits (its cofactor, 0).
-    decode_keep: the run's truncation masks; entry j keeps the t + 1
-        cofactor digits and the j lowest remainder digits of a pair,
-        j < n.
     decode_folds: the run's folds (see `_quotient`), only at that capped
         width of 64: one for each s of 32, 16 and 8 with q < 2^s,
-        (s, 2^s mod q, a mask of the s low bits of each of n + t + 2
-        digits, a mask of the 64 - s low bits of each); otherwise empty.
+        (s, c = 2^s mod q, 2^s - c, a mask of the 64 - s low bits of each
+        of n + t + 2 digits); otherwise empty.
     decode_inverses: the inverses mod q, entry x of x (0 at 0), for
         q <= _INVERSE_LIMIT; None above it, where the run calls pow.
     Only `rs_interpolate` applies the map, and only `_quotient` reads the
-    decode fields. The tables beyond the map take O(n^2) words at most:
-    n masks of at most n + t + 2 digits, at most six of n + t + 2 and at
-    most _INVERSE_LIMIT inverses.
+    decode fields. Beside the start, n + t + 2 digits of decode_width
+    bits, the run's tables take O(n) words: at most three masks of
+    n + t + 2 64-bit digits and at most _INVERSE_LIMIT inverses. From
+    about 25 points on, the start and masks together take fewer bits
+    than the map's n^2 digits.
     """
 
     _fields = ("field", "k", "omega")
     __slots__ = _fields + ("interpolation", "decode_width", "decode_master",
-                           "decode_keep", "decode_folds", "decode_inverses")
+                           "decode_folds", "decode_inverses")
 
     def __init__(self, field, k, omega):
         omega = tuple(omega)
@@ -169,10 +171,8 @@ class RsCode(Record):
         self._set(interpolation=packed_map(q, lagrange),
                   decode_width=width,
                   decode_master=_pack(master, width // 8) << low,
-                  decode_keep=tuple((1 << low + j * width) - 1
-                                    for j in range(n)),
                   decode_folds=tuple(
-                      (s, pow(2, s, q), _digit_mask(s, n + t + 2),
+                      (s, pow(2, s, q), (1 << s) - pow(2, s, q),
                        _digit_mask(64 - s, n + t + 2))
                       for s in (32, 16, 8) if capped and q < 1 << s),
                   decode_inverses=_inverses(q) if q <= _INVERSE_LIMIT
@@ -414,8 +414,8 @@ def _quotient(code, r1):
     the one multiply-add pair0 += (q - f) * pair1 << s * w, which leaves a
     digit congruent to 0 where the term cancelled. After each division the
     digits above the remainder's degree, all congruent to 0, are masked
-    off (`decode_keep`). The degree of v is the sum of the quotient
-    degrees so far, at most t (below), so v stays in its t + 1 digits.
+    off. The degree of v is the sum of the quotient degrees so far, at
+    most t (below), so v stays in its t + 1 digits.
     Inverses come from `decode_inverses`, or pow above its q.
 
     No digit carries. Every addend is nonnegative, so each digit only
@@ -437,8 +437,10 @@ def _quotient(code, r1):
       and that bound (`_fold_bound`), which the folds shrink from near 2^w
       while q is small. A new digit and its term hi c stay at most the old
       A < 2^w, so the packed fold carries nowhere: one shift and one mask
-      give every hi, one mask every lo, and one multiply by c and one add
-      join them (`_fold`).
+      give every hi, and one multiply and one subtraction take
+      hi (2^b - c) from each digit, which leaves hi c + lo >= 0 and so
+      borrows nowhere; hi (2^b - c) <= x < 2^w, so the product carries
+      nowhere either (`_fold`).
     - otherwise, by reducing every digit mod q (one unpack, one repack),
       which sets A = q - 1.
 
@@ -456,8 +458,7 @@ def _quotient(code, r1):
     """
     n, k, q, width = code.n, code.k, code.field.q, code.decode_width
     mask, cap = (1 << width) - 1, 1 << width
-    keep, folds, inverses = (code.decode_keep, code.decode_folds,
-                             code.decode_inverses)
+    folds, inverses = code.decode_folds, code.decode_inverses
     low = (code.radius + 1) * width
     pair0, pair1 = code.decode_master, _pack(r1, width // 8) << low | 1
     top0, top1, lead, v_degree = n, len(r1) - 1, r1[-1], 0
@@ -490,7 +491,7 @@ def _quotient(code, r1):
             lead = (pair0 >> at & mask) % q
         if not lead:
             top1 = -1
-        pair0, pair1 = pair1, pair0 & keep[top1 + 1]
+        pair0, pair1 = pair1, pair0 & (1 << low + (top1 + 1) * width) - 1
     if top1 < 0:
         return ()
     if not 0 <= top1 - v_degree < k:
@@ -500,7 +501,7 @@ def _quotient(code, r1):
         b1 = _fold_bound(a1, folds)
         pair1 = (_fold(pair1, folds) if b1 + grow * b1 < cap
                  else _reduce(pair1, width, q))
-    r, v = pair1 >> low, pair1 & keep[0]
+    r, v = pair1 >> low, pair1 & (1 << low) - 1
     lead = (v >> v_degree * width) % q
     inv = inverses[lead] if inverses else pow(lead, -1, q)
     quotient = []
@@ -529,9 +530,10 @@ def _fold_bound(bound, folds):
 
 def _fold(pair, folds):
     """`pair` with each digit hi * 2^s + lo, lo < 2^s, mapped to
-    hi * (2^s mod q) + lo by each fold in turn."""
-    for shift, residue, lows, highs in folds:
-        pair = (pair >> shift & highs) * residue + (pair & lows)
+    hi * (2^s mod q) + lo by each fold in turn: hi * (2^s - 2^s mod q) is
+    taken from it."""
+    for shift, _, drop, highs in folds:
+        pair -= (pair >> shift & highs) * drop
     return pair
 
 

@@ -212,6 +212,41 @@ def test_code_tables_match_reference(q, n, k):
             oracles.poly_eval(field, msg, w) for w in code.omega]
 
 
+@pytest.mark.parametrize("q, n, k", ((5, 4, 2), (31, 24, 2), (31, 30, 8),
+                                     (509, 10, 2), (257, 256, 16),
+                                     (65537, 256, 16), (2147483647, 7, 3),
+                                     (2147483647, 64, 8), (4294967311, 40, 4)))
+def test_decode_tables_take_linear_space(q, n, k):
+    """An RsCode's decode fields take O(n) words beside its interpolation
+    map's n^2 digits, also where the Euclid digits are wide: the start
+    and each fold mask hold at most n + t + 2 digits, there are at most
+    three masks, and the inverse table holds at most _INVERSE_LIMIT
+    entries. From 25 points on, the decode fields but the inverses take
+    no more bits than the map (a sweep of every prime q < 700 with
+    n <= 120 found no exception); on fewer points n + t + 2 wide digits
+    can outweigh n^2 narrow ones. The shapes are short and capped codes
+    over GF(31), long codes, and GF(2^31 - 1) and GF(2^32 + 15), whose
+    digits run to 936 and 632 bits."""
+    field = PrimeField(q)
+    code = RsCode(field, k, random.Random(n).sample(range(q), n))
+    digits, width = n + code.radius + 2, code.decode_width
+    assert code.decode_master < 2 ** (digits * width)
+    assert len(code.decode_folds) <= 3
+    assert all(fold[-1] < 2 ** (digits * 64) for fold in code.decode_folds)
+    inverses = code.decode_inverses
+    assert inverses is None or len(inverses) == q <= rs_module._INVERSE_LIMIT
+
+    def bits(value):
+        if isinstance(value, tuple):
+            return sum(map(bits, value))
+        return value.bit_length() if isinstance(value, int) else 0
+
+    tables = sum(bits(getattr(code, name)) for name in type(code).__slots__
+                 if name.startswith("decode_") and name != "decode_inverses")
+    if n >= 25:
+        assert tables <= bits(code.interpolation.columns)
+
+
 @pytest.mark.parametrize("q, n, k", ((13, 1, 1), (13, 6, 2), (13, 13, 5),
                                      (31, 1, 1), (31, 9, 4), (31, 31, 10)))
 def test_rs_products_match_reference(q, n, k):

@@ -202,8 +202,8 @@ def test_code_tables_are_applied_only_in_rs():
     """Evaluation and interpolation at a code's fixed points, and every
     product with a packed map, go through rs: no other module reads a
     PackedMap's packed `columns` or digit `width`, or the packed decoder's
-    fields (`decode_width`, `decode_master` and its tables `decode_keep`,
-    `decode_folds` and `decode_inverses`), or imports rs's packer and
+    fields (`decode_width`, `decode_master` and its tables `decode_folds`
+    and `decode_inverses`), or imports rs's packer and
     unpacker, so none unpacks a map by hand; an RsCode's `interpolation`
     and the trace and folded configs' maps are read only
     as the first argument of rs.packed_product, as one of the two maps
@@ -227,7 +227,7 @@ def test_code_tables_are_applied_only_in_rs():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in (
                     "columns", "width", "decode_width", "decode_master",
-                    "decode_keep", "decode_folds", "decode_inverses"):
+                    "decode_folds", "decode_inverses"):
                 readers.add(path.stem)
             elif isinstance(node, ast.Attribute) and node.attr in maps:
                 if id(node) not in applied:
