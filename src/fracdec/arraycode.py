@@ -6,14 +6,15 @@ many of its entries changed.
 
 `ArrayConfig` is the base of both schemes' configs. It writes each stage
 once: encode, download, decode, the full pipeline and the enumeration of
-the code. A scheme supplies its layout and four packed maps as derived
+the code. A scheme supplies its layout and five packed maps as derived
 slots, and two small methods. The full pipeline never forms the stored
-word: the served symbols are linear in the message and the offsets, so
-its transmit side is one `rs.packed_sum`. Its decode side, and the
-staged `decode`'s, is one `rs.decode_words`, the one place served
-symbols become words: a Euclid run per word to a quotient, then one
-product with the scheme's `decode_map` that re-encodes every word in
-served order and, for the trace scheme, reads the message digits too.
+word: the served symbols and their words' interpolants are linear in
+the message and the offsets, so its transmit side is one `rs.packed_sum`
+that yields both, as the staged `decode`'s one product does from the
+served symbols. Both go to one `rs.decode_words`: a Euclid run per word
+to a quotient, then one product with the scheme's `decode_map` that
+re-encodes every word in served order and, for the trace scheme, reads
+the message digits too.
 """
 
 import itertools
@@ -78,9 +79,14 @@ def _checked_offsets(field, pattern, bounds):
     column i is symbols bounds[i] to bounds[i + 1]. In support order, each
     column must lie in the word, each offset must have its column's length
     and every offset symbol is checked against `field`; the first fault
-    raises."""
+    raises. A well-shaped pattern costs one check_all pass over them all."""
+    support, values = pattern.support, pattern.values
     n, offsets = len(bounds) - 1, []
-    for idx, vec in zip(pattern.support, pattern.values):
+    if (not support or support[-1] < n) and list(map(len, values)) == [
+            bounds[i + 1] - bounds[i] for i in support]:
+        field.check_all(itertools.chain.from_iterable(values))
+        return list(zip(map(bounds.__getitem__, support), values))
+    for idx, vec in zip(support, values):
         if idx >= n:
             raise ValueError(f"error column {idx} outside word of length {n}")
         start = bounds[idx]
@@ -129,19 +135,33 @@ def difference_pattern(field, base_word, other_word, columns=None):
     return ErrorPattern(support=tuple(support), values=tuple(values))
 
 
-class DownloadBundle(Record):
+class _BundleSlots(Record):
+    __slots__ = ("per_column", "downloaded", "accessed")
+
+
+class DownloadBundle(_BundleSlots):
     """Per-column downloaded symbols plus exact transfer accounting.
 
     downloaded counts base-field symbols sent over the wire; accessed counts
     base-field symbols a node had to read to produce them. The two differ
     only for schemes that compute on more symbols than they transmit.
-    """
+    A stage's bundle holds a `zip` of its columns until per_column is
+    read, so a caller of the counts alone never splits them."""
 
-    __slots__ = _fields = ("per_column", "downloaded", "accessed")
+    __slots__ = ()
+    _fields = _BundleSlots.__slots__
 
     def __init__(self, per_column, downloaded, accessed):
         self._set(per_column=tuple(map(tuple, per_column)),
                   downloaded=downloaded, accessed=accessed)
+
+    def _columns(self, slot=_BundleSlots.per_column):
+        if slot.__get__(self).__class__ is zip:
+            slot.__set__(self, tuple(slot.__get__(self)))
+        return slot.__get__(self)
+
+    # _set, copy and pickle write the slot itself
+    per_column = property(_columns, _BundleSlots.per_column.__set__)
 
 
 class ArrayConfig(Record):
@@ -152,22 +172,24 @@ class ArrayConfig(Record):
     as n columns of l symbols of `symbol_field`. Each column serves
     `served_per_column` symbols, g consecutive symbols of each of the
     words of `served_code`, an RS code over the symbol field. A scheme
-    sets those derived slots and four packed maps (`rs.PackedMap`):
+    sets those derived slots and five packed maps (`rs.PackedMap`):
     encode_map: the encode inputs of a message to its n*l stored symbols,
         column by column;
-    download_map: the n*l stored symbols to the served ones, flat and
-        column by column; block-diagonal, column i's served symbols
-        reading only its own l stored ones;
+    interpolation_map: the served symbols, flat and column by column, to
+        themselves and their words' interpolants (`rs.interpolation_map`);
+    download_map: the n*l stored symbols to those outputs, column i's
+        served symbols reading only its own l stored ones;
     transmit_map: the composite of the two, the encode inputs of a
-        message to the served symbols of its stored word, built from the
+        message to those outputs of its stored word, built from the
         scheme's structure rather than by composing the two maps;
     decode_map: the map `rs.decode_words` applies after its Euclid runs,
         from every word's quotient coefficients to their re-encoded
         served symbols (`rs.served_map`) and then to any tail the
         scheme's message is read from.
-    download_map and transmit_map share their digit width, which holds
-    the products of all the encode inputs plus those of the stored
-    symbols one served symbol reads, so one accumulation adds both.
+    interpolation_map, download_map and transmit_map share their digit
+    width, which holds the products of all the encode inputs plus those
+    of the stored symbols an output reads, so one accumulation adds both
+    of the last two.
     Besides those slots, a scheme has n, l, radius and accessed_per_word,
     and defines two methods, each handed canonical symbols:
     _inputs(message): encode_map's inputs for a checked message;
@@ -181,8 +203,8 @@ class ArrayConfig(Record):
     """
 
     __slots__ = ("served_code", "g", "served_per_column", "message_field",
-                 "message_length", "encode_map", "download_map",
-                 "transmit_map", "decode_map")
+                 "message_length", "encode_map", "interpolation_map",
+                 "download_map", "transmit_map", "decode_map")
 
     @property
     def symbol_field(self):
@@ -227,13 +249,15 @@ class ArrayConfig(Record):
             self.download_map,
             _stored_symbols(self.symbol_field, columns, self.l)))
 
-    def _bundle(self, served):
-        """The bundle of a word's served symbols, flat and column by
-        column."""
-        return DownloadBundle(
-            per_column=zip(*[iter(served)] * self.served_per_column),
-            downloaded=self.downloaded_per_word,
-            accessed=self.accessed_per_word)
+    def _bundle(self, out):
+        """The bundle of a word's served symbols, the first of `out`,
+        flat and column by column."""
+        size = self.downloaded_per_word
+        bundle = DownloadBundle.__new__(DownloadBundle)
+        bundle._set(per_column=zip(*[iter(out[:size])]
+                                   * self.served_per_column),
+                    downloaded=size, accessed=self.accessed_per_word)
+        return bundle
 
     def decode(self, per_column):
         """Decode n columns of served symbols.
@@ -249,15 +273,18 @@ class ArrayConfig(Record):
         if len(per_column) != n or set(map(len, per_column)) != {size}:
             raise ValueError(f"download bundle must be {n} columns of {size} "
                              "symbols")
-        return self._decoded(self.symbol_field.check_all(
-            itertools.chain.from_iterable(per_column)))
+        return self._decoded(packed_product(
+            self.interpolation_map, self.symbol_field.check_all(
+                itertools.chain.from_iterable(per_column))))
 
-    def _decoded(self, served):
+    def _decoded(self, out):
         """(message, corrected_columns) from a word's canonical served
-        symbols, flat and column by column: `rs.decode_words` with
-        decode_map."""
+        symbols, flat and column by column, then their words'
+        interpolants: `rs.decode_words` with decode_map."""
+        size = self.downloaded_per_word
         polys, tail, corrected = decode_words(
-            self.served_code, served, self.g, self.radius, self.decode_map)
+            self.served_code, out[:size], out[size:], self.g, self.radius,
+            self.decode_map)
         return self._message(polys, tail), corrected
 
     def pipeline(self, message, pattern):
@@ -267,19 +294,19 @@ class ArrayConfig(Record):
         Only what enters is checked: the message, as `encode` checks it,
         and the pattern, as `apply_error_pattern` checks it, with the same
         errors in the same order. The stored word is never formed: the
-        served symbols are the message's inputs through transmit_map plus
-        each offset through the download columns of its own l stored
-        symbols, one `rs.packed_sum`, and they are decoded unchecked, as
-        `decode` decodes its checked ones. Raises DecodeFailure as `decode`
-        does.
+        served symbols and their words' interpolants are the message's
+        inputs through transmit_map plus each offset through the download
+        columns of its own l stored symbols, one `rs.packed_sum`, and they
+        are decoded unchecked, as `decode` decodes its checked ones.
+        Raises DecodeFailure as `decode` does.
         """
         inputs = self._inputs(self._checked_message(message))
         l = self.l
         offsets = _checked_offsets(self.symbol_field, pattern,
                                    range(0, self.n * l + 1, l))
-        served = packed_sum(self.transmit_map, inputs, self.download_map,
-                            offsets)
-        return self._decoded(served)[0], self._bundle(served)
+        out = packed_sum(self.transmit_map, inputs, self.download_map,
+                         offsets)
+        return self._decoded(out)[0], self._bundle(out)
 
     def codewords(self):
         """Every (message, word) of the code, in canonical message order."""

@@ -23,7 +23,8 @@ import itertools
 from .arraycode import ArrayConfig
 from .primefield import PrimeField, is_prime, prime_factors
 from .rationals import as_fraction, brief
-from .rs import RsCode, packed_map, power_columns
+from .rs import (RsCode, block_map, interpolation_map, packed_map,
+                 power_columns)
 
 
 def smallest_prime_above(bound):
@@ -78,19 +79,20 @@ class FrsConfig(ArrayConfig):
     whenever at most `radius` columns are bad; the decoded h is padded
     back to length kl.
 
-    The config's maps, packed by `rs.packed_map`, are encode_map,
-    evaluation at `points` of a polynomial of degree < kl (column j holds
-    the points' j-th powers), the (nl, kl) RS code that the folded code
-    cuts into n columns of l symbols; download_map, the selection of each
-    column's prefix; and transmit_map, evaluation at the prefix points,
-    cut from encode_map's columns: the config's one prefix evaluation,
-    the matrix `rs.served_map` gives served_code's one word. An output of
-    the pipeline's packed sum adds kl products with transmit_map and one
-    with download_map, so both carry the width of kl + 1 products.
-    decode_map is transmit_map itself: the one word's quotient is the
-    message, so re-encoding it is evaluating the message at the prefix
-    points, and kl products fit the width of kl + 1. A decode is one
-    Euclid run on the flattened prefixes, then one product with it.
+    The config's maps are encode_map, evaluation at `points` of a
+    polynomial of degree < kl (column j holds the points' j-th powers),
+    the (nl, kl) RS code that the folded code cuts into n columns of l
+    symbols; decode_map, evaluation at the prefix points, cut from
+    encode_map's columns, the matrix `rs.served_map` gives served_code's
+    one word; interpolation_map, the prefixes to themselves and then to
+    their interpolant; download_map, the selection of each column's
+    prefix, on to those outputs; and transmit_map, decode_map and then
+    the identity, as the interpolant of a message's prefixes is the
+    message. An interpolant output of the pipeline's packed sum adds kl
+    message products and one offset product per served symbol, so the
+    last three carry the width of kl + n*alpha*l products. A decode is
+    one Euclid run on the flattened prefixes, then one product with
+    decode_map.
     """
 
     scheme = "frs"
@@ -125,19 +127,24 @@ class FrsConfig(ArrayConfig):
         points = tuple(pow(gamma, i, q) for i in range(n * l))
         prefix = (1,) * alpha_l + (0,) * (l - alpha_l)
         powers = power_columns(q, points, k * l)
-        transmit = packed_map(q, [
-            list(itertools.compress(c, itertools.cycle(prefix)))
-            for c in powers], terms=k * l + 1)
+        evaluation = [list(itertools.compress(c, itertools.cycle(prefix)))
+                      for c in powers]
+        size, terms = n * alpha_l, k * l + n * alpha_l
+        code = RsCode(field, k * l, itertools.compress(
+            points, itertools.cycle(prefix)))
+        interpolation = interpolation_map(code, alpha_l, 1, terms=terms)
         self._set(alpha_l=alpha_l, punctured_dim=int(k / alpha),
                   points=points, g=alpha_l, served_per_column=alpha_l,
                   message_field=field, message_length=k * l,
-                  served_code=RsCode(field, k * l, itertools.compress(
-                      points, itertools.cycle(prefix))),
-                  encode_map=packed_map(q, powers),
-                  download_map=packed_map(
-                      q, [[int(r % alpha_l == u) for r in range(n * alpha_l)]
-                          for u in range(l)], blocks=n, terms=k * l + 1),
-                  transmit_map=transmit, decode_map=transmit)
+                  served_code=code, encode_map=packed_map(q, powers),
+                  interpolation_map=interpolation,
+                  download_map=block_map(interpolation, [[
+                      [int(r == u) for r in range(alpha_l)]
+                      for u in range(l)]] * n),
+                  transmit_map=packed_map(q, [
+                      c + [0] * j + [1] + [0] * (size - j - 1)
+                      for j, c in enumerate(evaluation)], terms=terms),
+                  decode_map=packed_map(q, evaluation))
 
     @property
     def radius(self):

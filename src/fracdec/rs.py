@@ -21,26 +21,23 @@ one multiply-accumulate of the input symbols with the packed columns,
 then one unpack of the output digits mod q. `packed_product` is that one
 product; `packed_sum` adds, in the same accumulation, the products of a
 few sparse runs of inputs with a second map of the same outputs and
-width. `packed_map` builds a map from the columns of a matrix, from a
-Kronecker product of two, or as a block-diagonal map, and chooses the
-digit width so that no digit carries into the next, also where two maps
-are summed; `tabulate_columns` tabulates a linear function by running
-it once on all its unit inputs together.
+width. `packed_map` builds a map from the columns of a matrix or from a
+Kronecker product of two, and chooses the digit width so that no digit
+carries into the next, also where two maps are summed; `block_map`
+combines a map's columns block by block, and `tabulate_columns`
+tabulates a linear function by running it once on all its unit inputs.
 
 `RsCode` builds only what its decoder reads, once: the `interpolation`
 map through its points, whose Lagrange columns come from synthetic
-division of its master polynomial and which `rs_interpolate` applies for
-the whole package, and the start and tables of its packed Euclid run:
-its folds and, for small q, its inverses. Every evaluation map is built
-once, where its layout is fixed. Each scheme config
-(`arraycode.ArrayConfig`) packs its maps at set-up: `encode_map`
-(message to stored symbols), `download_map` (stored to served symbols)
-and `transmit_map` (message straight to served symbols), the last two at
-one width, so that a pipeline serves a message and its error offsets in
-one `packed_sum`; and `decode_map` (see `served_map`), from decoded
-words to their re-encoded served symbols and, for the trace config, on
-to the message digits. `decode_columns` and the nearest-codeword oracle
-in `bounds` each build one `served_map` per call. `RsCode` is a frozen
+division of its master polynomial, and the start and tables of its
+packed Euclid run: its folds and, for small q, its inverses. Every map
+of a layout is built once, where the layout is fixed: each scheme
+config's (`arraycode.ArrayConfig`) at set-up, and one `served_map` and
+one `interpolation_map` per `decode_columns` call. `interpolation_map`
+takes served symbols to themselves and then their words' interpolants,
+so a config's `download_map` and `transmit_map` reach both outputs too,
+and a pipeline serves a message and its error offsets, and interpolates
+them, in one `packed_sum`. `RsCode` is a frozen
 record (`records.Record`): its map and decode fields are derived slots,
 left out of its equality, hash and repr. `PackedMap` is a
 `collections.namedtuple`.
@@ -59,17 +56,17 @@ A single word is n columns of one symbol each, and an erasure decode is
 check nothing but that `packed_sum`'s two maps share outputs and width.
 
 `decode_words`, the one decoder, run by the pipeline, the staged decode
-and `decode_columns`, is the one place served symbols become words: per
-word an interpolation and, unless it is a codeword, a Euclid run to a
-quotient; then one product re-encodes every word in served order, and
-reads any tail, such as the trace message digits, and one comparison
-with the served symbols finds the columns that differ. Elsewhere
-`arraycode.apply_error_pattern` checks every word and offset symbol, and
-the stages both scheme configs share (`arraycode.ArrayConfig`) check
-what enters them: `encode` each message symbol, `download` every stored
+and `decode_columns`, takes the served symbols and their words'
+interpolants and never interpolates: per word that is no codeword a
+Euclid run to a quotient; then one product re-encodes every word in
+served order, and reads any tail, such as the trace message digits, and
+one comparison with the served symbols finds the columns that differ.
+Elsewhere `arraycode.apply_error_pattern` checks every word and offset
+symbol, and the stages both scheme configs share (`arraycode.ArrayConfig`)
+check what enters them: `encode` each message symbol, `download` every stored
 symbol, and `decode` every served one. Their `pipeline` checks its
 message and error pattern as `encode` and `apply_error_pattern` do, then
-serves them in one `packed_sum` and hands the served symbols to
+serves them in one `packed_sum` and hands its outputs to
 `decode_words`. Every other operand is computed mod q from checked data:
 the quotients a decode re-encodes, and the messages the brute-force
 oracles, all in `bounds`, draw from `field.elements()`. This kernel
@@ -124,11 +121,11 @@ class RsCode(Record):
         of n + t + 2 digits); otherwise empty.
     decode_inverses: the inverses mod q, entry x of x (0 at 0), for
         q <= _INVERSE_LIMIT; None above it, where the run calls pow.
-    Only `rs_interpolate` applies the map, and only `_quotient` reads the
-    decode fields. Beside the start, n + t + 2 digits of decode_width
-    bits, the run's tables take O(n) words: at most three masks of
-    n + t + 2 64-bit digits and at most _INVERSE_LIMIT inverses. From
-    about 25 points on, the start and masks together take fewer bits
+    Only `rs_interpolate` and `interpolation_map` read the map, and only
+    `_quotient` the decode fields. Beside the start, n + t + 2 digits of
+    decode_width bits, the run's tables take O(n) words: at most three
+    masks of n + t + 2 64-bit digits and at most _INVERSE_LIMIT inverses.
+    From about 25 points on, the start and masks together take fewer bits
     than the map's n^2 digits.
     """
 
@@ -303,7 +300,7 @@ class PackedMap(namedtuple("PackedMap", "q outputs width columns")):
         return len(self.columns)
 
 
-def packed_map(q, columns, right=((1,),), blocks=1, terms=None):
+def packed_map(q, columns, right=((1,),), terms=None):
     """Pack a GF(q)-linear map given by the columns of its matrix, each a
     sequence of canonical symbols, one column per input symbol.
 
@@ -314,9 +311,6 @@ def packed_map(q, columns, right=((1,),), blocks=1, terms=None):
         two packed integers, so its digits are these products unreduced,
         at most (q - 1)^2. The default, a 1 x 1 identity, leaves the map
         as given, with canonical entries.
-    blocks: the map is block-diagonal with this many equal blocks, and each
-        given column stacks the same column of every block, block 0 first:
-        input i * c + a, for c given columns, is column a of block i.
     terms: how many products of a symbol with a digit one output sums,
         by default the given columns times len(right). Maps that
         `packed_sum` adds in one accumulation each pass their joint
@@ -332,11 +326,6 @@ def packed_map(q, columns, right=((1,),), blocks=1, terms=None):
     right = [_pack(c, size) for c in right]
     packed = [c * r for c in (_pack(c, size * stride) for c in columns)
               for r in right]
-    if blocks > 1:
-        span = height * stride // blocks * 8 * size
-        mask = (1 << span) - 1
-        packed = [col & (mask << i * span)
-                  for i in range(blocks) for col in packed]
     return PackedMap(q=q, outputs=height * stride, width=8 * size,
                      columns=tuple(packed))
 
@@ -551,12 +540,13 @@ def decode_columns(code, columns, radius):
     in the order of `code.omega`. The columns' shape is checked (at least
     one column, each of the same positive height, a multiple of g), then
     every symbol, once and in column order, before the first decode; then
-    `decode_words` decodes the columns' symbols with the `served_map` of
-    their layout. Returns (messages, corrected_columns) as `decode_words`
-    does, without a tail. A single word is n columns of one symbol each.
-    At radius 0 on the code punctured to some positions, it is an erasure
-    decode: it returns the message exactly when the symbols at those
-    positions lie on one codeword, and raises DecodeFailure otherwise.
+    `decode_words` decodes them, with the interpolants of one product with
+    their layout's `interpolation_map`, and that layout's `served_map`.
+    Returns (messages, corrected_columns) as `decode_words` does, without
+    a tail. A single word is n columns of one symbol each. At radius 0 on
+    the code punctured to some positions, it is an erasure decode: it
+    returns the message exactly when the symbols at those positions lie
+    on one codeword, and raises DecodeFailure otherwise.
     """
     count, n = len(columns), code.n
     g = n // count if count else 0
@@ -566,31 +556,33 @@ def decode_columns(code, columns, radius):
         raise ValueError(f"{count} columns cannot carry words of "
                          f"length {n} in uniform slices")
     served = code.field.check_all(itertools.chain.from_iterable(columns))
-    messages, _, corrected = decode_words(code, served, g, radius,
-                                          served_map(code, g, height // g))
+    words = height // g
+    messages, _, corrected = decode_words(code, served, packed_product(
+        interpolation_map(code, g, words), served)[len(served):], g, radius,
+        served_map(code, g, words))
     return messages, corrected
 
 
-def decode_words(code, served, g, radius, pmap):
+def decode_words(code, served, interpolants, g, radius, pmap):
     """Decode the words of `code` that a word's served symbols carry.
 
     `served` is flat and column by column: each column serves the same
     number of canonical symbols, g consecutive symbols of each word, so
     word j is symbols j*g to j*g+g-1 of every column, read across the
-    columns, and its position p lies in column p // g. This is the one
-    place served symbols become words. Unchecked, like `packed_product`:
-    the caller passes canonical symbols, n of each word.
+    columns, and its position p lies in column p // g. `interpolants`, a
+    list, holds coefficient c of word j's interpolant at c*words + j, as
+    `interpolation_map` gives them. Unchecked, like `packed_product`.
 
-    Each word is interpolated; an interpolant of at most k coefficients
-    is a codeword's message, and any other runs Gao's Euclid to a quotient
-    (`_quotient`). Then one product with `pmap` (see `served_map`) takes
-    every word's message coefficients, word j's coefficient c at input
-    j*k + c, to the re-encoded served symbols in served order and then to
-    any further outputs, the tail. One comparison with `served`, column by
-    column, finds the columns where the re-encodes differ; only if a word
-    could differ on more than code.radius symbols there (g a column) are
-    its errors counted. When every word is a codeword, nothing is
-    compared, and the product runs only for a tail.
+    An interpolant of at most k coefficients is a codeword's message, and
+    any other runs Gao's Euclid to a quotient (`_quotient`). Then one
+    product with `pmap` (see `served_map`) takes every word's message
+    coefficients, word j's coefficient c at input j*k + c, to the
+    re-encoded served symbols in served order and then to any further
+    outputs, the tail. One comparison with `served`, column by column,
+    finds the columns where the re-encodes differ; only if a word could
+    differ on more than code.radius symbols there (g a column) are its
+    errors counted. When every word is a codeword, nothing is compared,
+    and the product runs only for a tail.
 
     Returns (messages, tail, corrected_columns): one message polynomial per
     word, trailing zeros dropped, the tail, and those columns. Raises
@@ -598,22 +590,16 @@ def decode_words(code, served, g, radius, pmap):
     the columns number more than `radius`. Exact whenever
     g * radius <= code.radius.
     """
-    size = len(served)
-    span = size // code.n * g  # the symbols one column serves
-    if span == g:  # one word: the served symbols themselves
-        words = [served]
-    else:  # row r: symbol r of every column; word j interleaves g rows
-        words = [served[r::span] for r in range(span)]
-        if g > 1:
-            words = [tuple(itertools.chain.from_iterable(zip(*words[r:r + g])))
-                     for r in range(0, span, g)]
-    k, t = code.k, code.radius
+    n, k, t, size = code.n, code.k, code.radius, len(served)
+    span, words = size // n * g, len(interpolants) // n
     messages, coeffs, clean = [], [], True
-    for word in words:
-        h = rs_interpolate(code, word)
+    for j in range(words):
+        h = interpolants[j::words]
+        while h and not h[-1]:
+            h.pop()
         if len(h) > k:
             h, clean = _quotient(code, h), False
-        messages.append(h)
+        messages.append(tuple(h))
         coeffs += h
         coeffs += (0,) * (k - len(h))
     if clean:  # each word is its own re-encode: only a tail is left to read
@@ -655,3 +641,36 @@ def served_map(code, g, words, tail=()):
             columns.append(column)
     return packed_map(q, [[*c, *t] for c, t in zip(
         columns, tail or itertools.repeat(()))])
+
+
+def interpolation_map(code, g, words, terms=None):
+    """The map from `words` words of `code` served g symbols a column, as
+    `served_map` places them, to themselves and then every word's
+    interpolant, coefficient c of word j at output n*words + c*words + j:
+    the column of position p of word j is a one at its own output, then
+    code.interpolation's column p, its digit c moved to that output. Its
+    width is packed_map's for max(terms, n) terms."""
+    q, n, span = code.field.q, code.n, g * words
+    basis, old = code.interpolation, code.interpolation.width // 8
+    size = _digit_bytes((max(terms or n, n) * (q - 1) ** 2).bit_length())
+    lagrange = []
+    for column in basis.columns:
+        data = column.to_bytes(n * old, "little")
+        digits = bytearray(2 * n * words * size)
+        for b in range(old):
+            digits[n * words * size + b::words * size] = data[b::old]
+        lagrange.append(int.from_bytes(digits, "little"))
+    return PackedMap(q, 2 * n * words, 8 * size, tuple(
+        lagrange[s // span * g + s % g] << s % span // g * 8 * size
+        | 1 << s * 8 * size for s in range(n * words)))
+
+
+def block_map(pmap, weights):
+    """The map whose column i*l + u is the sum of `pmap`'s columns i*S + r
+    times weights[i][u][r], unreduced, for n = len(weights) blocks of
+    S = pmap.inputs // n inputs: block-diagonal if pmap's are."""
+    per, columns = pmap.inputs // len(weights), []
+    for i, column in enumerate(weights):
+        block = pmap.columns[i * per:i * per + per]
+        columns += [sum(map(mul, w, block)) for w in column]
+    return pmap._replace(columns=tuple(columns))

@@ -20,32 +20,32 @@ A_j sees only the current bottom layer.
 Encoding, downloading and that peel are fixed GF(q)-linear maps of the
 config, so each is one packed table (`rs.packed_map`), built once, and
 each use is one multiply-accumulate with it; so is encoding and
-downloading at once, from the message to the served symbols, whose table
-is built column block by column block. The peel is exact for any
-streams, so it runs once per config, on all the unit streams together,
-to derive the decode table. A decode (`rs.decode_words`) runs each
-stream's interpolation and Euclid to a quotient, then one product with
-the config's decode map: its outputs are the m re-encoded streams in
-served order, checked against the served symbols, and then the decode
-table's message digits. It returns a message exactly when some
+downloading at once, whose table also yields the streams' interpolants.
+The peel is exact for any streams, so it runs once per config, on all
+the unit streams together, to derive the decode table. A decode
+(`rs.decode_words`) runs each stream's Euclid to a quotient, then one
+product with the config's decode map: its outputs are the m re-encoded
+streams in served order, checked against the served symbols, and then
+the decode table's message digits. It returns a message exactly when some
 message's downloads lie within floor((n - k/alpha) / 2) columns of the
 received ones, with the columns where they differ; otherwise it raises
-DecodeFailure. The stages are
-`arraycode.ArrayConfig`'s, shared with the folded scheme; this module
-supplies the layout and the four tables.
+DecodeFailure. The stages are `arraycode.ArrayConfig`'s, shared with
+the folded scheme; this module supplies the layout and the tables.
 
 Every column is read in full (l symbols accessed) but transmits only m, so
 the download fraction is alpha = m/l while the corrected error count is
 floor((n - lk/m) / 2) = floor((n - k/alpha) / 2).
 """
 
+from itertools import cycle
 from math import prod
 from operator import mul
 
 from .arraycode import ArrayConfig
 from .fields import ExtField, dual_basis
 from .primefield import PrimeField
-from .rs import (RsCode, packed_map, poly_from_roots, power_columns,
+from .rs import (RsCode, block_map, interpolation_map, packed_map,
+                 packed_product, poly_from_roots, power_columns,
                  rs_interpolate, served_map, tabulate_columns)
 
 
@@ -67,9 +67,8 @@ class TsConfig(ArrayConfig):
     `arraycode.ArrayConfig`, whose stages this scheme runs: a message is k
     symbols of ext; each column serves m symbols, one of each of the m
     download streams, the words of served_code, the (n, lk/m) RS code over
-    the base field (so g = 1); and the four GF(q)-linear maps of the
-    scheme, packed by `rs.packed_map` so that each runs as one
-    multiply-accumulate:
+    the base field (so g = 1); and the GF(q)-linear maps of the scheme,
+    each one packed multiply-accumulate:
     encode_map: the k*l polynomial-basis digits of a message (symbol t's
         digit v at input t*l + v) to the n*l stored symbols (column i's
         coordinate u at output i*l + u). It is the Kronecker product of
@@ -77,31 +76,30 @@ class TsConfig(ArrayConfig):
         holds the trace coordinates of the RS codeword symbol h(omega_i),
         (h_0(omega_i), ..., h_{l-1}(omega_i)), where h_u has the u-th
         trace coordinate of each message symbol.
-    download_map: block-diagonal, the n*l stored symbols to the n*m served
-        ones (column i's symbol j at output i*m + j). Served symbol j of
-        column i weighs the column's coordinates by the powers
+    interpolation_map: the n*m served symbols (column i's symbol j at
+        input and output i*m + j) to themselves, then to the m streams'
+        interpolants (`rs.interpolation_map`).
+    download_map: the n*l stored symbols to those outputs, column i's
+        served symbols reading only its own (`rs.block_map`). Served
+        symbol j of column i weighs the column's coordinates by the powers
         p_j(w_i)^0, ..., p_j(w_i)^(l-m), so on a clean column it is
-        exactly g_j(omega_i). p_j(w_i) is read off the roots, as the
-        product of w_i - a over A_j, and its powers are one
-        `rs.power_columns` table, so no polynomial is evaluated.
-    transmit_map: download_map after encode_map, the k*l message digits to
-        the n*m served symbols. Served symbol j of column i weighs the
-        column's coordinates by row j of the m x l download block W_i,
-        and digit v of symbol t puts omega_i^t times column v of the trace
-        projection P there, so entry (i*m + j, t*l + v) is
-        omega_i^t * (W_i P)[j][v]: O(n*m*l*l) steps for the blocks W_i P
-        and O(n*m*k*l) for the entries. It and download_map are packed
-        at the width of k*l + l - m + 1 products per output, the message
-        digits and the coordinates a served symbol reads, so the pipeline
-        adds both in one `rs.packed_sum`.
+        exactly g_j(omega_i). p_j(w_i) is the product of w_i - a over
+        A_j, and its powers are one `rs.power_columns` table.
+    transmit_map: download_map after encode_map. Served symbol j of
+        column i weighs the column's coordinates by row j of the m x l
+        download block W_i, and digit v of symbol t puts omega_i^t times
+        column v of the trace projection P there, so entry
+        (i*m + j, t*l + v) is omega_i^t * (W_i P)[j][v]; the streams of
+        that digit are those of digit v of symbol 0 times x^t, whose
+        interpolants are moved up t coefficients. The three are packed
+        at a width that holds the k*l message products and the
+        coordinates' products an interpolant adds from every column, so
+        the pipeline adds both in one `rs.packed_sum`.
     decode_map: the l*k coefficients of the m decoded streams (stream j's
         coefficient c at input j*lk/m + c) to the n*m re-encoded served
         symbols (`rs.served_map`), then, as its tail, to the k*l digits
-        of the message, in encode_map's input order. The peel derives the
-        tail once, here (see `_decode_table`); it is exact for any
-        streams, so a decode is the m Euclid runs plus one product with
-        the map, whose re-encodes are checked against the served symbols
-        and whose tail is the message.
+        of the message, in encode_map's input order, which the peel
+        derives once, here (see `_decode_table`).
     """
 
     scheme = "ts"
@@ -151,16 +149,30 @@ class TsConfig(ArrayConfig):
         omega_powers = power_columns(q, omega, k)
         spread = [[c for c in column for _ in range(m)]
                   for column in omega_powers]
-        transmit = [[a * b % q for a, b in zip(column, digit)]
-                    for column in spread for digit in zip(*mixed)]
-        terms = k * l + split + 1
+        # an interpolant coefficient adds k*l message products and, from
+        # each column, l-m+1 offset products of digits up to (q-1)^2
+        terms = k * l + n * (split + 1) * (q - 1)
         code = RsCode(base, l * k // m, omega)
+        interpolation = interpolation_map(code, 1, m, terms=terms)
+        # digit v of symbol t's streams are x^t times digit v of symbol 0's,
+        # of degree <= (l-m)k/m < lk/m - t: the interpolants move up t places
+        digits = list(zip(*mixed))
+        bottom = [[c for cs in zip(*(packed_product(code.interpolation,
+                                                    d[j::m])
+                                     for j in range(m))) for c in cs]
+                  for d in digits]
+        transmit = [[a * b % q for a, b in zip(column, digit)]
+                    + [0] * (t * m) + low[:(n - t) * m]
+                    for t, column in enumerate(spread)
+                    for digit, low in zip(digits, bottom)]
         self._set(
             annihilators=annihilators, place_values=place_values,
             served_code=code, g=1, served_per_column=m, message_field=ext,
             message_length=k,
             encode_map=packed_map(q, omega_powers, right=proj),
-            download_map=packed_map(q, served, blocks=n, terms=terms),
+            interpolation_map=interpolation, download_map=block_map(
+                interpolation, [[c[i * m:i * m + m] for c in served]
+                                for i in range(n)]),
             transmit_map=packed_map(q, transmit, terms=terms),
             decode_map=served_map(code, 1, m, tail=_decode_table(
                 base, k, subsets, annihilators, basis)))
@@ -207,9 +219,8 @@ class TsConfig(ArrayConfig):
         """The message whose polynomial-basis digits are decode_map's tail
         `digits`: symbol t is its l digits read in base q. The stream
         polynomials themselves are not needed."""
-        place_values = self.place_values
-        return tuple(sum(map(mul, symbol, place_values))
-                     for symbol in zip(*[iter(digits)] * self.l))
+        return tuple(map(sum, zip(*[map(mul, digits, cycle(
+            self.place_values))] * self.l)))
 
     def download_fn(self, count=None):
         """Word -> per-column downloads, for the searches in `bounds`: the

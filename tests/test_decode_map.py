@@ -1,7 +1,7 @@
 """The decode side of both schemes: per-word Euclid runs, then one product.
 
-`rs.decode_words` interpolates each served word and runs Gao's Euclid to a
-quotient, then applies the config's `decode_map` once: every word's
+`rs.decode_words` takes each served word's interpolant and runs Gao's
+Euclid to a quotient, then applies the config's `decode_map` once: every word's
 quotient coefficients go to their re-encoded served symbols, in served
 order, and for a trace config on to the message digits. At every error
 weight, past the radius too, the pipeline and the staged decode must end
@@ -19,7 +19,7 @@ import oracles
 from fracdec import arraycode
 from fracdec.arraycode import ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure
-from fracdec.rs import packed_product
+from fracdec.rs import packed_product, served_map
 from test_pipelines import CONFIGS
 from test_transmit import CARRY_CONFIGS
 from test_transmit import CONFIGS as CARRY_BUILDERS
@@ -131,12 +131,12 @@ def test_decode_map_leaves_digits_room(name):
     equals the textbook product of its matrix: the re-encoded served
     symbols oracles.rs_evaluate gives, then for a trace config the message
     digits the scalar peel reads. Its width is the least that holds its joint
-    sum: every input's product for a trace map; and a folded map, being
-    its transmit_map, also holds the one download product the pipeline's
-    packed sum adds."""
+    sum, every input's product; a folded map is the evaluation map at
+    served_code's points, served_map's one word, with no interpolant
+    outputs, so its width is not the pipeline's."""
     cfg = CARRY_BUILDERS[name]()
     pmap, q = cfg.decode_map, cfg.symbol_field.q
-    terms = pmap.inputs + (cfg.scheme == "frs")
+    terms = pmap.inputs
     bits = (terms * (q - 1) ** 2).bit_length()
     assert pmap.width == min(w for w in (8, 16, 32, 64) if w >= bits)
     assert oracles.largest_digit_sum(pmap) < 2 ** pmap.width
@@ -153,4 +153,6 @@ def test_decode_map_leaves_digits_room(name):
         assert out[len(served):] == [a // q ** v % q for a in message
                                      for v in range(cfg.l)]
     else:
-        assert pmap is cfg.transmit_map and len(out) == len(served)
+        assert len(out) == len(served)
+        assert oracles.map_digits(pmap) == oracles.map_digits(
+            served_map(cfg.served_code, 1, 1))

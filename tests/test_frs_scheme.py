@@ -477,9 +477,11 @@ def test_pipeline_makes_no_prime_field_method_call(name, field_method_calls):
 
 
 def test_folded_decode_interpolates_once(rs_calls):
-    """An at-radius decode is one Euclid decode: trying discard sets would
-    interpolate up to 1 + 8 + 28 times here."""
-    calls = rs_calls("rs_interpolate")
+    """An at-radius decode is one Euclid decode, whose interpolant comes
+    from the decode's one product with interpolation_map, never from
+    rs_interpolate: trying discard sets would interpolate up to 1 + 8 + 28
+    times here."""
+    calls = rs_calls("rs_interpolate", "_quotient")
     cfg = shipped_config("frs-p37-n8-k3")
     message = random_message(cfg, trial_stream(45, 2, 0))
     pattern = ErrorPattern(support=(0, 5), values=((1, 2, 3, 4),) * 2)
@@ -487,7 +489,7 @@ def test_folded_decode_interpolates_once(rs_calls):
     calls.clear()
     decoded, corrected = cfg.decode(cfg.download(word).per_column)
     assert decoded == message and corrected == frozenset({0, 5})
-    assert calls == ["rs_interpolate"]
+    assert calls == ["_quotient"]
 
 
 def test_wide_folded_decode_at_radius():

@@ -61,8 +61,8 @@ def missing(cls, names):
 # The derived slots that arraycode.ArrayConfig, the base of both configs,
 # declares and reads.
 LAYOUT = ("served_code", "g", "served_per_column", "message_field",
-          "message_length", "encode_map", "download_map", "transmit_map",
-          "decode_map")
+          "message_length", "encode_map", "interpolation_map", "download_map",
+          "transmit_map", "decode_map")
 # name: (build, pinned repr, derived fields, (bad call, error, message))
 RECORDS = {
     "ErrorPattern": (

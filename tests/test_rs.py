@@ -20,9 +20,10 @@ from fracdec.errors import DecodeFailure
 from fracdec.fields import ExtField
 from fracdec.frs_scheme import frs_make_config
 from fracdec.primefield import PrimeField
-from fracdec.rs import (PackedMap, RsCode, _pack, _unpack, decode_columns,
-                        packed_map, packed_product, rs_interpolate,
-                        served_map, tabulate_columns)
+from fracdec.rs import (PackedMap, RsCode, _pack, _unpack, block_map,
+                        decode_columns, interpolation_map, packed_map,
+                        packed_product, rs_interpolate, served_map,
+                        tabulate_columns)
 from fracdec.serialization import config_from_dict, load_json
 from fracdec.trace_scheme import ts_make_config
 
@@ -301,7 +302,8 @@ def matrix_product(q, columns, vector):
 
 @pytest.mark.parametrize("q", (2, 13, 31, 4294967311))
 def test_packed_maps_match_the_textbook_products(q):
-    """packed_map's plain, Kronecker and block-diagonal layouts,
+    """packed_map's plain and Kronecker layouts, block_map's
+    block-diagonal one from an identity's columns,
     packed_product on an input padded with leading zeros and cut short,
     read on one block of outputs, and the map of tabulate_columns, each
     against the textbook matrix product, on vectors of all q - 1 and
@@ -316,7 +318,8 @@ def test_packed_maps_match_the_textbook_products(q):
     kron = [[a * b % q for a in col_a for b in col_b]
             for col_a in left for col_b in right]
     blocks = [matrix(2, 3) for _ in range(4)]
-    stacked = [[x for block in blocks for x in block[a]] for a in range(3)]
+    identity = packed_map(q, [[int(r == c) for r in range(8)]
+                              for c in range(8)], terms=3)
     diagonal = [[x if i == b else 0 for b in range(4) for x in block[a]]
                 for i, block in enumerate(blocks) for a in range(3)]
 
@@ -324,7 +327,7 @@ def test_packed_maps_match_the_textbook_products(q):
         return [sum(map(mul, row, units)) for row in zip(*left)]
 
     cases = ((packed_map(q, left), left), (packed_map(q, left, right), kron),
-             (packed_map(q, stacked, blocks=4), diagonal),
+             (block_map(identity, blocks), diagonal),
              (packed_map(q, tabulate_columns(q, 3, 3 * (q - 1), linear)),
               left))
     for pmap, columns in cases:
@@ -333,7 +336,7 @@ def test_packed_maps_match_the_textbook_products(q):
         for vector in table_vectors(rng, q, len(columns)):
             assert packed_product(pmap, vector) == matrix_product(
                 q, columns, vector)
-    pmap = packed_map(q, stacked, blocks=4)
+    pmap = block_map(identity, blocks)
     for vector in table_vectors(rng, q, 3):
         for i, block in enumerate(blocks):
             padded = (0,) * (3 * i) + tuple(vector)
@@ -360,13 +363,12 @@ def test_shipped_codes_leave_digits_room(path):
     codes = [v for v in built if isinstance(v, RsCode)]
     maps = [v for v in built if isinstance(v, PackedMap)]
     assert len(codes) == 1
-    # the folded decode_map is its transmit_map
-    assert len(maps) == 4
-    assert len(set(map(id, maps))) == (
-        4 if cfg.__class__.__name__ == "TsConfig" else 3)
+    # every config keeps five distinct maps
+    assert len(maps) == len(set(map(id, maps))) == 5
     for code in codes:
         assert_code_maps_fit(code)
-        maps += [code.interpolation, served_map(code, 1, 1)]
+        maps += [code.interpolation, served_map(code, 1, 1),
+                 interpolation_map(code, 1, 1)]
     for pmap in maps:
         assert oracles.largest_digit_sum(pmap) < 2 ** pmap.width
 
@@ -645,19 +647,23 @@ def test_rs_code_builds_its_master_once(q, n, rs_calls):
 def test_codes_and_configs_build_only_the_maps_they_apply(rs_calls):
     """Every packed map is built once, where its layout is fixed, and only
     if something applies it: an RsCode packs its interpolation map alone;
-    a folded config its encode, download and transmit maps (transmit_map
-    is also its decode_map) and its served code's; a trace config its
-    encode, download, transmit and decode maps, its served code's and the
-    anchor code's its decode table is read through."""
-    calls = rs_calls("packed_map")
+    a folded config its encode, transmit and decode maps and its served
+    code's; a trace config its encode, transmit and decode maps, its
+    served code's and the anchor code's its decode table is read through.
+    Each config's interpolation_map is its served code's interpolation
+    map spread out, and its download_map that map's columns combined
+    (rs.block_map), so neither packs a matrix."""
+    calls = rs_calls("packed_map", "interpolation_map", "block_map")
     RsCode(F13, 2, range(6))
-    assert len(calls) == 1
+    assert calls == ["packed_map"]
     calls.clear()
     frs_make_config(12, 3, 4, Fraction(1, 2))
-    assert len(calls) == 4
+    assert sorted(calls) == ["block_map", "interpolation_map",
+                             *["packed_map"] * 4]
     calls.clear()
     ts_make_config(31, 30, 4, 4, 2)
-    assert len(calls) == 6
+    assert sorted(calls) == ["block_map", "interpolation_map",
+                             *["packed_map"] * 5]
 
 
 # The configs whose RS codes the schemes decode with: the benchmark's trace
@@ -936,10 +942,15 @@ def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
     re-encodes, with one product with a map of the digits of the
     evaluation map at the points, served_map's one word, after the
     interpolation, and reports the changed position, as the
-    scalar Euclid decoder does."""
+    scalar Euclid decoder does. The interpolation is one product with a
+    map of the digits of interpolation_map(code, 1, 1): the word, then
+    code.interpolation's outputs."""
     field = PrimeField(q)
     rng = random.Random(q * n + k)
     code = RsCode(field, k, rng.sample(range(q), n))
+    identity = [[int(r == c) for r in range(n)] for c in range(n)]
+    stacked = [(*unit, *basis) for unit, basis in zip(
+        identity, oracles.map_digits(code.interpolation))]
     messages = [()] + [tuple(rng.randrange(q) for _ in range(d))
                        + (rng.randrange(1, q),) for d in range(k)]
     products, original = [], rs_module.packed_product
@@ -954,7 +965,8 @@ def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
         monkeypatch.setattr(rs_module, "packed_product", counting)
         products.clear()
         assert decode_word(code, word) == (message, frozenset())
-        assert list(map(id, products)) == [id(code.interpolation)]
+        (interpolation,) = products
+        assert oracles.map_digits(interpolation) == stacked
         monkeypatch.undo()
         pos = rng.randrange(n)
         word[pos] = (word[pos] + rng.randrange(1, q)) % q
@@ -967,7 +979,7 @@ def test_codewords_leave_the_decoder_after_interpolation(q, n, k,
         if code.radius:
             assert got == (message, frozenset({pos}))
             interpolation, reencode = products
-            assert interpolation is code.interpolation
+            assert oracles.map_digits(interpolation) == stacked
             assert oracles.map_digits(reencode) == oracles.map_digits(
                 served_map(code, 1, 1))
         else:

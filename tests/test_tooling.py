@@ -208,14 +208,15 @@ def test_code_tables_are_applied_only_in_rs():
     and the trace and folded configs' maps are read only
     as the first argument of rs.packed_product, as one of the two maps
     rs.packed_sum adds (its first and third) or as the map
-    rs.decode_words applies (its fifth); frs_scheme imports nothing
+    rs.decode_words applies (its sixth), and the code's map also by
+    rs.interpolation_map, which spreads it out; frs_scheme imports nothing
     from polyring, and outside fields and polyring no module imports more
     of polyring than normalize, so none evaluates or interpolates a
     polynomial but through rs."""
-    maps = ("encode_map", "download_map", "transmit_map", "decode_map",
-            "interpolation")
+    maps = ("encode_map", "interpolation_map", "download_map",
+            "transmit_map", "decode_map", "interpolation")
     map_args = {"packed_product": (0,), "packed_sum": (0, 2),
-                "decode_words": (4,)}
+                "decode_words": (5,)}
     readers, imported, loose = set(), set(), []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -224,6 +225,9 @@ def test_code_tables_are_applied_only_in_rs():
                    and isinstance(node.func, ast.Name)
                    for i in map_args.get(node.func.id, ())
                    if i < len(node.args)}
+        applied |= {id(node) for fn in tree.body
+                    if getattr(fn, "name", "") == "interpolation_map"
+                    and path.stem == "rs" for node in ast.walk(fn)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in (
                     "columns", "width", "decode_width", "decode_master",

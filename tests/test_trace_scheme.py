@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from fracdec import arraycode
 from fracdec import polyring as P
 from fracdec.arraycode import DownloadBundle, ErrorPattern, apply_error_pattern
 from fracdec.errors import DecodeFailure
@@ -455,13 +456,14 @@ def test_pipeline_runs_no_extension_field_arithmetic(name, monkeypatch):
 def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
                                                    rs_codes_built,
                                                    monkeypatch):
-    """A decode builds no code, interpolates each of the m streams and
-    runs each corrupted one's Euclid to a quotient (rs._quotient), then
-    makes one product with the config's decode_map, which re-encodes
-    every stream and reads the message digits too: the peel runs when the
+    """A decode builds no code, interpolates all m streams in one product
+    with cfg.interpolation_map, never through rs_interpolate, and runs
+    each corrupted one's Euclid to a quotient (rs._quotient), then makes
+    one product with the config's decode_map, which re-encodes every
+    stream and reads the message digits too: the peel runs when the
     config is built, not per decode. Every product is counted by its
-    map: the inner code's interpolation once per stream, then
-    cfg.decode_map exactly once, last, and no other map."""
+    map: cfg.interpolation_map once, then cfg.decode_map exactly once,
+    last, and no other map."""
     cfg = shipped_config(name)
     stream = trial_stream(48, cfg.radius, 0)
     message = random_message(cfg, stream)
@@ -478,12 +480,12 @@ def test_decode_is_stream_decodes_then_one_product(name, rs_calls,
         return original(pmap, symbols)
 
     monkeypatch.setattr(rs_module, "packed_product", counting)
+    monkeypatch.setattr(arraycode, "packed_product", counting)
     decoded, corrected = cfg.decode(bundle.per_column)
     assert decoded == message and corrected == set(pattern.support)
-    assert calls == ["rs_interpolate", "_quotient"] * cfg.m
-    code = cfg.served_code
+    assert calls == ["_quotient"] * cfg.m
     assert list(map(id, products)) == list(map(id, (
-        [code.interpolation] * cfg.m + [cfg.decode_map])))
+        cfg.interpolation_map, cfg.decode_map)))
     assert rs_codes_built == []
 
 
@@ -558,19 +560,26 @@ def test_decode_table_matches_the_scalar_peel(name):
 def test_tables_leave_digits_room(name):
     """In every output digit of every table, the products with the
     largest canonical symbols sum below 2^width, so nothing carries: for
-    the canonical download and decode tables that is
-    terms * (q - 1)^2 < 2^width, terms being the inputs the output reads;
-    the encode table's Kronecker digits reach (q - 1)^2."""
+    the canonical decode table and the served outputs of the download
+    table that is terms * (q - 1)^2 < 2^width, terms being the inputs the
+    output reads; the encode table's Kronecker digits, and the download
+    table's interpolant digits, each one product of two canonical
+    entries, reach (q - 1)^2, so those outputs hold terms * (q - 1)^3."""
     cfg = TABLE_CONFIGS[name]()
-    q = cfg.base.q
-    for pmap in (cfg.encode_map, cfg.download_map, cfg.decode_map):
+    q, size = cfg.base.q, cfg.downloaded_per_word
+    for pmap in (cfg.encode_map, cfg.interpolation_map, cfg.download_map,
+                 cfg.transmit_map, cfg.decode_map):
         assert len(oracles.map_digits(pmap)) == pmap.inputs
         assert oracles.largest_digit_sum(pmap) < 2 ** pmap.width
-    for pmap in (cfg.download_map, cfg.decode_map):
-        digits = oracles.map_digits(pmap)
+    download = oracles.map_digits(cfg.download_map)
+    for digits, top, width in (
+            ([c[:size] for c in download], q - 1, cfg.download_map.width),
+            ([c[size:] for c in download], (q - 1) ** 2,
+             cfg.download_map.width),
+            (oracles.map_digits(cfg.decode_map), q - 1, cfg.decode_map.width)):
         terms = max(sum(map(bool, row)) for row in zip(*digits))
-        assert max(map(max, digits)) < q
-        assert terms * (q - 1) ** 2 < 2 ** pmap.width
+        assert max(map(max, digits)) <= top
+        assert terms * (q - 1) * top < 2 ** width
 
 
 def test_malformed_bundle_rejected():
