@@ -6,15 +6,17 @@ many of its entries changed.
 
 `ArrayConfig` is the base of both schemes' configs. It writes each stage
 once: encode, download, decode, the full pipeline and the enumeration of
-the code. A scheme supplies its layout and five packed maps as derived
-slots, and two small methods. The full pipeline never forms the stored
-word: the served symbols and their words' interpolants are linear in
-the message and the offsets, so its transmit side is one `rs.packed_sum`
-that yields both, as the staged `decode`'s one product does from the
-served symbols. Both go to one `rs.decode_words`: a Euclid run per word
-to a quotient, then one product with the scheme's `decode_map` that
-re-encodes every word in served order and, for the trace scheme, reads
-the message digits too.
+the code. A scheme supplies its layout, sizes and six packed maps as
+derived slots, and two small methods. The full pipeline checks a
+well-shaped error pattern in one pass against the config's n and l, and
+runs the column-by-column loop only to find a faulty pattern's first
+fault. It never forms the stored word: the served symbols and their
+words' interpolants are linear in the message and the offsets, so its
+transmit side is one `rs.packed_sum` that yields both, as the staged
+`decode`'s one product does from the served symbols. Both go to one
+`rs.decode_words`: a Euclid run per word to a quotient, then one product
+with the scheme's `decode_map` that re-encodes every word in served
+order and, for the trace scheme, reads the message digits too.
 """
 
 import itertools
@@ -65,7 +67,10 @@ def apply_error_pattern(field, columns, pattern):
     columns = [tuple(col) for col in columns]
     symbols = list(field.check_all(itertools.chain.from_iterable(columns)))
     bounds = list(itertools.accumulate(map(len, columns), initial=0))
-    offsets = _checked_offsets(field, pattern, bounds)
+    heights = set(map(len, columns))
+    offsets = _checked_offsets(field, pattern, len(columns),
+                               heights.pop() if len(heights) == 1 else None,
+                               bounds)
     q = prime_q(field, "an error pattern")
     for start, vec in offsets:
         end = start + len(vec)
@@ -74,18 +79,20 @@ def apply_error_pattern(field, columns, pattern):
     return tuple(tuple(symbols[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-def _checked_offsets(field, pattern, bounds):
-    """The pattern's offsets as (start, offset) pairs on a flat word whose
-    column i is symbols bounds[i] to bounds[i + 1]. In support order, each
-    column must lie in the word, each offset must have its column's length
-    and every offset symbol is checked against `field`; the first fault
-    raises. A well-shaped pattern costs one check_all pass over them all."""
+def _checked_offsets(field, pattern, n, l, bounds=None):
+    """The pattern's offsets as (start, offset) pairs on a flat word of n
+    columns of l symbols, column i symbols i*l to i*l + l, or, where l is
+    None, of uneven columns, column i symbols bounds[i] to bounds[i + 1].
+    A well-shaped pattern costs one pass: its support lies below n, every
+    offset has l symbols, and one check_all checks them all. Any other
+    takes the loop in support order: each column must lie in the word,
+    each offset must have its column's length and every offset symbol is
+    checked against `field`; the first fault raises."""
     support, values = pattern.support, pattern.values
-    n, offsets = len(bounds) - 1, []
-    if (not support or support[-1] < n) and list(map(len, values)) == [
-            bounds[i + 1] - bounds[i] for i in support]:
+    if (not support or support[-1] < n) and {*map(len, values)} <= {l}:
         field.check_all(itertools.chain.from_iterable(values))
-        return list(zip(map(bounds.__getitem__, support), values))
+        return [(i * l, vec) for i, vec in zip(support, values)]
+    bounds, offsets = bounds or range(0, n * l + 1, l), []
     for idx, vec in zip(support, values):
         if idx >= n:
             raise ValueError(f"error column {idx} outside word of length {n}")
@@ -172,13 +179,17 @@ class ArrayConfig(Record):
     as n columns of l symbols of `symbol_field`. Each column serves
     `served_per_column` symbols, g consecutive symbols of each of the
     words of `served_code`, an RS code over the symbol field. A scheme
-    sets those derived slots and five packed maps (`rs.PackedMap`):
+    sets those derived slots, the sizes downloaded_per_word (n times
+    served_per_column), accessed_per_word and radius, set once so that
+    no op recomputes them, and six packed maps (`rs.PackedMap`):
     encode_map: the encode inputs of a message to its n*l stored symbols,
         column by column;
     interpolation_map: the served symbols, flat and column by column, to
         themselves and their words' interpolants (`rs.interpolation_map`);
     download_map: the n*l stored symbols to those outputs, column i's
         served symbols reading only its own l stored ones;
+    served_download_map: download_map's served outputs alone
+        (`rs.leading_map`), which the staged `download` applies;
     transmit_map: the composite of the two, the encode inputs of a
         message to those outputs of its stored word, built from the
         scheme's structure rather than by composing the two maps;
@@ -187,11 +198,11 @@ class ArrayConfig(Record):
         served symbols (`rs.served_map`) and then to any tail the
         scheme's message is read from.
     interpolation_map, download_map and transmit_map share their digit
-    width, which holds the products of all the encode inputs plus those
-    of the stored symbols an output reads, so one accumulation adds both
-    of the last two.
-    Besides those slots, a scheme has n, l, radius and accessed_per_word,
-    and defines two methods, each handed canonical symbols:
+    width, which holds the largest digit sum an output reaches from the
+    encode inputs plus the stored symbols it reads, so one accumulation
+    adds both of the last two.
+    Besides those slots, a scheme has n and l, and defines two methods,
+    each handed canonical symbols:
     _inputs(message): encode_map's inputs for a checked message;
     _message(polys, tail): the message whose served words decode to
         `polys`, one polynomial per word, with decode_map's tail `tail`.
@@ -203,8 +214,9 @@ class ArrayConfig(Record):
     """
 
     __slots__ = ("served_code", "g", "served_per_column", "message_field",
-                 "message_length", "encode_map", "interpolation_map",
-                 "download_map", "transmit_map", "decode_map")
+                 "message_length", "downloaded_per_word", "accessed_per_word",
+                 "radius", "encode_map", "interpolation_map", "download_map",
+                 "served_download_map", "transmit_map", "decode_map")
 
     @property
     def symbol_field(self):
@@ -216,10 +228,6 @@ class ArrayConfig(Record):
         """(order, length): the order of the message symbols' field, and
         the message length."""
         return self.message_field.order, self.message_length
-
-    @property
-    def downloaded_per_word(self):
-        return self.n * self.served_per_column
 
     def _checked_message(self, message):
         """The message as a tuple of exactly message_length symbols, each
@@ -239,24 +247,26 @@ class ArrayConfig(Record):
 
     def download(self, word):
         """The served symbols of a stored word, with transfer accounting:
-        one product with download_map. The word must have n columns of l
+        one product with served_download_map, which yields them alone
+        and no interpolant. The word must have n columns of l
         symbols, and every symbol is checked, served or not; the first
         fault in column order raises."""
         columns = tuple(word)
         if len(columns) != self.n:
             raise ValueError(f"word must have n = {self.n} columns")
         return self._bundle(packed_product(
-            self.download_map,
+            self.served_download_map,
             _stored_symbols(self.symbol_field, columns, self.l)))
 
-    def _bundle(self, out):
+    def _bundle(self, out, slots=_BundleSlots):
         """The bundle of a word's served symbols, the first of `out`,
-        flat and column by column."""
+        flat and column by column, its slots written directly."""
         size = self.downloaded_per_word
         bundle = DownloadBundle.__new__(DownloadBundle)
-        bundle._set(per_column=zip(*[iter(out[:size])]
-                                   * self.served_per_column),
-                    downloaded=size, accessed=self.accessed_per_word)
+        slots.per_column.__set__(bundle, zip(*[iter(out[:size])]
+                                             * self.served_per_column))
+        slots.downloaded.__set__(bundle, size)
+        slots.accessed.__set__(bundle, self.accessed_per_word)
         return bundle
 
     def decode(self, per_column):
@@ -293,19 +303,19 @@ class ArrayConfig(Record):
 
         Only what enters is checked: the message, as `encode` checks it,
         and the pattern, as `apply_error_pattern` checks it, with the same
-        errors in the same order. The stored word is never formed: the
-        served symbols and their words' interpolants are the message's
-        inputs through transmit_map plus each offset through the download
-        columns of its own l stored symbols, one `rs.packed_sum`, and they
-        are decoded unchecked, as `decode` decodes its checked ones.
+        errors in the same order: a well-shaped pattern in one pass
+        against n and l, a faulty one column by column. The stored word
+        is never formed: the served symbols and their words' interpolants
+        are the message's inputs through transmit_map plus each offset,
+        (i*l, offset) for column i, through the download columns of its
+        own l stored symbols, one `rs.packed_sum`, and they are decoded
+        unchecked, as `decode` decodes its checked ones.
         Raises DecodeFailure as `decode` does.
         """
         inputs = self._inputs(self._checked_message(message))
-        l = self.l
-        offsets = _checked_offsets(self.symbol_field, pattern,
-                                   range(0, self.n * l + 1, l))
         out = packed_sum(self.transmit_map, inputs, self.download_map,
-                         offsets)
+                         _checked_offsets(self.symbol_field, pattern,
+                                          self.n, self.l))
         return self._decoded(out)[0], self._bundle(out)
 
     def codewords(self):

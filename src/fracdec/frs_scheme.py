@@ -23,8 +23,8 @@ import itertools
 from .arraycode import ArrayConfig
 from .primefield import PrimeField, is_prime, prime_factors
 from .rationals import as_fraction, brief
-from .rs import (RsCode, block_map, interpolation_map, packed_map,
-                 power_columns)
+from .rs import (RsCode, block_map, interpolation_map, leading_map,
+                 packed_map, power_columns)
 
 
 def smallest_prime_above(bound):
@@ -71,7 +71,8 @@ class FrsConfig(ArrayConfig):
     `arraycode.ArrayConfig`, whose stages this scheme runs: a message is
     the kl coefficients of h, lowest first, in the field; each column
     serves its prefix, its first alpha*l symbols, read verbatim, so
-    downloaded == accessed; and served_code is the puncturing of the
+    accessed_per_word == downloaded_per_word == n*alpha*l; radius is
+    floor((n - k/alpha) / 2); and served_code is the puncturing of the
     (nl, kl) code to the prefixes, the prefix points of column 0, then of
     column 1, and so on, whose one word the concatenated prefixes are
     (so g = alpha*l). Its symbol radius floor(alpha*l*(n - k/alpha)/2)
@@ -86,13 +87,16 @@ class FrsConfig(ArrayConfig):
     encode_map's columns, the matrix `rs.served_map` gives served_code's
     one word; interpolation_map, the prefixes to themselves and then to
     their interpolant; download_map, the selection of each column's
-    prefix, on to those outputs; and transmit_map, decode_map and then
-    the identity, as the interpolant of a message's prefixes is the
-    message. An interpolant output of the pipeline's packed sum adds kl
-    message products and one offset product per served symbol, so the
-    last three carry the width of kl + n*alpha*l products. A decode is
-    one Euclid run on the flattened prefixes, then one product with
-    decode_map.
+    prefix, on to those outputs; served_download_map, the prefixes alone;
+    and transmit_map, decode_map and then the identity, as the
+    interpolant of a message's prefixes is the message. So an interpolant
+    output of the pipeline's packed sum adds one message product of a
+    digit 1 and one offset product per served symbol, and a served one kl
+    message products and one offset product, where kl <= n*alpha*l: the
+    pipeline's three maps carry the width of the largest digit sum,
+    (n*alpha*l*(p - 1) + 1) * (p - 1), 16 bits at (12, 3, 4, 1/2). A
+    decode is one Euclid run on the flattened prefixes, then one product
+    with decode_map.
     """
 
     scheme = "frs"
@@ -129,34 +133,27 @@ class FrsConfig(ArrayConfig):
         powers = power_columns(q, points, k * l)
         evaluation = [list(itertools.compress(c, itertools.cycle(prefix)))
                       for c in powers]
-        size, terms = n * alpha_l, k * l + n * alpha_l
+        # an interpolant coefficient adds one message product of a digit 1
+        # and one offset product per served symbol; kl <= size = n*alpha*l
+        size, punctured_dim = n * alpha_l, int(k / alpha)
+        bound = (size * (q - 1) + 1) * (q - 1)
         code = RsCode(field, k * l, itertools.compress(
             points, itertools.cycle(prefix)))
-        interpolation = interpolation_map(code, alpha_l, 1, terms=terms)
-        self._set(alpha_l=alpha_l, punctured_dim=int(k / alpha),
+        interpolation = interpolation_map(code, alpha_l, 1, bound)
+        download = block_map(interpolation, [[
+            [int(r == u) for r in range(alpha_l)] for u in range(l)]] * n)
+        self._set(alpha_l=alpha_l, punctured_dim=punctured_dim,
                   points=points, g=alpha_l, served_per_column=alpha_l,
                   message_field=field, message_length=k * l,
+                  downloaded_per_word=size, accessed_per_word=size,
+                  radius=(n - punctured_dim) // 2,
                   served_code=code, encode_map=packed_map(q, powers),
-                  interpolation_map=interpolation,
-                  download_map=block_map(interpolation, [[
-                      [int(r == u) for r in range(alpha_l)]
-                      for u in range(l)]] * n),
+                  interpolation_map=interpolation, download_map=download,
+                  served_download_map=leading_map(download, size),
                   transmit_map=packed_map(q, [
                       c + [0] * j + [1] + [0] * (size - j - 1)
-                      for j, c in enumerate(evaluation)], terms=terms),
+                      for j, c in enumerate(evaluation)], bound=bound),
                   decode_map=packed_map(q, evaluation))
-
-    @property
-    def radius(self):
-        """floor((n - k/alpha) / 2): the column errors one Euclid decode of
-        the flattened prefixes always corrects."""
-        return (self.n - self.punctured_dim) // 2
-
-    @property
-    def accessed_per_word(self):
-        """Equal to downloaded_per_word: prefixes are served verbatim, so no
-        extra symbols are touched."""
-        return self.n * self.alpha_l
 
     def column_points(self, i, height=None):
         """Evaluation points of column i (first `height` of them)."""

@@ -24,7 +24,8 @@ few sparse runs of inputs with a second map of the same outputs and
 width. `packed_map` builds a map from the columns of a matrix or from a
 Kronecker product of two, and chooses the digit width so that no digit
 carries into the next, also where two maps are summed; `block_map`
-combines a map's columns block by block, and `tabulate_columns`
+combines a map's columns block by block, `leading_map` keeps a map's
+first outputs, and `tabulate_columns`
 tabulates a linear function by running it once on all its unit inputs.
 
 `RsCode` builds only what its decoder reads, once: the `interpolation`
@@ -284,13 +285,12 @@ class PackedMap(namedtuple("PackedMap", "q outputs width columns")):
     integer per input symbol, whose digit r, `width` bits wide, is a
     nonnegative integer congruent mod q to the map's entry in output r.
     `width` is the least of 8, 16, 32 and 64 bits, or past 64 the least
-    multiple of 8, with terms * (q - 1) * top < 2^width, where terms is
-    the number of inputs one output depends on (or, for maps that
-    `packed_sum` adds, their joint count) and top bounds the digits, so a
-    product with canonical symbols never carries from one digit into the
-    next, and digits of up to 8 bytes are read in C. Build one with
-    `packed_map`; only `packed_product` and `packed_sum` read the packed
-    columns.
+    multiple of 8, above the largest digit sum an output can reach: over
+    its inputs, q - 1 times their digits there (for maps that `packed_sum`
+    adds, the sum of both maps' sums). So a product with canonical symbols
+    never carries from one digit into the next, and digits of up to 8
+    bytes are read in C. Build one with `packed_map`; only
+    `packed_product` and `packed_sum` read the packed columns.
     """
 
     __slots__ = ()
@@ -300,7 +300,7 @@ class PackedMap(namedtuple("PackedMap", "q outputs width columns")):
         return len(self.columns)
 
 
-def packed_map(q, columns, right=((1,),), terms=None):
+def packed_map(q, columns, right=((1,),), bound=None):
     """Pack a GF(q)-linear map given by the columns of its matrix, each a
     sequence of canonical symbols, one column per input symbol.
 
@@ -311,18 +311,19 @@ def packed_map(q, columns, right=((1,),), terms=None):
         two packed integers, so its digits are these products unreduced,
         at most (q - 1)^2. The default, a 1 x 1 identity, leaves the map
         as given, with canonical entries.
-    terms: how many products of a symbol with a digit one output sums,
-        by default the given columns times len(right). Maps that
-        `packed_sum` adds in one accumulation each pass their joint
-        count, so that they share a width that holds the joint sum.
+    bound: the largest digit sum an output can reach (see `PackedMap`),
+        by default q - 1 times the largest digit, times every input; the
+        width is the least that holds it. Maps that `packed_sum` adds in
+        one accumulation each pass their joint bound, so that they share
+        a width that holds the joint sum.
     """
     columns = [tuple(c) for c in columns]
     right = [tuple(c) for c in right]
     height, stride = len(columns[0]), len(right[0])
-    if terms is None:
-        terms = len(columns) * len(right)
-    top = (q - 1) * max(max(c) for c in right)
-    size = _digit_bytes((terms * (q - 1) * top).bit_length())
+    if bound is None:
+        bound = (len(columns) * len(right) * (q - 1) ** 2
+                 * max(map(max, right)))
+    size = _digit_bytes(bound.bit_length())
     right = [_pack(c, size) for c in right]
     packed = [c * r for c in (_pack(c, size * stride) for c in columns)
               for r in right]
@@ -366,7 +367,7 @@ def packed_sum(pmap, symbols, spread, offsets):
     inputs start, start + 1, ..., so it costs len(values) products with
     `spread`'s columns there, whatever `spread`'s size. The two maps must
     share outputs and digit width, and that width must hold the joint
-    digit sum (see `packed_map`'s `terms`); unchecked otherwise, like
+    digit sum (see `packed_map`'s `bound`); unchecked otherwise, like
     `packed_product`.
     """
     if (pmap.outputs, pmap.width) != (spread.outputs, spread.width):
@@ -445,10 +446,10 @@ def _quotient(code, r1):
     divisions, but at q = 2^31 - 1 only below 2^34, and a division
     multiplies it by about 2q, so that run reduces exactly.
     """
-    n, k, q, width = code.n, code.k, code.field.q, code.decode_width
+    n, k, q, width = len(code.omega), code.k, code.field.q, code.decode_width
     mask, cap = (1 << width) - 1, 1 << width
     folds, inverses = code.decode_folds, code.decode_inverses
-    low = (code.radius + 1) * width
+    low = ((n - k) // 2 + 1) * width
     pair0, pair1 = code.decode_master, _pack(r1, width // 8) << low | 1
     top0, top1, lead, v_degree = n, len(r1) - 1, r1[-1], 0
     a0 = a1 = spread = q - 1
@@ -590,7 +591,8 @@ def decode_words(code, served, interpolants, g, radius, pmap):
     the columns number more than `radius`. Exact whenever
     g * radius <= code.radius.
     """
-    n, k, t, size = code.n, code.k, code.radius, len(served)
+    n, k, size = len(code.omega), code.k, len(served)
+    t = (n - k) // 2
     span, words = size // n * g, len(interpolants) // n
     messages, coeffs, clean = [], [], True
     for j in range(words):
@@ -643,16 +645,17 @@ def served_map(code, g, words, tail=()):
         columns, tail or itertools.repeat(()))])
 
 
-def interpolation_map(code, g, words, terms=None):
+def interpolation_map(code, g, words, bound=0):
     """The map from `words` words of `code` served g symbols a column, as
     `served_map` places them, to themselves and then every word's
     interpolant, coefficient c of word j at output n*words + c*words + j:
     the column of position p of word j is a one at its own output, then
     code.interpolation's column p, its digit c moved to that output. Its
-    width is packed_map's for max(terms, n) terms."""
-    q, n, span = code.field.q, code.n, g * words
+    width holds the largest of `bound` (see `packed_map`) and its own
+    digit sum, n * (q - 1)^2 at an interpolant output."""
+    q, n, span = code.field.q, len(code.omega), g * words
     basis, old = code.interpolation, code.interpolation.width // 8
-    size = _digit_bytes((max(terms or n, n) * (q - 1) ** 2).bit_length())
+    size = _digit_bytes(max(bound, n * (q - 1) ** 2).bit_length())
     lagrange = []
     for column in basis.columns:
         data = column.to_bytes(n * old, "little")
@@ -674,3 +677,11 @@ def block_map(pmap, weights):
         block = pmap.columns[i * per:i * per + per]
         columns += [sum(map(mul, w, block)) for w in column]
     return pmap._replace(columns=tuple(columns))
+
+
+def leading_map(pmap, outputs):
+    """`pmap` cut to its first `outputs` outputs, at its width: each
+    column with the digits above them masked off."""
+    mask = (1 << outputs * pmap.width) - 1
+    return pmap._replace(outputs=outputs,
+                         columns=tuple(c & mask for c in pmap.columns))

@@ -44,8 +44,8 @@ from operator import mul
 from .arraycode import ArrayConfig
 from .fields import ExtField, dual_basis
 from .primefield import PrimeField
-from .rs import (RsCode, block_map, interpolation_map, packed_map,
-                 packed_product, poly_from_roots, power_columns,
+from .rs import (RsCode, block_map, interpolation_map, leading_map,
+                 packed_map, packed_product, poly_from_roots, power_columns,
                  rs_interpolate, served_map, tabulate_columns)
 
 
@@ -63,7 +63,10 @@ class TsConfig(ArrayConfig):
 
     Derived, once per config: annihilators p_j; place_values, the
     base-q place values q^0, ..., q^(l-1) of a symbol's polynomial-basis
-    digits; the layout of
+    digits; n = len(omega) and l = ext.degree; the sizes: radius
+    floor((n - lk/m) / 2), met with equality by the decoder, and
+    accessed_per_word n*l, as a column transmits m of its l symbols'
+    worth of information but must be read in full; the layout of
     `arraycode.ArrayConfig`, whose stages this scheme runs: a message is k
     symbols of ext; each column serves m symbols, one of each of the m
     download streams, the words of served_code, the (n, lk/m) RS code over
@@ -85,6 +88,7 @@ class TsConfig(ArrayConfig):
         p_j(w_i)^0, ..., p_j(w_i)^(l-m), so on a clean column it is
         exactly g_j(omega_i). p_j(w_i) is the product of w_i - a over
         A_j, and its powers are one `rs.power_columns` table.
+    served_download_map: download_map's served outputs alone.
     transmit_map: download_map after encode_map. Served symbol j of
         column i weighs the column's coordinates by row j of the m x l
         download block W_i, and digit v of symbol t puts omega_i^t times
@@ -104,7 +108,7 @@ class TsConfig(ArrayConfig):
 
     scheme = "ts"
     _fields = ("ext", "k", "omega", "subsets", "basis")
-    __slots__ = _fields + ("annihilators", "place_values")
+    __slots__ = _fields + ("annihilators", "place_values", "n", "l")
 
     def __init__(self, ext, k, omega, subsets, basis):
         base = ext.base
@@ -151,9 +155,9 @@ class TsConfig(ArrayConfig):
                   for column in omega_powers]
         # an interpolant coefficient adds k*l message products and, from
         # each column, l-m+1 offset products of digits up to (q-1)^2
-        terms = k * l + n * (split + 1) * (q - 1)
+        bound = (k * l + n * (split + 1) * (q - 1)) * (q - 1) ** 2
         code = RsCode(base, l * k // m, omega)
-        interpolation = interpolation_map(code, 1, m, terms=terms)
+        interpolation = interpolation_map(code, 1, m, bound)
         # digit v of symbol t's streams are x^t times digit v of symbol 0's,
         # of degree <= (l-m)k/m < lk/m - t: the interpolants move up t places
         digits = list(zip(*mixed))
@@ -165,29 +169,23 @@ class TsConfig(ArrayConfig):
                     + [0] * (t * m) + low[:(n - t) * m]
                     for t, column in enumerate(spread)
                     for digit, low in zip(digits, bottom)]
+        download = block_map(interpolation, [
+            [c[i * m:i * m + m] for c in served] for i in range(n)])
         self._set(
-            annihilators=annihilators, place_values=place_values,
+            annihilators=annihilators, place_values=place_values, n=n, l=l,
             served_code=code, g=1, served_per_column=m, message_field=ext,
-            message_length=k,
+            message_length=k, downloaded_per_word=n * m,
+            accessed_per_word=n * l, radius=(n - l * k // m) // 2,
             encode_map=packed_map(q, omega_powers, right=proj),
-            interpolation_map=interpolation, download_map=block_map(
-                interpolation, [[c[i * m:i * m + m] for c in served]
-                                for i in range(n)]),
-            transmit_map=packed_map(q, transmit, terms=terms),
+            interpolation_map=interpolation, download_map=download,
+            served_download_map=leading_map(download, n * m),
+            transmit_map=packed_map(q, transmit, bound=bound),
             decode_map=served_map(code, 1, m, tail=_decode_table(
                 base, k, subsets, annihilators, basis)))
 
     @property
     def base(self):
         return self.ext.base
-
-    @property
-    def n(self):
-        return len(self.omega)
-
-    @property
-    def l(self):
-        return self.ext.degree
 
     @property
     def m(self):
@@ -197,17 +195,6 @@ class TsConfig(ArrayConfig):
     def alpha(self):
         from fractions import Fraction
         return Fraction(self.m, self.l)
-
-    @property
-    def radius(self):
-        """floor((n - k/alpha) / 2), met with equality by the decoder."""
-        return (self.n - self.l * self.k // self.m) // 2
-
-    @property
-    def accessed_per_word(self):
-        """n*l: a column transmits m of its l symbols' worth of information
-        but must be read in full to form the combinations."""
-        return self.n * self.l
 
     def _inputs(self, message):
         """The message's polynomial-basis digits, its symbols' base-q

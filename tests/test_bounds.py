@@ -216,9 +216,10 @@ def test_collision_truncated_downloads_lose_radius():
 def test_collision_search_downloads_each_codeword_once(count, products,
                                                        monkeypatch):
     """The search downloads each of the 625 codewords of ts-q5-n4-k2 once,
-    one product with cfg.download_map, and building a witness downloads
-    the two corrupted words once each: the full download has no collision
-    at t = 1, the one-symbol download has."""
+    one product with cfg.served_download_map, which yields the served
+    symbols alone, and building a witness downloads the two corrupted
+    words once each: the full download has no collision at t = 1, the
+    one-symbol download has."""
     cfg = config_from_dict(load_json(str(CONFIG_DIR / "ts-q5-n4-k2.json")))
     words, download = all_words(cfg), cfg.download_fn(count)
     products_made, original = [], arraycode.packed_product
@@ -231,7 +232,8 @@ def test_collision_search_downloads_each_codeword_once(count, products,
     wit = find_download_collision(cfg.base, words, download, 1)
     assert (wit is None) == (count == cfg.m)
     assert len(products_made) == products
-    assert all(pmap is cfg.download_map for pmap in products_made)
+    assert all(pmap is cfg.served_download_map for pmap in products_made)
+    assert cfg.served_download_map.outputs == cfg.downloaded_per_word
 
 
 def test_witness_check_catches_a_download_that_mixes_columns():

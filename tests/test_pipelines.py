@@ -78,6 +78,7 @@ def malformed_inputs(cfg):
     good = ErrorPattern(support=(0,), values=(ones,))
     beyond = ErrorPattern(support=(n,), values=(ones,))
     bad_symbol = (q,) + (0,) * (l - 1)
+    short = (1,) * (l - 1)
     return [
         ("message too long", message + (0,), good, None),
         ("message too short", message[:-1], good, None),
@@ -92,11 +93,15 @@ def malformed_inputs(cfg):
         ("offset too long", message,
          ErrorPattern(support=(0,), values=(ones + (1,),)), None),
         ("offset too short", message,
-         ErrorPattern(support=(0,), values=((1,) * (l - 1),)), None),
+         ErrorPattern(support=(0,), values=(short,)), None),
         ("offset symbol equal to q", message,
          ErrorPattern(support=(0,), values=(bad_symbol,)), None),
         ("float offset symbol", message,
          ErrorPattern(support=(0,), values=((1.0,) + ones[1:],)), None),
+        ("bool offset symbol", message,
+         ErrorPattern(support=(0,), values=((True,) + ones[1:],)), None),
+        ("negative offset symbol", message,
+         ErrorPattern(support=(0,), values=((-1,) + ones[1:],)), None),
         ("bad message, then a column at n", (order,) + message[1:], beyond,
          "message symbol equal to the order"),
         ("bad offset symbol, then a column at n", message,
@@ -105,6 +110,12 @@ def malformed_inputs(cfg):
         ("long offset, then a bad offset symbol", message,
          ErrorPattern(support=(0, 1), values=(ones + (1,), bad_symbol)),
          "offset too long"),
+        ("bad offset symbol, then a short offset", message,
+         ErrorPattern(support=(0, 1), values=(bad_symbol, short)),
+         "offset symbol equal to q"),
+        ("short offset, then a column at n", message,
+         ErrorPattern(support=(0, n), values=(short, ones)),
+         "offset too short"),
     ]
 
 

@@ -61,8 +61,9 @@ def missing(cls, names):
 # The derived slots that arraycode.ArrayConfig, the base of both configs,
 # declares and reads.
 LAYOUT = ("served_code", "g", "served_per_column", "message_field",
-          "message_length", "encode_map", "interpolation_map", "download_map",
-          "transmit_map", "decode_map")
+          "message_length", "downloaded_per_word", "accessed_per_word",
+          "radius", "encode_map", "interpolation_map", "download_map",
+          "served_download_map", "transmit_map", "decode_map")
 # name: (build, pinned repr, derived fields, (bad call, error, message))
 RECORDS = {
     "ErrorPattern": (
@@ -95,7 +96,7 @@ RECORDS = {
                      "field (singular trace projection matrix)")),
     "TsConfig": (
         ts_tiny, TS_REPR,
-        ("annihilators", "place_values", *LAYOUT),
+        ("annihilators", "place_values", "n", "l", *LAYOUT),
         (lambda: ts_make_config(5, 4, 2, 2, 2, subsets=((0,), (0,))),
          ValueError, "annihilator subsets must be pairwise disjoint with "
                      "distinct elements")),

@@ -319,7 +319,7 @@ def test_packed_maps_match_the_textbook_products(q):
             for col_a in left for col_b in right]
     blocks = [matrix(2, 3) for _ in range(4)]
     identity = packed_map(q, [[int(r == c) for r in range(8)]
-                              for c in range(8)], terms=3)
+                              for c in range(8)], bound=3 * (q - 1) ** 2)
     diagonal = [[x if i == b else 0 for b in range(4) for x in block[a]]
                 for i, block in enumerate(blocks) for a in range(3)]
 
@@ -363,8 +363,8 @@ def test_shipped_codes_leave_digits_room(path):
     codes = [v for v in built if isinstance(v, RsCode)]
     maps = [v for v in built if isinstance(v, PackedMap)]
     assert len(codes) == 1
-    # every config keeps five distinct maps
-    assert len(maps) == len(set(map(id, maps))) == 5
+    # every config keeps six distinct maps
+    assert len(maps) == len(set(map(id, maps))) == 6
     for code in codes:
         assert_code_maps_fit(code)
         maps += [code.interpolation, served_map(code, 1, 1),

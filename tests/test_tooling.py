@@ -214,7 +214,8 @@ def test_code_tables_are_applied_only_in_rs():
     of polyring than normalize, so none evaluates or interpolates a
     polynomial but through rs."""
     maps = ("encode_map", "interpolation_map", "download_map",
-            "transmit_map", "decode_map", "interpolation")
+            "served_download_map", "transmit_map", "decode_map",
+            "interpolation")
     map_args = {"packed_product": (0,), "packed_sum": (0, 2),
                 "decode_words": (5,)}
     readers, imported, loose = set(), set(), []

@@ -167,18 +167,25 @@ def test_transmit_map_is_download_after_encode(name):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_transmit_width_holds_the_joint_digit_sum(name):
     """transmit_map, download_map and interpolation_map share the least
-    digit width that holds terms * (q - 1)^2. A served output adds the
-    products of every encode input and of the stored symbols one served
-    symbol reads, l - m + 1 in a trace config and 1 in a folded one. An
-    interpolant output adds every encode input's and, from every column,
-    those of the stored symbols its word's served symbols read: in a trace
-    config n * (l - m + 1), whose download digits reach (q - 1)^2, so each
-    counts as q - 1 products, and in a folded one the n * alpha * l served
-    symbols, with canonical digits. The largest digits the two products
-    can reach sum below 2^width."""
+    digit width above the largest digit sum an output of the pipeline's
+    packed sum can reach. A served output adds the products of every
+    encode input and of the stored symbols one served symbol reads,
+    l - m + 1 in a trace config and 1 in a folded one. An interpolant
+    output adds, in a trace config, every encode input's and, from every
+    column, those of the stored symbols its word's served symbols read,
+    n * (l - m + 1), whose download digits reach (q - 1)^2: a bound of
+    (k*l + n*(l - m + 1)*(q - 1)) * (q - 1)^2. In a folded one it adds one
+    message product, as the interpolant of a message's prefixes is the
+    message, and one product of a canonical digit per served symbol: a
+    bound of (n*alpha*l*(q - 1) + 1) * (q - 1), which holds the served
+    outputs' kl * (q - 1)^2 + q - 1 as kl <= n*alpha*l. Output by output,
+    the digit sums of the two maps the packed sum adds stay within the
+    bound. The staged download's served_download_map is download_map's
+    served outputs alone, at its width."""
     cfg = CONFIGS[name]()
     q, size = cfg.symbol_field.q, cfg.downloaded_per_word
-    rows = list(zip(*oracles.map_digits(cfg.download_map)))
+    download = oracles.map_digits(cfg.download_map)
+    rows = list(zip(*download))
     reads = cfg.l - cfg.m + 1 if cfg.scheme == "ts" else 1
     assert reads == max(sum(map(bool, row)) for row in rows[:size])
     assert max(max(row) for row in rows[:size]) < q
@@ -186,21 +193,34 @@ def test_transmit_width_holds_the_joint_digit_sum(name):
                    else (size, q - 1))
     assert spread >= max(sum(map(bool, row)) for row in rows[size:])
     assert max(max(row) for row in rows[size:]) <= top
-    terms = cfg.encode_map.inputs + spread * top // (q - 1)
-    bits = (terms * (q - 1) ** 2).bit_length()
-    width = min(w for w in (8, 16, 32, 64) if w >= bits)
+    if cfg.scheme == "ts":
+        terms = cfg.encode_map.inputs + spread * top // (q - 1)
+        bound = terms * (q - 1) ** 2
+    else:
+        assert cfg.encode_map.inputs <= size
+        bound = (size * (q - 1) + 1) * (q - 1)
+    width = min(w for w in (8, 16, 32, 64) if w >= bound.bit_length())
     assert cfg.transmit_map.width == cfg.download_map.width == width
     assert cfg.interpolation_map.width == width
     assert cfg.transmit_map.outputs == cfg.download_map.outputs == 2 * size
-    assert (oracles.largest_digit_sum(cfg.transmit_map)
-            + oracles.largest_digit_sum(cfg.download_map)) < 2 ** width
+    joint = [(q - 1) * (sum(a) + sum(b)) for a, b in zip(
+        zip(*oracles.map_digits(cfg.transmit_map)), rows)]
+    assert max(joint) <= bound < 2 ** width
+    assert oracles.largest_digit_sum(cfg.interpolation_map) <= bound
     if name in ("ts-q37-n36-k12-l4-m3", "ts-q37-n36-k12-l4-m2"):
         # the served outputs alone would fit 16-bit digits at m = 3
         served = (cfg.encode_map.inputs + reads) * 36 ** 2
         assert served.bit_length() == (16 if cfg.m == 3 else 17)
-        assert width == 32 and terms == 48 + 36 * reads * 36
+        assert width == 32 and bound == (48 + 36 * reads * 36) * 36 ** 2
+    if name == "frs-wide":
+        # 24 * 52^2 + 52: the three maps pack 16-bit digits
+        assert bound == 64948 and width == 16
+    served_download = cfg.served_download_map
+    assert (served_download.outputs, served_download.width) == (size, width)
+    assert oracles.map_digits(served_download) == [c[:size]
+                                                   for c in download]
     # each download column reads into its own column's served symbols
-    for column in oracles.map_digits(cfg.download_map):
+    for column in download:
         touched = {r // cfg.served_per_column
                    for r, digit in enumerate(column[:size]) if digit}
         assert len(touched) <= 1
@@ -209,7 +229,7 @@ def test_transmit_width_holds_the_joint_digit_sum(name):
 def test_packed_sum_refuses_maps_of_another_width():
     q = 31
     narrow = rs.packed_map(q, [[1, 2]])
-    wide = rs.packed_map(q, [[1, 2]], terms=100)
+    wide = rs.packed_map(q, [[1, 2]], bound=100 * (q - 1) ** 2)
     assert rs.packed_sum(narrow, [3], narrow, [(0, [4])]) == [7, 14]
     with pytest.raises(ValueError, match="same outputs and width"):
         rs.packed_sum(narrow, [3], wide, [])
